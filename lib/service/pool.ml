@@ -133,12 +133,6 @@ let stats t =
   Mutex.unlock t.lock;
   s
 
-let reset_stats t =
-  Mutex.lock t.lock;
-  Array.iter (fun (w : worker) -> w.busy_ns <- 0L) t.workers;
-  t.helper_busy_ns <- 0L;
-  Mutex.unlock t.lock
-
 (* Help execute pending tasks (of any batch) while waiting on our own —
    this is what makes nested [map] calls from inside a task safe. *)
 let help_while t ~unfinished =

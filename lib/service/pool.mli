@@ -68,14 +68,12 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 val map_routines : t -> (Epre_ir.Routine.t -> 'a) -> Epre_ir.Program.t -> 'a list
 
 (** Cumulative wall-clock busy time. [busy_ns.(i)] is worker [i]'s time
-    spent executing tasks since creation (or [reset_stats]);
-    [helper_busy_ns] is task time executed by submitters while waiting.
-    For an inline pool all time lands in [helper_busy_ns]. *)
+    spent executing tasks since creation; [helper_busy_ns] is task time
+    executed by submitters while waiting. For an inline pool all time
+    lands in [helper_busy_ns]. *)
 type stats = { busy_ns : int64 array; helper_busy_ns : int64 }
 
 val stats : t -> stats
-
-val reset_stats : t -> unit
 
 (** Stop and join every worker domain. Must not be called while a batch
     is outstanding. Idempotent. *)

@@ -68,6 +68,28 @@ let contains_substring ~needle haystack =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   nl = 0 || go 0
 
+(* A fresh path under the temp dir, cleared first: a test never sees
+   state left by an earlier (crashed) run. *)
+let fresh_dir =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    let dir =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "eprec-test-%d-%d" (Unix.getpid ()) !n)
+    in
+    let rec rm p =
+      if Sys.file_exists p then
+        if Sys.is_directory p then begin
+          Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
+          Sys.rmdir p
+        end
+        else Sys.remove p
+    in
+    rm dir;
+    dir
+
 let qcheck_case ?(count = 100) name law gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name:(name ^ ": " ^ law) gen prop)

@@ -181,9 +181,8 @@ let test_reduction_quality () =
 (* ------------------------------------------------------------------ *)
 (* Corpus + campaign                                                   *)
 
-let corpus_dir = "fuzz-test-corpus"
-
 let test_corpus_round_trip () =
+  let corpus_dir = Helpers.fresh_dir () in
   let _, _, reduced, stats = reduce_chaos_failure 11 in
   let prog = compile_ast reduced in
   match Fuzz.Oracle.check { chaos_config with pinpoint = false } prog with
@@ -244,7 +243,7 @@ let test_campaign_chaos_end_to_end () =
     { Fuzz.Campaign.default_config with
       runs = 1; seed = 7; chaos = Some chaos_spec;
       levels = [ Epre.Pipeline.Baseline ];
-      corpus_dir = Some corpus_dir }
+      corpus_dir = Some (Helpers.fresh_dir ()) }
   in
   let s = Fuzz.Campaign.run cfg in
   Alcotest.(check int) "one failing case" 1 s.Fuzz.Campaign.cases_failed;

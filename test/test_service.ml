@@ -16,27 +16,6 @@ module Breaker = Epre_service.Breaker
 module Pipeline = Epre.Pipeline
 module Tjson = Epre_telemetry.Tjson
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "eprec-test-cache-%d-%d" (Unix.getpid ()) !n)
-    in
-    (* Never reuse state from an earlier (crashed) run. *)
-    let rec rm p =
-      if Sys.file_exists p then
-        if Sys.is_directory p then begin
-          Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
-          Sys.rmdir p
-        end
-        else Sys.remove p
-    in
-    rm dir;
-    dir
-
 let program_text p = Ir_text.print_program p
 
 (* ------------------------------------------------------------------ *)
@@ -347,7 +326,7 @@ let test_pool_halt_done_prefix () =
 (* Cache *)
 
 let test_cache_second_run_all_hits () =
-  let dir = fresh_dir () in
+  let dir = Helpers.fresh_dir () in
   let cache = Cache.create ~dir () in
   let cold = Epre_workloads.Workloads.compile (Option.get (Epre_workloads.Workloads.find "crout")) in
   let cold_stats, cold_counts =
@@ -370,7 +349,7 @@ let test_cache_second_run_all_hits () =
 let test_cache_survives_reopen () =
   (* A second Cache.t over the same directory (a new process, in effect)
      sees the first one's entries. *)
-  let dir = fresh_dir () in
+  let dir = Helpers.fresh_dir () in
   let w = Option.get (Epre_workloads.Workloads.find "dot") in
   let first = Epre_workloads.Workloads.compile w in
   let _ =
@@ -389,7 +368,7 @@ let test_cache_survives_reopen () =
 let test_cache_fingerprint_invalidation () =
   (* Same input at a different level must miss: the fingerprint is part
      of the key. *)
-  let dir = fresh_dir () in
+  let dir = Helpers.fresh_dir () in
   let cache = Cache.create ~dir () in
   let w = Option.get (Epre_workloads.Workloads.find "saxpy") in
   let _ =
@@ -423,7 +402,7 @@ let corrupt_entries dir f =
   !count
 
 let test_cache_poisoned_entry_recompiles () =
-  let dir = fresh_dir () in
+  let dir = Helpers.fresh_dir () in
   let cache = Cache.create ~dir () in
   let w = Option.get (Epre_workloads.Workloads.find "euclid") in
   let reference = Epre_workloads.Workloads.compile w in
@@ -453,7 +432,7 @@ let test_cache_poisoned_entry_recompiles () =
       "{\"schema\":\"something/else\",\"iloc\":\"x\"}" ]
 
 let test_cache_eviction () =
-  let dir = fresh_dir () in
+  let dir = Helpers.fresh_dir () in
   let cache = Cache.create ~dir ~max_entries:4 () in
   List.iteri
     (fun i w ->
@@ -478,7 +457,7 @@ let test_cache_byte_budget () =
   (* Entries whose total size exceeds --cache-max-bytes are evicted
      oldest-first down to the budget, independent of the entry-count
      bound. *)
-  let dir = fresh_dir () in
+  let dir = Helpers.fresh_dir () in
   let budget = 8192 in
   let cache = Cache.create ~dir ~max_bytes:budget () in
   let stats = some_stats () in
@@ -505,7 +484,7 @@ let test_cache_byte_budget () =
 let test_cache_sweep_temp () =
   (* A crashed writer's orphaned entry*.tmp is reclaimed by the sweep;
      a fresh one (a live concurrent writer's) survives. *)
-  let dir = fresh_dir () in
+  let dir = Helpers.fresh_dir () in
   let cache = Cache.create ~dir () in
   let shard = Filename.concat dir "ab" in
   List.iter
@@ -533,7 +512,7 @@ let test_cache_concurrent_stores () =
      the entries and the accounting intact: a third, fresh handle must
      afterwards serve every routine as a hit, byte-identical to an
      undisturbed serial compile. *)
-  let dir = fresh_dir () in
+  let dir = Helpers.fresh_dir () in
   let progs () =
     List.init 6 (fun i ->
         Epre_frontend.Frontend.compile_string (Epre_fuzz.Gen.source (i + 1)))
@@ -568,6 +547,66 @@ let test_cache_concurrent_stores () =
         (Printf.sprintf "program %d text intact" i)
         (List.nth reference i) (program_text p))
     (progs ())
+
+let test_zipf_jobs_shared_cache () =
+  (* Zipf-shaped traffic through [run_job] across domains on one shared
+     cache: of 12 generated programs, the one of rank r is submitted
+     12/r times. A serial uncached run, a cold 2-worker run and a warm
+     rerun must agree on every (id, ok, iloc); the cold run already hits
+     on repeats, and the warm run is nothing but hits. *)
+  let distinct = 12 in
+  let corpus =
+    Array.init distinct (fun i ->
+        program_text
+          (Epre_frontend.Frontend.compile_string (Epre_fuzz.Gen.source (i + 1))))
+  in
+  (* Round k submits every program whose rank r has 12/r > k. *)
+  let ranks =
+    List.concat
+      (List.init distinct (fun k ->
+           List.filter
+             (fun i -> distinct / (i + 1) > k)
+             (List.init distinct Fun.id)))
+  in
+  let jobs =
+    List.mapi
+      (fun n i ->
+        { Service.id = Printf.sprintf "job-%d" (n + 1);
+          level = Pipeline.Partial;
+          input = Service.Iloc corpus.(i);
+          emit = true })
+      ranks
+  in
+  let run ~workers ?cache () =
+    Pool.with_pool ~jobs:workers (fun pool ->
+        Pool.map_list pool (Service.run_job ?cache) jobs)
+  in
+  let view =
+    List.map (fun (r : Service.result_line) ->
+        (r.Service.job_id, r.Service.ok, r.Service.iloc))
+  in
+  let totals =
+    List.fold_left
+      (fun (h, m) (r : Service.result_line) ->
+        (h + r.Service.job_counts.Service.hits,
+         m + r.Service.job_counts.Service.misses))
+      (0, 0)
+  in
+  let serial = run ~workers:1 () in
+  let cache = Cache.create ~dir:(Helpers.fresh_dir ()) () in
+  let cold = run ~workers:2 ~cache () in
+  let warm = run ~workers:2 ~cache () in
+  let results = Alcotest.(list (triple string bool (option string))) in
+  Alcotest.(check bool) "serial all ok" true
+    (List.for_all (fun (_, ok, _) -> ok) (view serial));
+  Alcotest.check results "cold == serial" (view serial) (view cold);
+  Alcotest.check results "warm == serial" (view serial) (view warm);
+  let hits, misses = totals cold in
+  let warm_hits, warm_misses = totals warm in
+  Alcotest.(check bool) "cold run hits on repeats" true (hits > 0);
+  Alcotest.(check int) "warm run misses nothing" 0 warm_misses;
+  Alcotest.(check int) "warm run hits every cold lookup" (hits + misses)
+    warm_hits
 
 (* ------------------------------------------------------------------ *)
 (* Failure policy *)
@@ -670,7 +709,7 @@ let test_job_parsing () =
       {|{"workload":"a","level":"warp"}|} ]
 
 let test_serve_stream () =
-  let dir = fresh_dir () in
+  let dir = Helpers.fresh_dir () in
   let cache = Cache.create ~dir () in
   let input =
     String.concat "\n"
@@ -840,7 +879,7 @@ let norm_line l =
   | Error m -> Alcotest.failf "bad result line: %s" m
 
 let test_journal_roundtrip () =
-  let dir = fresh_dir () in
+  let dir = Helpers.fresh_dir () in
   let path = Filename.concat dir "journal.jsonl" in
   let j = Journal.open_ ~path () in
   Journal.append j
@@ -892,7 +931,7 @@ let test_journal_run_isolation () =
      that run is killed mid-way and resumed. The resume must not let
      batch 1's done records — same (seq, key)! — masquerade as batch 2's
      and silently swallow its lines. *)
-  let dir = fresh_dir () in
+  let dir = Helpers.fresh_dir () in
   let path = Filename.concat dir "journal.jsonl" in
   let j1 = Journal.open_ ~path () in
   Journal.append j1
@@ -943,7 +982,7 @@ let test_serve_kill_resume_byte_identical () =
              (i + 1)))
   in
   let ref_res, ref_lines =
-    serve_to_lines ~cache:(Cache.create ~dir:(fresh_dir ()) ()) ~batch:4
+    serve_to_lines ~cache:(Cache.create ~dir:(Helpers.fresh_dir ()) ()) ~batch:4
       ~jobs:1 input
   in
   (match ref_res with
@@ -954,7 +993,7 @@ let test_serve_kill_resume_byte_identical () =
   (* Seed 1 deterministically fires kill-self on a later batch, so some
      output precedes the crash. *)
   Chaos.default_seed := 1;
-  let dir = fresh_dir () in
+  let dir = Helpers.fresh_dir () in
   let jpath = Filename.concat dir "journal.jsonl" in
   let journal = Journal.open_ ~path:jpath () in
   let killed_res, killed_lines =
@@ -1148,7 +1187,7 @@ let test_serve_shed_deterministic () =
 let test_cache_sweep_spares_locked () =
   (* A stale-looking temp file whose writer is alive (holds its advisory
      lock) survives the sweep; the truly orphaned one is reclaimed. *)
-  let dir = fresh_dir () in
+  let dir = Helpers.fresh_dir () in
   let cache = Cache.create ~dir () in
   let shard = Filename.concat dir "ab" in
   List.iter
@@ -1229,6 +1268,8 @@ let suite =
     Alcotest.test_case "orphaned temp sweep" `Quick test_cache_sweep_temp;
     Alcotest.test_case "concurrent stores, shared dir" `Quick
       test_cache_concurrent_stores;
+    Alcotest.test_case "zipf jobs: parallel shared cache == serial" `Quick
+      test_zipf_jobs_shared_cache;
     Alcotest.test_case "retry absorbs transient fault" `Quick
       test_run_job_retry;
     Alcotest.test_case "deadline bounds a slow job" `Quick
