@@ -46,6 +46,37 @@ let compile_source path =
     Fmt.epr "%s:%d: %s@." path line message;
     exit 1
 
+(* The program named by FILE or --workload NAME, as a compile thunk (each
+   use gets a fresh program). [usage] is the error for any other
+   combination. *)
+let program_input ~usage file workload =
+  match (file, workload) with
+  | Some f, None -> (Filename.basename f, fun () -> compile_source f)
+  | None, Some name -> begin
+    match Epre_workloads.Workloads.find name with
+    | Some w -> (name, fun () -> Epre_workloads.Workloads.compile w)
+    | None ->
+      Fmt.epr "unknown workload %S (see `eprec workloads`)@." name;
+      exit 1
+  end
+  | _ ->
+    Fmt.epr "%s@." usage;
+    exit 1
+
+(* [program_input], or every built-in workload with [workloads]. *)
+let program_inputs ~usage file workload workloads =
+  match (file, workload, workloads) with
+  | None, None, true ->
+    List.map
+      (fun w ->
+        ( w.Epre_workloads.Workloads.name,
+          fun () -> Epre_workloads.Workloads.compile w ))
+      Epre_workloads.Workloads.all
+  | _, _, false -> [ program_input ~usage file workload ]
+  | _ ->
+    Fmt.epr "%s@." usage;
+    exit 1
+
 let level_conv =
   let parse s =
     match Epre.Pipeline.level_of_string s with
@@ -489,20 +520,11 @@ let bisect_cmd =
     Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE")
   in
   let run file workload level passes_spec sup =
-    let prog =
-      match (file, workload) with
-      | Some f, None -> compile_source f
-      | None, Some name -> begin
-        match Epre_workloads.Workloads.find name with
-        | Some w -> Epre_workloads.Workloads.compile w
-        | None ->
-          Fmt.epr "unknown workload %S (see `eprec workloads`)@." name;
-          exit 1
-      end
-      | Some _, Some _ | None, None ->
-        Fmt.epr "bisect needs exactly one input: FILE or --workload NAME@.";
-        exit 1
+    let _, compile =
+      program_input file workload
+        ~usage:"bisect needs exactly one input: FILE or --workload NAME"
     in
+    let prog = compile () in
     let named =
       match passes_spec with
       | Some spec -> begin
@@ -518,13 +540,8 @@ let bisect_cmd =
         (match sup.chaos with
         | None -> base
         | Some spec ->
-          let pos, np = parse_chaos spec in
-          let rec splice i = function
-            | rest when i = pos -> np :: rest
-            | [] -> [ np ]
-            | x :: rest -> x :: splice (i + 1) rest
-          in
-          splice 0 base)
+          let at, np = parse_chaos spec in
+          Epre.Pipeline.splice base ~at np)
     in
     match Epre_harness.Bisect.run ~passes:named prog with
     | Some failure -> Fmt.pr "%a@." Epre_harness.Bisect.pp_failure failure
@@ -769,52 +786,32 @@ let verify_workloads_arg =
 let verify_file_arg =
   Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE")
 
-(* Named program sources (compile thunks: each (input, level) pair gets a
-   fresh program). *)
-let verify_inputs file workload workloads =
-  match (file, workload, workloads) with
-  | Some f, None, false ->
-    [ (Filename.basename f, fun () -> compile_source f) ]
-  | None, Some name, false -> begin
-    match Epre_workloads.Workloads.find name with
-    | Some w -> [ (name, fun () -> Epre_workloads.Workloads.compile w) ]
-    | None ->
-      Fmt.epr "unknown workload %S (see `eprec workloads`)@." name;
-      exit 1
-  end
-  | None, None, true ->
-    List.map
-      (fun w ->
-        ( w.Epre_workloads.Workloads.name,
-          fun () -> Epre_workloads.Workloads.compile w ))
-      Epre_workloads.Workloads.all
-  | None, None, false ->
-    Fmt.epr "verify needs an input: FILE, --workload NAME or --workloads@.";
-    exit 1
-  | _ ->
-    Fmt.epr "verify takes exactly one input: FILE, --workload or --workloads@.";
-    exit 1
-
 let level_label = function
   | None -> "unoptimized"
   | Some l -> Epre.Pipeline.level_to_string l
 
-let run_verify ~lints file workload workloads level all_levels rules json tel =
-  let config =
-    let ids =
-      match rules with
-      | None -> None
-      | Some spec -> begin
+(* The driver shared by verify, lint and analyze: parse --rules, run
+   [check ~rules ~name compile lvl] on every (input, level) pair, and
+   report either one JSON array or the text diagnostics plus a totals
+   line. [check] returns the diagnostics, extra JSON fields for the
+   record and a text note printed after the diagnostics. Exits 1 on any
+   error-severity diagnostic. *)
+let run_checks ~cmd ~check file workload workloads level all_levels rules json
+    tel =
+  let rules =
+    Option.map
+      (fun spec ->
         match Epre_verify.Rules.parse_spec spec with
-        | Ok ids -> Some ids
+        | Ok ids -> ids
         | Error id ->
           Fmt.epr "unknown rule id %S (see DESIGN.md)@." id;
-          exit 1
-      end
-    in
-    { Epre_verify.Verify.rules = ids; include_lints = lints }
+          exit 1)
+      rules
   in
-  let inputs = verify_inputs file workload workloads in
+  let inputs =
+    program_inputs file workload workloads
+      ~usage:(cmd ^ " takes exactly one input: FILE, --workload or --workloads")
+  in
   let levels =
     if all_levels then None :: List.map Option.some Epre.Pipeline.all_levels
     else [ level ]
@@ -827,26 +824,25 @@ let run_verify ~lints file workload workloads level all_levels rules json tel =
         (fun (name, compile) ->
           List.iter
             (fun lvl ->
-              let prog = compile () in
-              (match lvl with
-              | None -> ()
-              | Some level -> ignore (Epre.Pipeline.optimize ~level prog));
-              let diags = Epre_verify.Verify.check_program ~config prog in
-              Epre_verify.Verify.record_metrics diags;
-              let errs = List.length (Epre_verify.Verify.errors diags) in
-              let warns = List.length (Epre_verify.Verify.warnings diags) in
-              total_errors := !total_errors + errs;
-              total_warnings := !total_warnings + warns;
+              let diags, fields, note = check ~rules ~name compile lvl in
+              total_errors :=
+                !total_errors + List.length (Epre_verify.Verify.errors diags);
+              total_warnings :=
+                !total_warnings + List.length (Epre_verify.Verify.warnings diags);
               if json then
                 reports :=
                   Epre_telemetry.Tjson.Obj
-                    [ ("input", Epre_telemetry.Tjson.Str name);
-                      ("level", Epre_telemetry.Tjson.Str (level_label lvl));
-                      ("report", Epre_verify.Verify.to_tjson diags) ]
+                    ([ ("input", Epre_telemetry.Tjson.Str name);
+                       ("level", Epre_telemetry.Tjson.Str (level_label lvl)) ]
+                    @ fields
+                    @ [ ("report", Epre_verify.Verify.to_tjson diags) ])
                   :: !reports
-              else if diags <> [] then begin
-                Fmt.pr "== %s (%s)@." name (level_label lvl);
-                Fmt.pr "%s@." (Epre_verify.Verify.render diags)
+              else begin
+                if diags <> [] then begin
+                  Fmt.pr "== %s (%s)@." name (level_label lvl);
+                  Fmt.pr "%s@." (Epre_verify.Verify.render diags)
+                end;
+                Option.iter (Fmt.pr "%s@.") note
               end)
             levels)
         inputs);
@@ -855,12 +851,22 @@ let run_verify ~lints file workload workloads level all_levels rules json tel =
       (Epre_telemetry.Tjson.to_string
          (Epre_telemetry.Tjson.Arr (List.rev !reports)))
   else
-    Fmt.pr "%s: %d error(s), %d warning(s) over %d check(s)@."
-      (if lints then "lint" else "verify")
-      !total_errors !total_warnings
+    Fmt.pr "%s: %d error(s), %d warning(s) over %d check(s)@." cmd !total_errors
+      !total_warnings
       (List.length inputs * List.length levels);
   emit_metrics tel [];
   if !total_errors > 0 then exit 1
+
+let run_verify ~lints =
+  let check ~rules ~name:_ compile lvl =
+    let prog = compile () in
+    Option.iter (fun level -> ignore (Epre.Pipeline.optimize ~level prog)) lvl;
+    let config = { Epre_verify.Verify.rules; include_lints = lints } in
+    let diags = Epre_verify.Verify.check_program ~config prog in
+    Epre_verify.Verify.record_metrics diags;
+    (diags, [], None)
+  in
+  run_checks ~cmd:(if lints then "lint" else "verify") ~check
 
 let verify_cmd =
   let doc =
@@ -877,13 +883,10 @@ let verify_cmd =
          register-type rules. The rule catalog lives in DESIGN.md.";
       `P "Exit status: 1 when any error-severity diagnostic is reported." ]
   in
-  let run file workload workloads level all_levels rules json tel =
-    run_verify ~lints:false file workload workloads level all_levels rules
-      json tel
-  in
   Cmd.v (Cmd.info "verify" ~doc ~man)
     Term.(
-      const run $ verify_file_arg $ verify_workload_arg $ verify_workloads_arg
+      const (run_verify ~lints:false)
+      $ verify_file_arg $ verify_workload_arg $ verify_workloads_arg
       $ level_arg $ all_levels_arg $ rules_arg $ json_arg $ telemetry_term)
 
 let lint_cmd =
@@ -896,13 +899,10 @@ let lint_cmd =
          forwarding blocks and rank-order violations. Lints are warnings; \
          the exit status still only reflects error-severity diagnostics." ]
   in
-  let run file workload workloads level all_levels rules json tel =
-    run_verify ~lints:true file workload workloads level all_levels rules
-      json tel
-  in
   Cmd.v (Cmd.info "lint" ~doc ~man)
     Term.(
-      const run $ verify_file_arg $ verify_workload_arg $ verify_workloads_arg
+      const (run_verify ~lints:true)
+      $ verify_file_arg $ verify_workload_arg $ verify_workloads_arg
       $ level_arg $ all_levels_arg $ rules_arg $ json_arg $ telemetry_term)
 
 (* --- analyze ----------------------------------------------------------- *)
@@ -915,98 +915,50 @@ let expect_pre_at = function
   | Epre.Pipeline.Distribution ->
     true
 
-let run_analyze file workload workloads level all_levels rules json tel =
-  let rule_filter =
-    match rules with
-    | None -> None
-    | Some spec -> begin
-      match Epre_verify.Rules.parse_spec spec with
-      | Ok ids -> Some ids
-      | Error id ->
-        Fmt.epr "unknown rule id %S (see DESIGN.md)@." id;
-        exit 1
-    end
+let run_analyze =
+  let check ~rules ~name compile lvl =
+    let prog, expect_pre, baseline =
+      match lvl with
+      | None -> (compile (), false, None)
+      | Some level ->
+        let reference = compile () in
+        let prog = compile () in
+        ignore (Epre.Pipeline.optimize ~level prog);
+        (prog, expect_pre_at level, Some reference)
+    in
+    let routine_reports, diags =
+      Epre_verify.Analyze.check_program ~expect_pre ?baseline prog
+    in
+    let diags =
+      match rules with
+      | None -> diags
+      | Some ids ->
+        List.filter
+          (fun (d : Epre_verify.Diag.t) -> List.mem d.Epre_verify.Diag.rule ids)
+          diags
+    in
+    Epre_verify.Analyze.record_metrics diags;
+    let routines =
+      Epre_telemetry.Tjson.Arr
+        (List.map
+           (fun (rn, rep) -> Epre_verify.Analyze.report_to_tjson ~routine:rn rep)
+           routine_reports)
+    in
+    let residual =
+      List.fold_left
+        (fun acc (_, rep) -> acc + Epre_verify.Analyze.Audit.residual rep)
+        0 routine_reports
+    in
+    let note =
+      if residual > 0 && lvl <> None then
+        Some
+          (Printf.sprintf "%s (%s): %d redundant evaluation(s) left" name
+             (level_label lvl) residual)
+      else None
+    in
+    (diags, [ ("routines", routines) ], note)
   in
-  let inputs = verify_inputs file workload workloads in
-  let levels =
-    if all_levels then None :: List.map Option.some Epre.Pipeline.all_levels
-    else [ level ]
-  in
-  let total_errors = ref 0 in
-  let total_warnings = ref 0 in
-  let reports = ref [] in
-  with_telemetry tel (fun () ->
-      List.iter
-        (fun (name, compile) ->
-          List.iter
-            (fun lvl ->
-              let prog, expect_pre, baseline =
-                match lvl with
-                | None -> (compile (), false, None)
-                | Some level ->
-                  let reference = compile () in
-                  let prog = compile () in
-                  ignore (Epre.Pipeline.optimize ~level prog);
-                  (prog, expect_pre_at level, Some reference)
-              in
-              let routine_reports, diags =
-                Epre_verify.Analyze.check_program ~expect_pre ?baseline prog
-              in
-              let diags =
-                match rule_filter with
-                | None -> diags
-                | Some ids ->
-                  List.filter
-                    (fun (d : Epre_verify.Diag.t) ->
-                      List.mem d.Epre_verify.Diag.rule ids)
-                    diags
-              in
-              Epre_verify.Analyze.record_metrics diags;
-              let errs = List.length (Epre_verify.Verify.errors diags) in
-              let warns = List.length (Epre_verify.Verify.warnings diags) in
-              total_errors := !total_errors + errs;
-              total_warnings := !total_warnings + warns;
-              if json then
-                reports :=
-                  Epre_telemetry.Tjson.Obj
-                    [ ("input", Epre_telemetry.Tjson.Str name);
-                      ("level", Epre_telemetry.Tjson.Str (level_label lvl));
-                      ( "routines",
-                        Epre_telemetry.Tjson.Arr
-                          (List.map
-                             (fun (rn, rep) ->
-                               Epre_verify.Analyze.report_to_tjson ~routine:rn
-                                 rep)
-                             routine_reports) );
-                      ("report", Epre_verify.Verify.to_tjson diags) ]
-                  :: !reports
-              else begin
-                if diags <> [] then begin
-                  Fmt.pr "== %s (%s)@." name (level_label lvl);
-                  Fmt.pr "%s@." (Epre_verify.Verify.render diags)
-                end;
-                let residual =
-                  List.fold_left
-                    (fun acc (_, rep) ->
-                      acc + Epre_verify.Analyze.Audit.residual rep)
-                    0 routine_reports
-                in
-                if residual > 0 && lvl <> None then
-                  Fmt.pr "%s (%s): %d redundant evaluation(s) left@." name
-                    (level_label lvl) residual
-              end)
-            levels)
-        inputs);
-  if json then
-    print_endline
-      (Epre_telemetry.Tjson.to_string
-         (Epre_telemetry.Tjson.Arr (List.rev !reports)))
-  else
-    Fmt.pr "analyze: %d error(s), %d warning(s) over %d check(s)@."
-      !total_errors !total_warnings
-      (List.length inputs * List.length levels);
-  emit_metrics tel [];
-  if !total_errors > 0 then exit 1
+  run_checks ~cmd:"analyze" ~check
 
 let analyze_cmd =
   let doc =

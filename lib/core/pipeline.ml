@@ -344,28 +344,6 @@ let splice passes ~at np =
   in
   go 0 passes
 
-(* Supervise one routine's full pass sequence against [context] — a
-   program that contains [r] (live) alongside a consistent view of the
-   other routines. The compile-service pool runs one of these per worker:
-   [context] supplies the call-graph signatures the Ir tier's typechecker
-   wants, while only [r] is transformed. *)
-let optimize_supervised_routine ?dump ?(inject = []) ?(record = true) ~config
-    ~level ~context (r : Routine.t) =
-  let acc = fresh_acc () in
-  let passes =
-    List.fold_left
-      (fun ps (at, np) -> splice ps ~at np)
-      (level_passes_into ~level ~acc_for:(fun _ -> acc))
-      inject
-  in
-  let records =
-    Epre_harness.Harness.supervise ?dump ~only:[ r.Routine.name ] config
-      ~passes context
-  in
-  let stats = stats_of_acc ~routine:r.Routine.name acc in
-  if record then record_metrics stats;
-  (stats, records)
-
 (** Optimize under harness supervision: each (pass, routine) application
     checkpoints, validates at the configured tier, and rolls back on
     failure, continuing with the rest of the sequence. [inject] splices

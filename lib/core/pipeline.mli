@@ -147,25 +147,3 @@ val optimize_supervised :
   Program.t ->
   routine_stats list * Epre_harness.Harness.record list
 
-(** Supervise one routine's full pass sequence. [context] must contain
-    [r] itself plus a consistent (read-only) view of the other routines —
-    the Ir validation tier typechecks call-graph signatures against it,
-    and the Exec tier's translation validation interprets it (so for a
-    frozen per-worker context, the reference observation matches the
-    serial run's). Returns the routine's stats and its per-pass records
-    in pass order. This is the per-worker unit of [Epre_service]'s
-    parallel supervised optimization. [dump name r] fires after every
-    pass application, post-rollback — the service captures per-pass
-    snapshot trails through it to reconstruct serial fail-fast state.
-    [inject] splices extra passes exactly like [optimize_supervised]'s.
-    [record] (default true) mirrors the stats into the metrics registry;
-    the service defers that to preserve serial metric ordering. *)
-val optimize_supervised_routine :
-  ?dump:(string -> Routine.t -> unit) ->
-  ?inject:(int * Epre_harness.Harness.named_pass) list ->
-  ?record:bool ->
-  config:Epre_harness.Harness.config ->
-  level:level ->
-  context:Program.t ->
-  Routine.t ->
-  routine_stats * Epre_harness.Harness.record list

@@ -114,7 +114,7 @@ let check_ir ~pass ~program (r : Routine.t) =
 let rolled_back records =
   List.filter (fun r -> match r.outcome with Rolled_back _ -> true | Passed -> false) records
 
-let supervise ?(dump = fun _ _ -> ()) ?only config ~passes (p : Program.t) =
+let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
   (* Post-pass interpretation gets a budget derived from the reference run,
      so a pass that introduces an infinite loop burns seconds, not the full
      [config.fuel]. *)
@@ -131,18 +131,6 @@ let supervise ?(dump = fun _ _ -> ()) ?only config ~passes (p : Program.t) =
   in
   let current_obs = ref current_obs in
   let records = ref [] in
-  (* [only] restricts which routines are transformed; validation still
-     sees the whole program [p] (call-graph signatures, translation
-     validation). The compile-service pool uses this to supervise one
-     routine per worker against a shared read-only context. *)
-  let transformed =
-    match only with
-    | None -> Program.routines p
-    | Some names ->
-      List.filter
-        (fun (r : Routine.t) -> List.mem r.Routine.name names)
-        (Program.routines p)
-  in
   List.iter
     (fun np ->
       List.iter
@@ -248,6 +236,6 @@ let supervise ?(dump = fun _ _ -> ()) ?only config ~passes (p : Program.t) =
               end
             end
           end)
-        transformed)
+        (Program.routines p))
     passes;
   List.rev !records

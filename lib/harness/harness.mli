@@ -104,16 +104,12 @@ val describe_obs : obs -> string
 (** Run every pass over every routine of the program, pass-major,
     checkpointing each (pass, routine) application and rolling back on
     failure. [dump name r] fires after each application (after the
-    rollback, if one happened). [only] restricts transformation to the
-    named routines while validation keeps seeing the whole program —
-    the compile-service pool ([Epre_service]) supervises one routine per
-    worker against a shared read-only context this way. Returns the
-    per-application records in execution order.
+    rollback, if one happened). Returns the per-application records in
+    execution order.
     @raise Supervision_failed on the first rollback when
     [config.keep_going] is false (the routine is restored first). *)
 val supervise :
   ?dump:(string -> Routine.t -> unit) ->
-  ?only:string list ->
   config ->
   passes:named_pass list ->
   Program.t ->

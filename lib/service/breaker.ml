@@ -68,6 +68,12 @@ let success t ~pass =
   | Half_open -> transition t ~pass ~from:Half_open ~to_:(Closed 0)
   | Open _ -> ()
 
+(* First occurrences only: PRE levels run pre and dce twice, and one
+   pipeline execution must count once against each breaker. *)
+let rec distinct = function
+  | [] -> []
+  | p :: rest -> p :: distinct (List.filter (( <> ) p) rest)
+
 let excluded t ~passes =
   locked t @@ fun () ->
   List.filter
@@ -82,7 +88,7 @@ let excluded t ~passes =
       | Open k ->
         Hashtbl.replace t.tbl pass (Open (k - 1));
         true)
-    passes
+    (distinct passes)
 
 let snapshot t =
   locked t @@ fun () ->

@@ -40,9 +40,11 @@ val success : t -> pass:string -> unit
 val failure : t -> pass:string -> unit
 
 (** [excluded t ~passes] — the subset of [passes] whose breakers are open,
-    to be excised from the pipeline about to run. Counts one execution
-    against each open breaker's probe timer; a breaker whose timer expires
-    flips to half-open and is {e not} excluded (that run is its probe). *)
+    to be excised from the pipeline about to run, each named once in
+    first-occurrence order. Counts one execution against each open
+    breaker's probe timer, however often its pass appears in [passes]; a
+    breaker whose timer expires flips to half-open and is {e not}
+    excluded (that run is its probe). *)
 val excluded : t -> passes:string list -> string list
 
 (** Current state name per known pass (["closed"], ["open"],

@@ -162,12 +162,14 @@ let help_while t ~unfinished =
   in
   wait ()
 
-type 'a outcome =
-  | Done of 'a
-  | Failed of exn * Printexc.raw_backtrace
-  | Cancelled
+type 'a outcome = Done of 'a | Failed of exn * Printexc.raw_backtrace
 
-let map_outcomes ?(halt = false) t f arr =
+let run_one f x =
+  match f x with
+  | v -> Done v
+  | exception e -> Failed (e, Printexc.get_raw_backtrace ())
+
+let map_outcomes t f arr =
   let n = Array.length arr in
   if n = 0 then [||]
   else if t.size = 0 then begin
@@ -177,46 +179,17 @@ let map_outcomes ?(halt = false) t f arr =
       t.helper_busy_ns <- Int64.add t.helper_busy_ns (Int64.sub (now_ns ()) t0);
       Mutex.unlock t.lock
     in
-    Fun.protect ~finally:finish (fun () ->
-        let failed = ref false in
-        Array.map
-          (fun x ->
-            if halt && !failed then Cancelled
-            else
-              match f x with
-              | v -> Done v
-              | exception e ->
-                failed := true;
-                Failed (e, Printexc.get_raw_backtrace ()))
-          arr)
+    Fun.protect ~finally:finish (fun () -> Array.map (run_one f) arr)
   end
   else begin
     let results = Array.make n None in
     let remaining = Atomic.make n in
-    (* Lowest index that has Failed so far. Cancellation only applies to
-       indexes strictly above it, so every index below the batch's lowest
-       failure is guaranteed to run — the Done-prefix before the first
-       failure is deterministic regardless of schedule, matching the
-       serial fail-fast order. Above it, Done/Failed/Cancelled mix
-       nondeterministically (callers halting must discard that suffix). *)
-    let first_failed = Atomic.make max_int in
-    let rec note_failure i =
-      let cur = Atomic.get first_failed in
-      if i < cur && not (Atomic.compare_and_set first_failed cur i) then
-        note_failure i
-    in
     let submit_ns = now_ns () in
     let task i () =
       (* Queue wait: submission to first execution, whichever domain
          (worker or helping submitter) picks the task up. *)
       Epre_telemetry.Histogram.observe_since ~name:"pool.queue_wait" submit_ns;
-      (if halt && i > Atomic.get first_failed then results.(i) <- Some Cancelled
-       else
-         match f arr.(i) with
-         | v -> results.(i) <- Some (Done v)
-         | exception e ->
-           note_failure i;
-           results.(i) <- Some (Failed (e, Printexc.get_raw_backtrace ())));
+      results.(i) <- Some (run_one f arr.(i));
       if Atomic.fetch_and_add remaining (-1) = 1 then begin
         Mutex.lock t.lock;
         Condition.broadcast t.cv;
@@ -237,16 +210,10 @@ let map_outcomes ?(halt = false) t f arr =
   end
 
 let map t f arr =
-  let out = map_outcomes ~halt:false t f arr in
-  (* Without halting no task is ever cancelled; re-raise the
-     lowest-indexed failure after the whole batch has drained. *)
-  Array.iter
-    (function
-      | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-      | Done _ | Cancelled -> ())
-    out;
-  Array.map (function Done v -> v | Failed _ | Cancelled -> assert false) out
+  (* Re-raise the lowest-indexed failure after the whole batch has
+     drained. *)
+  Array.map
+    (function Done v -> v | Failed (e, bt) -> Printexc.raise_with_backtrace e bt)
+    (map_outcomes t f arr)
 
 let map_list t f xs = Array.to_list (map t f (Array.of_list xs))
-
-let map_routines t f prog = map_list t f (Epre_ir.Program.routines prog)

@@ -9,16 +9,16 @@
 
     Ordering: [map] returns results indexed exactly like its input —
     execution order is nondeterministic, result order is not. Combined
-    with per-routine independence (the call-graph signature pass made
-    routine optimization order-free), this keeps parallel pipeline output
-    byte-identical to the serial path.
+    with the independence of its tasks (serve jobs, workloads, fuzz
+    cases), this keeps parallel output byte-identical to the serial
+    path.
 
     A pool of [jobs <= 1] spawns no domains: [map] runs inline on the
     caller, which is the reference serial path that `--jobs 1` and the
     benchmark baselines compare against.
 
     Safety contract for tasks: they may mutate only state reachable from
-    their own input element (distinct routines, distinct jobs) plus the
+    their own input element (distinct jobs) plus the
     domain-safe [Epre_telemetry] registries. Tasks must not submit to a
     *different* pool that is itself waiting on this one. *)
 
@@ -39,19 +39,12 @@ val size : t -> int
 type 'a outcome =
   | Done of 'a
   | Failed of exn * Printexc.raw_backtrace  (** the application raised *)
-  | Cancelled  (** skipped after an earlier-indexed failure ([halt]) *)
 
 (** [map_outcomes pool f arr] applies [f] to every element on the pool and
-    returns one {!outcome} per element, in input order; the call itself
-    never raises and never loses an element. With [halt] (default false),
-    a failure at index [i] cancels tasks with index [> i] that have not
-    started yet. The guarantee is deterministic where it matters: every
-    index below the batch's lowest failure always runs, so the [Done]
-    prefix before the first [Failed] is schedule-independent — the same
-    prefix a serial fail-fast loop would produce. Above the first failure,
-    [Done]/[Failed]/[Cancelled] mix nondeterministically and halting
-    callers must treat them uniformly. *)
-val map_outcomes : ?halt:bool -> t -> ('a -> 'b) -> 'a array -> 'b outcome array
+    returns one {!outcome} per element, in input order, once the whole
+    batch has drained. The call itself never raises and never loses an
+    element: a failure is contained to its own slot. *)
+val map_outcomes : t -> ('a -> 'b) -> 'a array -> 'b outcome array
 
 (** [map pool f arr] applies [f] to every element on the pool and returns
     the results in input order. If one or more applications raise, the
@@ -61,11 +54,6 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 (** [map] over a list. *)
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [map_routines pool f prog] fans [f] over the program's routines —
-    the per-routine [optimize] fan-out — returning results in routine
-    order. *)
-val map_routines : t -> (Epre_ir.Routine.t -> 'a) -> Epre_ir.Program.t -> 'a list
 
 (** Cumulative wall-clock busy time. [busy_ns.(i)] is worker [i]'s time
     spent executing tasks since creation; [helper_busy_ns] is task time

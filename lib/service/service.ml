@@ -1,5 +1,5 @@
 (** The compile service. See the interface for the protocol; the
-    correctness argument for each parallel/cached/fault path is inline. *)
+    correctness argument for each cached/fault path is inline. *)
 
 open Epre_ir
 module J = Epre_telemetry.Tjson
@@ -46,8 +46,8 @@ let optimize_routine_cached ?cache ?poll ?wrap ~level ~fingerprint
       Cache.store c ~key:k ~fingerprint ~iloc:after ~stats;
       (stats, { hits = 0; misses = 1 }))
 
-let optimize_program ?cache ?pool ?(poll = fun () -> ()) ?wrap ?fingerprint
-    ~level (p : Program.t) =
+let optimize_program ?cache ?(poll = fun () -> ()) ?wrap ?fingerprint ~level
+    (p : Program.t) =
   (* A caller that transforms the pass list ([wrap]) must supply the
      matching fingerprint, or cached results from the standard pipeline
      would replay against a different transformation. *)
@@ -56,136 +56,15 @@ let optimize_program ?cache ?pool ?(poll = fun () -> ()) ?wrap ?fingerprint
     | Some f -> f
     | None -> Pipeline.fingerprint ~level
   in
-  let one r =
-    poll ();
-    optimize_routine_cached ?cache ~poll ?wrap ~level ~fingerprint r
-  in
   let results =
-    match pool with
-    | Some pool -> Pool.map_routines pool one p
-    | None -> List.map one (Program.routines p)
+    List.map
+      (fun r ->
+        poll ();
+        optimize_routine_cached ?cache ~poll ?wrap ~level ~fingerprint r)
+      (Program.routines p)
   in
   ( List.map fst results,
     List.fold_left (fun acc (_, c) -> add_counts acc c) no_traffic results )
-
-(* ------------------------------------------------------------------ *)
-(* Parallel supervised optimization *)
-
-(* One worker per routine, each supervising its own full pass sequence
-   against a frozen snapshot of the program with only its own live
-   routine swapped in (the Ir tier's [Typecheck.infer] mutates scratch
-   state on routines it reads, and the Exec tier interprets the whole
-   context — both need a private copy).
-
-   Exec tier: each worker's context starts byte-identical to the input
-   program, so its reference observation and adaptive check fuel equal
-   the serial run's; the context then evolves only through the worker's
-   own routine. The serial pass-major loop validates against a program
-   where *other* routines carry already-validated (hence
-   observation-preserving) passes, so both sides compare the same
-   behaviour — pass/rollback outcomes agree.
-
-   keep_going = false: workers always run internally with
-   [keep_going = true], recording every (pass, routine) outcome and a
-   per-pass snapshot trail (via the harness dump hook, which fires after
-   each application, post-rollback). After the batch drains — no job is
-   abandoned mid-flight — we locate the first rollback in serial
-   pass-major order, at pass j and routine i, and rewind every routine to
-   exactly the state the serial fail-fast loop would have left: passes
-   0..j applied at indexes <= i (with pass j rolled back on routine i —
-   the trail entry already reflects that), passes 0..j-1 above i. Then
-   raise [Supervision_failed] with routine i's record, as serial does.
-   The scan order makes the failure choice deterministic regardless of
-   schedule. *)
-let supervise_parallel ?(inject = []) pool ~config ~level (p : Program.t) =
-  let routines = Program.routines p in
-  let snapshot = List.map Routine.copy routines in
-  let worker_config = { config with Harness.keep_going = true } in
-  let one (r : Routine.t) =
-    let context =
-      Program.create
-        (List.map
-           (fun (s : Routine.t) ->
-             if s.Routine.name = r.Routine.name then r else Routine.copy s)
-           snapshot)
-    in
-    let trail = ref [] in
-    let dump _ (tr : Routine.t) = trail := Routine.copy tr :: !trail in
-    let stats, records =
-      Pipeline.optimize_supervised_routine ~dump ~inject ~record:false
-        ~config:worker_config ~level ~context r
-    in
-    (stats, records, Array.of_list (List.rev !trail))
-  in
-  let results = Pool.map_routines pool one p in
-  let per_routine = List.map (fun (_, rs, _) -> Array.of_list rs) results in
-  let first_failure =
-    if config.Harness.keep_going then None
-    else begin
-      let arrs = Array.of_list per_routine in
-      let n_routines = Array.length arrs in
-      let n_passes =
-        Array.fold_left (fun m a -> max m (Array.length a)) 0 arrs
-      in
-      let found = ref None in
-      (try
-         for j = 0 to n_passes - 1 do
-           for i = 0 to n_routines - 1 do
-             if j < Array.length arrs.(i) then
-               match arrs.(i).(j).Harness.outcome with
-               | Harness.Rolled_back _ -> found := Some (j, i, arrs.(i).(j)); raise Exit
-               | Harness.Passed -> ()
-           done
-         done
-       with Exit -> ());
-      !found
-    end
-  in
-  match first_failure with
-  | Some (j, i, record) ->
-    ignore
-      (Recorder.dump
-         ~reason:
-           (Printf.sprintf "supervision-failed: %s/%s" record.Harness.pass
-              record.Harness.routine)
-         ());
-    let trails = Array.of_list (List.map (fun (_, _, t) -> t) results) in
-    let originals = Array.of_list snapshot in
-    List.iteri
-      (fun idx (r : Routine.t) ->
-        let upto = if idx <= i then j else j - 1 in
-        let from = if upto < 0 then originals.(idx) else trails.(idx).(upto) in
-        Routine.restore r ~from)
-      routines;
-    raise (Harness.Supervision_failed record)
-  | None ->
-    (* Success (or keep_going): mirror stats into the registry in routine
-       order, exactly where the serial path does it. *)
-    let stats = List.map (fun (s, _, _) -> s) results in
-    List.iter Pipeline.record_metrics stats;
-    (* Reassemble the per-routine record lists (each in pass order; exactly
-       one record per (pass, routine) under the workers' keep_going) into
-       the serial pass-major execution order. *)
-    let uniform =
-      match per_routine with
-      | [] -> true
-      | a :: rest -> List.for_all (fun b -> Array.length b = Array.length a) rest
-    in
-    let records =
-      if uniform && per_routine <> [] then
-        let n_passes = Array.length (List.hd per_routine) in
-        List.concat
-          (List.init n_passes (fun j -> List.map (fun a -> a.(j)) per_routine))
-      else List.concat_map Array.to_list per_routine
-    in
-    (stats, records)
-
-let optimize_supervised_program ?pool ?(inject = []) ~config ~level
-    (p : Program.t) =
-  match pool with
-  | Some pool when Pool.size pool > 0 ->
-    supervise_parallel ~inject pool ~config ~level p
-  | _ -> Pipeline.optimize_supervised ~inject ~config ~level p
 
 (* ------------------------------------------------------------------ *)
 (* Failure policy *)
@@ -222,6 +101,21 @@ module Policy = struct
     let h = Hashtbl.hash (id, attempt, "backoff") in
     let jitter = 0.5 +. (float_of_int (h mod 1000) /. 2000.0) in
     t.backoff_ms *. float_of_int (1 lsl min (attempt - 1) 6) *. jitter /. 1000.0
+
+  type decision = Retry_after of float | Descend of Pipeline.level | Stop
+
+  (* The attempt planner. Transient failures retry at the same rung while
+     the budget lasts. Bad input stops: no optimization level can fix it.
+     Every other terminal failure (permanent, exhausted retries, deadline)
+     descends one rung when [degrade] allows and a lower rung exists. *)
+  let plan t ~id ~rung ~attempt = function
+    | `Transient when attempt <= t.retries ->
+      Retry_after (backoff_delay t ~id ~attempt)
+    | `Bad_input -> Stop
+    | `Transient | `Permanent | `Deadline -> (
+      match Pipeline.lower rung with
+      | Some next when t.degrade -> Descend next
+      | _ -> Stop)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -382,28 +276,162 @@ let poison_candidates =
 let poisoned_pass ?seed () =
   Chaos.poison_target ?seed ~candidates:(Lazy.force poison_candidates) ()
 
+(* A service fault fires: count it, log it, and capture the flight
+   recorder. *)
+let fire ?corr fault =
+  let name = Chaos.service_name fault in
+  (* chaos:worker-raise counts as chaos.worker_raise. *)
+  count (String.map (function ':' -> '.' | '-' -> '_' | c -> c) name);
+  Log.warn ~event:"chaos.fire" ~fields:[ ("fault", J.Str name) ] ("injected " ^ name);
+  ignore (Recorder.dump ~reason:name ?corr ())
+
+(* The (level, excised passes) that serve [rung], given the passes whose
+   breakers are open. Prefer the highest standard level at or below the
+   rung whose sequence avoids every opened pass: the result is then a
+   pure level run, cache-coherent under the standard fingerprint and
+   byte-identical to a direct run at that level. Excision is the
+   fallback when even the floor contains an opened pass, which is the
+   only recovery when a Baseline pass's breaker opens. *)
+let serving_level ?breaker rung =
+  let opened =
+    match breaker with
+    | None -> []
+    | Some b -> Breaker.excluded b ~passes:(Pipeline.level_stages ~level:rung)
+  in
+  if opened = [] then (rung, [])
+  else
+    let avoids l =
+      let stages = Pipeline.level_stages ~level:l in
+      List.for_all (fun p -> not (List.mem p stages)) opened
+    in
+    let rec seek l =
+      if avoids l then Some l else Option.bind (Pipeline.lower l) seek
+    in
+    match seek rung with Some l -> (l, []) | None -> (rung, opened)
+
+(* The pass-list transform of one attempt: excise [excised], plant the
+   poisoned pass's deterministic failure, and report every pass outcome
+   to the breakers. Pass names are preserved so spans and histograms
+   stay attributable. *)
+let attempt_passes ?breaker ~poison ~corr ~excised passes =
+  let fired = ref false in
+  passes
+  |> List.filter (fun np -> not (List.mem np.Harness.pass_name excised))
+  |> List.map (fun np ->
+         let name = np.Harness.pass_name in
+         { np with
+           Harness.run =
+             (fun r ->
+               try
+                 if poison = Some name then begin
+                   if not !fired then begin
+                     fired := true;
+                     fire ~corr Chaos.Pass_poison
+                   end;
+                   raise (Chaos.Pass_poisoned name)
+                 end;
+                 np.Harness.run r;
+                 Option.iter (fun b -> Breaker.success b ~pass:name) breaker
+               with e ->
+                 Option.iter (fun b -> Breaker.failure b ~pass:name) breaker;
+                 raise e) })
+
+type failure =
+  | Deadline
+  | Bad_input of string
+  | Raised of exn
+  | Invalid of string  (** a degraded result failed translation validation *)
+
+(* One attempt of [job] at [level] without [excised]. A fresh deadline is
+   armed, chaos faults keyed on the job id strike, and the program is
+   loaded from scratch: optimization mutates in place, so a retry must
+   not resume a half-transformed program. A result served below the
+   request, or with passes excised, is translation-checked at the exec
+   tier against the freshly loaded program before it may be served. *)
+let attempt_job ?cache ?breaker ~policy ~chaos ~poison (job : job) ~attempt
+    ~level ~excised =
+  let deadline =
+    Option.map
+      (fun ms -> Int64.add (Clock.now_ns ()) (Int64.of_float (ms *. 1e6)))
+      policy.Policy.timeout_ms
+  in
+  let poll () =
+    match deadline with
+    | Some d when Clock.now_ns () > d -> raise Policy.Deadline_exceeded
+    | _ -> ()
+  in
+  let strike fault =
+    List.mem fault chaos && Chaos.fires fault ~key:job.id
+    && (fire ~corr:job.id fault; true)
+  in
+  let fingerprint =
+    let base = Pipeline.fingerprint ~level in
+    match excised with
+    | [] -> base
+    | ps -> base ^ "|excised:" ^ String.concat "," (List.sort compare ps)
+  in
+  try
+    (* Worker-raise strikes the first attempt only: with retries enabled,
+       a struck job deterministically lands on retried_ok rather than
+       flapping. *)
+    if attempt = 1 && strike Chaos.Worker_raise then
+      raise (Chaos.Injected "chaos:worker-raise");
+    (* A slow job stalls for three deadline budgets when one is set, so it
+       times out deterministically instead of racing the clock. *)
+    if strike Chaos.Slow_job then
+      sliced_sleep ~poll
+        (match policy.Policy.timeout_ms with Some t -> 3.0 *. t | None -> 20.0);
+    poll ();
+    match load_program job.input with
+    | Error m -> Error (Bad_input m)
+    | Ok prog ->
+      Option.iter
+        (fun c ->
+          (* Corrupt this job's own entries before the lookup: the find
+             below must take the poison-recovery path and recompile. *)
+          if strike Chaos.Cache_corrupt then
+            List.iter
+              (fun r ->
+                let iloc = Ir_text.routine_to_string r in
+                Cache.corrupt c ~key:(Cache.key ~iloc ~fingerprint))
+              (Program.routines prog);
+          if strike Chaos.Cache_lock_hold then Cache.hold_lock c ~ms:2.0)
+        cache;
+      let degraded = level <> job.level || excised <> [] in
+      let reference = if degraded then Some (Program.copy prog) else None in
+      let wrap = attempt_passes ?breaker ~poison ~corr:job.id ~excised in
+      let stats, job_counts =
+        optimize_program ?cache ~poll ~wrap ~fingerprint ~level prog
+      in
+      let fuel = Harness.default_config.Harness.fuel in
+      match reference with
+      | Some before
+        when not
+               (Harness.obs_equal (Harness.observe ~fuel before)
+                  (Harness.observe ~fuel prog)) ->
+        count "serve.degraded_invalid";
+        Error
+          (Invalid
+             (Printf.sprintf "degraded result failed translation validation at %s"
+                (Pipeline.level_to_string level)))
+      | _ -> Ok (stats, job_counts, prog)
+  with
+  | Policy.Deadline_exceeded -> Error Deadline
+  | e -> Error (Raised e)
+
 (* One job, serially: parallelism in the server is across jobs, not
    within one. Never raises — a worker exception would poison the whole
-   batch.
-
-   Fault protocol per attempt: a fresh deadline is armed, chaos faults
-   keyed on the job id fire deterministically, the program is loaded from
-   scratch (optimization mutates in place, so a retry must not resume a
-   half-transformed program), and any escaping exception is classified.
-   Transient failures retry with jittered exponential backoff up to
-   [policy.retries] times; permanent failures (including deadline
-   overruns) report immediately — unless [policy.degrade] grants the job
-   a fresh run one optimization level lower (the degradation ladder,
-   down to Baseline). A result served below the requested level — or
-   with breaker-opened passes excised — is translation-checked at the
-   exec tier against the freshly loaded (unoptimized) program before it
-   may report [outcome = "degraded"]; a mismatch keeps descending. *)
+   batch. Each turn of the loop resolves the rung to the level (and
+   excisions) the breakers allow, runs one attempt, and on failure asks
+   [Policy.plan] whether to retry, descend or stop. [attempts] in the
+   result is the total across retries and rungs. *)
 let run_job ?cache ?(policy = Policy.default) ?(chaos = []) ?breaker (job : job) =
   (* Every observability event of this job's dynamic extent — log lines,
      span closures, ring entries, flight dumps — carries the job id as
      its correlation id, on whichever domain executes it. *)
   Recorder.with_corr job.id @@ fun () ->
   let t0 = Clock.now_ns () in
+  let dump reason = ignore (Recorder.dump ~reason ~corr:job.id ()) in
   let finish ~attempts ~outcome r =
     count ("serve." ^ job_outcome_to_string outcome);
     let latency_ms = Clock.elapsed_ms ~since:t0 in
@@ -421,247 +449,97 @@ let run_job ?cache ?(policy = Policy.default) ?(chaos = []) ?breaker (job : job)
       (Printf.sprintf "job %s: %s" job.id (job_outcome_to_string outcome));
     { r with latency_ms; attempts; outcome }
   in
-  let chaos_fire fault_name =
-    Log.warn ~event:"chaos.fire"
-      ~fields:[ ("fault", J.Str fault_name) ]
-      ("injected " ^ fault_name);
-    ignore (Recorder.dump ~reason:fault_name ~corr:job.id ())
+  let timeout_ms = Option.value policy.Policy.timeout_ms ~default:0.0 in
+  let poison =
+    if List.mem Chaos.Pass_poison chaos then poisoned_pass () else None
   in
-  let has fault = List.mem fault chaos in
-  let poison = if has Chaos.Pass_poison then poisoned_pass () else None in
-  let requested = job.level in
-  let rec attempt ~level k =
-    let deadline =
-      Option.map
-        (fun ms -> Int64.add (Clock.now_ns ()) (Int64.of_float (ms *. 1e6)))
-        policy.Policy.timeout_ms
-    in
-    let poll () =
-      match deadline with
-      | Some d when Clock.now_ns () > d -> raise Policy.Deadline_exceeded
-      | _ -> ()
-    in
-    (* Which passes the breakers currently refuse, at this rung. Prefer
-       serving a standard lower level whose sequence avoids every opened
-       pass — the result is then a pure level run, cache-coherent under
-       the standard fingerprint and byte-identical to a direct run at
-       that level. True excision is the fallback when even the requested
-       rung's floor contains an opened pass. *)
-    let opened =
-      match breaker with
-      | None -> []
-      | Some b -> Breaker.excluded b ~passes:(Pipeline.level_stages ~level)
-    in
-    let level, excised =
-      if opened = [] then (level, [])
-      else begin
-        let avoids l =
-          let stages = Pipeline.level_stages ~level:l in
-          List.for_all (fun p -> not (List.mem p stages)) opened
-        in
-        let rec seek l =
-          if avoids l then Some l else Option.bind (Pipeline.lower l) seek
-        in
-        match seek level with Some l -> (l, []) | None -> (level, opened)
-      end
-    in
-    let degraded_serving = level <> requested || excised <> [] in
-    (* The pass-list transform: excise breaker-opened passes, inject the
-       poisoned pass's deterministic failure, and report every pass
-       outcome back to the breaker registry. Pass names are preserved so
-       spans/histograms stay attributable. *)
-    let wrap passes =
-      let fired = ref false in
-      List.filter
-        (fun np -> not (List.mem np.Harness.pass_name excised))
-        passes
-      |> List.map (fun np ->
-             let name = np.Harness.pass_name in
-             { np with
-               Harness.run =
-                 (fun r ->
-                   try
-                     (match poison with
-                     | Some p when p = name ->
-                       if not !fired then begin
-                         fired := true;
-                         count "chaos.pass_poison";
-                         chaos_fire "chaos:pass-poison"
-                       end;
-                       raise (Chaos.Pass_poisoned name)
-                     | _ -> ());
-                     np.Harness.run r;
-                     Option.iter (fun b -> Breaker.success b ~pass:name) breaker
-                   with e ->
-                     Option.iter (fun b -> Breaker.failure b ~pass:name) breaker;
-                     raise e) })
-    in
-    let fingerprint =
-      let base = Pipeline.fingerprint ~level in
-      match excised with
-      | [] -> base
-      | ps -> base ^ "|excised:" ^ String.concat "," (List.sort compare ps)
-    in
-    let step =
-      try
-        (* Worker-raise fires on the first attempt only: with retries
-           enabled, a struck job deterministically lands on retried_ok
-           rather than flapping. *)
-        if
-          k = 1 && has Chaos.Worker_raise
-          && Chaos.fires Chaos.Worker_raise ~key:job.id
-        then begin
-          count "chaos.worker_raise";
-          chaos_fire "chaos:worker-raise";
-          raise (Chaos.Injected "chaos:worker-raise")
-        end;
-        if has Chaos.Slow_job && Chaos.fires Chaos.Slow_job ~key:job.id then begin
-          count "chaos.slow_job";
-          chaos_fire "chaos:slow-job";
-          (* Three deadline budgets when one is set: a struck job times
-             out deterministically instead of racing the clock. *)
-          let ms =
-            match policy.Policy.timeout_ms with
-            | Some t -> 3.0 *. t
-            | None -> 20.0
-          in
-          sliced_sleep ~poll ms
-        end;
-        poll ();
-        match load_program job.input with
-        | Error m -> `Input_error m
-        | Ok prog ->
-          (match cache with
-          | Some c
-            when has Chaos.Cache_corrupt
-                 && Chaos.fires Chaos.Cache_corrupt ~key:job.id ->
-            count "chaos.cache_corrupt";
-            chaos_fire "chaos:cache-corrupt";
-            (* Corrupt this job's own entries before the lookup: the find
-               below must take the poison-recovery path and recompile. *)
-            List.iter
-              (fun r ->
-                let iloc = Ir_text.routine_to_string r in
-                Cache.corrupt c ~key:(Cache.key ~iloc ~fingerprint))
-              (Program.routines prog)
-          | _ -> ());
-          (match cache with
-          | Some c
-            when has Chaos.Cache_lock_hold
-                 && Chaos.fires Chaos.Cache_lock_hold ~key:job.id ->
-            count "chaos.cache_lock_hold";
-            chaos_fire "chaos:cache-lock-hold";
-            Cache.hold_lock c ~ms:2.0
-          | _ -> ());
-          (* A degraded result must prove itself: translation-check the
-             optimized program against the freshly loaded reference at
-             the exec tier before it may be served. *)
-          let reference = if degraded_serving then Some (Program.copy prog) else None in
-          let stats, job_counts =
-            optimize_program ?cache ~poll ~wrap ~fingerprint ~level prog
-          in
-          (match reference with
-          | None -> `Ok (stats, job_counts, prog)
-          | Some before ->
-            let fuel = Harness.default_config.Harness.fuel in
-            if Harness.obs_equal (Harness.observe ~fuel before)
-                 (Harness.observe ~fuel prog)
-            then `Ok (stats, job_counts, prog)
-            else begin
-              count "serve.degraded_invalid";
-              `Fail
-                (Printf.sprintf
-                   "degraded result failed translation validation at %s"
-                   (Pipeline.level_to_string level))
-            end)
-      with
-      | Policy.Deadline_exceeded -> `Timeout
-      | e -> (
-        match Policy.classify e with
-        | `Transient when k <= policy.Policy.retries ->
-          `Retry (Printexc.to_string e)
-        | `Transient | `Permanent ->
-          (* A worker raised and no retry budget absorbs it: capture the
-             post-mortem before reporting the failure. *)
-          Log.error ~event:"serve.worker_raise"
-            ~fields:[ ("attempt", J.Int k) ]
-            (Printexc.to_string e);
-          ignore
-            (Recorder.dump
-               ~reason:("worker-raise: " ^ Printexc.to_string e)
-               ~corr:job.id ());
-          `Fail ("optimization failed: " ^ Printexc.to_string e))
-    in
-    (* The ladder: when this rung fails terminally and [policy.degrade]
-       allows it, re-attempt one level lower with a fresh deadline. The
-       attempt counter keeps running — [attempts] in the result is the
-       total across rungs. *)
-    let descend ~why m =
-      match (policy.Policy.degrade, Pipeline.lower level) with
-      | true, Some next ->
-        count "serve.degrade_step";
-        Log.warn ~event:"serve.degrade"
-          ~fields:
-            [ ("from", J.Str (Pipeline.level_to_string level));
-              ("to", J.Str (Pipeline.level_to_string next));
-              ("cause", J.Str why);
-              ("attempt", J.Int k) ]
-          (Printf.sprintf "job %s: degrading %s -> %s (%s)" job.id
-             (Pipeline.level_to_string level)
-             (Pipeline.level_to_string next)
-             m);
-        Some (attempt ~level:next (k + 1))
-      | _ -> None
-    in
-    match step with
-    | `Ok (stats, job_counts, prog) ->
+  let rec loop ~rung k =
+    let level, excised = serving_level ?breaker rung in
+    match
+      attempt_job ?cache ?breaker ~policy ~chaos ~poison job ~attempt:k ~level
+        ~excised
+    with
+    | Ok (stats, job_counts, prog) ->
       let outcome =
-        if degraded_serving then Degraded
+        if level <> job.level || excised <> [] then Degraded
         else if k > 1 then Retried
         else Succeeded
       in
       finish ~attempts:k ~outcome
         { job_id = job.id; ok = true; outcome; attempts = k;
           job_level = level;
-          requested = (if level <> requested then Some requested else None);
+          requested = (if level <> job.level then Some job.level else None);
           excised; routines = List.length stats; job_counts;
           latency_ms = 0.0;
           iloc = (if job.emit then Some (Ir_text.print_program prog) else None);
           line = None; error = None }
-    | `Timeout -> (
-      count "serve.deadline_exceeded";
-      Log.warn ~event:"serve.timeout"
-        ~fields:
-          [ ("attempt", J.Int k);
-            ( "timeout_ms",
-              J.Float (Option.value policy.Policy.timeout_ms ~default:0.0) ) ]
-        ("job " ^ job.id ^ " blew its deadline");
-      match descend ~why:"timeout" "deadline exceeded" with
-      | Some r -> r
-      | None ->
-        ignore (Recorder.dump ~reason:"timeout" ~corr:job.id ());
-        finish ~attempts:k ~outcome:Timed_out
-          (error_result ~id:job.id ~level
-             (Printf.sprintf "deadline exceeded (%.0f ms)"
-                (Option.value policy.Policy.timeout_ms ~default:0.0))))
-    | `Input_error m ->
-      (* The input itself is bad — no optimization level can fix it, so
-         the ladder does not apply. *)
-      finish ~attempts:k ~outcome:Failed (error_result ~id:job.id ~level m)
-    | `Fail m -> (
-      match descend ~why:"failure" m with
-      | Some r -> r
-      | None ->
-        finish ~attempts:k ~outcome:Failed (error_result ~id:job.id ~level m))
-    | `Retry m ->
-      count "serve.retries";
-      Log.warn ~event:"serve.retry"
-        ~fields:[ ("attempt", J.Int k) ]
-        ("transient failure, retrying: " ^ m);
-      Unix.sleepf (Policy.backoff_delay policy ~id:job.id ~attempt:k);
-      attempt ~level (k + 1)
+    | Error failure -> (
+      let decision =
+        Policy.plan policy ~id:job.id ~rung:level ~attempt:k
+          (match failure with
+          | Deadline -> `Deadline
+          | Bad_input _ -> `Bad_input
+          | Invalid _ -> `Permanent
+          | Raised e -> Policy.classify e)
+      in
+      let detail =
+        match failure with
+        | Deadline -> "deadline exceeded"
+        | Raised e -> Printexc.to_string e
+        | Bad_input m | Invalid m -> m
+      in
+      (match (failure, decision) with
+      | Deadline, _ ->
+        count "serve.deadline_exceeded";
+        Log.warn ~event:"serve.timeout"
+          ~fields:[ ("attempt", J.Int k); ("timeout_ms", J.Float timeout_ms) ]
+          ("job " ^ job.id ^ " blew its deadline")
+      | Raised _, (Policy.Descend _ | Policy.Stop) ->
+        (* A worker raised and no retry budget absorbs it: capture the
+           post-mortem before reporting the failure. *)
+        Log.error ~event:"serve.worker_raise" ~fields:[ ("attempt", J.Int k) ]
+          detail;
+        dump ("worker-raise: " ^ detail)
+      | (Raised _ | Bad_input _ | Invalid _), _ -> ());
+      let message =
+        match failure with
+        | Raised _ -> "optimization failed: " ^ detail
+        | Deadline | Bad_input _ | Invalid _ -> detail
+      in
+      match decision with
+      | Policy.Retry_after delay ->
+        count "serve.retries";
+        Log.warn ~event:"serve.retry"
+          ~fields:[ ("attempt", J.Int k) ]
+          ("transient failure, retrying: " ^ detail);
+        Unix.sleepf delay;
+        loop ~rung:level (k + 1)
+      | Policy.Descend next ->
+        count "serve.degrade_step";
+        Log.warn ~event:"serve.degrade"
+          ~fields:
+            [ ("from", J.Str (Pipeline.level_to_string level));
+              ("to", J.Str (Pipeline.level_to_string next));
+              ( "cause",
+                J.Str (match failure with Deadline -> "timeout" | _ -> "failure") );
+              ("attempt", J.Int k) ]
+          (Printf.sprintf "job %s: degrading %s -> %s (%s)" job.id
+             (Pipeline.level_to_string level)
+             (Pipeline.level_to_string next)
+             message);
+        loop ~rung:next (k + 1)
+      | Policy.Stop ->
+        let outcome, message =
+          match failure with
+          | Deadline ->
+            dump "timeout";
+            (Timed_out, Printf.sprintf "deadline exceeded (%.0f ms)" timeout_ms)
+          | Bad_input _ | Invalid _ | Raised _ -> (Failed, message)
+        in
+        finish ~attempts:k ~outcome
+          (error_result ~id:job.id ~level message))
   in
-  attempt ~level:job.level 1
+  loop ~rung:job.level 1
 
 type summary = {
   jobs : int;
@@ -952,11 +830,7 @@ let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
         has_kill
         && Array.exists (fun it -> Chaos.fires Chaos.Kill_self ~key:it.p_id) arr
       then begin
-        count "chaos.kill_self";
-        Log.warn ~event:"chaos.fire"
-          ~fields:[ ("fault", J.Str "chaos:kill-self") ]
-          "injected chaos:kill-self";
-        ignore (Recorder.dump ~reason:"chaos:kill-self" ());
+        fire Chaos.Kill_self;
         flush output;
         raise Killed
       end;
@@ -980,9 +854,6 @@ let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
                    ~corr:it.p_default ());
               error_result ~id:it.p_default ~level:Pipeline.Partial
                 ~line:it.p_line_no ("worker crashed: " ^ Printexc.to_string e)
-            | Pool.Cancelled ->
-              error_result ~id:it.p_default ~level:Pipeline.Partial
-                ~line:it.p_line_no "cancelled"
           in
           record r;
           emit_seq it.p_seq (Some (J.to_string (result_to_json r)));

@@ -2,9 +2,8 @@
     fault-tolerant batch protocol behind `eprec serve`.
 
     Composition of the substrates:
-    - {!Pool} fans per-routine (or per-job) work across domains while
-      preserving input order, so parallel output is byte-identical to the
-      serial path;
+    - {!Pool} fans jobs across domains while preserving input order, so
+      parallel output is byte-identical to the serial path;
     - {!Cache} short-circuits routines whose (canonical ILOC, pipeline
       fingerprint) digest was optimized before, replaying the stored text
       and statistics;
@@ -75,12 +74,11 @@ open Epre_ir
     every routine is a miss. *)
 type counts = { hits : int; misses : int }
 
-(** Optimize every routine of the program in place at [level].
-    [pool] fans the routines across domains ({!Pool.map_routines});
-    [cache] consults and fills the persistent cache per routine. [poll]
-    is called between routines and passes and may raise to abandon the
-    job (deadline enforcement). Stats come back in routine order,
-    byte-identical to the serial uncached path. [wrap] transforms each
+(** Optimize every routine of the program in place at [level], in
+    routine order. [cache] consults and fills the persistent cache per
+    routine. [poll] is called between routines and passes and may raise
+    to abandon the job (deadline enforcement). Stats come back in routine
+    order, byte-identical to the uncached path. [wrap] transforms each
     routine's pass list before it runs
     ({!Epre.Pipeline.optimize_routine}); a caller that changes the
     transformation this way must supply the matching [fingerprint], or
@@ -88,7 +86,6 @@ type counts = { hits : int; misses : int }
     pipeline (default: the level's standard fingerprint). *)
 val optimize_program :
   ?cache:Cache.t ->
-  ?pool:Pool.t ->
   ?poll:(unit -> unit) ->
   ?wrap:
     (Epre_harness.Harness.named_pass list -> Epre_harness.Harness.named_pass list) ->
@@ -96,28 +93,6 @@ val optimize_program :
   level:Epre.Pipeline.level ->
   Program.t ->
   Epre.Pipeline.routine_stats list * counts
-
-(** Supervised variant. With a pool of size >= 1 every configuration runs
-    parallel — there is no serial fallback. Each routine is supervised on
-    its own worker against a frozen snapshot of the program (its private
-    context supplies call-graph signatures to the Ir tier and the whole
-    program to the Exec tier's translation validation), and the per-pass
-    records are reassembled into the serial pass-major order. Under
-    [keep_going = false] the workers run to completion internally,
-    recording per-pass snapshot trails; the first rollback in pass-major
-    order is then chosen deterministically, every routine is rewound to
-    the exact state of the serial fail-fast loop, and
-    [Supervision_failed] is raised with that record — byte-identical
-    results and reports, whatever the schedule. [inject] splices extra
-    passes (chaos faults) into every routine's sequence, as
-    [Epre.Pipeline.optimize_supervised] does serially. *)
-val optimize_supervised_program :
-  ?pool:Pool.t ->
-  ?inject:(int * Epre_harness.Harness.named_pass) list ->
-  config:Epre_harness.Harness.config ->
-  level:Epre.Pipeline.level ->
-  Program.t ->
-  Epre.Pipeline.routine_stats list * Epre_harness.Harness.record list
 
 (** Per-job failure policy: deadline, retry budget, backoff. *)
 module Policy : sig
@@ -218,17 +193,17 @@ val poisoned_pass : ?seed:int -> unit -> string option
     load the program, optimize it at the job's level through [cache],
     measure wall latency. Never raises — failures come back as
     [ok = false] with a classified {!job_outcome}. [policy] arms a fresh
-    deadline per attempt and grants retries to transient failures (and,
-    with [degrade], walks the ladder down to Baseline on terminal
-    failures — every result served below the requested level, or with
-    passes excised, is translation-checked at the exec tier against the
-    freshly loaded program before reporting [Degraded]; a mismatch keeps
-    descending). [breaker] consults/updates the per-pass circuit-breaker
-    registry: opened passes are avoided by serving the highest level
-    whose sequence lacks them (pure level run, standard fingerprint), or
-    excised pass-by-pass when even the floor contains one. [chaos]
-    enables service-fault injection keyed deterministically on the job
-    id ({!Epre_harness.Chaos.fires}). *)
+    deadline per attempt, and a pure attempt planner decides after each
+    failed attempt whether to retry, descend a rung or stop. Every result served
+    below the requested level, or with passes excised, is
+    translation-checked at the exec tier against the freshly loaded
+    program before reporting [Degraded]; a mismatch is a permanent
+    failure, so the ladder keeps descending. [breaker] consults/updates
+    the per-pass circuit-breaker registry: opened passes are avoided by
+    serving the highest level whose sequence lacks them (pure level run,
+    standard fingerprint), or excised pass-by-pass when even the floor
+    contains one. [chaos] enables service-fault injection keyed
+    deterministically on the job id ({!Epre_harness.Chaos.fires}). *)
 val run_job :
   ?cache:Cache.t ->
   ?policy:Policy.t ->

@@ -18,7 +18,7 @@
 
     Histogram samples are nanoseconds; quantiles come from
     {!Histogram.quantile} (within one log-scale bucket, 12.5%, of the
-    exact order statistic — the same maths `bench traffic` reports). *)
+    exact order statistic). *)
 
 (** The current registries, rendered. *)
 val render : unit -> string

@@ -16,7 +16,7 @@
     Histograms live in a process-wide registry keyed by name — the
     distribution-valued counterpart of the {!Metrics} counter registry,
     read by the same consumers ([Exposition], `--metrics-out`, the serve
-    stats line, `bench traffic`/`bench soak`). *)
+    stats line, perfbench's traced per-layer run). *)
 
 (** Total number of buckets. *)
 val num_buckets : int

@@ -1,8 +1,7 @@
 (** The compile service: work-stealing deque invariants, pool ordering /
-    exception / nesting semantics, parallel-equals-serial for the whole
-    workload suite at every level (bare and supervised), cache hit
-    replay, fingerprint invalidation, poisoned-entry fallback, the serve
-    job protocol, and the crash-safety layer — journal round-trips,
+    exception / nesting semantics, cache hit replay, fingerprint
+    invalidation, poisoned-entry fallback, the serve job protocol, every
+    [run_job] branch, and the crash-safety layer — journal round-trips,
     kill-and-resume byte identity, the graceful-degradation ladder,
     per-pass circuit breakers, and admission-control shedding. *)
 
@@ -93,127 +92,6 @@ let test_pool_nested_map () =
       Alcotest.(check (list int)) "nested sums" [ 46; 86; 126 ] out)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel optimize == serial optimize *)
-
-let test_parallel_identical_to_serial () =
-  List.iter
-    (fun level ->
-      List.iter
-        (fun w ->
-          let serial = Epre_workloads.Workloads.compile w in
-          let parallel = Epre_workloads.Workloads.compile w in
-          let serial_stats, _ = Service.optimize_program ~level serial in
-          let parallel_stats, _ =
-            Pool.with_pool ~jobs:3 (fun pool ->
-                Service.optimize_program ~pool ~level parallel)
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "%s at %s" w.Epre_workloads.Workloads.name
-               (Pipeline.level_to_string level))
-            (program_text serial) (program_text parallel);
-          Alcotest.(check bool) "stats equal" true (serial_stats = parallel_stats))
-        Epre_workloads.Workloads.all)
-    Pipeline.all_levels
-
-let test_parallel_supervised_identical () =
-  let config = Epre_harness.Harness.default_config in
-  List.iter
-    (fun w ->
-      let serial = Epre_workloads.Workloads.compile w in
-      let parallel = Epre_workloads.Workloads.compile w in
-      let s_stats, s_records =
-        Pipeline.optimize_supervised ~config ~level:Pipeline.Distribution serial
-      in
-      let p_stats, p_records =
-        Pool.with_pool ~jobs:3 (fun pool ->
-            Service.optimize_supervised_program ~pool ~config
-              ~level:Pipeline.Distribution parallel)
-      in
-      Alcotest.(check string) w.Epre_workloads.Workloads.name
-        (program_text serial) (program_text parallel);
-      Alcotest.(check bool) "stats equal" true (s_stats = p_stats);
-      (* Records match the serial pass-major order exactly, up to wall
-         clock. *)
-      let shape (r : Epre_harness.Harness.record) =
-        (r.pass, r.routine, r.outcome = Epre_harness.Harness.Passed)
-      in
-      Alcotest.(check bool) "record order" true
-        (List.map shape s_records = List.map shape p_records))
-    Epre_workloads.Workloads.all
-
-let test_exec_validation_parallel_identical () =
-  (* Exec-tier supervision runs truly parallel through the service entry
-     point — no serial fallback — against per-worker frozen contexts, so
-     the translation-validation reference observations (and therefore the
-     results and records) match the serial run exactly. *)
-  let w = Option.get (Epre_workloads.Workloads.find "saxpy") in
-  let reference = Epre_workloads.Workloads.compile w in
-  let prog = Epre_workloads.Workloads.compile w in
-  let config =
-    { Epre_harness.Harness.default_config with validation = Epre_harness.Harness.Exec }
-  in
-  let s_stats, s_records =
-    Pipeline.optimize_supervised ~config ~level:Pipeline.Partial reference
-  in
-  let p_stats, p_records =
-    Pool.with_pool ~jobs:2 (fun pool ->
-        Service.optimize_supervised_program ~pool ~config
-          ~level:Pipeline.Partial prog)
-  in
-  Alcotest.(check string) "exec-tier result" (program_text reference)
-    (program_text prog);
-  Alcotest.(check bool) "stats equal" true (s_stats = p_stats);
-  let shape (r : Epre_harness.Harness.record) =
-    (r.pass, r.routine, r.outcome = Epre_harness.Harness.Passed)
-  in
-  Alcotest.(check bool) "record order" true
-    (List.map shape s_records = List.map shape p_records)
-
-let test_failfast_parallel_identical () =
-  (* keep_going = false with a chaos pass spliced in: the parallel path
-     must raise Supervision_failed with the same record as serial
-     fail-fast, and leave the program in the same pass-boundary state —
-     workers past the failure point are rewound via their snapshot
-     trails. *)
-  let break_phi =
-    List.find
-      (fun (p : Epre_harness.Harness.named_pass) ->
-        p.pass_name = "chaos:break-phi")
-      (Epre_harness.Chaos.named_passes ())
-  in
-  let inject = [ (1, break_phi) ] in
-  let config =
-    { Epre_harness.Harness.default_config with
-      keep_going = false;
-      validation = Epre_harness.Harness.Ir }
-  in
-  let w = Option.get (Epre_workloads.Workloads.find "crout") in
-  let run f prog =
-    match f prog with
-    | _ -> Alcotest.fail "expected Supervision_failed"
-    | exception Epre_harness.Harness.Supervision_failed r -> r
-  in
-  let serial = Epre_workloads.Workloads.compile w in
-  let s_record =
-    run (Pipeline.optimize_supervised ~inject ~config ~level:Pipeline.Partial)
-      serial
-  in
-  let parallel = Epre_workloads.Workloads.compile w in
-  let p_record =
-    Pool.with_pool ~jobs:3 (fun pool ->
-        run
-          (Service.optimize_supervised_program ~pool ~inject ~config
-             ~level:Pipeline.Partial)
-          parallel)
-  in
-  Alcotest.(check string) "failing pass" s_record.pass p_record.pass;
-  Alcotest.(check string) "failing routine" s_record.routine p_record.routine;
-  Alcotest.(check bool) "same rollback reason" true
-    (s_record.outcome = p_record.outcome);
-  Alcotest.(check string) "program state at failure" (program_text serial)
-    (program_text parallel)
-
-(* ------------------------------------------------------------------ *)
 (* Deque contention / outcome protocol *)
 
 let test_deque_contention () =
@@ -272,8 +150,8 @@ let test_deque_contention () =
     (all = List.init n (fun i -> i + 1))
 
 let test_pool_outcome_mix () =
-  (* Without halt, every job runs to an outcome: failures are contained
-     per index, successes keep their slots, nothing is cancelled. *)
+  (* Every job runs to an outcome: failures are contained per index and
+     successes keep their slots. *)
   Pool.with_pool ~jobs:2 (fun pool ->
       let out =
         Pool.map_outcomes pool
@@ -290,37 +168,8 @@ let test_pool_outcome_mix () =
             Alcotest.(check int) "failed slot" i j;
             Alcotest.(check bool) "failing index" true (i mod 5 = 3)
           | Pool.Failed (e, _) ->
-            Alcotest.failf "unexpected exception %s" (Printexc.to_string e)
-          | Pool.Cancelled -> Alcotest.fail "nothing may be cancelled")
+            Alcotest.failf "unexpected exception %s" (Printexc.to_string e))
         out)
-
-let test_pool_halt_done_prefix () =
-  (* With halt, cancellation only strikes indexes above the lowest
-     failure: everything below it is Done, deterministically, whatever
-     the schedule — the serial fail-fast prefix. *)
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          let fail_at = 11 in
-          let out =
-            Pool.map_outcomes ~halt:true pool
-              (fun i -> if i >= fail_at && i mod 2 = 1 then raise (Boom i) else i)
-              (Array.init 40 (fun i -> i))
-          in
-          let first_failed = ref max_int in
-          Array.iteri
-            (fun i o ->
-              match o with
-              | Pool.Failed _ when i < !first_failed -> first_failed := i
-              | _ -> ())
-            out;
-          Alcotest.(check int) "lowest failure" fail_at !first_failed;
-          for i = 0 to fail_at - 1 do
-            match out.(i) with
-            | Pool.Done v -> Alcotest.(check int) "prefix value" i v
-            | _ -> Alcotest.failf "index %d below the failure must be Done" i
-          done))
-    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Cache *)
@@ -689,6 +538,64 @@ let test_policy_classify_and_backoff () =
     (d1 >= 0.004 && d1 < 0.008);
   let d3 = Service.Policy.backoff_delay p ~id:"j" ~attempt:3 in
   Alcotest.(check bool) "grows exponentially" true (d3 >= 0.016 && d3 < 0.032)
+
+let test_run_job_branch_table () =
+  (* One row per [run_job] branch, for a generated program requested at
+     partial with the degradation ladder on: the served level, the
+     attempt count, the reported request and excisions, and how many
+     ladder steps the job took. *)
+  let iloc =
+    program_text (Epre_frontend.Frontend.compile_string (Epre_fuzz.Gen.source 1))
+  in
+  let job id = { Service.id; level = Pipeline.Partial; input = Service.Iloc iloc;
+                 emit = true } in
+  let degrade = { Service.Policy.default with degrade = true } in
+  let dce_open () =
+    let b = Breaker.create ~threshold:1 ~probe_after:100 () in
+    Breaker.failure b ~pass:"dce";
+    Some b
+  in
+  let rows =
+    [ ( "dce breaker opened by hand", job "pin-dce", degrade, [], dce_open,
+        ("degraded", 1, "partial", None, [ "dce" ], 0) );
+      ( "unparsable ILOC",
+        { (job "pin-bad") with Service.input = Service.Iloc "routine ) garbage" },
+        degrade, [], (fun () -> None),
+        ("error", 1, "partial", None, [], 0) );
+      ( "worker-raise, no retry budget",
+        job (chaos_id Chaos.Worker_raise ~firing:true),
+        { degrade with retries = 0 }, [ Chaos.Worker_raise ], (fun () -> None),
+        ("degraded", 2, "baseline", Some "partial", [], 1) );
+      ( "slow-job past a 25 ms deadline",
+        job (chaos_id Chaos.Slow_job ~firing:true),
+        { degrade with timeout_ms = Some 25.0 }, [ Chaos.Slow_job ],
+        (fun () -> None),
+        ("timeout", 2, "baseline", None, [], 1) ) ]
+  in
+  let steps () =
+    Epre_telemetry.Metrics.get ~routine:"<service>" ~name:"serve.degrade_step"
+  in
+  List.iter
+    (fun (name, job, policy, chaos, breaker, expected) ->
+      let before = steps () in
+      let r = Service.run_job ~policy ~chaos ?breaker:(breaker ()) job in
+      let level = Pipeline.level_to_string in
+      let got =
+        ( Service.job_outcome_to_string r.Service.outcome,
+          r.Service.attempts,
+          level r.Service.job_level,
+          Option.map level r.Service.requested,
+          r.Service.excised,
+          steps () - before )
+      in
+      let row =
+        Alcotest.(
+          pair (pair string int)
+            (pair (pair string (option string)) (pair (list string) int)))
+      in
+      let shape (o, a, l, q, e, s) = ((o, a), ((l, q), (e, s))) in
+      Alcotest.check row name (shape expected) (shape got))
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Serve protocol *)
@@ -1133,6 +1040,26 @@ let test_breaker_half_open_probe () =
   Alcotest.(check (list (pair string string))) "snapshot" [ ("p", "closed") ]
     (Breaker.snapshot b)
 
+let test_breaker_counts_repeated_pass_once () =
+  (* PRE levels run pre and dce twice. One pipeline execution must count
+     once against each open breaker, so pre probes on the same schedule
+     as constprop, which runs once. *)
+  let b = Breaker.create ~threshold:1 ~probe_after:4 () in
+  Breaker.failure b ~pass:"pre";
+  Breaker.failure b ~pass:"constprop";
+  let passes = Pipeline.level_stages ~level:Pipeline.Partial in
+  for i = 1 to 4 do
+    Alcotest.(check (list string))
+      (Printf.sprintf "skipped execution %d" i)
+      [ "pre"; "constprop" ]
+      (Breaker.excluded b ~passes)
+  done;
+  Alcotest.(check (list string)) "both probe together" []
+    (Breaker.excluded b ~passes);
+  Alcotest.(check (list (pair string string))) "both half-open"
+    [ ("constprop", "half-open"); ("pre", "half-open") ]
+    (Breaker.snapshot b)
+
 let test_serve_shed_deterministic () =
   (* Overload with a bounded queue and reject policy: sheds are
      deterministic — same jobs shed, in input order, on every run. *)
@@ -1242,20 +1169,10 @@ let suite =
     Alcotest.test_case "pool preserves order" `Quick test_pool_map_order;
     Alcotest.test_case "pool re-raises first failure" `Quick test_pool_exception;
     Alcotest.test_case "pool nested map" `Quick test_pool_nested_map;
-    Alcotest.test_case "parallel == serial (all workloads x levels)" `Slow
-      test_parallel_identical_to_serial;
-    Alcotest.test_case "parallel supervised == serial" `Slow
-      test_parallel_supervised_identical;
-    Alcotest.test_case "exec tier parallel == serial" `Quick
-      test_exec_validation_parallel_identical;
-    Alcotest.test_case "fail-fast parallel == serial" `Quick
-      test_failfast_parallel_identical;
     Alcotest.test_case "deque multi-domain contention" `Quick
       test_deque_contention;
     Alcotest.test_case "outcome protocol contains failures" `Quick
       test_pool_outcome_mix;
-    Alcotest.test_case "halt preserves the done prefix" `Quick
-      test_pool_halt_done_prefix;
     Alcotest.test_case "second run all cache hits" `Quick
       test_cache_second_run_all_hits;
     Alcotest.test_case "cache survives reopen" `Quick test_cache_survives_reopen;
@@ -1276,6 +1193,7 @@ let suite =
       test_run_job_timeout;
     Alcotest.test_case "classifier and backoff" `Quick
       test_policy_classify_and_backoff;
+    Alcotest.test_case "run_job branch table" `Quick test_run_job_branch_table;
     Alcotest.test_case "job parsing" `Quick test_job_parsing;
     Alcotest.test_case "serve streams in order" `Quick test_serve_stream;
     Alcotest.test_case "malformed lines carry line numbers" `Quick
@@ -1292,6 +1210,8 @@ let suite =
       test_breaker_opens_and_short_circuits;
     Alcotest.test_case "breaker half-open probe protocol" `Quick
       test_breaker_half_open_probe;
+    Alcotest.test_case "breaker counts a repeated pass once" `Quick
+      test_breaker_counts_repeated_pass_once;
     Alcotest.test_case "admission control sheds deterministically" `Quick
       test_serve_shed_deterministic;
     Alcotest.test_case "sweep spares a live writer's temp file" `Quick
