@@ -87,8 +87,47 @@ let check_one (name, expected) () =
     | Some value -> Alcotest.(check string) name expected (Value.to_string value)
     | None -> Alcotest.failf "%s returned nothing" name)
 
+(* Optimized output, pinned: one MD5 per level over every kernel's
+   optimized ILOC text followed by its per-routine stats JSONL, kernels in
+   [Workloads.all] order. Any change to what a pass emits, or to the order
+   it emits it in, shows here; a failure names the level. If a pass's
+   output is deliberately changed, regenerate with the hex digests this
+   case prints on failure. *)
+let golden_optimized =
+  [
+    ("baseline", "0a1f6a8296810444ef6941caab6c1889");
+    ("partial", "9f22057a4fb8dbf0e26478ac382f3770");
+    ("reassociation", "a1d8a1ac92df5888e45722fc6478696e");
+    ("distribution", "d73f97b8edc7a585dfa39187e0c883bc");
+  ]
+
+let test_optimized_digest () =
+  let module Pipeline = Epre.Pipeline in
+  let digests =
+    List.map
+      (fun level ->
+        let buf = Buffer.create (1 lsl 16) in
+        List.iter
+          (fun w ->
+            let prog = Epre_workloads.Workloads.compile w in
+            let stats = Pipeline.optimize ~level prog in
+            Buffer.add_string buf (Ir_text.print_program prog);
+            Buffer.add_string buf (Pipeline.stats_jsonl stats))
+          Epre_workloads.Workloads.all;
+        (Pipeline.level_to_string level, Digest.to_hex (Digest.string (Buffer.contents buf))))
+      Pipeline.all_levels
+  in
+  let wrong =
+    List.filter (fun (level, got) -> List.assoc_opt level golden_optimized <> Some got) digests
+  in
+  if wrong <> [] then
+    Alcotest.failf "optimized output changed at %s"
+      (String.concat ", "
+         (List.map (fun (level, got) -> Printf.sprintf "%s (now %s)" level got) wrong))
+
 let suite =
   Alcotest.test_case "every workload pinned" `Quick test_every_workload_has_a_golden_entry
+  :: Alcotest.test_case "optimized output digest" `Quick test_optimized_digest
   :: List.map
        (fun entry ->
          Alcotest.test_case ("checksum " ^ fst entry) `Quick (check_one entry))
