@@ -27,8 +27,10 @@ type t = {
 
 (** Build the universe and local sets for a routine. With
     [~include_loads:false], load expressions are erased from ANTLOC/COMP
-    (they stay in KILL vacuously) so they neither move nor count. *)
-val build : ?include_loads:bool -> Routine.t -> t
+    (they stay in KILL vacuously) so they neither move nor count. [uni],
+    when given, is used instead of [Expr_universe.build r]; it must be
+    that universe (only the local sets are recomputed). *)
+val build : ?include_loads:bool -> ?uni:Expr_universe.t -> Routine.t -> t
 
 (** Forward ∩ over COMP/KILL; [ins]/[outs] are AVIN/AVOUT. *)
 val availability : t -> Dataflow.result

@@ -62,43 +62,44 @@ let exprs t = t.exprs
 
 let expr_of_name t reg = t.of_name.(reg)
 
+(* What the definitions seen so far say about a register. *)
+type status =
+  | Unseen
+  | One of key  (** every definition evaluates this key (the latest one seen) *)
+  | Bad  (** a parameter, a non-expression definition, or two different keys *)
+
 let build (r : Routine.t) =
   let width = max 1 r.Routine.next_reg in
-  (* keys_of.(reg): every key evaluated into reg, [None] for non-expression
-     defs. *)
-  let keys_of : (Instr.reg, key option list) Hashtbl.t = Hashtbl.create 64 in
-  let note reg k =
-    let prev = Option.value ~default:[] (Hashtbl.find_opt keys_of reg) in
-    Hashtbl.replace keys_of reg (k :: prev)
-  in
-  List.iter (fun p -> note p None) r.Routine.params;
+  let status = Array.make width Unseen in
+  List.iter (fun p -> status.(p) <- Bad) r.Routine.params;
   Cfg.iter_blocks
     (fun b ->
-      List.iter (fun i -> Option.iter (fun d -> note d (key_of i)) (Instr.def i)) b.Block.instrs)
+      List.iter
+        (fun i ->
+          match Instr.def i with
+          | None -> ()
+          | Some d ->
+            status.(d) <-
+              (match status.(d), key_of i with
+              | Unseen, Some k -> One k
+              (* Polymorphic [=]: two [KConst nan] definitions differ. *)
+              | One k', Some k when k' = k -> One k
+              | _ -> Bad))
+        b.Block.instrs)
     r.Routine.cfg;
   let of_name = Array.make width None in
-  let exprs = ref [] in
-  let n = ref 0 in
-  Hashtbl.iter
-    (fun name keys ->
-      match keys with
-      | Some key :: rest when List.for_all (fun k -> k = Some key) rest ->
+  let exprs = ref [] and n = ref 0 in
+  (* Ascending register order makes the dense indices deterministic. *)
+  Array.iteri
+    (fun name -> function
+      | One key ->
         let e = { index = !n; name; key } in
         incr n;
         of_name.(name) <- Some e;
         exprs := e :: !exprs
-      | _ -> ())
-    keys_of;
+      | Unseen | Bad -> ())
+    status;
   let exprs = Array.of_list (List.rev !exprs) in
-  (* Hashtbl.iter order is unspecified; re-index densely and sort by name so
-     the universe is deterministic. *)
-  Array.sort (fun a b -> compare a.name b.name) exprs;
-  Array.iteri
-    (fun i e ->
-      let e = { e with index = i } in
-      exprs.(i) <- e;
-      of_name.(e.name) <- Some e)
-    exprs;
   let killed_by = Array.make width [] in
   let loads = ref [] in
   Array.iter
@@ -137,37 +138,37 @@ let compute_local t (r : Routine.t) =
   let antloc = Array.init nblocks (fun _ -> Bitset.create width) in
   let comp = Array.init nblocks (fun _ -> Bitset.create width) in
   let kill = Array.init nblocks (fun _ -> Bitset.create width) in
+  let killed_so_far = Bitset.create width in
   Cfg.iter_blocks
     (fun b ->
       let id = b.Block.id in
-      let killed_so_far = Bitset.create width in
+      let antloc = antloc.(id) and comp = comp.(id) and kill = kill.(id) in
+      Bitset.clear killed_so_far;
+      let kills idx =
+        Bitset.add killed_so_far idx;
+        Bitset.add kill idx;
+        Bitset.remove comp idx
+      in
       List.iter
         (fun i ->
+          let def = Instr.def i in
           (* Evaluation first: an instruction that evaluates e and defines
              one of e's operands (impossible under the discipline, but be
              safe) counts the evaluation before the kill. *)
-          (match key_of i, Instr.def i with
-          | Some _, Some dst -> begin
+          (match i, def with
+          | (Instr.Const _ | Instr.Unop _ | Instr.Binop _ | Instr.Load _), Some dst -> begin
             match t.of_name.(dst) with
             | Some e ->
-              if not (Bitset.mem killed_so_far e.index) then Bitset.add antloc.(id) e.index;
-              Bitset.add comp.(id) e.index
+              if not (Bitset.mem killed_so_far e.index) then Bitset.add antloc e.index;
+              Bitset.add comp e.index
             | None -> ()
           end
           | _ -> ());
-          let reg_kills, mem_kills = kills_of_instr t i in
-          List.iter
-            (fun idx ->
-              Bitset.add killed_so_far idx;
-              Bitset.add kill.(id) idx;
-              Bitset.remove comp.(id) idx)
-            reg_kills;
-          List.iter
-            (fun idx ->
-              Bitset.add killed_so_far idx;
-              Bitset.add kill.(id) idx;
-              Bitset.remove comp.(id) idx)
-            mem_kills)
+          (* The kills of [kills_of_instr]. *)
+          Option.iter (fun d -> List.iter kills t.killed_by.(d)) def;
+          match i with
+          | Instr.Store _ | Instr.Call _ -> List.iter kills t.loads
+          | _ -> ())
         b.Block.instrs)
     r.Routine.cfg;
   { antloc; comp; kill }

@@ -54,24 +54,31 @@ let compute (r : Routine.t) =
         (function Instr.Phi { dst; _ } -> Bitset.add phi_defs.(b.Block.id) dst | _ -> ())
         b.Block.instrs)
     cfg;
+  let succs = Array.make n [] in
+  Array.iter (fun id -> succs.(id) <- Cfg.succs cfg id) po;
+  (* Two scratch sets for the whole solve: [out] accumulates a block's
+     live-out, [contrib] one successor's contribution and then the
+     block's live-in. *)
+  let out = Bitset.create width and contrib = Bitset.create width in
   let changed = ref true in
   while !changed do
     changed := false;
     Array.iter
       (fun id ->
-        let out = Bitset.create width in
+        Bitset.clear out;
         List.iter
           (fun s ->
-            let contrib = Bitset.copy live_in.(s) in
+            Bitset.assign ~dst:contrib live_in.(s);
             Bitset.diff_into ~dst:contrib phi_defs.(s);
             Bitset.union_into ~dst:out contrib)
-          (Cfg.succs cfg id);
+          succs.(id);
         Bitset.union_into ~dst:out phi_in.(id);
         if not (Bitset.equal out live_out.(id)) then begin
           Bitset.assign ~dst:live_out.(id) out;
           changed := true
         end;
-        let inp = Bitset.copy out in
+        let inp = contrib in
+        Bitset.assign ~dst:inp out;
         Bitset.diff_into ~dst:inp defs.(id);
         Bitset.union_into ~dst:inp upexposed.(id);
         (* Phi destinations are live-in in the "needed at block top" sense

@@ -53,9 +53,12 @@ let blocks cfg = List.rev (fold_blocks (fun acc b -> b :: acc) [] cfg)
 
 let succs cfg id = Block.succs (block cfg id)
 
-(** Predecessor lists, indexed by block id. Includes only reachable source
-    blocks present in the table; duplicate edges (a [Cbr] with equal arms)
-    appear once, as [Instr.term_succs] deduplicates them. *)
+(** Predecessor lists, indexed by block id. Includes every source block
+    present in the table, unreachable ones too: [Dataflow] and
+    [Expr_flow.lcm_placement] filter those themselves, while
+    [Critical_edges.is_critical] and PRE's edge placement count them.
+    Duplicate edges (a [Cbr] with equal arms) appear once, as
+    [Instr.term_succs] deduplicates them. *)
 let preds cfg =
   let n = num_blocks cfg in
   let p = Array.make n [] in

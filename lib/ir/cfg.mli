@@ -39,8 +39,10 @@ val blocks : t -> Block.t list
 
 val succs : t -> int -> int list
 
-(** Predecessor lists indexed by block id; dangling successor ids (only
-    possible in ill-formed graphs) are ignored. *)
+(** Predecessor lists indexed by block id, rebuilt on every call. Every
+    source block in the table counts, unreachable ones included; callers
+    that want only reachable predecessors filter them. Dangling successor
+    ids (only possible in ill-formed graphs) are ignored. *)
 val preds : t -> int list array
 
 val exit_blocks : t -> Block.t list

@@ -12,19 +12,41 @@ open Epre_util
 open Epre_ir
 open Epre_analysis
 
-(* One coalescing round; returns number of copies removed. *)
-let round (r : Routine.t) =
+(* [in_copy.(v)]: [v] is named by some copy, [None] when there are no
+   copies. Only such registers can join a class; the interference relation
+   is recorded for them alone. *)
+let copy_registers (r : Routine.t) ~width =
+  let in_copy = Array.make width false in
+  Cfg.iter_blocks
+    (fun b ->
+      List.iter
+        (function
+          | Instr.Copy { dst; src } ->
+            in_copy.(dst) <- true;
+            in_copy.(src) <- true
+          | _ -> ())
+        b.Block.instrs)
+    r.Routine.cfg;
+  if Array.exists Fun.id in_copy then Some in_copy else None
+
+(* One coalescing round over a routine with copies; returns number of
+   copies removed. *)
+let coalesce_copies (r : Routine.t) ~width ~in_copy =
   let cfg = r.Routine.cfg in
-  let width = max 1 r.Routine.next_reg in
   let live_info = Liveness.compute r in
-  (* interference.(v) = original registers v's class interferes with;
-     members.(rep) = original registers in rep's class. *)
-  let interference = Array.init width (fun _ -> Bitset.create width) in
-  let add_edge a b =
-    if a <> b then begin
-      Bitset.add interference.(a) b;
-      Bitset.add interference.(b) a
-    end
+  (* interference.(rep) = original registers live across a definition of
+     a member of rep's class, recorded one way only: the relation is the
+     symmetric closure, so [interferes] looks in both directions.
+     [None] is the empty set. members.(rep) = original registers in rep's
+     class, [None] for the singleton [{rep}]. *)
+  let interference = Array.make width None in
+  let interference_of d =
+    match interference.(d) with
+    | Some s -> s
+    | None ->
+      let s = Bitset.create width in
+      interference.(d) <- Some s;
+      s
   in
   Cfg.iter_blocks
     (fun b ->
@@ -34,28 +56,46 @@ let round (r : Routine.t) =
         (fun i ->
           (match Instr.def i with
           | Some d ->
-            let exempt = match i with Instr.Copy { src; _ } -> Some src | _ -> None in
-            Bitset.iter
-              (fun v -> if Some v <> exempt then add_edge d v)
-              live;
-            Bitset.remove live d
+            (* Everything live here but [d] itself and a copy's source. *)
+            Bitset.remove live d;
+            if in_copy.(d) then begin
+              let exempt =
+                match i with
+                | Instr.Copy { src; _ } when Bitset.mem live src -> Some src
+                | _ -> None
+              in
+              Option.iter (Bitset.remove live) exempt;
+              Bitset.union_into ~dst:(interference_of d) live;
+              Option.iter (Bitset.add live) exempt
+            end
           | None -> ());
           List.iter (fun u -> Bitset.add live u) (Instr.uses i))
         (List.rev b.Block.instrs))
     cfg;
   let uf = Union_find.create width in
-  let members = Array.init width (fun v ->
+  let members = Array.make width None in
+  let members_of v =
+    match members.(v) with
+    | Some s -> s
+    | None ->
       let s = Bitset.create width in
       Bitset.add s v;
-      s)
+      members.(v) <- Some s;
+      s
   in
   let is_param = Array.make width false in
   List.iter (fun p -> is_param.(p) <- true) r.Routine.params;
+  (* Does a definition in [a]'s class have a member of [b]'s class live
+     across it? *)
+  let reaches a b =
+    match interference.(a), members.(b) with
+    | None, _ -> false
+    | Some i, None -> Bitset.mem i b
+    | Some i, Some m -> Bitset.intersects i m
+  in
   let interferes x y =
     let rx = Union_find.find uf x and ry = Union_find.find uf y in
-    let tmp = Bitset.copy interference.(rx) in
-    Bitset.inter_into ~dst:tmp members.(ry);
-    not (Bitset.is_empty tmp)
+    reaches rx ry || reaches ry rx
   in
   let merge x y =
     (* Keep a parameter as the representative so entry definitions keep
@@ -63,8 +103,8 @@ let round (r : Routine.t) =
     let x, y = if is_param.(Union_find.find uf y) then (y, x) else (x, y) in
     let rx = Union_find.find uf x and ry = Union_find.find uf y in
     Union_find.union_keep_first uf rx ry;
-    Bitset.union_into ~dst:members.(rx) members.(ry);
-    Bitset.union_into ~dst:interference.(rx) interference.(ry)
+    Bitset.union_into ~dst:(members_of rx) (members_of ry);
+    Option.iter (Bitset.union_into ~dst:(interference_of rx)) interference.(ry)
   in
   let merged = ref 0 in
   Cfg.iter_blocks
@@ -116,6 +156,13 @@ let round (r : Routine.t) =
       cfg
   end;
   !removed
+
+(* One coalescing round; returns number of copies removed. *)
+let round (r : Routine.t) =
+  let width = max 1 r.Routine.next_reg in
+  match copy_registers r ~width with
+  | None -> 0
+  | Some in_copy -> coalesce_copies r ~width ~in_copy
 
 let max_rounds = 16
 

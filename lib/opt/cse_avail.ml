@@ -12,9 +12,9 @@ open Epre_util
 open Epre_ir
 open Epre_analysis
 
-let run (r : Routine.t) =
+let run ?uni (r : Routine.t) =
   if r.Routine.in_ssa then invalid_arg "Cse_avail.run: requires non-SSA code";
-  let fl = Expr_flow.build r in
+  let fl = Expr_flow.build ?uni r in
   let uni = fl.Expr_flow.uni in
   let width = fl.Expr_flow.width in
   if width = 0 then 0

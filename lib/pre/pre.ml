@@ -46,14 +46,19 @@ let instr_of_key (key : Expr_universe.key) ~dst =
   | Expr_universe.KBinop (op, a, b) -> Instr.Binop { op; dst; a; b }
   | Expr_universe.KLoad addr -> Instr.Load { dst; addr }
 
-(* One LCM round; returns (inserted, deleted). *)
+(* One LCM round; returns (inserted, deleted, universe). The universe is
+   the round's, for its CSE sweep to reuse: insertions and deletions only
+   add or remove evaluations of names already in it, so rebuilding it
+   would give the same one. The exception is an inserted key that is not
+   [=] to itself (a [KConst nan]): a second definition of such a name
+   drops it from a rebuilt universe, so then the sweep rebuilds. *)
 let lcm_round ?(include_loads = true) (r : Routine.t) =
   ignore (Epre_ssa.Critical_edges.split_all r);
   let cfg = r.Routine.cfg in
-  let fl = Expr_flow.build ~include_loads r in
-  let uni = fl.Expr_flow.uni in
+  let uni = Expr_universe.build r in
+  let fl = Expr_flow.build ~include_loads ~uni r in
   let width = fl.Expr_flow.width in
-  if width = 0 then (0, 0)
+  if width = 0 then (0, 0, Some uni)
   else begin
     let antloc = fl.Expr_flow.local.Expr_universe.antloc in
     let order = Order.compute cfg in
@@ -67,8 +72,10 @@ let lcm_round ?(include_loads = true) (r : Routine.t) =
     (* --- Transformation --- *)
     let exprs = Expr_universe.exprs uni in
     let inserted = ref 0 in
+    let reusable = ref true in
     let insert_instrs idx =
       let e = exprs.(idx) in
+      if e.Expr_universe.key <> e.Expr_universe.key then reusable := false;
       instr_of_key e.Expr_universe.key ~dst:e.Expr_universe.name
     in
     (* Insertions on real edges. *)
@@ -87,8 +94,10 @@ let lcm_round ?(include_loads = true) (r : Routine.t) =
         if not (Bitset.is_empty ins) then begin
           let instrs = List.map insert_instrs (Bitset.elements ins) in
           inserted := !inserted + List.length instrs;
-          if List.length (Cfg.succs cfg i) = 1 then
-            List.iter (fun instr -> Block.append (Cfg.block cfg i) instr) instrs
+          if List.length (Cfg.succs cfg i) = 1 then begin
+            let ib = Cfg.block cfg i in
+            ib.Block.instrs <- ib.Block.instrs @ instrs
+          end
           else begin
             (* The edge was split if critical, so j has a single pred. *)
             assert (List.length preds.(j) = 1);
@@ -143,7 +152,7 @@ let lcm_round ?(include_loads = true) (r : Routine.t) =
           end
         end)
       cfg;
-    (!inserted, !deleted)
+    (!inserted, !deleted, if !reusable then Some uni else None)
   end
 
 let max_rounds = 16
@@ -156,8 +165,8 @@ let run ?(include_loads = true) (r : Routine.t) =
   let stats = { inserted = 0; deleted = 0; cse_deleted = 0; rounds = 0 } in
   let rec go n =
     if n < max_rounds then begin
-      let ins, del = lcm_round ~include_loads r in
-      let cse = Cse_avail.run r in
+      let ins, del, uni = lcm_round ~include_loads r in
+      let cse = Cse_avail.run ?uni r in
       stats.inserted <- stats.inserted + ins;
       stats.deleted <- stats.deleted + del;
       stats.cse_deleted <- stats.cse_deleted + cse;

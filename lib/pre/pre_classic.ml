@@ -133,7 +133,7 @@ let mr_round ?(include_loads = true) (r : Routine.t) =
                 (Bitset.elements set)
             in
             inserted := !inserted + List.length instrs;
-            List.iter (fun i -> Block.append b i) instrs
+            b.Block.instrs <- b.Block.instrs @ instrs
           end
         end)
       cfg;

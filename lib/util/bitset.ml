@@ -1,10 +1,18 @@
-type t = { bits : Bytes.t; n : int }
+(* Element [i] lives in bit [i mod bpw] of word [i / bpw]. A word holds
+   [bpw] = 63 bits, every bit of a 64-bit OCaml [int], so [-1] is a full
+   word. [bpw] is a literal so the divisions compile to multiplications.
+   Bits at or above [n] in the last word are always zero: [full] masks
+   them and every other operation preserves them, which keeps [equal],
+   [count] and [is_empty] exact. *)
+type t = { words : int array; n : int }
 
-let bytes_for n = (n + 7) / 8
+let bpw = 63
+
+let words_for n = (n + bpw - 1) / bpw
 
 let create n =
   if n < 0 then invalid_arg "Bitset.create: negative width";
-  { bits = Bytes.make (bytes_for n) '\000'; n }
+  { words = Array.make (words_for n) 0; n }
 
 let width s = s.n
 
@@ -14,67 +22,98 @@ let check s i =
 
 let mem s i =
   check s i;
-  Char.code (Bytes.get s.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+  (Array.unsafe_get s.words (i / bpw) lsr (i mod bpw)) land 1 <> 0
 
 let add s i =
   check s i;
-  let b = i lsr 3 in
-  Bytes.set s.bits b (Char.chr (Char.code (Bytes.get s.bits b) lor (1 lsl (i land 7))))
+  let w = i / bpw in
+  Array.unsafe_set s.words w (Array.unsafe_get s.words w lor (1 lsl (i mod bpw)))
 
 let remove s i =
   check s i;
-  let b = i lsr 3 in
-  Bytes.set s.bits b
-    (Char.chr (Char.code (Bytes.get s.bits b) land lnot (1 lsl (i land 7)) land 0xff))
+  let w = i / bpw in
+  Array.unsafe_set s.words w (Array.unsafe_get s.words w land lnot (1 lsl (i mod bpw)))
 
-let copy s = { bits = Bytes.copy s.bits; n = s.n }
+let copy s = { words = Array.copy s.words; n = s.n }
 
-let equal a b = a.n = b.n && Bytes.equal a.bits b.bits
+let equal a b =
+  a.n = b.n
+  &&
+  let rec go k = k < 0 || (Array.unsafe_get a.words k = Array.unsafe_get b.words k && go (k - 1)) in
+  go (Array.length a.words - 1)
 
-let is_empty s = Bytes.for_all (fun c -> c = '\000') s.bits
+let is_empty s =
+  let rec go k = k < 0 || (Array.unsafe_get s.words k = 0 && go (k - 1)) in
+  go (Array.length s.words - 1)
 
 let full n =
-  let s = { bits = Bytes.make (bytes_for n) '\255'; n } in
-  (* Mask off the unused high bits of the last byte so [equal] stays exact. *)
-  let rem = n land 7 in
-  if rem <> 0 && n > 0 then begin
-    let last = bytes_for n - 1 in
-    Bytes.set s.bits last (Char.chr (Char.code (Bytes.get s.bits last) land ((1 lsl rem) - 1)))
-  end;
+  let s = { words = Array.make (words_for n) (-1); n } in
+  let rem = n mod bpw in
+  if rem <> 0 then s.words.(Array.length s.words - 1) <- (1 lsl rem) - 1;
   s
 
 let same_width a b =
   if a.n <> b.n then invalid_arg "Bitset: width mismatch"
 
-let binop f ~dst src =
+let union_into ~dst src =
   same_width dst src;
-  for i = 0 to Bytes.length dst.bits - 1 do
-    let c = f (Char.code (Bytes.get dst.bits i)) (Char.code (Bytes.get src.bits i)) in
-    Bytes.set dst.bits i (Char.chr (c land 0xff))
+  let d = dst.words and s = src.words in
+  for k = 0 to Array.length d - 1 do
+    Array.unsafe_set d k (Array.unsafe_get d k lor Array.unsafe_get s k)
   done
 
-let union_into ~dst src = binop ( lor ) ~dst src
-let inter_into ~dst src = binop ( land ) ~dst src
-let diff_into ~dst src = binop (fun d s -> d land lnot s) ~dst src
+let inter_into ~dst src =
+  same_width dst src;
+  let d = dst.words and s = src.words in
+  for k = 0 to Array.length d - 1 do
+    Array.unsafe_set d k (Array.unsafe_get d k land Array.unsafe_get s k)
+  done
+
+let diff_into ~dst src =
+  same_width dst src;
+  let d = dst.words and s = src.words in
+  for k = 0 to Array.length d - 1 do
+    Array.unsafe_set d k (Array.unsafe_get d k land lnot (Array.unsafe_get s k))
+  done
 
 let assign ~dst src =
   same_width dst src;
-  Bytes.blit src.bits 0 dst.bits 0 (Bytes.length src.bits)
+  Array.blit src.words 0 dst.words 0 (Array.length src.words)
 
-let clear s = Bytes.fill s.bits 0 (Bytes.length s.bits) '\000'
+let intersects a b =
+  same_width a b;
+  let rec go k =
+    k >= 0 && (Array.unsafe_get a.words k land Array.unsafe_get b.words k <> 0 || go (k - 1))
+  in
+  go (Array.length a.words - 1)
 
-let popcount_byte c =
-  let rec loop c acc = if c = 0 then acc else loop (c lsr 1) (acc + (c land 1)) in
-  loop c 0
+let clear s = Array.fill s.words 0 (Array.length s.words) 0
 
-let count s =
-  let acc = ref 0 in
-  Bytes.iter (fun c -> acc := !acc + popcount_byte (Char.code c)) s.bits;
-  !acc
+let popcount w =
+  let rec go w acc = if w = 0 then acc else go (w land (w - 1)) (acc + 1) in
+  go w 0
+
+let count s = Array.fold_left (fun acc w -> acc + popcount w) 0 s.words
+
+(* Index of the lowest set bit of [w <> 0], by binary search. *)
+let lowest_bit w =
+  let w = ref (w land (-w)) and i = ref 0 in
+  if !w land 0xFFFF_FFFF = 0 then (w := !w lsr 32; i := 32);
+  if !w land 0xFFFF = 0 then (w := !w lsr 16; i := !i + 16);
+  if !w land 0xFF = 0 then (w := !w lsr 8; i := !i + 8);
+  if !w land 0xF = 0 then (w := !w lsr 4; i := !i + 4);
+  if !w land 0x3 = 0 then (w := !w lsr 2; i := !i + 2);
+  if !w land 0x1 = 0 then i := !i + 1;
+  !i
 
 let iter f s =
-  for i = 0 to s.n - 1 do
-    if Char.code (Bytes.get s.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0 then f i
+  let words = s.words in
+  for k = 0 to Array.length words - 1 do
+    let w = ref (Array.unsafe_get words k) in
+    while !w <> 0 do
+      f ((k * bpw) + lowest_bit !w);
+      w := !w land (!w - 1)
+    done
   done
 
 let elements s =

@@ -2,8 +2,11 @@
 
     The data-flow solvers in [Epre_analysis] and [Epre_pre] run classic
     bit-vector algorithms; this module provides the dense set representation
-    they iterate over. All binary operations require both arguments to have
-    the same width. *)
+    they iterate over. A set is an array of 63-bit [int] words, so the
+    binary operations, [equal], [is_empty] and [intersects] touch one word
+    per 63 elements and allocate nothing, and [iter] jumps from one set bit
+    to the next, skipping empty words. All binary operations require both
+    arguments to have the same width. *)
 
 type t
 
@@ -38,12 +41,18 @@ val diff_into : dst:t -> t -> unit
 val assign : dst:t -> t -> unit
 (** [assign ~dst src] sets [dst := src]. *)
 
+val intersects : t -> t -> bool
+(** [intersects a b] is [not (is_empty (a ∩ b))], without building the
+    intersection. *)
+
 val clear : t -> unit
 
 val count : t -> int
 
 val iter : (int -> unit) -> t -> unit
+(** In ascending order. *)
 
 val elements : t -> int list
+(** In ascending order. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a

@@ -1,6 +1,9 @@
-(** Property test: the RPO-driven data-flow solver computes exactly the
+(** Property tests: the RPO-driven data-flow solver computes exactly the
     same fixpoint as a naive chaotic iteration, for random graphs and
-    random gen/kill systems, in all four (direction x meet) combinations. *)
+    random gen/kill systems (widths up to 150, so sets span several
+    words), in all four (direction x meet) combinations; and the lazy code
+    motion placement equals a straightforward reference fixpoint on
+    generated programs. *)
 
 open Epre_util
 open Epre_ir
@@ -30,9 +33,9 @@ let gen_instance =
   Gen.(
     let* n = int_range 2 7 in
     let* edges = list_size (int_range 1 12) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
-    let* width = int_range 1 6 in
-    let* gens = list_size (return n) (list_size (int_range 0 3) (int_bound (width - 1))) in
-    let* kills = list_size (return n) (list_size (int_range 0 3) (int_bound (width - 1))) in
+    let* width = int_range 1 150 in
+    let* gens = list_size (return n) (list_size (int_range 0 12) (int_bound (width - 1))) in
+    let* kills = list_size (return n) (list_size (int_range 0 12) (int_bound (width - 1))) in
     let* meet = oneofl [ Dataflow.Union; Dataflow.Inter ] in
     let* forward = bool in
     return (n, (0, 1 mod n) :: edges, width, gens, kills, meet, forward))
@@ -125,4 +128,107 @@ let solver_matches_naive =
       done;
       !ok)
 
-let suite = [ solver_matches_naive ]
+(* The LATER fixpoint in its direct form: every iteration recomputes
+   EARLIEST, and with it LATER, for every edge. The reference for
+   [Expr_flow.lcm_placement], which computes EARLIEST once per edge. *)
+let reference_lcm_placement (t : Expr_flow.t) =
+  let cfg = t.cfg in
+  let width = t.width in
+  let antloc = t.local.Expr_universe.antloc in
+  let kill = t.local.Expr_universe.kill in
+  let avail = Expr_flow.availability t in
+  let ant = Expr_flow.anticipability t in
+  let antin = ant.Dataflow.ins and antout = ant.Dataflow.outs in
+  let avout = avail.Dataflow.outs in
+  (* EARLIEST over a real edge (i, j). *)
+  let earliest i j =
+    let s = Bitset.copy antin.(j) in
+    Bitset.diff_into ~dst:s avout.(i);
+    let guard = Bitset.copy kill.(i) in
+    let not_antout = Bitset.copy antout.(i) in
+    (* kill(i) ∨ ¬antout(i): complement via full-universe diff *)
+    let all = Bitset.full width in
+    Bitset.diff_into ~dst:all not_antout;
+    Bitset.union_into ~dst:guard all;
+    Bitset.inter_into ~dst:s guard;
+    s
+  in
+  let order = Order.compute cfg in
+  let rpo = Order.reverse_postorder order in
+  let preds = Cfg.preds cfg in
+  let entry = Cfg.entry cfg in
+  let nblocks = Cfg.num_blocks cfg in
+  let laterin = Array.init nblocks (fun _ -> Bitset.full width) in
+  (* LATER over a real edge, given current laterin. *)
+  let later i j =
+    let s = earliest i j in
+    let flow = Bitset.copy laterin.(i) in
+    Bitset.diff_into ~dst:flow antloc.(i);
+    Bitset.union_into ~dst:s flow;
+    s
+  in
+  (* Virtual entry edge: LATER(V, entry) = ANTIN(entry). *)
+  let later_virtual = Bitset.copy antin.(entry) in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iter
+      (fun j ->
+        let contributions =
+          (if j = entry then [ later_virtual ] else [])
+          @ List.filter_map
+              (fun i ->
+                if Order.is_reachable order i then Some (later i j) else None)
+              preds.(j)
+        in
+        let new_in =
+          match contributions with
+          | [] -> Bitset.create width
+          | first :: rest ->
+            let acc = Bitset.copy first in
+            List.iter (fun s -> Bitset.inter_into ~dst:acc s) rest;
+            acc
+        in
+        if not (Bitset.equal new_in laterin.(j)) then begin
+          Bitset.assign ~dst:laterin.(j) new_in;
+          changed := true
+        end)
+      rpo
+  done;
+  { Expr_flow.laterin; later; later_virtual }
+
+(* Does [lcm_placement] agree with the reference on [r] as it stands? *)
+let placement_matches_reference (r : Routine.t) =
+  let fl = Expr_flow.build r in
+  let got = Expr_flow.lcm_placement fl and want = reference_lcm_placement fl in
+  let cfg = r.Routine.cfg in
+  let order = Order.compute cfg in
+  Bitset.equal got.Expr_flow.later_virtual want.Expr_flow.later_virtual
+  && Array.for_all2 Bitset.equal got.Expr_flow.laterin want.Expr_flow.laterin
+  && Cfg.fold_blocks
+       (fun ok b ->
+         let i = b.Block.id in
+         ok
+         && ((not (Order.is_reachable order i))
+            || List.for_all
+                 (fun j -> Bitset.equal (got.Expr_flow.later i j) (want.Expr_flow.later i j))
+                 (Block.succs b)))
+       true cfg
+
+let placement_matches_reference_fixpoint =
+  Helpers.qcheck_case ~count:40 "Expr_flow" "lcm_placement = recompute-per-iteration fixpoint"
+    Gen.(int_bound 100_000)
+    (fun seed ->
+      let prog = Epre_frontend.Frontend.compile_string (Epre_fuzz.Gen.source seed) in
+      List.for_all
+        (fun (r : Routine.t) ->
+          ignore (Epre_opt.Naming.run r);
+          ignore (Epre_ssa.Critical_edges.split_all r);
+          let before = placement_matches_reference r in
+          (* Once more after PRE has moved code, on the graph as it left it. *)
+          ignore (Epre_pre.Pre.run r);
+          ignore (Epre_ssa.Critical_edges.split_all r);
+          before && placement_matches_reference r)
+        (Program.routines prog))
+
+let suite = [ solver_matches_naive; placement_matches_reference_fixpoint ]

@@ -80,7 +80,7 @@ let test_bitset_ops () =
 let test_bitset_full () =
   let f = Bitset.full 13 in
   Alcotest.(check int) "count" 13 (Bitset.count f);
-  (* The unused high bits of the last byte must be clear so that [equal]
+  (* The unused high bits of the last word must be clear so that [equal]
      against an explicitly built full set holds. *)
   let g = Bitset.create 13 in
   for i = 0 to 12 do
@@ -132,6 +132,88 @@ let bitset_count_model =
   Helpers.qcheck_case "Bitset" "count = cardinality" bitset_model_gen (fun xs ->
       Bitset.count (bitset_of_list xs) = IntSet.cardinal (IntSet.of_list xs))
 
+(* Model-based: random operation sequences on two sets of one width,
+   mirrored on [bool array]s. Widths cover 0-200 and the word edges
+   62-64 and 125-127. *)
+type bitset_op =
+  | Add of int * int  (** set, element *)
+  | Remove of int * int
+  | Union of int * int  (** dst, src *)
+  | Inter of int * int
+  | Diff of int * int
+  | Assign of int * int
+  | Clear of int
+  | Full of int
+
+let bitset_ops_gen =
+  QCheck2.Gen.(
+    let* n = oneof [ int_range 0 200; oneofl [ 62; 63; 64; 125; 126; 127 ] ] in
+    let set = int_bound 1 in
+    let elt =
+      if n = 0 then []
+      else
+        [ map2 (fun s i -> Add (s, i)) set (int_bound (n - 1));
+          map2 (fun s i -> Remove (s, i)) set (int_bound (n - 1)) ]
+    in
+    let op =
+      oneof
+        (elt
+        @ [ map2 (fun d s -> Union (d, s)) set set; map2 (fun d s -> Inter (d, s)) set set;
+            map2 (fun d s -> Diff (d, s)) set set; map2 (fun d s -> Assign (d, s)) set set;
+            map (fun s -> Clear s) set; map (fun s -> Full s) set ])
+    in
+    let* ops = list_size (int_range 0 60) op in
+    return (n, ops))
+
+let bitset_matches_model (n, ops) =
+  let sets = Array.init 2 (fun _ -> Bitset.create n) in
+  let model = Array.init 2 (fun _ -> Array.make n false) in
+  let zip f d s = model.(d) <- Array.map2 f model.(d) model.(s) in
+  let step = function
+    | Add (s, i) -> Bitset.add sets.(s) i; model.(s).(i) <- true
+    | Remove (s, i) -> Bitset.remove sets.(s) i; model.(s).(i) <- false
+    | Union (d, s) -> Bitset.union_into ~dst:sets.(d) sets.(s); zip ( || ) d s
+    | Inter (d, s) -> Bitset.inter_into ~dst:sets.(d) sets.(s); zip ( && ) d s
+    | Diff (d, s) -> Bitset.diff_into ~dst:sets.(d) sets.(s); zip (fun a b -> a && not b) d s
+    | Assign (d, s) -> Bitset.assign ~dst:sets.(d) sets.(s); model.(d) <- Array.copy model.(s)
+    | Clear s -> Bitset.clear sets.(s); model.(s) <- Array.make n false
+    | Full s -> sets.(s) <- Bitset.full n; model.(s) <- Array.make n true
+  in
+  let members m = List.filter (fun i -> m.(i)) (List.init n Fun.id) in
+  let agrees k =
+    let s = sets.(k) and m = model.(k) in
+    let elems = members m in
+    Bitset.width s = n
+    && List.for_all (fun i -> Bitset.mem s i = m.(i)) (List.init n Fun.id)
+    && Bitset.count s = List.length elems
+    && Bitset.is_empty s = (elems = [])
+    && Bitset.elements s = elems
+    && Bitset.fold (fun i acc -> i :: acc) s [] = List.rev elems
+  in
+  let pair_agrees () =
+    Bitset.equal sets.(0) sets.(1) = (model.(0) = model.(1))
+    && Bitset.intersects sets.(0) sets.(1)
+       = Array.exists Fun.id (Array.map2 ( && ) model.(0) model.(1))
+  in
+  (* The complement of the empty set, built one element at a time. *)
+  let full_is_complement_of_empty () =
+    let all = Bitset.create n in
+    for i = 0 to n - 1 do
+      Bitset.add all i
+    done;
+    Bitset.equal (Bitset.full n) all && Bitset.count (Bitset.full n) = n
+  in
+  full_is_complement_of_empty ()
+  && List.for_all
+       (fun op ->
+         step op;
+         agrees 0 && agrees 1 && pair_agrees ())
+       ops
+
+let bitset_model_sequences =
+  Helpers.qcheck_case ~count:300 "Bitset" "op sequences agree with a bool-array model"
+    bitset_ops_gen bitset_matches_model
+
 (* ------------------------------------------------------------------ *)
 (* Union_find *)
 
@@ -179,6 +261,7 @@ let suite =
     bitset_union_model;
     bitset_diff_model;
     bitset_count_model;
+    bitset_model_sequences;
     Alcotest.test_case "union_find: union/same" `Quick test_uf_basic;
     Alcotest.test_case "union_find: keep-first representative" `Quick test_uf_keep_first;
     uf_equivalence;
