@@ -72,13 +72,17 @@ let observe_counted ~fuel p =
 
 let observe ~fuel p = fst (observe_counted ~fuel p)
 
-(* The differential test suite's tolerance: values equal up to
-   floating-point reassociation noise. *)
+(* Exact equality first (NaN = NaN, an infinity = itself), then
+   reassociation noise between finite floats: with an infinite side the
+   tolerance is infinite too and would accept +inf against -inf. *)
 let value_close a b =
+  Value.equal a b
+  ||
   match (a, b) with
   | Value.F x, Value.F y ->
-    Float.abs (x -. y) <= 1e-9 *. (Float.abs x +. Float.abs y +. 1.0)
-  | a, b -> Value.equal a b
+    Float.is_finite x && Float.is_finite y
+    && Float.abs (x -. y) <= 1e-9 *. (Float.abs x +. Float.abs y +. 1.0)
+  | _ -> false
 
 let obs_equal a b =
   match (a, b) with

@@ -93,8 +93,14 @@ val observe : fuel:int -> Program.t -> obs
     the harness and [Bisect] derive a bounded re-check budget from it. *)
 val observe_counted : fuel:int -> Program.t -> obs * int option
 
-(** Equality up to floating-point reassociation noise (relative 1e-9), the
-    same tolerance the differential test suite uses. *)
+(** Value equality up to floating-point reassociation noise: exact
+    {!Value.equal} (so NaN equals NaN and an infinity equals itself),
+    else finite floats within a relative 1e-9. The differential test
+    suite uses the same test. *)
+val value_close : Value.t -> Value.t -> bool
+
+(** {!value_close} on the return value and on every emitted value;
+    errors compare by text. *)
 val obs_equal : obs -> obs -> bool
 
 (** One-line rendering ("return 42, 13 emits" / the error text) for

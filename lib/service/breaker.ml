@@ -39,7 +39,7 @@ let state t pass =
 let transition t ~pass ~from ~to_ =
   Hashtbl.replace t.tbl pass to_;
   let from_name = state_name from and to_name = state_name to_ in
-  Metrics.incr ~routine:"service" ~name:("breaker." ^ to_name);
+  Metrics.incr ~routine:"<service>" ~name:("breaker." ^ to_name);
   Log.warn ~event:"breaker.transition"
     ~fields:[ ("pass", J.Str pass); ("from", J.Str from_name); ("to", J.Str to_name) ]
     (Printf.sprintf "breaker %s: %s -> %s" pass from_name to_name);

@@ -1,11 +1,17 @@
-(** A fixed-size pool of OCaml 5 domains with a work-stealing scheduler —
+(** A fixed-size pool of OCaml 5 domains sharing one FIFO task queue —
     the compile service's parallelism substrate.
 
-    Each worker domain owns a {!Deque}; a batch submitted with [map] is
-    dealt round-robin across the deques, workers drain their own deque
-    LIFO and steal FIFO from the others when empty, and the submitter
-    helps execute pending tasks while it waits (so nested [map] calls
-    from inside a task cannot deadlock the pool).
+    A batch submitted with [map] is appended to the queue under the
+    pool's mutex; workers take the oldest task under the same mutex and
+    wait on its condition variable while the queue is empty. The
+    submitter helps execute queued tasks while it waits for its batch (so
+    nested [map] calls from inside a task cannot deadlock the pool).
+
+    The traffic is flat: [Service.serve] submits batches of
+    [max 32 (4 * size)] independent, millisecond-scale jobs, and
+    [workloads --check] and [fuzz --jobs] one batch each. One lock round
+    trip per task is noise at that grain, so the queue needs no
+    per-worker sharding.
 
     Ordering: [map] returns results indexed exactly like its input —
     execution order is nondeterministic, result order is not. Combined

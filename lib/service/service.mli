@@ -47,15 +47,15 @@
     [serve.replayed], [serve.retries], [serve.degrade_step],
     [serve.degraded_invalid], [serve.deadline_exceeded],
     [serve.bad_line], [serve.worker_crash], [breaker.open] /
-    [breaker.half-open] / [breaker.closed] (routine key ["service"]),
-    and [chaos.*] per injected fault. Histograms: [serve.degraded]
-    (latency of degraded jobs) and [queue.depth] (pending-queue depth at
-    each batch dispatch) join the PR 8 set.
+    [breaker.half-open] / [breaker.closed], and [chaos.*] per injected
+    fault. Histograms: [serve.degraded] (latency of degraded jobs) and
+    [queue.depth] (pending-queue depth at each batch dispatch) join the
+    set below.
 
     Observability (all off the result path — stdout results are
     byte-identical with every sink enabled or disabled):
     - histograms ({!Epre_telemetry.Histogram}): [serve.job] end-to-end
-      latency, [pool.queue_wait], [pool.steal], [pool.idle],
+      latency, [pool.queue_wait], [pool.idle],
       [cache.read], [cache.write], [cache.lock_wait], and [pass.<name>]
       per optimization pass;
     - structured events ({!Epre_telemetry.Log}): [serve.job],

@@ -4,8 +4,7 @@ let us_of_ns ns = Int64.to_float ns /. 1e3
 
 let event (s : Telemetry.span) =
   let args =
-    [ ("depth", Tjson.Int s.Telemetry.depth);
-      ("alloc_minor_words", Tjson.Float s.Telemetry.alloc_minor_words) ]
+    [ ("alloc_minor_words", Tjson.Float s.Telemetry.alloc_minor_words) ]
     @ (match s.Telemetry.routine with
       | Some r -> [ ("routine", Tjson.Str r) ]
       | None -> [])
@@ -24,7 +23,7 @@ let event (s : Telemetry.span) =
       ("cat", Tjson.Str s.Telemetry.kind);
       ("ph", Tjson.Str "X");
       ("pid", Tjson.Int 1);
-      ("tid", Tjson.Int 1);
+      ("tid", Tjson.Int s.Telemetry.domain);
       ("ts", Tjson.Float (us_of_ns s.Telemetry.start_ns));
       ("dur", Tjson.Float (us_of_ns s.Telemetry.dur_ns));
       ("args", Tjson.Obj args);

@@ -5,8 +5,9 @@
     ("ph":"X") event per span — and loads directly in Perfetto
     (https://ui.perfetto.dev) or chrome://tracing. Timestamps and
     durations are microseconds (the spec's unit) at nanosecond
-    resolution; nesting is carried by the events' time containment on the
-    single track, with the routine, allocation and IR size deltas in each
+    resolution. Each domain that ran spans gets its own track ([tid] is
+    the domain id); nesting is carried by the events' time containment on
+    their track, with the routine, allocation and IR size deltas in each
     event's [args]. *)
 
 val to_json : Telemetry.span list -> Tjson.t

@@ -20,7 +20,7 @@ type span = {
   name : string;
   kind : string;
   routine : string option;
-  depth : int;
+  domain : int;
   start_ns : int64;
   dur_ns : int64;
   alloc_minor_words : float;
@@ -32,9 +32,8 @@ type span = {
 type recorder = {
   epoch : int64;
   lock : Mutex.t;
-      (** guards [depth] and [finished]: spans complete from compile-pool
-          worker domains as well as the installing domain *)
-  mutable depth : int;
+      (** guards [finished]: spans complete from compile-pool worker
+          domains as well as the installing domain *)
   mutable finished : span list;  (** completion order, newest first *)
 }
 
@@ -42,7 +41,7 @@ let current : recorder option ref = ref None
 
 let install () =
   let r =
-    { epoch = Clock.now_ns (); lock = Mutex.create (); depth = 0; finished = [] }
+    { epoch = Clock.now_ns (); lock = Mutex.create (); finished = [] }
   in
   current := Some r;
   r
@@ -64,16 +63,6 @@ module Span = struct
     | rec_opt, flight ->
       let routine_name = Option.map (fun r -> r.Epre_ir.Routine.name) routine in
       let ir_before = Option.map measure_routine routine in
-      let depth =
-        match rec_opt with
-        | None -> 0
-        | Some rec_ ->
-          Mutex.lock rec_.lock;
-          let d = rec_.depth in
-          rec_.depth <- d + 1;
-          Mutex.unlock rec_.lock;
-          d
-      in
       let alloc0 = Gc.minor_words () in
       let t0 = Clock.now_ns () in
       let finish raised =
@@ -87,7 +76,7 @@ module Span = struct
               name;
               kind;
               routine = routine_name;
-              depth;
+              domain = (Domain.self () :> int);
               start_ns = Int64.sub t0 rec_.epoch;
               dur_ns;
               alloc_minor_words;
@@ -97,10 +86,6 @@ module Span = struct
             }
           in
           Mutex.lock rec_.lock;
-          (* Restore the open-time depth rather than decrementing: an
-             exception that escaped several nested spans still leaves the
-             recorder balanced once the outermost one closes. *)
-          rec_.depth <- depth;
           rec_.finished <- finished_span :: rec_.finished;
           Mutex.unlock rec_.lock);
         (* Span closures also feed the flight recorder's ring, so a

@@ -22,11 +22,10 @@
 
     Domain safety: a recorder accepts spans from any domain — the
     compile-service pool's workers ([Epre_service.Pool]) trace through the
-    same recorder as the submitting domain. The recorder's state is
-    mutex-guarded; the nesting [depth] remains a single process-wide
-    counter, so spans completed concurrently by different workers
-    interleave at whatever depth was current when each opened (wall-clock
-    start/duration, allocation and IR deltas are unaffected). *)
+    same recorder as the submitting domain. Each span is stamped with the
+    domain that ran it; nesting is time containment among one domain's
+    spans, so opening a span takes no lock and only its completion is
+    mutex-guarded. *)
 
 (** Monotonic wall clock (nanoseconds since an arbitrary epoch). *)
 module Clock : sig
@@ -46,7 +45,7 @@ type span = {
   name : string;
   kind : string;  (** e.g. ["pass"], ["routine"], ["pipeline"], ["experiment"] *)
   routine : string option;  (** the routine being transformed, if any *)
-  depth : int;  (** nesting depth at open; top-level spans are 0 *)
+  domain : int;  (** id of the domain that ran the span *)
   start_ns : int64;  (** relative to the recorder's epoch *)
   dur_ns : int64;
   alloc_minor_words : float;  (** [Gc.minor_words] delta *)

@@ -23,15 +23,8 @@ let run_float ?entry ?args prog = Value.to_float (return_value (run ?entry ?args
 let dynamic_ops ?entry ?args prog =
   Epre_interp.Counts.total (run ?entry ?args prog).Epre_interp.Interp.counts
 
-(* Values equal up to floating-point reassociation noise. *)
-let value_close a b =
-  match a, b with
-  | Value.F x, Value.F y ->
-    Float.abs (x -. y) <= 1e-9 *. (Float.abs x +. Float.abs y +. 1.0)
-  | a, b -> Value.equal a b
-
 let check_value_close what a b =
-  if not (value_close a b) then
+  if not (Epre_harness.Harness.value_close a b) then
     Alcotest.failf "%s: %s <> %s" what (Value.to_string a) (Value.to_string b)
 
 (* The master correctness check: an optimized copy must produce the same

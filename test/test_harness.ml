@@ -405,6 +405,55 @@ let test_exprs_renamed_recorded () =
       Alcotest.(check int) "baseline never renames" 0 s.Epre.Pipeline.exprs_renamed)
     (Epre.Pipeline.optimize ~level:Epre.Pipeline.Baseline prog2)
 
+(* --- exact observation of non-finite floats -------------------------- *)
+
+let test_value_close_non_finite () =
+  let f x = Value.F x in
+  List.iter
+    (fun (what, a, b, expected) ->
+      Alcotest.(check bool) what expected (Harness.value_close a b))
+    [ ("nan = nan", f Float.nan, f Float.nan, true);
+      ("nan = -nan", f Float.nan, f (-.Float.nan), true);
+      ("+inf = +inf", f Float.infinity, f Float.infinity, true);
+      ("-inf = -inf", f Float.neg_infinity, f Float.neg_infinity, true);
+      ("+inf <> -inf", f Float.infinity, f Float.neg_infinity, false);
+      ("nan <> 1.0", f Float.nan, f 1.0, false);
+      ("nan <> +inf", f Float.nan, f Float.infinity, false);
+      ("+inf <> max_float", f Float.infinity, f Float.max_float, false);
+      ("-0.0 = 0.0", f (-0.0), f 0.0, true);
+      ("reassociation noise", f 1.0, f (1.0 +. 1e-12), true);
+      ("real difference", f 1.0, f 1.001, false);
+      ("int <> float", Value.I 1, f 1.0, false) ];
+  let obs = Ok (Some (f Float.nan), [ f Float.infinity; f Float.neg_infinity; f (-0.0) ]) in
+  Alcotest.(check bool) "a non-finite observation equals itself" true
+    (Harness.obs_equal obs obs)
+
+let test_exec_tier_non_finite_no_rollback () =
+  (* Every pass leaves these programs' behaviour alone, so the exec tier
+     must keep every pass even though the observations are NaN or
+     infinite. *)
+  List.iter
+    (fun (what, source) ->
+      let prog = Helpers.compile source in
+      let _, records =
+        Epre.Pipeline.optimize_supervised ~config:exec_config
+          ~level:Epre.Pipeline.Partial prog
+      in
+      Alcotest.(check bool) (what ^ ": passes ran") true (records <> []);
+      Alcotest.(check int) (what ^ ": rollbacks") 0
+        (List.length (Harness.rolled_back records)))
+    [ ( "sqrt of -1",
+        "fn main(): float { var x: float; x = 0.0 - 1.0; return sqrt(x); }" );
+      ( "infinities and -0.0",
+        {|
+fn main(): float {
+  var x: float; var y: float;
+  x = 1.0e300 * 1.0e300; y = 0.0 - x;
+  emit(y); emit(0.0 * (0.0 - 1.0));
+  return x;
+}
+|} ) ]
+
 let suite =
   [
     Alcotest.test_case "chaos x level rotation over all workloads" `Slow
@@ -431,4 +480,8 @@ let suite =
     Alcotest.test_case "bisect leaves the input program intact" `Quick
       test_bisect_does_not_mutate_input;
     Alcotest.test_case "naming rename count surfaced" `Quick test_exprs_renamed_recorded;
+    Alcotest.test_case "value_close is exact on NaN, infinities, -0.0" `Quick
+      test_value_close_non_finite;
+    Alcotest.test_case "exec tier keeps passes on non-finite output" `Quick
+      test_exec_tier_non_finite_no_rollback;
   ]

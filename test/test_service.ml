@@ -1,12 +1,11 @@
-(** The compile service: work-stealing deque invariants, pool ordering /
-    exception / nesting semantics, cache hit replay, fingerprint
+(** The compile service: pool ordering / exception / nesting semantics
+    and concurrent submitters, cache hit replay, fingerprint
     invalidation, poisoned-entry fallback, the serve job protocol, every
     [run_job] branch, and the crash-safety layer — journal round-trips,
     kill-and-resume byte identity, the graceful-degradation ladder,
     per-pass circuit breakers, and admission-control shedding. *)
 
 open Epre_ir
-module Deque = Epre_service.Deque
 module Pool = Epre_service.Pool
 module Cache = Epre_service.Cache
 module Service = Epre_service.Service
@@ -16,37 +15,6 @@ module Pipeline = Epre.Pipeline
 module Tjson = Epre_telemetry.Tjson
 
 let program_text p = Ir_text.print_program p
-
-(* ------------------------------------------------------------------ *)
-(* Deque *)
-
-let test_deque_lifo_fifo () =
-  let d = Deque.create () in
-  List.iter (Deque.push d) [ 1; 2; 3; 4 ];
-  Alcotest.(check int) "length" 4 (Deque.length d);
-  (* Owner pops newest first... *)
-  Alcotest.(check (option int)) "pop" (Some 4) (Deque.pop d);
-  (* ...thieves steal oldest first. *)
-  Alcotest.(check (option int)) "steal" (Some 1) (Deque.steal d);
-  Alcotest.(check (option int)) "pop2" (Some 3) (Deque.pop d);
-  Alcotest.(check (option int)) "steal2" (Some 2) (Deque.steal d);
-  Alcotest.(check (option int)) "empty pop" None (Deque.pop d);
-  Alcotest.(check (option int)) "empty steal" None (Deque.steal d)
-
-let test_deque_grows () =
-  let d = Deque.create () in
-  for i = 1 to 1000 do Deque.push d i done;
-  let seen = ref 0 in
-  let rec drain () =
-    match Deque.steal d with
-    | Some v ->
-      incr seen;
-      Alcotest.(check int) "fifo order" !seen v;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check int) "all drained" 1000 !seen
 
 (* ------------------------------------------------------------------ *)
 (* Pool *)
@@ -92,62 +60,62 @@ let test_pool_nested_map () =
       Alcotest.(check (list int)) "nested sums" [ 46; 86; 126 ] out)
 
 (* ------------------------------------------------------------------ *)
-(* Deque contention / outcome protocol *)
+(* Concurrent submitters / outcome protocol *)
 
-let test_deque_contention () =
-  (* Property test under real multi-domain contention: one owner pushes
-     (and occasionally pops) while several stealer domains drain the FIFO
-     end. Correctness means (a) no element is lost or duplicated, and
-     (b) each stealer's sequence is strictly increasing — steals remove
-     the oldest remaining element, and elements are pushed in order, so a
-     decreasing step would be a linearizability violation. *)
-  let d = Deque.create () in
-  let n = 20_000 and stealers = 3 in
-  let stop = Atomic.make false in
-  let thieves =
-    List.init stealers (fun _ ->
-        Domain.spawn (fun () ->
-            let acc = ref [] in
-            let rec loop () =
-              match Deque.steal d with
-              | Some v ->
-                acc := v :: !acc;
-                loop ()
-              | None -> if not (Atomic.get stop) then (Domain.cpu_relax (); loop ())
+let test_pool_concurrent_submitters () =
+  (* Three submitter domains map onto one shared pool at once, and every
+     tenth task nests a batch of its own. Every task (nested ones too)
+     must run exactly once, each submitter must get its own results in
+     input order, and the workers must have recorded busy time. *)
+  let submitters = 3 and n = 300 and fanout = 4 in
+  let runs = Array.init (submitters * n) (fun _ -> Atomic.make 0) in
+  let nested_runs = Atomic.make 0 in
+  let spin () =
+    let t0 = Epre_telemetry.Telemetry.Clock.now_ns () in
+    while Epre_telemetry.Telemetry.Clock.elapsed_ms ~since:t0 < 0.02 do () done
+  in
+  Pool.with_pool ~jobs:4 (fun pool ->
+      let submit s () =
+        Pool.map pool
+          (fun i ->
+            let id = (s * n) + i in
+            Atomic.incr runs.(id);
+            spin ();
+            let nested =
+              if i mod 10 <> 0 then 0
+              else
+                Array.fold_left ( + ) 0
+                  (Pool.map pool
+                     (fun j -> Atomic.incr nested_runs; spin (); j)
+                     (Array.init fanout Fun.id))
             in
-            loop ();
-            List.rev !acc))
-  in
-  let popped = ref [] in
-  for i = 1 to n do
-    Deque.push d i;
-    if i mod 7 = 0 then
-      match Deque.pop d with Some v -> popped := v :: !popped | None -> ()
-  done;
-  Atomic.set stop true;
-  let stolen = List.map Domain.join thieves in
-  let rec drain () =
-    match Deque.pop d with
-    | Some v ->
-      popped := v :: !popped;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  let rec increasing = function
-    | a :: (b :: _ as rest) -> a < b && increasing rest
-    | _ -> true
-  in
-  List.iteri
-    (fun i s ->
-      Alcotest.(check bool)
-        (Printf.sprintf "stealer %d strictly increasing (%d steals)" i
-           (List.length s))
-        true (increasing s))
-    stolen;
-  let all = List.sort compare (List.concat (!popped :: stolen)) in
-  Alcotest.(check bool) "no element lost or duplicated" true
-    (all = List.init n (fun i -> i + 1))
+            (2 * id) + nested)
+          (Array.init n Fun.id)
+      in
+      let outs =
+        List.map Domain.join
+          (List.init submitters (fun s -> Domain.spawn (submit s)))
+      in
+      List.iteri
+        (fun s out ->
+          Array.iteri
+            (fun i v ->
+              let nested = if i mod 10 = 0 then fanout * (fanout - 1) / 2 else 0 in
+              Alcotest.(check int)
+                (Printf.sprintf "submitter %d idx %d" s i)
+                ((2 * ((s * n) + i)) + nested) v)
+            out)
+        outs;
+      Array.iteri
+        (fun id c ->
+          Alcotest.(check int) (Printf.sprintf "task %d ran once" id) 1 (Atomic.get c))
+        runs;
+      Alcotest.(check int) "nested tasks ran once each"
+        (submitters * (n / 10) * fanout) (Atomic.get nested_runs);
+      let st = Pool.stats pool in
+      Alcotest.(check int) "one busy slot per worker" 4 (Array.length st.Pool.busy_ns);
+      Alcotest.(check bool) "workers recorded busy time" true
+        (Array.fold_left Int64.add 0L st.Pool.busy_ns > 0L))
 
 let test_pool_outcome_mix () =
   (* Every job runs to an outcome: failures are contained per index and
@@ -990,6 +958,10 @@ let test_breaker_opens_and_short_circuits () =
   let target, requested = poisoned_level () in
   let breaker = Breaker.create ~threshold:3 ~probe_after:100 () in
   let policy = { Service.Policy.default with degrade = true } in
+  let opened () =
+    Epre_telemetry.Metrics.get ~routine:"<service>" ~name:"breaker.open"
+  in
+  let opened_before = opened () in
   let results =
     List.init 6 (fun i ->
         Service.run_job ~policy ~chaos:[ Chaos.Pass_poison ] ~breaker
@@ -1009,7 +981,9 @@ let test_breaker_opens_and_short_circuits () =
     (Printf.sprintf "breaker open for %s" target)
     true
     (List.mem_assoc target (Breaker.snapshot breaker)
-    && List.assoc target (Breaker.snapshot breaker) = "open")
+    && List.assoc target (Breaker.snapshot breaker) = "open");
+  Alcotest.(check int) "one breaker.open under the service key" 1
+    (opened () - opened_before)
 
 let test_breaker_half_open_probe () =
   let b = Breaker.create ~threshold:2 ~probe_after:2 () in
@@ -1164,13 +1138,11 @@ let test_cache_sweep_spares_locked () =
 
 let suite =
   [
-    Alcotest.test_case "deque lifo/fifo" `Quick test_deque_lifo_fifo;
-    Alcotest.test_case "deque grows" `Quick test_deque_grows;
     Alcotest.test_case "pool preserves order" `Quick test_pool_map_order;
     Alcotest.test_case "pool re-raises first failure" `Quick test_pool_exception;
     Alcotest.test_case "pool nested map" `Quick test_pool_nested_map;
-    Alcotest.test_case "deque multi-domain contention" `Quick
-      test_deque_contention;
+    Alcotest.test_case "pool concurrent submitters" `Quick
+      test_pool_concurrent_submitters;
     Alcotest.test_case "outcome protocol contains failures" `Quick
       test_pool_outcome_mix;
     Alcotest.test_case "second run all cache hits" `Quick

@@ -1,5 +1,6 @@
 (** The telemetry subsystem: Tjson encode/parse round-trips, span
-    nesting/balance (including under exceptions), the no-op disabled path,
+    nesting as time containment (including under exceptions and across
+    two domains), the no-op disabled path,
     Chrome trace well-formedness (parsed back and validated — one span per
     (routine, stage), monotonic timestamps, balanced nesting), counters
     accumulation across routines, harness wall-clock timing, and the
@@ -53,6 +54,17 @@ let test_tjson_unicode () =
 
 exception Boom
 
+let end_ns (s : Telemetry.span) = Int64.add s.Telemetry.start_ns s.Telemetry.dur_ns
+
+(* [inner] lies within [outer]'s interval on the same domain's track. *)
+let contains (outer : Telemetry.span) (inner : Telemetry.span) =
+  outer.Telemetry.domain = inner.Telemetry.domain
+  && outer.Telemetry.start_ns <= inner.Telemetry.start_ns
+  && end_ns inner <= end_ns outer
+
+(* [a] closed before [b] opened. *)
+let precedes (a : Telemetry.span) (b : Telemetry.span) = end_ns a <= b.Telemetry.start_ns
+
 let test_span_nesting_and_exceptions () =
   let spans =
     Telemetry.with_recorder (fun rc ->
@@ -62,16 +74,22 @@ let test_span_nesting_and_exceptions () =
               Telemetry.Span.with_ ~kind:"inner" ~name:"raising-child" (fun () ->
                   raise Boom)
             with Boom -> ());
-        (* Depth must be balanced after nested spans and a caught raise. *)
+        (* A span after nested spans and a caught raise is a new top-level
+           span, not a child of anything still open. *)
         Telemetry.Span.with_ ~name:"after" (fun () -> ());
         Telemetry.spans rc)
   in
   let find name = List.find (fun s -> s.Telemetry.name = name) spans in
   Alcotest.(check int) "span count" 4 (List.length spans);
-  Alcotest.(check int) "outer depth" 0 (find "outer").Telemetry.depth;
-  Alcotest.(check int) "child depth" 1 (find "ok-child").Telemetry.depth;
-  Alcotest.(check int) "raising child depth" 1 (find "raising-child").Telemetry.depth;
-  Alcotest.(check int) "post-exception depth balanced" 0 (find "after").Telemetry.depth;
+  Alcotest.(check bool) "child within outer" true (contains (find "outer") (find "ok-child"));
+  Alcotest.(check bool) "raising child within outer" true
+    (contains (find "outer") (find "raising-child"));
+  Alcotest.(check bool) "siblings disjoint" true
+    (precedes (find "ok-child") (find "raising-child"));
+  Alcotest.(check bool) "post-exception span outside outer" true
+    (precedes (find "outer") (find "after"));
+  Alcotest.(check bool) "one domain" true
+    (List.for_all (fun s -> s.Telemetry.domain = (Domain.self () :> int)) spans);
   Alcotest.(check bool) "raise recorded" true (find "raising-child").Telemetry.raised;
   Alcotest.(check bool) "no spurious raise flag" false (find "outer").Telemetry.raised;
   (* Completion order: children close before their parent. *)
@@ -92,7 +110,50 @@ let test_span_escaping_exception_balances () =
   let find name = List.find (fun s -> s.Telemetry.name = name) spans in
   Alcotest.(check bool) "inner raised" true (find "inner").Telemetry.raised;
   Alcotest.(check bool) "outer raised" true (find "outer").Telemetry.raised;
-  Alcotest.(check int) "depth rebalanced" 0 (find "after").Telemetry.depth
+  Alcotest.(check bool) "inner within outer" true (contains (find "outer") (find "inner"));
+  Alcotest.(check bool) "after opens once the raise unwound" true
+    (precedes (find "outer") (find "after"))
+
+let test_spans_from_two_domains () =
+  (* Two domains trace nested spans into one recorder at the same time.
+     Each domain's spans land on its own track and nest there; the Chrome
+     export gives every domain its own [tid]. *)
+  let work tag () =
+    for i = 1 to 20 do
+      Telemetry.Span.with_ ~name:(Printf.sprintf "%s-outer-%d" tag i) (fun () ->
+          Telemetry.Span.with_ ~name:(Printf.sprintf "%s-inner-%d" tag i) (fun () ->
+              ignore (Sys.opaque_identity (List.init 50 Fun.id))))
+    done
+  in
+  let spans =
+    Telemetry.with_recorder (fun rc ->
+        let d = Domain.spawn (work "b") in
+        work "a" ();
+        Domain.join d;
+        Telemetry.spans rc)
+  in
+  Alcotest.(check int) "span count" 80 (List.length spans);
+  let domains = List.sort_uniq compare (List.map (fun s -> s.Telemetry.domain) spans) in
+  Alcotest.(check int) "two tracks" 2 (List.length domains);
+  let find name = List.find (fun s -> s.Telemetry.name = name) spans in
+  List.iter
+    (fun tag ->
+      for i = 1 to 20 do
+        Alcotest.(check bool)
+          (Printf.sprintf "%s inner %d within its outer" tag i)
+          true
+          (contains
+             (find (Printf.sprintf "%s-outer-%d" tag i))
+             (find (Printf.sprintf "%s-inner-%d" tag i)))
+      done)
+    [ "a"; "b" ];
+  let tids =
+    match Tjson.member "traceEvents" (Chrome_trace.to_json spans) with
+    | Some (Tjson.Arr evs) ->
+      List.sort_uniq compare (List.map (fun ev -> Tjson.member "tid" ev) evs)
+    | _ -> Alcotest.fail "traceEvents array missing"
+  in
+  Alcotest.(check int) "one tid per domain" 2 (List.length tids)
 
 let test_disabled_is_noop () =
   Telemetry.uninstall ();
@@ -175,16 +236,19 @@ let test_chrome_trace_wellformed () =
             expected n)
         (List.sort_uniq compare distribution_stages))
     routines;
-  (* Balanced nesting: on the single track, events either nest or are
+  (* Balanced nesting: on each track, events either nest or are
      disjoint — no partial overlap. *)
   let intervals =
-    List.map (fun ev -> (num_field "ts" ev, num_field "ts" ev +. num_field "dur" ev)) events
+    List.map
+      (fun ev ->
+        (num_field "tid" ev, num_field "ts" ev, num_field "ts" ev +. num_field "dur" ev))
+      events
   in
   List.iteri
-    (fun i (s1, e1) ->
+    (fun i (t1, s1, e1) ->
       List.iteri
-        (fun j (s2, e2) ->
-          if i < j && s2 < e1 && s1 < e2 then
+        (fun j (t2, s2, e2) ->
+          if i < j && t1 = t2 && s2 < e1 && s1 < e2 then
             (* overlap: must be containment one way or the other *)
             Alcotest.(check bool) "events nest" true
               ((s1 <= s2 && e2 <= e1) || (s2 <= s1 && e1 <= e2)))
@@ -347,6 +411,8 @@ let suite =
       test_span_nesting_and_exceptions;
     Alcotest.test_case "escaping exception keeps balance" `Quick
       test_span_escaping_exception_balances;
+    Alcotest.test_case "spans from two domains get a track each" `Quick
+      test_spans_from_two_domains;
     Alcotest.test_case "disabled spans are no-ops" `Quick test_disabled_is_noop;
     Alcotest.test_case "chrome trace is well-formed" `Quick
       test_chrome_trace_wellformed;
