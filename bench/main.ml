@@ -12,10 +12,8 @@
      strength   - strength reduction after the distribution pipeline
      adce       - conservative DCE vs control-dependence ADCE
 
-   With no argument, all of these run. `soak` drills the compile service
-   instead: Zipf serve traffic under every service fault class, written to
-   BENCH_soak.json (`soak small` is the CI variant). Compile-time cost and
-   serve throughput are measured by `python3 perfbench/run.py`. *)
+   With no argument, all of these run. Compile-time cost and serve
+   throughput are measured by `python3 perfbench/run.py`. *)
 
 let section title = Printf.printf "\n=== %s ===\n%!" title
 
@@ -193,418 +191,6 @@ let run_adce () =
         "fn main(): int { var d: int; var i: int; for i = 1 to 100 { if (mod(i, 2) == 0) { d = 3; } else { d = 4; } } return 9; }" ) ]
 
 (* ------------------------------------------------------------------ *)
-(* Service soak benchmark                                              *)
-
-(* Generated programs sampled with Zipf-distributed repeats (rank r drawn
-   with probability proportional to 1/r: a few hot programs recompiled
-   constantly, a long tail seen once or twice, the shape of a build
-   farm's traffic), replayed through the full serve loop under every
-   service fault class, serial and parallel. The soak asserts zero lost
-   jobs, results in input order, identical per-job (id, ok, outcome,
-   iloc) across the two schedules, and every successful output
-   byte-identical to an undisturbed serial reference. Chaos firing is a
-   pure function of (seed, fault, job id), so both runs face exactly the
-   same faults. *)
-
-module Service = Epre_service.Service
-module Pool = Epre_service.Pool
-module Chaos = Epre_harness.Chaos
-
-(* Deterministic LCG (Numerical Recipes constants): same traffic every
-   run, so BENCH_soak.json diffs reflect the code, not the dice. *)
-let lcg_next st = st := (!st * 1664525) + 1013904223 land 0x3FFFFFFF; !st land 0x3FFFFFFF
-
-let zipf_ranks ~st ~n ~total =
-  let weights = Array.init n (fun i -> 1.0 /. float_of_int (i + 1)) in
-  let cumulative = Array.make n 0.0 in
-  let sum = ref 0.0 in
-  Array.iteri (fun i w -> sum := !sum +. w; cumulative.(i) <- !sum) weights;
-  List.init total (fun _ ->
-      let u = float_of_int (lcg_next st) /. 1073741824.0 *. !sum in
-      let rec find i = if i >= n - 1 || cumulative.(i) >= u then i else find (i + 1) in
-      find 0)
-
-type soak_row = {
-  sk_id : string;
-  sk_ok : bool;
-  sk_outcome : string;
-  sk_iloc : string option;
-  sk_latency_ms : float;
-}
-
-let run_soak ~small () =
-  section
-    (if small then "Service soak (small): serve under fault injection"
-     else "Service soak: serve under fault injection, per fault class");
-  let module J = Epre_telemetry.Tjson in
-  let distinct = if small then 12 else 60 in
-  let total = if small then 48 else 400 in
-  let workers = if small then 2 else Pool.default_jobs () in
-  let corpus =
-    Array.init distinct (fun i ->
-        let source = Epre_fuzz.Gen.source (i + 1) in
-        let prog = Epre_frontend.Frontend.compile_string source in
-        Epre_ir.Ir_text.print_program prog)
-  in
-  let st = ref 54321 in
-  let ranks = zipf_ranks ~st ~n:distinct ~total in
-  let job_lines =
-    List.mapi
-      (fun i rank ->
-        J.to_string
-          (J.Obj
-             [ ("id", J.Str (Printf.sprintf "job-%d" (i + 1)));
-               ("level", J.Str "partial");
-               ("iloc", J.Str corpus.(rank)) ]))
-      ranks
-  in
-  let jobs_path = Filename.temp_file "eprec-soak" ".jobs" in
-  let oc = open_out_bin jobs_path in
-  List.iter (fun l -> output_string oc l; output_char oc '\n') job_lines;
-  close_out oc;
-  let fresh_dir tag =
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "eprec-soak-%d-%s" (Unix.getpid ()) tag)
-    in
-    let rec rm p =
-      if Sys.file_exists p then
-        if Sys.is_directory p then begin
-          Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
-          Sys.rmdir p
-        end
-        else Sys.remove p
-    in
-    rm d;
-    d
-  in
-  let parse_results path =
-    let ic = open_in_bin path in
-    let rows = ref [] in
-    (try
-       while true do
-         let line = input_line ic in
-         match J.parse line with
-         | Error m -> failwith ("bad result line: " ^ m)
-         | Ok j ->
-           let str f =
-             match J.member f j with Some (J.Str s) -> Some s | _ -> None
-           in
-           let ok =
-             match J.member "ok" j with Some (J.Bool b) -> b | _ -> false
-           in
-           let latency =
-             match J.member "latency_ms" j with
-             | Some (J.Float f) -> f
-             | Some (J.Int i) -> float_of_int i
-             | _ -> 0.0
-           in
-           rows :=
-             { sk_id = Option.value (str "id") ~default:"?"; sk_ok = ok;
-               sk_outcome = Option.value (str "outcome") ~default:"?";
-               sk_iloc = str "iloc"; sk_latency_ms = latency }
-             :: !rows
-       done
-     with End_of_file -> close_in_noerr ic);
-    List.rev !rows
-  in
-  let run_serve ~tag ~jobs ~chaos ~policy () =
-    let dir = fresh_dir tag in
-    let cache = Epre_service.Cache.create ~dir () in
-    let out_path = Filename.temp_file "eprec-soak" ".out" in
-    let ic = open_in_bin jobs_path and out = open_out_bin out_path in
-    let summary, wall_ms =
-      Pool.with_pool ~jobs (fun pool ->
-          let t0 = Epre_telemetry.Telemetry.Clock.now_ns () in
-          let s =
-            Service.serve ~cache ~policy ~chaos ~pool ~input:ic ~output:out ()
-          in
-          (s, Epre_telemetry.Telemetry.Clock.elapsed_ms ~since:t0))
-    in
-    close_in_noerr ic;
-    close_out_noerr out;
-    let rows = parse_results out_path in
-    Sys.remove out_path;
-    (summary, wall_ms, rows)
-  in
-  let policy =
-    { Service.Policy.timeout_ms = Some 300.0; retries = 2; backoff_ms = 1.0;
-      degrade = false }
-  in
-  (* Undisturbed serial reference: the byte-identity baseline. *)
-  let _, ref_ms, reference =
-    run_serve ~tag:"ref" ~jobs:1 ~chaos:[] ~policy:Service.Policy.default ()
-  in
-  assert (List.length reference = total);
-  assert (List.for_all (fun r -> r.sk_ok) reference);
-  let ref_iloc = List.map (fun r -> (r.sk_id, r.sk_iloc)) reference in
-  let class_rows =
-    List.map
-      (fun fault ->
-        let name = Chaos.service_name fault in
-        let _, serial_ms, serial =
-          run_serve ~tag:(name ^ "-s") ~jobs:1 ~chaos:[ fault ] ~policy ()
-        in
-        let summary, parallel_ms, parallel =
-          run_serve ~tag:(name ^ "-p") ~jobs:workers ~chaos:[ fault ] ~policy ()
-        in
-        let lost = total - List.length parallel in
-        let in_order =
-          List.mapi (fun i r -> (i, r.sk_id)) parallel
-          |> List.for_all (fun (i, id) -> id = Printf.sprintf "job-%d" (i + 1))
-        in
-        let view r = (r.sk_id, r.sk_ok, r.sk_outcome, r.sk_iloc) in
-        let identical = List.map view serial = List.map view parallel in
-        let ok_matches_reference =
-          List.for_all
-            (fun r ->
-              (not r.sk_ok) || List.assoc r.sk_id ref_iloc = r.sk_iloc)
-            parallel
-        in
-        let tally o =
-          List.length (List.filter (fun r -> r.sk_outcome = o) parallel)
-        in
-        let ok = tally "ok" and error = tally "error" in
-        let timeout = tally "timeout" and retried = tally "retried_ok" in
-        (* Exact percentiles of the raw samples, as perfbench reports them. *)
-        let p50, p90, p99 =
-          let sorted =
-            Array.of_list (List.map (fun r -> r.sk_latency_ms) parallel)
-          in
-          Array.sort Float.compare sorted;
-          let q = Epre_telemetry.Histogram.percentile_of_sorted sorted in
-          (q 0.50, q 0.90, q 0.99)
-        in
-        Printf.printf
-          "%-22s lost %d, ok %d, retried_ok %d, timeout %d, error %d | \
-           in-order %b, serial==parallel %b, ok==reference %b (serial %.0f \
-           ms, parallel %.0f ms, p50/p90/p99 %.1f/%.1f/%.1f ms)\n"
-          name lost ok retried timeout error in_order identical
-          ok_matches_reference serial_ms parallel_ms p50 p90 p99;
-        (* The hard contract, per fault class. *)
-        assert (lost = 0);
-        assert in_order;
-        assert identical;
-        assert ok_matches_reference;
-        (match fault with
-        | Chaos.Worker_raise ->
-          (* Fired jobs retry once and succeed; nothing may fail. *)
-          assert (error = 0 && timeout = 0 && retried > 0)
-        | Chaos.Slow_job ->
-          (* Fired jobs blow their deadline, deterministically. *)
-          assert (timeout > 0 && error = 0 && ok + timeout = total)
-        | Chaos.Cache_corrupt | Chaos.Cache_lock_hold ->
-          (* Absorbed invisibly: poison recovery / lock waiting. *)
-          assert (error = 0 && timeout = 0 && ok = total)
-        | Chaos.Kill_self | Chaos.Pass_poison ->
-          (* Exercised by their dedicated classes below, not the generic
-             per-fault loop. *)
-          assert false);
-        ignore summary;
-        J.Obj
-          [ ("fault", J.Str name);
-            ("lost", J.Int lost);
-            ("ok", J.Int ok);
-            ("retried_ok", J.Int retried);
-            ("timeout", J.Int timeout);
-            ("error", J.Int error);
-            ("in_order", J.Bool in_order);
-            ("serial_parallel_identical", J.Bool identical);
-            ("ok_matches_reference", J.Bool ok_matches_reference);
-            ("serial_ms", J.Float serial_ms);
-            ("parallel_ms", J.Float parallel_ms);
-            ("latency_p50_ms", J.Float p50);
-            ("latency_p90_ms", J.Float p90);
-            ("latency_p99_ms", J.Float p99) ])
-      [ Chaos.Worker_raise; Chaos.Slow_job; Chaos.Cache_corrupt;
-        Chaos.Cache_lock_hold ]
-  in
-  (* Crash-safety class: a serve killed mid-batch by chaos:kill-self,
-     resumed from its journal; killed output ++ resumed output must equal
-     the undisturbed reference on the (id, ok, outcome, iloc) view — zero
-     jobs lost, zero duplicated. *)
-  let kill_resume_row =
-    let batch = 32 in
-    (* A seed that deterministically spares the first batch and kills a
-       later one, so the crash happens with output already streamed. *)
-    let fires_in lo hi s =
-      let rec go i =
-        i <= hi
-        && (Chaos.fires ~seed:s Chaos.Kill_self
-              ~key:(Printf.sprintf "job-%d" i)
-           || go (i + 1))
-      in
-      go lo
-    in
-    let seed =
-      let rec find s =
-        if s > 100_000 then failwith "no kill-self seed found"
-        else if (not (fires_in 1 batch s)) && fires_in (batch + 1) total s
-        then s
-        else find (s + 1)
-      in
-      find 1
-    in
-    let dir = fresh_dir "kill" in
-    let jpath = Filename.concat dir "journal.jsonl" in
-    let out_path = Filename.temp_file "eprec-soak" ".out" in
-    let run ~chaos ~resume () =
-      let cache = Epre_service.Cache.create ~dir () in
-      let journal =
-        Epre_service.Journal.open_
-          ~mode:(if resume then `Resume else `Fresh)
-          ~path:jpath ()
-      in
-      let ic = open_in_bin jobs_path
-      and out =
-        open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 out_path
-      in
-      let res =
-        match
-          Pool.with_pool ~jobs:1 (fun pool ->
-              Service.serve ~cache ~batch ~policy ~chaos ~journal ~resume
-                ~pool ~input:ic ~output:out ())
-        with
-        | s -> Ok s
-        | exception Service.Killed -> Error `Killed
-      in
-      close_in_noerr ic;
-      close_out_noerr out;
-      Epre_service.Journal.close journal;
-      res
-    in
-    let saved_seed = !Chaos.default_seed in
-    Chaos.default_seed := seed;
-    let killed = run ~chaos:[ Chaos.Kill_self ] ~resume:false () in
-    Chaos.default_seed := saved_seed;
-    assert (killed = Error `Killed);
-    let emitted = List.length (parse_results out_path) in
-    assert (emitted > 0 && emitted < total);
-    let resumed =
-      match run ~chaos:[] ~resume:true () with
-      | Ok s -> s
-      | Error `Killed -> failwith "resume run must complete"
-    in
-    let merged = parse_results out_path in
-    Sys.remove out_path;
-    let view r = (r.sk_id, r.sk_ok, r.sk_outcome, r.sk_iloc) in
-    let matches = List.map view merged = List.map view reference in
-    Printf.printf
-      "%-22s killed after %d, replayed %d, resumed %d | merged==reference \
-       %b\n"
-      "chaos:kill-self" emitted resumed.Service.replayed
-      resumed.Service.jobs matches;
-    assert matches;
-    assert (resumed.Service.replayed = emitted);
-    assert (resumed.Service.jobs = total - emitted);
-    assert (resumed.Service.failed = 0);
-    J.Obj
-      [ ("fault", J.Str "chaos:kill-self");
-        ("killed_after", J.Int emitted);
-        ("replayed", J.Int resumed.Service.replayed);
-        ("resumed", J.Int resumed.Service.jobs);
-        ("merged_matches_reference", J.Bool matches) ]
-  in
-  (* Degradation class: chaos:pass-poison deterministically breaks one
-     pass; with the ladder and circuit breakers every job must still be
-     served (degraded, never failed), and the process never exits. *)
-  let pass_poison_row =
-    let requested =
-      let target = Option.get (Service.poisoned_pass ()) in
-      List.find
-        (fun l -> List.mem target (Epre.Pipeline.level_stages ~level:l))
-        Epre.Pipeline.all_levels
-    in
-    let pj_path = Filename.temp_file "eprec-soak" ".jobs" in
-    let oc = open_out_bin pj_path in
-    List.iteri
-      (fun i rank ->
-        output_string oc
-          (J.to_string
-             (J.Obj
-                [ ("id", J.Str (Printf.sprintf "job-%d" (i + 1)));
-                  ("level",
-                   J.Str (Epre.Pipeline.level_to_string requested));
-                  ("iloc", J.Str corpus.(rank)) ]));
-        output_char oc '\n')
-      ranks;
-    close_out oc;
-    let dir = fresh_dir "poison" in
-    let cache = Epre_service.Cache.create ~dir () in
-    let breaker = Epre_service.Breaker.create () in
-    let out_path = Filename.temp_file "eprec-soak" ".out" in
-    let ic = open_in_bin pj_path and out = open_out_bin out_path in
-    let summary =
-      Pool.with_pool ~jobs:workers (fun pool ->
-          Service.serve ~cache
-            ~policy:{ policy with Service.Policy.degrade = true }
-            ~chaos:[ Chaos.Pass_poison ] ~breaker ~pool ~input:ic
-            ~output:out ())
-    in
-    close_in_noerr ic;
-    close_out_noerr out;
-    let rows = parse_results out_path in
-    Sys.remove out_path;
-    Sys.remove pj_path;
-    let lost = total - List.length rows in
-    let tally o =
-      List.length (List.filter (fun r -> r.sk_outcome = o) rows)
-    in
-    let degraded = tally "degraded" and error = tally "error" in
-    let completed = List.for_all (fun r -> r.sk_ok) rows in
-    Printf.printf
-      "%-22s lost %d, degraded %d/%d, error %d | 100%% completion %b \
-       (breakers: %s)\n"
-      "chaos:pass-poison" lost degraded total error completed
-      (String.concat ", "
-         (List.map
-            (fun (p, s) -> p ^ "=" ^ s)
-            (Epre_service.Breaker.snapshot breaker)));
-    assert (lost = 0);
-    assert completed;
-    assert (error = 0);
-    assert (degraded > 0);
-    assert (summary.Service.failed = 0);
-    J.Obj
-      [ ("fault", J.Str "chaos:pass-poison");
-        ("requested_level",
-         J.Str (Epre.Pipeline.level_to_string requested));
-        ("lost", J.Int lost);
-        ("degraded", J.Int degraded);
-        ("error", J.Int error);
-        ("degraded_rate",
-         J.Float (float_of_int degraded /. float_of_int total));
-        ("completion", J.Bool completed) ]
-  in
-  let class_rows = class_rows @ [ kill_resume_row; pass_poison_row ] in
-  Sys.remove jobs_path;
-  let json =
-    J.Obj
-      [ ("schema", J.Str "epre/bench-soak/v1");
-        ("note", J.Str "Zipf serve traffic replayed under each service \
-                        fault class, serial and parallel; asserts zero \
-                        lost jobs, input order, serial/parallel report \
-                        identity and reference byte-identity of \
-                        successful outputs; plus a kill/resume crash \
-                        drill (journal replay merges byte-identically) \
-                        and a pass-poison degradation class (breakers + \
-                        ladder keep 100% completion)");
-        ("small", J.Bool small);
-        ("workers", J.Int workers);
-        ("distinct_programs", J.Int distinct);
-        ("total_jobs", J.Int total);
-        ("timeout_ms", J.Float 300.0);
-        ("retries", J.Int 2);
-        ("reference_ms", J.Float ref_ms);
-        ("classes", J.Arr class_rows) ]
-  in
-  let oc = open_out_bin "BENCH_soak.json" in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote BENCH_soak.json\n"
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "tables" in
@@ -616,8 +202,6 @@ let () =
   | "ablation" -> run_ablation ()
   | "strength" -> run_strength ()
   | "adce" -> run_adce ()
-  | "soak" ->
-    run_soak ~small:(Array.length Sys.argv > 2 && Sys.argv.(2) = "small") ()
   | _ ->
     run_table1 ();
     run_table2 ();

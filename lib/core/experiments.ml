@@ -39,8 +39,8 @@ let run_level prog level =
   dynamic_count p
 
 (* Table regeneration is traced: one "experiment" span per table and per
-   row, so a --trace-out of `eprec table1` (or the bench baseline) shows
-   where regeneration time goes. *)
+   row, so a --trace-out of `eprec table1` shows where regeneration time
+   goes. *)
 let experiment_span name f =
   Epre_telemetry.Telemetry.Span.with_ ~kind:"experiment" ~name f
 

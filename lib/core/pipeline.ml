@@ -155,8 +155,8 @@ let lower = function
   | Baseline -> None
 
 (* Funnel the per-routine record into the generic counters registry, so
-   the CLI's --metrics=json, CI and the bench baseline read pipeline
-   results and pass-private counters through one interface. *)
+   the CLI's --metrics=json and CI read pipeline results and
+   pass-private counters through one interface. *)
 let record_metrics (s : routine_stats) =
   let add name v = Epre_telemetry.Metrics.add ~routine:s.routine ~name v in
   add "naming.exprs_renamed" s.exprs_renamed;

@@ -198,7 +198,7 @@ let service_fault_of_name n =
   List.find_opt (fun f -> service_name f = n) all_service_faults
 
 (* Per-fault firing probability, in per-mille. High enough that a small
-   soak batch sees every class fire, low enough that unfired jobs exist
+   serve batch sees every class fire, low enough that unfired jobs exist
    to pin the happy path. [Kill_self] is rarer: one firing job is enough
    to take the whole process down, and the drill wants it mid-stream, not
    on the first batch. [Pass_poison] is unconditional: the point is a

@@ -1,6 +1,6 @@
 (** JSON rendering of harness records, over the telemetry JSON encoder
-    ([Epre_telemetry.Tjson] — the same encoder the metrics stream and the
-    bench baseline use, so every machine-readable output escapes and
+    ([Epre_telemetry.Tjson] — the same encoder the metrics stream and
+    perfbench's report use, so every machine-readable output escapes and
     formats identically). *)
 
 module Tjson = Epre_telemetry.Tjson

@@ -1,7 +1,7 @@
 (** Structured diagnostics for supervised runs: the [--report=json]
     rendering of harness records, encoded with [Epre_telemetry.Tjson] (one
     encoder for every machine-readable output — reports, metrics JSONL,
-    traces, the bench baseline). *)
+    traces, perfbench's report). *)
 
 (** One record: [{"pass": ..., "routine": ..., "outcome": "ok" |
     "rolled-back", "reason": ... (absent when ok), "duration_ms": ...}],

@@ -168,11 +168,10 @@ let with_file_lock t f =
       try Unix.lockf fd Unix.F_ULOCK 0 with Unix.Unix_error _ -> ())
     f
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* Read to EOF rather than to the length seen at open: an entry truncated
+   mid-read (chaos:cache-corrupt rewrites in place) then comes back short
+   and takes the poisoned-entry path instead of raising [End_of_file]. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Decode and fully validate one entry file. Any failure means the entry
    is poisoned. *)

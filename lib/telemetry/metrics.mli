@@ -3,7 +3,7 @@
     This generalizes the pipeline's hand-plumbed [routine_stats] record:
     any pass can bump a named counter ([add] / [incr]) without a new field
     threaded through [Pipeline], and every consumer (the CLI's
-    [--metrics=json], CI, the bench baseline) reads one snapshot format.
+    [--metrics=json], CI, perfbench) reads one snapshot format.
     Counters accumulate across routines and runs until [reset].
 
     Domain-safe: every operation is mutex-guarded, so compile-pool worker

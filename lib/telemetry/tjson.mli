@@ -1,7 +1,7 @@
 (** A minimal JSON tree, encoder and parser.
 
     The container image bakes in no JSON library, so the telemetry
-    exporters (Chrome trace, metrics JSONL, the bench baseline) and the
+    exporters (Chrome trace, metrics JSONL, perfbench's report) and the
     harness [Report] share this one. The encoder emits compact,
     standards-conforming JSON; the parser is a strict recursive-descent
     reader used by the test suite and CI to validate what the exporters

@@ -3,7 +3,8 @@
     invalidation, poisoned-entry fallback, the serve job protocol, every
     [run_job] branch, and the crash-safety layer — journal round-trips,
     kill-and-resume byte identity, the graceful-degradation ladder,
-    per-pass circuit breakers, and admission-control shedding. *)
+    per-pass circuit breakers, admission-control shedding, and serve
+    under each service fault class. *)
 
 open Epre_ir
 module Pool = Epre_service.Pool
@@ -365,19 +366,50 @@ let test_cache_concurrent_stores () =
         (List.nth reference i) (program_text p))
     (progs ())
 
-let test_zipf_jobs_shared_cache () =
-  (* Zipf-shaped traffic through [run_job] across domains on one shared
-     cache: of 12 generated programs, the one of rank r is submitted
-     12/r times. A serial uncached run, a cold 2-worker run and a warm
-     rerun must agree on every (id, ok, iloc); the cold run already hits
-     on repeats, and the warm run is nothing but hits. *)
+let test_cache_find_survives_torn_read () =
+  (* chaos:cache-corrupt rewrites an entry in place (truncate, then
+     write) while a worker on another domain may be reading the same key.
+     A read that loses the race sees the file shrink under it; [find]
+     must take the poisoned-entry path, never raise. One domain stores and
+     corrupts one key in a loop while this one looks it up for 0.5 s. *)
+  let cache = Cache.create ~dir:(Helpers.fresh_dir ()) () in
+  let prog =
+    Epre_workloads.Workloads.compile (Option.get (Epre_workloads.Workloads.find "saxpy"))
+  in
+  let stats = List.hd (fst (Service.optimize_program ~level:Pipeline.Baseline prog)) in
+  let iloc = Ir_text.routine_to_string (List.hd (Program.routines prog)) in
+  let fingerprint = Pipeline.fingerprint ~level:Pipeline.Baseline in
+  let key = Cache.key ~iloc ~fingerprint in
+  let stop = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Cache.store cache ~key ~fingerprint ~iloc ~stats;
+          Cache.corrupt cache ~key
+        done)
+  in
+  let finds = ref 0 and raised = ref [] in
+  let t0 = Unix.gettimeofday () in
+  while Unix.gettimeofday () -. t0 < 0.5 do
+    incr finds;
+    try ignore (Cache.find cache ~key) with e -> raised := Printexc.to_string e :: !raised
+  done;
+  Atomic.set stop true;
+  Domain.join writer;
+  Alcotest.(check (list string))
+    (Printf.sprintf "exceptions in %d finds" !finds)
+    [] (List.sort_uniq compare !raised)
+
+(* Zipf-shaped traffic as (id, ILOC) pairs: of 12 generated programs,
+   the one of rank r is submitted 12/r times, as job-1, job-2, ... Round
+   k submits every program whose rank r has 12/r > k. *)
+let zipf_traffic () =
   let distinct = 12 in
   let corpus =
     Array.init distinct (fun i ->
         program_text
           (Epre_frontend.Frontend.compile_string (Epre_fuzz.Gen.source (i + 1))))
   in
-  (* Round k submits every program whose rank r has 12/r > k. *)
   let ranks =
     List.concat
       (List.init distinct (fun k ->
@@ -385,14 +417,18 @@ let test_zipf_jobs_shared_cache () =
              (fun i -> distinct / (i + 1) > k)
              (List.init distinct Fun.id)))
   in
+  List.mapi (fun n i -> (Printf.sprintf "job-%d" (n + 1), corpus.(i))) ranks
+
+let test_zipf_jobs_shared_cache () =
+  (* Zipf traffic through [run_job] across domains on one shared cache. A
+     serial uncached run, a cold 2-worker run and a warm rerun must agree
+     on every (id, ok, iloc); the cold run already hits on repeats, and
+     the warm run is nothing but hits. *)
   let jobs =
-    List.mapi
-      (fun n i ->
-        { Service.id = Printf.sprintf "job-%d" (n + 1);
-          level = Pipeline.Partial;
-          input = Service.Iloc corpus.(i);
-          emit = true })
-      ranks
+    List.map
+      (fun (id, iloc) ->
+        { Service.id; level = Pipeline.Partial; input = Service.Iloc iloc; emit = true })
+      (zipf_traffic ())
   in
   let run ~workers ?cache () =
     Pool.with_pool ~jobs:workers (fun pool ->
@@ -583,9 +619,53 @@ let test_job_parsing () =
     [ "not json"; "{}"; {|{"workload":"a","iloc":"b"}|};
       {|{"workload":"a","level":"warp"}|} ]
 
+(* Run [Service.serve] over [input] (a full NDJSON batch as one string),
+   returning the summary (or [Error `Killed] if chaos:kill-self struck)
+   and the emitted result lines. *)
+let serve_to_lines ?cache ?batch ?policy ?chaos ?journal ?(resume = false)
+    ?breaker ?max_pending ?shed_policy ~jobs input =
+  let in_path = Filename.temp_file "eprec-serve" ".jobs" in
+  let out_path = Filename.temp_file "eprec-serve" ".out" in
+  Out_channel.with_open_bin in_path (fun oc -> output_string oc input);
+  let ic = open_in_bin in_path and out = open_out_bin out_path in
+  let res =
+    match
+      Pool.with_pool ~jobs (fun pool ->
+          Service.serve ?cache ?batch ?policy ?chaos ?journal ~resume ?breaker
+            ?max_pending ?shed_policy ~pool ~input:ic ~output:out ())
+    with
+    | s -> Ok s
+    | exception Service.Killed -> Error `Killed
+  in
+  close_in_noerr ic;
+  close_out_noerr out;
+  let lines = In_channel.with_open_bin out_path In_channel.input_lines in
+  Sys.remove in_path;
+  Sys.remove out_path;
+  (res, lines)
+
+let summary = function Ok s -> s | Error `Killed -> Alcotest.fail "serve was killed"
+
+(* Field [f] of a result line. *)
+let member f l =
+  match Tjson.parse l with
+  | Ok j -> Tjson.member f j
+  | Error m -> Alcotest.failf "bad result line: %s" m
+
+let str f l = match member f l with Some (Tjson.Str s) -> Some s | _ -> None
+
+let id_of l = match str "id" l with Some id -> id | None -> Alcotest.fail "result without id"
+
+(* A result line with its latency field dropped — wall clock is the one
+   legitimately non-reproducible field. *)
+let norm_line l =
+  match Tjson.parse l with
+  | Ok (Tjson.Obj ms) ->
+    Tjson.to_string (Tjson.Obj (List.filter (fun (k, _) -> k <> "latency_ms") ms))
+  | Ok _ -> Alcotest.failf "result line is not an object: %s" l
+  | Error m -> Alcotest.failf "bad result line: %s" m
+
 let test_serve_stream () =
-  let dir = Helpers.fresh_dir () in
-  let cache = Cache.create ~dir () in
   let input =
     String.concat "\n"
       [ {|{"id":"a","workload":"saxpy","emit":false}|};
@@ -595,46 +675,18 @@ let test_serve_stream () =
         {|{"id":"c","workload":"nope"}|} ]
     ^ "\n"
   in
-  let in_path = Filename.temp_file "eprec-serve" ".jobs" in
-  let out_path = Filename.temp_file "eprec-serve" ".out" in
-  let oc = open_out_bin in_path in
-  output_string oc input;
-  close_out oc;
-  let ic = open_in_bin in_path and out = open_out_bin out_path in
-  let summary =
-    Pool.with_pool ~jobs:2 (fun pool ->
-        Service.serve ~cache ~batch:2 ~pool ~input:ic ~output:out ())
+  let res, lines =
+    serve_to_lines ~cache:(Cache.create ~dir:(Helpers.fresh_dir ()) ()) ~batch:2 ~jobs:2 input
   in
-  close_in_noerr ic;
-  close_out_noerr out;
+  let summary = summary res in
   Alcotest.(check int) "jobs" 4 summary.Service.jobs;
   Alcotest.(check int) "ok" 2 summary.Service.succeeded;
   Alcotest.(check int) "failed" 2 summary.Service.failed;
   Alcotest.(check bool) "repeat hit" true (summary.Service.total.Service.hits > 0);
   (* One result line per job, in input order, all valid JSON. *)
-  let lines = ref [] in
-  let ic = open_in out_path in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in_noerr ic);
-  let lines = List.rev !lines in
   Alcotest.(check int) "result lines" 4 (List.length lines);
-  let ids =
-    List.map
-      (fun l ->
-        match Epre_telemetry.Tjson.parse l with
-        | Ok j -> (
-          match Epre_telemetry.Tjson.member "id" j with
-          | Some (Epre_telemetry.Tjson.Str s) -> s
-          | _ -> Alcotest.fail "result without id")
-        | Error m -> Alcotest.failf "bad result line: %s" m)
-      lines
-  in
-  Alcotest.(check (list string)) "input order" [ "a"; "job-2"; "b"; "c" ] ids;
-  Sys.remove in_path;
-  Sys.remove out_path
+  Alcotest.(check (list string)) "input order" [ "a"; "job-2"; "b"; "c" ]
+    (List.map id_of lines)
 
 let test_serve_malformed_line_numbers () =
   (* A malformed line becomes an in-order error result carrying the
@@ -650,47 +702,18 @@ let test_serve_malformed_line_numbers () =
         {|{"id":"tail","workload":"saxpy","emit":false}|} ]
     ^ "\n"
   in
-  let in_path = Filename.temp_file "eprec-serve" ".jobs" in
-  let out_path = Filename.temp_file "eprec-serve" ".out" in
-  let oc = open_out_bin in_path in
-  output_string oc input;
-  close_out oc;
-  let ic = open_in_bin in_path and out = open_out_bin out_path in
-  let summary =
-    Pool.with_pool ~jobs:2 (fun pool ->
-        Service.serve ~pool ~input:ic ~output:out ())
-  in
-  close_in_noerr ic;
-  close_out_noerr out;
+  let res, lines = serve_to_lines ~jobs:2 input in
+  let summary = summary res in
   Alcotest.(check int) "jobs" 4 summary.Service.jobs;
   Alcotest.(check int) "failed" 2 summary.Service.failed;
-  let lines = ref [] in
-  let ic = open_in out_path in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in_noerr ic);
   let results =
-    List.rev_map
+    List.map
       (fun l ->
-        match Epre_telemetry.Tjson.parse l with
-        | Error m -> Alcotest.failf "bad result line: %s" m
-        | Ok j ->
-          let str f =
-            match Epre_telemetry.Tjson.member f j with
-            | Some (Epre_telemetry.Tjson.Str s) -> Some s
-            | _ -> None
-          in
-          let line =
-            match Epre_telemetry.Tjson.member "line" j with
-            | Some (Epre_telemetry.Tjson.Int n) -> Some n
-            | _ -> None
-          in
-          (Option.get (str "id"), line, str "error"))
-      !lines
+        let line = match member "line" l with Some (Tjson.Int n) -> Some n | _ -> None in
+        (id_of l, line, str "error" l))
+      lines
   in
-  (match results with
+  match results with
   | [ (id1, None, None); (id2, Some l2, Some e2); (id3, Some l3, Some e3);
       (id4, None, None) ] ->
     Alcotest.(check string) "first" "good" id1;
@@ -704,54 +727,10 @@ let test_serve_malformed_line_numbers () =
     Alcotest.(check bool) "error names its line (2)" true
       (String.length e3 >= 7 && String.sub e3 0 7 = "line 5:");
     Alcotest.(check bool) "synthesized ids" true (id2 = "job-2" && id3 = "job-3")
-  | rs -> Alcotest.failf "unexpected result shape (%d results)" (List.length rs));
-  Sys.remove in_path;
-  Sys.remove out_path
+  | rs -> Alcotest.failf "unexpected result shape (%d results)" (List.length rs)
 
 (* ------------------------------------------------------------------ *)
 (* Crash safety: journal, kill/resume, ladder, breakers, shedding *)
-
-(* Run [Service.serve] over [input] (a full NDJSON batch as one string),
-   returning the summary (or [Error `Killed] if chaos:kill-self struck)
-   and the emitted result lines. *)
-let serve_to_lines ?cache ?batch ?policy ?chaos ?journal ?(resume = false)
-    ?breaker ?max_pending ?shed_policy ~jobs input =
-  let in_path = Filename.temp_file "eprec-serve" ".jobs" in
-  let out_path = Filename.temp_file "eprec-serve" ".out" in
-  let oc = open_out_bin in_path in
-  output_string oc input;
-  close_out oc;
-  let ic = open_in_bin in_path and out = open_out_bin out_path in
-  let res =
-    match
-      Pool.with_pool ~jobs (fun pool ->
-          Service.serve ?cache ?batch ?policy ?chaos ?journal ~resume ?breaker
-            ?max_pending ?shed_policy ~pool ~input:ic ~output:out ())
-    with
-    | s -> Ok s
-    | exception Service.Killed -> Error `Killed
-  in
-  close_in_noerr ic;
-  close_out_noerr out;
-  let lines = ref [] in
-  let ic = open_in out_path in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in_noerr ic);
-  Sys.remove in_path;
-  Sys.remove out_path;
-  (res, List.rev !lines)
-
-(* A result line with its latency field dropped — wall clock is the one
-   legitimately non-reproducible field. *)
-let norm_line l =
-  match Tjson.parse l with
-  | Ok (Tjson.Obj ms) ->
-    Tjson.to_string (Tjson.Obj (List.filter (fun (k, _) -> k <> "latency_ms") ms))
-  | Ok _ -> Alcotest.failf "result line is not an object: %s" l
-  | Error m -> Alcotest.failf "bad result line: %s" m
 
 let test_journal_roundtrip () =
   let dir = Helpers.fresh_dir () in
@@ -1034,6 +1013,82 @@ let test_breaker_counts_repeated_pass_once () =
     [ ("constprop", "half-open"); ("pre", "half-open") ]
     (Breaker.snapshot b)
 
+let test_serve_chaos_classes () =
+  (* The serve-under-chaos contract, one row per service fault class:
+     Zipf traffic through [Service.serve] at jobs:1 and at jobs:2, each
+     run with a fresh cache and breaker. Chaos firing is a pure function
+     of (seed, fault, job id), so both schedules face the same faults.
+     Every row loses no line, keeps input order and agrees serial ==
+     parallel on (id, ok, outcome, iloc); outside pass-poison every ok
+     line is also byte-identical to an undisturbed serial reference.
+     chaos:kill-self is the kill-and-resume case. Only slow-job carries a
+     deadline: on a loaded host a deadline can strike an unfired job
+     too, and then the two schedules differ. *)
+  let input ~level =
+    String.concat ""
+      (List.map
+         (fun (id, iloc) ->
+           Tjson.to_string
+             (Tjson.Obj
+                [ ("id", Tjson.Str id); ("level", Tjson.Str (Pipeline.level_to_string level));
+                  ("iloc", Tjson.Str iloc) ])
+           ^ "\n")
+         (zipf_traffic ()))
+  in
+  let serve ?policy ?chaos ~jobs input =
+    let res, lines =
+      serve_to_lines ~cache:(Cache.create ~dir:(Helpers.fresh_dir ()) ())
+        ~breaker:(Breaker.create ()) ?policy ?chaos ~jobs input
+    in
+    ignore (summary res);
+    List.map
+      (fun l -> (id_of l, member "ok" l = Some (Tjson.Bool true), str "outcome" l, str "iloc" l))
+      lines
+  in
+  let all_ok = List.for_all (fun (_, ok, _, _) -> ok) in
+  let reference = serve ~jobs:1 (input ~level:Pipeline.Partial) in
+  let total = List.length reference in
+  Alcotest.(check bool) "reference all ok" true (all_ok reference);
+  let policy ?timeout_ms ?(degrade = false) () =
+    { Service.Policy.timeout_ms; retries = 2; backoff_ms = 1.0; degrade }
+  in
+  List.iter
+    (fun (fault, level, policy, expect) ->
+      let input = input ~level in
+      let serial = serve ~policy ~chaos:[ fault ] ~jobs:1 input in
+      let parallel = serve ~policy ~chaos:[ fault ] ~jobs:2 input in
+      let n o = List.length (List.filter (fun (_, _, out, _) -> out = Some o) parallel) in
+      let check what =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s (ok %d, retried_ok %d, timeout %d, error %d, degraded %d)"
+             (Chaos.service_name fault) what (n "ok") (n "retried_ok") (n "timeout") (n "error")
+             (n "degraded"))
+          true
+      in
+      let ids = List.map (fun (id, _, _, _) -> id) in
+      check "no line lost, ids in input order" (ids parallel = ids reference);
+      check "serial == parallel" (serial = parallel);
+      if fault <> Chaos.Pass_poison then
+        check "ok lines == reference"
+          (List.for_all2
+             (fun (_, ok, _, iloc) (_, _, _, r) -> (not ok) || iloc = r)
+             parallel reference);
+      List.iter (fun (what, holds) -> check what holds) (expect n (all_ok parallel)))
+    [ ( Chaos.Worker_raise, Pipeline.Partial, policy (),
+        fun n _ ->
+          [ ("no error or timeout", n "error" + n "timeout" = 0);
+            ("retries absorbed faults", n "retried_ok" > 0) ] );
+      ( Chaos.Slow_job, Pipeline.Partial, policy ~timeout_ms:300.0 (),
+        fun n _ ->
+          [ ("deadline struck", n "timeout" > 0); ("no error", n "error" = 0);
+            ("ok + timeout = total", n "ok" + n "timeout" = total) ] );
+      (Chaos.Cache_corrupt, Pipeline.Partial, policy (), fun n _ -> [ ("every job ok", n "ok" = total) ]);
+      (Chaos.Cache_lock_hold, Pipeline.Partial, policy (), fun n _ -> [ ("every job ok", n "ok" = total) ]);
+      ( Chaos.Pass_poison, snd (poisoned_level ()), policy ~degrade:true (),
+        fun n all_ok ->
+          [ ("every line ok", all_ok); ("no error", n "error" = 0);
+            ("ladder degraded", n "degraded" > 0) ] ) ]
+
 let test_serve_shed_deterministic () =
   (* Overload with a bounded queue and reject policy: sheds are
      deterministic — same jobs shed, in input order, on every run. *)
@@ -1048,8 +1103,7 @@ let test_serve_shed_deterministic () =
   in
   let res1, lines1 = run () in
   let res2, lines2 = run () in
-  let s1 = match res1 with Ok s -> s | Error `Killed -> Alcotest.fail "killed" in
-  let s2 = match res2 with Ok s -> s | Error `Killed -> Alcotest.fail "killed" in
+  let s1 = summary res1 and s2 = summary res2 in
   Alcotest.(check bool) "queue pressure sheds" true (s1.Service.shed > 0);
   Alcotest.(check int) "every job accounted" 10 s1.Service.jobs;
   Alcotest.(check int) "served + shed = jobs" 10
@@ -1060,28 +1114,10 @@ let test_serve_shed_deterministic () =
   Alcotest.(check (list string)) "deterministic output" (List.map norm_line lines1)
     (List.map norm_line lines2);
   (* Input order survives shedding, and shed lines are well-formed. *)
-  let ids =
-    List.map
-      (fun l ->
-        match Tjson.parse l with
-        | Ok j -> (
-          match Tjson.member "id" j with
-          | Some (Tjson.Str s) -> s
-          | _ -> Alcotest.fail "result without id")
-        | Error m -> Alcotest.failf "bad result line: %s" m)
-      lines1
-  in
   Alcotest.(check (list string)) "input order"
     (List.init 10 (fun i -> Printf.sprintf "s%d" (i + 1)))
-    ids;
-  let sheds =
-    List.filter
-      (fun l ->
-        match Tjson.parse l with
-        | Ok j -> Tjson.member "outcome" j = Some (Tjson.Str "shed")
-        | Error _ -> false)
-      lines1
-  in
+    (List.map id_of lines1);
+  let sheds = List.filter (fun l -> str "outcome" l = Some "shed") lines1 in
   Alcotest.(check int) "shed lines match the summary" s1.Service.shed
     (List.length sheds)
 
@@ -1157,6 +1193,8 @@ let suite =
     Alcotest.test_case "orphaned temp sweep" `Quick test_cache_sweep_temp;
     Alcotest.test_case "concurrent stores, shared dir" `Quick
       test_cache_concurrent_stores;
+    Alcotest.test_case "find survives an entry torn mid-read" `Quick
+      test_cache_find_survives_torn_read;
     Alcotest.test_case "zipf jobs: parallel shared cache == serial" `Quick
       test_zipf_jobs_shared_cache;
     Alcotest.test_case "retry absorbs transient fault" `Quick
@@ -1184,6 +1222,8 @@ let suite =
       test_breaker_half_open_probe;
     Alcotest.test_case "breaker counts a repeated pass once" `Quick
       test_breaker_counts_repeated_pass_once;
+    Alcotest.test_case "serve under each chaos class: serial == parallel"
+      `Quick test_serve_chaos_classes;
     Alcotest.test_case "admission control sheds deterministically" `Quick
       test_serve_shed_deterministic;
     Alcotest.test_case "sweep spares a live writer's temp file" `Quick
