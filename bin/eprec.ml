@@ -77,14 +77,18 @@ let program_inputs ~usage file workload workloads =
     Fmt.epr "%s@." usage;
     exit 1
 
-let level_conv =
+(* A converter from an [of_string]/[to_string] pair; [noun] names the
+   value in the error for an unknown one. *)
+let conv ~noun of_string to_string =
   let parse s =
-    match Epre.Pipeline.level_of_string s with
-    | Some l -> Ok l
-    | None -> Error (`Msg (Printf.sprintf "unknown level %S" s))
+    match of_string s with
+    | Some v -> Ok v
+    | None -> Error (`Msg (Printf.sprintf "unknown %s %S" noun s))
   in
-  let print ppf l = Fmt.string ppf (Epre.Pipeline.level_to_string l) in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun ppf v -> Fmt.string ppf (to_string v))
+
+let level_conv =
+  conv ~noun:"level" Epre.Pipeline.level_of_string Epre.Pipeline.level_to_string
 
 let level_arg =
   Arg.(
@@ -123,16 +127,11 @@ let safe_arg =
            roll a failing pass back and continue with the rest (see also \
            $(b,--validate)).")
 
-let validate_conv =
-  let parse s =
-    match Epre_harness.Harness.validation_of_string s with
-    | Some v -> Ok v
-    | None -> Error (`Msg (Printf.sprintf "unknown validation tier %S" s))
-  in
-  let print ppf v = Fmt.string ppf (Epre_harness.Harness.validation_to_string v) in
-  Arg.conv (parse, print)
-
 let validate_arg =
+  let validate_conv =
+    conv ~noun:"validation tier" Epre_harness.Harness.validation_of_string
+      Epre_harness.Harness.validation_to_string
+  in
   Arg.(
     value
     & opt (some validate_conv) None
@@ -162,12 +161,17 @@ let chaos_arg =
            the level's pipeline; requires supervision to survive. See \
            $(b,eprec passes).")
 
+(* Sets the fault injectors' seed when the command line is evaluated, so
+   every command that takes the flag seeds the same way. *)
 let chaos_seed_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "chaos-seed" ] ~docv:"N"
-        ~doc:"Seed for the chaos fault injectors (replayable corruption).")
+  let set = Option.iter (fun s -> Epre_harness.Chaos.default_seed := s) in
+  Term.(
+    const set
+    $ Arg.(
+        value
+        & opt (some int) None
+        & info [ "chaos-seed" ] ~docv:"N"
+            ~doc:"Seed for the chaos fault injectors (replayable corruption)."))
 
 let audit_arg =
   Arg.(
@@ -245,19 +249,36 @@ let telemetry_term =
   let mk trace_out profile metrics = { trace_out; profile; metrics } in
   Term.(const mk $ trace_out_arg $ profile_arg $ metrics_arg)
 
-(* Run [f] under a telemetry recorder when --trace-out/--profile ask for
-   one, exporting when [f] finishes; otherwise spans stay no-ops. *)
+(* Exit with [code] and a one-line diagnostic unless [path] (if given)
+   can be created or written. Opening without truncation leaves an
+   existing file as it was. *)
+let require_writable ~code ~flag = function
+  | None -> ()
+  | Some path -> (
+    let existed = Sys.file_exists path in
+    match open_out_gen [ Open_wronly; Open_creat ] 0o644 path with
+    | oc ->
+      close_out oc;
+      if not existed then Sys.remove path
+    | exception Sys_error m ->
+      Fmt.epr "eprec: %s: %s@." flag m;
+      exit code)
+
+(* Run [f] with the event store keeping every event when
+   --trace-out/--profile ask for it, exporting the span events when [f]
+   finishes; otherwise spans stay no-ops. *)
 let with_telemetry tel f =
   if tel.trace_out = None && not tel.profile then f ()
   else begin
-    let rc = Epre_telemetry.Telemetry.install () in
+    require_writable ~code:1 ~flag:"--trace-out" tel.trace_out;
+    Epre_telemetry.Recorder.set_trace true;
     let finish () =
-      Epre_telemetry.Telemetry.uninstall ();
-      let spans = Epre_telemetry.Telemetry.spans rc in
+      let events = Epre_telemetry.Recorder.snapshot () in
+      Epre_telemetry.Recorder.set_trace false;
       (match tel.trace_out with
-      | Some path -> Epre_telemetry.Chrome_trace.write ~path spans
+      | Some path -> Epre_telemetry.Chrome_trace.write ~path events
       | None -> ());
-      if tel.profile then Fmt.epr "%s@?" (Epre_telemetry.Profile.render spans)
+      if tel.profile then Fmt.epr "%s@?" (Epre_telemetry.Profile.render events)
     in
     Fun.protect ~finally:finish f
   end
@@ -298,16 +319,12 @@ type supervision = {
   validate : Epre_harness.Harness.validation option;
   report : [ `Json ] option;
   chaos : string option;
-  chaos_seed : int option;
   audit : bool;
 }
 
 let supervision_term =
-  let mk safe validate report chaos chaos_seed audit =
-    (match chaos_seed with
-    | Some s -> Epre_harness.Chaos.default_seed := s
-    | None -> ());
-    { safe; validate; report; chaos; chaos_seed; audit }
+  let mk safe validate report chaos () audit =
+    { safe; validate; report; chaos; audit }
   in
   Term.(
     const mk $ safe_arg $ validate_arg $ report_arg $ chaos_arg
@@ -634,11 +651,8 @@ let fuzz_cmd =
     else
       Epre_fuzz.Corpus.list ~dir |> List.map (Filename.concat dir)
   in
-  let run runs seed max_size reduce corpus replay level chaos chaos_seed
-      pinpoint jobs tel =
-    (match chaos_seed with
-    | Some s -> Epre_harness.Chaos.default_seed := s
-    | None -> ());
+  let run runs seed max_size reduce corpus replay level chaos () pinpoint jobs
+      tel =
     match replay with
     | Some dir -> begin
       match replay_entries dir with
@@ -1229,19 +1243,13 @@ let serve_cmd =
              optimization levels.")
   in
   let log_level_arg =
-    let level_conv =
-      Arg.conv
-        ( (fun s ->
-            match Epre_telemetry.Log.level_of_string s with
-            | Some l -> Ok l
-            | None ->
-              Error (`Msg (Printf.sprintf "unknown log level %S" s))),
-          fun ppf l ->
-            Format.pp_print_string ppf (Epre_telemetry.Log.level_to_string l) )
+    let log_level_conv =
+      conv ~noun:"log level" Epre_telemetry.Log.level_of_string
+        Epre_telemetry.Log.level_to_string
     in
     Arg.(
       value
-      & opt (some level_conv) None
+      & opt (some log_level_conv) None
       & info [ "log-level" ] ~docv:"LEVEL"
           ~doc:
             "Mirror structured events at LEVEL ($(b,debug), $(b,info), \
@@ -1287,12 +1295,15 @@ let serve_cmd =
     Arg.(value & flag & info [ "no-flight" ] ~doc:"Disable the flight recorder.")
   in
   let run input jobs cache_dir no_cache batch cache_max_bytes timeout_ms
-      retries backoff_ms chaos_names chaos_seed resume max_pending shed_policy
+      retries backoff_ms chaos_names () resume max_pending shed_policy
       cache_sweep_age_s breaker_threshold breaker_probe_after no_degrade
       log_level log_out stats_every metrics_out flight_dir no_flight tel =
-    (match chaos_seed with
-    | Some s -> Epre_harness.Chaos.default_seed := s
-    | None -> ());
+    (* Reject an unwritable output path before any work, not after the
+       batch. *)
+    List.iter
+      (fun (flag, path) -> require_writable ~code:2 ~flag path)
+      [ ("--log-out", log_out); ("--metrics-out", metrics_out);
+        ("--trace-out", tel.trace_out) ];
     let chaos =
       List.map
         (fun n ->

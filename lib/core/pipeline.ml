@@ -308,12 +308,10 @@ let optimize_routine ?(hooks = no_hooks) ?(poll = fun () -> ())
              the compile service) — only between passes, never mid-pass,
              so the routine is always left in a pass boundary state. *)
           poll ();
-          let pass_t0 = Epre_telemetry.Telemetry.Clock.now_ns () in
           Epre_telemetry.Telemetry.Span.with_ ~kind:"pass" ~routine:r
+            ~hist:("pass." ^ np.Epre_harness.Harness.pass_name)
             ~name:np.Epre_harness.Harness.pass_name (fun () ->
               np.Epre_harness.Harness.run r);
-          Epre_telemetry.Histogram.observe_since
-            ~name:("pass." ^ np.Epre_harness.Harness.pass_name) pass_t0;
           hooks.dump np.Epre_harness.Harness.pass_name r)
         passes;
       Routine.validate r);

@@ -140,106 +140,104 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
       List.iter
         (fun (r : Routine.t) ->
           let snapshot = Routine.copy r in
-          Epre_telemetry.Telemetry.Span.with_ ~kind:"pass" ~routine:r
-            ~name:np.pass_name
-          @@ fun () ->
-          let t0 = Epre_telemetry.Telemetry.Clock.now_ns () in
-          let finish ?(meta = []) outcome =
-            let duration_ms = Epre_telemetry.Telemetry.Clock.elapsed_ms ~since:t0 in
-            Epre_telemetry.Histogram.observe ~name:("pass." ^ np.pass_name)
-              (int_of_float (duration_ms *. 1e6));
-            let record =
-              { pass = np.pass_name; routine = r.Routine.name; outcome;
-                duration_ms; meta }
-            in
-            records := record :: !records;
-            dump np.pass_name r;
-            match outcome with
-            | Rolled_back reason ->
-              Epre_telemetry.Log.warn ~event:"harness.rollback"
-                ~fields:
-                  [ ("pass", Epre_telemetry.Tjson.Str np.pass_name);
-                    ("routine", Epre_telemetry.Tjson.Str r.Routine.name) ]
-                (reason_to_string reason);
-              if not config.keep_going then begin
-                ignore
-                  (Epre_telemetry.Recorder.dump
-                     ~reason:
-                       (Printf.sprintf "supervision-failed: %s/%s"
-                          np.pass_name r.Routine.name)
-                     ());
-                raise (Supervision_failed record)
-              end
-            | Passed -> ()
-          in
-          let roll_back ?meta reason =
+          let roll_back ?(meta = []) reason =
             Routine.restore r ~from:snapshot;
-            finish ?meta (Rolled_back reason)
+            (Rolled_back reason, meta)
           in
-          match np.run r with
-          | exception e -> roll_back (Pass_exception (Printexc.to_string e))
-          | () -> begin
-            match
-              if config.validation = Off then Ok 0
-              else check_ir ~pass:np.pass_name ~program:p r
-            with
-            | Error (m, rule) ->
-              roll_back
-                ~meta:[ ("verify_rule", Epre_telemetry.Tjson.Str rule) ]
-                (Ir_violation m)
-            | Ok warns -> begin
-              (* The audit tier: the redundancy auditor's A rules as
-                 post-pass checks against the pre-pass snapshot. Audit
-                 findings are effectiveness judgements, not correctness
-                 ones — they land in the record's meta and telemetry but
-                 NEVER roll the pass back. *)
-              let audit_meta =
-                if not config.audit then []
-                else
-                  match
-                    Epre_verify.Analyze.check_post_pass ~pass:np.pass_name
-                      ~baseline:snapshot r
-                  with
-                  | [] -> []
-                  | diags ->
-                    Epre_verify.Analyze.record_metrics diags;
-                    let rules =
-                      List.sort_uniq compare
-                        (List.map
-                           (fun (d : Epre_verify.Diag.t) -> d.Epre_verify.Diag.rule)
-                           diags)
-                    in
-                    [
-                      ( "audit_findings",
-                        Epre_telemetry.Tjson.Int (List.length diags) );
-                      ( "audit_rules",
-                        Epre_telemetry.Tjson.Arr
-                          (List.map (fun id -> Epre_telemetry.Tjson.Str id) rules)
-                      );
-                    ]
-              in
-              let meta =
-                audit_meta
-                @
-                if warns > 0 then
-                  [ ("verify_warnings", Epre_telemetry.Tjson.Int warns) ]
-                else []
-              in
-              match !current_obs with
-              | None -> finish ~meta Passed
-              | Some before -> begin
-                match observe ~fuel:!check_fuel p with
-                | after when obs_equal before after ->
-                  current_obs := Some after;
-                  finish ~meta Passed
-                | after ->
-                  roll_back
-                    (Behaviour_mismatch
-                       (Printf.sprintf "%s, was: %s" (describe_obs after)
-                          (describe_obs before)))
+          (* The pass span's own clock readings time the step: they feed
+             the [pass.<name>] histogram and the record's duration. *)
+          let (outcome, meta), dur_ns =
+            Epre_telemetry.Telemetry.Span.timed ~kind:"pass" ~routine:r
+              ~hist:("pass." ^ np.pass_name) ~name:np.pass_name
+            @@ fun () ->
+            match np.run r with
+            | exception e -> roll_back (Pass_exception (Printexc.to_string e))
+            | () -> begin
+              match
+                if config.validation = Off then Ok 0
+                else check_ir ~pass:np.pass_name ~program:p r
+              with
+              | Error (m, rule) ->
+                roll_back
+                  ~meta:[ ("verify_rule", Epre_telemetry.Tjson.Str rule) ]
+                  (Ir_violation m)
+              | Ok warns -> begin
+                (* The audit tier: the redundancy auditor's A rules as
+                   post-pass checks against the pre-pass snapshot. Audit
+                   findings are effectiveness judgements, not correctness
+                   ones — they land in the record's meta and telemetry but
+                   NEVER roll the pass back. *)
+                let audit_meta =
+                  if not config.audit then []
+                  else
+                    match
+                      Epre_verify.Analyze.check_post_pass ~pass:np.pass_name
+                        ~baseline:snapshot r
+                    with
+                    | [] -> []
+                    | diags ->
+                      Epre_verify.Analyze.record_metrics diags;
+                      let rules =
+                        List.sort_uniq compare
+                          (List.map
+                             (fun (d : Epre_verify.Diag.t) -> d.Epre_verify.Diag.rule)
+                             diags)
+                      in
+                      [
+                        ( "audit_findings",
+                          Epre_telemetry.Tjson.Int (List.length diags) );
+                        ( "audit_rules",
+                          Epre_telemetry.Tjson.Arr
+                            (List.map (fun id -> Epre_telemetry.Tjson.Str id) rules)
+                        );
+                      ]
+                in
+                let meta =
+                  audit_meta
+                  @
+                  if warns > 0 then
+                    [ ("verify_warnings", Epre_telemetry.Tjson.Int warns) ]
+                  else []
+                in
+                match !current_obs with
+                | None -> (Passed, meta)
+                | Some before -> begin
+                  match observe ~fuel:!check_fuel p with
+                  | after when obs_equal before after ->
+                    current_obs := Some after;
+                    (Passed, meta)
+                  | after ->
+                    roll_back
+                      (Behaviour_mismatch
+                         (Printf.sprintf "%s, was: %s" (describe_obs after)
+                            (describe_obs before)))
+                end
               end
             end
-          end)
+          in
+          let record =
+            { pass = np.pass_name; routine = r.Routine.name; outcome;
+              duration_ms = float_of_int dur_ns /. 1e6; meta }
+          in
+          records := record :: !records;
+          dump np.pass_name r;
+          match outcome with
+          | Rolled_back reason ->
+            Epre_telemetry.Log.warn ~event:"harness.rollback"
+              ~fields:
+                [ ("pass", Epre_telemetry.Tjson.Str np.pass_name);
+                  ("routine", Epre_telemetry.Tjson.Str r.Routine.name) ]
+              (reason_to_string reason);
+            if not config.keep_going then begin
+              ignore
+                (Epre_telemetry.Recorder.dump
+                   ~reason:
+                     (Printf.sprintf "supervision-failed: %s/%s"
+                        np.pass_name r.Routine.name)
+                   ());
+              raise (Supervision_failed record)
+            end
+          | Passed -> ())
         (Program.routines p))
     passes;
   List.rev !records

@@ -10,8 +10,6 @@ let metrics_routine = "<service>"
 
 let count name = Epre_telemetry.Metrics.incr ~routine:metrics_routine ~name
 
-let now_ns () = Epre_telemetry.Telemetry.Clock.now_ns ()
-
 type t = {
   dir : string;
   max_entries : int;
@@ -160,7 +158,7 @@ let with_file_lock t f =
       t.lock_fd <- Some fd;
       fd
   in
-  let wait0 = now_ns () in
+  let wait0 = Epre_telemetry.Telemetry.Clock.now_ns () in
   Unix.lockf fd Unix.F_LOCK 0;
   Epre_telemetry.Histogram.observe_since ~name:"cache.lock_wait" wait0;
   Fun.protect
@@ -202,10 +200,8 @@ let decode ~key:k text =
     Some (routine, iloc, stats)
 
 let find t ~key:k =
-  let t0 = now_ns () in
-  Fun.protect
-    ~finally:(fun () ->
-      Epre_telemetry.Histogram.observe_since ~name:"cache.read" t0)
+  Epre_telemetry.Telemetry.Span.with_ ~kind:"cache" ~hist:"cache.read"
+    ~name:"cache.read"
   @@ fun () ->
   let path = entry_path t k in
   match read_file path with
@@ -278,10 +274,8 @@ let evict t =
     entries
 
 let store t ~key:k ~fingerprint ~iloc ~stats =
-  let t0 = now_ns () in
-  Fun.protect
-    ~finally:(fun () ->
-      Epre_telemetry.Histogram.observe_since ~name:"cache.write" t0)
+  Epre_telemetry.Telemetry.Span.with_ ~kind:"cache" ~hist:"cache.write"
+    ~name:"cache.write"
   @@ fun () ->
   let path = entry_path t k in
   let text = encode ~key:k ~fingerprint ~iloc ~stats in

@@ -556,21 +556,19 @@ type summary = {
 
 exception Killed
 
-(* One admitted (or about-to-be-shed) input line, read ahead of dispatch.
-   [p_key] is the content hash the journal records; [p_id]/[p_level] come
-   from a cheap pre-parse (falling back to the positional default on
-   malformed lines, which still flow through [run_one] for their in-order
-   error result). *)
+(* One admitted (or about-to-be-shed) input line, read ahead of dispatch
+   and parsed once. [p_key] is the content hash the journal records. A
+   malformed line still flows through [run_one] for its in-order error
+   result, under the positional default id. *)
 type pending_item = {
   p_default : string;
   p_seq : int;
   p_line_no : int;
-  p_raw : string;
   p_key : string;
-  p_id : string;
-  p_level : Pipeline.level;
-  p_fp : string option;
+  p_job : (job, string) result;
 }
+
+let p_id it = match it.p_job with Ok j -> j.id | Error _ -> it.p_default
 
 let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
     ?metrics_out ?(stats_sink = prerr_endline) ?journal ?(resume = false)
@@ -707,15 +705,10 @@ let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
         else begin
           incr seq;
           let default_id = Printf.sprintf "job-%d" !seq in
-          let id, level, fp =
-            match job_of_line ~default_id line with
-            | Ok j -> (j.id, j.level, Some (Pipeline.fingerprint ~level:j.level))
-            | Error _ -> (default_id, Pipeline.Partial, None)
-          in
           Some
             { p_default = default_id; p_seq = !seq; p_line_no = !line_no;
-              p_raw = line; p_key = Digest.to_hex (Digest.string line);
-              p_id = id; p_level = level; p_fp = fp }
+              p_key = Digest.to_hex (Digest.string line);
+              p_job = job_of_line ~default_id line }
         end
   in
   let pending = Queue.create () in
@@ -726,11 +719,12 @@ let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
   in
   let shed_one it =
     count "serve.shed";
-    Log.warn ~event:"serve.shed" ~corr:it.p_id
+    Log.warn ~event:"serve.shed" ~corr:(p_id it)
       ~fields:[ ("seq", J.Int it.p_seq); ("max_pending", J.Int high) ]
-      (Printf.sprintf "job %s shed: pending queue at capacity" it.p_id);
+      (Printf.sprintf "job %s shed: pending queue at capacity" (p_id it));
     let r =
-      error_result ~outcome:Shed ~id:it.p_id ~level:it.p_level
+      error_result ~outcome:Shed ~id:(p_id it)
+        ~level:(match it.p_job with Ok j -> j.level | Error _ -> Pipeline.Partial)
         ~line:it.p_line_no
         (Printf.sprintf "shed: pending queue at capacity (max-pending %d)" high)
     in
@@ -738,7 +732,7 @@ let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
     emit_seq it.p_seq (Some (J.to_string (result_to_json r)));
     post_hold :=
       ( it.p_seq,
-        Journal.entry ~kind:"failed" ~seq:it.p_seq ~id:it.p_id ~key:it.p_key
+        Journal.entry ~kind:"failed" ~seq:it.p_seq ~id:(p_id it) ~key:it.p_key
           ~fields:[ ("outcome", J.Str "shed") ] () )
       :: !post_hold
   in
@@ -755,7 +749,7 @@ let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
         else begin
           Queue.add it pending;
           accepted :=
-            Journal.entry ~kind:"accepted" ~seq:it.p_seq ~id:it.p_id
+            Journal.entry ~kind:"accepted" ~seq:it.p_seq ~id:(p_id it)
               ~key:it.p_key
               ~fields:[ ("line", J.Int it.p_line_no) ]
               ()
@@ -786,7 +780,7 @@ let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
     List.rev !accepted
   in
   let run_one it =
-    match job_of_line ~default_id:it.p_default it.p_raw with
+    match it.p_job with
     | Error m ->
       (* A malformed line is one bad job, never a dead server: report it
          in order, with the offending line number, and keep serving. *)
@@ -814,12 +808,13 @@ let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
         (accepted_now
         @ (Array.to_list arr
           |> List.map (fun it ->
-                 Journal.entry ~kind:"started" ~seq:it.p_seq ~id:it.p_id
+                 Journal.entry ~kind:"started" ~seq:it.p_seq ~id:(p_id it)
                    ~key:it.p_key
                    ~fields:
-                     (match it.p_fp with
-                     | Some fp -> [ ("fingerprint", J.Str fp) ]
-                     | None -> [])
+                     (match it.p_job with
+                     | Ok j ->
+                       [ ("fingerprint", J.Str (Pipeline.fingerprint ~level:j.level)) ]
+                     | Error _ -> [])
                    ())));
       (* chaos:kill-self aborts at exactly this journal-consistent point:
          the batch is journaled [started] but none of its results have
@@ -828,7 +823,7 @@ let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
          uninterrupted run would have seen. *)
       if
         has_kill
-        && Array.exists (fun it -> Chaos.fires Chaos.Kill_self ~key:it.p_id) arr
+        && Array.exists (fun it -> Chaos.fires Chaos.Kill_self ~key:(p_id it)) arr
       then begin
         fire Chaos.Kill_self;
         flush output;

@@ -1,54 +1,46 @@
 (** Chrome trace-event JSON. See the interface for the format. *)
 
-let us_of_ns ns = Int64.to_float ns /. 1e3
+let us_of_ns ns = float_of_int ns /. 1e3
 
-let event (s : Telemetry.span) =
-  let args =
-    [ ("alloc_minor_words", Tjson.Float s.Telemetry.alloc_minor_words) ]
-    @ (match s.Telemetry.routine with
-      | Some r -> [ ("routine", Tjson.Str r) ]
-      | None -> [])
-    @ (match (s.Telemetry.ir_before, s.Telemetry.ir_after) with
-      | Some b, Some a ->
-        [ ("blocks_before", Tjson.Int b.Telemetry.blocks);
-          ("blocks_after", Tjson.Int a.Telemetry.blocks);
-          ("instrs_before", Tjson.Int b.Telemetry.instrs);
-          ("instrs_after", Tjson.Int a.Telemetry.instrs) ]
-      | _ -> [])
-    @ if s.Telemetry.raised then [ ("raised", Tjson.Bool true) ] else []
-  in
+(* Fields that are the event's own, not its [args]. *)
+let own = [ "kind"; "start_ns"; "dur_ns" ]
+
+let event ~epoch (e : Recorder.entry) =
+  let field = Telemetry.int_field e in
   Tjson.Obj
     [
-      ("name", Tjson.Str s.Telemetry.name);
-      ("cat", Tjson.Str s.Telemetry.kind);
+      ("name", Tjson.Str e.Recorder.event);
+      ("cat", Tjson.Str (Telemetry.str_field e "kind"));
       ("ph", Tjson.Str "X");
       ("pid", Tjson.Int 1);
-      ("tid", Tjson.Int s.Telemetry.domain);
-      ("ts", Tjson.Float (us_of_ns s.Telemetry.start_ns));
-      ("dur", Tjson.Float (us_of_ns s.Telemetry.dur_ns));
-      ("args", Tjson.Obj args);
+      ("tid", Tjson.Int e.Recorder.domain);
+      ("ts", Tjson.Float (us_of_ns (field "start_ns" - epoch)));
+      ("dur", Tjson.Float (us_of_ns (field "dur_ns")));
+      ( "args",
+        Tjson.Obj (List.filter (fun (k, _) -> not (List.mem k own)) e.Recorder.fields) );
     ]
 
-let to_json spans =
+let to_json entries =
   (* The spec wants stable ordering by timestamp; spans arrive in
      completion order (children first). *)
-  let sorted =
-    List.stable_sort
-      (fun a b -> Int64.compare a.Telemetry.start_ns b.Telemetry.start_ns)
-      spans
+  let spans =
+    List.filter (fun e -> e.Recorder.kind = "span") entries
+    |> List.map (fun e -> (Telemetry.int_field e "start_ns", e))
+    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
   in
+  let epoch = match spans with (t, _) :: _ -> t | [] -> 0 in
   Tjson.Obj
     [
-      ("traceEvents", Tjson.Arr (List.map event sorted));
+      ("traceEvents", Tjson.Arr (List.map (fun (_, e) -> event ~epoch e) spans));
       ("displayTimeUnit", Tjson.Str "ms");
     ]
 
-let to_string spans = Tjson.to_string (to_json spans)
+let to_string entries = Tjson.to_string (to_json entries)
 
-let write ~path spans =
+let write ~path entries =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc (to_string spans);
+      output_string oc (to_string entries);
       output_char oc '\n')

@@ -36,7 +36,7 @@ let text_sink : (string -> unit) ref = ref prerr_endline
 let file_chan : out_channel option ref = ref None
 
 (* One ref probe for the disabled fast path; kept in sync with the sink
-   state. The flight recorder's own [enabled] probe is separate, so
+   state. The event store's own [enabled] probe is separate, so
    events still reach the ring with every sink off. *)
 let sinks_on = ref false
 
@@ -63,9 +63,12 @@ let close_file () =
   Mutex.unlock lock
 
 let open_file path =
+  (* Opened before taking [lock]: a failed open raises with the lock
+     free, so the sinks stay usable. *)
+  let oc = open_out_bin path in
   close_file ();
   Mutex.lock lock;
-  file_chan := Some (open_out_bin path);
+  file_chan := Some oc;
   refresh ();
   Mutex.unlock lock
 

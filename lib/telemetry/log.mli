@@ -12,10 +12,10 @@
       filtered to [set_stderr_level] and above;
     - a {e JSONL file sink} ([open_file]; [--log-out FILE.jsonl]) that
       records every level, one {!Tjson} object per line;
-    - the {e flight recorder} ring ({!Recorder}), which sees every event
-      whenever the recorder is enabled, regardless of sink state.
+    - the event store ({!Recorder}), which sees every event whenever
+      either of its retention modes is on, regardless of sink state.
 
-    With no sink and no recorder, emission is a two-ref probe no-op, so
+    With no sink and the store off, emission is a two-ref probe no-op, so
     log calls stay unconditionally wired through the service without
     perturbing byte-identity or speed of unobserved runs.
 
@@ -40,7 +40,8 @@ val set_text_sink : (string -> unit) -> unit
 
 (** Open (truncate) a JSONL file sink; closes any previous one. Every
     level is written and each line is flushed, so a crashed process
-    loses at most the event being written. *)
+    loses at most the event being written. Raises [Sys_error], with the
+    sinks left as they were, when the file cannot be opened. *)
 val open_file : string -> unit
 
 val close_file : unit -> unit

@@ -9,27 +9,28 @@ type row = {
   share : float;
 }
 
-let ms_of_ns ns = Int64.to_float ns /. 1e6
+let ms_of_ns ns = float_of_int ns /. 1e6
 
-let rows ?(kind = "pass") spans =
-  let selected = List.filter (fun s -> s.Telemetry.kind = kind) spans in
+let rows ?(kind = "pass") entries =
+  let spans = List.filter (fun e -> e.Recorder.kind = "span") entries in
+  let selected = List.filter (fun e -> Telemetry.str_field e "kind" = kind) spans in
   let selected = if selected = [] then spans else selected in
   let table : (string, int ref * float ref * float ref) Hashtbl.t =
     Hashtbl.create 16
   in
   List.iter
-    (fun (s : Telemetry.span) ->
+    (fun (e : Recorder.entry) ->
       let calls, ms, words =
-        match Hashtbl.find_opt table s.Telemetry.name with
+        match Hashtbl.find_opt table e.Recorder.event with
         | Some cells -> cells
         | None ->
           let cells = (ref 0, ref 0.0, ref 0.0) in
-          Hashtbl.add table s.Telemetry.name cells;
+          Hashtbl.add table e.Recorder.event cells;
           cells
       in
       incr calls;
-      ms := !ms +. ms_of_ns s.Telemetry.dur_ns;
-      words := !words +. s.Telemetry.alloc_minor_words)
+      ms := !ms +. ms_of_ns (Telemetry.int_field e "dur_ns");
+      words := !words +. Telemetry.float_field e "alloc_minor_words")
     selected;
   let total_ms =
     Hashtbl.fold (fun _ (_, ms, _) acc -> acc +. !ms) table 0.0
@@ -48,8 +49,8 @@ let rows ?(kind = "pass") spans =
     table []
   |> List.sort (fun a b -> compare b.total_ms a.total_ms)
 
-let render ?kind spans =
-  match rows ?kind spans with
+let render ?kind entries =
+  match rows ?kind entries with
   | [] -> "profile: no spans recorded\n"
   | rs ->
     let buf = Buffer.create 1024 in

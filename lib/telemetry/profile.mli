@@ -1,4 +1,5 @@
-(** Text profile summary of a recorded span list: one row per span name,
+(** Text profile summary of the span events in a store snapshot
+    ({!Recorder.snapshot}; other events are skipped): one row per span name,
     sorted by total wall-clock time, with the share of the profiled total
     — the `--profile` rendering. *)
 
@@ -15,8 +16,8 @@ type row = {
     (default ["pass"], the per-stage spans); when nothing matches the
     filter, all spans are aggregated instead, so a profile of an
     unoptimized run still shows something. *)
-val rows : ?kind:string -> Telemetry.span list -> row list
+val rows : ?kind:string -> Recorder.entry list -> row list
 
 (** Render [rows] as an aligned table with a totals line; a diagnostic
     one-liner when there are no spans at all. *)
-val render : ?kind:string -> Telemetry.span list -> string
+val render : ?kind:string -> Recorder.entry list -> string

@@ -1,19 +1,24 @@
-(** The flight recorder: a per-domain ring buffer of the most recent
-    observability events (log events and span closures), dumped
-    atomically to a JSON file when something goes wrong — a worker
-    raises, a job blows its deadline, [Supervision_failed] escapes, or a
-    chaos fault fires. The dump turns a red CI run or a crashed serve
-    process into a replayable post-mortem: the last [capacity] events of
-    every domain, each stamped with a monotonic timestamp, its domain id
-    and the correlation id of the job it belonged to.
+(** The event store: every observability event — log events and span
+    closures — lands in one buffer per domain, each stamped with a
+    monotonic timestamp, its domain id and the correlation id of the job
+    it belonged to.
 
-    Disabled (the default) every entry point is a cheap no-op — one ref
-    probe — so the recording calls stay unconditionally wired through
-    the service. [eprec serve] enables it by default (see
-    [--flight-dir] / [--no-flight]).
+    The store has two retention modes, switched independently:
+    - {e flight dumps} ([configure]): each buffer is a ring of the last
+      [capacity] events, and [dump] writes them atomically to a JSON file
+      when something goes wrong — a worker raises, a job blows its
+      deadline, [Supervision_failed] escapes, or a chaos fault fires. The
+      dump turns a red CI run or a crashed serve process into a
+      replayable post-mortem. [eprec serve] turns it on by default (see
+      [--flight-dir] / [--no-flight]).
+    - {e trace retention} ([set_trace]): while on, buffers grow and keep
+      every event, so [snapshot] holds the whole run for the
+      [Chrome_trace] and [Profile] views ([--trace-out], [--profile]).
 
-    Memory is bounded: each domain's ring holds at most [capacity]
-    entries and new events overwrite the oldest in place.
+    With both on, a dump still writes at most [capacity] events per
+    domain. With both off (the default) every entry point is a cheap
+    no-op — one ref probe — so the recording calls stay unconditionally
+    wired through the service, and the buffers are empty.
 
     This module also owns the ambient {e correlation id} (domain-local
     storage): [Epre_service.Service.run_job] wraps each job in
@@ -31,13 +36,20 @@ type entry = {
   fields : (string * Tjson.t) list;
 }
 
-(** Enable the recorder: dumps go to [<dir>/flightrec-<pid>.json];
-    each domain keeps its last [capacity] (default 256, min 8) events. *)
+(** Turn flight dumps on, starting from empty buffers: dumps go to
+    [<dir>/flightrec-<pid>.json]; each domain keeps its last [capacity]
+    (default 256, min 8) events. *)
 val configure : ?capacity:int -> dir:string -> unit -> unit
 
+(** Turn flight dumps off. *)
 val disable : unit -> unit
 
-(** One ref probe; [note]/[dump] are no-ops when false. *)
+(** Switch trace retention. Turning it off cuts each buffer back to the
+    flight ring's last [capacity] events, or empties it when flight dumps
+    are off. *)
+val set_trace : bool -> unit
+
+(** Either mode is on. One ref probe; [note] is a no-op when false. *)
 val enabled : unit -> bool
 
 (** {2 Correlation context} *)
@@ -52,7 +64,7 @@ val with_corr : string -> (unit -> 'a) -> 'a
 
 (** {2 Recording and dumping} *)
 
-(** Append an event to the recording domain's ring. [corr] defaults to
+(** Append an event to the recording domain's buffer. [corr] defaults to
     the ambient correlation id; no-op when disabled. *)
 val note :
   ?kind:string ->
@@ -62,15 +74,17 @@ val note :
   string ->
   unit
 
-(** Every live ring entry, merged across domains and sorted by
-    timestamp. Empty when disabled. *)
+(** Every live entry, merged across domains and sorted by timestamp (a
+    domain's own entries keep their recording order). Empty when
+    disabled. *)
 val snapshot : unit -> entry list
 
 val entry_to_json : entry -> Tjson.t
 
 (** Write [<dir>/flightrec-<pid>.json] atomically (temp + rename,
     serialized across domains): schema ["epre/flightrec/v1"], the
-    [reason], the triggering [corr] if given, and every ring entry.
-    Returns the path written, or [None] when disabled or the write
-    failed. Bumps the [flightrec.dumps] counter. *)
+    [reason], the triggering [corr] if given, and each domain's last
+    [capacity] entries. Returns the path written, or [None] when flight
+    dumps are off or the write failed. Bumps the [flightrec.dumps]
+    counter. *)
 val dump : reason:string -> ?corr:string -> unit -> string option

@@ -1,6 +1,6 @@
 (** Span recording over the monotonic clock. See the interface for the
-    model; the design constraint is that the disabled path is one ref
-    probe, so telemetry can stay linked into every build. *)
+    model; the design constraint is that the disabled path is a couple of
+    ref probes, so telemetry can stay linked into every build. *)
 
 module Clock = struct
   let now_ns () = Monotonic_clock.now ()
@@ -8,105 +8,56 @@ module Clock = struct
   let elapsed_ms ~since = Int64.to_float (Int64.sub (now_ns ()) since) /. 1e6
 end
 
-type ir_size = { blocks : int; instrs : int }
-
-let measure_routine (r : Epre_ir.Routine.t) =
-  {
-    blocks = List.length (Epre_ir.Cfg.blocks r.Epre_ir.Routine.cfg);
-    instrs = Epre_ir.Routine.instr_count r;
-  }
-
-type span = {
-  name : string;
-  kind : string;
-  routine : string option;
-  domain : int;
-  start_ns : int64;
-  dur_ns : int64;
-  alloc_minor_words : float;
-  ir_before : ir_size option;
-  ir_after : ir_size option;
-  raised : bool;
-}
-
-type recorder = {
-  epoch : int64;
-  lock : Mutex.t;
-      (** guards [finished]: spans complete from compile-pool worker
-          domains as well as the installing domain *)
-  mutable finished : span list;  (** completion order, newest first *)
-}
-
-let current : recorder option ref = ref None
-
-let install () =
-  let r =
-    { epoch = Clock.now_ns (); lock = Mutex.create (); finished = [] }
-  in
-  current := Some r;
-  r
-
-let uninstall () = current := None
-
-let enabled () = !current <> None
-
-let spans r = List.rev r.finished
-
-let with_recorder f =
-  let r = install () in
-  Fun.protect ~finally:uninstall (fun () -> f r)
+(* Block and instruction counts of a routine (holes excluded, terminators
+   excluded — the shape a pass changes). *)
+let measure (r : Epre_ir.Routine.t) =
+  (List.length (Epre_ir.Cfg.blocks r.Epre_ir.Routine.cfg), Epre_ir.Routine.instr_count r)
 
 module Span = struct
-  let with_ ?(kind = "task") ?routine ~name f =
-    match (!current, Recorder.enabled ()) with
-    | None, false -> f ()
-    | rec_opt, flight ->
-      let routine_name = Option.map (fun r -> r.Epre_ir.Routine.name) routine in
-      let ir_before = Option.map measure_routine routine in
-      let alloc0 = Gc.minor_words () in
-      let t0 = Clock.now_ns () in
-      let finish raised =
-        let dur_ns = Int64.sub (Clock.now_ns ()) t0 in
-        let alloc_minor_words = Gc.minor_words () -. alloc0 in
-        (match rec_opt with
-        | None -> ()
-        | Some rec_ ->
-          let finished_span =
-            {
-              name;
-              kind;
-              routine = routine_name;
-              domain = (Domain.self () :> int);
-              start_ns = Int64.sub t0 rec_.epoch;
-              dur_ns;
-              alloc_minor_words;
-              ir_before;
-              ir_after = Option.map measure_routine routine;
-              raised;
-            }
-          in
-          Mutex.lock rec_.lock;
-          rec_.finished <- finished_span :: rec_.finished;
-          Mutex.unlock rec_.lock);
-        (* Span closures also feed the flight recorder's ring, so a
-           post-mortem shows what each domain was computing — not just
-           what it logged — in the run-up to the failure. *)
-        if flight then
-          Recorder.note ~kind:"span" ~level:"span"
-            ~fields:
-              ([ ("kind", Tjson.Str kind);
-                 ("dur_ns", Tjson.Int (Int64.to_int dur_ns)) ]
-              @ (match routine_name with
-                | Some r -> [ ("routine", Tjson.Str r) ]
-                | None -> [])
-              @ if raised then [ ("raised", Tjson.Bool true) ] else [])
-            name
-      in
-      (match f () with
-      | v ->
-        finish false;
-        v
-      | exception e ->
-        finish true;
-        raise e)
+  let timed ?(kind = "task") ?routine ?hist ~name f =
+    let store = Recorder.enabled () in
+    let before = if store then Option.map measure routine else None in
+    let alloc0 = if store then Gc.minor_words () else 0.0 in
+    let t0 = Clock.now_ns () in
+    let close raised =
+      let dur_ns = Int64.to_int (Int64.sub (Clock.now_ns ()) t0) in
+      Option.iter (fun h -> Histogram.observe ~name:h dur_ns) hist;
+      if store then
+        Recorder.note ~kind:"span" ~level:"span"
+          ~fields:
+            ([ ("kind", Tjson.Str kind);
+               ("start_ns", Tjson.Int (Int64.to_int t0));
+               ("dur_ns", Tjson.Int dur_ns);
+               ("alloc_minor_words", Tjson.Float (Gc.minor_words () -. alloc0)) ]
+            @ (match (routine, before) with
+              | Some r, Some (blocks, instrs) ->
+                let blocks', instrs' = measure r in
+                [ ("routine", Tjson.Str r.Epre_ir.Routine.name);
+                  ("blocks_before", Tjson.Int blocks);
+                  ("blocks_after", Tjson.Int blocks');
+                  ("instrs_before", Tjson.Int instrs);
+                  ("instrs_after", Tjson.Int instrs') ]
+              | _ -> [])
+            @ if raised then [ ("raised", Tjson.Bool true) ] else [])
+          name;
+      dur_ns
+    in
+    match f () with
+    | v -> (v, close false)
+    | exception e ->
+      ignore (close true);
+      raise e
+
+  let with_ ?kind ?routine ?hist ~name f =
+    if hist = None && not (Recorder.enabled ()) then f ()
+    else fst (timed ?kind ?routine ?hist ~name f)
 end
+
+let int_field e k =
+  match List.assoc_opt k e.Recorder.fields with Some (Tjson.Int i) -> i | _ -> 0
+
+let float_field e k =
+  match List.assoc_opt k e.Recorder.fields with Some (Tjson.Float f) -> f | _ -> 0.0
+
+let str_field e k =
+  match List.assoc_opt k e.Recorder.fields with Some (Tjson.Str s) -> s | _ -> ""

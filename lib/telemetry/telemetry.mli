@@ -1,31 +1,36 @@
 (** Structured tracing for the optimizer: nested wall-clock spans with GC
     allocation and IR size deltas.
 
-    The span API is a zero-cost wrapper unless a recorder is installed:
-    [Span.with_] probes one ref cell and otherwise just calls its thunk, so
-    an untraced `eprec` run pays no measurable telemetry overhead. With a
-    recorder installed (CLI [--trace-out] / [--profile], or a test's
-    [with_recorder]), every span records
+    A span's close is the one source of its timing. It reads the
+    monotonic clock twice (the process CPU clock [Sys.time] both
+    under-reports blocked time and lies under multicore GC — everything
+    here is monotonic wall clock) and feeds
+    - the histogram named by [~hist], if any, with its duration;
+    - the event store ({!Recorder}), when either of its retention modes
+      is on, with one [kind:"span"] event.
 
-    - wall-clock start and duration from the monotonic clock (the process
-      CPU clock [Sys.time] both under-reports blocked time and lies under
-      multicore GC — everything here is monotonic wall clock);
-    - the minor-heap allocation delta ([Gc.minor_words]);
-    - when the span is given the routine it transforms, the IR size
-      (blocks, instructions) before and after;
-    - whether the wrapped computation raised (the span still closes — the
-      recorder's nesting stays balanced under exceptions).
+    With neither, [Span.with_] probes two refs and just calls its thunk,
+    so an untraced `eprec` run pays no measurable telemetry overhead.
 
-    Exporters consume the finished span list: [Chrome_trace] (Perfetto /
-    chrome://tracing), [Profile] (per-pass text summary), and the
-    [Metrics] JSONL stream.
+    A span event's name is the span's name and its fields are
+    - [kind] (e.g. ["pass"], ["routine"], ["pipeline"], ["cache"]);
+    - [start_ns] (monotonic clock at open) and [dur_ns];
+    - [alloc_minor_words], the [Gc.minor_words] delta;
+    - when the span is given the routine it transforms, [routine] and
+      its IR size before and after: [blocks_before], [blocks_after],
+      [instrs_before], [instrs_after] (holes and terminators excluded);
+    - [raised: true] when the wrapped computation raised (the span still
+      closes, so nesting stays balanced under exceptions).
 
-    Domain safety: a recorder accepts spans from any domain — the
-    compile-service pool's workers ([Epre_service.Pool]) trace through the
-    same recorder as the submitting domain. Each span is stamped with the
-    domain that ran it; nesting is time containment among one domain's
-    spans, so opening a span takes no lock and only its completion is
-    mutex-guarded. *)
+    The views read these events from [Recorder.snapshot]:
+    [Chrome_trace] (Perfetto / chrome://tracing) and [Profile] (the
+    per-pass text summary).
+
+    Domain safety: spans open and close on any domain — the
+    compile-service pool's workers ([Epre_service.Pool]) trace into the
+    same store as the submitting domain. Each event lands in its own
+    domain's buffer; nesting is time containment among one domain's
+    spans. *)
 
 (** Monotonic wall clock (nanoseconds since an arbitrary epoch). *)
 module Clock : sig
@@ -35,53 +40,35 @@ module Clock : sig
   val elapsed_ms : since:int64 -> float
 end
 
-type ir_size = { blocks : int; instrs : int }
-
-(** Block and instruction counts of a routine (holes excluded,
-    terminators excluded — the shape a pass changes). *)
-val measure_routine : Epre_ir.Routine.t -> ir_size
-
-type span = {
-  name : string;
-  kind : string;  (** e.g. ["pass"], ["routine"], ["pipeline"], ["experiment"] *)
-  routine : string option;  (** the routine being transformed, if any *)
-  domain : int;  (** id of the domain that ran the span *)
-  start_ns : int64;  (** relative to the recorder's epoch *)
-  dur_ns : int64;
-  alloc_minor_words : float;  (** [Gc.minor_words] delta *)
-  ir_before : ir_size option;
-  ir_after : ir_size option;
-  raised : bool;  (** the wrapped computation raised *)
-}
-
-type recorder
-
-(** Install a fresh recorder (replacing any current one) and return it.
-    Spans complete into it until [uninstall]. *)
-val install : unit -> recorder
-
-val uninstall : unit -> unit
-
-(** A recorder is installed. *)
-val enabled : unit -> bool
-
-(** Finished spans in completion order (children before parents); empty
-    while spans are still open. *)
-val spans : recorder -> span list
-
-(** [install], run, [uninstall] (exception-safe); for tests and scoped
-    tracing. *)
-val with_recorder : (recorder -> 'a) -> 'a
-
 module Span : sig
-  (** [with_ ~name f] runs [f ()] inside a span. No-op (beyond two ref
-      probes) when no recorder is installed and the flight recorder
-      ({!Recorder}) is disabled. [routine] enables the IR size delta and
-      stamps the span with the routine's name. The span closes and is
-      recorded even when [f] raises. With the flight recorder enabled,
-      every span closure is also noted into its ring (kind ["span"],
-      with duration and the ambient correlation id) — even when no trace
-      recorder is installed. *)
+  (** [with_ ~name f] runs [f ()] inside a span. [routine] adds the IR
+      size delta and stamps the span with the routine's name; [hist]
+      names the histogram its duration is observed into. The span closes
+      and is recorded even when [f] raises. *)
   val with_ :
-    ?kind:string -> ?routine:Epre_ir.Routine.t -> name:string -> (unit -> 'a) -> 'a
+    ?kind:string ->
+    ?routine:Epre_ir.Routine.t ->
+    ?hist:string ->
+    name:string ->
+    (unit -> 'a) ->
+    'a
+
+  (** [with_] that also returns the span's duration in nanoseconds, for
+      a caller that reports it; the clock is read even when nothing
+      records. *)
+  val timed :
+    ?kind:string ->
+    ?routine:Epre_ir.Routine.t ->
+    ?hist:string ->
+    name:string ->
+    (unit -> 'a) ->
+    'a * int
 end
+
+(** {2 Span event fields} (0, 0.0 or [""] when absent) *)
+
+val int_field : Recorder.entry -> string -> int
+
+val float_field : Recorder.entry -> string -> float
+
+val str_field : Recorder.entry -> string -> string

@@ -160,6 +160,48 @@ let test_disabled_recorder_is_noop () =
   Alcotest.(check bool) "dump refuses" true
     (Recorder.dump ~reason:"nothing" () = None)
 
+let test_trace_with_flight_ring () =
+  (* Both retention modes on: the snapshot keeps every span for the
+     trace, while a dump still writes at most [capacity] events per
+     domain. *)
+  let dir = temp_dir "both" in
+  Recorder.configure ~capacity:8 ~dir ();
+  Recorder.set_trace true;
+  let finish () =
+    Recorder.set_trace false;
+    Recorder.disable ()
+  in
+  Fun.protect ~finally:finish @@ fun () ->
+  let work () =
+    for i = 1 to 20 do
+      Epre_telemetry.Telemetry.Span.with_ ~name:(Printf.sprintf "s%d" i) ignore
+    done
+  in
+  let d = Domain.spawn work in
+  work ();
+  Domain.join d;
+  (* Buffers are per domain id modulo 64; two ids may share one. *)
+  let buffers =
+    if (Domain.self () :> int) land 63 = (Domain.get_id d :> int) land 63 then 1
+    else 2
+  in
+  let spans = List.filter (fun e -> e.Recorder.kind = "span") (Recorder.snapshot ()) in
+  Alcotest.(check int) "every span kept" 40 (List.length spans);
+  let path = Option.get (Recorder.dump ~reason:"test" ()) in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let events =
+    match Tjson.parse text with
+    | Ok j -> (
+      match Tjson.member "events" j with Some (Tjson.Arr es) -> es | _ -> [])
+    | Error m -> Alcotest.failf "dump does not parse: %s" m
+  in
+  Alcotest.(check int) "dump keeps capacity per buffer" (8 * buffers)
+    (List.length events);
+  (* Trace off: the buffers fall back to the flight ring. *)
+  Recorder.set_trace false;
+  Alcotest.(check int) "ring kept after the trace" (8 * buffers)
+    (List.length (Recorder.snapshot ()))
+
 (* A job id the given fault deterministically strikes (or spares). *)
 let chaos_id fault ~firing =
   let rec find i =
@@ -256,6 +298,24 @@ let test_log_level_filtering () =
     (fun needle ->
       Alcotest.(check bool) ("error line has " ^ needle) true (has needle err))
     [ "obs.d"; "j9"; "k=7"; "error" ]
+
+let test_log_failed_open_keeps_sinks () =
+  (* A file sink that cannot be opened raises, and leaves the log usable:
+     the level filter can still be set and events still reach the text
+     sink. *)
+  let buf = ref [] in
+  Log.set_text_sink (fun line -> buf := line :: !buf);
+  let restore () =
+    Log.set_stderr_level None;
+    Log.set_text_sink prerr_endline
+  in
+  Fun.protect ~finally:restore @@ fun () ->
+  (match Log.open_file "/nonexistent-dir/eprec/x.jsonl" with
+  | () -> Alcotest.fail "open_file accepted an unwritable path"
+  | exception Sys_error _ -> ());
+  Log.set_stderr_level (Some Log.Warn);
+  Log.warn ~event:"obs.after" "still logging";
+  Alcotest.(check int) "event reached the text sink" 1 (List.length !buf)
 
 let test_log_jsonl_sink () =
   let path = Filename.temp_file "eprec-obs" ".jsonl" in
@@ -534,6 +594,8 @@ let suite =
       test_ring_wraparound;
     Alcotest.test_case "disabled recorder is a no-op" `Quick
       test_disabled_recorder_is_noop;
+    Alcotest.test_case "trace keeps every span, dump keeps capacity" `Quick
+      test_trace_with_flight_ring;
     Alcotest.test_case "dump on chaos:worker-raise carries the corr id"
       `Quick test_dump_on_worker_raise;
     Alcotest.test_case "with_corr nests and restores" `Quick
@@ -541,6 +603,8 @@ let suite =
     Alcotest.test_case "stderr level filtering" `Quick test_log_level_filtering;
     Alcotest.test_case "JSONL sink records every level" `Quick
       test_log_jsonl_sink;
+    Alcotest.test_case "failed open_file leaves the log usable" `Quick
+      test_log_failed_open_keeps_sinks;
     Alcotest.test_case "warn flood is rate-limited" `Quick test_log_rate_limit;
     Alcotest.test_case "exposition round-trips" `Quick test_exposition_roundtrip;
     Alcotest.test_case "serve events carry correlation ids" `Quick

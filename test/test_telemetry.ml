@@ -54,20 +54,42 @@ let test_tjson_unicode () =
 
 exception Boom
 
-let end_ns (s : Telemetry.span) = Int64.add s.Telemetry.start_ns s.Telemetry.dur_ns
+type span = Recorder.entry
+
+(* Run [f] with trace retention on; its value and the span events it
+   recorded, in completion order. *)
+let traced f =
+  Recorder.set_trace true;
+  Fun.protect
+    ~finally:(fun () -> Recorder.set_trace false)
+    (fun () ->
+      let v = f () in
+      (v, List.filter (fun e -> e.Recorder.kind = "span") (Recorder.snapshot ())))
+
+let spans_of f = snd (traced f)
+
+let start_ns s = Telemetry.int_field s "start_ns"
+
+let end_ns s = start_ns s + Telemetry.int_field s "dur_ns"
+
+let raised (s : span) = List.assoc_opt "raised" s.Recorder.fields = Some (Tjson.Bool true)
+
+let name (s : span) = s.Recorder.event
+
+let span_kind s = Telemetry.str_field s "kind"
 
 (* [inner] lies within [outer]'s interval on the same domain's track. *)
-let contains (outer : Telemetry.span) (inner : Telemetry.span) =
-  outer.Telemetry.domain = inner.Telemetry.domain
-  && outer.Telemetry.start_ns <= inner.Telemetry.start_ns
+let contains (outer : span) (inner : span) =
+  outer.Recorder.domain = inner.Recorder.domain
+  && start_ns outer <= start_ns inner
   && end_ns inner <= end_ns outer
 
 (* [a] closed before [b] opened. *)
-let precedes (a : Telemetry.span) (b : Telemetry.span) = end_ns a <= b.Telemetry.start_ns
+let precedes a b = end_ns a <= start_ns b
 
 let test_span_nesting_and_exceptions () =
   let spans =
-    Telemetry.with_recorder (fun rc ->
+    spans_of (fun () ->
         Telemetry.Span.with_ ~kind:"outer" ~name:"outer" (fun () ->
             Telemetry.Span.with_ ~kind:"inner" ~name:"ok-child" (fun () -> ());
             try
@@ -76,10 +98,9 @@ let test_span_nesting_and_exceptions () =
             with Boom -> ());
         (* A span after nested spans and a caught raise is a new top-level
            span, not a child of anything still open. *)
-        Telemetry.Span.with_ ~name:"after" (fun () -> ());
-        Telemetry.spans rc)
+        Telemetry.Span.with_ ~name:"after" (fun () -> ()))
   in
-  let find name = List.find (fun s -> s.Telemetry.name = name) spans in
+  let find n = List.find (fun s -> name s = n) spans in
   Alcotest.(check int) "span count" 4 (List.length spans);
   Alcotest.(check bool) "child within outer" true (contains (find "outer") (find "ok-child"));
   Alcotest.(check bool) "raising child within outer" true
@@ -89,33 +110,31 @@ let test_span_nesting_and_exceptions () =
   Alcotest.(check bool) "post-exception span outside outer" true
     (precedes (find "outer") (find "after"));
   Alcotest.(check bool) "one domain" true
-    (List.for_all (fun s -> s.Telemetry.domain = (Domain.self () :> int)) spans);
-  Alcotest.(check bool) "raise recorded" true (find "raising-child").Telemetry.raised;
-  Alcotest.(check bool) "no spurious raise flag" false (find "outer").Telemetry.raised;
+    (List.for_all (fun s -> s.Recorder.domain = (Domain.self () :> int)) spans);
+  Alcotest.(check bool) "raise recorded" true (raised (find "raising-child"));
+  Alcotest.(check bool) "no spurious raise flag" false (raised (find "outer"));
   (* Completion order: children close before their parent. *)
-  let names = List.map (fun s -> s.Telemetry.name) spans in
   Alcotest.(check (list string)) "completion order"
-    [ "ok-child"; "raising-child"; "outer"; "after" ] names
+    [ "ok-child"; "raising-child"; "outer"; "after" ] (List.map name spans)
 
 let test_span_escaping_exception_balances () =
   let spans =
-    Telemetry.with_recorder (fun rc ->
+    spans_of (fun () ->
         (try
            Telemetry.Span.with_ ~name:"outer" (fun () ->
                Telemetry.Span.with_ ~name:"inner" (fun () -> raise Boom))
          with Boom -> ());
-        Telemetry.Span.with_ ~name:"after" (fun () -> ());
-        Telemetry.spans rc)
+        Telemetry.Span.with_ ~name:"after" (fun () -> ()))
   in
-  let find name = List.find (fun s -> s.Telemetry.name = name) spans in
-  Alcotest.(check bool) "inner raised" true (find "inner").Telemetry.raised;
-  Alcotest.(check bool) "outer raised" true (find "outer").Telemetry.raised;
+  let find n = List.find (fun s -> name s = n) spans in
+  Alcotest.(check bool) "inner raised" true (raised (find "inner"));
+  Alcotest.(check bool) "outer raised" true (raised (find "outer"));
   Alcotest.(check bool) "inner within outer" true (contains (find "outer") (find "inner"));
   Alcotest.(check bool) "after opens once the raise unwound" true
     (precedes (find "outer") (find "after"))
 
 let test_spans_from_two_domains () =
-  (* Two domains trace nested spans into one recorder at the same time.
+  (* Two domains trace nested spans into one store at the same time.
      Each domain's spans land on its own track and nest there; the Chrome
      export gives every domain its own [tid]. *)
   let work tag () =
@@ -126,16 +145,15 @@ let test_spans_from_two_domains () =
     done
   in
   let spans =
-    Telemetry.with_recorder (fun rc ->
+    spans_of (fun () ->
         let d = Domain.spawn (work "b") in
         work "a" ();
-        Domain.join d;
-        Telemetry.spans rc)
+        Domain.join d)
   in
   Alcotest.(check int) "span count" 80 (List.length spans);
-  let domains = List.sort_uniq compare (List.map (fun s -> s.Telemetry.domain) spans) in
+  let domains = List.sort_uniq compare (List.map (fun s -> s.Recorder.domain) spans) in
   Alcotest.(check int) "two tracks" 2 (List.length domains);
-  let find name = List.find (fun s -> s.Telemetry.name = name) spans in
+  let find n = List.find (fun s -> name s = n) spans in
   List.iter
     (fun tag ->
       for i = 1 to 20 do
@@ -155,12 +173,33 @@ let test_spans_from_two_domains () =
   in
   Alcotest.(check int) "one tid per domain" 2 (List.length tids)
 
+let test_span_feeds_histogram_once () =
+  (* A span's close is the one clock reading behind both outputs: one
+     event in the store and one histogram observation, equal durations. *)
+  Metrics.reset_for_testing ();
+  let spans =
+    spans_of (fun () ->
+        Telemetry.Span.with_ ~kind:"pass" ~hist:"obs.span" ~name:"timed" (fun () ->
+            ignore (Sys.opaque_identity (List.init 100 Fun.id))))
+  in
+  let m = Histogram.merged (Histogram.handle ~name:"obs.span") in
+  (match spans with
+  | [ s ] ->
+    Alcotest.(check int) "one observation" 1 m.Histogram.count;
+    Alcotest.(check int) "same duration" (Telemetry.int_field s "dur_ns") m.Histogram.sum
+  | _ -> Alcotest.failf "expected one span event, got %d" (List.length spans));
+  (* With the store off the histogram is still fed. *)
+  Telemetry.Span.with_ ~hist:"obs.span" ~name:"untraced" (fun () -> ());
+  Alcotest.(check int) "observed without a store" 2
+    (Histogram.merged (Histogram.handle ~name:"obs.span")).Histogram.count;
+  Metrics.reset_for_testing ()
+
 let test_disabled_is_noop () =
-  Telemetry.uninstall ();
-  Alcotest.(check bool) "disabled" false (Telemetry.enabled ());
+  Recorder.disable ();
+  Alcotest.(check bool) "disabled" false (Recorder.enabled ());
   let v = Telemetry.Span.with_ ~name:"ignored" (fun () -> 17) in
   Alcotest.(check int) "value passes through" 17 v;
-  let spans = Telemetry.with_recorder (fun rc -> Telemetry.spans rc) in
+  let spans = spans_of (fun () -> ()) in
   Alcotest.(check int) "nothing was recorded" 0 (List.length spans)
 
 (* ------------------------------------------------------------------ *)
@@ -173,10 +212,12 @@ let distribution_stages =
 let trace_of_optimized_workload () =
   let w = Option.get (Epre_workloads.Workloads.find "saxpy") in
   let prog = Epre_workloads.Workloads.compile w in
-  Telemetry.with_recorder (fun rc ->
-      ignore (Epre.Pipeline.optimize ~level:Epre.Pipeline.Distribution prog);
-      (Telemetry.spans rc, List.map (fun (r : Epre_ir.Routine.t) -> r.Epre_ir.Routine.name)
-                             (Epre_ir.Program.routines prog)))
+  let (), spans =
+    traced (fun () ->
+        ignore (Epre.Pipeline.optimize ~level:Epre.Pipeline.Distribution prog))
+  in
+  (spans, List.map (fun (r : Epre_ir.Routine.t) -> r.Epre_ir.Routine.name)
+            (Epre_ir.Program.routines prog))
 
 let test_chrome_trace_wellformed () =
   let spans, routines = trace_of_optimized_workload () in
@@ -257,23 +298,23 @@ let test_chrome_trace_wellformed () =
 
 let test_ir_size_deltas () =
   let spans, _ = trace_of_optimized_workload () in
-  let pass_spans = List.filter (fun s -> s.Telemetry.kind = "pass") spans in
+  let pass_spans = List.filter (fun s -> span_kind s = "pass") spans in
+  let size s k =
+    match List.assoc_opt k s.Recorder.fields with
+    | Some (Tjson.Int i) -> i
+    | _ -> Alcotest.failf "pass span %s lost its IR size %s" (name s) k
+  in
   List.iter
     (fun s ->
-      match (s.Telemetry.ir_before, s.Telemetry.ir_after) with
-      | Some b, Some a ->
-        Alcotest.(check bool) "sizes positive" true
-          (b.Telemetry.blocks > 0 && b.Telemetry.instrs > 0
-          && a.Telemetry.blocks > 0 && a.Telemetry.instrs > 0)
-      | _ -> Alcotest.failf "pass span %s lost its IR sizes" s.Telemetry.name)
+      Alcotest.(check bool) "sizes positive" true
+        (List.for_all
+           (fun k -> size s k > 0)
+           [ "blocks_before"; "instrs_before"; "blocks_after"; "instrs_after" ]))
     pass_spans;
   (* The whole distribution pipeline shrinks saxpy's instruction count. *)
   let total_delta =
     List.fold_left
-      (fun acc s ->
-        match (s.Telemetry.ir_before, s.Telemetry.ir_after) with
-        | Some b, Some a -> acc + a.Telemetry.instrs - b.Telemetry.instrs
-        | _ -> acc)
+      (fun acc s -> acc + size s "instrs_after" - size s "instrs_before")
       0 pass_spans
   in
   Alcotest.(check bool) "pipeline net shrink recorded" true (total_delta < 0)
@@ -414,6 +455,8 @@ let suite =
     Alcotest.test_case "spans from two domains get a track each" `Quick
       test_spans_from_two_domains;
     Alcotest.test_case "disabled spans are no-ops" `Quick test_disabled_is_noop;
+    Alcotest.test_case "a span feeds its histogram and the store once" `Quick
+      test_span_feeds_histogram_once;
     Alcotest.test_case "chrome trace is well-formed" `Quick
       test_chrome_trace_wellformed;
     Alcotest.test_case "spans carry IR size deltas" `Quick test_ir_size_deltas;
