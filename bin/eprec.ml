@@ -292,27 +292,42 @@ let emit_metrics tel stats =
     | [] -> ()
     | entries -> Fmt.epr "%s@." (Epre_telemetry.Metrics.to_jsonl entries))
 
-(* "chaos:drop-instr@2" -> (position, named pass) *)
-let parse_chaos spec =
-  let name, pos =
-    match String.index_opt spec '@' with
-    | None -> (spec, 0)
-    | Some i ->
-      let p =
-        match int_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1)) with
-        | Some p -> p
-        | None ->
-          Fmt.epr "bad --chaos position in %S@." spec;
-          exit 1
-      in
-      (String.sub spec 0 i, p)
-  in
-  match Epre_harness.Chaos.of_name name with
-  | Some kind ->
-    (pos, { Epre_harness.Harness.pass_name = name; run = Epre_harness.Chaos.run kind })
-  | None ->
-    Fmt.epr "unknown chaos pass %S (see `eprec passes`)@." name;
+(* The value of a registry lookup, or exit 1 with its error and a pointer
+   to the registry listing. *)
+let registry_ok = function
+  | Ok v -> v
+  | Error msg ->
+    Fmt.epr "%s (see `eprec passes`)@." msg;
     exit 1
+
+(* The pass sequence the flags name: the --passes registry sequence with
+   the --chaos fault spliced in, or the level with the fault to inject.
+   Both flags are parsed eagerly, so a typo always errors, even when
+   there is no pipeline to splice into; --chaos alone is an error. *)
+let pass_sequence ~level ~passes ~chaos =
+  let chaos =
+    Option.map (fun spec -> registry_ok (Epre_harness.Chaos.parse_spec spec)) chaos
+  in
+  match (passes, level) with
+  | Some spec, _ ->
+    let named =
+      Epre.Passes.parse_sequence spec
+      |> Result.map_error (Printf.sprintf "unknown pass %S")
+      |> registry_ok
+      |> List.map Epre.Passes.to_named
+    in
+    Some
+      (`Passes
+         (match chaos with
+         | None -> named
+         | Some (at, np) -> Epre.Pipeline.splice named ~at np))
+  | None, Some level -> Some (`Level (level, Option.to_list chaos))
+  | None, None ->
+    if chaos <> None then begin
+      Fmt.epr "--chaos needs a pipeline to inject into (pass -O or --passes)@.";
+      exit 1
+    end;
+    None
 
 type supervision = {
   safe : bool;
@@ -390,58 +405,44 @@ let dump_hooks trace prog =
   end
 
 (* Optimize [prog] in place per the CLI flags; returns the pipeline stats
-   (empty for custom --passes sequences). The per-pass records go to
-   [--report]; supervision failures without --safe abort with a
-   diagnostic. *)
-let optimize ?level ?passes ~trace ~sup prog =
+   (empty for custom --passes sequences). Supervised runs send their
+   per-pass records to [--report] and, without --safe, abort at the first
+   rollback; a bare run that raises or leaves ill-formed IR aborts too.
+   Either way the diagnostic is one line and the exit code 1. *)
+let optimize ~level ~passes ~trace ~sup prog =
   let hooks = dump_hooks trace prog in
-  (* Parse --chaos eagerly so a typo'd pass name or position always errors,
-     even when there is no pipeline to splice it into. *)
-  let chaos = Option.map parse_chaos sup.chaos in
-  if chaos <> None && passes = None && level = None then begin
-    Fmt.epr "--chaos needs a pipeline to inject into (pass -O or --passes)@.";
-    exit 1
-  end;
+  let config = harness_config sup in
   try
-    match passes with
-    | Some spec -> begin
-      match Epre.Passes.parse_sequence spec with
-      | Error name ->
-        Fmt.epr "unknown pass %S (see `eprec passes`)@." name;
-        exit 1
-      | Ok ps when supervised sup ->
-        let named = List.map Epre.Passes.to_named ps in
-        let named =
-          match chaos with
-          | None -> named
-          | Some (pos, np) -> Epre.Pipeline.splice named ~at:pos np
-        in
-        let records =
-          Epre_harness.Harness.supervise ~dump:hooks.Epre.Pipeline.dump
-            (harness_config sup) ~passes:named prog
-        in
-        print_report sup Fmt.stderr records;
-        []
-      | Ok ps ->
-        Epre.Passes.run_sequence ps prog;
-        []
-    end
-    | None -> begin
-      match level with
-      | None -> []
-      | Some level when supervised sup ->
-        let inject = Option.to_list chaos in
-        let stats, records =
-          Epre.Pipeline.optimize_supervised ~hooks ~inject
-            ~config:(harness_config sup) ~level prog
-        in
-        print_report sup Fmt.stderr records;
-        stats
-      | Some level -> Epre.Pipeline.optimize ~hooks ~level prog
-    end
-  with Epre_harness.Harness.Supervision_failed record ->
+    match pass_sequence ~level ~passes ~chaos:sup.chaos with
+    | None -> []
+    | Some (`Passes named) when supervised sup ->
+      print_report sup Fmt.stderr
+        (Epre_harness.Harness.supervise ~dump:hooks.Epre.Pipeline.dump config
+           ~passes:named prog);
+      []
+    | Some (`Level (level, inject)) when supervised sup ->
+      let stats, records =
+        Epre.Pipeline.optimize_supervised ~hooks ~inject ~config ~level prog
+      in
+      print_report sup Fmt.stderr records;
+      stats
+    | Some (`Passes named) ->
+      Epre.Pipeline.run_passes ~hooks named prog;
+      []
+    | Some (`Level (level, _)) -> Epre.Pipeline.optimize ~hooks ~level prog
+  with
+  | Epre_harness.Harness.Supervision_failed record ->
     Fmt.epr "supervision failed: %s@." (Epre_harness.Report.record_to_line record);
     print_report sup Fmt.stderr [ record ];
+    exit 1
+  | e ->
+    let reason =
+      match e with
+      | Epre_ir.Routine.Ill_formed m -> Epre_harness.Harness.Ir_violation m
+      | e -> Epre_harness.Harness.Pass_exception (Printexc.to_string e)
+    in
+    Fmt.epr "eprec: optimization failed: %s@."
+      (Epre_harness.Harness.reason_to_string reason);
     exit 1
 
 let format_arg =
@@ -458,7 +459,7 @@ let compile_cmd =
   let run file level trace passes format sup tel stats =
     let prog = compile_source file in
     let pipeline_stats =
-      with_telemetry tel (fun () -> optimize ?level ?passes ~trace ~sup prog)
+      with_telemetry tel (fun () -> optimize ~level ~passes ~trace ~sup prog)
     in
     if stats && tel.metrics = None then print_stats pipeline_stats;
     emit_metrics tel pipeline_stats;
@@ -485,7 +486,7 @@ let run_cmd =
     in
     let outcome =
       with_telemetry tel (fun () ->
-          let pipeline_stats = optimize ?level ?passes ~trace ~sup prog in
+          let pipeline_stats = optimize ~level ~passes ~trace ~sup prog in
           if stats && tel.metrics = None then print_stats pipeline_stats;
           emit_metrics tel pipeline_stats;
           match interp () with
@@ -536,29 +537,25 @@ let bisect_cmd =
   let bisect_file_arg =
     Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE")
   in
-  let run file workload level passes_spec sup =
+  let run file workload level passes sup =
     let _, compile =
       program_input file workload
         ~usage:"bisect needs exactly one input: FILE or --workload NAME"
     in
     let prog = compile () in
     let named =
-      match passes_spec with
-      | Some spec -> begin
-        match Epre.Passes.parse_sequence spec with
-        | Ok ps -> List.map Epre.Passes.to_named ps
-        | Error name ->
-          Fmt.epr "unknown pass %S (see `eprec passes`)@." name;
-          exit 1
-      end
-      | None ->
-        let level = Option.value level ~default:Epre.Pipeline.Partial in
-        let base = Epre.Pipeline.level_passes ~level in
-        (match sup.chaos with
-        | None -> base
-        | Some spec ->
-          let at, np = parse_chaos spec in
-          Epre.Pipeline.splice base ~at np)
+      match
+        pass_sequence
+          ~level:(Some (Option.value level ~default:Epre.Pipeline.Partial))
+          ~passes ~chaos:sup.chaos
+      with
+      | Some (`Passes named) -> named
+      | Some (`Level (level, inject)) ->
+        List.fold_left
+          (fun ps (at, np) -> Epre.Pipeline.splice ps ~at np)
+          (Epre.Pipeline.level_passes ~level)
+          inject
+      | None -> []
     in
     match Epre_harness.Bisect.run ~passes:named prog with
     | Some failure -> Fmt.pr "%a@." Epre_harness.Bisect.pp_failure failure
@@ -679,14 +676,9 @@ let fuzz_cmd =
     end
     | None ->
       (* Validate --chaos before spending any time generating. *)
-      (match chaos with
-      | None -> ()
-      | Some spec -> (
-        match Epre_fuzz.Campaign.parse_chaos spec with
-        | Ok _ -> ()
-        | Error m ->
-          Fmt.epr "%s (see `eprec passes`)@." m;
-          exit 1));
+      Option.iter
+        (fun spec -> ignore (registry_ok (Epre_harness.Chaos.parse_spec spec)))
+        chaos;
       let config =
         { Epre_fuzz.Campaign.default_config with
           runs; seed; max_size; reduce; chaos;
@@ -1447,7 +1439,9 @@ let workloads_cmd =
       (* Parse --chaos once, eagerly: a typo must error before any worker
          runs, and workers must not call exit. *)
       let inject =
-        match sup.chaos with None -> [] | Some spec -> [ parse_chaos spec ]
+        match pass_sequence ~level:(Some level) ~passes:None ~chaos:sup.chaos with
+        | Some (`Level (_, inject)) -> inject
+        | _ -> []
       in
       (* Each workload is an independent program, so the whole check —
          optimize (even Exec-validated), verify, interpret — fans across

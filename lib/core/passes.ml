@@ -115,14 +115,3 @@ let parse_sequence spec =
     end
   in
   go [] names
-
-(** Run passes over every routine of a program, validating after each. *)
-let run_sequence passes (p : Program.t) =
-  List.iter
-    (fun pass ->
-      List.iter
-        (fun r ->
-          pass.run r;
-          Routine.validate r)
-        (Program.routines p))
-    passes

@@ -1,6 +1,12 @@
 (** The pass registry: every optimizer pass under its command-line name,
     powering [eprec --passes] and mirroring the paper's
-    passes-as-Unix-filters architecture. *)
+    passes-as-Unix-filters architecture.
+
+    The registry only names and resolves passes; it does not run them.
+    A parsed sequence goes through {!to_named} to one of the two runners
+    the levels use: [Pipeline.run_passes] (routine-major, bare, validated
+    once per routine at the end) or [Epre_harness.Harness.supervise]
+    (pass-major, checked after every application: [--safe], [bisect]). *)
 
 open Epre_ir
 
@@ -24,7 +30,3 @@ val to_named : pass -> Epre_harness.Harness.named_pass
 (** Resolve a comma-separated sequence; [Error name] on the first unknown
     pass. *)
 val parse_sequence : string -> (pass list, string) result
-
-(** Run passes over every routine, validating after each.
-    @raise Routine.Ill_formed if a pass breaks the IR. *)
-val run_sequence : pass list -> Program.t -> unit

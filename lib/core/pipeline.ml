@@ -296,10 +296,11 @@ let fingerprint ~level =
   Printf.sprintf "epre-pipeline-v1|%s|%s" (level_to_string level)
     (String.concat "," stages)
 
-let optimize_routine ?(hooks = no_hooks) ?(poll = fun () -> ())
-    ?(wrap = fun passes -> passes) ~level (r : Routine.t) =
-  let acc = fresh_acc () in
-  let passes = wrap (level_passes_into ~level ~acc_for:(fun _ -> acc)) in
+(* The routine-major runner: the one loop that applies a pass sequence
+   bare, for the levels and for registry sequences alike. Each pass gets
+   a span (and its [pass.<name>] histogram) and a dump; the routine is
+   validated once, after the last pass. *)
+let run_routine ~hooks ~poll passes (r : Routine.t) =
   Epre_telemetry.Telemetry.Span.with_ ~kind:"routine" ~routine:r
     ~name:r.Routine.name (fun () ->
       List.iter
@@ -314,7 +315,12 @@ let optimize_routine ?(hooks = no_hooks) ?(poll = fun () -> ())
               np.Epre_harness.Harness.run r);
           hooks.dump np.Epre_harness.Harness.pass_name r)
         passes;
-      Routine.validate r);
+      Routine.validate r)
+
+let optimize_routine ?(hooks = no_hooks) ?(poll = fun () -> ())
+    ?(wrap = fun passes -> passes) ~level (r : Routine.t) =
+  let acc = fresh_acc () in
+  run_routine ~hooks ~poll (wrap (level_passes_into ~level ~acc_for:(fun _ -> acc))) r;
   let stats = stats_of_acc ~routine:r.Routine.name acc in
   record_metrics stats;
   stats
@@ -324,6 +330,10 @@ let optimize ?hooks ~level (p : Program.t) =
   Epre_telemetry.Telemetry.Span.with_ ~kind:"pipeline"
     ~name:(level_to_string level) (fun () ->
       List.map (optimize_routine ?hooks ~level) (Program.routines p))
+
+let run_passes ~hooks passes (p : Program.t) =
+  Epre_telemetry.Telemetry.Span.with_ ~kind:"pipeline" ~name:"passes" (fun () ->
+      List.iter (run_routine ~hooks ~poll:ignore passes) (Program.routines p))
 
 (** Convenience: copy, optimize the copy, return it with the stats. *)
 let optimized_copy ?hooks ~level (p : Program.t) =

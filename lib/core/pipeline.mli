@@ -13,17 +13,18 @@
     the paper's optimizer; passes that need SSA build and destroy it
     internally.
 
-    A level's sequence runs either bare ([optimize] — one broken pass
-    aborts the run) or supervised ([optimize_supervised] — each pass is
-    checkpointed, validated, and rolled back on failure; see
-    [Epre_harness.Harness]).
+    A sequence runs bare and routine-major (the levels' [optimize] and
+    registry sequences' [run_passes] share one loop; a broken pass aborts
+    the run, [Routine.validate] checks each routine after its last pass)
+    or checked and pass-major ([optimize_supervised], over
+    [Epre_harness.Harness.supervise]: each application is checkpointed,
+    verified and rolled back on failure).
 
-    Both entry points are traced: when a telemetry recorder is installed
-    ([Epre_telemetry.Telemetry]), each run opens a ["pipeline"] span and
-    one ["pass"] span per (routine, stage), and the per-routine statistics
-    are mirrored into the [Epre_telemetry.Metrics] counters registry
-    (names like ["constprop.constants_folded"]; the registry is live even
-    without a recorder). *)
+    Each (routine, pass) application closes a ["pass"] span, which times
+    the [pass.<name>] histogram; spans are kept while
+    [Epre_telemetry.Recorder] records. A level's per-routine statistics
+    are mirrored into the always-live [Epre_telemetry.Metrics] registry
+    (names like ["constprop.constants_folded"]). *)
 
 open Epre_ir
 
@@ -122,6 +123,13 @@ val optimize_routine :
   level:level ->
   Routine.t ->
   routine_stats
+
+(** Run a pass sequence (registry passes, [Epre.Passes]) over every
+    routine in place, through the levels' routine-major runner; no
+    statistics. @raise Routine.Ill_formed when a routine fails its end
+    validation; a pass's own exception propagates. *)
+val run_passes :
+  hooks:hooks -> Epre_harness.Harness.named_pass list -> Program.t -> unit
 
 (** Optimize a whole program in place; per-routine statistics. *)
 val optimize : ?hooks:hooks -> level:level -> Program.t -> routine_stats list

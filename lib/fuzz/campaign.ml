@@ -27,26 +27,6 @@ let default_config =
     chaos = None; reduce = true; corpus_dir = None; fuel = 1_000_000;
     pinpoint = false; jobs = 1 }
 
-let parse_chaos spec =
-  let name, pos =
-    match String.index_opt spec '@' with
-    | None -> (spec, Ok 0)
-    | Some i ->
-      ( String.sub spec 0 i,
-        match
-          int_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1))
-        with
-        | Some p when p >= 0 -> Ok p
-        | _ -> Error (Printf.sprintf "bad chaos position in %S" spec) )
-  in
-  match pos with
-  | Error _ as e -> e
-  | Ok pos -> (
-    match Chaos.of_name name with
-    | Some kind ->
-      Ok (pos, { Harness.pass_name = name; run = Chaos.run kind })
-    | None -> Error (Printf.sprintf "unknown chaos pass %S" name))
-
 let compile_ast ast =
   match Frontend.compile_string (Ast_ops.print_program ast) with
   | prog -> Some prog
@@ -145,7 +125,7 @@ let run ?(log = ignore) (config : config) =
     match config.chaos with
     | None -> None
     | Some spec -> (
-      match parse_chaos spec with
+      match Chaos.parse_spec spec with
       | Ok c -> Some c
       | Error m -> invalid_arg ("Campaign.run: " ^ m))
   in
@@ -288,7 +268,7 @@ let replay ?(fuel = default_config.fuel) dir =
         let chaos =
           match entry.Corpus.chaos with
           | None -> Ok None
-          | Some spec -> Result.map Option.some (parse_chaos spec)
+          | Some spec -> Result.map Option.some (Chaos.parse_spec spec)
         in
         match chaos with
         | Error m -> Broken m

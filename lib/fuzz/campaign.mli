@@ -22,7 +22,8 @@ type config = {
   levels : Epre.Pipeline.level list;
   chaos : string option;
       (** [NAME\[@POS\]] fault spliced into every checked level — the
-          oracle self-test mode. Must satisfy {!parse_chaos}. *)
+          oracle self-test mode. Must satisfy
+          [Epre_harness.Chaos.parse_spec]. *)
   reduce : bool;
   corpus_dir : string option;  (** [None]: don't persist reproducers *)
   fuel : int;
@@ -40,11 +41,6 @@ type config = {
 (** 200 runs, seed 0, size 30, every level, no chaos, reduction on,
     no corpus dir, fuel 1e6, no pinpointing, 1 job. *)
 val default_config : config
-
-(** Same spelling as [eprec --chaos]: ["chaos:drop-instr@2"], position
-    defaulting to 0. *)
-val parse_chaos :
-  string -> (int * Epre_harness.Harness.named_pass, string) result
 
 (** The reducer's oracle for one failure signature: the candidate
     prints, compiles, and {!Oracle.check} (restricted to [level], no
@@ -71,7 +67,7 @@ type summary = {
 (** [run config] executes the campaign. [log] receives one progress line
     per failing case (and nothing else).
     @raise Invalid_argument when [config.chaos] does not parse — the CLI
-    validates first via {!parse_chaos}. *)
+    validates first via [Epre_harness.Chaos.parse_spec]. *)
 val run : ?log:(string -> unit) -> config -> summary
 
 (** Deterministic verdict document: counts by class plus the failure

@@ -111,7 +111,7 @@ let pinpoint config prog level f =
     { f with
       culprit = Some c;
       pass = c.Bisect.pass;
-      routine = Option.value c.Bisect.routine ~default:f.routine }
+      routine = c.Bisect.routine }
 
 let check config prog =
   match Harness.observe_counted ~fuel:config.fuel prog with

@@ -1,11 +1,11 @@
-(** Pass-sequence bisection. See the interface for the oracle. *)
+(** Pass-sequence bisection over the harness. See the interface. *)
 
 open Epre_ir
 
 type failure = {
   index : int;
   pass : string;
-  routine : string option;
+  routine : string;
   reason : Harness.reason;
   delta : (string * string) list;
 }
@@ -40,82 +40,53 @@ let diff_lines before after =
   walk 0 0;
   Buffer.contents buf
 
-let print_routine = Pp.routine_to_string
-
-let check_ir (r : Routine.t) =
-  match
-    Routine.validate r;
-    if r.Routine.in_ssa then Epre_ssa.Ssa_check.check r
-  with
-  | () -> Ok ()
-  | exception Routine.Ill_formed m -> Error m
-  | exception Epre_ssa.Ssa_check.Not_ssa m -> Error m
-
 let run ?(fuel = Epre_interp.Interp.default_fuel) ~passes (prog : Program.t) =
-  let p = Program.copy prog in
-  let obs0, count = Harness.observe_counted ~fuel p in
-  let check_fuel =
-    match count with Some n -> min fuel ((4 * n) + 10_000) | None -> fuel
+  let config =
+    { Harness.validation = Harness.Exec; fuel; keep_going = false; audit = false }
   in
-  let current_obs = ref obs0 in
-  let result = ref None in
-  let fail index (np : Harness.named_pass) routine reason ~before_texts =
-    let delta =
-      List.filter_map
-        (fun (r : Routine.t) ->
-          let before = List.assoc r.Routine.name before_texts in
-          let after = print_routine r in
-          if before = after then None
-          else Some (r.Routine.name, diff_lines before after))
-        (Program.routines p)
+  (* [dump] fires once per (pass, routine) application, in pass-major
+     order, so the count at the failure locates the culprit pass. *)
+  let applications = ref 0 in
+  match
+    Harness.supervise ~dump:(fun _ _ -> incr applications) config ~passes
+      (Program.copy prog)
+  with
+  | _records -> None
+  | exception Harness.Supervision_failed record ->
+    let reason =
+      match record.Harness.outcome with
+      | Harness.Rolled_back reason -> reason
+      | Harness.Passed -> assert false
     in
-    result := Some { index; pass = np.Harness.pass_name; routine; reason; delta }
-  in
-  let rec go index = function
-    | [] -> ()
-    | (np : Harness.named_pass) :: rest ->
-      let before_texts =
-        List.map
-          (fun (r : Routine.t) -> (r.Routine.name, print_routine r))
-          (Program.routines p)
-      in
-      let routine_failure =
-        List.find_map
-          (fun (r : Routine.t) ->
-            match np.Harness.run r with
-            | exception e ->
-              Some (Some r.Routine.name, Harness.Pass_exception (Printexc.to_string e))
-            | () -> begin
-              match check_ir r with
-              | Ok () -> None
-              | Error m -> Some (Some r.Routine.name, Harness.Ir_violation m)
-            end)
-          (Program.routines p)
-      in
-      (match routine_failure with
-      | Some (routine, reason) -> fail index np routine reason ~before_texts
-      | None -> begin
-        let after = Harness.observe ~fuel:check_fuel p in
-        if Harness.obs_equal !current_obs after then begin
-          current_obs := after;
-          go (index + 1) rest
-        end
-        else
-          fail index np None
-            (Harness.Behaviour_mismatch
-               (Printf.sprintf "observable behaviour changed after pass %d" index))
-            ~before_texts
-      end)
-  in
-  go 0 passes;
-  !result
+    let index = (!applications - 1) / List.length (Program.routines prog) in
+    let culprit = List.nth passes index in
+    (* The supervised run rolled the culprit back, so replay for the
+       delta: the known-good prefix on a fresh copy, then the culprit
+       over each routine up to the failing one. *)
+    let p = Program.copy prog in
+    ignore
+      (Harness.supervise { config with validation = Harness.Off }
+         ~passes:(List.filteri (fun i _ -> i < index) passes) p);
+    let rec apply = function
+      | [] -> []
+      | (r : Routine.t) :: rest ->
+        let before = Pp.routine_to_string r in
+        (try culprit.Harness.run r with _ -> ());
+        let after = Pp.routine_to_string r in
+        let changed =
+          if before = after then []
+          else [ (r.Routine.name, diff_lines before after) ]
+        in
+        if r.Routine.name = record.Harness.routine then changed
+        else changed @ apply rest
+    in
+    Some
+      { index; pass = record.Harness.pass; routine = record.Harness.routine;
+        reason; delta = apply (Program.routines p) }
 
 let pp_failure ppf f =
-  Format.fprintf ppf "minimal failing prefix: %d pass%s; culprit: #%d %s%s@."
-    (f.index + 1)
-    (if f.index = 0 then "" else "es")
-    f.index f.pass
-    (match f.routine with Some r -> " (routine " ^ r ^ ")" | None -> "");
+  Format.fprintf ppf "minimal failing prefix: %d pass%s; culprit: #%d %s (routine %s)@."
+    (f.index + 1) (if f.index = 0 then "" else "es") f.index f.pass f.routine;
   Format.fprintf ppf "reason: %s@." (Harness.reason_to_string f.reason);
   List.iter
     (fun (name, diff) ->

@@ -139,10 +139,22 @@ let run ?seed kind r =
   | Break_phi -> break_phi st r
   | Detach_edge -> detach_edge st r
 
-let named_passes () =
-  List.map
-    (fun k -> { Harness.pass_name = name k; run = (fun r -> run k r) })
-    all_kinds
+let parse_spec spec =
+  let name, pos =
+    match String.index_opt spec '@' with
+    | None -> (spec, Ok 0)
+    | Some i ->
+      ( String.sub spec 0 i,
+        match
+          int_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1))
+        with
+        | Some p when p >= 0 -> Ok p
+        | _ -> Error (Printf.sprintf "bad chaos position in %S" spec) )
+  in
+  match (pos, of_name name) with
+  | (Error _ as e), _ -> e
+  | Ok pos, Some kind -> Ok (pos, { Harness.pass_name = name; run = run kind })
+  | Ok _, None -> Error (Printf.sprintf "unknown chaos pass %S" name)
 
 (* ------------------------------------------------------------------ *)
 (* Service-layer faults *)

@@ -39,8 +39,11 @@ val default_seed : int ref
     [(seed, routine name)] pair. Defaults to [!default_seed]. *)
 val run : ?seed:int -> kind -> Routine.t -> unit
 
-(** The four kinds as harness passes (seed read at call time). *)
-val named_passes : unit -> Harness.named_pass list
+(** Parse a [--chaos] spec, ["chaos:drop-instr@2"]: the 0-based position
+    to splice at (default 0) and the kind as a harness pass (seed read at
+    call time). [Error] on a missing, malformed or negative position and
+    on a name that is not one of {!all_kinds}. *)
+val parse_spec : string -> (int * Harness.named_pass, string) result
 
 (** {1 Service-layer faults}
 

@@ -90,7 +90,7 @@ type obs = (Value.t option * Value.t list, string) result
 val observe : fuel:int -> Program.t -> obs
 
 (** [observe] plus the run's dynamic operation count when it succeeded —
-    the harness and [Bisect] derive a bounded re-check budget from it. *)
+    the harness and the fuzz oracle derive a re-check budget from it. *)
 val observe_counted : fuel:int -> Program.t -> obs * int option
 
 (** Value equality up to floating-point reassociation noise: exact

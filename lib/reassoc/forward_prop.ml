@@ -169,9 +169,33 @@ let run ~(config : Expr_tree.config) (r : Routine.t) =
   let width = max 1 r.Routine.next_reg in
   let anchor = Array.make width false in
   List.iter (fun p -> anchor.(p) <- true) r.Routine.params;
-  let def_instr = Array.make width None in
+  let def_instr = Array.init width (Defuse.def_instr du) in
+  (* A phi whose arguments other than itself all name one value merges
+     nothing: make it a copy of that value, so trees trace through it.
+     Anchoring it would leave a second run work to do, once the phi's
+     self-copy is gone. One such phi can make another trivial (nested
+     loops), hence the fixpoint. *)
+  let rec root v =
+    match def_instr.(v) with Some (Instr.Copy { src; _ }) -> root src | _ -> v
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iteri
+      (fun v -> function
+        | Some (Instr.Phi { dst; args }) -> (
+          match
+            List.sort_uniq compare
+              (List.filter (( <> ) dst) (List.map (fun (_, a) -> root a) args))
+          with
+          | [ src ] ->
+            def_instr.(v) <- Some (Instr.Copy { dst; src });
+            changed := true
+          | _ -> ())
+        | _ -> ())
+      def_instr
+  done;
   for v = 0 to width - 1 do
-    def_instr.(v) <- Defuse.def_instr du v;
     match def_instr.(v) with
     | Some (Instr.Phi _ | Instr.Load _ | Instr.Call _ | Instr.Alloca _) -> anchor.(v) <- true
     | Some (Instr.Const _ | Instr.Copy _ | Instr.Unop _ | Instr.Binop _ | Instr.Store _)

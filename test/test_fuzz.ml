@@ -22,7 +22,7 @@ let chaos_spec = "chaos:drop-instr@2"
 let chaos_config =
   { Fuzz.Oracle.default_config with
     chaos =
-      (match Fuzz.Campaign.parse_chaos chaos_spec with
+      (match Epre_harness.Chaos.parse_spec chaos_spec with
       | Ok c -> Some c
       | Error m -> failwith m);
     chaos_name = Some chaos_spec;
@@ -269,14 +269,6 @@ let test_campaign_chaos_end_to_end () =
     | Some (Epre_telemetry.Tjson.Obj (_ :: _)) -> ()
     | _ -> Alcotest.fail "summary lacks class counts")
 
-let test_parse_chaos_errors () =
-  (match Fuzz.Campaign.parse_chaos "chaos:drop-instr@banana" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad position accepted");
-  match Fuzz.Campaign.parse_chaos "not-a-pass" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown pass accepted"
-
 let suite =
   [
     Alcotest.test_case "generator: deterministic" `Quick test_generator_deterministic;
@@ -297,5 +289,4 @@ let suite =
       test_campaign_deterministic;
     Alcotest.test_case "campaign: chaos end to end" `Quick
       test_campaign_chaos_end_to_end;
-    Alcotest.test_case "campaign: chaos spec errors" `Quick test_parse_chaos_errors;
   ]

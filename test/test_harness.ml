@@ -328,35 +328,77 @@ let test_chaos_is_seed_deterministic () =
   Alcotest.(check bool) "chaos corrupts under some seed" true
     (corrupt 7 <> corrupt 8 || corrupt 7 <> corrupt 9)
 
+(* --- chaos specs ---------------------------------------------------------- *)
+
+let test_chaos_parse_spec () =
+  List.iter
+    (fun (spec, expected) ->
+      let got =
+        match Chaos.parse_spec spec with
+        | Ok (at, np) -> Ok (at, np.Harness.pass_name)
+        | Error m -> Error m
+      in
+      Alcotest.(check (result (pair int string) string)) spec expected got)
+    [ ("chaos:drop-instr", Ok (0, "chaos:drop-instr"));
+      ("chaos:swap-operands@3", Ok (3, "chaos:swap-operands"));
+      ("chaos:drop-instr@-1", Error "bad chaos position in \"chaos:drop-instr@-1\"");
+      ("chaos:drop-instr@x", Error "bad chaos position in \"chaos:drop-instr@x\"");
+      ("chaos:no-such-fault", Error "unknown chaos pass \"chaos:no-such-fault\"");
+      ("pre@1", Error "unknown chaos pass \"pre\"") ]
+
 (* --- bisection --------------------------------------------------------- *)
 
+(* Bisection is supervision at the [Exec] tier that stops at the first
+   rollback, so its culprit must be exactly the first rolled-back record
+   of a [--safe] run over the same sequence. *)
 let test_bisect_finds_injected_pass () =
-  let w = Option.get (Epre_workloads.Workloads.find "dot") in
-  let prog = Epre_workloads.Workloads.compile w in
+  let constructor = function
+    | Harness.Pass_exception _ -> "pass exception"
+    | Harness.Ir_violation _ -> "ir violation"
+    | Harness.Behaviour_mismatch _ -> "behaviour mismatch"
+  in
   List.iter
-    (fun (kind, position) ->
-      let base = Epre.Pipeline.level_passes ~level:Epre.Pipeline.Partial in
-      let rec splice i = function
-        | rest when i = position -> chaos_pass kind :: rest
-        | [] -> [ chaos_pass kind ]
-        | x :: rest -> x :: splice (i + 1) rest
+    (fun workload ->
+      let prog =
+        Epre_workloads.Workloads.compile
+          (Option.get (Epre_workloads.Workloads.find workload))
       in
-      let passes = splice 0 base in
-      match Bisect.run ~passes prog with
-      | None -> Alcotest.failf "%s: bisect found nothing" (Chaos.name kind)
-      | Some failure ->
-        Alcotest.(check string)
-          (Chaos.name kind ^ ": culprit name")
-          (Chaos.name kind) failure.Bisect.pass;
-        Alcotest.(check int)
-          (Chaos.name kind ^ ": culprit position")
-          position failure.Bisect.index;
-        Alcotest.(check bool)
-          (Chaos.name kind ^ ": IR delta shown")
-          true
-          (failure.Bisect.delta <> []))
-    [ (Chaos.Drop_instr, 0); (Chaos.Swap_operands, 1); (Chaos.Break_phi, 2);
-      (Chaos.Detach_edge, 3) ]
+      List.iter
+        (fun (kind, position) ->
+          let what = workload ^ "/" ^ Chaos.name kind in
+          let passes =
+            Epre.Pipeline.splice
+              (Epre.Pipeline.level_passes ~level:Epre.Pipeline.Partial)
+              ~at:position (chaos_pass kind)
+          in
+          let _, records =
+            Epre.Pipeline.optimize_supervised
+              ~inject:[ (position, chaos_pass kind) ]
+              ~config:exec_config ~level:Epre.Pipeline.Partial
+              (Program.copy prog)
+          in
+          match (Bisect.run ~passes prog, Harness.rolled_back records) with
+          | None, _ -> Alcotest.failf "%s: bisect found nothing" what
+          | Some _, [] -> Alcotest.failf "%s: supervision rolled nothing back" what
+          | Some failure, first :: _ ->
+            Alcotest.(check string) (what ^ ": culprit name") (Chaos.name kind)
+              failure.Bisect.pass;
+            Alcotest.(check int) (what ^ ": culprit position") position
+              failure.Bisect.index;
+            Alcotest.(check string) (what ^ ": pass as supervised")
+              first.Harness.pass failure.Bisect.pass;
+            Alcotest.(check string) (what ^ ": routine as supervised")
+              first.Harness.routine failure.Bisect.routine;
+            Alcotest.(check string) (what ^ ": reason as supervised")
+              (match first.Harness.outcome with
+              | Harness.Rolled_back reason -> constructor reason
+              | Harness.Passed -> "passed")
+              (constructor failure.Bisect.reason);
+            Alcotest.(check bool) (what ^ ": IR delta shown") true
+              (failure.Bisect.delta <> []))
+        [ (Chaos.Drop_instr, 0); (Chaos.Swap_operands, 1); (Chaos.Break_phi, 2);
+          (Chaos.Detach_edge, 3) ])
+    [ "dot"; "euclid" ]
 
 let test_bisect_healthy_sequence () =
   let w = Option.get (Epre_workloads.Workloads.find "saxpy") in
@@ -474,6 +516,7 @@ let suite =
       test_report_lists_exactly_the_failures;
     Alcotest.test_case "chaos is seed-deterministic" `Quick
       test_chaos_is_seed_deterministic;
+    Alcotest.test_case "chaos spec parsing" `Quick test_chaos_parse_spec;
     Alcotest.test_case "bisect finds the injected pass" `Slow
       test_bisect_finds_injected_pass;
     Alcotest.test_case "bisect on a healthy sequence" `Quick test_bisect_healthy_sequence;

@@ -69,6 +69,14 @@ let test_chaos_entries_registered () =
           (Option.is_some (Epre_harness.Chaos.of_name p.Epre.Passes.name)))
     Epre.Passes.all
 
+let ten_pass_sequence =
+  "distribute,gvn,pre,strength,constprop,peephole-shift,dvnt,dce,coalesce,clean"
+
+let parse_ten () =
+  match Epre.Passes.parse_sequence ten_pass_sequence with
+  | Ok ps -> ps
+  | Error n -> Alcotest.failf "unknown pass %s" n
+
 let test_custom_sequence_end_to_end () =
   let prog =
     Helpers.compile
@@ -84,12 +92,31 @@ fn main(): int {
 |}
   in
   let reference = Helpers.run_int prog in
-  match Epre.Passes.parse_sequence "distribute,gvn,pre,strength,constprop,peephole-shift,dvnt,dce,coalesce,clean" with
-  | Error n -> Alcotest.failf "unknown pass %s" n
-  | Ok ps ->
-    Epre.Passes.run_sequence ps prog;
-    Alcotest.(check int) "semantics through a 10-pass custom pipeline" reference
-      (Helpers.run_int prog)
+  Epre.Pipeline.run_passes ~hooks:Epre.Pipeline.no_hooks
+    (List.map Epre.Passes.to_named (parse_ten ()))
+    prog;
+  Alcotest.(check int) "semantics through a 10-pass custom pipeline" reference
+    (Helpers.run_int prog)
+
+(* Registry passes transform one routine at a time, so the execution order
+   must not matter: the routine-major runner and a plain pass-major loop
+   produce the same ILOC text. *)
+let test_runner_order_irrelevant () =
+  let ps = parse_ten () in
+  List.iter
+    (fun w ->
+      let routine_major = Epre_workloads.Workloads.compile w in
+      Epre.Pipeline.run_passes ~hooks:Epre.Pipeline.no_hooks
+        (List.map Epre.Passes.to_named ps)
+        routine_major;
+      let pass_major = Epre_workloads.Workloads.compile w in
+      List.iter
+        (fun pass -> List.iter pass.Epre.Passes.run (Program.routines pass_major))
+        ps;
+      Alcotest.(check string) w.Epre_workloads.Workloads.name
+        (Ir_text.print_program pass_major)
+        (Ir_text.print_program routine_major))
+    Epre_workloads.Workloads.all
 
 let suite =
   [
@@ -100,4 +127,6 @@ let suite =
       test_every_pass_preserves_behaviour;
     Alcotest.test_case "chaos entries registered" `Quick test_chaos_entries_registered;
     Alcotest.test_case "custom 10-pass pipeline" `Quick test_custom_sequence_end_to_end;
+    Alcotest.test_case "runner order does not change the ILOC" `Quick
+      test_runner_order_irrelevant;
   ]

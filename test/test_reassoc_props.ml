@@ -176,6 +176,24 @@ let stable_under_rerun ~config label =
 
 let cfg_plain = Epre.Pipeline.reassoc_config ~distribute:false
 
+(* Generator seeds whose [main] has phis that merge one value with
+   themselves. The first run must propagate through them: anchoring there
+   leaves the second run work to do (647 -> 673, 390 -> 392, 578 -> 581
+   and 271 -> 272 operations), since it no longer sees those phis. *)
+let test_rerun_regression_seeds () =
+  List.iter
+    (fun seed ->
+      let prog = reassociate ~config:cfg_plain (compile seed) in
+      List.iter
+        (fun (r : Routine.t) ->
+          let again = Reassociate.run ~config:cfg_plain r in
+          if again.Reassociate.after_ops > again.Reassociate.before_ops then
+            Alcotest.failf "seed %d %s: second run grew the operation count %d -> %d"
+              seed r.Routine.name again.Reassociate.before_ops
+              again.Reassociate.after_ops)
+        (Program.routines prog))
+    [ 126003780; 59401782; 106003180; 244331623 ]
+
 let cfg_dist = Epre.Pipeline.reassoc_config ~distribute:true
 
 let suite =
@@ -186,4 +204,6 @@ let suite =
       "canonical under distribution too";
     stable_under_rerun ~config:cfg_plain
       "second run does not grow the code";
+    Alcotest.test_case "second run: former growth seeds" `Quick
+      test_rerun_regression_seeds;
   ]
