@@ -59,16 +59,21 @@ type named_pass = { pass_name : string; run : Routine.t -> unit }
 
 type obs = (Value.t option * Value.t list, string) result
 
-(* Observable behaviour plus the dynamic operation count (for fuel
-   adaptation); [Error] carries the reason interpretation failed. *)
-let observe_counted ~fuel p =
+(* Observable behaviour plus the run's dynamic counts; [Error] carries
+   the reason interpretation failed. *)
+let observe_run ~fuel p =
   match Epre_interp.Interp.run ~fuel p ~entry:"main" ~args:[] with
   | r ->
     ( Ok (r.Epre_interp.Interp.return_value, r.Epre_interp.Interp.trace),
-      Some (Epre_interp.Counts.total r.Epre_interp.Interp.counts) )
+      Some r.Epre_interp.Interp.counts )
   | exception Epre_interp.Interp.Runtime_error m -> (Error ("runtime error: " ^ m), None)
   | exception Epre_interp.Interp.Out_of_fuel -> (Error "out of fuel", None)
   | exception Invalid_argument m -> (Error m, None)
+
+(* The dynamic operation count feeds fuel adaptation. *)
+let observe_counted ~fuel p =
+  let obs, counts = observe_run ~fuel p in
+  (obs, Option.map Epre_interp.Counts.total counts)
 
 let observe ~fuel p = fst (observe_counted ~fuel p)
 
@@ -123,12 +128,19 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
      so a pass that introduces an infinite loop burns seconds, not the full
      [config.fuel]. *)
   let check_fuel = ref config.fuel in
+  (* Whether a run under [check_fuel] reproduces [current_obs]: always,
+     unless the reference run burned more fuel (phi moves count too) than
+     the budget derived from its operation count. *)
+  let reproducible = ref true in
   let current_obs =
     if config.validation = Exec then begin
-      let obs, count = observe_counted ~fuel:config.fuel p in
-      (match count with
-      | Some n -> check_fuel := min config.fuel ((4 * n) + 10_000)
-      | None -> ());
+      let obs, counts = observe_run ~fuel:config.fuel p in
+      Option.iter
+        (fun c ->
+          let n = Epre_interp.Counts.total c in
+          check_fuel := min config.fuel ((4 * n) + 10_000);
+          reproducible := n + c.Epre_interp.Counts.phis <= !check_fuel)
+        counts;
       Some obs
     end
     else None
@@ -201,10 +213,17 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
                 in
                 match !current_obs with
                 | None -> (Passed, meta)
+                (* [current_obs] describes exactly the pre-step program
+                   (a rollback restores it) and, when [reproducible], is
+                   what a run under [check_fuel] gives. The interpreter
+                   is deterministic, so a step that left the routine
+                   equal to its snapshot would observe [before] again. *)
+                | Some _ when !reproducible && Routine.equal r snapshot -> (Passed, meta)
                 | Some before -> begin
                   match observe ~fuel:!check_fuel p with
                   | after when obs_equal before after ->
                     current_obs := Some after;
+                    reproducible := true;
                     (Passed, meta)
                   | after ->
                     roll_back

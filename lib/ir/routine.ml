@@ -29,6 +29,43 @@ let restore r ~from =
   r.next_reg <- from.next_reg;
   r.in_ssa <- from.in_ssa
 
+(* Constants compare bit for bit: [0.0] against [-0.0] is a different
+   program, and so is a NaN with another payload. *)
+let same_value (a : Value.t) (b : Value.t) =
+  match (a, b) with
+  | F x, F y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Value.equal a b
+
+let same_instr a b =
+  match (a, b) with
+  | Instr.Const { dst; value }, Instr.Const { dst = dst'; value = value' } ->
+    dst = dst' && same_value value value'
+  | Instr.Alloca { dst; words; init }, Instr.Alloca { dst = dst'; words = words'; init = init' }
+    ->
+    dst = dst' && words = words' && same_value init init'
+  | _ -> Instr.equal a b
+
+(* [copy] shares each block's instruction list, so a block a pass left
+   alone is usually the very same list. *)
+let same_block (a : Block.t) (b : Block.t) =
+  a.Block.id = b.Block.id
+  && (a.Block.instrs == b.Block.instrs || List.equal same_instr a.Block.instrs b.Block.instrs)
+  && a.Block.term = b.Block.term
+
+let equal a b =
+  let n = Cfg.num_blocks a.cfg in
+  let same_slot i =
+    match (Cfg.find_block a.cfg i, Cfg.find_block b.cfg i) with
+    | None, None -> true
+    | Some x, Some y -> same_block x y
+    | Some _, None | None, Some _ -> false
+  in
+  let rec slots_from i = i = n || (same_slot i && slots_from (i + 1)) in
+  a.name = b.name && a.params = b.params && a.next_reg = b.next_reg && a.in_ssa = b.in_ssa
+  && Cfg.entry a.cfg = Cfg.entry b.cfg
+  && n = Cfg.num_blocks b.cfg
+  && slots_from 0
+
 let fresh_reg r =
   let v = r.next_reg in
   r.next_reg <- v + 1;

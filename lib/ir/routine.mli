@@ -22,6 +22,13 @@ val copy : t -> t
     @raise Invalid_argument when the snapshot is of a different routine. *)
 val restore : t -> from:t -> unit
 
+(** Structural equality: name, parameters, [next_reg], [in_ssa], entry and
+    every block slot (holes included), instruction by instruction. Constant
+    values compare bit for bit, so [0.0] differs from [-0.0]. Cheap on an
+    unchanged [copy]: each block's instruction list is tried with [==]
+    first, since [copy] shares those lists. *)
+val equal : t -> t -> bool
+
 val fresh_reg : t -> Instr.reg
 
 (** Static ILOC operation count — instructions plus terminators, the metric

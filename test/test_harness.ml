@@ -496,6 +496,35 @@ fn main(): float {
 }
 |} ) ]
 
+let test_exec_tier_identity_passes () =
+  (* Passes that leave every routine as it was, sharing its lists or
+     rebuilding them, pass at the exec tier: each step equals its
+     snapshot, so the harness keeps it without interpreting again. *)
+  let passes =
+    [ { Harness.pass_name = "identity"; run = ignore };
+      { Harness.pass_name = "rebuild-lists";
+        run =
+          (fun r ->
+            Cfg.iter_blocks
+              (fun b -> b.Block.instrs <- List.map Fun.id b.Block.instrs)
+              r.Routine.cfg) };
+      { Harness.pass_name = "restore-copy";
+        run = (fun r -> Routine.restore r ~from:(Routine.copy r)) } ]
+  in
+  List.iter
+    (fun name ->
+      let prog = Epre_workloads.Workloads.compile (Option.get (Epre_workloads.Workloads.find name)) in
+      let records = Harness.supervise exec_config ~passes prog in
+      Alcotest.(check int) (name ^ ": one record per step")
+        (List.length passes * List.length (Program.routines prog))
+        (List.length records);
+      List.iter
+        (fun (r : Harness.record) ->
+          Alcotest.(check bool) (name ^ ": " ^ r.Harness.pass ^ " passed") true
+            (r.Harness.outcome = Harness.Passed))
+        records)
+    [ "dot"; "fmin"; "euclid" ]
+
 let suite =
   [
     Alcotest.test_case "chaos x level rotation over all workloads" `Slow
@@ -527,4 +556,6 @@ let suite =
       test_value_close_non_finite;
     Alcotest.test_case "exec tier keeps passes on non-finite output" `Quick
       test_exec_tier_non_finite_no_rollback;
+    Alcotest.test_case "exec tier: identity passes all pass" `Quick
+      test_exec_tier_identity_passes;
   ]

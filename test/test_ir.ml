@@ -224,6 +224,43 @@ let test_op_count () =
   Alcotest.(check int) "op_count" 4 (Routine.op_count r);
   Alcotest.(check int) "instr_count" 3 (Routine.instr_count r)
 
+(* A diamond, [f(c) = c ? 1.0 : 0.0], to edit one piece at a time. *)
+let diamond () =
+  let b = Builder.start ~name:"r" ~nparams:1 in
+  let yes = Builder.new_block b and no = Builder.new_block b in
+  Builder.cbr b ~cond:0 ~ifso:yes ~ifnot:no;
+  Builder.switch b yes;
+  Builder.ret b (Some (Builder.float b 1.0));
+  Builder.switch b no;
+  Builder.ret b (Some (Builder.float b 0.0));
+  Builder.finish b
+
+let test_routine_equal () =
+  let r = diamond () in
+  Alcotest.(check bool) "a copy equals its original" true (Routine.equal r (Routine.copy r));
+  Alcotest.(check bool) "rebuilt lists still equal" true
+    (let c = Routine.copy r in
+     Cfg.iter_blocks (fun b -> b.Block.instrs <- List.map Fun.id b.Block.instrs) c.Routine.cfg;
+     Routine.equal r c);
+  List.iter
+    (fun (what, edit) ->
+      let c = Routine.copy r in
+      edit c;
+      Alcotest.(check bool) what false (Routine.equal r c))
+    [ ("instruction edit",
+       fun c -> (Cfg.block c.Routine.cfg 1).Block.instrs <-
+                  [ Instr.Const { dst = 1; value = Value.F 2.0 } ]);
+      ("0.0 becomes -0.0",
+       fun c -> (Cfg.block c.Routine.cfg 2).Block.instrs <-
+                  [ Instr.Const { dst = 2; value = Value.F (-0.0) } ]);
+      ("terminator edit",
+       fun c -> (Cfg.block c.Routine.cfg 0).Block.term <-
+                  Instr.Cbr { cond = 0; ifso = 2; ifnot = 1 });
+      ("next_reg", fun c -> ignore (Routine.fresh_reg c));
+      ("in_ssa", fun c -> c.Routine.in_ssa <- true);
+      ("removed block", fun c -> Cfg.remove_block c.Routine.cfg 2);
+      ("entry change", fun c -> Cfg.set_entry c.Routine.cfg 1) ]
+
 let suite =
   [
     commutative_law;
@@ -247,4 +284,5 @@ let suite =
     Alcotest.test_case "validate: phi pred mismatch" `Quick test_validate_phi_pred_mismatch;
     Alcotest.test_case "routine: copy independence" `Quick test_routine_copy_independent;
     Alcotest.test_case "routine: op counts" `Quick test_op_count;
+    Alcotest.test_case "routine: structural equality" `Quick test_routine_equal;
   ]

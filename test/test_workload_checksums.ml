@@ -125,9 +125,68 @@ let test_optimized_digest () =
   in
   if wrong <> [] then Alcotest.failf "optimized output changed: %s" (String.concat ", " wrong)
 
+(* Exec-tier supervision records, pinned: per level, an MD5 over the
+   records [Pipeline.optimize_supervised] returns at the [Exec] tier for
+   every kernel in [Workloads.all] order, [duration_ms] dropped, once
+   plain and once with [chaos:swap-operands@1] spliced in. The chaos run's
+   rollback reasons quote the interpreter's observations and error texts,
+   so this holds the exec tier to its exact outcomes. *)
+let golden_exec_records =
+  [
+    ("baseline", ("2fba59b0791038f42cdd7be558d061cc", "e5050accf4cd09ea018b17aaefc778cb"));
+    ("partial", ("82fc290484b0f8d1ce448e706c1959b6", "d5a73176b44746257ee0bebc076a03aa"));
+    ("reassociation", ("bf283afb3457c95dfc7ccabf187a214e", "4883baf109d0fec96c5f285ee4c30978"));
+    ("distribution", ("bf283afb3457c95dfc7ccabf187a214e", "7c3d722d3e8601cf6233f2350b0218f6"));
+  ]
+
+let exec_records_digest ~level ~inject =
+  let module Harness = Epre_harness.Harness in
+  let config = { Harness.default_config with Harness.validation = Harness.Exec } in
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun w ->
+      let prog = Epre_workloads.Workloads.compile w in
+      let _, records = Epre.Pipeline.optimize_supervised ~inject ~config ~level prog in
+      List.iter
+        (fun r ->
+          let fields =
+            match Epre_harness.Report.record_to_tjson r with
+            | Epre_telemetry.Tjson.Obj fs -> List.filter (fun (k, _) -> k <> "duration_ms") fs
+            | _ -> assert false
+          in
+          Buffer.add_string buf w.Epre_workloads.Workloads.name;
+          Buffer.add_char buf ' ';
+          Buffer.add_string buf (Epre_telemetry.Tjson.to_string (Epre_telemetry.Tjson.Obj fields));
+          Buffer.add_char buf '\n')
+        records)
+    Epre_workloads.Workloads.all;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_exec_records_digest () =
+  let module Pipeline = Epre.Pipeline in
+  let chaos =
+    match Epre_harness.Chaos.parse_spec "chaos:swap-operands@1" with
+    | Ok spec -> spec
+    | Error m -> Alcotest.fail m
+  in
+  let wrong =
+    List.concat_map
+      (fun level ->
+        let name = Pipeline.level_to_string level in
+        let want_plain, want_chaos = List.assoc name golden_exec_records in
+        List.filter_map
+          (fun (part, want, got) ->
+            if want = got then None else Some (Printf.sprintf "%s %s (now %s)" name part got))
+          [ ("plain", want_plain, exec_records_digest ~level ~inject:[]);
+            ("chaos", want_chaos, exec_records_digest ~level ~inject:[ chaos ]) ])
+      Pipeline.all_levels
+  in
+  if wrong <> [] then Alcotest.failf "exec-tier records changed: %s" (String.concat ", " wrong)
+
 let suite =
   Alcotest.test_case "every workload pinned" `Quick test_every_workload_has_a_golden_entry
   :: Alcotest.test_case "optimized output digest" `Quick test_optimized_digest
+  :: Alcotest.test_case "exec-tier records digest" `Slow test_exec_records_digest
   :: List.map
        (fun entry ->
          Alcotest.test_case ("checksum " ^ fst entry) `Quick (check_one entry))
