@@ -4,7 +4,13 @@
     pass, every routine is transformed and validated before the next pass
     starts — so translation validation can interpret the whole program
     (calls cross routines) while only one routine differs from the last
-    known-good state at any moment. *)
+    known-good state at any moment.
+
+    Validation re-derives only what a step could have changed. Whether
+    the routine still equals its snapshot is computed once per step; if
+    it does, the step reuses the type inference of the last accepted
+    program, the routine's V part, and (at [Exec]) the last observation.
+    The T rules and the pass's postcondition lints run on every step. *)
 
 open Epre_ir
 
@@ -109,12 +115,13 @@ let describe_obs = function
       (List.length trace)
 
 (* IR validation through the verifier: every structural and type rule
-   plus the pass's registered postcondition lints. The first
+   plus the pass's registered postcondition lints, from the verdict's two
+   parts ([Verify.check_post_pass] composes the same two). The first
    error-severity diagnostic rolls the pass back (its rule id lands in
    the record's meta); warnings are only counted. Per-rule telemetry
    counters are bumped either way. *)
-let check_ir ~pass ~program (r : Routine.t) =
-  let diags = Epre_verify.Verify.check_post_pass ~pass ~program r in
+let check_ir ~pass ~tc v (r : Routine.t) =
+  let diags = Epre_verify.Verify.post_pass_verdict ~pass ~tc v r in
   Epre_verify.Verify.record_metrics diags;
   match Epre_verify.Verify.errors diags with
   | d :: _ -> Error (Epre_verify.Diag.to_string d, d.Epre_verify.Diag.rule)
@@ -146,11 +153,20 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
     else None
   in
   let current_obs = ref current_obs in
+  let routines = Program.routines p in
+  (* The verifier's two parts on the last accepted program: its type
+     inference, and each routine's V part (by position). Both are pure
+     functions of that state, which a rollback restores exactly and a
+     step changes only in its own routine; so a step that left its
+     routine equal to its snapshot reuses them, and they are replaced
+     only after a [Passed] step, by the parts computed on it. *)
+  let accepted_tc = ref None in
+  let accepted_v = Array.make (List.length routines) None in
   let records = ref [] in
   List.iter
     (fun np ->
-      List.iter
-        (fun (r : Routine.t) ->
+      List.iteri
+        (fun k (r : Routine.t) ->
           let snapshot = Routine.copy r in
           let roll_back ?(meta = []) reason =
             Routine.restore r ~from:snapshot;
@@ -165,9 +181,29 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
             match np.run r with
             | exception e -> roll_back (Pass_exception (Printexc.to_string e))
             | () -> begin
+              let unchanged = config.validation <> Off && Routine.equal r snapshot in
+              let parts =
+                if config.validation = Off then None
+                else
+                  let reuse cached fresh =
+                    match cached with Some x when unchanged -> x | _ -> fresh ()
+                  in
+                  Some
+                    ( reuse !accepted_tc (fun () -> Epre_verify.Typecheck.infer p),
+                      reuse accepted_v.(k) (fun () -> Epre_verify.Verify.v_part r) )
+              in
+              let accept meta =
+                Option.iter
+                  (fun (tc, v) ->
+                    accepted_tc := Some tc;
+                    accepted_v.(k) <- Some v)
+                  parts;
+                (Passed, meta)
+              in
               match
-                if config.validation = Off then Ok 0
-                else check_ir ~pass:np.pass_name ~program:p r
+                match parts with
+                | None -> Ok 0
+                | Some (tc, v) -> check_ir ~pass:np.pass_name ~tc v r
               with
               | Error (m, rule) ->
                 roll_back
@@ -212,19 +248,19 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
                   else []
                 in
                 match !current_obs with
-                | None -> (Passed, meta)
+                | None -> accept meta
                 (* [current_obs] describes exactly the pre-step program
                    (a rollback restores it) and, when [reproducible], is
                    what a run under [check_fuel] gives. The interpreter
                    is deterministic, so a step that left the routine
                    equal to its snapshot would observe [before] again. *)
-                | Some _ when !reproducible && Routine.equal r snapshot -> (Passed, meta)
+                | Some _ when !reproducible && unchanged -> accept meta
                 | Some before -> begin
                   match observe ~fuel:!check_fuel p with
                   | after when obs_equal before after ->
                     current_obs := Some after;
                     reproducible := true;
-                    (Passed, meta)
+                    accept meta
                   | after ->
                     roll_back
                       (Behaviour_mismatch
@@ -257,6 +293,6 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
               raise (Supervision_failed record)
             end
           | Passed -> ())
-        (Program.routines p))
+        routines)
     passes;
   List.rev !records

@@ -313,6 +313,14 @@ let parse_program ?(validate = true) text =
     match next_nonempty st with
     | None -> ()
     | Some header ->
+      (* Calls, type inference and the interpreter all resolve a routine
+         by name, so a second routine under one name is an error, as it
+         is in the frontend. *)
+      (match header with
+      | "routine" :: name :: _
+        when List.exists (fun (r : Routine.t) -> r.Routine.name = name) !routines ->
+        fail st "duplicate routine %s" name
+      | _ -> ());
       routines := parse_routine ~validate st header :: !routines;
       go ()
   in

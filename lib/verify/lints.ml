@@ -154,13 +154,19 @@ let rank_order (r : Routine.t) =
        lint stays quiet rather than crashing on it. *)
     []
 
-let all_lints (r : Routine.t) =
-  let order = Order.compute r.Routine.cfg in
-  critical_edges r ~order @ dead_and_shape r ~order @ rank_order r
+(* The three lint families, each run only when [wanted] accepts the rule
+   ids it can report; one [Order] serves the two that need it. *)
+let run_families ~wanted (r : Routine.t) =
+  let order = lazy (Order.compute r.Routine.cfg) in
+  (if wanted [ "L001" ] then critical_edges r ~order:(Lazy.force order) else [])
+  @ (if wanted [ "L002"; "L003"; "L004"; "L005"; "L006" ] then
+       dead_and_shape r ~order:(Lazy.force order)
+     else [])
+  @ if wanted [ "L007" ] then rank_order r else []
 
-let check r = List.sort Diag.compare (all_lints r)
+let check r = List.sort Diag.compare (run_families ~wanted:(fun _ -> true) r)
 
 let check_only ids r =
+  let wanted family = List.exists (fun id -> List.mem id ids) family in
   List.sort Diag.compare
-    (List.filter (fun (d : Diag.t) -> List.mem d.Diag.rule ids)
-       (all_lints r))
+    (List.filter (fun (d : Diag.t) -> List.mem d.Diag.rule ids) (run_families ~wanted r))

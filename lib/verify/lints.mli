@@ -13,6 +13,8 @@ open Epre_ir
 
 val check : Routine.t -> Diag.t list
 
-(** Run only the lints whose rule id is listed. Unknown ids are
-    ignored. *)
+(** Run only the lints whose rule id is listed: a lint family none of
+    the ids belongs to is not computed at all (L007's throwaway SSA copy
+    only when L007 is asked for). Equal to filtering [check] by [ids].
+    Unknown ids are ignored. *)
 val check_only : string list -> Routine.t -> Diag.t list

@@ -10,6 +10,12 @@ let join a b =
   | Conflict, _ | _, Conflict -> Conflict
   | Known x, Known y -> if Ty.equal x y then a else Conflict
 
+let ty_equal a b =
+  match (a, b) with
+  | Unknown, Unknown | Conflict, Conflict -> true
+  | Known x, Known y -> Ty.equal x y
+  | (Unknown | Known _ | Conflict), _ -> false
+
 let ty_to_string = function
   | Unknown -> "unknown"
   | Conflict -> "conflicting"
@@ -25,6 +31,8 @@ let join_returns a b =
   | R_value, R_value -> R_value
   | R_none, R_none -> R_none
   | _ -> R_mixed
+
+let returns_equal (a : returns) (b : returns) = a == b
 
 (* [param_req] is the callee's own contract — joined only from use
    constraints inside its body — and is what call-site arguments are
@@ -52,7 +60,7 @@ let env_get env r = if in_range env r then env.(r) else Unknown
 let merge_reg changed env r t =
   if in_range env r then begin
     let t' = join env.(r) t in
-    if t' <> env.(r) then begin
+    if not (ty_equal t' env.(r)) then begin
       env.(r) <- t';
       changed := true
     end
@@ -99,23 +107,51 @@ let def_ty sigs env = function
   | Instr.Store _ -> Unknown (* no definition *)
 
 (* Registers a routine never defines keep their parameter binding for the
-   whole body, so use constraints on them refine the signature. *)
-let undefined_params (r : Routine.t) =
-  let defined = Hashtbl.create 16 in
+   whole body, so use constraints on them refine the signature. Computed
+   once per [infer]: [free] is a byte map over the routine's registers
+   (1 for such a parameter) and [positions] lists each one's parameter
+   positions, so a use looks up, not scans, the parameter list.
+   Parameters outside the register range (ill-formed, but inferred all
+   the same) sit in [outside] as (register, position) pairs. *)
+type free_params = {
+  free : Bytes.t;
+  positions : int list array;
+  outside : (Instr.reg * int) list;
+}
+
+let free_params (r : Routine.t) =
+  let n = max 0 r.Routine.next_reg in
+  let free = Bytes.make n '\000' and positions = Array.make n [] in
+  let outside = ref [] in
+  List.iteri
+    (fun i p ->
+      if p >= 0 && p < n then begin
+        Bytes.set free p '\001';
+        positions.(p) <- i :: positions.(p)
+      end
+      else outside := (p, i) :: !outside)
+    r.Routine.params;
   Cfg.iter_blocks
     (fun b ->
       List.iter
         (fun i ->
           match Instr.def i with
-          | Some d -> Hashtbl.replace defined d ()
-          | None -> ())
+          | Some d when d >= 0 && d < n -> Bytes.set free d '\000'
+          | Some d when !outside <> [] ->
+            outside := List.filter (fun (p, _) -> p <> d) !outside
+          | _ -> ())
         b.Block.instrs)
     r.Routine.cfg;
-  List.filteri (fun _ p -> not (Hashtbl.mem defined p)) r.Routine.params
+  { free; positions; outside = !outside }
 
-let one_round changed (p : Program.t) (info : info) =
+let free_positions fp u =
+  if u >= 0 && u < Bytes.length fp.free then
+    if Bytes.get fp.free u = '\001' then fp.positions.(u) else []
+  else List.filter_map (fun (p, i) -> if p = u then Some i else None) fp.outside
+
+let one_round changed (routines : (Routine.t * free_params) list) (info : info) =
   List.iter
-    (fun (r : Routine.t) ->
+    (fun ((r : Routine.t), fp) ->
       let name = r.Routine.name in
       let env = Hashtbl.find info.envs name in
       let s = Hashtbl.find info.sigs name in
@@ -127,26 +163,26 @@ let one_round changed (p : Program.t) (info : info) =
         r.Routine.params;
       (* Use constraints on never-redefined parameters refine the
          signature (and the binding itself). *)
-      let free_params = undefined_params r in
       let constrain_use u t =
-        List.iteri
-          (fun i p ->
-            if p = u && List.mem p free_params then begin
+        match free_positions fp u with
+        | [] -> ()
+        | positions ->
+          List.iter
+            (fun i ->
               if i < Array.length s.param_tys then begin
                 let t' = join s.param_tys.(i) (Known t) in
-                if t' <> s.param_tys.(i) then begin
+                if not (ty_equal t' s.param_tys.(i)) then begin
                   s.param_tys.(i) <- t';
                   changed := true
                 end;
                 let q = join s.param_req.(i) (Known t) in
-                if q <> s.param_req.(i) then begin
+                if not (ty_equal q s.param_req.(i)) then begin
                   s.param_req.(i) <- q;
                   changed := true
                 end
-              end;
-              merge_reg changed env p (Known t)
-            end)
-          r.Routine.params
+              end)
+            positions;
+          merge_reg changed env u (Known t)
       in
       Cfg.iter_blocks
         (fun b ->
@@ -169,7 +205,7 @@ let one_round changed (p : Program.t) (info : info) =
                     (fun k a ->
                       if k < Array.length cs.param_tys then begin
                         let t' = join cs.param_tys.(k) (env_get env a) in
-                        if t' <> cs.param_tys.(k) then begin
+                        if not (ty_equal t' cs.param_tys.(k)) then begin
                           cs.param_tys.(k) <- t';
                           changed := true
                         end
@@ -185,24 +221,24 @@ let one_round changed (p : Program.t) (info : info) =
           match b.Block.term with
           | Instr.Ret (Some v) ->
             let t' = join s.ret_ty (env_get env v) in
-            if t' <> s.ret_ty then begin
+            if not (ty_equal t' s.ret_ty) then begin
               s.ret_ty <- t';
               changed := true
             end;
             let rv = join_returns s.returns R_value in
-            if rv <> s.returns then begin
+            if not (returns_equal rv s.returns) then begin
               s.returns <- rv;
               changed := true
             end
           | Instr.Ret None ->
             let rv = join_returns s.returns R_none in
-            if rv <> s.returns then begin
+            if not (returns_equal rv s.returns) then begin
               s.returns <- rv;
               changed := true
             end
           | _ -> ())
         r.Routine.cfg)
-    (Program.routines p)
+    routines
 
 let infer (p : Program.t) =
   let info = { sigs = Hashtbl.create 8; envs = Hashtbl.create 8 } in
@@ -218,11 +254,12 @@ let infer (p : Program.t) =
       Hashtbl.replace info.envs r.Routine.name
         (Array.make (max 1 r.Routine.next_reg) Unknown))
     (Program.routines p);
+  let routines = List.map (fun r -> (r, free_params r)) (Program.routines p) in
   let changed = ref true in
   (* Monotone over a finite lattice: terminates. *)
   while !changed do
     changed := false;
-    one_round changed p info
+    one_round changed routines info
   done;
   info
 
@@ -281,7 +318,7 @@ let check (info : info) (r : Routine.t) =
             (use_constraints i);
           (match Instr.def i with
           | Some d
-            when env_get env d = Conflict
+            when ty_equal (env_get env d) Conflict
                  && not (Hashtbl.mem conflict_reported d) ->
             Hashtbl.replace conflict_reported d ();
             report ~rule:"T006" ~block ~instr
@@ -306,7 +343,7 @@ let check (info : info) (r : Routine.t) =
                 (fun acc (_, a) -> join acc (env_get env a))
                 Unknown args
             in
-            if joined = Conflict then
+            if ty_equal joined Conflict then
               report ~rule:"T005" ~block ~instr
                 "phi for r%d joins arguments of conflicting types (%s)" dst
                 (String.concat ", "
@@ -346,7 +383,7 @@ let check (info : info) (r : Routine.t) =
                       | _ -> ())
                   args;
                 match dst with
-                | Some d when s.returns = R_none ->
+                | Some d when returns_equal s.returns R_none ->
                   report ~rule:"T010" ~block ~instr
                     "r%d takes the result of %s, which returns none" d
                     callee
@@ -362,10 +399,10 @@ let check (info : info) (r : Routine.t) =
   (* T011: inconsistent returns across the routine's [Ret] sites. *)
   (match Hashtbl.find_opt info.sigs name with
   | Some s ->
-    if s.returns = R_mixed then
+    if returns_equal s.returns R_mixed then
       report ~rule:"T011"
         "some return sites yield a value and some do not";
-    if s.ret_ty = Conflict then
+    if ty_equal s.ret_ty Conflict then
       report ~rule:"T011" "return sites yield conflicting types"
   | None -> ());
   List.sort Diag.compare !diags

@@ -19,7 +19,15 @@
     phi-argument disagreements, and store/allocation inconsistencies
     against the inferred environment. A register whose definitions
     conflict is reported once ([T006]) and otherwise treated as unknown,
-    so one bad definition does not cascade into every use. *)
+    so one bad definition does not cascade into every use.
+
+    [infer] always solves from scratch, and is a pure function of the
+    program: each round re-walks every routine until nothing rises, and
+    the per-routine facts that no round changes (which parameters the
+    body never redefines, and at which positions) are computed once per
+    call. [Harness.supervise] therefore keeps one [info] per accepted
+    program state and reuses it across steps that left their routine
+    unchanged. *)
 
 open Epre_ir
 

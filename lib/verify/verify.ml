@@ -201,27 +201,29 @@ let apply_filter config diags =
   | Some ids ->
     List.filter (fun (d : Diag.t) -> List.mem d.Diag.rule ids) diags
 
-let check_routine_with ~config ~tc (r : Routine.t) ~lints =
+(* The routine-only half of a verdict: the fatal structural subset
+   alone, or the rest of the V rules. Everything here reads only the
+   fields [Routine.equal] compares. *)
+type v_part = Fatal of Diag.t list | Sound of Diag.t list
+
+let v_part (r : Routine.t) =
   match structural_fatal r with
-  | _ :: _ as fatal -> apply_filter config (List.sort Diag.compare fatal)
+  | _ :: _ as fatal -> Fatal fatal
   | [] ->
     let flow = if r.Routine.in_ssa then flow_ssa r else flow_non_ssa r in
-    let diags =
-      structural_rest r @ flow @ Typecheck.check tc r @ lints r
-    in
-    apply_filter config (List.sort Diag.compare diags)
+    Sound (structural_rest r @ flow)
 
-let lints_of_config config r =
-  if config.include_lints then Lints.check r else []
-
-let check_routine ?(config = default) ~program r =
-  let tc = Typecheck.infer program in
-  check_routine_with ~config ~tc r ~lints:(lints_of_config config)
+(* The program-dependent half (T rules under [tc], then [lints]) joined
+   to the V part; a fatal V part short-circuits it. *)
+let with_t_part ~tc ~lints v (r : Routine.t) =
+  match v with
+  | Fatal fatal -> List.sort Diag.compare fatal
+  | Sound v -> List.sort Diag.compare (v @ Typecheck.check tc r @ lints r)
 
 let check_program ?(config = default) p =
   let tc = Typecheck.infer p in
-  List.concat_map
-    (fun r -> check_routine_with ~config ~tc r ~lints:(lints_of_config config))
+  let lints r = if config.include_lints then Lints.check r else [] in
+  List.concat_map (fun r -> apply_filter config (with_t_part ~tc ~lints (v_part r) r))
     (Program.routines p)
 
 (* ------------------------------------------------------------------ *)
@@ -250,11 +252,11 @@ let postconditions pass =
   | Some ids -> ids
   | None -> []
 
+let post_pass_verdict ~pass ~tc v r =
+  with_t_part ~tc ~lints:(Lints.check_only (postconditions pass)) v r
+
 let check_post_pass ~pass ~program r =
-  let tc = Typecheck.infer program in
-  let post = postconditions pass in
-  let lints r = if post = [] then [] else Lints.check_only post r in
-  check_routine_with ~config:default ~tc r ~lints
+  post_pass_verdict ~pass ~tc:(Typecheck.infer program) (v_part r) r
 
 (* ------------------------------------------------------------------ *)
 (* Report helpers                                                     *)

@@ -31,16 +31,32 @@ val lint_config : config
     redundancy auditor ([Analyze]). *)
 val structurally_sound : Routine.t -> bool
 
-(** Diagnostics for one routine. [program] supplies call-graph context
-    for the type rules (signatures of callees). *)
-val check_routine : ?config:config -> program:Program.t -> Routine.t -> Diag.t list
-
 (** Diagnostics for every routine, in [Diag.compare] order per routine,
     with one shared type-inference fixpoint. *)
 val check_program : ?config:config -> Program.t -> Diag.t list
 
-(** What the harness's IR tier runs after [pass]: all V/T rules plus the
-    pass's registered postcondition lints. *)
+(** The routine-only part of a verdict, the V rules: either the fatal
+    structural subset, which short-circuits everything else, or the
+    remaining structural rules plus the flow rule (V007 in SSA, V008
+    outside). A pure function of the fields {!Routine.equal} compares,
+    so it holds for any routine equal to the one it was computed on. *)
+type v_part
+
+val v_part : Routine.t -> v_part
+
+(** A routine's post-pass verdict from its V part: the program-dependent
+    T rules under [tc] (the inference of the program the routine sits
+    in) plus [pass]'s registered postcondition lints, joined to the V
+    part in [Diag.compare] order; just the fatal diagnostics when the V
+    part holds a fatal defect. *)
+val post_pass_verdict :
+  pass:string -> tc:Typecheck.info -> v_part -> Routine.t -> Diag.t list
+
+(** What the harness's IR tier decides after [pass]: all V/T rules plus
+    the pass's registered postcondition lints —
+    [post_pass_verdict ~pass ~tc:(Typecheck.infer program) (v_part r) r].
+    [Harness.supervise] computes the same two parts, reusing each across
+    steps that could not have changed it. *)
 val check_post_pass : pass:string -> program:Program.t -> Routine.t -> Diag.t list
 
 (** Lint rule ids registered as postconditions of [pass] ([] for passes

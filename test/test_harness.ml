@@ -525,6 +525,133 @@ let test_exec_tier_identity_passes () =
         records)
     [ "dot"; "fmin"; "euclid" ]
 
+(* --- the verifier's verdicts, side by side ------------------------ *)
+
+(* Supervise [passes] over [p] with each pass wrapped to run a fresh
+   [Verify.check_post_pass] right after the real pass, on exactly the
+   state [supervise] is about to check ([None] when the pass raised).
+   Every record must carry that fresh verdict, and the [verify.*]
+   counters must add up to the fresh diagnostics, however much of the
+   verdict [supervise] itself re-derived. *)
+let check_verdicts_side_by_side ~what config ~passes (p : Program.t) =
+  let module Verify = Epre_verify.Verify in
+  let module Diag = Epre_verify.Diag in
+  let module Metrics = Epre_telemetry.Metrics in
+  let module Tjson = Epre_telemetry.Tjson in
+  let fresh = ref [] in
+  let wrap (np : Harness.named_pass) =
+    { np with
+      Harness.run =
+        (fun r ->
+          match np.Harness.run r with
+          | exception e ->
+            fresh := None :: !fresh;
+            raise e
+          | () ->
+            fresh :=
+              Some (Verify.check_post_pass ~pass:np.Harness.pass_name ~program:p r)
+              :: !fresh) }
+  in
+  Metrics.reset ();
+  let records = Harness.supervise config ~passes:(List.map wrap passes) p in
+  let fresh = List.rev !fresh in
+  if List.length records <> List.length fresh then
+    Alcotest.failf "%s: %d records, %d fresh verdicts" what (List.length records)
+      (List.length fresh);
+  let want_counters = Hashtbl.create 16 in
+  List.iter2
+    (fun (rc : Harness.record) verdict ->
+      let step = Printf.sprintf "%s: %s/%s" what rc.Harness.pass rc.Harness.routine in
+      match verdict with
+      | None -> (
+        match rc.Harness.outcome with
+        | Harness.Rolled_back (Harness.Pass_exception _) -> ()
+        | _ -> Alcotest.failf "%s: the pass raised but was not rolled back for it" step)
+      | Some diags -> (
+        List.iter
+          (fun (d : Diag.t) ->
+            let key = (d.Diag.loc.Diag.routine, "verify." ^ d.Diag.rule) in
+            Hashtbl.replace want_counters key
+              (1 + Option.value ~default:0 (Hashtbl.find_opt want_counters key)))
+          diags;
+        match Verify.errors diags with
+        | d :: _ ->
+          if rc.Harness.outcome <> Harness.Rolled_back (Harness.Ir_violation (Diag.to_string d))
+          then Alcotest.failf "%s: not rolled back for the first error %s" step (Diag.to_string d);
+          if List.assoc_opt "verify_rule" rc.Harness.meta <> Some (Tjson.Str d.Diag.rule) then
+            Alcotest.failf "%s: verify_rule is not %s" step d.Diag.rule
+        | [] ->
+          (* A behaviour-mismatch rollback carries no meta. *)
+          let warns =
+            match rc.Harness.outcome with
+            | Harness.Rolled_back (Harness.Ir_violation m) ->
+              Alcotest.failf "%s: rolled back (%s) but a fresh check finds no error" step m
+            | Harness.Rolled_back _ -> 0
+            | Harness.Passed -> List.length (Verify.warnings diags)
+          in
+          if List.assoc_opt "verify_warnings" rc.Harness.meta
+             <> if warns > 0 then Some (Tjson.Int warns) else None
+          then Alcotest.failf "%s: verify_warnings is not %d" step warns))
+    records fresh;
+  let sorted = List.sort compare in
+  let got =
+    List.filter_map
+      (fun (e : Metrics.entry) ->
+        if String.starts_with ~prefix:"verify." e.Metrics.name then
+          Some ((e.Metrics.routine, e.Metrics.name), e.Metrics.value)
+        else None)
+      (Metrics.snapshot ())
+  in
+  let want = Hashtbl.fold (fun k v acc -> (k, v) :: acc) want_counters [] in
+  if sorted got <> sorted want then
+    Alcotest.failf "%s: verify.* counters do not sum the fresh diagnostics" what
+
+(* Every kernel at every level, plain and with each chaos kind spliced
+   in, at the [Ir] and [Exec] tiers; then generated programs, each at one
+   level with one chaos choice, at both tiers. *)
+let test_verdicts_side_by_side () =
+  let chaos_choices = None :: List.map Option.some Chaos.all_kinds in
+  let run ~what ~level ~chaos_at ~chaos prog_of =
+    List.iter
+      (fun validation ->
+        let config = { Harness.default_config with Harness.validation } in
+        let passes = Epre.Pipeline.level_passes ~level in
+        List.iter
+          (fun chaos ->
+            let passes, what =
+              match chaos with
+              | None -> (passes, what)
+              | Some kind ->
+                let at = chaos_at mod (List.length passes + 1) in
+                ( Epre.Pipeline.splice passes ~at (chaos_pass kind),
+                  Printf.sprintf "%s + %s@%d" what (Chaos.name kind) at )
+            in
+            let what =
+              Printf.sprintf "%s %s [%s]" what (Epre.Pipeline.level_to_string level)
+                (Harness.validation_to_string validation)
+            in
+            check_verdicts_side_by_side ~what config ~passes (prog_of ()))
+          chaos)
+      [ Harness.Ir; Harness.Exec ]
+  in
+  List.iteri
+    (fun i w ->
+      List.iter
+        (fun level ->
+          run ~what:w.Epre_workloads.Workloads.name ~level ~chaos_at:i ~chaos:chaos_choices
+            (fun () -> Epre_workloads.Workloads.compile w))
+        Epre.Pipeline.all_levels)
+    Epre_workloads.Workloads.all;
+  let levels = Array.of_list Epre.Pipeline.all_levels in
+  for seed = 1 to 120 do
+    let source = Epre_fuzz.Gen.source seed in
+    run ~what:(Printf.sprintf "gen %d" seed)
+      ~level:levels.(seed mod Array.length levels)
+      ~chaos_at:seed
+      ~chaos:[ List.nth chaos_choices (seed mod List.length chaos_choices) ]
+      (fun () -> Epre_frontend.Frontend.compile_string source)
+  done
+
 let suite =
   [
     Alcotest.test_case "chaos x level rotation over all workloads" `Slow
@@ -558,4 +685,6 @@ let suite =
       test_exec_tier_non_finite_no_rollback;
     Alcotest.test_case "exec tier: identity passes all pass" `Quick
       test_exec_tier_identity_passes;
+    Alcotest.test_case "verdicts equal a fresh check_post_pass" `Slow
+      test_verdicts_side_by_side;
   ]

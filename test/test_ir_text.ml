@@ -89,6 +89,22 @@ let test_parse_errors () =
   check_error "routine f() entry B0 regs 0 {\nB0:\n  return\nB0:\n  return\n}" "duplicate block";
   check_error "routine f() entry B0 regs 0 {\nB0:\n  jump Bx\n}" "bad label"
 
+(* [f] twice, first returning a float, then an int; [main] calls [f].
+   The interpreter runs the first [f], while type inference keyed by name
+   would merge the two into spurious T006/T011 errors. *)
+let duplicate_routine_iloc =
+  String.concat "\n"
+    [ "routine f() entry B0 regs 1 {"; "B0:"; "  r0 = const 0x1.8p+0"; "  return r0"; "}"; "";
+      "routine f() entry B0 regs 1 {"; "B0:"; "  r0 = const 2"; "  return r0"; "}"; "";
+      "routine main() entry B0 regs 1 {"; "B0:"; "  r0 = call f()"; "  return r0"; "}" ]
+
+let test_parse_duplicate_routine () =
+  match Ir_text.parse_program duplicate_routine_iloc with
+  | _ -> Alcotest.fail "a second routine f was accepted"
+  | exception Ir_text.Parse_error { line; message } ->
+    Alcotest.(check int) "the second header's line" 7 line;
+    Alcotest.(check string) "message" "duplicate routine f" message
+
 let test_roundtrip_all_workloads () =
   (* Every workload routine, unoptimized and at every level: print, parse,
      and the reparse must print identically (structural equality via the
@@ -116,6 +132,7 @@ let suite =
     Alcotest.test_case "parse: concise test source" `Quick test_parse_concise_source;
     Alcotest.test_case "parse: float exactness" `Quick test_parse_float_exactness;
     Alcotest.test_case "parse: errors" `Quick test_parse_errors;
+    Alcotest.test_case "parse: duplicate routine" `Quick test_parse_duplicate_routine;
   ]
 
 (* Property: the text format round-trips fuzz-generated programs lowered

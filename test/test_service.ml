@@ -688,6 +688,29 @@ let test_serve_stream () =
   Alcotest.(check (list string)) "input order" [ "a"; "job-2"; "b"; "c" ]
     (List.map id_of lines)
 
+let test_serve_duplicate_routine_iloc () =
+  (* ILOC that names two routines [f] fails its own job with the parse
+     error, and the jobs around it still run. *)
+  let job id fields = Tjson.to_string (Tjson.Obj (("id", Tjson.Str id) :: fields)) in
+  let input =
+    String.concat "\n"
+      [ job "before" [ ("workload", Tjson.Str "saxpy"); ("emit", Tjson.Bool false) ];
+        job "dup" [ ("iloc", Tjson.Str Test_ir_text.duplicate_routine_iloc) ];
+        job "after" [ ("workload", Tjson.Str "saxpy"); ("emit", Tjson.Bool false) ] ]
+    ^ "\n"
+  in
+  let res, lines = serve_to_lines ~jobs:1 input in
+  let summary = summary res in
+  Alcotest.(check int) "jobs" 3 summary.Service.jobs;
+  Alcotest.(check int) "failed" 1 summary.Service.failed;
+  Alcotest.(check (list string)) "one result per job, in order" [ "before"; "dup"; "after" ]
+    (List.map id_of lines);
+  match List.map (fun l -> (member "ok" l, str "error" l)) lines with
+  | [ (Some (Tjson.Bool true), None); (Some (Tjson.Bool false), Some e); (Some (Tjson.Bool true), None) ] ->
+    Alcotest.(check bool) ("error names the duplicate: " ^ e) true
+      (Helpers.contains_substring ~needle:"duplicate routine f" e)
+  | _ -> Alcotest.failf "unexpected results:\n%s" (String.concat "\n" lines)
+
 let test_serve_malformed_line_numbers () =
   (* A malformed line becomes an in-order error result carrying the
      *physical* input line number — blank lines count, so the number can
@@ -1208,6 +1231,8 @@ let suite =
     Alcotest.test_case "serve streams in order" `Quick test_serve_stream;
     Alcotest.test_case "malformed lines carry line numbers" `Quick
       test_serve_malformed_line_numbers;
+    Alcotest.test_case "ILOC with a duplicate routine fails its job" `Quick
+      test_serve_duplicate_routine_iloc;
     Alcotest.test_case "journal round-trips, tolerates torn tail" `Quick
       test_journal_roundtrip;
     Alcotest.test_case "stale journal cannot satisfy a later resume" `Quick

@@ -29,6 +29,116 @@ let show diags =
 (* ------------------------------------------------------------------ *)
 (* Negative corpus: one snippet per rule id.                           *)
 
+(* One program per lint rule, built to trip it (flagged as SSA where the
+   rule needs SSA). The negative corpus checks each with every lint on;
+   the [check_only] property below runs on them too, so every lint id
+   fires somewhere in its corpus. *)
+let lint_negatives : (string * (unit -> Program.t)) list =
+  [
+    ( "L001",
+      fun () ->
+        (* B0 -> B2 leaves a multi-successor block and enters a
+           multi-predecessor block: a critical edge. *)
+        parse
+          {|
+routine f(r0) entry B0 regs 1 {
+B0:
+  cbr r0, B1, B2
+B1:
+  jump B2
+B2:
+  return r0
+}
+|} );
+    ( "L002",
+      fun () ->
+        parse
+          {|
+routine f(r0) entry B0 regs 2 {
+B0:
+  r1 = add r0, r0
+  return r0
+}
+|} );
+    ( "L003",
+      fun () ->
+        parse
+          {|
+routine f(r0) entry B0 regs 2 {
+B0:
+  r1 = copy r0
+  return r0
+}
+|} );
+    ( "L004",
+      fun () ->
+        parse
+          {|
+routine f() entry B0 regs 1 {
+B0:
+  r0 = const 0
+  jump B1
+B1:
+  jump B2
+B2:
+  return r0
+}
+|} );
+    ( "L005",
+      fun () ->
+        (* Both phi arguments are the same register. *)
+        with_ssa "f"
+          (parse
+             {|
+routine f(r0) entry B0 regs 3 {
+B0:
+  r1 = const 1
+  cbr r0, B1, B2
+B1:
+  jump B3
+B2:
+  jump B3
+B3:
+  r2 = phi(B1: r1, B2: r1)
+  return r2
+}
+|}) );
+    ( "L006",
+      fun () ->
+        (* A genuine join whose result is never read. *)
+        with_ssa "f"
+          (parse
+             {|
+routine f(r0) entry B0 regs 4 {
+B0:
+  cbr r0, B1, B2
+B1:
+  r1 = const 1
+  jump B3
+B2:
+  r2 = const 2
+  jump B3
+B3:
+  r3 = phi(B1: r1, B2: r2)
+  return r0
+}
+|}) );
+    ( "L007",
+      fun () ->
+        (* Operands out of rank order: the parameter (rank of the entry
+           block) before the constant (rank 0). *)
+        with_ssa "f"
+          (parse
+             {|
+routine f(r0) entry B0 regs 3 {
+B0:
+  r1 = const 2
+  r2 = add r0, r1
+  return r2
+}
+|}) );
+  ]
+
 (* Each entry: (rule id, thunk producing the full diagnostic list for a
    program built to violate exactly that rule — incidental co-diagnostics
    are fine, absence of the named rule is the failure). *)
@@ -367,122 +477,9 @@ B0:
 }
 |})
     );
-    ( "L001",
-      fun () ->
-        (* B0 -> B2 leaves a multi-successor block and enters a
-           multi-predecessor block: a critical edge. *)
-        check ~lints:true
-          (parse
-             {|
-routine f(r0) entry B0 regs 1 {
-B0:
-  cbr r0, B1, B2
-B1:
-  jump B2
-B2:
-  return r0
-}
-|})
-    );
-    ( "L002",
-      fun () ->
-        check ~lints:true
-          (parse
-             {|
-routine f(r0) entry B0 regs 2 {
-B0:
-  r1 = add r0, r0
-  return r0
-}
-|})
-    );
-    ( "L003",
-      fun () ->
-        check ~lints:true
-          (parse
-             {|
-routine f(r0) entry B0 regs 2 {
-B0:
-  r1 = copy r0
-  return r0
-}
-|})
-    );
-    ( "L004",
-      fun () ->
-        check ~lints:true
-          (parse
-             {|
-routine f() entry B0 regs 1 {
-B0:
-  r0 = const 0
-  jump B1
-B1:
-  jump B2
-B2:
-  return r0
-}
-|})
-    );
-    ( "L005",
-      fun () ->
-        (* Both phi arguments are the same register. *)
-        check ~lints:true
-          (with_ssa "f"
-             (parse
-                {|
-routine f(r0) entry B0 regs 3 {
-B0:
-  r1 = const 1
-  cbr r0, B1, B2
-B1:
-  jump B3
-B2:
-  jump B3
-B3:
-  r2 = phi(B1: r1, B2: r1)
-  return r2
-}
-|}))
-    );
-    ( "L006",
-      fun () ->
-        (* A genuine join whose result is never read. *)
-        check ~lints:true
-          (with_ssa "f"
-             (parse
-                {|
-routine f(r0) entry B0 regs 4 {
-B0:
-  cbr r0, B1, B2
-B1:
-  r1 = const 1
-  jump B3
-B2:
-  r2 = const 2
-  jump B3
-B3:
-  r3 = phi(B1: r1, B2: r2)
-  return r0
-}
-|}))
-    );
-    ( "L007",
-      fun () ->
-        (* Operands out of rank order: the parameter (rank of the entry
-           block) before the constant (rank 0). *)
-        check ~lints:true
-          (with_ssa "f"
-             (parse
-                {|
-routine f(r0) entry B0 regs 3 {
-B0:
-  r1 = const 2
-  r2 = add r0, r1
-  return r2
-}
-|}))
-    );
+  ]
+  @ List.map (fun (rule, prog) -> (rule, fun () -> check ~lints:true (prog ()))) lint_negatives
+  @ [
     ( "A001",
       fun () ->
         (* The expression is re-evaluated into its canonical name while
@@ -766,6 +763,89 @@ let test_postconditions_registered () =
   Alcotest.(check (list string)) "unregistered pass has none" []
     (Verify.postconditions "no-such-pass")
 
+(* Type inference reads a parameter outside the register range like any
+   other: [g]'s use of r7 is V003 in [g], and still pins the contract
+   [f]'s call is checked against. *)
+let test_out_of_range_parameter_refines_signature () =
+  let diags =
+    Verify.check_program
+      (parse
+         {|
+routine g(r7) entry B0 regs 2 {
+B0:
+  r1 = add r7, r7
+  return r1
+}
+routine f() entry B0 regs 2 {
+B0:
+  r0 = const 1.5
+  r1 = call g(r0)
+  return r1
+}
+|})
+  in
+  Alcotest.(check (list string)) "rules" [ "T009"; "V003" ]
+    (List.sort_uniq compare (rules_of diags))
+
+(* [Lints.check_only ids] runs only the lint families covering [ids];
+   it must agree exactly with filtering the full [Lints.check], for every
+   postcondition id set, each single id, all of them, and none. *)
+let lint_id_sets =
+  ([] :: Rules.lint_ids :: List.map (fun id -> [ id ]) Rules.lint_ids)
+  @ List.map snd Verify.postcondition_table
+
+let check_only_agrees ~fired ~what (r : Routine.t) =
+  let all = Epre_verify.Lints.check r in
+  List.iter (fun (d : Diag.t) -> Hashtbl.replace fired d.Diag.rule ()) all;
+  List.iter
+    (fun ids ->
+      let want = List.filter (fun (d : Diag.t) -> List.mem d.Diag.rule ids) all in
+      let got = Epre_verify.Lints.check_only ids r in
+      if got <> want then
+        Alcotest.failf "%s [%s]: check_only gave\n%s\nfiltered check gave\n%s" what
+          (String.concat "," ids) (show got) (show want))
+    lint_id_sets
+
+(* Each routine out of SSA as given, then in SSA (on a copy; a routine
+   the builder rejects is only checked out of SSA). *)
+let check_only_agrees_in_and_out ~fired ~what (p : Program.t) =
+  List.iter
+    (fun (r : Routine.t) ->
+      let what = what ^ "/" ^ r.Routine.name in
+      check_only_agrees ~fired ~what r;
+      match Epre_ssa.Ssa.build (Routine.copy r) with
+      | ssa -> check_only_agrees ~fired ~what:(what ^ " (ssa)") ssa
+      | exception _ -> ())
+    (Program.routines p)
+
+let test_check_only_is_filtered_check () =
+  Alcotest.(check (list string)) "lint ids" [ "L001"; "L002"; "L003"; "L004"; "L005"; "L006"; "L007" ]
+    Rules.lint_ids;
+  let fired = Hashtbl.create 8 in
+  let check_only_agrees_in_and_out = check_only_agrees_in_and_out ~fired in
+  List.iter
+    (fun (rule, prog) -> check_only_agrees_in_and_out ~what:("negative " ^ rule) (prog ()))
+    lint_negatives;
+  List.iter
+    (fun w ->
+      let unopt = Epre_workloads.Workloads.compile w in
+      let name = w.Epre_workloads.Workloads.name in
+      check_only_agrees_in_and_out ~what:name unopt;
+      List.iter
+        (fun level ->
+          let opt, _ = Epre.Pipeline.optimized_copy ~level unopt in
+          check_only_agrees_in_and_out
+            ~what:(name ^ " " ^ Epre.Pipeline.level_to_string level)
+            opt)
+        Epre.Pipeline.all_levels)
+    Epre_workloads.Workloads.all;
+  for seed = 1 to 120 do
+    let prog = Epre_frontend.Frontend.compile_string (Fuzz.Gen.source seed) in
+    check_only_agrees_in_and_out ~what:(Printf.sprintf "gen %d" seed) prog
+  done;
+  Alcotest.(check (list string)) "every lint fired somewhere" Rules.lint_ids
+    (List.filter (Hashtbl.mem fired) Rules.lint_ids)
+
 let suite =
   List.map
     (fun (rule, thunk) ->
@@ -783,4 +863,8 @@ let suite =
         test_oracle_carries_rule;
       Alcotest.test_case "postcondition registry is well-formed" `Quick
         test_postconditions_registered;
+      Alcotest.test_case "out-of-range parameter refines its signature" `Quick
+        test_out_of_range_parameter_refines_signature;
+      Alcotest.test_case "check_only equals filtered check" `Slow
+        test_check_only_is_filtered_check;
     ]

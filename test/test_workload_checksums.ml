@@ -130,7 +130,10 @@ let test_optimized_digest () =
    every kernel in [Workloads.all] order, [duration_ms] dropped, once
    plain and once with [chaos:swap-operands@1] spliced in. The chaos run's
    rollback reasons quote the interpreter's observations and error texts,
-   so this holds the exec tier to its exact outcomes. *)
+   so this holds the exec tier to its exact outcomes. A third digest per
+   run covers the [verify.<rule>] counters the run left in
+   [Metrics.snapshot] (reset before it), so a verdict the harness replays
+   must bump them exactly as a fresh check would. *)
 let golden_exec_records =
   [
     ("baseline", ("2fba59b0791038f42cdd7be558d061cc", "e5050accf4cd09ea018b17aaefc778cb"));
@@ -139,10 +142,20 @@ let golden_exec_records =
     ("distribution", ("bf283afb3457c95dfc7ccabf187a214e", "7c3d722d3e8601cf6233f2350b0218f6"));
   ]
 
+let golden_verify_counters =
+  [
+    ("baseline", ("d41d8cd98f00b204e9800998ecf8427e", "d41d8cd98f00b204e9800998ecf8427e"));
+    ("partial", ("64090f00f4cd33536a054df71661fb5c", "f24bc1d26bb855cd8022252a61e4603d"));
+    ("reassociation", ("f24bc1d26bb855cd8022252a61e4603d", "0e38304276b220a604b4981740025edc"));
+    ("distribution", ("f24bc1d26bb855cd8022252a61e4603d", "0e38304276b220a604b4981740025edc"));
+  ]
+
 let exec_records_digest ~level ~inject =
   let module Harness = Epre_harness.Harness in
+  let module Metrics = Epre_telemetry.Metrics in
   let config = { Harness.default_config with Harness.validation = Harness.Exec } in
   let buf = Buffer.create (1 lsl 16) in
+  Metrics.reset ();
   List.iter
     (fun w ->
       let prog = Epre_workloads.Workloads.compile w in
@@ -160,7 +173,14 @@ let exec_records_digest ~level ~inject =
           Buffer.add_char buf '\n')
         records)
     Epre_workloads.Workloads.all;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  let counters = Buffer.create 4096 in
+  List.iter
+    (fun (e : Metrics.entry) ->
+      if String.starts_with ~prefix:"verify." e.Metrics.name then
+        Printf.bprintf counters "%s %s %d\n" e.Metrics.routine e.Metrics.name e.Metrics.value)
+    (Metrics.snapshot ());
+  let md5 b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  (md5 buf, md5 counters)
 
 let test_exec_records_digest () =
   let module Pipeline = Epre.Pipeline in
@@ -174,11 +194,16 @@ let test_exec_records_digest () =
       (fun level ->
         let name = Pipeline.level_to_string level in
         let want_plain, want_chaos = List.assoc name golden_exec_records in
+        let want_plain_counters, want_chaos_counters = List.assoc name golden_verify_counters in
+        let plain, plain_counters = exec_records_digest ~level ~inject:[] in
+        let chaotic, chaos_counters = exec_records_digest ~level ~inject:[ chaos ] in
         List.filter_map
           (fun (part, want, got) ->
             if want = got then None else Some (Printf.sprintf "%s %s (now %s)" name part got))
-          [ ("plain", want_plain, exec_records_digest ~level ~inject:[]);
-            ("chaos", want_chaos, exec_records_digest ~level ~inject:[ chaos ]) ])
+          [ ("plain", want_plain, plain);
+            ("chaos", want_chaos, chaotic);
+            ("plain counters", want_plain_counters, plain_counters);
+            ("chaos counters", want_chaos_counters, chaos_counters) ])
       Pipeline.all_levels
   in
   if wrong <> [] then Alcotest.failf "exec-tier records changed: %s" (String.concat ", " wrong)
