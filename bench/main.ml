@@ -114,7 +114,7 @@ let run_ablation () =
         Epre_interp.Counts.total result.Epre_interp.Interp.counts
       in
       let lcm = measure (fun r -> ignore (Epre_pre.Pre.run r)) in
-      let mr = measure (fun r -> ignore (Epre_pre.Pre_classic.run r)) in
+      let mr = measure (fun r -> ignore (Epre_pre.Pre.run_classic r)) in
       Printf.printf "%-12s %14d %16d\n" w.Epre_workloads.Workloads.name lcm mr)
     Epre_workloads.Workloads.all
 

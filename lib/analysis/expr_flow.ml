@@ -10,19 +10,10 @@ type t = {
   cfg : Cfg.t;
 }
 
-let build ?(include_loads = true) ?uni (r : Routine.t) =
+let build ?uni (r : Routine.t) =
   let uni = match uni with Some uni -> uni | None -> Expr_universe.build r in
   let width = Expr_universe.size uni in
   let local = Expr_universe.compute_local uni r in
-  if not include_loads then
-    Array.iter
-      (fun (e : Expr_universe.expr) ->
-        if Expr_universe.is_load e.Expr_universe.key then begin
-          let i = e.Expr_universe.index in
-          Array.iter (fun s -> Bitset.remove s i) local.Expr_universe.antloc;
-          Array.iter (fun s -> Bitset.remove s i) local.Expr_universe.comp
-        end)
-      (Expr_universe.exprs uni);
   { uni; local; width; cfg = r.Routine.cfg }
 
 let system t ~gen ~meet =

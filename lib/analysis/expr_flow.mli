@@ -1,10 +1,10 @@
 (** The shared expression-level data-flow client.
 
-    [Pre], [Pre_classic], [Cse_avail] and the redundancy auditor all solve
-    the same problems over the same universe: build [Expr_universe], take
-    the ANTLOC/COMP/KILL local sets, and feed a gen/kill system to the
-    generic [Dataflow] solver. This module is that construction, written
-    once. The four classic systems:
+    [Pre.run], [Pre.run_classic], [Cse_avail] and the redundancy auditor
+    all solve the same problems over the same universe: build
+    [Expr_universe], take the ANTLOC/COMP/KILL local sets, and feed a
+    gen/kill system to the generic [Dataflow] solver. This module is that
+    construction, written once. The four classic systems:
 
     - {b availability} (forward, ∩): evaluated on {e every} path from the
       entry with no later kill — full redundancy;
@@ -20,17 +20,15 @@ open Epre_ir
 
 type t = {
   uni : Expr_universe.t;
-  local : Expr_universe.local;  (** load bits stripped if [include_loads] was false *)
+  local : Expr_universe.local;
   width : int;  (** [Expr_universe.size uni] *)
   cfg : Cfg.t;
 }
 
-(** Build the universe and local sets for a routine. With
-    [~include_loads:false], load expressions are erased from ANTLOC/COMP
-    (they stay in KILL vacuously) so they neither move nor count. [uni],
-    when given, is used instead of [Expr_universe.build r]; it must be
-    that universe (only the local sets are recomputed). *)
-val build : ?include_loads:bool -> ?uni:Expr_universe.t -> Routine.t -> t
+(** Build the universe and local sets for a routine. [uni], when given,
+    is used instead of [Expr_universe.build r]; it must be that universe
+    (only the local sets are recomputed). *)
+val build : ?uni:Expr_universe.t -> Routine.t -> t
 
 (** Forward ∩ over COMP/KILL; [ins]/[outs] are AVIN/AVOUT. *)
 val availability : t -> Dataflow.result

@@ -21,8 +21,6 @@ val key_of : Instr.t -> key option
 
 val key_operands : key -> Instr.reg list
 
-val is_load : key -> bool
-
 type expr = {
   index : int;  (** dense index into the bit vectors *)
   name : Instr.reg;  (** the canonical destination *)

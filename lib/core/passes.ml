@@ -24,7 +24,7 @@ let all =
       run = (fun r -> ignore (Epre_pre.Pre.run r)) };
     { name = "pre-classic";
       description = "Morel-Renvoise PRE (block-end placement; ablation)";
-      run = (fun r -> ignore (Epre_pre.Pre_classic.run r)) };
+      run = (fun r -> ignore (Epre_pre.Pre.run_classic r)) };
     { name = "reassociate";
       description = "global reassociation, no distribution (Section 3.1)";
       run =

@@ -1,30 +1,30 @@
-(** Partial redundancy elimination with edge placement — the engine behind
-    the paper's "partial" optimization level.
+(** Partial redundancy elimination: one round driver with two placements.
 
-    The Drechsler–Stadel edge-placement formulation in its unidirectional
-    earliest/later form (equivalent to lazy code motion), run over the
-    expression universe of [Epre_analysis.Expr_universe] and iterated to a fixed
-    point so composite expressions move as chains; each round ends with an
-    available-expression deletion sweep, which also subsumes global CSE.
-
-    Insertions land on (pre-split) edges; deletions never lengthen an
-    execution path — the property Section 2 highlights. *)
+    [run] places insertions on edges (Drechsler–Stadel, the engine behind
+    the paper's "partial" level); [run_classic] places them at block ends
+    (Morel–Renvoise 1979, kept as the ablation baseline — compare with
+    [bench/main.exe ablation]). Both iterate rounds, each ending with an
+    available-expression deletion sweep that also subsumes global CSE, to
+    a fixed point bounded by [max_rounds]. Both require non-SSA code under
+    the Section 2.2 naming discipline — run [Epre_opt.Naming] first on
+    untrusted input. Loads participate, killed by stores and calls. *)
 
 open Epre_ir
 
 type stats = {
-  mutable inserted : int;  (** computations placed on edges *)
-  mutable deleted : int;  (** evaluations removed by the LCM system *)
+  mutable inserted : int;  (** computations placed by the placement *)
+  mutable deleted : int;  (** evaluations the placement covers, removed *)
   mutable cse_deleted : int;  (** evaluations removed by the per-round sweep *)
   mutable rounds : int;
 }
 
-(** Rebuild the evaluation of an expression key targeting [dst]; shared
-    with [Pre_classic]. *)
-val instr_of_key : Epre_analysis.Expr_universe.key -> dst:Instr.reg -> Instr.t
+(** The round cap both engines share. *)
+val max_rounds : int
 
-(** Run to a fixed point (bounded). [include_loads] (default true) lets
-    loads participate, killed by stores and calls. Requires non-SSA code
-    under the Section 2.2 naming discipline — run [Epre_opt.Naming] first
-    on untrusted input. *)
-val run : ?include_loads:bool -> Routine.t -> stats
+(** Edge placement: insertions on (pre-split) edges; never lengthens an
+    execution path. *)
+val run : Routine.t -> stats
+
+(** Block-end placement: never splits critical edges, so it is blocked
+    wherever one is the only legal insertion point. *)
+val run_classic : Routine.t -> stats

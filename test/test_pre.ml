@@ -294,6 +294,45 @@ fn f(n: int): int {
   Alcotest.(check int) "semantics" (12345 * 7)
     (Helpers.run_int ~entry:"f" ~args:[ Value.I 7 ] prog)
 
+(* ------------------------------------------------------------------ *)
+(* The shared round cap binds *)
+
+(* A loop-invariant chain ((x + y0) + y1) + ... of depth 24 over
+   parameters: each round hoists one more link, so neither engine reaches
+   its fixed point within [max_rounds]. The chain is also evaluated after
+   the loop, so the end of the guard block, which branches to the loop
+   and past it, is a legal block-end insertion point too. *)
+let test_round_cap_binds () =
+  let depth = 24 in
+  let ys = List.init depth (Printf.sprintf "y%d") in
+  let source =
+    Printf.sprintf
+      {|
+fn f(n: int, x: int, %s): int {
+  var s: int;
+  var i: int;
+  for i = 1 to n {
+    s = s + (x + %s);
+  }
+  return s + (x + %s);
+}
+|}
+      (String.concat ", " (List.map (fun y -> y ^ ": int") ys))
+      (String.concat " + " ys) (String.concat " + " ys)
+  in
+  let args = Value.I 3 :: Value.I 1 :: List.init depth (fun k -> Value.I k) in
+  let expected = 4 * (1 + (depth * (depth - 1) / 2)) in
+  List.iter
+    (fun (engine, run) ->
+      let prog = Helpers.compile source in
+      let r = Program.find_exn prog "f" in
+      ignore (Epre_opt.Naming.run r);
+      let stats = run r in
+      Routine.validate r;
+      Alcotest.(check int) (engine ^ ": rounds") Epre_pre.Pre.max_rounds stats.Epre_pre.Pre.rounds;
+      Alcotest.(check int) (engine ^ ": value") expected (Helpers.run_int ~entry:"f" ~args prog))
+    [ ("edge", Epre_pre.Pre.run); ("block-end", Epre_pre.Pre.run_classic) ]
+
 let test_no_candidates_is_fine () =
   let b = Builder.start ~name:"f" ~nparams:0 in
   Builder.ret b None;
@@ -314,5 +353,6 @@ let suite =
     Alcotest.test_case "never lengthens workload paths" `Slow test_never_lengthens_workloads;
     Alcotest.test_case "idempotent" `Quick test_pre_is_idempotent;
     Alcotest.test_case "constants leave loops" `Quick test_constants_hoisted_out_of_loop;
+    Alcotest.test_case "round cap binds on a deep chain" `Quick test_round_cap_binds;
     Alcotest.test_case "empty routine" `Quick test_no_candidates_is_fine;
   ]

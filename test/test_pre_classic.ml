@@ -1,6 +1,6 @@
-(** Tests for [Epre_pre.Pre_classic], the Morel–Renvoise ablation: it must
-    be correct everywhere and never stronger than the edge-placement
-    engine. *)
+(** Tests for [Epre_pre.Pre.run_classic], the Morel–Renvoise (block-end
+    placement) ablation: it must be correct everywhere and never stronger
+    than the edge-placement engine [Epre_pre.Pre.run]. *)
 
 open Epre_ir
 
@@ -36,7 +36,7 @@ fn f(p: int, x: int, y: int): int {
 |}
   in
   let prog = Helpers.compile source in
-  let p = optimize_with (fun r -> ignore (Epre_pre.Pre_classic.run r)) prog in
+  let p = optimize_with (fun r -> ignore (Epre_pre.Pre.run_classic r)) prog in
   Helpers.check_same_behaviour ~entry:"f"
     ~args:[ Value.I 1; Value.I 2; Value.I 3 ]
     ~what:"classic PRE" prog p;
@@ -63,7 +63,7 @@ fn f(n: int, x: int, y: int): int {
   let before =
     Helpers.dynamic_ops ~entry:"f" ~args:[ Value.I 40; Value.I 2; Value.I 3 ] prog
   in
-  let p = optimize_with (fun r -> ignore (Epre_pre.Pre_classic.run r)) prog in
+  let p = optimize_with (fun r -> ignore (Epre_pre.Pre.run_classic r)) prog in
   let after =
     Helpers.dynamic_ops ~entry:"f" ~args:[ Value.I 40; Value.I 2; Value.I 3 ] p
   in
@@ -76,7 +76,7 @@ let test_all_workloads_preserved () =
   List.iter
     (fun w ->
       let prog = Epre_workloads.Workloads.compile w in
-      let p = optimize_with (fun r -> ignore (Epre_pre.Pre_classic.run r)) prog in
+      let p = optimize_with (fun r -> ignore (Epre_pre.Pre.run_classic r)) prog in
       Helpers.check_same_behaviour
         ~what:(w.Epre_workloads.Workloads.name ^ "+mr-pre")
         prog p)
@@ -94,13 +94,13 @@ let test_edge_placement_dominates () =
       in
       let mr =
         Helpers.dynamic_ops
-          (optimize_with (fun r -> ignore (Epre_pre.Pre_classic.run r)) prog)
+          (optimize_with (fun r -> ignore (Epre_pre.Pre.run_classic r)) prog)
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s: edge %d <= block-end %d" w.Epre_workloads.Workloads.name
            lcm mr)
         true (lcm <= mr))
-    (List.filteri (fun i _ -> i mod 3 = 0) Epre_workloads.Workloads.all)
+    Epre_workloads.Workloads.all
 
 let test_classic_idempotent () =
   let prog =
@@ -109,9 +109,9 @@ let test_classic_idempotent () =
   in
   let r = Program.find_exn prog "f" in
   ignore (Epre_opt.Naming.run r);
-  ignore (Epre_pre.Pre_classic.run r);
-  let again = Epre_pre.Pre_classic.run r in
-  Alcotest.(check int) "no further insertions" 0 again.Epre_pre.Pre_classic.inserted;
+  ignore (Epre_pre.Pre.run_classic r);
+  let again = Epre_pre.Pre.run_classic r in
+  Alcotest.(check int) "no further insertions" 0 again.Epre_pre.Pre.inserted;
   Alcotest.(check int) "value" 100
     (Helpers.run_int ~entry:"f" ~args:[ Value.I 4; Value.I 6 ] prog)
 

@@ -90,38 +90,62 @@ let check_one (name, expected) () =
 (* Optimized output, pinned: per level, an MD5 over every kernel's
    optimized ILOC text and one over its per-routine stats JSONL, kernels
    in [Workloads.all] order, so a change to what the passes report (PRE
-   round counts, say) shows apart from a change to what they emit. A
-   failure names the level and digest; if the change is deliberate,
-   regenerate with the hex digests it prints. *)
+   round counts, say) shows apart from a change to what they emit. The
+   "pre-classic" row pins the block-end PRE engine the same way: naming
+   then [Pre.run_classic] on every routine, one line of [Pre.stats] per
+   routine. A failure names the level and digest; if the change is
+   deliberate, regenerate with the hex digests it prints. *)
 let golden_optimized =
   [
     ("baseline", ("b49826e6ccbc1bba1f0219e082eb8f44", "9902b000fff60342a2958220e38d8180"));
     ("partial", ("37d6d534d63d239039865cf0bbd08b7b", "603096264245a76f03dc6c34bdce53ce"));
     ("reassociation", ("f7e426ae06ef2c4f98b05f25d0c16c11", "7d91c09b71f03246c04409f6242f3db2"));
     ("distribution", ("2a09eb4bce85d311ae8779e3509d7e8d", "94c7d05cc270e483014708f50f3cf581"));
+    ("pre-classic", ("7b5a97e326b16fafc8355191806923a5", "2ce47aa5248754a037b431b8f6b7e0fc"));
   ]
+
+let classic_digests () =
+  let iloc = Buffer.create (1 lsl 16) and stats = Buffer.create (1 lsl 12) in
+  List.iter
+    (fun w ->
+      let prog = Epre_workloads.Workloads.compile w in
+      List.iter
+        (fun r ->
+          ignore (Epre_opt.Naming.run r);
+          let s = Epre_pre.Pre.run_classic r in
+          Printf.bprintf stats "%s %s %d %d %d %d\n" w.Epre_workloads.Workloads.name
+            r.Routine.name s.Epre_pre.Pre.inserted s.Epre_pre.Pre.deleted
+            s.Epre_pre.Pre.cse_deleted s.Epre_pre.Pre.rounds)
+        (Program.routines prog);
+      Buffer.add_string iloc (Ir_text.print_program prog))
+    Epre_workloads.Workloads.all;
+  (iloc, stats)
 
 let test_optimized_digest () =
   let module Pipeline = Epre.Pipeline in
   let md5 b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  let level_digests level () =
+    let iloc = Buffer.create (1 lsl 16) and stats = Buffer.create (1 lsl 14) in
+    List.iter
+      (fun w ->
+        let prog = Epre_workloads.Workloads.compile w in
+        let s = Pipeline.optimize ~level prog in
+        Buffer.add_string iloc (Ir_text.print_program prog);
+        Buffer.add_string stats (Pipeline.stats_jsonl s))
+      Epre_workloads.Workloads.all;
+    (iloc, stats)
+  in
   let wrong =
     List.concat_map
-      (fun level ->
-        let iloc = Buffer.create (1 lsl 16) and stats = Buffer.create (1 lsl 14) in
-        List.iter
-          (fun w ->
-            let prog = Epre_workloads.Workloads.compile w in
-            let s = Pipeline.optimize ~level prog in
-            Buffer.add_string iloc (Ir_text.print_program prog);
-            Buffer.add_string stats (Pipeline.stats_jsonl s))
-          Epre_workloads.Workloads.all;
-        let name = Pipeline.level_to_string level in
+      (fun (name, digests) ->
+        let iloc, stats = digests () in
         let want_iloc, want_stats = List.assoc name golden_optimized in
         List.filter_map
           (fun (part, want, got) ->
             if want = got then None else Some (Printf.sprintf "%s %s (now %s)" name part got))
           [ ("ILOC", want_iloc, md5 iloc); ("stats", want_stats, md5 stats) ])
-      Pipeline.all_levels
+      (List.map (fun l -> (Pipeline.level_to_string l, level_digests l)) Pipeline.all_levels
+      @ [ ("pre-classic", classic_digests) ])
   in
   if wrong <> [] then Alcotest.failf "optimized output changed: %s" (String.concat ", " wrong)
 
