@@ -47,7 +47,7 @@ let lifetime_threshold = 8
 (* expression anticipability, and the test for whether an evaluation's  *)
 (* result was actually wanted where it was placed.                      *)
 
-let must_use (r : Routine.t) =
+let must_use graph (r : Routine.t) =
   let cfg = r.Routine.cfg in
   let width = max 1 r.Routine.next_reg in
   let nblocks = Cfg.num_blocks cfg in
@@ -71,14 +71,8 @@ let must_use (r : Routine.t) =
         b.Block.instrs;
       List.iter read (Instr.term_uses b.Block.term))
     cfg;
-  Dataflow.solve_backward cfg
-    {
-      Dataflow.width;
-      gen = (fun id -> gen.(id));
-      kill = (fun id -> kill.(id));
-      boundary = Bitset.create width;
-      meet = Dataflow.Inter;
-    }
+  Dataflow.solve_backward graph
+    { Dataflow.width; gen; kill; boundary = Bitset.create width; meet = Dataflow.Inter }
 
 (* Is the evaluation at [idx] (defining [dst]) speculative? Scan the rest
    of the block: a read settles it, a redefinition wastes it, and past
@@ -220,14 +214,14 @@ type core = {
 
 let core_of (r : Routine.t) =
   let cfg = r.Routine.cfg in
-  let order = Order.compute cfg in
   let fl = Expr_flow.build r in
+  let order = fl.Expr_flow.graph.Dataflow.order in
   let uni = fl.Expr_flow.uni in
   let avail = Expr_flow.availability fl in
   let pav = Expr_flow.partial_availability fl in
   let vn = Valnum.compute r in
   let init = Initialized.compute r in
-  let must = must_use r in
+  let must = must_use fl.Expr_flow.graph r in
   let del = Expr_flow.lcm_delete fl in
   let deletable = Hashtbl.create 16 in
   let width = max 1 r.Routine.next_reg in
@@ -286,27 +280,15 @@ let core_of (r : Routine.t) =
                 :: !sites
             | _ -> ());
             (* Transfer: the evaluation lands, then the kills. *)
-            (match (Expr_universe.key_of i, Instr.def i) with
-            | Some _, Some dst -> (
-              match Expr_universe.expr_of_name uni dst with
-              | Some e ->
+            Option.iter
+              (fun e ->
                 Bitset.add cur_av e.Expr_universe.index;
-                Bitset.add cur_pav e.Expr_universe.index
-              | None -> ())
-            | _ -> ());
-            let reg_kills, mem_kills = Expr_universe.kills_of_instr uni i in
-            List.iter
-              (fun k ->
+                Bitset.add cur_pav e.Expr_universe.index)
+              (Expr_universe.evaluated uni i);
+            Expr_universe.iter_kills uni i (fun k ->
                 Bitset.remove cur_av k;
                 Bitset.remove cur_pav k;
-                Bitset.add killed k)
-              reg_kills;
-            List.iter
-              (fun k ->
-                Bitset.remove cur_av k;
-                Bitset.remove cur_pav k;
-                Bitset.add killed k)
-              mem_kills;
+                Bitset.add killed k);
             match Instr.def i with
             | Some d when d >= 0 && d < width -> Bitset.add cur_init d
             | _ -> ())

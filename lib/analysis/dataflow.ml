@@ -3,21 +3,47 @@
     Every global system in this reproduction — available expressions,
     anticipability, the earliest/later systems of PRE — is a gen/kill
     problem over block-indexed bit vectors with union or intersection meet.
-    This module solves such systems to a fixed point, iterating in reverse
-    postorder (forward problems) or postorder (backward problems), exactly
+    This module solves such systems to a fixed point over a [graph] view
+    built once per graph: reverse postorder (forward problems) or
+    postorder (backward problems) sweeps that visit every reachable block
+    once, then only blocks whose sources changed, until none is pending —
     the discipline of the paper's per-pass data-flow analyses. The sets
-    are updated in place: each solve allocates its result and one scratch
-    set, and nothing per visit. *)
+    are updated in place: each solve allocates its result, one scratch
+    set and one pending flag per block, and nothing per visit. *)
 
 open Epre_util
 open Epre_ir
+
+type graph = {
+  order : Order.t;
+  rpo : int array;
+  po : int array;
+  preds : int array array;
+  succs : int array array;
+  entry : int;
+}
+
+let graph cfg =
+  let order = Order.compute cfg in
+  let n = Cfg.num_blocks cfg in
+  let reachable id = Order.is_reachable order id in
+  let preds = Array.make n [||] and succs = Array.make n [||] in
+  Array.iteri
+    (fun id ps ->
+      if reachable id then begin
+        preds.(id) <- Array.of_list (List.filter reachable ps);
+        succs.(id) <- Array.of_list (Cfg.succs cfg id)
+      end)
+    (Cfg.preds cfg);
+  { order; rpo = Order.reverse_postorder order; po = Order.postorder order; preds; succs;
+    entry = Cfg.entry cfg }
 
 type meet = Union | Inter
 
 type system = {
   width : int;  (** number of data-flow facts *)
-  gen : int -> Bitset.t;  (** facts generated by block [id] *)
-  kill : int -> Bitset.t;  (** facts killed by block [id] *)
+  gen : Bitset.t array;  (** by block id: facts generated *)
+  kill : Bitset.t array;  (** by block id: facts killed *)
   boundary : Bitset.t;
       (** value at the graph boundary: IN of the entry for forward problems,
           OUT of each exit for backward problems *)
@@ -26,78 +52,80 @@ type system = {
 
 type result = { ins : Bitset.t array; outs : Bitset.t array }
 
-let init_sets ~n ~width ~meet ~reachable =
-  Array.init n (fun id ->
-      if not (reachable id) then Bitset.create width
-      else match meet with Union -> Bitset.create width | Inter -> Bitset.full width)
+let init_sets g sys =
+  Array.init (Array.length g.preds) (fun id ->
+      if not (Order.is_reachable g.order id) then Bitset.create sys.width
+      else match sys.meet with Union -> Bitset.create sys.width | Inter -> Bitset.full sys.width)
 
-(* [dst] := the meet of [sources]' sets, or [sys.boundary] when there are
-   none. *)
+(* [dst] := the meet of [sets] over [sources], or [sys.boundary] when
+   there are none. *)
 let meet_into sys ~dst sets sources =
-  match sources with
-  | [] -> Bitset.assign ~dst sys.boundary
-  | first :: rest ->
-    Bitset.assign ~dst sets.(first);
-    List.iter
-      (fun c ->
-        match sys.meet with
-        | Union -> Bitset.union_into ~dst sets.(c)
-        | Inter -> Bitset.inter_into ~dst sets.(c))
-      rest
+  let n = Array.length sources in
+  if n = 0 then Bitset.assign ~dst sys.boundary
+  else begin
+    Bitset.assign ~dst sets.(sources.(0));
+    for k = 1 to n - 1 do
+      match sys.meet with
+      | Union -> Bitset.union_into ~dst sets.(sources.(k))
+      | Inter -> Bitset.inter_into ~dst sets.(sources.(k))
+    done
+  end
 
 (* [output] := gen ∪ ([input] \ kill), computed in [scratch]; returns
    whether [output] changed. *)
 let apply_transfer sys ~scratch ~input ~output id =
   Bitset.assign ~dst:scratch input;
-  Bitset.diff_into ~dst:scratch (sys.kill id);
-  Bitset.union_into ~dst:scratch (sys.gen id);
+  Bitset.diff_into ~dst:scratch sys.kill.(id);
+  Bitset.union_into ~dst:scratch sys.gen.(id);
   if Bitset.equal scratch output then false
   else begin
     Bitset.assign ~dst:output scratch;
     true
   end
 
-(* Round-robin over [visit_order] until a whole sweep changes nothing.
-   The [xfer_sets] of [sources.(id)] meet into [meet_sets.(id)]; the
-   transfer then maps [meet_sets.(id)] to [xfer_sets.(id)]. *)
-let iterate sys ~visit_order ~sources ~meet_sets ~xfer_sets =
-  let scratch = Bitset.create sys.width in
-  let changed = ref true in
-  while !changed do
-    changed := false;
+let iterate g ~forward visit =
+  let visit_order, dependents = if forward then (g.rpo, g.succs) else (g.po, g.preds) in
+  let pending = Array.make (Array.length g.preds) false in
+  Array.iter (fun id -> pending.(id) <- true) visit_order;
+  let count = ref (Array.length visit_order) in
+  while !count > 0 do
     Array.iter
       (fun id ->
-        meet_into sys ~dst:meet_sets.(id) xfer_sets sources.(id);
-        if apply_transfer sys ~scratch ~input:meet_sets.(id) ~output:xfer_sets.(id) id then
-          changed := true)
+        if pending.(id) then begin
+          pending.(id) <- false;
+          decr count;
+          if visit id then
+            Array.iter
+              (fun d ->
+                if not pending.(d) then begin
+                  pending.(d) <- true;
+                  incr count
+                end)
+              dependents.(id)
+        end)
       visit_order
   done
 
-let solve_forward cfg sys =
-  let n = Cfg.num_blocks cfg in
-  let order = Order.compute cfg in
-  let reachable id = Order.is_reachable order id in
-  let ins = init_sets ~n ~width:sys.width ~meet:sys.meet ~reachable in
-  let outs = init_sets ~n ~width:sys.width ~meet:sys.meet ~reachable in
-  let preds = Cfg.preds cfg in
-  let entry = Cfg.entry cfg in
+(* The [xfer_sets] of [sources.(id)] meet into [meet_sets.(id)] (the
+   [boundary_block] meets none, taking the boundary); the transfer then
+   maps [meet_sets.(id)] to [xfer_sets.(id)]. *)
+let solve g sys ~forward ~boundary_block ~sources ~meet_sets ~xfer_sets =
+  let scratch = Bitset.create sys.width in
+  iterate g ~forward (fun id ->
+      meet_into sys ~dst:meet_sets.(id) xfer_sets
+        (if id = boundary_block then [||] else sources.(id));
+      apply_transfer sys ~scratch ~input:meet_sets.(id) ~output:xfer_sets.(id) id)
+
+let solve_forward g sys =
+  let ins = init_sets g sys and outs = init_sets g sys in
   (* The entry takes the boundary; other blocks meet their reachable
      predecessors. *)
-  let sources =
-    Array.mapi (fun id ps -> if id = entry then [] else List.filter reachable ps) preds
-  in
-  iterate sys ~visit_order:(Order.reverse_postorder order) ~sources ~meet_sets:ins
+  solve g sys ~forward:true ~boundary_block:g.entry ~sources:g.preds ~meet_sets:ins
     ~xfer_sets:outs;
   { ins; outs }
 
-let solve_backward cfg sys =
-  let n = Cfg.num_blocks cfg in
-  let order = Order.compute cfg in
-  let reachable id = Order.is_reachable order id in
-  let ins = init_sets ~n ~width:sys.width ~meet:sys.meet ~reachable in
-  let outs = init_sets ~n ~width:sys.width ~meet:sys.meet ~reachable in
-  let po = Order.postorder order in
-  let sources = Array.make n [] in
-  Array.iter (fun id -> sources.(id) <- Cfg.succs cfg id) po;
-  iterate sys ~visit_order:po ~sources ~meet_sets:outs ~xfer_sets:ins;
+let solve_backward g sys =
+  let ins = init_sets g sys and outs = init_sets g sys in
+  solve g sys ~forward:false ~boundary_block:(-1) ~sources:g.succs ~meet_sets:outs
+    ~xfer_sets:ins;
   { ins; outs }

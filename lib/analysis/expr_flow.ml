@@ -8,38 +8,45 @@ type t = {
   local : Expr_universe.local;
   width : int;
   cfg : Cfg.t;
+  graph : Dataflow.graph;
+  avail : Dataflow.result Lazy.t;
 }
 
-let build ?uni (r : Routine.t) =
-  let uni = match uni with Some uni -> uni | None -> Expr_universe.build r in
+let system ~width ~kill ~gen ~meet =
+  { Dataflow.width; gen; kill; boundary = Bitset.create width; meet }
+
+let lazy_availability graph ~width (local : Expr_universe.local) =
+  lazy
+    (Dataflow.solve_forward graph
+       (system ~width ~kill:local.kill ~gen:local.comp ~meet:Dataflow.Inter))
+
+let make ~uni ~graph (r : Routine.t) =
   let width = Expr_universe.size uni in
   let local = Expr_universe.compute_local uni r in
-  { uni; local; width; cfg = r.Routine.cfg }
+  { uni; local; width; cfg = r.Routine.cfg; graph;
+    avail = lazy_availability graph ~width local }
 
-let system t ~gen ~meet =
-  {
-    Dataflow.width = t.width;
-    gen = (fun id -> gen.(id));
-    kill = (fun id -> t.local.Expr_universe.kill.(id));
-    boundary = Bitset.create t.width;
-    meet;
-  }
+let refresh t (r : Routine.t) =
+  let local = Expr_universe.refresh_local t.uni t.local r in
+  if local == t.local then t
+  else { t with local; avail = lazy_availability t.graph ~width:t.width local }
 
-let availability t =
-  Dataflow.solve_forward t.cfg
-    (system t ~gen:t.local.Expr_universe.comp ~meet:Dataflow.Inter)
+let build (r : Routine.t) =
+  make ~uni:(Expr_universe.build r) ~graph:(Dataflow.graph r.Routine.cfg) r
+
+let solve t solver ~gen ~meet =
+  solver t.graph (system ~width:t.width ~kill:t.local.Expr_universe.kill ~gen ~meet)
+
+let availability t = Lazy.force t.avail
 
 let anticipability t =
-  Dataflow.solve_backward t.cfg
-    (system t ~gen:t.local.Expr_universe.antloc ~meet:Dataflow.Inter)
+  solve t Dataflow.solve_backward ~gen:t.local.Expr_universe.antloc ~meet:Dataflow.Inter
 
 let partial_availability t =
-  Dataflow.solve_forward t.cfg
-    (system t ~gen:t.local.Expr_universe.comp ~meet:Dataflow.Union)
+  solve t Dataflow.solve_forward ~gen:t.local.Expr_universe.comp ~meet:Dataflow.Union
 
 let partial_anticipability t =
-  Dataflow.solve_backward t.cfg
-    (system t ~gen:t.local.Expr_universe.antloc ~meet:Dataflow.Union)
+  solve t Dataflow.solve_backward ~gen:t.local.Expr_universe.antloc ~meet:Dataflow.Union
 
 type placement = {
   laterin : Bitset.t array;
@@ -48,19 +55,14 @@ type placement = {
 }
 
 let lcm_placement t =
-  let cfg = t.cfg in
   let width = t.width in
   let antloc = t.local.Expr_universe.antloc in
   let kill = t.local.Expr_universe.kill in
-  let avail = availability t in
+  let avout = (availability t).Dataflow.outs in
   let ant = anticipability t in
   let antin = ant.Dataflow.ins and antout = ant.Dataflow.outs in
-  let avout = avail.Dataflow.outs in
-  let order = Order.compute cfg in
-  let rpo = Order.reverse_postorder order in
-  let preds = Cfg.preds cfg in
-  let entry = Cfg.entry cfg in
-  let nblocks = Cfg.num_blocks cfg in
+  let { Dataflow.preds; entry; _ } = t.graph in
+  let nblocks = Array.length preds in
   (* guard.(i) = ¬AVOUT(i) ∧ (KILL(i) ∨ ¬ANTOUT(i)), the source-block
      half of EARLIEST, once per block. *)
   let guard =
@@ -77,23 +79,20 @@ let lcm_placement t =
     Bitset.inter_into ~dst:s guard.(i);
     s
   in
-  (* in_edges.(j): j's reachable in-edges (i, EARLIEST(i, j)), EARLIEST
-     computed once per edge. *)
-  let in_edges = Array.make nblocks [] in
-  Array.iter
-    (fun j ->
-      in_edges.(j) <-
-        List.filter_map
-          (fun i -> if Order.is_reachable order i then Some (i, earliest i j) else None)
-          preds.(j))
-    rpo;
+  (* earliest_in.(j).(k): EARLIEST over the edge from [preds.(j).(k)],
+     computed once per reachable edge. *)
+  let earliest_in = Array.mapi (fun j -> Array.map (fun i -> earliest i j)) preds in
   let laterin = Array.init nblocks (fun _ -> Bitset.full width) in
   (* LATER over a real edge, given current laterin; fresh. *)
   let later i j =
     let s = Bitset.copy laterin.(i) in
     Bitset.diff_into ~dst:s antloc.(i);
-    Bitset.union_into ~dst:s
-      (match List.assoc_opt i in_edges.(j) with Some e -> e | None -> earliest i j);
+    let rec settled k =
+      if k = Array.length preds.(j) then earliest i j
+      else if preds.(j).(k) = i then earliest_in.(j).(k)
+      else settled (k + 1)
+    in
+    Bitset.union_into ~dst:s (settled 0);
     s
   in
   (* Virtual entry edge: LATER(V, entry) = ANTIN(entry). *)
@@ -110,27 +109,22 @@ let lcm_placement t =
     end
     else Bitset.inter_into ~dst:acc s
   in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun j ->
-        first := true;
-        if j = entry then meet later_virtual;
-        List.iter
-          (fun (i, e) ->
-            Bitset.assign ~dst:edge laterin.(i);
-            Bitset.diff_into ~dst:edge antloc.(i);
-            Bitset.union_into ~dst:edge e;
-            meet edge)
-          in_edges.(j);
-        if !first then Bitset.clear acc;
-        if not (Bitset.equal acc laterin.(j)) then begin
-          Bitset.assign ~dst:laterin.(j) acc;
-          changed := true
-        end)
-      rpo
-  done;
+  Dataflow.iterate t.graph ~forward:true (fun j ->
+      first := true;
+      if j = entry then meet later_virtual;
+      Array.iteri
+        (fun k i ->
+          Bitset.assign ~dst:edge laterin.(i);
+          Bitset.diff_into ~dst:edge antloc.(i);
+          Bitset.union_into ~dst:edge earliest_in.(j).(k);
+          meet edge)
+        preds.(j);
+      if !first then Bitset.clear acc;
+      if Bitset.equal acc laterin.(j) then false
+      else begin
+        Bitset.assign ~dst:laterin.(j) acc;
+        true
+      end);
   { laterin; later; later_virtual }
 
 let lcm_delete t =

@@ -3,8 +3,12 @@
     [Pre.run], [Pre.run_classic], [Cse_avail] and the redundancy auditor
     all solve the same problems over the same universe: build
     [Expr_universe], take the ANTLOC/COMP/KILL local sets, and feed a
-    gen/kill system to the generic [Dataflow] solver. This module is that
-    construction, written once. The four classic systems:
+    gen/kill system to the generic [Dataflow] solver over one
+    [Dataflow.graph] view. This module is that construction, written
+    once. A [t] holds its availability solution, and [refresh] keeps a
+    [t] current across edits to block bodies, recomputing only what
+    changed: a PRE run carries one [t] through all its rounds. The four
+    classic systems:
 
     - {b availability} (forward, ∩): evaluated on {e every} path from the
       entry with no later kill — full redundancy;
@@ -23,14 +27,27 @@ type t = {
   local : Expr_universe.local;
   width : int;  (** [Expr_universe.size uni] *)
   cfg : Cfg.t;
+  graph : Dataflow.graph;  (** the view every solve here runs over *)
+  avail : Dataflow.result Lazy.t;  (** see [availability] *)
 }
 
-(** Build the universe and local sets for a routine. [uni], when given,
-    is used instead of [Expr_universe.build r]; it must be that universe
-    (only the local sets are recomputed). *)
-val build : ?uni:Expr_universe.t -> Routine.t -> t
+(** The local sets of [r] over a given universe and graph view: [uni]
+    must be [Expr_universe.build r] and [graph] [Dataflow.graph] of [r]'s
+    CFG as they stand — a PRE run carries both from round to round. *)
+val make : uni:Expr_universe.t -> graph:Dataflow.graph -> Routine.t -> t
 
-(** Forward ∩ over COMP/KILL; [ins]/[outs] are AVIN/AVOUT. *)
+(** [make] with a fresh universe and graph view. *)
+val build : Routine.t -> t
+
+(** [t] brought up to date after [r]'s instruction lists changed but its
+    edges and universe did not: only the changed blocks' local sets are
+    recomputed ([Expr_universe.refresh_local]), and [t] itself is
+    returned, availability included, when no block changed. *)
+val refresh : t -> Routine.t -> t
+
+(** Forward ∩ over COMP/KILL; [ins]/[outs] are AVIN/AVOUT. Solved on
+    first use and then held in [t], so the placement and the CSE sweep of
+    an unchanged routine share one solution. *)
 val availability : t -> Dataflow.result
 
 (** Backward ∩ over ANTLOC/KILL; [ins]/[outs] are ANTIN/ANTOUT. *)

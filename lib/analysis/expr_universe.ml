@@ -116,59 +116,95 @@ type local = {
   antloc : Bitset.t array;
   comp : Bitset.t array;
   kill : Bitset.t array;
+  repeats : bool array;
+  bodies : Instr.t list array;
 }
 
-(* Indices killed by an instruction's definition/side effect. *)
-let kills_of_instr t i =
-  let reg_kills =
-    match Instr.def i with
-    | Some d -> t.killed_by.(d)
-    | None -> []
+let evaluated t = function
+  | Instr.Const { dst; _ } | Instr.Unop { dst; _ } | Instr.Binop { dst; _ }
+  | Instr.Load { dst; _ } ->
+    t.of_name.(dst)
+  | Instr.Copy _ | Instr.Store _ | Instr.Alloca _ | Instr.Call _ | Instr.Phi _ -> None
+
+let iter_kills t i f =
+  match i with
+  | Instr.Const { dst; _ } | Instr.Copy { dst; _ } | Instr.Unop { dst; _ }
+  | Instr.Binop { dst; _ } | Instr.Load { dst; _ } | Instr.Alloca { dst; _ }
+  | Instr.Phi { dst; _ } ->
+    List.iter f t.killed_by.(dst)
+  | Instr.Call { dst; _ } ->
+    (match dst with Some d -> List.iter f t.killed_by.(d) | None -> ());
+    List.iter f t.loads
+  | Instr.Store _ -> List.iter f t.loads
+
+(* The local sets of one block body, in fresh sets; [killed_so_far] is
+   scratch. *)
+let block_local t ~killed_so_far instrs =
+  let width = Array.length t.exprs in
+  let antloc = Bitset.create width and comp = Bitset.create width
+  and kill = Bitset.create width in
+  Bitset.clear killed_so_far;
+  let repeats = ref false in
+  let kills idx =
+    Bitset.add killed_so_far idx;
+    Bitset.add kill idx;
+    Bitset.remove comp idx
   in
-  let mem_kills =
-    match i with
-    | Instr.Store _ | Instr.Call _ -> t.loads
-    | _ -> []
-  in
-  (reg_kills, mem_kills)
+  List.iter
+    (fun i ->
+      (* Evaluation first: an instruction that evaluates e and defines
+         one of e's operands (impossible under the discipline, but be
+         safe) counts the evaluation before the kill. *)
+      (match evaluated t i with
+      | Some e ->
+        if not (Bitset.mem killed_so_far e.index) then Bitset.add antloc e.index;
+        if Bitset.mem comp e.index then repeats := true;
+        Bitset.add comp e.index
+      | None -> ());
+      iter_kills t i kills)
+    instrs;
+  (antloc, comp, kill, !repeats)
+
+(* [local] with the blocks of [ids] recomputed from their bodies. *)
+let recompute t local (r : Routine.t) ids =
+  let killed_so_far = Bitset.create (Array.length t.exprs) in
+  List.iter
+    (fun id ->
+      let body = (Cfg.block r.Routine.cfg id).Block.instrs in
+      let antloc, comp, kill, repeats = block_local t ~killed_so_far body in
+      local.antloc.(id) <- antloc;
+      local.comp.(id) <- comp;
+      local.kill.(id) <- kill;
+      local.repeats.(id) <- repeats;
+      local.bodies.(id) <- body)
+    ids
 
 let compute_local t (r : Routine.t) =
   let nblocks = Cfg.num_blocks r.Routine.cfg in
-  let width = Array.length t.exprs in
-  let antloc = Array.init nblocks (fun _ -> Bitset.create width) in
-  let comp = Array.init nblocks (fun _ -> Bitset.create width) in
-  let kill = Array.init nblocks (fun _ -> Bitset.create width) in
-  let killed_so_far = Bitset.create width in
-  Cfg.iter_blocks
-    (fun b ->
-      let id = b.Block.id in
-      let antloc = antloc.(id) and comp = comp.(id) and kill = kill.(id) in
-      Bitset.clear killed_so_far;
-      let kills idx =
-        Bitset.add killed_so_far idx;
-        Bitset.add kill idx;
-        Bitset.remove comp idx
-      in
-      List.iter
-        (fun i ->
-          let def = Instr.def i in
-          (* Evaluation first: an instruction that evaluates e and defines
-             one of e's operands (impossible under the discipline, but be
-             safe) counts the evaluation before the kill. *)
-          (match i, def with
-          | (Instr.Const _ | Instr.Unop _ | Instr.Binop _ | Instr.Load _), Some dst -> begin
-            match t.of_name.(dst) with
-            | Some e ->
-              if not (Bitset.mem killed_so_far e.index) then Bitset.add antloc e.index;
-              Bitset.add comp e.index
-            | None -> ()
-          end
-          | _ -> ());
-          (* The kills of [kills_of_instr]. *)
-          Option.iter (fun d -> List.iter kills t.killed_by.(d)) def;
-          match i with
-          | Instr.Store _ | Instr.Call _ -> List.iter kills t.loads
-          | _ -> ())
-        b.Block.instrs)
-    r.Routine.cfg;
-  { antloc; comp; kill }
+  (* A hole in the block table keeps one shared empty set; every block
+     gets its own. *)
+  let empty = Bitset.create (Array.length t.exprs) in
+  let local =
+    { antloc = Array.make nblocks empty; comp = Array.make nblocks empty;
+      kill = Array.make nblocks empty; repeats = Array.make nblocks false;
+      bodies = Array.make nblocks [] }
+  in
+  recompute t local r (Cfg.fold_blocks (fun acc b -> b.Block.id :: acc) [] r.Routine.cfg);
+  local
+
+let refresh_local t local (r : Routine.t) =
+  let changed =
+    Cfg.fold_blocks
+      (fun acc b -> if b.Block.instrs != local.bodies.(b.Block.id) then b.Block.id :: acc else acc)
+      [] r.Routine.cfg
+  in
+  if changed = [] then local
+  else begin
+    let local =
+      { antloc = Array.copy local.antloc; comp = Array.copy local.comp;
+        kill = Array.copy local.kill; repeats = Array.copy local.repeats;
+        bodies = Array.copy local.bodies }
+    in
+    recompute t local r changed;
+    local
+  end

@@ -43,9 +43,28 @@ type local = {
   comp : Bitset.t array;  (** evaluated with no kill afterwards *)
   kill : Bitset.t array;
       (** operand redefined; loads also killed by stores/calls *)
+  repeats : bool array;
+      (** some expression is evaluated again with no kill since its
+          previous evaluation in the block *)
+  bodies : Instr.t list array;
+      (** the instruction list each block's sets were computed from *)
 }
 
-(** (register kills, memory kills) an instruction causes. *)
-val kills_of_instr : t -> Instr.t -> int list * int list
+(** The universe expression an instruction evaluates: [Some e] when it
+    is an expression instruction into [e]'s name. *)
+val evaluated : t -> Instr.t -> expr option
+
+(** [iter_kills t i f] calls [f] on the index of every expression [i]
+    kills: those with [i]'s destination as an operand and, for a store or
+    a call, every load. *)
+val iter_kills : t -> Instr.t -> (int -> unit) -> unit
 
 val compute_local : t -> Routine.t -> local
+
+(** [local] brought up to date with [r]'s blocks: the sets of a block
+    whose instruction list is not (physically) its recorded body are
+    recomputed into copies of the arrays; [local] itself is returned,
+    untouched, when no block changed. [t] must still be [r]'s universe,
+    and [r]'s blocks those [local] was computed over. Instruction lists
+    are immutable, so an unchanged list means unchanged sets. *)
+val refresh_local : t -> local -> Routine.t -> local

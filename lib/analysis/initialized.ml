@@ -24,17 +24,16 @@ let compute (r : Routine.t) =
             b.Block.instrs);
         s)
   in
-  let empty = Bitset.create width in
   let boundary = Bitset.create width in
   List.iter
     (fun p -> if p >= 0 && p < width then Bitset.add boundary p)
     r.Routine.params;
   let sys =
-    { Dataflow.width; gen = (fun id -> gens.(id)); kill = (fun _ -> empty);
+    { Dataflow.width; gen = gens; kill = Array.make n (Bitset.create width);
       boundary; meet = Dataflow.Inter }
   in
-  { res = Dataflow.solve_forward cfg sys;
-    order = Order.compute cfg;
+  let graph = Dataflow.graph cfg in
+  { res = Dataflow.solve_forward graph sys; order = graph.Dataflow.order;
     full = Bitset.full width }
 
 (* The solver leaves unreachable blocks empty; report them as full so the

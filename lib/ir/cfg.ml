@@ -54,9 +54,9 @@ let blocks cfg = List.rev (fold_blocks (fun acc b -> b :: acc) [] cfg)
 let succs cfg id = Block.succs (block cfg id)
 
 (** Predecessor lists, indexed by block id. Includes every source block
-    present in the table, unreachable ones too: [Dataflow] and
-    [Expr_flow.lcm_placement] filter those themselves, while
-    [Critical_edges.is_critical] and PRE's edge placement count them.
+    present in the table, unreachable ones too: [Dataflow.graph] filters
+    those out for every solve, while [Critical_edges.is_critical] counts
+    them.
     Duplicate edges (a [Cbr] with equal arms) appear once, as
     [Instr.term_succs] deduplicates them. *)
 let preds cfg =

@@ -12,45 +12,41 @@ open Epre_util
 open Epre_ir
 open Epre_analysis
 
-let run ?uni (r : Routine.t) =
-  if r.Routine.in_ssa then invalid_arg "Cse_avail.run: requires non-SSA code";
-  let fl = Expr_flow.build ?uni r in
+let sweep (fl : Expr_flow.t) =
   let uni = fl.Expr_flow.uni in
-  let width = fl.Expr_flow.width in
-  if width = 0 then 0
+  if fl.Expr_flow.width = 0 then 0
   else begin
-    let avail = Expr_flow.availability fl in
+    let avin = (Expr_flow.availability fl).Dataflow.ins in
+    let { Expr_universe.antloc; repeats; _ } = fl.Expr_flow.local in
     let deleted = ref 0 in
     Cfg.iter_blocks
       (fun b ->
-        let current = Bitset.copy avail.Dataflow.ins.(b.Block.id) in
-        b.Block.instrs <-
-          List.filter
-            (fun i ->
-              let keep =
-                match Expr_universe.key_of i, Instr.def i with
-                | Some _, Some dst -> begin
-                  match Expr_universe.expr_of_name uni dst with
-                  | Some e ->
-                    if Bitset.mem current e.Expr_universe.index then begin
-                      incr deleted;
-                      false
-                    end
-                    else begin
-                      Bitset.add current e.Expr_universe.index;
-                      true
-                    end
-                  | None -> true
-                end
-                | _ -> true
-              in
-              if keep then begin
-                let reg_kills, mem_kills = Expr_universe.kills_of_instr uni i in
-                List.iter (Bitset.remove current) reg_kills;
-                List.iter (Bitset.remove current) mem_kills
-              end;
-              keep)
-            b.Block.instrs)
-      r.Routine.cfg;
+        let id = b.Block.id in
+        (* A block loses an evaluation exactly when one is in AVIN and in
+           ANTLOC (its expression is not killed before it), or repeats an
+           evaluation with no kill between. Only those blocks are walked,
+           so every other block keeps its instruction list, by which
+           [Expr_flow.refresh] tells unchanged blocks. *)
+        if repeats.(id) || Bitset.intersects avin.(id) antloc.(id) then begin
+          let current = Bitset.copy avin.(id) in
+          let remove = Bitset.remove current in
+          b.Block.instrs <-
+            List.filter
+              (fun i ->
+                match Expr_universe.evaluated uni i with
+                | Some e when Bitset.mem current e.Expr_universe.index ->
+                  incr deleted;
+                  false
+                | evaluated ->
+                  Option.iter (fun e -> Bitset.add current e.Expr_universe.index) evaluated;
+                  Expr_universe.iter_kills uni i remove;
+                  true)
+              b.Block.instrs
+        end)
+      fl.Expr_flow.cfg;
     !deleted
   end
+
+let run (r : Routine.t) =
+  if r.Routine.in_ssa then invalid_arg "Cse_avail.run: requires non-SSA code";
+  sweep (Expr_flow.build r)

@@ -33,7 +33,15 @@
     A single round moves only depth-one expressions. Under the Section 2.2
     naming discipline a composite expression becomes movable exactly when
     its subexpressions have moved, so both engines iterate rounds to a
-    fixed point, bounded by [max_rounds]. *)
+    fixed point, bounded by [max_rounds].
+
+    The rounds of a run share their analyses. The edge engine splits
+    critical edges once, before the first round, and nothing a round does
+    changes an edge, so the run builds one [Dataflow.graph] view and one
+    [Expr_flow.t] (universe, local sets, availability) and carries them
+    from round to round: a round recomputes the local sets only of the
+    blocks the previous step changed ([Expr_flow.refresh]), and solves
+    availability only when some block changed. *)
 
 open Epre_util
 open Epre_ir
@@ -68,29 +76,22 @@ let instr_of_key (key : Expr_universe.key) ~dst =
    has one successor; otherwise the edge was split, so j has one
    predecessor and it goes to the top of j. The virtual entry edge's
    insertion goes to the top of the entry. *)
-let lcm (fl : Expr_flow.t) order =
-  let cfg = fl.Expr_flow.cfg in
-  let preds = Cfg.preds cfg in
+let lcm (fl : Expr_flow.t) =
+  let { Dataflow.preds; succs; entry; _ } = fl.Expr_flow.graph in
   let { Expr_flow.laterin; later; later_virtual } = Expr_flow.lcm_placement fl in
-  let edges =
-    Cfg.fold_blocks
-      (fun acc b ->
-        if Order.is_reachable order b.Block.id then
-          List.fold_left (fun acc s -> (b.Block.id, s) :: acc) acc (Block.succs b)
-        else acc)
-      [] cfg
-  in
+  (* Reachable edges; an unreachable block has no successors here. *)
+  let edges = ref [] in
+  Array.iteri (fun i -> Array.iter (fun j -> edges := (i, j) :: !edges)) succs;
   let on_edge (i, j) =
     let ins = later i j in
     Bitset.diff_into ~dst:ins laterin.(j);
     if Bitset.is_empty ins then None
-    else if List.length (Cfg.succs cfg i) = 1 then Some (Bottom i, ins)
+    else if Array.length succs.(i) = 1 then Some (Bottom i, ins)
     else begin
-      assert (List.length preds.(j) = 1);
+      assert (Array.length preds.(j) = 1);
       Some (Top j, ins)
     end
   in
-  let entry = Cfg.entry cfg in
   let entry_ins = Bitset.copy later_virtual in
   Bitset.diff_into ~dst:entry_ins laterin.(entry);
   let delete =
@@ -101,19 +102,18 @@ let lcm (fl : Expr_flow.t) order =
         d)
       fl.Expr_flow.local.Expr_universe.antloc
   in
-  { inserts = List.filter_map on_edge edges @ [ (Top entry, entry_ins) ]; delete }
+  { inserts = List.filter_map on_edge !edges @ [ (Top entry, entry_ins) ]; delete }
 
 (* Block-end placement: the PPIN/PPOUT system is bidirectional, so it is
    solved here by a plain round-robin loop rather than by [Dataflow]. *)
-let morel_renvoise (fl : Expr_flow.t) order =
+let morel_renvoise (fl : Expr_flow.t) =
   let cfg = fl.Expr_flow.cfg in
+  let { Dataflow.order; preds; succs; entry; _ } = fl.Expr_flow.graph in
   let width = fl.Expr_flow.width in
   let antloc = fl.Expr_flow.local.Expr_universe.antloc in
   let kill = fl.Expr_flow.local.Expr_universe.kill (* ¬TRANSP *) in
   let avout = (Expr_flow.availability fl).Dataflow.outs in
   let antin = (Expr_flow.anticipability fl).Dataflow.ins in
-  let preds = Cfg.preds cfg in
-  let entry = Cfg.entry cfg in
   let nblocks = Cfg.num_blocks cfg in
   (* Optimistic start; the entry's PPIN and the exits' PPOUT are empty. *)
   let ppin = Array.init nblocks (fun _ -> Bitset.full width) in
@@ -127,36 +127,32 @@ let morel_renvoise (fl : Expr_flow.t) order =
   in
   while !changed do
     changed := false;
-    Cfg.iter_blocks
-      (fun b ->
-        let id = b.Block.id in
-        if Order.is_reachable order id then begin
-          update ppout.(id)
-            (match Cfg.succs cfg id with
-            | [] -> Bitset.create width
-            | s :: rest ->
-              let acc = Bitset.copy ppin.(s) in
-              List.iter (fun s' -> Bitset.inter_into ~dst:acc ppin.(s')) rest;
-              acc);
-          update ppin.(id)
-            (if id = entry then Bitset.create width
-             else begin
-               let inner = Bitset.copy ppout.(id) in
-               Bitset.diff_into ~dst:inner kill.(id);
-               Bitset.union_into ~dst:inner antloc.(id);
-               Bitset.inter_into ~dst:inner antin.(id);
-               List.iter
-                 (fun p ->
-                   if Order.is_reachable order p then begin
-                     let edge = Bitset.copy ppout.(p) in
-                     Bitset.union_into ~dst:edge avout.(p);
-                     Bitset.inter_into ~dst:inner edge
-                   end)
-                 preds.(id);
-               inner
-             end)
-        end)
-      cfg
+    for id = 0 to nblocks - 1 do
+      if Order.is_reachable order id then begin
+        update ppout.(id)
+          (if Array.length succs.(id) = 0 then Bitset.create width
+           else begin
+             let acc = Bitset.copy ppin.(succs.(id).(0)) in
+             Array.iter (fun s' -> Bitset.inter_into ~dst:acc ppin.(s')) succs.(id);
+             acc
+           end);
+        update ppin.(id)
+          (if id = entry then Bitset.create width
+           else begin
+             let inner = Bitset.copy ppout.(id) in
+             Bitset.diff_into ~dst:inner kill.(id);
+             Bitset.union_into ~dst:inner antloc.(id);
+             Bitset.inter_into ~dst:inner antin.(id);
+             Array.iter
+               (fun p ->
+                 let edge = Bitset.copy ppout.(p) in
+                 Bitset.union_into ~dst:edge avout.(p);
+                 Bitset.inter_into ~dst:inner edge)
+               preds.(id);
+             inner
+           end)
+      end
+    done
   done;
   let inserts =
     List.filter_map
@@ -184,23 +180,25 @@ let morel_renvoise (fl : Expr_flow.t) order =
   in
   { inserts; delete }
 
-(* One round: place, insert, delete, then the CSE sweep. The sweep reuses
-   the round's universe: insertions and deletions only add or remove
-   evaluations of names already in it, so rebuilding it would give the
-   same one. The exception is an inserted key that is not [=] to itself
-   (a [KConst nan]): a second definition of such a name drops it from a
-   rebuilt universe, so then the sweep rebuilds. Returns
-   (inserted, deleted, cse_deleted). *)
-let round ~split place (r : Routine.t) =
-  if split then ignore (Epre_ssa.Critical_edges.split_all r);
+(* One round over [fl], which must describe the routine as it stands:
+   place, insert, delete, then the CSE sweep. Returns (inserted, deleted,
+   cse_deleted) and the [Expr_flow.t] the sweep ran on, which the next
+   round refreshes.
+
+   The universe carries over: insertions, deletions and CSE removals only
+   add or remove evaluations of names already in it, so a rebuild would
+   return the same one. The exception is an inserted key that is not [=]
+   to itself (a [KConst nan]): a second definition of such a name drops it
+   from a rebuilt universe, so then the sweep rebuilds it. Otherwise the
+   sweep refreshes [fl]: only the blocks the placement changed get new
+   local sets, and when it changed none the sweep reuses [fl] whole,
+   availability included. *)
+let round place (fl : Expr_flow.t) (r : Routine.t) =
   let cfg = r.Routine.cfg in
-  let uni = Expr_universe.build r in
-  let fl = Expr_flow.build ~uni r in
-  let width = fl.Expr_flow.width in
+  let uni = fl.Expr_flow.uni and width = fl.Expr_flow.width in
   let inserted = ref 0 and deleted = ref 0 and reusable = ref true in
   if width > 0 then begin
-    let order = Order.compute cfg in
-    let { inserts; delete } = place fl order in
+    let { inserts; delete } = place fl in
     let exprs = Expr_universe.exprs uni in
     List.iter
       (fun (site, set) ->
@@ -224,55 +222,62 @@ let round ~split place (r : Routine.t) =
         end)
       inserts;
     (* Deletions: every evaluation of a DELETE expression before its first
-       kill in the block — each produces the value now in its name. *)
-    Cfg.iter_blocks
-      (fun b ->
-        let del = delete.(b.Block.id) in
-        if Order.is_reachable order b.Block.id && not (Bitset.is_empty del) then begin
+       kill in the block — each produces the value now in its name. A
+       block that loses nothing keeps its list. *)
+    Array.iter
+      (fun id ->
+        let del = delete.(id) in
+        if not (Bitset.is_empty del) then begin
+          let b = Cfg.block cfg id in
           let killed = Bitset.create width in
-          b.Block.instrs <-
+          let kill = Bitset.add killed in
+          let before = !deleted in
+          let kept =
             List.filter
               (fun i ->
-                let drop =
-                  match Expr_universe.key_of i, Instr.def i with
-                  | Some _, Some dst -> begin
-                    match Expr_universe.expr_of_name uni dst with
-                    | Some { Expr_universe.index; _ } ->
-                      Bitset.mem del index && not (Bitset.mem killed index)
-                    | None -> false
-                  end
-                  | _ -> false
-                in
-                if drop then incr deleted
-                else begin
-                  let reg_kills, mem_kills = Expr_universe.kills_of_instr uni i in
-                  List.iter (Bitset.add killed) reg_kills;
-                  List.iter (Bitset.add killed) mem_kills
-                end;
-                not drop)
+                match Expr_universe.evaluated uni i with
+                | Some { Expr_universe.index; _ }
+                  when Bitset.mem del index && not (Bitset.mem killed index) ->
+                  incr deleted;
+                  false
+                | _ ->
+                  Expr_universe.iter_kills uni i kill;
+                  true)
               b.Block.instrs
+          in
+          if !deleted > before then b.Block.instrs <- kept
         end)
-      cfg
+      fl.Expr_flow.graph.Dataflow.rpo
   end;
-  let cse = Cse_avail.run ?uni:(if !reusable then Some uni else None) r in
-  (!inserted, !deleted, cse)
+  let fl =
+    if !reusable then Expr_flow.refresh fl r
+    else Expr_flow.make ~uni:(Expr_universe.build r) ~graph:fl.Expr_flow.graph r
+  in
+  let cse = Cse_avail.sweep fl in
+  (!inserted, !deleted, cse, fl)
 
+(* Edges never change after the first round's split, so one graph view
+   serves every round of the run. *)
 let drive ~name ~split place (r : Routine.t) =
   if r.Routine.in_ssa then invalid_arg (name ^ ": requires non-SSA code");
+  if split then ignore (Epre_ssa.Critical_edges.split_all r);
   let stats = { inserted = 0; deleted = 0; cse_deleted = 0; rounds = 0 } in
-  let rec go () =
-    if stats.rounds < max_rounds then begin
-      let ins, del, cse = round ~split place r in
+  let rec go fl =
+    if stats.rounds = max_rounds then fl
+    else begin
+      let ins, del, cse, fl = round place (Expr_flow.refresh fl r) r in
       stats.inserted <- stats.inserted + ins;
       stats.deleted <- stats.deleted + del;
       stats.cse_deleted <- stats.cse_deleted + cse;
       stats.rounds <- stats.rounds + 1;
-      if ins + del + cse > 0 then go ()
+      if ins + del + cse > 0 then go fl else fl
     end
   in
-  go ();
-  stats
+  let fl = go (Expr_flow.build r) in
+  (stats, fl.Expr_flow.uni)
 
-let run r = drive ~name:"Pre.run" ~split:true lcm r
+let run_carrying r = drive ~name:"Pre.run" ~split:true lcm r
 
-let run_classic r = drive ~name:"Pre.run_classic" ~split:false morel_renvoise r
+let run r = fst (run_carrying r)
+
+let run_classic r = fst (drive ~name:"Pre.run_classic" ~split:false morel_renvoise r)

@@ -25,6 +25,12 @@ val max_rounds : int
     execution path. *)
 val run : Routine.t -> stats
 
+(** [run], also returning the universe its last round handed on. A run
+    builds its expression universe once and carries it from round to
+    round, so that universe must equal [Expr_universe.build] of the
+    routine the run leaves; tests check this. *)
+val run_carrying : Routine.t -> stats * Epre_analysis.Expr_universe.t
+
 (** Block-end placement: never splits critical edges, so it is blocked
     wherever one is the only legal insertion point. *)
 val run_classic : Routine.t -> stats

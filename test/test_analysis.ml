@@ -245,12 +245,12 @@ let test_forward_union_reaching () =
   let empty = Bitset.create 4 in
   let sys =
     { Dataflow.width = 4;
-      gen = (fun id -> if id = 0 then gen0 else gen1);
-      kill = (fun _ -> empty);
+      gen = [| gen0; gen1 |];
+      kill = [| empty; empty |];
       boundary = Bitset.create 4;
       meet = Dataflow.Union }
   in
-  let r = Dataflow.solve_forward cfg sys in
+  let r = Dataflow.solve_forward (Dataflow.graph cfg) sys in
   Alcotest.(check bool) "fact flows in" true (Bitset.mem r.Dataflow.ins.(1) 0)
 
 let test_forward_inter_kills () =
@@ -262,12 +262,12 @@ let test_forward_inter_kills () =
   let empty = Bitset.create width in
   let sys =
     { Dataflow.width;
-      gen = (fun id -> if id = 0 then full1 else empty);
-      kill = (fun id -> if id = 1 then full1 else empty);
+      gen = [| full1; empty; empty; empty |];
+      kill = [| empty; full1; empty; empty |];
       boundary = Bitset.create width;
       meet = Dataflow.Inter }
   in
-  let r = Dataflow.solve_forward cfg sys in
+  let r = Dataflow.solve_forward (Dataflow.graph cfg) sys in
   Alcotest.(check bool) "available out of 2" true (Bitset.mem r.Dataflow.outs.(2) 0);
   Alcotest.(check bool) "killed out of 1" false (Bitset.mem r.Dataflow.outs.(1) 0);
   Alcotest.(check bool) "join loses the fact" false (Bitset.mem r.Dataflow.ins.(3) 0)
@@ -280,12 +280,12 @@ let test_backward_inter_anticipation () =
   let empty = Bitset.create width in
   let sys =
     { Dataflow.width;
-      gen = (fun id -> if id = 1 || id = 2 then full1 else empty);
-      kill = (fun _ -> empty);
+      gen = [| empty; full1; full1; empty |];
+      kill = Array.make 4 empty;
       boundary = Bitset.create width;
       meet = Dataflow.Inter }
   in
-  let r = Dataflow.solve_backward cfg sys in
+  let r = Dataflow.solve_backward (Dataflow.graph cfg) sys in
   Alcotest.(check bool) "anticipated at entry exit" true
     (Bitset.mem r.Dataflow.outs.(0) 0);
   Alcotest.(check bool) "not anticipated at exit block" false
@@ -300,12 +300,12 @@ let test_loop_avail_fixpoint () =
   let empty = Bitset.create width in
   let sys =
     { Dataflow.width;
-      gen = (fun id -> if id = 0 then full1 else empty);
-      kill = (fun _ -> empty);
+      gen = Array.init (Cfg.num_blocks cfg) (fun id -> if id = 0 then full1 else empty);
+      kill = Array.make (Cfg.num_blocks cfg) empty;
       boundary = Bitset.create width;
       meet = Dataflow.Inter }
   in
-  let r = Dataflow.solve_forward cfg sys in
+  let r = Dataflow.solve_forward (Dataflow.graph cfg) sys in
   List.iter
     (fun b ->
       Alcotest.(check bool)

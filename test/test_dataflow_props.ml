@@ -1,9 +1,10 @@
 (** Property tests: the RPO-driven data-flow solver computes exactly the
     same fixpoint as a naive chaotic iteration, for random graphs and
     random gen/kill systems (widths up to 150, so sets span several
-    words), in all four (direction x meet) combinations; and the lazy code
+    words), in all four (direction x meet) combinations; the lazy code
     motion placement equals a straightforward reference fixpoint on
-    generated programs. *)
+    generated programs; and refreshing an [Expr_flow.t] after PRE's
+    edits equals rebuilding it. *)
 
 open Epre_util
 open Epre_ir
@@ -104,20 +105,25 @@ let solver_matches_naive =
     (fun (n, edges, width, gens, kills, meet, forward) ->
       let cfg = make_cfg n edges in
       let mk lists =
-        let arr = Array.of_list lists in
-        fun id ->
-          let s = Bitset.create width in
-          List.iter (Bitset.add s) arr.(id);
-          s
+        Array.of_list
+          (List.map
+             (fun l ->
+               let s = Bitset.create width in
+               List.iter (Bitset.add s) l;
+               s)
+             lists)
       in
       let gen = mk gens and kill = mk kills in
       let sys =
         { Dataflow.width; gen; kill; boundary = Bitset.create width; meet }
       in
+      let g = Dataflow.graph cfg in
       let result =
-        if forward then Dataflow.solve_forward cfg sys else Dataflow.solve_backward cfg sys
+        if forward then Dataflow.solve_forward g sys else Dataflow.solve_backward g sys
       in
-      let nins, nouts = naive cfg ~width ~gen ~kill ~meet ~forward in
+      let nins, nouts =
+        naive cfg ~width ~gen:(Array.get gen) ~kill:(Array.get kill) ~meet ~forward
+      in
       let order = Order.compute cfg in
       let ok = ref true in
       for id = 0 to n - 1 do
@@ -231,4 +237,34 @@ let placement_matches_reference_fixpoint =
           before && placement_matches_reference r)
         (Program.routines prog))
 
-let suite = [ solver_matches_naive; placement_matches_reference_fixpoint ]
+(* [Expr_flow.refresh] returns its argument while no body changed; after
+   PRE has edited the bodies it equals a fresh [make] over the same
+   universe and graph view: local sets, repeat flags and availability. *)
+let refresh_matches_rebuild =
+  Helpers.qcheck_case ~count:40 "Expr_flow" "refresh = rebuild after body edits"
+    Gen.(int_bound 100_000)
+    (fun seed ->
+      let prog = Epre_frontend.Frontend.compile_string (Epre_fuzz.Gen.source seed) in
+      List.for_all
+        (fun (r : Routine.t) ->
+          ignore (Epre_opt.Naming.run r);
+          ignore (Epre_ssa.Critical_edges.split_all r);
+          let fl = Expr_flow.build r in
+          let unchanged = Expr_flow.refresh fl r == fl in
+          ignore (Epre_pre.Pre.run r);
+          let got = Expr_flow.refresh fl r
+          and want = Expr_flow.make ~uni:fl.Expr_flow.uni ~graph:fl.Expr_flow.graph r in
+          let sets f = Array.for_all2 Bitset.equal (f got) (f want) in
+          let local f (t : Expr_flow.t) = f t.Expr_flow.local in
+          let avail f (t : Expr_flow.t) = f (Expr_flow.availability t) in
+          unchanged
+          && sets (local (fun l -> l.Expr_universe.antloc))
+          && sets (local (fun l -> l.Expr_universe.comp))
+          && sets (local (fun l -> l.Expr_universe.kill))
+          && got.Expr_flow.local.Expr_universe.repeats = want.Expr_flow.local.Expr_universe.repeats
+          && sets (avail (fun a -> a.Dataflow.ins))
+          && sets (avail (fun a -> a.Dataflow.outs)))
+        (Program.routines prog))
+
+let suite =
+  [ solver_matches_naive; placement_matches_reference_fixpoint; refresh_matches_rebuild ]

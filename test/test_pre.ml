@@ -341,6 +341,220 @@ let test_no_candidates_is_fine () =
   Alcotest.(check int) "nothing to do" 0 stats.Epre_pre.Pre.inserted;
   ignore (instrs_of r)
 
+(* ------------------------------------------------------------------ *)
+(* The round driver against a rebuild-everything reference              *)
+
+(* The edge-placement driver with nothing shared between analyses: every
+   round splits critical edges and builds the universe, local sets,
+   orders, predecessor lists and availability afresh, then the CSE sweep
+   rebuilds them all again ([Cse_avail.run]). [Pre.run] carries its
+   universe and graph view across rounds and reuses the round's
+   availability in the sweep; it must give the same ILOC and stats. *)
+module Reference = struct
+  open Epre_util
+  open Epre_analysis
+
+  let instr_of_key (key : Expr_universe.key) ~dst =
+    match key with
+    | Expr_universe.KConst value -> Instr.Const { dst; value }
+    | Expr_universe.KUnop (op, src) -> Instr.Unop { op; dst; src }
+    | Expr_universe.KBinop (op, a, b) -> Instr.Binop { op; dst; a; b }
+    | Expr_universe.KLoad addr -> Instr.Load { dst; addr }
+
+  let round (r : Routine.t) =
+    ignore (Epre_ssa.Critical_edges.split_all r);
+    let cfg = r.Routine.cfg in
+    let fl = Expr_flow.build r in
+    let uni = fl.Expr_flow.uni and width = fl.Expr_flow.width in
+    let inserted = ref 0 and deleted = ref 0 in
+    if width > 0 then begin
+      let order = Order.compute cfg in
+      let preds = Cfg.preds cfg in
+      let { Expr_flow.laterin; later; later_virtual } = Expr_flow.lcm_placement fl in
+      let edges =
+        Cfg.fold_blocks
+          (fun acc b ->
+            if Order.is_reachable order b.Block.id then
+              List.fold_left (fun acc s -> (b.Block.id, s) :: acc) acc (Block.succs b)
+            else acc)
+          [] cfg
+      in
+      let site (i, j) =
+        let ins = later i j in
+        Bitset.diff_into ~dst:ins laterin.(j);
+        if List.length (Cfg.succs cfg i) = 1 then (`Bottom i, ins)
+        else begin
+          assert (List.length preds.(j) = 1);
+          (`Top j, ins)
+        end
+      in
+      let entry = Cfg.entry cfg in
+      let entry_ins = Bitset.copy later_virtual in
+      Bitset.diff_into ~dst:entry_ins laterin.(entry);
+      List.iter
+        (fun (where, set) ->
+          let instrs =
+            List.map
+              (fun idx ->
+                let e = (Expr_universe.exprs uni).(idx) in
+                instr_of_key e.Expr_universe.key ~dst:e.Expr_universe.name)
+              (Bitset.elements set)
+          in
+          inserted := !inserted + List.length instrs;
+          match where with
+          | `Top id ->
+            let b = Cfg.block cfg id in
+            b.Block.instrs <- instrs @ b.Block.instrs
+          | `Bottom id ->
+            let b = Cfg.block cfg id in
+            b.Block.instrs <- b.Block.instrs @ instrs)
+        (List.map site edges @ [ (`Top entry, entry_ins) ]);
+      Cfg.iter_blocks
+        (fun b ->
+          let id = b.Block.id in
+          if Order.is_reachable order id then begin
+            let del = Bitset.copy fl.Expr_flow.local.Expr_universe.antloc.(id) in
+            Bitset.diff_into ~dst:del laterin.(id);
+            let killed = Bitset.create width in
+            b.Block.instrs <-
+              List.filter
+                (fun i ->
+                  let drop =
+                    match Expr_universe.evaluated uni i with
+                    | Some e ->
+                      Bitset.mem del e.Expr_universe.index
+                      && not (Bitset.mem killed e.Expr_universe.index)
+                    | None -> false
+                  in
+                  if drop then incr deleted else Expr_universe.iter_kills uni i (Bitset.add killed);
+                  not drop)
+                b.Block.instrs
+          end)
+        cfg
+    end;
+    (!inserted, !deleted, Epre_opt.Cse_avail.run r)
+
+  let run (r : Routine.t) =
+    let stats = { Epre_pre.Pre.inserted = 0; deleted = 0; cse_deleted = 0; rounds = 0 } in
+    let rec go () =
+      if stats.rounds < Epre_pre.Pre.max_rounds then begin
+        let ins, del, cse = round r in
+        stats.inserted <- stats.inserted + ins;
+        stats.deleted <- stats.deleted + del;
+        stats.cse_deleted <- stats.cse_deleted + cse;
+        stats.rounds <- stats.rounds + 1;
+        if ins + del + cse > 0 then go ()
+      end
+    in
+    go ();
+    stats
+end
+
+(* Universes compared by their numbered (name, key) lists; [compare], not
+   [=], so a [KConst nan] key matches itself. *)
+let universe_list u =
+  Array.to_list
+    (Array.map
+       (fun e -> Epre_analysis.Expr_universe.(e.index, e.name, e.key))
+       (Epre_analysis.Expr_universe.exprs u))
+
+(* [Pre.run] against the reference on a copy of [r] each; also checks
+   that the universe [Pre.run] carried out of its last round is the one a
+   rebuild gives. *)
+let check_against_reference what (r : Routine.t) =
+  let mine = Routine.copy r and theirs = Routine.copy r in
+  let stats, uni = Epre_pre.Pre.run_carrying mine in
+  let want = Reference.run theirs in
+  let show (s : Epre_pre.Pre.stats) =
+    Printf.sprintf "%d/%d/%d/%d" s.inserted s.deleted s.cse_deleted s.rounds
+  in
+  Alcotest.(check string) (what ^ ": ILOC") (Ir_text.routine_to_string theirs)
+    (Ir_text.routine_to_string mine);
+  Alcotest.(check string) (what ^ ": stats") (show want) (show stats);
+  if compare (universe_list uni) (universe_list (Epre_analysis.Expr_universe.build mine)) <> 0
+  then Alcotest.failf "%s: the carried universe differs from a rebuild" what
+
+let test_reference_kernels_after_naming () =
+  List.iter
+    (fun w ->
+      List.iter
+        (fun r ->
+          ignore (Epre_opt.Naming.run r);
+          check_against_reference (w.Epre_workloads.Workloads.name ^ "/" ^ r.Routine.name) r)
+        (Program.routines (Epre_workloads.Workloads.compile w)))
+    Epre_workloads.Workloads.all
+
+(* What each PRE level hands its late cleanup [pre]: the level's passes
+   up to, not including, its last "pre". *)
+let test_reference_late_pre_inputs () =
+  let module Pipeline = Epre.Pipeline in
+  List.iter
+    (fun level ->
+      let passes = Pipeline.level_passes ~level in
+      let late =
+        List.fold_left
+          (fun (k, last) p ->
+            (k + 1, if p.Epre_harness.Harness.pass_name = "pre" then k else last))
+          (0, -1) passes
+        |> snd
+      in
+      List.iter
+        (fun w ->
+          List.iter
+            (fun r ->
+              List.iteri (fun k p -> if k < late then p.Epre_harness.Harness.run r) passes;
+              check_against_reference
+                (Printf.sprintf "%s %s/%s" (Pipeline.level_to_string level)
+                   w.Epre_workloads.Workloads.name r.Routine.name)
+                r)
+            (Program.routines (Epre_workloads.Workloads.compile w)))
+        Epre_workloads.Workloads.all)
+    [ Pipeline.Partial; Pipeline.Reassociation; Pipeline.Distribution ]
+
+let test_reference_fuzz_programs () =
+  for seed = 1 to 200 do
+    let prog = Epre_frontend.Frontend.compile_string (Epre_fuzz.Gen.source seed) in
+    List.iter
+      (fun r ->
+        ignore (Epre_opt.Naming.run r);
+        check_against_reference (Printf.sprintf "seed %d/%s" seed r.Routine.name) r)
+      (Program.routines prog)
+  done
+
+(* A NaN constant evaluated in a loop entered from both arms of a
+   diamond. Round 1 hoists it onto both entry edges, so its name gets a
+   second [const nan] definition; [KConst nan] is not [=] to itself, so a
+   rebuilt universe drops the name, and the round must hand on a rebuilt
+   universe instead of the one it started with. Round 2 hoists [r4],
+   whose operand [r3] is now defined outside the loop; round 3 confirms. *)
+let nan_loop =
+  {|
+routine f(r0, r1) entry B0 regs 5 {
+B0:
+  cbr r0, B1, B2
+B1:
+  jump B3
+B2:
+  jump B3
+B3:
+  r3 = const nan
+  r4 = fadd r3, r1
+  cbr r0, B3, B4
+B4:
+  return r4
+}
+|}
+
+let test_nan_insertion_rebuilds_universe () =
+  let r = Program.find_exn (Ir_text.parse_program nan_loop) "f" in
+  let probe = Routine.copy r in
+  let stats = Epre_pre.Pre.run probe in
+  Alcotest.(check int) "rounds" 3 stats.Epre_pre.Pre.rounds;
+  Alcotest.(check int) "two nan and two fadd insertions" 4 stats.Epre_pre.Pre.inserted;
+  Alcotest.(check bool) "the nan name left the universe" true
+    (Epre_analysis.Expr_universe.expr_of_name (Epre_analysis.Expr_universe.build probe) 3 = None);
+  check_against_reference "nan loop" r
+
 let suite =
   [
     Alcotest.test_case "section 2: partial redundancy" `Quick test_partial_redundancy_insert_and_delete;
@@ -355,4 +569,10 @@ let suite =
     Alcotest.test_case "constants leave loops" `Quick test_constants_hoisted_out_of_loop;
     Alcotest.test_case "round cap binds on a deep chain" `Quick test_round_cap_binds;
     Alcotest.test_case "empty routine" `Quick test_no_candidates_is_fine;
+    Alcotest.test_case "reference driver: kernels after naming" `Slow
+      test_reference_kernels_after_naming;
+    Alcotest.test_case "reference driver: late pre inputs" `Slow test_reference_late_pre_inputs;
+    Alcotest.test_case "reference driver: generated programs" `Slow test_reference_fuzz_programs;
+    Alcotest.test_case "nan insertion rebuilds the universe" `Quick
+      test_nan_insertion_rebuilds_universe;
   ]
