@@ -104,7 +104,7 @@ let speculative_at must (b : Block.t) ~dst ~idx =
 
 let shape_depth = 3
 
-let shapes_of (r : Routine.t) order =
+let shapes_of (r : Routine.t) (g : Dataflow.graph) =
   let cfg = r.Routine.cfg in
   let width = max 1 r.Routine.next_reg in
   let def_count = Array.make width 0 in
@@ -157,7 +157,7 @@ let shapes_of (r : Routine.t) order =
   Cfg.iter_blocks
     (fun b ->
       let id = b.Block.id in
-      if Order.is_reachable order id then
+      if Order.is_reachable g.Dataflow.order id then
         List.iter
           (fun i ->
             match shape_of_instr i with
@@ -176,26 +176,20 @@ let shapes_of (r : Routine.t) order =
     cfg;
   (* Longest acyclic path: drop retreating edges (RPO does not grow along
      them), leaving a DAG that reverse postorder topologically sorts. *)
-  let rpo = Order.reverse_postorder order in
-  let preds = Cfg.preds cfg in
-  let dag_preds j =
-    List.filter
-      (fun i ->
-        Order.is_reachable order i
-        && Order.rpo_number order i < Order.rpo_number order j)
-      preds.(j)
-  in
+  let rpo_number = Order.rpo_number g.Dataflow.order in
   let metric arr =
     let best = Array.make nblocks 0 in
     let result = ref 0 in
     Array.iter
       (fun j ->
         let inherit_ =
-          List.fold_left (fun acc i -> max acc best.(i)) 0 (dag_preds j)
+          Array.fold_left
+            (fun acc i -> if rpo_number i < rpo_number j then max acc best.(i) else acc)
+            0 g.Dataflow.preds.(j)
         in
         best.(j) <- arr.(j) + inherit_;
         result := max !result best.(j))
-      rpo;
+      g.Dataflow.rpo;
     !result
   in
   Hashtbl.fold (fun s arr acc -> (s, metric arr) :: acc) counts []
@@ -207,6 +201,7 @@ type core = {
   c_sites : site list;
   c_deletable : (int * int, unit) Hashtbl.t;
       (** (block, index) of sites one LCM round would delete *)
+  c_live : Liveness.t;
   c_pressure : Pressure.t;
   c_shapes : (string * int) list;
   c_spec : int;
@@ -215,13 +210,14 @@ type core = {
 let core_of (r : Routine.t) =
   let cfg = r.Routine.cfg in
   let fl = Expr_flow.build r in
-  let order = fl.Expr_flow.graph.Dataflow.order in
+  let g = fl.Expr_flow.graph in
+  let order = g.Dataflow.order in
   let uni = fl.Expr_flow.uni in
   let avail = Expr_flow.availability fl in
   let pav = Expr_flow.partial_availability fl in
   let vn = Valnum.compute r in
-  let init = Initialized.compute r in
-  let must = must_use fl.Expr_flow.graph r in
+  let init = Initialized.compute g r in
+  let must = must_use g r in
   let del = Expr_flow.lcm_delete fl in
   let deletable = Hashtbl.create 16 in
   let width = max 1 r.Routine.next_reg in
@@ -301,11 +297,13 @@ let core_of (r : Routine.t) =
         compare (a.block, a.index) (b.block, b.index))
       !sites
   in
+  let live = Liveness.compute g r in
   {
     c_sites = sites;
     c_deletable = deletable;
-    c_pressure = Pressure.compute r;
-    c_shapes = shapes_of r order;
+    c_live = live;
+    c_pressure = Pressure.compute g live r;
+    c_shapes = shapes_of r g;
     c_spec = List.length (List.filter (fun s -> s.speculative) sites);
   }
 
@@ -406,18 +404,17 @@ let run ?(expect_pre = false) ?baseline (r : Routine.t) =
             (Pressure.max_pressure c.c_pressure);
       }
   | _ -> ());
-  (* A006: long-lived expression temporaries. *)
+  (* A006: long-lived expression temporaries; unreachable blocks have
+     empty live-ins. *)
   begin
-    let live = Liveness.compute r in
-    let order = Order.compute r.Routine.cfg in
+    let live = c.c_live in
     let width = Liveness.nregs live in
     let span = Array.make (max 1 width) 0 in
     Cfg.iter_blocks
       (fun b ->
-        if Order.is_reachable order b.Block.id then
-          Bitset.iter
-            (fun reg -> span.(reg) <- span.(reg) + 1)
-            (Liveness.live_in live b.Block.id))
+        Bitset.iter
+          (fun reg -> span.(reg) <- span.(reg) + 1)
+          (Liveness.live_in live b.Block.id))
       r.Routine.cfg;
     let warned = Hashtbl.create 7 in
     List.iter

@@ -1,15 +1,18 @@
-(** Generic iterative bit-vector data-flow solver.
+(** The graph view every read-only CFG analysis takes, and the iterative
+    bit-vector data-flow solver that runs on it.
 
-    Every global system in this reproduction — available expressions,
-    anticipability, the earliest/later systems of PRE — is a gen/kill
-    problem over block-indexed bit vectors with union or intersection meet.
-    This module solves such systems to a fixed point over a [graph] view
-    built once per graph: reverse postorder (forward problems) or
-    postorder (backward problems) sweeps that visit every reachable block
-    once, then only blocks whose sources changed, until none is pending —
-    the discipline of the paper's per-pass data-flow analyses. The sets
-    are updated in place: each solve allocates its result, one scratch
-    set and one pending flag per block, and nothing per visit. *)
+    A [graph] is the reachable part of a rooted graph as arrays, built
+    once and shared by every analysis of an unchanged graph: dominators
+    (and postdominators, on the reverse view), liveness, natural loops and
+    the gen/kill systems below. [iterate] drives every fixed point here —
+    available expressions, anticipability, definite assignment, PRE's
+    LATERIN system, liveness — with reverse postorder (forward problems)
+    or postorder (backward problems) sweeps that visit every reachable
+    block once, then only blocks whose sources changed, until none is
+    pending: the discipline of the paper's per-pass data-flow analyses.
+    The gen/kill solves update their sets in place: each allocates its
+    result, one scratch set and one pending flag per block, and nothing
+    per visit. *)
 
 open Epre_util
 open Epre_ir
@@ -23,20 +26,20 @@ type graph = {
   entry : int;
 }
 
-let graph cfg =
-  let order = Order.compute cfg in
-  let n = Cfg.num_blocks cfg in
-  let reachable id = Order.is_reachable order id in
-  let preds = Array.make n [||] and succs = Array.make n [||] in
-  Array.iteri
-    (fun id ps ->
-      if reachable id then begin
-        preds.(id) <- Array.of_list (List.filter reachable ps);
-        succs.(id) <- Array.of_list (Cfg.succs cfg id)
-      end)
-    (Cfg.preds cfg);
-  { order; rpo = Order.reverse_postorder order; po = Order.postorder order; preds; succs;
-    entry = Cfg.entry cfg }
+let view ~n ~root next =
+  let order = Order.of_succs ~n ~root next in
+  let po = Order.postorder order in
+  let succs = Array.make n [||] in
+  Array.iter (fun id -> succs.(id) <- Array.of_list (next id)) po;
+  (* Sources in descending order, each prepended: ascending lists. *)
+  let preds = Array.make n [] in
+  for id = n - 1 downto 0 do
+    Array.iter (fun s -> preds.(s) <- id :: preds.(s)) succs.(id)
+  done;
+  { order; rpo = Order.reverse_postorder order; po; preds = Array.map Array.of_list preds;
+    succs; entry = root }
+
+let graph cfg = view ~n:(Cfg.num_blocks cfg) ~root:(Cfg.entry cfg) (Cfg.succs cfg)
 
 type meet = Union | Inter
 

@@ -6,7 +6,7 @@ open Epre_ir
 
 type t = { res : Dataflow.result; order : Order.t; full : Bitset.t }
 
-let compute (r : Routine.t) =
+let compute (g : Dataflow.graph) (r : Routine.t) =
   let cfg = r.Routine.cfg in
   let width = max 1 r.Routine.next_reg in
   let n = Cfg.num_blocks cfg in
@@ -32,9 +32,7 @@ let compute (r : Routine.t) =
     { Dataflow.width; gen = gens; kill = Array.make n (Bitset.create width);
       boundary; meet = Dataflow.Inter }
   in
-  let graph = Dataflow.graph cfg in
-  { res = Dataflow.solve_forward graph sys; order = graph.Dataflow.order;
-    full = Bitset.full width }
+  { res = Dataflow.solve_forward g sys; order = g.Dataflow.order; full = Bitset.full width }
 
 (* The solver leaves unreachable blocks empty; report them as full so the
    verifier never flags dead code for uninitialized reads (it has its own

@@ -15,8 +15,9 @@ open Epre_ir
 type t
 
 (** Requires a structurally valid CFG (no dangling edges, registers in
-    range); the verifier runs its structural rules first. *)
-val compute : Routine.t -> t
+    range); the verifier runs its structural rules first. [g] is the
+    routine's CFG view. *)
+val compute : Dataflow.graph -> Routine.t -> t
 
 (** Registers definitely assigned on entry to block [id]. Unreachable
     blocks report the full set (every fact holds vacuously). *)

@@ -10,7 +10,9 @@ open Epre_ir
 
 type t
 
-val compute : Routine.t -> t
+(** Liveness of the blocks [g] reaches; [g] is the routine's CFG view.
+    Unreachable blocks keep empty sets. *)
+val compute : Dataflow.graph -> Routine.t -> t
 
 val live_in : t -> int -> Bitset.t
 

@@ -1,12 +1,10 @@
 (** Natural loops and nesting depth.
 
     A back edge is an edge [t -> h] where [h] dominates [t]; the natural
-    loop of that edge is [h] plus every block that reaches [t] without
-    passing through [h]. Nesting depth feeds intuition checks on the
+    loop of that edge is [h] plus every reachable block that reaches [t]
+    without passing through [h]. Nesting depth feeds intuition checks on the
     reassociation ranks ("the rank of a loop-variant expression corresponds
     to the nesting depth of the loop in which it changes", Section 3.1). *)
-
-open Epre_ir
 
 type loop = {
   header : int;
@@ -18,31 +16,29 @@ type t = {
   depth : int array;  (** nesting depth per block id; 0 = not in any loop *)
 }
 
-let natural_loop cfg ~header ~latch =
-  let preds = Cfg.preds cfg in
+let natural_loop preds ~header ~latch =
   let in_loop = Hashtbl.create 16 in
   Hashtbl.replace in_loop header ();
   let rec add b =
     if not (Hashtbl.mem in_loop b) then begin
       Hashtbl.replace in_loop b ();
-      List.iter add preds.(b)
+      Array.iter add preds.(b)
     end
   in
   add latch;
   { header; body = List.sort compare (Hashtbl.fold (fun b () acc -> b :: acc) in_loop []) }
 
-let compute cfg =
-  let dom = Dom.compute cfg in
-  let order = Dom.order dom in
+let compute (g : Dataflow.graph) =
+  let dom = Dom.compute g in
   let loops = ref [] in
-  Cfg.iter_blocks
-    (fun b ->
-      let t = b.Block.id in
-      if Order.is_reachable order t then
-        List.iter
-          (fun h -> if Dom.dominates dom h t then loops := natural_loop cfg ~header:h ~latch:t :: !loops)
-          (Block.succs b))
-    cfg;
+  Array.iteri
+    (fun t succs ->
+      Array.iter
+        (fun h ->
+          if Dom.dominates dom h t then
+            loops := natural_loop g.Dataflow.preds ~header:h ~latch:t :: !loops)
+        succs)
+    g.Dataflow.succs;
   (* Merge loops sharing a header (multiple latches -> one loop). *)
   let by_header = Hashtbl.create 16 in
   List.iter
@@ -58,7 +54,7 @@ let compute cfg =
     Hashtbl.fold (fun header body acc -> { header; body } :: acc) by_header []
     |> List.sort (fun a b -> compare a.header b.header)
   in
-  let depth = Array.make (Cfg.num_blocks cfg) 0 in
+  let depth = Array.make (Array.length g.Dataflow.succs) 0 in
   List.iter (fun l -> List.iter (fun b -> depth.(b) <- depth.(b) + 1) l.body) loops;
   { loops; depth }
 

@@ -1,10 +1,8 @@
 (** Natural loops and nesting depth.
 
     A back edge is an edge [t -> h] where [h] dominates [t]; the natural
-    loop of that edge is [h] plus every block reaching [t] without passing
-    through [h]. Loops sharing a header are merged. *)
-
-open Epre_ir
+    loop of that edge is [h] plus every reachable block reaching [t]
+    without passing through [h]. Loops sharing a header are merged. *)
 
 type loop = {
   header : int;
@@ -13,7 +11,8 @@ type loop = {
 
 type t
 
-val compute : Cfg.t -> t
+(** The natural loops of a CFG view. *)
+val compute : Dataflow.graph -> t
 
 val loops : t -> loop list
 

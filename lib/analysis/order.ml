@@ -1,4 +1,4 @@
-(** Depth-first orders over the reachable part of a CFG.
+(** Depth-first orders over the reachable part of a rooted graph.
 
     Reverse postorder is the traversal the paper uses both for the
     Cooper–Harvey–Kennedy dominator iteration and for assigning ranks during
@@ -14,8 +14,7 @@ type t = {
           block is unreachable or removed. *)
 }
 
-let compute cfg =
-  let n = Cfg.num_blocks cfg in
+let of_succs ~n ~root succs =
   let number = Array.make n (-1) in
   let acc = ref [] in
   let count = ref 0 in
@@ -23,14 +22,16 @@ let compute cfg =
   let rec dfs id =
     if not visited.(id) then begin
       visited.(id) <- true;
-      List.iter dfs (Cfg.succs cfg id);
+      List.iter dfs (succs id);
       number.(id) <- !count;
       incr count;
       acc := id :: !acc
     end
   in
-  dfs (Cfg.entry cfg);
+  dfs root;
   { postorder = Array.of_list (List.rev !acc); number }
+
+let compute cfg = of_succs ~n:(Cfg.num_blocks cfg) ~root:(Cfg.entry cfg) (Cfg.succs cfg)
 
 let postorder t = t.postorder
 

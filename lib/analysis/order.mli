@@ -1,4 +1,4 @@
-(** Depth-first orders over the reachable part of a CFG.
+(** Depth-first orders over the reachable part of a rooted graph.
 
     Reverse postorder is the traversal the paper uses both for the
     dominator iteration and for assigning reassociation ranks
@@ -8,6 +8,11 @@ open Epre_ir
 
 type t
 
+(** [of_succs ~n ~root succs]: the depth-first orders of nodes [0..n-1]
+    reachable from [root], visiting each node's [succs] in list order. *)
+val of_succs : n:int -> root:int -> (int -> int list) -> t
+
+(** The orders of a CFG's blocks from its entry, along [Cfg.succs]. *)
 val compute : Cfg.t -> t
 
 (** Reachable block ids in postorder. *)

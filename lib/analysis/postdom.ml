@@ -1,11 +1,11 @@
 (** Postdominators and control dependence.
 
     Postdominators are dominators of the reverse CFG rooted at a virtual
-    exit that collects every [Ret] block. Control dependence is the
-    dominance frontier of the reverse graph (Cytron et al.): block [b] is
-    control-dependent on branch block [p] when [p] decides whether [b]
-    executes. Consumed by aggressive dead code elimination
-    ([Epre_opt.Adce]).
+    exit that collects every [Ret] block: [Dom] on the reverse view.
+    Control dependence is the dominance frontier of the reverse graph
+    (Cytron et al.): block [b] is control-dependent on branch block [p]
+    when [p] decides whether [b] executes. Consumed by aggressive dead
+    code elimination ([Epre_opt.Adce]).
 
     Blocks that cannot reach an exit (infinite loops) have no postdominator
     ([ipostdom] = -1 besides the virtual exit); clients must treat them
@@ -13,111 +13,26 @@
 
 open Epre_ir
 
-type t = {
-  exit_node : int;  (** the virtual exit's id = [Cfg.num_blocks] *)
-  ipostdom : int array;
-      (** indexed by block id (plus the virtual exit); [-1] when the block
-          cannot reach an exit or does not exist *)
-  control_deps : int list array;
-      (** [control_deps.(b)]: blocks whose branches [b] is
-          control-dependent on *)
-}
+type t = { exit_node : int; dom : Dom.t }
 
+(* Nodes [0..n]: the virtual exit [n] is the root and its successors are
+   the [Ret] blocks; every other node's successors are its CFG
+   predecessors. *)
 let compute cfg =
   let n = Cfg.num_blocks cfg in
-  let exit_node = n in
-  let total = n + 1 in
-  (* reverse graph: successors of a node are its CFG predecessors; the
-     virtual exit's successors are the Ret blocks. *)
-  let preds_fwd = Cfg.preds cfg in
-  let rev_succs = Array.make total [] in
-  rev_succs.(exit_node) <-
-    List.map (fun b -> b.Block.id) (Cfg.exit_blocks cfg);
-  Cfg.iter_blocks (fun b -> rev_succs.(b.Block.id) <- preds_fwd.(b.Block.id)) cfg;
-  (* reverse-graph predecessors = CFG successors, plus exit edges *)
-  let rev_preds = Array.make total [] in
-  Cfg.iter_blocks
-    (fun b ->
-      rev_preds.(b.Block.id) <- Block.succs b;
-      match b.Block.term with
-      | Instr.Ret _ -> rev_preds.(b.Block.id) <- exit_node :: rev_preds.(b.Block.id)
-      | Instr.Jump _ | Instr.Cbr _ -> ())
-    cfg;
-  (* postorder DFS over the reverse graph from the virtual exit *)
-  let po_number = Array.make total (-1) in
-  let po_list = ref [] in
-  let counter = ref 0 in
-  let visited = Array.make total false in
-  let rec dfs id =
-    if not visited.(id) then begin
-      visited.(id) <- true;
-      List.iter dfs rev_succs.(id);
-      po_number.(id) <- !counter;
-      incr counter;
-      po_list := id :: !po_list
-    end
-  in
-  dfs exit_node;
-  let rpo = Array.of_list !po_list in
-  (* Cooper-Harvey-Kennedy on the reverse graph *)
-  let ipostdom = Array.make total (-1) in
-  ipostdom.(exit_node) <- exit_node;
-  let rec intersect a b =
-    if a = b then a
-    else if po_number.(a) < po_number.(b) then intersect ipostdom.(a) b
-    else intersect a ipostdom.(b)
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun b ->
-        if b <> exit_node then begin
-          let processed = List.filter (fun p -> ipostdom.(p) >= 0) rev_preds.(b) in
-          match processed with
-          | [] -> ()
-          | first :: rest ->
-            let ni = List.fold_left intersect first rest in
-            if ipostdom.(b) <> ni then begin
-              ipostdom.(b) <- ni;
-              changed := true
-            end
-        end)
-      rpo
-  done;
-  (* control dependence = reverse dominance frontier *)
-  let control_deps = Array.make total [] in
-  Array.iter
-    (fun b ->
-      let ps = List.filter (fun p -> ipostdom.(p) >= 0) rev_preds.(b) in
-      if List.length ps >= 2 then
-        List.iter
-          (fun p ->
-            let runner = ref p in
-            while !runner <> ipostdom.(b) && !runner >= 0 do
-              (* [b] in the reverse graph is the branch point; in CFG terms
-                 [runner] is control-dependent on [b]. *)
-              if not (List.mem b control_deps.(!runner)) then
-                control_deps.(!runner) <- b :: control_deps.(!runner);
-              runner := ipostdom.(!runner)
-            done)
-          ps)
-    rpo;
-  { exit_node; ipostdom; control_deps }
+  let preds = Cfg.preds cfg in
+  let exits = List.map (fun b -> b.Block.id) (Cfg.exit_blocks cfg) in
+  let reverse = Dataflow.view ~n:(n + 1) ~root:n (fun id -> if id = n then exits else preds.(id)) in
+  { exit_node = n; dom = Dom.compute reverse }
 
 let exit_node t = t.exit_node
 
-let ipostdom t id = if id >= 0 && id < Array.length t.ipostdom then t.ipostdom.(id) else -1
+let in_range t id = id >= 0 && id <= t.exit_node
 
-(** Blocks whose branch decisions control whether [id] executes. *)
-let control_deps t id =
-  if id >= 0 && id < Array.length t.control_deps then t.control_deps.(id) else []
+let ipostdom t id = if in_range t id then Dom.idom t.dom id else -1
 
-(** [postdominates t a b]: every path from [b] to an exit passes [a]. *)
-let postdominates t a b =
-  let rec climb b =
-    if b = a then true
-    else if b < 0 || t.ipostdom.(b) = b then false
-    else climb t.ipostdom.(b)
-  in
-  if t.ipostdom.(b) < 0 then false else climb b
+(* The reverse dominance frontier: in the reverse graph [id] is reached
+   through a join at each block whose branch decides it. *)
+let control_deps t id = if in_range t id then Dom.frontier t.dom id else []
+
+let postdominates t a b = in_range t b && Dom.dominates t.dom a b

@@ -5,15 +5,13 @@ open Epre_ir
 
 type t = { blocks : (int * int) list; max : int }
 
-let compute (r : Routine.t) =
-  let live = Liveness.compute r in
-  let order = Order.compute r.Routine.cfg in
+let compute (g : Dataflow.graph) live (r : Routine.t) =
   let acc = ref [] in
   let max_p = ref 0 in
   Cfg.iter_blocks
     (fun b ->
       let id = b.Block.id in
-      if Order.is_reachable order id then begin
+      if Order.is_reachable g.Dataflow.order id then begin
         let set = Bitset.copy (Liveness.live_out live id) in
         List.iter (Bitset.add set) (Instr.term_uses b.Block.term);
         let peak = ref (Bitset.count set) in

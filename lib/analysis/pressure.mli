@@ -13,7 +13,9 @@ open Epre_ir
 
 type t
 
-val compute : Routine.t -> t
+(** Pressure of the blocks [g] reaches, from their [live] sets; [g] is
+    the routine's CFG view and [live] its liveness on [g]. *)
+val compute : Dataflow.graph -> Liveness.t -> Routine.t -> t
 
 (** Peak simultaneous live registers inside block [id]; [0] for removed
     or unreachable blocks. *)

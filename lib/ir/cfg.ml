@@ -53,10 +53,14 @@ let blocks cfg = List.rev (fold_blocks (fun acc b -> b :: acc) [] cfg)
 
 let succs cfg id = Block.succs (block cfg id)
 
-(** Predecessor lists, indexed by block id. Includes every source block
-    present in the table, unreachable ones too: [Dataflow.graph] filters
-    those out for every solve, while [Critical_edges.is_critical] counts
-    them.
+(** Predecessor lists, indexed by block id, in ascending id order.
+    Includes every source block present in the table, unreachable ones
+    too. Read-only analyses take [Dataflow.graph]'s view instead, whose
+    predecessor arrays keep the reachable sources only; these lists serve
+    where every edge matters (SSA phi arguments, [Routine.validate], the
+    verifier's phi rule, [Postdom]'s reverse view) and in passes that
+    edit the CFG ([Critical_edges.is_critical] counts unreachable
+    sources).
     Duplicate edges (a [Cbr] with equal arms) appear once, as
     [Instr.term_succs] deduplicates them. *)
 let preds cfg =

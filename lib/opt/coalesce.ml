@@ -33,7 +33,7 @@ let copy_registers (r : Routine.t) ~width =
    copies removed. *)
 let coalesce_copies (r : Routine.t) ~width ~in_copy =
   let cfg = r.Routine.cfg in
-  let live_info = Liveness.compute r in
+  let live_info = Liveness.compute (Dataflow.graph cfg) r in
   (* interference.(rep) = original registers live across a definition of
      a member of rep's class, recorded one way only: the relation is the
      symmetric closure, so [interferes] looks in both directions.

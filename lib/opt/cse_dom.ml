@@ -31,7 +31,7 @@ let key_of = function
 let run (r : Routine.t) =
   let r = Epre_ssa.Ssa.build r in
   let cfg = r.Routine.cfg in
-  let dom = Dom.compute cfg in
+  let dom = Dom.compute (Dataflow.graph cfg) in
   let table : (key, Instr.reg) Hashtbl.t = Hashtbl.create 64 in
   let deleted = ref 0 in
   let rec walk id =

@@ -36,7 +36,7 @@ let key_of_parts op a b =
 let run (r : Routine.t) =
   let r = Epre_ssa.Ssa.build r in
   let cfg = r.Routine.cfg in
-  let dom = Dom.compute cfg in
+  let dom = Dom.compute (Dataflow.graph cfg) in
   let width = max 1 r.Routine.next_reg in
   (* value number: canonical register per value; identity by default *)
   let vn = Array.init width Fun.id in

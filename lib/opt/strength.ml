@@ -215,7 +215,7 @@ let ensure_preheader (r : Routine.t) ctx =
 let run (r : Routine.t) =
   let r = Epre_ssa.Ssa.build r in
   let cfg = r.Routine.cfg in
-  let loops = Loops.compute cfg in
+  let loops = Loops.compute (Dataflow.graph cfg) in
   let preds = Cfg.preds cfg in
   let reduced = ref 0 in
   List.iter

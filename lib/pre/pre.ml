@@ -256,10 +256,20 @@ let round place (fl : Expr_flow.t) (r : Routine.t) =
   let cse = Cse_avail.sweep fl in
   (!inserted, !deleted, cse, fl)
 
+(* Both placements assume an entry that no edge enters: the virtual edge
+   into it stands for the routine's start alone. When a block jumps to the
+   entry, a fresh empty entry that jumps to the old one restores that. *)
+let give_entry_no_preds (r : Routine.t) =
+  let cfg = r.Routine.cfg in
+  let entry = Cfg.entry cfg in
+  if Cfg.fold_blocks (fun found b -> found || List.mem entry (Block.succs b)) false cfg then
+    Cfg.set_entry cfg (Cfg.add_block ~term:(Instr.Jump entry) cfg).Block.id
+
 (* Edges never change after the first round's split, so one graph view
    serves every round of the run. *)
 let drive ~name ~split place (r : Routine.t) =
   if r.Routine.in_ssa then invalid_arg (name ^ ": requires non-SSA code");
+  give_entry_no_preds r;
   if split then ignore (Epre_ssa.Critical_edges.split_all r);
   let stats = { inserted = 0; deleted = 0; cse_deleted = 0; rounds = 0 } in
   let rec go fl =

@@ -82,8 +82,9 @@ let default_build_config = { fold_copies = true }
 let build ?(config = default_build_config) (r : Routine.t) =
   if r.Routine.in_ssa then invalid_arg "Ssa.build: routine already in SSA form";
   let cfg = r.Routine.cfg in
-  let dom = Dom.compute cfg in
-  let live = Liveness.compute r in
+  let g = Dataflow.graph cfg in
+  let dom = Dom.compute g in
+  let live = Liveness.compute g r in
   let needs_phi = phi_placement r dom live in
   let preds = Cfg.preds cfg in
   let orig_width = r.Routine.next_reg in

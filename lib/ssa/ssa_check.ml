@@ -24,8 +24,9 @@ let check (r : Routine.t) =
     done;
     fail "%s: register r%d has multiple definitions" r.Routine.name !offender
   end;
-  let dom = Dom.compute cfg in
-  let order = Dom.order dom in
+  let g = Dataflow.graph cfg in
+  let dom = Dom.compute g in
+  let order = g.Dataflow.order in
   let entry = Cfg.entry cfg in
   (* Position of a definition for intra-block ordering: params/phis are at
      index -1 (top of block). *)

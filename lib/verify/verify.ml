@@ -5,6 +5,7 @@ module Tjson = Epre_telemetry.Tjson
 module Metrics = Epre_telemetry.Metrics
 module Order = Epre_analysis.Order
 module Initialized = Epre_analysis.Initialized
+module Dataflow = Epre_analysis.Dataflow
 module Bitset = Epre_util.Bitset
 module Ssa_check = Epre_ssa.Ssa_check
 
@@ -83,10 +84,10 @@ let structural_fatal (r : Routine.t) =
     !out
   end
 
-let structural_rest (r : Routine.t) =
+let structural_rest (g : Dataflow.graph) (r : Routine.t) =
   let name = r.Routine.name in
   let cfg = r.Routine.cfg in
-  let order = Order.compute cfg in
+  let order = g.Dataflow.order in
   let preds = Cfg.preds cfg in
   let out = ref [] in
   let saw_ret = ref false in
@@ -155,10 +156,10 @@ let flow_ssa (r : Routine.t) =
    registers assigned on every path to it, flagging reads outside the
    set. Phis are skipped — they only occur (erroneously) outside SSA
    here and are already reported as V006. *)
-let flow_non_ssa (r : Routine.t) =
+let flow_non_ssa (g : Dataflow.graph) (r : Routine.t) =
   let name = r.Routine.name in
-  let init = Initialized.compute r in
-  let order = Order.compute r.Routine.cfg in
+  let init = Initialized.compute g r in
+  let order = g.Dataflow.order in
   let width = max 1 r.Routine.next_reg in
   let out = ref [] in
   Cfg.iter_blocks
@@ -210,8 +211,9 @@ let v_part (r : Routine.t) =
   match structural_fatal r with
   | _ :: _ as fatal -> Fatal fatal
   | [] ->
-    let flow = if r.Routine.in_ssa then flow_ssa r else flow_non_ssa r in
-    Sound (structural_rest r @ flow)
+    let g = Dataflow.graph r.Routine.cfg in
+    let flow = if r.Routine.in_ssa then flow_ssa r else flow_non_ssa g r in
+    Sound (structural_rest g r @ flow)
 
 (* The program-dependent half (T rules under [tc], then [lints]) joined
    to the V part; a fatal V part short-circuits it. *)

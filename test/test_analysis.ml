@@ -59,7 +59,7 @@ let test_unreachable_excluded () =
 
 let test_dominators_diamond_loop () =
   let cfg = diamond_loop () in
-  let dom = Dom.compute cfg in
+  let dom = Dom.compute (Dataflow.graph cfg) in
   Alcotest.(check int) "idom 1" 0 (Dom.idom dom 1);
   Alcotest.(check int) "idom 2" 0 (Dom.idom dom 2);
   Alcotest.(check int) "idom 3 (join)" 0 (Dom.idom dom 3);
@@ -71,7 +71,7 @@ let test_dominators_diamond_loop () =
 
 let test_dominance_frontier () =
   let cfg = diamond_loop () in
-  let dom = Dom.compute cfg in
+  let dom = Dom.compute (Dataflow.graph cfg) in
   (* 1 and 2 meet at 3; the retreating edge 3 -> 1 makes 1 a join, so 1 is
      in DF(3). Neither branch strictly dominates the join. *)
   Alcotest.(check (list int)) "DF(1)" [ 3 ] (Dom.frontier dom 1);
@@ -81,7 +81,7 @@ let test_dominance_frontier () =
 
 let test_linear_chain_dominators () =
   let cfg = make_cfg 4 [ (0, 1); (1, 2); (2, 3) ] in
-  let dom = Dom.compute cfg in
+  let dom = Dom.compute (Dataflow.graph cfg) in
   Alcotest.(check int) "idom 3" 2 (Dom.idom dom 3);
   Alcotest.(check (list int)) "children of 1" [ 2 ] (Dom.children dom 1);
   let visited = ref [] in
@@ -136,7 +136,7 @@ let dominators_match_paths =
     random_cfg_gen
     (fun (n, edges) ->
       let cfg = make_cfg n edges in
-      let dom = Dom.compute cfg in
+      let dom = Dom.compute (Dataflow.graph cfg) in
       let order = Order.compute cfg in
       let ok = ref true in
       for a = 0 to n - 1 do
@@ -153,7 +153,7 @@ let dominators_match_paths =
 let test_natural_loop () =
   (* 0 -> 1; 1 -> 2, 3; 2 -> 1 — a genuine back edge (1 dominates 2). *)
   let cfg = make_cfg 4 [ (0, 1); (1, 2); (1, 3); (2, 1) ] in
-  let loops = Loops.compute cfg in
+  let loops = Loops.compute (Dataflow.graph cfg) in
   match Loops.loops loops with
   | [ l ] ->
     Alcotest.(check int) "header" 1 l.Loops.header;
@@ -166,13 +166,13 @@ let test_retreating_edge_is_not_a_loop () =
   (* diamond_loop's 3 -> 1 edge is retreating but 1 does not dominate 3, so
      no natural loop exists. *)
   let cfg = diamond_loop () in
-  let loops = Loops.compute cfg in
+  let loops = Loops.compute (Dataflow.graph cfg) in
   Alcotest.(check int) "no natural loops" 0 (List.length (Loops.loops loops))
 
 let test_nested_loops_depth () =
   (* 0 -> 1; 1 -> 2; 2 -> 2 (self), 2 -> 1 (outer back edge), 1 -> 3 *)
   let cfg = make_cfg 4 [ (0, 1); (1, 2); (1, 3); (2, 2); (2, 1) ] in
-  let loops = Loops.compute cfg in
+  let loops = Loops.compute (Dataflow.graph cfg) in
   Alcotest.(check int) "inner depth" 2 (Loops.depth loops 2);
   Alcotest.(check int) "outer depth" 1 (Loops.depth loops 1);
   Alcotest.(check int) "outside" 0 (Loops.depth loops 3)
@@ -185,7 +185,7 @@ let test_liveness_straightline () =
   let t = Builder.binop b Op.Add 0 1 in
   Builder.ret b (Some t);
   let r = Builder.finish b in
-  let live = Liveness.compute r in
+  let live = Liveness.compute (Dataflow.graph r.Routine.cfg) r in
   let live_in = Liveness.live_in live 0 in
   Alcotest.(check bool) "param 0 live-in" true (Bitset.mem live_in 0);
   Alcotest.(check bool) "param 1 live-in" true (Bitset.mem live_in 1);
@@ -200,7 +200,7 @@ let test_liveness_across_blocks () =
   let u = Builder.binop b Op.Add t 0 in
   Builder.ret b (Some u);
   let r = Builder.finish b in
-  let live = Liveness.compute r in
+  let live = Liveness.compute (Dataflow.graph r.Routine.cfg) r in
   Alcotest.(check bool) "t live-out of entry" true
     (Bitset.mem (Liveness.live_out live 0) t);
   Alcotest.(check bool) "t live-in of b2" true (Bitset.mem (Liveness.live_in live b2) t)
@@ -225,7 +225,7 @@ let test_liveness_phi_args_at_pred () =
   Builder.emit b (Instr.Phi { dst = d; args = [ (b1, x1); (b2, x2) ] });
   Builder.ret b (Some d);
   let r = Builder.finish b in
-  let live = Liveness.compute r in
+  let live = Liveness.compute (Dataflow.graph r.Routine.cfg) r in
   Alcotest.(check bool) "x1 live-out of b1" true (Bitset.mem (Liveness.live_out live b1) x1);
   Alcotest.(check bool) "x2 not live-out of b1" false
     (Bitset.mem (Liveness.live_out live b1) x2);

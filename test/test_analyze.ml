@@ -10,6 +10,8 @@ open Epre_ir
 open Epre_util
 module Audit = Epre_analysis.Audit
 module Pressure = Epre_analysis.Pressure
+module Dataflow = Epre_analysis.Dataflow
+module Liveness = Epre_analysis.Liveness
 module Valnum = Epre_analysis.Valnum
 module Expr_flow = Epre_analysis.Expr_flow
 module Analyze = Epre_verify.Analyze
@@ -177,10 +179,14 @@ B0:
 (* ------------------------------------------------------------------ *)
 (* Pressure                                                             *)
 
+let pressure (r : Routine.t) =
+  let g = Dataflow.graph r.Routine.cfg in
+  Pressure.compute g (Liveness.compute g r) r
+
 let test_pressure () =
   (* Chained: each temporary dies feeding the next — peak 2. *)
   let chained =
-    Pressure.compute
+    pressure
       (routine
          {|
 routine f(r0) entry B0 regs 4 {
@@ -196,7 +202,7 @@ B0:
   Alcotest.(check int) "block 0 peak" 2 (Pressure.block_pressure chained 0);
   (* Overlapping: r1, r2, r3 all live across the third definition. *)
   let overlapped =
-    Pressure.compute
+    pressure
       (routine
          {|
 routine f(r0) entry B0 regs 7 {

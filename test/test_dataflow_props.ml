@@ -3,8 +3,10 @@
     random gen/kill systems (widths up to 150, so sets span several
     words), in all four (direction x meet) combinations; the lazy code
     motion placement equals a straightforward reference fixpoint on
-    generated programs; and refreshing an [Expr_flow.t] after PRE's
-    edits equals rebuilding it. *)
+    generated programs; refreshing an [Expr_flow.t] after PRE's edits
+    equals rebuilding it; and dominators, frontiers, postdominators,
+    control dependence and liveness match their definitions on random
+    graphs. *)
 
 open Epre_util
 open Epre_ir
@@ -268,3 +270,204 @@ let refresh_matches_rebuild =
 
 let suite =
   [ solver_matches_naive; placement_matches_reference_fixpoint; refresh_matches_rebuild ]
+
+(* ------------------------------------------------------------------ *)
+(* Dominators, postdominators and liveness against their definitions,  *)
+(* on [make_cfg]'s random graphs. Their entries can have predecessors,  *)
+(* blocks with no listed successor return, and a block can be           *)
+(* unreachable or unable to reach a return.                             *)
+
+let gen_graph =
+  Gen.(
+    let* n = int_range 2 8 in
+    let* edges = list_size (int_range 1 14) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
+    return (n, (0, 1 mod n) :: edges))
+
+(* The blocks reached from [roots] along [next] without entering [avoid]. *)
+let reach n ~next ?(avoid = -1) roots =
+  let seen = Array.make n false in
+  let rec go id =
+    if id <> avoid && not seen.(id) then begin
+      seen.(id) <- true;
+      List.iter go (next id)
+    end
+  in
+  List.iter go roots;
+  seen
+
+let exits cfg =
+  List.map (fun b -> b.Block.id) (Cfg.exit_blocks cfg)
+
+let sorted l = List.sort_uniq compare l
+
+let all_blocks n = List.init n Fun.id
+
+(* [a] dominates reachable [b] iff no entry-to-[b] path avoids [a]; the
+   frontier of [a] is every [b] with a reachable predecessor that [a]
+   dominates, unless [a] strictly dominates [b]. The property leaves the
+   entry out of the frontiers: with no virtual edge into it, the
+   frontier walk takes the entry for a join only when two of its own
+   predecessors are reachable. *)
+let dominators_match_definition =
+  Helpers.qcheck_case ~count:300 "Dom" "dominance and frontiers = path definitions" gen_graph
+    (fun (n, edges) ->
+      let cfg = make_cfg n edges in
+      let dom = Dom.compute (Dataflow.graph cfg) in
+      let entry = Cfg.entry cfg in
+      let from_entry avoid = reach n ~next:(Cfg.succs cfg) ~avoid [ entry ] in
+      let reachable = from_entry (-1) in
+      let dominates = Array.init n (fun a -> Array.map not (from_entry a)) in
+      let preds = Cfg.preds cfg in
+      let frontier a =
+        List.filter
+          (fun b ->
+            reachable.(b) && b <> entry
+            && List.exists (fun p -> reachable.(p) && dominates.(a).(p)) preds.(b)
+            && not (a <> b && dominates.(a).(b)))
+          (all_blocks n)
+      in
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun b -> (not reachable.(b)) || Dom.dominates dom a b = dominates.(a).(b))
+            (all_blocks n)
+          && ((not reachable.(a))
+             || List.filter (( <> ) entry) (sorted (Dom.frontier dom a)) = frontier a))
+        (all_blocks n))
+
+(* [a] postdominates [b], which reaches a return, iff no [b]-to-return
+   path avoids [a]; [b] is control-dependent on every block [c] with a
+   successor that [a] postdominates, unless [a] strictly postdominates
+   [c]. A block that reaches no return has no postdominator. *)
+let postdominators_match_definition =
+  Helpers.qcheck_case ~count:300 "Postdom" "postdominance and control dependence = path definitions"
+    gen_graph
+    (fun (n, edges) ->
+      let cfg = make_cfg n edges in
+      let pdom = Postdom.compute cfg in
+      let preds = Cfg.preds cfg in
+      let to_exit avoid = reach n ~next:(Array.get preds) ~avoid (exits cfg) in
+      let exits_reached = to_exit (-1) in
+      let postdominates = Array.init n (fun a -> Array.map not (to_exit a)) in
+      let control_deps b =
+        List.filter
+          (fun c ->
+            exits_reached.(c)
+            && List.exists
+                 (fun s -> exits_reached.(s) && postdominates.(b).(s))
+                 (Cfg.succs cfg c)
+            && not (b <> c && postdominates.(b).(c)))
+          (all_blocks n)
+      in
+      List.for_all
+        (fun b ->
+          (exits_reached.(b) = (Postdom.ipostdom pdom b >= 0))
+          && List.for_all
+               (fun a ->
+                 Postdom.postdominates pdom a b = (exits_reached.(b) && postdominates.(a).(b)))
+               (all_blocks n)
+          && sorted (Postdom.control_deps pdom b)
+             = if exits_reached.(b) then control_deps b else [])
+        (all_blocks n))
+
+(* Random bodies on a random graph: adds over [width] registers, and at
+   some blocks a phi naming every predecessor. *)
+let gen_live_instance =
+  Gen.(
+    let* n, edges = gen_graph in
+    let* width = int_range 1 40 in
+    let reg = int_bound (width - 1) in
+    let* bodies = list_size (return n) (list_size (int_range 0 5) (triple reg reg reg)) in
+    let* phis = list_size (return n) (opt (pair reg (list_size (return n) reg))) in
+    let* rets = list_size (return n) (opt reg) in
+    return (n, edges, width, bodies, phis, rets))
+
+let live_routine (n, edges, width, bodies, phis, rets) =
+  let cfg = make_cfg n edges in
+  let preds = Cfg.preds cfg in
+  List.iteri
+    (fun id body ->
+      let b = Cfg.block cfg id in
+      let adds =
+        List.map (fun (dst, a, b) -> Instr.Binop { op = Op.Add; dst; a; b }) body
+      in
+      let phi =
+        match List.nth phis id with
+        | Some (dst, srcs) when preds.(id) <> [] ->
+          [ Instr.Phi { dst; args = List.map (fun p -> (p, List.nth srcs p)) preds.(id) } ]
+        | _ -> []
+      in
+      b.Block.instrs <- phi @ adds;
+      match b.Block.term with
+      | Instr.Ret _ -> b.Block.term <- Instr.Ret (List.nth rets id)
+      | _ -> ())
+    bodies;
+  Routine.create ~name:"live" ~params:[] ~cfg ~next_reg:width
+
+(* Liveness by chaotic iteration in id order, each block walked backward
+   from its live-out: the live-ins of its successors plus the arguments
+   their phis take along its edges. A phi defines its destination and
+   uses nothing in its own block. *)
+let naive_liveness (r : Routine.t) =
+  let cfg = r.Routine.cfg and width = r.Routine.next_reg in
+  let n = Cfg.num_blocks cfg in
+  let reachable = reach n ~next:(Cfg.succs cfg) [ Cfg.entry cfg ] in
+  let live_in = Array.init n (fun _ -> Bitset.create width) in
+  let live_out = Array.init n (fun _ -> Bitset.create width) in
+  let update dst s =
+    if Bitset.equal dst s then false
+    else begin
+      Bitset.assign ~dst s;
+      true
+    end
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for id = 0 to n - 1 do
+      if reachable.(id) then begin
+        let b = Cfg.block cfg id in
+        let out = Bitset.create width in
+        List.iter
+          (fun s ->
+            Bitset.union_into ~dst:out live_in.(s);
+            List.iter
+              (function
+                | Instr.Phi { args; _ } ->
+                  List.iter (fun (p, src) -> if p = id then Bitset.add out src) args
+                | _ -> ())
+              (Cfg.block cfg s).Block.instrs)
+          (Cfg.succs cfg id);
+        let live = Bitset.copy out in
+        List.iter (Bitset.add live) (Instr.term_uses b.Block.term);
+        List.iter
+          (fun i ->
+            match i with
+            | Instr.Phi { dst; _ } -> Bitset.remove live dst
+            | _ ->
+              Option.iter (Bitset.remove live) (Instr.def i);
+              List.iter (Bitset.add live) (Instr.uses i))
+          (List.rev b.Block.instrs);
+        let c1 = update live_out.(id) out in
+        let c2 = update live_in.(id) live in
+        if c1 || c2 then changed := true
+      end
+    done
+  done;
+  (live_in, live_out)
+
+let liveness_matches_naive =
+  Helpers.qcheck_case ~count:300 "Liveness" "solver = chaotic-iteration fixpoint" gen_live_instance
+    (fun inst ->
+      let r = live_routine inst in
+      let live = Liveness.compute (Dataflow.graph r.Routine.cfg) r in
+      let want_in, want_out = naive_liveness r in
+      List.for_all
+        (fun id ->
+          Bitset.equal (Liveness.live_in live id) want_in.(id)
+          && Bitset.equal (Liveness.live_out live id) want_out.(id))
+        (all_blocks (Cfg.num_blocks r.Routine.cfg)))
+
+let suite =
+  suite
+  @ [ dominators_match_definition; postdominators_match_definition; liveness_matches_naive ]

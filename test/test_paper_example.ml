@@ -90,7 +90,7 @@ let full_pipeline r =
 
 (* Blocks on a cycle, found as strongly-connected members via Loops. *)
 let loop_blocks r =
-  let loops = Epre_analysis.Loops.compute r.Routine.cfg in
+  let loops = Epre_analysis.(Loops.compute (Dataflow.graph r.Routine.cfg)) in
   List.concat_map (fun l -> l.Epre_analysis.Loops.body) (Epre_analysis.Loops.loops loops)
 
 let test_figure9_invariants_hoisted () =

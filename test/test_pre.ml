@@ -555,6 +555,36 @@ let test_nan_insertion_rebuilds_universe () =
     (Epre_analysis.Expr_universe.expr_of_name (Epre_analysis.Expr_universe.build probe) 3 = None);
   check_against_reference "nan loop" r
 
+(* An entry block with a predecessor. Lazy code motion assumes an entry
+   that nothing jumps back to: on this routine the virtual edge into B0
+   would place [fadd] where the back edge enters too, so its only
+   definition in B1 was deleted. Both engines now start from a fresh
+   entry that jumps to B0. *)
+let entry_with_pred =
+  {|
+routine main(r0, r1) entry B0 regs 4 {
+B0:
+  jump B1
+B1:
+  r3 = fadd r1, r1
+  cbr r0, B0, B2
+B2:
+  return r3
+}
+|}
+
+let test_entry_with_predecessor () =
+  let prog = Ir_text.parse_program entry_with_pred in
+  List.iter
+    (fun (name, engine) ->
+      let p = Program.copy prog in
+      ignore (engine (Program.find_exn p "main"));
+      (match Epre_verify.Verify.errors (Epre_verify.Verify.check_program p) with
+      | [] -> ()
+      | errs -> Alcotest.failf "%s: %s" name (Epre_verify.Verify.render errs));
+      Helpers.check_same_behaviour ~what:name ~args:[ Value.I 0; Value.F 1.5 ] prog p)
+    [ ("Pre.run", Epre_pre.Pre.run); ("Pre.run_classic", Epre_pre.Pre.run_classic) ]
+
 let suite =
   [
     Alcotest.test_case "section 2: partial redundancy" `Quick test_partial_redundancy_insert_and_delete;
@@ -575,4 +605,5 @@ let suite =
     Alcotest.test_case "reference driver: generated programs" `Slow test_reference_fuzz_programs;
     Alcotest.test_case "nan insertion rebuilds the universe" `Quick
       test_nan_insertion_rebuilds_universe;
+    Alcotest.test_case "entry with a predecessor" `Quick test_entry_with_predecessor;
   ]

@@ -104,6 +104,30 @@ let golden_optimized =
     ("pre-classic", ("7b5a97e326b16fafc8355191806923a5", "2ce47aa5248754a037b431b8f6b7e0fc"));
   ]
 
+(* The registry passes no level runs, pinned by their ILOC alone: per
+   pass, an MD5 over every kernel's ILOC after that pass has run on every
+   routine of the freshly compiled program, kernels in [Workloads.all]
+   order. They are the only level-free readers of [Postdom] ([adce]),
+   [Loops] ([strength]) and [Dom] ([dvnt], [cse-dom]). *)
+let golden_registry =
+  [
+    ("adce", "f89d3800cb20c798c2493bb1e9937215");
+    ("strength", "1cdfca1f95e3a4e1127bb4ec662e2f47");
+    ("dvnt", "4fddbfe08873111ddb7d13d486d21f0c");
+    ("cse-dom", "aed17772cd8c4e3258e53806af913035");
+  ]
+
+let registry_digest name =
+  let pass = Option.get (Epre.Passes.find name) in
+  let iloc = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun w ->
+      let prog = Epre_workloads.Workloads.compile w in
+      List.iter pass.Epre.Passes.run (Program.routines prog);
+      Buffer.add_string iloc (Ir_text.print_program prog))
+    Epre_workloads.Workloads.all;
+  Digest.to_hex (Digest.string (Buffer.contents iloc))
+
 let classic_digests () =
   let iloc = Buffer.create (1 lsl 16) and stats = Buffer.create (1 lsl 12) in
   List.iter
@@ -146,6 +170,14 @@ let test_optimized_digest () =
           [ ("ILOC", want_iloc, md5 iloc); ("stats", want_stats, md5 stats) ])
       (List.map (fun l -> (Pipeline.level_to_string l, level_digests l)) Pipeline.all_levels
       @ [ ("pre-classic", classic_digests) ])
+  in
+  let wrong =
+    wrong
+    @ List.filter_map
+        (fun (name, want) ->
+          let got = registry_digest name in
+          if want = got then None else Some (Printf.sprintf "%s ILOC (now %s)" name got))
+        golden_registry
   in
   if wrong <> [] then Alcotest.failf "optimized output changed: %s" (String.concat ", " wrong)
 
