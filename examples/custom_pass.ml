@@ -33,7 +33,7 @@ let block_is_constant_copy cfg du id =
   | _ -> None
 
 let if_convert (r : Routine.t) =
-  let r = Epre_ssa.Ssa.build r in
+  ignore (Epre_ssa.Ssa.build r);
   let cfg = r.Routine.cfg in
   let du = Epre_analysis.Defuse.compute r in
   let converted = ref 0 in

@@ -40,13 +40,13 @@ let () =
   stage "Figure 3: intermediate form" foo;
 
   (* Figure 4: pruned SSA; copies folded into the phis. *)
-  let foo = Epre_ssa.Ssa.build foo in
+  let { Epre_ssa.Ssa.graph; _ } = Epre_ssa.Ssa.build foo in
   Epre_ssa.Ssa_check.check foo;
   stage "Figure 4: pruned SSA form" foo;
 
   (* The ranks that guide reassociation: constants rank 0, loop-invariant
      values rank 1, loop-variant values the rank of their block. *)
-  let ranks = Epre_reassoc.Rank.compute foo in
+  let ranks = Epre_reassoc.Rank.compute graph foo in
   Fmt.pr "ranks:";
   for v = 0 to foo.Routine.next_reg - 1 do
     let k = Epre_reassoc.Rank.of_reg ranks v in
@@ -59,7 +59,7 @@ let () =
   let foo =
     Epre_reassoc.Forward_prop.run
       ~config:{ Epre_reassoc.Expr_tree.default_config with distribute = false }
-      foo
+      graph foo
   in
   stage "Figures 5-7: after forward propagation and reassociation" foo;
 

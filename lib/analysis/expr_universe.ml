@@ -19,26 +19,15 @@
 open Epre_util
 open Epre_ir
 
-type key =
+type key = Expr_key.t =
   | KConst of Value.t
   | KUnop of Op.unop * Instr.reg
   | KBinop of Op.binop * Instr.reg * Instr.reg
   | KLoad of Instr.reg
 
-let key_of = function
-  | Instr.Const { value; _ } -> Some (KConst value)
-  | Instr.Unop { op; src; _ } -> Some (KUnop (op, src))
-  | Instr.Binop { op; a; b; _ } ->
-    (* Canonical commutative order, consistent with [Naming.key_of]. *)
-    let a, b = if Op.commutative op && b < a then (b, a) else (a, b) in
-    Some (KBinop (op, a, b))
-  | Instr.Load { addr; _ } -> Some (KLoad addr)
-  | Instr.Copy _ | Instr.Store _ | Instr.Alloca _ | Instr.Call _ | Instr.Phi _ -> None
+let key_of = Expr_key.of_instr
 
-let key_operands = function
-  | KConst _ -> []
-  | KUnop (_, a) | KLoad a -> [ a ]
-  | KBinop (_, a, b) -> if a = b then [ a ] else [ a; b ]
+let key_operands = Expr_key.operands
 
 let is_load = function KLoad _ -> true | KConst _ | KUnop _ | KBinop _ -> false
 
@@ -82,8 +71,8 @@ let build (r : Routine.t) =
             status.(d) <-
               (match status.(d), key_of i with
               | Unseen, Some k -> One k
-              (* Polymorphic [=]: two [KConst nan] definitions differ. *)
-              | One k', Some k when k' = k -> One k
+              (* Two [KConst nan] definitions differ. *)
+              | One k', Some k when Expr_key.identical k' k -> One k
               | _ -> Bad))
         b.Block.instrs)
     r.Routine.cfg;

@@ -9,7 +9,7 @@
 open Epre_util
 open Epre_ir
 
-type key =
+type key = Expr_key.t =
   | KConst of Value.t
   | KUnop of Op.unop * Instr.reg
   | KBinop of Op.binop * Instr.reg * Instr.reg

@@ -3,16 +3,14 @@
 open Epre_ir
 module Union_find = Epre_util.Union_find
 
-type vkey =
-  | VConst of Value.t
-  | VUnop of Op.unop * int
-  | VBinop of Op.binop * int * int
+(* Value keys are expression keys over class representatives. *)
+module Keys = Expr_key.Tbl
 
 type t = {
   uf : Union_find.t;
   stable : bool array;
   width : int;
-  keys : (vkey, int) Hashtbl.t;  (** final-round value key -> class rep *)
+  keys : int Keys.t;  (** final-round value key -> class rep *)
 }
 
 let pure_def = function
@@ -59,21 +57,19 @@ let compute (r : Routine.t) =
      operand class) and merge equal keys until the partition is stable.
      Classes only ever merge, so this terminates. *)
   let uf = Union_find.create width in
-  let keys = Hashtbl.create 64 in
+  let keys = Keys.create 64 in
   let key_of_def d =
     match def_instr.(d) with
-    | Some (Instr.Const { value; _ }) -> Some (VConst value)
-    | Some (Instr.Unop { op; src; _ }) -> Some (VUnop (op, Union_find.find uf src))
+    | Some (Instr.Const { value; _ }) -> Some (Expr_key.KConst value)
+    | Some (Instr.Unop { op; src; _ }) -> Some (Expr_key.KUnop (op, Union_find.find uf src))
     | Some (Instr.Binop { op; a; b; _ }) ->
-      let a = Union_find.find uf a and b = Union_find.find uf b in
-      let a, b = if Op.commutative op && b < a then (b, a) else (a, b) in
-      Some (VBinop (op, a, b))
+      Some (Expr_key.binop op (Union_find.find uf a) (Union_find.find uf b))
     | _ -> None
   in
   let rounds = ref true in
   while !rounds do
     rounds := false;
-    Hashtbl.reset keys;
+    Keys.reset keys;
     for d = 0 to width - 1 do
       if stable.(d) then
         match def_instr.(d) with
@@ -86,22 +82,22 @@ let compute (r : Routine.t) =
           match key_of_def d with
           | None -> ()
           | Some key -> (
-            match Hashtbl.find_opt keys key with
+            match Keys.find_opt keys key with
             | Some other ->
               if not (Union_find.same uf d other) then begin
                 ignore (Union_find.union uf d other);
                 rounds := true
               end
-            | None -> Hashtbl.add keys key (Union_find.find uf d)))
+            | None -> Keys.add keys key (Union_find.find uf d)))
     done
   done;
   (* One final pass so [keys] maps every value key to its settled rep. *)
-  Hashtbl.reset keys;
+  Keys.reset keys;
   for d = 0 to width - 1 do
     if stable.(d) then
       match key_of_def d with
-      | Some key when not (Hashtbl.mem keys key) ->
-        Hashtbl.add keys key (Union_find.find uf d)
+      | Some key when not (Keys.mem keys key) ->
+        Keys.add keys key (Union_find.find uf d)
       | _ -> ()
   done;
   { uf; stable; width; keys }
@@ -116,17 +112,15 @@ let congruent_holders t i =
   let key =
     match i with
     | Instr.Unop { op; src; _ } when stable t src ->
-      Some (VUnop (op, Union_find.find t.uf src))
+      Some (Expr_key.KUnop (op, Union_find.find t.uf src))
     | Instr.Binop { op; a; b; _ } when stable t a && stable t b ->
-      let a = Union_find.find t.uf a and b = Union_find.find t.uf b in
-      let a, b = if Op.commutative op && b < a then (b, a) else (a, b) in
-      Some (VBinop (op, a, b))
+      Some (Expr_key.binop op (Union_find.find t.uf a) (Union_find.find t.uf b))
     | _ -> None
   in
   match key with
   | None -> []
   | Some key -> (
-    match Hashtbl.find_opt t.keys key with
+    match Keys.find_opt t.keys key with
     | None -> []
     | Some rep ->
       let out = ref [] in

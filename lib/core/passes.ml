@@ -80,7 +80,7 @@ let all =
       run = (fun r -> ignore (Epre_opt.Strength.run r)) };
     { name = "ssa-roundtrip";
       description = "build and destroy pruned SSA (diagnostic)";
-      run = (fun r -> ignore (Epre_ssa.Ssa.destroy (Epre_ssa.Ssa.build r))) };
+      run = (fun r -> ignore (Epre_ssa.Ssa.build r); ignore (Epre_ssa.Ssa.destroy r)) };
   ]
   (* Fault-injection passes: corrupt the IR on purpose, to exercise the
      supervision harness. Seeded via [Epre_harness.Chaos.default_seed]. *)

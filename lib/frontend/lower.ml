@@ -26,36 +26,31 @@ type ctx = {
   env : Sema.env;
   builder : Builder.t;
   vars : (string, binding) Hashtbl.t;
-  names : (expr_key, Instr.reg) Hashtbl.t;
-      (** the expression hash table of Section 2.2: key -> canonical name *)
+  names : Instr.reg Expr_key.Tbl.t;
+      (** the expression hash table of Section 2.2: key -> canonical name;
+          loads are named per address expression *)
   ret : scalar_ty option;
 }
-
-and expr_key =
-  | KConst of Value.t
-  | KUnop of Op.unop * Instr.reg
-  | KBinop of Op.binop * Instr.reg * Instr.reg
-  | KLoad of Instr.reg  (** loads are named per address expression *)
 
 (* ------------------------------------------------------------------ *)
 (* Named emission: every occurrence emits code, but the destination is the
    canonical name for that expression. *)
 
 let name_of ctx key =
-  match Hashtbl.find_opt ctx.names key with
+  match Expr_key.Tbl.find_opt ctx.names key with
   | Some r -> r
   | None ->
     let r = Builder.fresh_reg ctx.builder in
-    Hashtbl.replace ctx.names key r;
+    Expr_key.Tbl.replace ctx.names key r;
     r
 
 let emit_const ctx v =
-  let dst = name_of ctx (KConst v) in
+  let dst = name_of ctx (Expr_key.KConst v) in
   Builder.emit ctx.builder (Instr.Const { dst; value = v });
   dst
 
 let emit_unop ctx op src =
-  let dst = name_of ctx (KUnop (op, src)) in
+  let dst = name_of ctx (Expr_key.KUnop (op, src)) in
   Builder.emit ctx.builder (Instr.Unop { op; dst; src });
   dst
 
@@ -63,14 +58,14 @@ let emit_binop ctx op a b =
   (* Canonicalize commutative operand order so [a+b] and [b+a] share a
      name. *)
   let a, b = if Op.commutative op && b < a then (b, a) else (a, b) in
-  let dst = name_of ctx (KBinop (op, a, b)) in
+  let dst = name_of ctx (Expr_key.KBinop (op, a, b)) in
   Builder.emit ctx.builder (Instr.Binop { op; dst; a; b });
   dst
 
 let emit_load ctx addr =
   (* Loads share a name per address expression; stores and calls kill them
      in the downstream redundancy analyses. *)
-  let dst = name_of ctx (KLoad addr) in
+  let dst = name_of ctx (Expr_key.KLoad addr) in
   Builder.emit ctx.builder (Instr.Load { dst; addr });
   dst
 
@@ -429,7 +424,7 @@ let lower_fn env (f : fndef) =
       | Scalar t -> Hashtbl.replace vars name (Scalar_var { reg = i; ty = t })
       | Array { elt; dims } -> Hashtbl.replace vars name (Array_var { base = i; elt; dims }))
     f.params;
-  let ctx = { env; builder; vars; names = Hashtbl.create 64; ret = f.ret } in
+  let ctx = { env; builder; vars; names = Expr_key.Tbl.create 64; ret = f.ret } in
   (* Materialize every local up front: arrays get their frame storage, and
      scalars a zero initialization, which guarantees the strictness (no use
      before definition) that SSA construction assumes. *)

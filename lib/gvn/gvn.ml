@@ -22,36 +22,40 @@ type stats = {
 }
 
 let run ?(config = Partition.default_config) (r : Routine.t) =
-  let r = Epre_ssa.Ssa.build r in
+  ignore (Epre_ssa.Ssa.build r);
   let part = Partition.build ~config r in
   (* Representative: smallest register of the class (parameters have the
      smallest numbers, so a class containing a parameter keeps its name). *)
-  let classes = Partition.classes part in
-  let rep = Array.init part.Partition.nregs Fun.id in
   let merged = ref 0 in
   let renamed = ref 0 in
-  Hashtbl.iter
-    (fun _c members ->
-      match members with
-      | [] -> ()
-      | m :: ms ->
-        let leader = List.fold_left min m ms in
-        if ms <> [] then incr merged;
-        List.iter
-          (fun v ->
-            if v <> leader then begin
-              rep.(v) <- leader;
-              incr renamed
-            end)
-          members)
-    classes;
-  let rename v = rep.(v) in
+  (* A class is merged when a register's leader is another register;
+     [counted] holds the leaders of classes counted so far. *)
+  let counted = Epre_util.Bitset.create r.Routine.next_reg in
+  Array.iter
+    (fun v ->
+      let l = Partition.leader part v in
+      if l <> v then begin
+        incr renamed;
+        if not (Epre_util.Bitset.mem counted l) then begin
+          Epre_util.Bitset.add counted l;
+          incr merged
+        end
+      end)
+    (Partition.registers part);
+  let rename v = Partition.leader part v in
   Cfg.iter_blocks
     (fun b ->
       b.Block.instrs <-
         List.filter_map
           (fun i ->
-            let i = Instr.map_uses rename (Instr.map_def rename i) in
+            let i =
+              match i with
+              | Instr.Const { dst; value } -> Instr.Const { dst = rename dst; value }
+              | Instr.Unop { op; dst; src } -> Instr.Unop { op; dst = rename dst; src = rename src }
+              | Instr.Binop { op; dst; a; b } ->
+                Instr.Binop { op; dst = rename dst; a = rename a; b = rename b }
+              | i -> Instr.map_uses rename (Instr.map_def rename i)
+            in
             match i with
             | Instr.Phi { dst; args } when List.for_all (fun (_, a) -> a = dst) args ->
               (* Vacuous after renaming: every input is already the

@@ -5,7 +5,12 @@
     are equivalent and splits classes until each is congruent: same
     operator, congruent operands position by position (phis additionally in
     the same block). Loads, calls, allocas and parameters are opaque
-    singletons. *)
+    singletons.
+
+    The result is the coarsest stable refinement of the initial labels,
+    which is unique: the classes depend on the program alone, not on the
+    order refinement splits them in. Class ids carry no meaning beyond
+    telling classes apart. *)
 
 open Epre_ir
 
@@ -18,10 +23,7 @@ type config = {
 
 val default_config : config
 
-type t = private {
-  class_of : int array;  (** register -> class id, [-1] when never defined *)
-  nregs : int;
-}
+type t
 
 (** Requires SSA form. *)
 val build : ?config:config -> Routine.t -> t
@@ -31,5 +33,10 @@ val class_of : t -> Instr.reg -> int
 
 val congruent : t -> Instr.reg -> Instr.reg -> bool
 
-(** Members of each class, keyed by class id. *)
-val classes : t -> (int, Instr.reg list) Hashtbl.t
+(** The registers with a definition (parameters included), ascending:
+    those [class_of] puts in a class. *)
+val registers : t -> Instr.reg array
+
+(** The smallest register of [reg]'s class; [reg] itself when it has no
+    definition. *)
+val leader : t -> Instr.reg -> Instr.reg

@@ -106,6 +106,22 @@ let split_edge cfg ~from_ ~to_ =
   retarget_phis (block cfg to_) ~old_pred:from_ ~new_pred:nb.Block.id;
   nb
 
+(** Give the entry no predecessor: when some block jumps to the entry, a
+    fresh empty block that jumps to the old entry becomes the entry. The
+    analyses read the entry as the one block control enters from outside
+    (see DESIGN.md, "The entry invariant"); a block that can also be
+    re-entered along an edge breaks that reading. *)
+let give_entry_no_preds cfg =
+  let entry = cfg.entry in
+  let enters b =
+    match b.Block.term with
+    | Instr.Jump t -> t = entry
+    | Instr.Cbr { ifso; ifnot; _ } -> ifso = entry || ifnot = entry
+    | Instr.Ret _ -> false
+  in
+  if fold_blocks (fun found b -> found || enters b) false cfg then
+    cfg.entry <- (add_block ~term:(Instr.Jump entry) cfg).Block.id
+
 (** Blocks reachable from the entry (DFS over terminator successors). *)
 let reachable cfg =
   let seen = Bitset.create (num_blocks cfg) in

@@ -52,6 +52,12 @@ val exit_blocks : t -> Block.t list
     block. *)
 val split_edge : t -> from_:int -> to_:int -> Block.t
 
+(** When some block (reachable or not) jumps to the entry, add a fresh
+    empty block that jumps to it and make that the entry; otherwise do
+    nothing. SSA construction and PRE run it first: both read the entry as
+    entered only from outside the routine. *)
+val give_entry_no_preds : t -> unit
+
 (** Blocks reachable from the entry, as a bitset over block ids. *)
 val reachable : t -> Epre_util.Bitset.t
 

@@ -17,16 +17,20 @@ let meet a b =
   match a, b with
   | Top, x | x, Top -> x
   | Bottom, _ | _, Bottom -> Bottom
-  | Known u, Known v -> if Value.equal u v then Known u else Bottom
+  | Known u, Known v -> if Value.equal u v then a else Bottom
+
+(* A use of a register: an instruction (with its block) or a block's
+   terminator. *)
+type site = Use of int * Instr.t | Term_use of int
 
 type state = {
   routine : Routine.t;
   value : lattice array;
-  edge_executable : (int * int, unit) Hashtbl.t;
+  executable_preds : int list array;
+      (** by block: the sources of its executable edges; -1 for entry *)
   block_visited : bool array;
-  (* uses per register: instructions (with their block) and terminators *)
-  use_sites : (int * [ `Instr of Instr.t | `Term ]) list array;
-  flow_work : (int * int) Queue.t;  (** edges (pred, succ); pred = -1 for entry *)
+  use_sites : site list array;  (** by register *)
+  flow_work : int Queue.t;  (** targets of edges newly found executable *)
   ssa_work : Instr.reg Queue.t;
 }
 
@@ -47,16 +51,16 @@ let set_value st reg v =
   end
 
 let add_flow_edge st ~from_ ~to_ =
-  if not (Hashtbl.mem st.edge_executable (from_, to_)) then begin
-    Hashtbl.replace st.edge_executable (from_, to_) ();
-    Queue.add (from_, to_) st.flow_work
+  if not (List.mem from_ st.executable_preds.(to_)) then begin
+    st.executable_preds.(to_) <- from_ :: st.executable_preds.(to_);
+    Queue.add to_ st.flow_work
   end
 
 let eval_phi st ~block dst args =
   let v =
     List.fold_left
       (fun acc (p, src) ->
-        if Hashtbl.mem st.edge_executable (p, block) then meet acc st.value.(src)
+        if List.mem p st.executable_preds.(block) then meet acc st.value.(src)
         else acc)
       Top args
   in
@@ -117,7 +121,7 @@ let analyze (r : Routine.t) =
     {
       routine = r;
       value = Array.make width Top;
-      edge_executable = Hashtbl.create 64;
+      executable_preds = Array.make (Cfg.num_blocks cfg) [];
       block_visited = Array.make (Cfg.num_blocks cfg) false;
       use_sites = Array.make width [];
       flow_work = Queue.create ();
@@ -128,20 +132,31 @@ let analyze (r : Routine.t) =
   Cfg.iter_blocks
     (fun b ->
       let id = b.Block.id in
+      let note site u = st.use_sites.(u) <- site :: st.use_sites.(u) in
       List.iter
         (fun i ->
-          List.iter
-            (fun u -> st.use_sites.(u) <- (id, `Instr i) :: st.use_sites.(u))
-            (Instr.uses i))
+          let site = Use (id, i) in
+          match i with
+          | Instr.Const _ | Instr.Alloca _ -> ()
+          | Instr.Copy { src; _ } | Instr.Unop { src; _ } -> note site src
+          | Instr.Binop { a; b; _ } ->
+            note site a;
+            note site b
+          | Instr.Load { addr; _ } -> note site addr
+          | Instr.Store { addr; src } ->
+            note site addr;
+            note site src
+          | Instr.Call { args; _ } -> List.iter (note site) args
+          | Instr.Phi { args; _ } -> List.iter (fun (_, a) -> note site a) args)
         b.Block.instrs;
-      List.iter
-        (fun u -> st.use_sites.(u) <- (id, `Term) :: st.use_sites.(u))
-        (Instr.term_uses b.Block.term))
+      match b.Block.term with
+      | Instr.Cbr { cond = u; _ } | Instr.Ret (Some u) -> note (Term_use id) u
+      | Instr.Jump _ | Instr.Ret None -> ())
     cfg;
   add_flow_edge st ~from_:(-1) ~to_:(Cfg.entry cfg);
   while not (Queue.is_empty st.flow_work && Queue.is_empty st.ssa_work) do
     while not (Queue.is_empty st.flow_work) do
-      let _, s = Queue.take st.flow_work in
+      let s = Queue.take st.flow_work in
       if not st.block_visited.(s) then begin
         st.block_visited.(s) <- true;
         visit_block st s
@@ -159,11 +174,10 @@ let analyze (r : Routine.t) =
     while not (Queue.is_empty st.ssa_work) do
       let reg = Queue.take st.ssa_work in
       List.iter
-        (fun (block, site) ->
-          if st.block_visited.(block) then
-            match site with
-            | `Instr i -> eval_instr st ~block i
-            | `Term -> eval_term st ~block (Cfg.block cfg block).Block.term)
+        (function
+          | Use (block, i) -> if st.block_visited.(block) then eval_instr st ~block i
+          | Term_use block ->
+            if st.block_visited.(block) then eval_term st ~block (Cfg.block cfg block).Block.term)
         st.use_sites.(reg)
     done
   done;
@@ -175,35 +189,45 @@ let analyze (r : Routine.t) =
 let rewrite (r : Routine.t) (st : state) =
   let cfg = r.Routine.cfg in
   let replaced = ref 0 in
+  let becomes_const = function
+    | Instr.Call _ | Instr.Store _ | Instr.Alloca _ | Instr.Const _ -> false
+    | Instr.Phi { dst = d; _ } | Instr.Copy { dst = d; _ } | Instr.Unop { dst = d; _ }
+    | Instr.Binop { dst = d; _ } | Instr.Load { dst = d; _ } -> (
+      match st.value.(d) with Known _ -> true | Top | Bottom -> false)
+  in
   Cfg.iter_blocks
     (fun b ->
       (* Phis may become constants; keep block layout legal by splitting
-         into (phis, everything else) and putting constants between. *)
-      let phis, consts, rest =
-        List.fold_left
-          (fun (phis, consts, rest) i ->
-            match i, Instr.def i with
-            | Instr.Phi _, Some d -> begin
-              match st.value.(d) with
-              | Known v ->
-                incr replaced;
-                (phis, Instr.Const { dst = d; value = v } :: consts, rest)
-              | Top | Bottom -> (i :: phis, consts, rest)
-            end
-            | (Instr.Call _ | Instr.Store _ | Instr.Alloca _), _ ->
-              (phis, consts, i :: rest)
-            | Instr.Const _, _ -> (phis, consts, i :: rest)
-            | _, Some d -> begin
-              match st.value.(d) with
-              | Known v ->
-                incr replaced;
-                (phis, consts, Instr.Const { dst = d; value = v } :: rest)
-              | Top | Bottom -> (phis, consts, i :: rest)
-            end
-            | _, None -> (phis, consts, i :: rest))
-          ([], [], []) b.Block.instrs
-      in
-      b.Block.instrs <- List.rev phis @ List.rev consts @ List.rev rest;
+         into (phis, everything else) and putting constants between. A
+         block where nothing becomes a constant stays as it is: its phis
+         already lead it. *)
+      if List.exists becomes_const b.Block.instrs then begin
+        let phis, consts, rest =
+          List.fold_left
+            (fun (phis, consts, rest) i ->
+              match i, Instr.def i with
+              | Instr.Phi _, Some d -> begin
+                match st.value.(d) with
+                | Known v ->
+                  incr replaced;
+                  (phis, Instr.Const { dst = d; value = v } :: consts, rest)
+                | Top | Bottom -> (i :: phis, consts, rest)
+              end
+              | (Instr.Call _ | Instr.Store _ | Instr.Alloca _), _ ->
+                (phis, consts, i :: rest)
+              | Instr.Const _, _ -> (phis, consts, i :: rest)
+              | _, Some d -> begin
+                match st.value.(d) with
+                | Known v ->
+                  incr replaced;
+                  (phis, consts, Instr.Const { dst = d; value = v } :: rest)
+                | Top | Bottom -> (phis, consts, i :: rest)
+              end
+              | _, None -> (phis, consts, i :: rest))
+            ([], [], []) b.Block.instrs
+        in
+        b.Block.instrs <- List.rev phis @ List.rev consts @ List.rev rest
+      end;
       match b.Block.term with
       | Instr.Cbr { cond; ifso; ifnot } -> begin
         match st.value.(cond) with
@@ -224,22 +248,25 @@ let rewrite (r : Routine.t) (st : state) =
   let preds = Cfg.preds cfg in
   Cfg.iter_blocks
     (fun b ->
-      b.Block.instrs <-
-        List.map
-          (function
-            | Instr.Phi { dst; args } ->
-              let args = List.filter (fun (p, _) -> List.mem p preds.(b.Block.id)) args in
-              (match args with
-              | [ (_, src) ] -> Instr.Copy { dst; src }
-              | _ -> Instr.Phi { dst; args })
-            | i -> i)
-          b.Block.instrs)
+      match b.Block.instrs with
+      | Instr.Phi _ :: _ ->
+        b.Block.instrs <-
+          List.map
+            (function
+              | Instr.Phi { dst; args } ->
+                let args = List.filter (fun (p, _) -> List.mem p preds.(b.Block.id)) args in
+                (match args with
+                | [ (_, src) ] -> Instr.Copy { dst; src }
+                | _ -> Instr.Phi { dst; args })
+              | i -> i)
+            b.Block.instrs
+      | _ -> ())
     cfg;
   !replaced
 
 (** The pass: ILOC in, ILOC out. *)
 let run (r : Routine.t) =
-  let r = Epre_ssa.Ssa.build r in
+  ignore (Epre_ssa.Ssa.build r);
   let st = analyze r in
   let replaced = rewrite r st in
   let r = Epre_ssa.Ssa.destroy r in

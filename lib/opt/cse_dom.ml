@@ -14,25 +14,13 @@
 open Epre_ir
 open Epre_analysis
 
-type key =
-  | KConst of Value.t
-  | KUnop of Op.unop * Instr.reg
-  | KBinop of Op.binop * Instr.reg * Instr.reg
-
-let key_of = function
-  | Instr.Const { value; _ } -> Some (KConst value)
-  | Instr.Unop { op; src; _ } -> Some (KUnop (op, src))
-  | Instr.Binop { op; a; b; _ } ->
-    let a, b = if Op.commutative op && b < a then (b, a) else (a, b) in
-    Some (KBinop (op, a, b))
-  | Instr.Load _ | Instr.Copy _ | Instr.Store _ | Instr.Alloca _ | Instr.Call _
-  | Instr.Phi _ -> None
+let key_of i =
+  match Expr_key.of_instr i with Some (Expr_key.KLoad _) -> None | k -> k
 
 let run (r : Routine.t) =
-  let r = Epre_ssa.Ssa.build r in
+  let { Epre_ssa.Ssa.dom; _ } = Epre_ssa.Ssa.build r in
   let cfg = r.Routine.cfg in
-  let dom = Dom.compute (Dataflow.graph cfg) in
-  let table : (key, Instr.reg) Hashtbl.t = Hashtbl.create 64 in
+  let table : Instr.reg Expr_key.Tbl.t = Expr_key.Tbl.create 64 in
   let deleted = ref 0 in
   let rec walk id =
     let b = Cfg.block cfg id in
@@ -42,19 +30,19 @@ let run (r : Routine.t) =
         (fun i ->
           match key_of i, Instr.def i with
           | Some key, Some dst -> begin
-            match Hashtbl.find_opt table key with
+            match Expr_key.Tbl.find_opt table key with
             | Some earlier ->
               incr deleted;
               Instr.Copy { dst; src = earlier }
             | None ->
-              Hashtbl.add table key dst;
+              Expr_key.Tbl.add table key dst;
               added := key :: !added;
               i
           end
           | _ -> i)
         b.Block.instrs;
     List.iter walk (Dom.children dom id);
-    List.iter (fun key -> Hashtbl.remove table key) !added
+    List.iter (fun key -> Expr_key.Tbl.remove table key) !added
   in
   walk (Cfg.entry cfg);
   let r = Epre_ssa.Ssa.destroy r in

@@ -24,36 +24,61 @@ let run (r : Routine.t) =
       Queue.add reg work
     end
   in
+  let mark_uses = function
+    | Instr.Const _ | Instr.Alloca _ -> ()
+    | Instr.Copy { src; _ } | Instr.Unop { src; _ } -> mark src
+    | Instr.Binop { a; b; _ } ->
+      mark a;
+      mark b
+    | Instr.Load { addr; _ } -> mark addr
+    | Instr.Store { addr; src } ->
+      mark addr;
+      mark src
+    | Instr.Call { args; _ } -> List.iter mark args
+    | Instr.Phi { args; _ } -> List.iter (fun (_, a) -> mark a) args
+  in
   (* defs_of.(v) = instructions defining v (to propagate through). *)
   let defs_of = Array.make width [] in
   Cfg.iter_blocks
     (fun b ->
       List.iter
         (fun i ->
-          Option.iter (fun d -> defs_of.(d) <- i :: defs_of.(d)) (Instr.def i);
-          if Instr.has_side_effect i then List.iter mark (Instr.uses i))
+          (match i with
+          | Instr.Store _ | Instr.Call { dst = None; _ } -> ()
+          | Instr.Const { dst; _ } | Instr.Copy { dst; _ } | Instr.Unop { dst; _ }
+          | Instr.Binop { dst; _ } | Instr.Load { dst; _ } | Instr.Alloca { dst; _ }
+          | Instr.Call { dst = Some dst; _ } | Instr.Phi { dst; _ } ->
+            defs_of.(dst) <- i :: defs_of.(dst));
+          if Instr.has_side_effect i then mark_uses i)
         b.Block.instrs;
-      List.iter mark (Instr.term_uses b.Block.term))
+      match b.Block.term with
+      | Instr.Cbr { cond = x; _ } | Instr.Ret (Some x) -> mark x
+      | Instr.Jump _ | Instr.Ret None -> ())
     cfg;
   while not (Queue.is_empty work) do
     let v = Queue.take work in
-    List.iter (fun i -> List.iter mark (Instr.uses i)) defs_of.(v)
+    List.iter mark_uses defs_of.(v)
   done;
+  let dead i =
+    match i with
+    | Instr.Store _ | Instr.Call _ -> false
+    | Instr.Const { dst; _ } | Instr.Copy { dst; _ } | Instr.Unop { dst; _ }
+    | Instr.Binop { dst; _ } | Instr.Load { dst; _ } | Instr.Alloca { dst; _ }
+    | Instr.Phi { dst; _ } ->
+      not (Bitset.mem live dst)
+  in
   let removed = ref 0 in
   Cfg.iter_blocks
     (fun b ->
-      b.Block.instrs <-
-        List.filter
-          (fun i ->
-            let keep =
-              Instr.has_side_effect i
-              ||
-              match Instr.def i with
-              | Some d -> Bitset.mem live d
-              | None -> true
-            in
-            if not keep then incr removed;
-            keep)
-          b.Block.instrs)
+      if List.exists dead b.Block.instrs then
+        b.Block.instrs <-
+          List.filter
+            (fun i ->
+              if dead i then begin
+                incr removed;
+                false
+              end
+              else true)
+            b.Block.instrs)
     cfg;
   !removed

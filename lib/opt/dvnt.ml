@@ -24,32 +24,24 @@
 open Epre_ir
 open Epre_analysis
 
-type key =
-  | KConst of Value.t
-  | KUnop of Op.unop * Instr.reg
-  | KBinop of Op.binop * Instr.reg * Instr.reg
-
-let key_of_parts op a b =
-  let a, b = if Op.commutative op && b < a then (b, a) else (a, b) in
-  KBinop (op, a, b)
+open Expr_key
 
 let run (r : Routine.t) =
-  let r = Epre_ssa.Ssa.build r in
+  let { Epre_ssa.Ssa.dom; _ } = Epre_ssa.Ssa.build r in
   let cfg = r.Routine.cfg in
-  let dom = Dom.compute (Dataflow.graph cfg) in
   let width = max 1 r.Routine.next_reg in
   (* value number: canonical register per value; identity by default *)
   let vn = Array.init width Fun.id in
   let lookup v = if v < width then vn.(v) else v in
   (* constant value of a canonical register, when known *)
   let const_of : (Instr.reg, Value.t) Hashtbl.t = Hashtbl.create 32 in
-  let table : (key, Instr.reg) Hashtbl.t = Hashtbl.create 64 in
+  let table : Instr.reg Tbl.t = Tbl.create 64 in
   let replaced = ref 0 in
   let rec walk id =
     let b = Cfg.block cfg id in
     let scope = ref [] in
     let bind key dst =
-      Hashtbl.add table key dst;
+      Tbl.add table key dst;
       scope := key :: !scope
     in
     let vn_saves = ref [] in
@@ -63,7 +55,7 @@ let run (r : Routine.t) =
       Instr.Copy { dst; src = rep }
     in
     let hash_or_bind key dst i =
-      match Hashtbl.find_opt table key with
+      match Tbl.find_opt table key with
       | Some rep -> redirect dst rep
       | None ->
         bind key dst;
@@ -78,7 +70,7 @@ let run (r : Routine.t) =
           let i = Instr.map_uses lookup i in
           match i with
           | Instr.Const { dst; value } ->
-            (match Hashtbl.find_opt table (KConst value) with
+            (match Tbl.find_opt table (KConst value) with
             | Some rep -> redirect dst rep
             | None ->
               bind (KConst value) dst;
@@ -93,7 +85,7 @@ let run (r : Routine.t) =
             | Some v -> begin
               match Op.eval_unop op v with
               | folded -> begin
-                match Hashtbl.find_opt table (KConst folded) with
+                match Tbl.find_opt table (KConst folded) with
                 | Some rep -> redirect dst rep
                 | None ->
                   bind (KConst folded) dst;
@@ -111,7 +103,7 @@ let run (r : Routine.t) =
             | Some va, Some vb -> begin
               match Op.eval_binop op va vb with
               | folded -> begin
-                match Hashtbl.find_opt table (KConst folded) with
+                match Tbl.find_opt table (KConst folded) with
                 | Some rep -> redirect dst rep
                 | None ->
                   bind (KConst folded) dst;
@@ -119,7 +111,7 @@ let run (r : Routine.t) =
                   Instr.Const { dst; value = folded }
               end
               | exception (Op.Division_by_zero | Value.Type_error _) ->
-                hash_or_bind (key_of_parts op a b') dst i
+                hash_or_bind (Expr_key.binop op a b') dst i
             end
             | _ ->
               (* algebraic identities over one constant operand *)
@@ -153,14 +145,14 @@ let run (r : Routine.t) =
               (match simplified with
               | Some (`Reg rep) -> redirect dst (lookup rep)
               | Some (`Const z) -> begin
-                match Hashtbl.find_opt table (KConst z) with
+                match Tbl.find_opt table (KConst z) with
                 | Some rep -> redirect dst rep
                 | None ->
                   bind (KConst z) dst;
                   Hashtbl.replace const_of dst z;
                   Instr.Const { dst; value = z }
               end
-              | None -> hash_or_bind (key_of_parts op a b') dst i)
+              | None -> hash_or_bind (Expr_key.binop op a b') dst i)
           end
           | Instr.Phi _ ->
             (* Phis stay opaque here; GVN's optimistic partitioning is the
@@ -170,7 +162,7 @@ let run (r : Routine.t) =
         b.Block.instrs;
     b.Block.term <- Instr.map_term_uses lookup b.Block.term;
     List.iter walk (Dom.children dom id);
-    List.iter (fun key -> Hashtbl.remove table key) !scope;
+    List.iter (fun key -> Tbl.remove table key) !scope;
     List.iter (fun (dst, old) -> vn.(dst) <- old) !vn_saves
   in
   walk (Cfg.entry cfg);

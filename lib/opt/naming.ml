@@ -14,29 +14,6 @@
 
 open Epre_ir
 
-type key =
-  | KConst of Value.t
-  | KUnop of Op.unop * Instr.reg
-  | KBinop of Op.binop * Instr.reg * Instr.reg
-  | KLoad of Instr.reg
-
-let key_of = function
-  | Instr.Const { value; _ } -> Some (KConst value)
-  | Instr.Unop { op; src; _ } -> Some (KUnop (op, src))
-  | Instr.Binop { op; a; b; _ } ->
-    let a, b = if Op.commutative op && b < a then (b, a) else (a, b) in
-    Some (KBinop (op, a, b))
-  | Instr.Load { addr; _ } -> Some (KLoad addr)
-  | Instr.Copy _ | Instr.Store _ | Instr.Alloca _ | Instr.Call _ | Instr.Phi _ -> None
-
-(** Rebuild an expression instruction for [key] targeting [dst]. *)
-let instr_of key ~dst =
-  match key with
-  | KConst value -> Instr.Const { dst; value }
-  | KUnop (op, src) -> Instr.Unop { op; dst; src }
-  | KBinop (op, a, b) -> Instr.Binop { op; dst; a; b }
-  | KLoad addr -> Instr.Load { dst; addr }
-
 let run (r : Routine.t) =
   if r.Routine.in_ssa then invalid_arg "Naming.run: requires non-SSA code";
   (* First pass: which registers already qualify as the canonical name of a
@@ -50,13 +27,13 @@ let run (r : Routine.t) =
      has a single evaluation site, or when every use of the register sits
      below a definition in its own block (no upward-exposed uses), in which
      case each use keeps reading its adjacent evaluation. *)
-  let def_keys : (Instr.reg, key option list) Hashtbl.t = Hashtbl.create 64 in
+  let def_keys : (Instr.reg, Expr_key.t option list) Hashtbl.t = Hashtbl.create 64 in
   let note reg k =
     let prev = Option.value ~default:[] (Hashtbl.find_opt def_keys reg) in
     Hashtbl.replace def_keys reg (k :: prev)
   in
   List.iter (fun p -> note p None) r.Routine.params;
-  let key_sites : (key, int) Hashtbl.t = Hashtbl.create 64 in
+  let key_sites : int Expr_key.Tbl.t = Expr_key.Tbl.create 64 in
   let upward_exposed = Hashtbl.create 64 in
   Cfg.iter_blocks
     (fun b ->
@@ -69,38 +46,38 @@ let run (r : Routine.t) =
           List.iter see_use (Instr.uses i);
           Option.iter
             (fun d ->
-              note d (key_of i);
+              note d (Expr_key.of_instr i);
               Hashtbl.replace defined_here d ())
             (Instr.def i);
-          match key_of i with
+          match Expr_key.of_instr i with
           | Some k ->
-            Hashtbl.replace key_sites k
-              (1 + Option.value ~default:0 (Hashtbl.find_opt key_sites k))
+            Expr_key.Tbl.replace key_sites k
+              (1 + Option.value ~default:0 (Expr_key.Tbl.find_opt key_sites k))
           | None -> ())
         b.Block.instrs;
       List.iter see_use (Instr.term_uses b.Block.term))
     r.Routine.cfg;
   let qualifies reg key =
     (match Hashtbl.find_opt def_keys reg with
-    | Some keys -> List.for_all (fun k -> k = Some key) keys
+    | Some keys -> List.for_all (function Some k -> Expr_key.identical k key | None -> false) keys
     | None -> false)
-    && (Option.value ~default:0 (Hashtbl.find_opt key_sites key) <= 1
+    && (Option.value ~default:0 (Expr_key.Tbl.find_opt key_sites key) <= 1
        || not (Hashtbl.mem upward_exposed reg))
   in
   (* canonical name per key: reuse the target when it qualifies, otherwise a
      fresh register. *)
-  let canonical : (key, Instr.reg) Hashtbl.t = Hashtbl.create 64 in
-  let claimed : (Instr.reg, key) Hashtbl.t = Hashtbl.create 64 in
+  let canonical : Instr.reg Expr_key.Tbl.t = Expr_key.Tbl.create 64 in
+  let claimed : (Instr.reg, unit) Hashtbl.t = Hashtbl.create 64 in
   let name_for key ~current =
-    match Hashtbl.find_opt canonical key with
+    match Expr_key.Tbl.find_opt canonical key with
     | Some t -> t
     | None ->
       let t =
         if qualifies current key && not (Hashtbl.mem claimed current) then current
         else Routine.fresh_reg r
       in
-      Hashtbl.replace canonical key t;
-      Hashtbl.replace claimed t key;
+      Expr_key.Tbl.replace canonical key t;
+      Hashtbl.replace claimed t ();
       t
   in
   let rewrites = ref 0 in
@@ -109,13 +86,13 @@ let run (r : Routine.t) =
       b.Block.instrs <-
         List.concat_map
           (fun i ->
-            match key_of i, Instr.def i with
+            match Expr_key.of_instr i, Instr.def i with
             | Some key, Some dst ->
               let t = name_for key ~current:dst in
               if t = dst then [ i ]
               else begin
                 incr rewrites;
-                [ instr_of key ~dst:t; Instr.Copy { dst; src = t } ]
+                [ Expr_key.to_instr key ~dst:t; Instr.Copy { dst; src = t } ]
               end
             | _ -> [ i ])
           b.Block.instrs)

@@ -213,9 +213,9 @@ let ensure_preheader (r : Routine.t) ctx =
   else ctx
 
 let run (r : Routine.t) =
-  let r = Epre_ssa.Ssa.build r in
+  let { Epre_ssa.Ssa.graph; _ } = Epre_ssa.Ssa.build r in
   let cfg = r.Routine.cfg in
-  let loops = Loops.compute (Dataflow.graph cfg) in
+  let loops = Loops.compute graph in
   let preds = Cfg.preds cfg in
   let reduced = ref 0 in
   List.iter

@@ -65,13 +65,6 @@ type placement = {
   delete : Bitset.t array;  (** per block, evaluations covered *)
 }
 
-let instr_of_key (key : Expr_universe.key) ~dst =
-  match key with
-  | Expr_universe.KConst value -> Instr.Const { dst; value }
-  | Expr_universe.KUnop (op, src) -> Instr.Unop { op; dst; src }
-  | Expr_universe.KBinop (op, a, b) -> Instr.Binop { op; dst; a; b }
-  | Expr_universe.KLoad addr -> Instr.Load { dst; addr }
-
 (* Edge placement. An insertion on (i, j) goes to the bottom of i when i
    has one successor; otherwise the edge was split, so j has one
    predecessor and it goes to the top of j. The virtual entry edge's
@@ -187,8 +180,8 @@ let morel_renvoise (fl : Expr_flow.t) =
 
    The universe carries over: insertions, deletions and CSE removals only
    add or remove evaluations of names already in it, so a rebuild would
-   return the same one. The exception is an inserted key that is not [=]
-   to itself (a [KConst nan]): a second definition of such a name drops it
+   return the same one. The exception is an inserted key that is not
+   [Expr_key.identical] to itself (a [KConst nan]): a second definition of such a name drops it
    from a rebuilt universe, so then the sweep rebuilds it. Otherwise the
    sweep refreshes [fl]: only the blocks the placement changed get new
    local sets, and when it changed none the sweep reuses [fl] whole,
@@ -207,8 +200,8 @@ let round place (fl : Expr_flow.t) (r : Routine.t) =
             List.map
               (fun idx ->
                 let { Expr_universe.key; name; _ } = exprs.(idx) in
-                if key <> key then reusable := false;
-                instr_of_key key ~dst:name)
+                if not (Expr_key.identical key key) then reusable := false;
+                Expr_key.to_instr key ~dst:name)
               (Bitset.elements set)
           in
           inserted := !inserted + List.length instrs;
@@ -257,19 +250,12 @@ let round place (fl : Expr_flow.t) (r : Routine.t) =
   (!inserted, !deleted, cse, fl)
 
 (* Both placements assume an entry that no edge enters: the virtual edge
-   into it stands for the routine's start alone. When a block jumps to the
-   entry, a fresh empty entry that jumps to the old one restores that. *)
-let give_entry_no_preds (r : Routine.t) =
-  let cfg = r.Routine.cfg in
-  let entry = Cfg.entry cfg in
-  if Cfg.fold_blocks (fun found b -> found || List.mem entry (Block.succs b)) false cfg then
-    Cfg.set_entry cfg (Cfg.add_block ~term:(Instr.Jump entry) cfg).Block.id
-
-(* Edges never change after the first round's split, so one graph view
-   serves every round of the run. *)
+   into it stands for the routine's start alone. Edges never change after
+   the first round's split, so one graph view serves every round of the
+   run. *)
 let drive ~name ~split place (r : Routine.t) =
   if r.Routine.in_ssa then invalid_arg (name ^ ": requires non-SSA code");
-  give_entry_no_preds r;
+  Cfg.give_entry_no_preds r.Routine.cfg;
   if split then ignore (Epre_ssa.Critical_edges.split_all r);
   let stats = { inserted = 0; deleted = 0; cse_deleted = 0; rounds = 0 } in
   let rec go fl =

@@ -24,7 +24,6 @@
     path from its (new) definition. *)
 
 open Epre_ir
-open Epre_analysis
 
 (* ------------------------------------------------------------------ *)
 (* Tree construction and materialization                               *)
@@ -150,11 +149,12 @@ let remove_phis ctx =
                 | _ -> assert false)
               phis
           in
-          List.iter (fun i -> Block.append pb i) (List.rev !acc);
           let seq =
             Epre_ssa.Parallel_copy.sequentialize ~fresh:(fun () -> Routine.fresh_reg r) pairs
           in
-          List.iter (fun (dst, src) -> Block.append pb (Instr.Copy { dst; src })) seq)
+          pb.Block.instrs <-
+            pb.Block.instrs @ List.rev_append !acc
+              (List.map (fun (dst, src) -> Instr.Copy { dst; src }) seq))
         preds;
       b.Block.instrs <- Block.non_phis b)
     phi_blocks;
@@ -162,14 +162,30 @@ let remove_phis ctx =
 
 (** Run forward propagation on a routine in SSA form; leaves non-SSA
     code. *)
-let run ~(config : Expr_tree.config) (r : Routine.t) =
+let run ~(config : Expr_tree.config) graph (r : Routine.t) =
   if not r.Routine.in_ssa then invalid_arg "Forward_prop.run: requires SSA form";
-  let ranks = Rank.compute r in
-  let du = Defuse.compute r in
+  let ranks = Rank.compute graph r in
   let width = max 1 r.Routine.next_reg in
   let anchor = Array.make width false in
   List.iter (fun p -> anchor.(p) <- true) r.Routine.params;
-  let def_instr = Array.init width (Defuse.def_instr du) in
+  let def_instr = Array.make width None in
+  let phis = ref [] in
+  Cfg.iter_blocks
+    (fun b ->
+      List.iter
+        (fun i ->
+          match i with
+          | Instr.Store _ | Instr.Call { dst = None; _ } -> ()
+          | Instr.Const { dst; _ } | Instr.Copy { dst; _ } | Instr.Unop { dst; _ }
+          | Instr.Binop { dst; _ } | Instr.Load { dst; _ } | Instr.Alloca { dst; _ }
+          | Instr.Call { dst = Some dst; _ } ->
+            def_instr.(dst) <- Some i
+          | Instr.Phi { dst; _ } ->
+            def_instr.(dst) <- Some i;
+            phis := dst :: !phis)
+        b.Block.instrs)
+    r.Routine.cfg;
+  let phis = List.sort_uniq Int.compare !phis in
   (* A phi whose arguments other than itself all name one value merges
      nothing: make it a copy of that value, so trees trace through it.
      Anchoring it would leave a second run work to do, once the phi's
@@ -178,22 +194,30 @@ let run ~(config : Expr_tree.config) (r : Routine.t) =
   let rec root v =
     match def_instr.(v) with Some (Instr.Copy { src; _ }) -> root src | _ -> v
   in
+  let only_value dst args =
+    List.fold_left
+      (fun (acc : [ `None | `One of Instr.reg | `Many ]) (_, a) ->
+        match root a, acc with
+        | x, _ when x = dst -> acc
+        | x, `None -> `One x
+        | x, `One y when x = y -> acc
+        | _, (`One _ | `Many) -> `Many)
+      `None args
+  in
   let changed = ref true in
   while !changed do
     changed := false;
-    Array.iteri
-      (fun v -> function
+    List.iter
+      (fun v ->
+        match def_instr.(v) with
         | Some (Instr.Phi { dst; args }) -> (
-          match
-            List.sort_uniq compare
-              (List.filter (( <> ) dst) (List.map (fun (_, a) -> root a) args))
-          with
-          | [ src ] ->
+          match only_value dst args with
+          | `One src ->
             def_instr.(v) <- Some (Instr.Copy { dst; src });
             changed := true
-          | _ -> ())
+          | `None | `Many -> ())
         | _ -> ())
-      def_instr
+      phis
   done;
   for v = 0 to width - 1 do
     match def_instr.(v) with

@@ -14,5 +14,6 @@
 
 open Epre_ir
 
-(** Requires SSA form; leaves non-SSA code. *)
-val run : config:Expr_tree.config -> Routine.t -> Routine.t
+(** Requires SSA form; [g] is the view of the routine's CFG that ranks are
+    computed on. Leaves non-SSA code. *)
+val run : config:Expr_tree.config -> Epre_analysis.Dataflow.graph -> Routine.t -> Routine.t

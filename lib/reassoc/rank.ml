@@ -23,11 +23,10 @@ type t = {
   of_block : int array;  (** 1-based reverse-postorder block numbers *)
 }
 
-let compute (r : Routine.t) =
+let compute (g : Dataflow.graph) (r : Routine.t) =
   if not r.Routine.in_ssa then invalid_arg "Rank.compute: requires SSA form";
   let cfg = r.Routine.cfg in
-  let order = Order.compute cfg in
-  let rpo = Order.reverse_postorder order in
+  let rpo = g.Dataflow.rpo in
   let of_block = Array.make (Cfg.num_blocks cfg) 0 in
   Array.iteri (fun i id -> of_block.(id) <- i + 1) rpo;
   let of_reg = Array.make (max 1 r.Routine.next_reg) 0 in

@@ -14,8 +14,9 @@ open Epre_ir
 
 type t
 
-(** Requires SSA form. *)
-val compute : Routine.t -> t
+(** Requires SSA form. [g] is the view of [r]'s CFG (what [Ssa.build]
+    returns); blocks are numbered in its reverse postorder. *)
+val compute : Epre_analysis.Dataflow.graph -> Routine.t -> t
 
 val of_reg : t -> Instr.reg -> int
 

@@ -26,8 +26,8 @@ let expansion s =
 let run ?(config = Expr_tree.default_config) (r : Routine.t) =
   if r.Routine.in_ssa then invalid_arg "Reassociate.run: requires non-SSA code";
   let before_ops = Routine.op_count r in
-  let r = Epre_ssa.Ssa.build r in
-  let r = Forward_prop.run ~config r in
+  let { Epre_ssa.Ssa.graph; _ } = Epre_ssa.Ssa.build r in
+  let r = Forward_prop.run ~config graph r in
   Routine.validate r;
   let after_ops = Routine.op_count r in
   { before_ops; after_ops }

@@ -4,9 +4,9 @@
     frontiers of each register's definition blocks, *pruned* by liveness so
     only registers live into the join block receive phis, then renaming by a
     preorder walk of the dominator tree. Following Section 3.1 of the
-    paper, the renaming step optionally folds copies away: a [Copy] pushes
-    the current name of its source onto the destination's stack and
-    disappears, "effectively folding them into phi-nodes". This frees the
+    paper, the renaming step optionally folds copies away: a [Copy] gives
+    its destination the current name of its source and disappears,
+    "effectively folding them into phi-nodes". This frees the
     optimizer from the programmer's choice of variable names (Section 2.2).
 
     Destruction isolates each phi with a fresh temporary: [d <- phi(ri@pi)]
@@ -16,7 +16,6 @@
     performed, and the Chaitin-style coalescer later removes the copies that
     do not matter. *)
 
-open Epre_util
 open Epre_ir
 open Epre_analysis
 
@@ -25,154 +24,194 @@ exception Use_before_def of { routine : string; reg : Instr.reg }
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
-let phi_placement (r : Routine.t) dom live =
-  let cfg = r.Routine.cfg in
-  let nblocks = Cfg.num_blocks cfg in
-  let width = r.Routine.next_reg in
-  (* def_blocks.(v) = blocks containing a definition of v *)
-  let def_blocks = Array.make width [] in
-  List.iter (fun p -> def_blocks.(p) <- [ Cfg.entry cfg ]) r.Routine.params;
-  Cfg.iter_blocks
-    (fun b ->
-      List.iter
-        (fun i ->
-          Option.iter (fun d -> def_blocks.(d) <- b.Block.id :: def_blocks.(d)) (Instr.def i))
-        b.Block.instrs)
-    cfg;
-  (* needs_phi.(block) = registers to phi at that block *)
-  let needs_phi = Array.make nblocks [] in
-  for v = 0 to width - 1 do
-    match List.sort_uniq compare def_blocks.(v) with
-    | [] | [ _ ] ->
-      (* At most one defining block: at block exits a single definition
-         reaches every use of a strict program, so no phi is needed. *)
-      ()
-    | defs ->
-      let placed = Bitset.create nblocks in
-      let in_work = Bitset.create nblocks in
-      let work = Queue.create () in
-      List.iter
-        (fun b ->
-          if not (Bitset.mem in_work b) then begin
-            Bitset.add in_work b;
-            Queue.add b work
-          end)
-        defs;
-      while not (Queue.is_empty work) do
-        let b = Queue.take work in
-        List.iter
-          (fun d ->
-            if (not (Bitset.mem placed d)) && Bitset.mem (Liveness.live_in live d) v then begin
-              Bitset.add placed d;
-              needs_phi.(d) <- v :: needs_phi.(d);
-              if not (Bitset.mem in_work d) then begin
-                Bitset.add in_work d;
-                Queue.add d work
-              end
-            end)
-          (Dom.frontier dom b)
-      done
-  done;
-  needs_phi
-
 type build_config = { fold_copies : bool }
 
 let default_build_config = { fold_copies = true }
 
+type built = { graph : Dataflow.graph; dom : Dom.t }
+
+(* needs_phi.(block) = registers to phi at that block, descending. Only
+   non-local registers can be live into a block, so only they are
+   tried. A register's phis go at the iterated dominance frontier of its
+   defining blocks, pruned to the blocks it is live into; the set closes
+   the same way whatever order the worklist takes. [placed] and [queued]
+   hold the register a block was last placed or queued for. *)
+let phi_placement (r : Routine.t) dom live =
+  let cfg = r.Routine.cfg in
+  let nblocks = Cfg.num_blocks cfg in
+  let entry = Cfg.entry cfg in
+  let needs_phi = Array.make nblocks [] in
+  let placed = Array.make nblocks (-1) and queued = Array.make nblocks (-1) in
+  let work = Array.make nblocks 0 and top = ref 0 in
+  let enqueue v b =
+    if queued.(b) <> v then begin
+      queued.(b) <- v;
+      work.(!top) <- b;
+      incr top
+    end
+  in
+  Array.iteri
+    (fun k v ->
+      let defs = Liveness.def_blocks live k in
+      let defs =
+        if List.mem v r.Routine.params && not (List.mem entry defs) then entry :: defs
+        else defs
+      in
+      match defs with
+      | [] | [ _ ] ->
+        (* At most one defining block: at block exits a single definition
+           reaches every use of a strict program, so no phi is needed. *)
+        ()
+      | defs ->
+        List.iter (enqueue v) defs;
+        while !top > 0 do
+          decr top;
+          List.iter
+            (fun d ->
+              if placed.(d) <> v && Liveness.live_into live d k then begin
+                placed.(d) <- v;
+                needs_phi.(d) <- v :: needs_phi.(d);
+                enqueue v d
+              end)
+            (Dom.frontier dom work.(!top))
+        done)
+    (Liveness.nonlocal live);
+  needs_phi
+
+(* The phis [build] puts at one block, before they become instructions:
+   destination [first + j] merges register [vars.(j)], and [args.(j).(k)]
+   is its argument along the edge from [preds.(k)]. *)
+type phis = { first : int; vars : int array; preds : int array; args : int array array }
+
+let no_phis = { first = 0; vars = [||]; preds = [||]; args = [||] }
+
 let build ?(config = default_build_config) (r : Routine.t) =
   if r.Routine.in_ssa then invalid_arg "Ssa.build: routine already in SSA form";
   let cfg = r.Routine.cfg in
+  Cfg.give_entry_no_preds cfg;
   let g = Dataflow.graph cfg in
   let dom = Dom.compute g in
   let live = Liveness.compute g r in
   let needs_phi = phi_placement r dom live in
   let preds = Cfg.preds cfg in
   let orig_width = r.Routine.next_reg in
-  (* Insert placeholder phis; arguments are filled during renaming.  Each phi
-     remembers which original register it merges via [phi_origin]. *)
-  let phi_origin = Hashtbl.create 16 in
-  Array.iteri
-    (fun bid vs ->
-      if vs <> [] then begin
-        let b = Cfg.block cfg bid in
-        let phis =
-          List.map
-            (fun v ->
-              let dst = Routine.fresh_reg r in
-              Hashtbl.replace phi_origin (bid, dst) v;
-              Instr.Phi { dst; args = List.map (fun p -> (p, v)) preds.(bid) })
-            (List.rev vs)
-        in
-        b.Block.instrs <- phis @ b.Block.instrs
-      end)
-    needs_phi;
-  (* Renaming: stacks of current names per original register. *)
-  let stacks = Array.make orig_width [] in
+  (* Phi destinations are fresh registers, in block order and ascending
+     merged register within a block; arguments start as the merged
+     register and are filled during renaming. *)
+  let phis =
+    Array.mapi
+      (fun bid vs ->
+        if vs = [] then no_phis
+        else begin
+          let vars = Array.of_list (List.rev vs) in
+          let first = r.Routine.next_reg in
+          r.Routine.next_reg <- first + Array.length vars;
+          let preds = Array.of_list preds.(bid) in
+          { first; vars; preds; args = Array.map (fun v -> Array.make (Array.length preds) v) vars }
+        end)
+      needs_phi
+  in
+  (* Renaming: the current name of each original register ([-1] for
+     none yet), and an undo log of (register, previous name) pairs that
+     leaving a dominator subtree rolls back. *)
+  let current = Array.make orig_width (-1) in
+  let log = ref (Array.make 64 0) and logged = ref 0 in
   let top v =
     if v >= orig_width then v
     else
-      match stacks.(v) with
-      | n :: _ -> n
-      | [] -> raise (Use_before_def { routine = r.Routine.name; reg = v })
+      let n = current.(v) in
+      if n < 0 then raise (Use_before_def { routine = r.Routine.name; reg = v }) else n
   in
-  List.iter (fun p -> stacks.(p) <- p :: stacks.(p)) r.Routine.params;
-  let rec rename bid =
-    let b = Cfg.block cfg bid in
-    let pushed = ref [] in
-    let push v n =
-      stacks.(v) <- n :: stacks.(v);
-      pushed := v :: !pushed
-    in
-    let rewrite acc i =
+  let push v n =
+    if !logged + 2 > Array.length !log then begin
+      let bigger = Array.make (2 * Array.length !log) 0 in
+      Array.blit !log 0 bigger 0 !logged;
+      log := bigger
+    end;
+    !log.(!logged) <- v;
+    !log.(!logged + 1) <- current.(v);
+    logged := !logged + 2;
+    current.(v) <- n
+  in
+  let fresh_def d =
+    if d < orig_width then begin
+      let n = Routine.fresh_reg r in
+      push d n;
+      n
+    end
+    else d
+  in
+  (* In order: a definition's fresh name must follow its operands'. *)
+  let rec rewrite = function
+    | [] -> []
+    | i :: rest -> (
       match i with
-      | Instr.Phi { dst; args } ->
-        (* dst is already a fresh name; record it as the current name of the
-           register this phi merges. *)
-        let v = Hashtbl.find phi_origin (bid, dst) in
-        push v dst;
-        Instr.Phi { dst; args } :: acc
       | Instr.Copy { dst; src } when config.fold_copies && dst < orig_width ->
         (* Fold the copy: dst's current name becomes src's current name. *)
-        let n = top src in
-        push dst n;
-        acc
+        push dst (top src);
+        rewrite rest
       | _ ->
-        let i = Instr.map_uses top i in
-        (match Instr.def i with
-        | Some d when d < orig_width ->
-          let n = Routine.fresh_reg r in
-          push d n;
-          Instr.map_def (fun _ -> n) i :: acc
-        | _ -> i :: acc)
-    in
-    b.Block.instrs <- List.rev (List.fold_left rewrite [] b.Block.instrs);
+        let i =
+          match i with
+          | Instr.Const { dst; value } -> Instr.Const { dst = fresh_def dst; value }
+          | Instr.Copy { dst; src } ->
+            let src = top src in
+            Instr.Copy { dst = fresh_def dst; src }
+          | Instr.Unop { op; dst; src } ->
+            let src = top src in
+            Instr.Unop { op; dst = fresh_def dst; src }
+          | Instr.Binop { op; dst; a; b } ->
+            let a = top a in
+            let b = top b in
+            Instr.Binop { op; dst = fresh_def dst; a; b }
+          | _ -> (
+            let i = Instr.map_uses top i in
+            match Instr.def i with
+            | Some d when d < orig_width -> Instr.map_def (fun _ -> fresh_def d) i
+            | _ -> i)
+        in
+        i :: rewrite rest)
+  in
+  List.iter (fun p -> current.(p) <- p) r.Routine.params;
+  let rec rename bid =
+    let b = Cfg.block cfg bid in
+    let mark = !logged in
+    (* A phi's destination becomes the current name of the register it
+       merges. *)
+    let here = phis.(bid) in
+    Array.iteri (fun j v -> push v (here.first + j)) here.vars;
+    b.Block.instrs <- rewrite b.Block.instrs;
     b.Block.term <- Instr.map_term_uses top b.Block.term;
-    (* Fill our slot in successors' phis. *)
+    (* Fill our slot in the successors' phis. *)
     List.iter
       (fun s ->
-        let sb = Cfg.block cfg s in
-        sb.Block.instrs <-
-          List.map
-            (function
-              | Instr.Phi { dst; args } ->
-                let args =
-                  List.map
-                    (fun (p, v) ->
-                      if p = bid && v < orig_width && Hashtbl.mem phi_origin (s, dst) then
-                        (p, top v)
-                      else (p, v))
-                    args
-                in
-                Instr.Phi { dst; args }
-              | i -> i)
-            sb.Block.instrs)
+        let there = phis.(s) in
+        if there.vars <> [||] then begin
+          let k = ref 0 in
+          while there.preds.(!k) <> bid do incr k done;
+          Array.iteri (fun j v -> there.args.(j).(!k) <- top v) there.vars
+        end)
       (Block.succs b);
     List.iter rename (Dom.children dom bid);
-    List.iter (fun v -> stacks.(v) <- List.tl stacks.(v)) !pushed
+    while !logged > mark do
+      logged := !logged - 2;
+      current.(!log.(!logged)) <- !log.(!logged + 1)
+    done
   in
   rename (Cfg.entry cfg);
+  Array.iteri
+    (fun bid { first; vars; preds; args } ->
+      if vars <> [||] then begin
+        let b = Cfg.block cfg bid in
+        b.Block.instrs <-
+          List.init (Array.length vars) (fun j ->
+              Instr.Phi
+                { dst = first + j; args = List.mapi (fun k p -> (p, args.(j).(k))) (Array.to_list preds) })
+          @ b.Block.instrs
+      end)
+    phis;
   r.Routine.in_ssa <- true;
-  r
+  { graph = g; dom }
 
 (* ------------------------------------------------------------------ *)
 (* Destruction                                                         *)
@@ -182,6 +221,7 @@ let destroy (r : Routine.t) =
   ignore (Critical_edges.split_all r);
   let cfg = r.Routine.cfg in
   let fresh () = Routine.fresh_reg r in
+  let copies seq = List.map (fun (dst, src) -> Instr.Copy { dst; src }) seq in
   Cfg.iter_blocks
     (fun b ->
       let phis = Block.phis b in
@@ -203,9 +243,8 @@ let destroy (r : Routine.t) =
           (* A single predecessor: the copies may sit at the top of the
              block itself, which is safe even if [p] has several
              successors. *)
-          let seq = Parallel_copy.sequentialize ~fresh (pairs_for p) in
           b.Block.instrs <-
-            List.map (fun (dst, src) -> Instr.Copy { dst; src }) seq @ Block.non_phis b
+            copies (Parallel_copy.sequentialize ~fresh (pairs_for p)) @ Block.non_phis b
         | preds ->
           (* Several predecessors: critical-edge splitting guarantees each
              has this block as its only successor, so copies at their ends
@@ -213,10 +252,9 @@ let destroy (r : Routine.t) =
           List.iter
             (fun p ->
               assert (List.length (Cfg.succs cfg p) = 1);
-              let seq = Parallel_copy.sequentialize ~fresh (pairs_for p) in
-              List.iter
-                (fun (dst, src) -> Block.append (Cfg.block cfg p) (Instr.Copy { dst; src }))
-                seq)
+              let pb = Cfg.block cfg p in
+              pb.Block.instrs <-
+                pb.Block.instrs @ copies (Parallel_copy.sequentialize ~fresh (pairs_for p)))
             preds;
           b.Block.instrs <- Block.non_phis b)
       end)

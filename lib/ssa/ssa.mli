@@ -11,6 +11,7 @@
     predecessor ends — or at the block top for single-predecessor blocks. *)
 
 open Epre_ir
+open Epre_analysis
 
 (** A register was read on some path before any write. The front end's
     zero-initialization of locals prevents this for compiled programs. *)
@@ -21,10 +22,16 @@ type build_config = { fold_copies : bool }
 val default_build_config : build_config
 (** [{ fold_copies = true }] *)
 
-(** Convert to pruned SSA in place (also returns the routine). Requires
-    [not in_ssa].
+(** What construction computed on the routine's CFG. Building SSA adds no
+    edge, so both stay valid for the SSA form until a pass edits edges. *)
+type built = { graph : Dataflow.graph; dom : Dom.t }
+
+(** Convert to pruned SSA in place. Requires [not in_ssa]. First gives the
+    entry no predecessor ([Cfg.give_entry_no_preds]): renaming starts at
+    the entry with the parameters' names, which is only right when control
+    reaches it from outside alone.
     @raise Use_before_def on non-strict input. *)
-val build : ?config:build_config -> Routine.t -> Routine.t
+val build : ?config:build_config -> Routine.t -> built
 
 (** Replace phis by copies; requires [in_ssa]. Safe on value-renamed code
     (GVN output): copy groups keep parallel semantics. *)

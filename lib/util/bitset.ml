@@ -89,9 +89,14 @@ let intersects a b =
 
 let clear s = Array.fill s.words 0 (Array.length s.words) 0
 
-let popcount w =
-  let rec go w acc = if w = 0 then acc else go (w land (w - 1)) (acc + 1) in
-  go w 0
+(* Bits set in a 32-bit half word, by SWAR summing. *)
+let pop32 x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
+  ((x * 0x01010101) land 0xFFFFFFFF) lsr 24
+
+let popcount w = pop32 (w land 0xFFFFFFFF) + pop32 (w lsr 32)
 
 let count s = Array.fold_left (fun acc w -> acc + popcount w) 0 s.words
 
@@ -115,6 +120,29 @@ let iter f s =
       w := !w land (!w - 1)
     done
   done
+
+type index = { bits : int array; below : int array; size : int }
+
+let index s =
+  let bits = Array.copy s.words in
+  let below = Array.make (Array.length bits) 0 in
+  let c = ref 0 in
+  Array.iteri
+    (fun k w ->
+      below.(k) <- !c;
+      c := !c + popcount w)
+    bits;
+  { bits; below; size = !c }
+
+let rank ix i =
+  let k = i / bpw in
+  if i < 0 || k >= Array.length ix.bits then -1
+  else
+    let w = Array.unsafe_get ix.bits k and b = i mod bpw in
+    if (w lsr b) land 1 = 0 then -1
+    else Array.unsafe_get ix.below k + popcount (w land ((1 lsl b) - 1))
+
+let index_size ix = ix.size
 
 let elements s =
   let acc = ref [] in

@@ -53,6 +53,22 @@ val iter : (int -> unit) -> t -> unit
 (** In ascending order. *)
 
 val elements : t -> int list
+
+(** A dense renumbering of a set's elements, frozen when built: the
+    [k]th smallest element gets rank [k]. It lets a pass keep per-element
+    arrays as long as the set rather than as wide as its universe (a
+    routine's registers are sparse once passes have renamed them). *)
+type index
+
+(** O(words). *)
+val index : t -> index
+
+(** [rank ix i]: the number of elements below [i] when [i] is an
+    element, [-1] otherwise. O(1). *)
+val rank : index -> int -> int
+
+(** The number of elements. *)
+val index_size : index -> int
 (** In ascending order. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a

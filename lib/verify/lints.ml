@@ -111,15 +111,15 @@ let dead_and_shape (r : Routine.t) ~order =
    prepends phis but never reorders a block's instructions). *)
 let rank_order (r : Routine.t) =
   try
-    let ssa_r, built =
-      if r.Routine.in_ssa then (r, false)
+    let ssa_r, graph, built =
+      if r.Routine.in_ssa then (r, Epre_analysis.Dataflow.graph r.Routine.cfg, false)
       else begin
         let c = Routine.copy r in
-        ignore (Ssa.build c);
-        (c, true)
+        let { Ssa.graph; _ } = Ssa.build c in
+        (c, graph, true)
       end
     in
-    let rank = Rank.compute ssa_r in
+    let rank = Rank.compute graph ssa_r in
     let out = ref [] in
     Cfg.iter_blocks
       (fun b ->

@@ -9,7 +9,8 @@ open Epre_gvn
 
 let build_ssa source name =
   let r = Program.find_exn (Helpers.compile source) name in
-  Epre_ssa.Ssa.build r
+  ignore (Epre_ssa.Ssa.build r);
+  r
 
 (* The paper's Section 2.2 example:
      x = y + z; a = y; b = a + z
@@ -114,7 +115,7 @@ let test_constants_partition_by_value () =
   let s = Builder.binop b Op.Add c1 c2 in
   Builder.ret b (Some (Builder.binop b Op.Add s c3));
   let r = Builder.finish b in
-  let r = Epre_ssa.Ssa.build r in
+  ignore (Epre_ssa.Ssa.build r);
   let part = Partition.build r in
   (* after SSA renaming the const regs changed; re-find them *)
   let consts = ref [] in
@@ -143,7 +144,9 @@ let test_commutative_config () =
     let t1 = Builder.binop b Op.Add 0 1 in
     let t2 = Builder.binop b Op.Add 1 0 in
     Builder.ret b (Some (Builder.binop b Op.Mul t1 t2));
-    Epre_ssa.Ssa.build (Builder.finish b)
+    let r = Builder.finish b in
+    ignore (Epre_ssa.Ssa.build r);
+    r
   in
   let find_adds r =
     let adds = ref [] in

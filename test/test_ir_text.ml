@@ -43,7 +43,7 @@ let test_roundtrip_after_optimization () =
 
 let test_roundtrip_ssa_form () =
   let r = Program.find_exn (Helpers.compile "fn f(n: int): int { var s: int; var i: int; for i = 1 to n { s = s + i; } return s; }") "f" in
-  let r = Epre_ssa.Ssa.build r in
+  ignore (Epre_ssa.Ssa.build r);
   let text = Ir_text.routine_to_string r in
   let prog' = Ir_text.parse_program text in
   let r' = Program.find_exn prog' "f" in

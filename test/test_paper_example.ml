@@ -47,7 +47,8 @@ let run_foo r y z =
     (Program.create [ r ])
 
 let test_figure4_ssa_shape () =
-  let r = Epre_ssa.Ssa.build (fresh_foo ()) in
+  let r = fresh_foo () in
+  ignore (Epre_ssa.Ssa.build r);
   Epre_ssa.Ssa_check.check r;
   let phis =
     Cfg.fold_blocks (fun acc b -> acc + List.length (Block.phis b)) 0 r.Routine.cfg
@@ -57,8 +58,9 @@ let test_figure4_ssa_shape () =
   Alcotest.(check int) "three phis" 3 phis
 
 let test_figure4_ranks () =
-  let r = Epre_ssa.Ssa.build (fresh_foo ()) in
-  let ranks = Epre_reassoc.Rank.compute r in
+  let r = fresh_foo () in
+  let { Epre_ssa.Ssa.graph; _ } = Epre_ssa.Ssa.build r in
+  let ranks = Epre_reassoc.Rank.compute graph r in
   (* the paper: rank(r2)=0 for the constant, rank 1 for params and y+z,
      rank 2 for the loop-varying values, rank 3 for the exit phi *)
   let by_rank = Hashtbl.create 8 in

@@ -74,7 +74,8 @@ let hierarchy_holds =
 let suite =
   [
     pass_preserves "ssa round trip" (fun r ->
-        ignore (Epre_ssa.Ssa.destroy (Epre_ssa.Ssa.build r)));
+        ignore (Epre_ssa.Ssa.build r);
+        ignore (Epre_ssa.Ssa.destroy r));
     pass_preserves "sccp" (fun r -> ignore (Epre_opt.Constprop.run r));
     pass_preserves "peephole" (fun r ->
         ignore (Epre_opt.Peephole.run ~config:{ Epre_opt.Peephole.mul_to_shift = true } r));

@@ -28,8 +28,8 @@ fn foo(y: int, z: int): int {
 
 let test_ranks_paper_example () =
   let r = Program.find_exn (Helpers.compile paper_foo_source) "foo" in
-  let r = Epre_ssa.Ssa.build r in
-  let ranks = Rank.compute r in
+  let { Epre_ssa.Ssa.graph; _ } = Epre_ssa.Ssa.build r in
+  let ranks = Rank.compute graph r in
   (* params have the entry block's rank 1 *)
   Alcotest.(check int) "param y" 1 (Rank.of_reg ranks 0);
   Alcotest.(check int) "param z" 1 (Rank.of_reg ranks 1);
@@ -70,8 +70,8 @@ fn f(n: int): int {
 |}
   in
   let r = Program.find_exn (Helpers.compile source) "f" in
-  let r = Epre_ssa.Ssa.build r in
-  let ranks = Rank.compute r in
+  let { Epre_ssa.Ssa.graph; _ } = Epre_ssa.Ssa.build r in
+  let ranks = Rank.compute graph r in
   let du = Epre_analysis.Defuse.compute r in
   (* collect phi ranks; the inner loop's phis must outrank the outer's *)
   let phi_ranks = ref [] in

@@ -21,13 +21,13 @@ fn f(n: int): int {
 
 let test_build_produces_valid_ssa () =
   let r = compile_routine loop_source "f" in
-  let r = Ssa.build r in
+  ignore (Ssa.build r);
   Ssa_check.check r;
   Alcotest.(check bool) "flagged" true r.Routine.in_ssa
 
 let test_copy_folding_removes_copies () =
   let r = compile_routine loop_source "f" in
-  let r = Ssa.build r in
+  ignore (Ssa.build r);
   let copies =
     Cfg.fold_blocks
       (fun acc b ->
@@ -40,7 +40,7 @@ let test_copy_folding_removes_copies () =
 
 let test_no_fold_keeps_copies () =
   let r = compile_routine loop_source "f" in
-  let r = Ssa.build ~config:{ Ssa.fold_copies = false } r in
+  ignore (Ssa.build ~config:{ Ssa.fold_copies = false } r);
   Ssa_check.check r;
   let copies =
     Cfg.fold_blocks
@@ -72,7 +72,7 @@ fn f(p: int): int {
 |}
   in
   let r = compile_routine source "f" in
-  let r = Ssa.build r in
+  ignore (Ssa.build r);
   Ssa_check.check r;
   let phis =
     Cfg.fold_blocks (fun acc b -> acc + List.length (Block.phis b)) 0 r.Routine.cfg
@@ -84,7 +84,7 @@ let test_roundtrip_preserves_semantics () =
   let prog = Helpers.compile loop_source in
   let before = Helpers.run_int ~entry:"f" ~args:[ Value.I 10 ] prog in
   let r = Program.find_exn prog "f" in
-  let r = Ssa.build r in
+  ignore (Ssa.build r);
   let _ = Ssa.destroy r in
   Routine.validate r;
   let after = Helpers.run_int ~entry:"f" ~args:[ Value.I 10 ] prog in
@@ -231,7 +231,7 @@ fn f(n: int): int {
   let prog = Helpers.compile source in
   let before = Helpers.run_int ~entry:"f" ~args:[ Value.I 5 ] prog in
   let r = Program.find_exn prog "f" in
-  let r = Ssa.build r in
+  ignore (Ssa.build r);
   Ssa_check.check r;
   let _ = Ssa.destroy r in
   Routine.validate r;

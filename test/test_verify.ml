@@ -813,8 +813,9 @@ let check_only_agrees_in_and_out ~fired ~what (p : Program.t) =
     (fun (r : Routine.t) ->
       let what = what ^ "/" ^ r.Routine.name in
       check_only_agrees ~fired ~what r;
-      match Epre_ssa.Ssa.build (Routine.copy r) with
-      | ssa -> check_only_agrees ~fired ~what:(what ^ " (ssa)") ssa
+      let ssa = Routine.copy r in
+      match Epre_ssa.Ssa.build ssa with
+      | _ -> check_only_agrees ~fired ~what:(what ^ " (ssa)") ssa
       | exception _ -> ())
     (Program.routines p)
 
