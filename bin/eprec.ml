@@ -1030,10 +1030,9 @@ let serve_cmd =
         "Results carry per-job cache traffic, wall latency \
          ($(b,latency_ms)), the attempt count and an $(b,outcome) of \
          $(b,ok), $(b,error), $(b,timeout), $(b,retried_ok), \
-         $(b,degraded) (served at a lower level than requested — the \
-         result also reports $(b,requested) and any $(b,excised) passes) \
-         or $(b,shed) (rejected by admission control); a \
-         malformed job line yields an in-order $(b,ok:false) result with \
+         or $(b,degraded) (served at a lower level than requested — the \
+         result also reports $(b,requested) and any $(b,excised) passes); \
+         a malformed job line yields an in-order $(b,ok:false) result with \
          its input line number instead of killing the server. The cache \
          lives in $(b,--cache-dir) (default $(b,\\$EPREC_CACHE_DIR), else \
          $(b,\\$XDG_CACHE_HOME/eprec), else $(b,~/.cache/eprec)) and \
@@ -1069,11 +1068,9 @@ let serve_cmd =
          resumed run) and re-runs in-flight ones exactly once, so \
          concatenating the killed run's output with the resumed run's \
          yields the complete batch byte-identically. \
-         Overload: $(b,--max-pending) bounds the pending queue; under \
-         $(b,--shed-policy=block) (default) the reader simply stops \
-         consuming stdin (backpressure), under $(b,reject) a saturated \
-         queue deterministically sheds the next jobs as \
-         $(b,outcome:shed) result lines.";
+         Overload: input is read only between batches, so $(b,--batch) \
+         bounds read-ahead and a busy server leaves the rest of its input \
+         in the pipe (backpressure).";
       `P
         "Observability: every job carries its id as a correlation id \
          through the structured event log — $(b,--log-level) mirrors \
@@ -1093,7 +1090,7 @@ let serve_cmd =
         "$(b,0) every job served at its requested level; $(b,1) at least \
          one job failed; $(b,2) fatal error (bad usage, unknown fault, \
          $(b,--resume) without a cache); $(b,4) all jobs completed but \
-         some were degraded or shed. Under $(b,chaos:kill-self) the \
+         some were degraded. Under $(b,chaos:kill-self) the \
          server kills itself with $(b,SIGKILL) (exit 137) after \
          journaling the in-flight batch." ]
   in
@@ -1121,8 +1118,9 @@ let serve_cmd =
       & opt (some int) None
       & info [ "batch" ] ~docv:"N"
           ~doc:
-            "Jobs dispatched to the pool per round (default \
-             $(b,max 32 (4*jobs))). Results still stream in input order.")
+            "Jobs read and dispatched to the pool per round (default \
+             $(b,max 32 (4*jobs))); the bound on input read-ahead. \
+             Results still stream in input order.")
   in
   let cache_max_bytes_arg =
     Arg.(
@@ -1177,27 +1175,6 @@ let serve_cmd =
              emitted produce no line, the rest re-run. Requires a cache \
              directory (the journal lives at \
              $(b,<cache-dir>/journal.jsonl)).")
-  in
-  let max_pending_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-pending" ] ~docv:"N"
-          ~doc:
-            "Bound the pending-job queue at N (default unbounded): stdin \
-             is only consumed while the queue is below the bound.")
-  in
-  let shed_policy_arg =
-    Arg.(
-      value
-      & opt (enum [ ("block", `Block); ("reject", `Reject) ]) `Block
-      & info [ "shed-policy" ] ~docv:"POLICY"
-          ~doc:
-            "What a saturated queue does to new jobs: $(b,block) \
-             (default) simply stops reading input at the bound — pure \
-             stdin backpressure; $(b,reject) sheds the overflow \
-             deterministically as $(b,outcome:shed) result lines, down \
-             to the low watermark (half the bound).")
   in
   let cache_sweep_age_arg =
     Arg.(
@@ -1287,9 +1264,9 @@ let serve_cmd =
     Arg.(value & flag & info [ "no-flight" ] ~doc:"Disable the flight recorder.")
   in
   let run input jobs cache_dir no_cache batch cache_max_bytes timeout_ms
-      retries backoff_ms chaos_names () resume max_pending shed_policy
-      cache_sweep_age_s breaker_threshold breaker_probe_after no_degrade
-      log_level log_out stats_every metrics_out flight_dir no_flight tel =
+      retries backoff_ms chaos_names () resume cache_sweep_age_s
+      breaker_threshold breaker_probe_after no_degrade log_level log_out
+      stats_every metrics_out flight_dir no_flight tel =
     (* Reject an unwritable output path before any work, not after the
        batch. *)
     List.iter
@@ -1366,8 +1343,7 @@ let serve_cmd =
                   (fun pool ->
                     Epre_service.Service.serve ?cache ?batch ~policy ~chaos
                       ?stats_every ?metrics_out ?journal ~resume ~breaker
-                      ?max_pending ~shed_policy ~pool ~input:ic ~output:stdout
-                      ())))
+                      ~pool ~input:ic ~output:stdout ())))
       with
       | summary -> summary
       | exception Epre_service.Service.Killed ->
@@ -1382,30 +1358,26 @@ let serve_cmd =
     emit_metrics tel [];
     Fmt.epr
       "serve: %d job(s), %d ok (%d retried, %d degraded), %d failed (%d \
-       timeout), %d shed, %d replayed, %d hit(s), %d miss(es), %.1f ms@."
+       timeout), %d replayed, %d hit(s), %d miss(es), %.1f ms@."
       summary.Epre_service.Service.jobs summary.Epre_service.Service.succeeded
       summary.Epre_service.Service.retried
       summary.Epre_service.Service.degraded
       summary.Epre_service.Service.failed summary.Epre_service.Service.timeouts
-      summary.Epre_service.Service.shed summary.Epre_service.Service.replayed
+      summary.Epre_service.Service.replayed
       summary.Epre_service.Service.total.Epre_service.Service.hits
       summary.Epre_service.Service.total.Epre_service.Service.misses
       summary.Epre_service.Service.wall_ms;
     if summary.Epre_service.Service.failed > 0 then exit 1
-    else if
-      summary.Epre_service.Service.degraded > 0
-      || summary.Epre_service.Service.shed > 0
-    then exit 4
+    else if summary.Epre_service.Service.degraded > 0 then exit 4
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
       const run $ input_arg $ jobs_arg $ cache_dir_arg $ no_cache_arg
       $ batch_arg $ cache_max_bytes_arg $ timeout_arg $ retries_arg
       $ backoff_arg $ serve_chaos_arg $ chaos_seed_arg $ resume_arg
-      $ max_pending_arg $ shed_policy_arg $ cache_sweep_age_arg
-      $ breaker_threshold_arg $ breaker_probe_after_arg $ no_degrade_arg
-      $ log_level_arg $ log_out_arg $ stats_every_arg $ metrics_out_arg
-      $ flight_dir_arg $ no_flight_arg $ telemetry_term)
+      $ cache_sweep_age_arg $ breaker_threshold_arg $ breaker_probe_after_arg
+      $ no_degrade_arg $ log_level_arg $ log_out_arg $ stats_every_arg
+      $ metrics_out_arg $ flight_dir_arg $ no_flight_arg $ telemetry_term)
 
 let workloads_cmd =
   let doc = "list the built-in workload suite, or differentially check it" in

@@ -45,9 +45,6 @@ let anticipability t =
 let partial_availability t =
   solve t Dataflow.solve_forward ~gen:t.local.Expr_universe.comp ~meet:Dataflow.Union
 
-let partial_anticipability t =
-  solve t Dataflow.solve_backward ~gen:t.local.Expr_universe.antloc ~meet:Dataflow.Union
-
 type placement = {
   laterin : Bitset.t array;
   later : int -> int -> Bitset.t;

@@ -56,9 +56,6 @@ val anticipability : t -> Dataflow.result
 (** Forward ∪ over COMP/KILL; PAVIN/PAVOUT. *)
 val partial_availability : t -> Dataflow.result
 
-(** Backward ∪ over ANTLOC/KILL; PANTIN/PANTOUT. *)
-val partial_anticipability : t -> Dataflow.result
-
 (** The lazy-code-motion placement (Drechsler–Stadel earliest/later
     form): where insertions would go and which evaluations they cover.
     [Pre] drives its transformation from this; the redundancy auditor

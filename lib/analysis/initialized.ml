@@ -39,6 +39,3 @@ let compute (g : Dataflow.graph) (r : Routine.t) =
    unreachability rule). *)
 let on_entry t id =
   if Order.is_reachable t.order id then t.res.Dataflow.ins.(id) else t.full
-
-let on_exit t id =
-  if Order.is_reachable t.order id then t.res.Dataflow.outs.(id) else t.full

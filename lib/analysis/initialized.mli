@@ -22,6 +22,3 @@ val compute : Dataflow.graph -> Routine.t -> t
 (** Registers definitely assigned on entry to block [id]. Unreachable
     blocks report the full set (every fact holds vacuously). *)
 val on_entry : t -> int -> Bitset.t
-
-(** Registers definitely assigned when block [id] exits. *)
-val on_exit : t -> int -> Bitset.t

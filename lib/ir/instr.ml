@@ -100,15 +100,10 @@ let map_term_succs f = function
 
 (* Pure computations: value depends only on operands; freely removable when
    dead, and candidates for value numbering. Loads are *not* pure (memory),
-   but they are [redundancy_candidate]s killed by stores/calls. *)
+   but PRE still moves them, killed by stores/calls. *)
 let is_pure = function
   | Const _ | Copy _ | Unop _ | Binop _ -> true
   | Load _ | Store _ | Alloca _ | Call _ | Phi _ -> false
-
-(* Instructions PRE may treat as (re)computable expressions. *)
-let redundancy_candidate = function
-  | Unop _ | Binop _ | Load _ | Const _ -> true
-  | Copy _ | Store _ | Alloca _ | Call _ | Phi _ -> false
 
 (* Side effects that make an instruction unremovable even when its result is
    unused. *)

@@ -57,10 +57,6 @@ val map_term_succs : (int -> int) -> terminator -> terminator
     candidate for value numbering. Loads are not pure (memory). *)
 val is_pure : t -> bool
 
-(** Instructions PRE may treat as (re)computable expressions: unops,
-    binops, loads and constants. *)
-val redundancy_candidate : t -> bool
-
 (** Unremovable even when the result is unused: stores and calls. *)
 val has_side_effect : t -> bool
 

@@ -13,10 +13,6 @@ let find_exn t name =
 
 let routines t = t.routines
 
-(** Apply an ILOC->ILOC routine transformation to every routine, as the
-    paper's optimizer passes do. *)
-let map_routines f t = { routines = List.map f t.routines }
-
 let copy t = { routines = List.map Routine.copy t.routines }
 
 let op_count t =

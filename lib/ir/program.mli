@@ -12,10 +12,6 @@ val find_exn : t -> string -> Routine.t
 
 val routines : t -> Routine.t list
 
-(** Apply an ILOC -> ILOC routine transformation to every routine, as the
-    paper's optimizer passes do. *)
-val map_routines : (Routine.t -> Routine.t) -> t -> t
-
 val copy : t -> t
 
 (** Static operation count summed over all routines. *)

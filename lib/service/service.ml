@@ -169,7 +169,7 @@ let job_of_line ~default_id line =
       | [] -> Error "job needs one of \"file\", \"workload\", \"source\", \"iloc\""
       | _ :: _ :: _ -> Error "job has more than one program input"))
 
-type job_outcome = Succeeded | Failed | Timed_out | Retried | Degraded | Shed
+type job_outcome = Succeeded | Failed | Timed_out | Retried | Degraded
 
 let job_outcome_to_string = function
   | Succeeded -> "ok"
@@ -177,7 +177,6 @@ let job_outcome_to_string = function
   | Timed_out -> "timeout"
   | Retried -> "retried_ok"
   | Degraded -> "degraded"
-  | Shed -> "shed"
 
 type result_line = {
   job_id : string;
@@ -438,7 +437,7 @@ let run_job ?cache ?(policy = Policy.default) ?(chaos = []) ?breaker (job : job)
     Hist.observe_since ~name:"serve.job" t0;
     (match outcome with
     | Degraded -> Hist.observe_since ~name:"serve.degraded" t0
-    | Succeeded | Failed | Timed_out | Retried | Shed -> ());
+    | Succeeded | Failed | Timed_out | Retried -> ());
     Log.info ~event:"serve.job"
       ~fields:
         [ ("outcome", J.Str (job_outcome_to_string outcome));
@@ -548,7 +547,6 @@ type summary = {
   timeouts : int;
   retried : int;
   degraded : int;
-  shed : int;
   replayed : int;
   total : counts;
   wall_ms : float;
@@ -556,11 +554,11 @@ type summary = {
 
 exception Killed
 
-(* One admitted (or about-to-be-shed) input line, read ahead of dispatch
-   and parsed once. [p_key] is the content hash the journal records. A
-   malformed line still flows through [run_one] for its in-order error
-   result, under the positional default id. *)
-type pending_item = {
+(* One input line of the current batch, parsed once. [p_key] is the
+   content hash the journal records. A malformed line still flows through
+   [run_one] for its in-order error result, under the positional default
+   id. *)
+type item = {
   p_default : string;
   p_seq : int;
   p_line_no : int;
@@ -572,23 +570,17 @@ let p_id it = match it.p_job with Ok j -> j.id | Error _ -> it.p_default
 
 let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
     ?metrics_out ?(stats_sink = prerr_endline) ?journal ?(resume = false)
-    ?breaker ?max_pending ?(shed_policy = `Block) ~pool ~input ~output () =
+    ?breaker ~pool ~input ~output () =
   let batch_size =
     match batch with
     | Some b -> max b 1
     | None -> max 32 (4 * Pool.size pool)
   in
-  (* Admission watermarks: the queue refills to [high] (which also bounds
-     stdin read-ahead — backpressure in block mode); in reject mode a
-     saturated queue sheds down to [low]'s distance worth of lines. *)
-  let high = match max_pending with Some n -> max 1 n | None -> max_int in
-  let low = if high = max_int then max_int else max 1 (high / 2) in
-  let prefetch_target = if high = max_int then batch_size else high in
   let t0 = Clock.now_ns () in
   let seq = ref 0 and line_no = ref 0 in
   let jobs = ref 0 and succeeded = ref 0 and failed = ref 0 in
   let timeouts = ref 0 and retried = ref 0 in
-  let degraded = ref 0 and shed = ref 0 and replayed = ref 0 in
+  let degraded = ref 0 and replayed = ref 0 in
   let total = ref no_traffic in
   let stats_every =
     match stats_every with Some n when n > 0 -> Some n | _ -> None
@@ -650,134 +642,47 @@ let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
   let jappend entries =
     match journal with Some j -> Journal.append j entries | None -> ()
   in
-  (* [done]/[failed] records may only hit the journal after their result
-     line is physically flushed (otherwise a crash in between would lose
-     the line on resume); records wait here until the output sequencer
-     has passed their seq. *)
-  let post_hold = ref [] in
-  (* Output sequencer: every seq eventually resolves to a rendered line
-     (processed or shed) or a skip (replayed on resume); lines leave in
-     strict seq order whatever order they resolve in. *)
-  let out_buf = Hashtbl.create 64 in
-  let next_out = ref 1 in
-  let emit_seq s v =
-    Hashtbl.replace out_buf s v;
-    while Hashtbl.mem out_buf !next_out do
-      (match Hashtbl.find out_buf !next_out with
-      | Some l ->
-        output_string output l;
-        output_char output '\n'
-      | None -> ());
-      Hashtbl.remove out_buf !next_out;
-      incr next_out
-    done
-  in
-  let flush_post () =
-    let ready, rest = List.partition (fun (s, _) -> s < !next_out) !post_hold in
-    jappend (List.map snd (List.sort compare ready));
-    post_hold := rest
-  in
   let record r =
     incr jobs;
-    (if r.ok then incr succeeded
-     else
-       match r.outcome with
-       | Shed -> incr shed
-       | _ -> incr failed);
+    if r.ok then incr succeeded else incr failed;
     (match r.outcome with
     | Timed_out -> incr timeouts
     | Retried -> incr retried
     | Degraded -> incr degraded
-    | Succeeded | Failed | Shed -> ());
+    | Succeeded | Failed -> ());
     total := add_counts !total r.job_counts
   in
+  (* The next [n] non-blank lines the previous incarnation did not
+     already serve, in input order. Input is read only here, between
+     batches, so [batch] bounds read-ahead and a busy server leaves the
+     rest in the pipe. *)
   let eof = ref false in
-  let rec read_one () =
-    if !eof then None
+  let rec read_batch acc n =
+    if n = 0 || !eof then List.rev acc
     else
       match input_line input with
       | exception End_of_file ->
         eof := true;
-        None
+        List.rev acc
       | line ->
         incr line_no;
-        if String.trim line = "" then read_one ()
+        if String.trim line = "" then read_batch acc n
         else begin
           incr seq;
-          let default_id = Printf.sprintf "job-%d" !seq in
-          Some
-            { p_default = default_id; p_seq = !seq; p_line_no = !line_no;
-              p_key = Digest.to_hex (Digest.string line);
-              p_job = job_of_line ~default_id line }
-        end
-  in
-  let pending = Queue.create () in
-  let replay it =
-    incr replayed;
-    count "serve.replayed";
-    emit_seq it.p_seq None
-  in
-  let shed_one it =
-    count "serve.shed";
-    Log.warn ~event:"serve.shed" ~corr:(p_id it)
-      ~fields:[ ("seq", J.Int it.p_seq); ("max_pending", J.Int high) ]
-      (Printf.sprintf "job %s shed: pending queue at capacity" (p_id it));
-    let r =
-      error_result ~outcome:Shed ~id:(p_id it)
-        ~level:(match it.p_job with Ok j -> j.level | Error _ -> Pipeline.Partial)
-        ~line:it.p_line_no
-        (Printf.sprintf "shed: pending queue at capacity (max-pending %d)" high)
-    in
-    record r;
-    emit_seq it.p_seq (Some (J.to_string (result_to_json r)));
-    post_hold :=
-      ( it.p_seq,
-        Journal.entry ~kind:"failed" ~seq:it.p_seq ~id:(p_id it) ~key:it.p_key
-          ~fields:[ ("outcome", J.Str "shed") ] () )
-      :: !post_hold
-  in
-  (* Admit input up to the prefetch target; under reject-mode saturation,
-     deterministically shed the next (high - low) lines. Returns the
-     [accepted] journal records for the newly admitted jobs. *)
-  let refill () =
-    let accepted = ref [] in
-    while (not !eof) && Queue.length pending < prefetch_target do
-      match read_one () with
-      | None -> ()
-      | Some it ->
-        if Hashtbl.mem emitted_before (it.p_seq, it.p_key) then replay it
-        else begin
-          Queue.add it pending;
-          accepted :=
-            Journal.entry ~kind:"accepted" ~seq:it.p_seq ~id:(p_id it)
-              ~key:it.p_key
-              ~fields:[ ("line", J.Int it.p_line_no) ]
-              ()
-            :: !accepted
-        end
-    done;
-    if shed_policy = `Reject && Queue.length pending >= high then begin
-      let quota = max 1 (high - low) in
-      let rec shed_loop n item =
-        match item with
-        | None -> ()
-        | Some it ->
-          if Hashtbl.mem emitted_before (it.p_seq, it.p_key) then begin
-            (* Already served by the previous incarnation: a replay skip,
-               not a shed, and it does not burn shed quota. *)
-            replay it;
-            shed_loop n (read_one ())
+          let key = Digest.to_hex (Digest.string line) in
+          if Hashtbl.mem emitted_before (!seq, key) then begin
+            incr replayed;
+            count "serve.replayed";
+            read_batch acc n
           end
-          else begin
-            shed_one it;
-            if n > 1 then shed_loop (n - 1) (read_one ())
-          end
-      in
-      match read_one () with
-      | None -> ()
-      | Some first -> shed_loop quota (Some first)
-    end;
-    List.rev !accepted
+          else
+            let default_id = Printf.sprintf "job-%d" !seq in
+            read_batch
+              ({ p_default = default_id; p_seq = !seq; p_line_no = !line_no;
+                 p_key = key; p_job = job_of_line ~default_id line }
+              :: acc)
+              (n - 1)
+        end
   in
   let run_one it =
     match it.p_job with
@@ -791,31 +696,26 @@ let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
   in
   let has_kill = List.mem Chaos.Kill_self chaos in
   let rec loop () =
-    let accepted_now = refill () in
-    Hist.observe ~name:"queue.depth" (Queue.length pending);
-    let n = min batch_size (Queue.length pending) in
-    if n = 0 then begin
-      jappend accepted_now;
-      flush output;
-      flush_post ()
-    end
-    else begin
-      let arr = Array.init n (fun _ -> Queue.pop pending) in
+    let items = read_batch [] batch_size in
+    Hist.observe ~name:"queue.depth" (List.length items);
+    if items <> [] then begin
       (* WAL barrier: accepted + started records are durable before any
          of the batch dispatches — a crash from here on leaves every
          in-flight job journaled, so --resume re-runs it exactly once. *)
+      let entry kind fields it =
+        Journal.entry ~kind ~seq:it.p_seq ~id:(p_id it) ~key:it.p_key ~fields ()
+      in
       jappend
-        (accepted_now
-        @ (Array.to_list arr
-          |> List.map (fun it ->
-                 Journal.entry ~kind:"started" ~seq:it.p_seq ~id:(p_id it)
-                   ~key:it.p_key
-                   ~fields:
-                     (match it.p_job with
-                     | Ok j ->
-                       [ ("fingerprint", J.Str (Pipeline.fingerprint ~level:j.level)) ]
-                     | Error _ -> [])
-                   ())));
+        (List.map (fun it -> entry "accepted" [ ("line", J.Int it.p_line_no) ] it) items
+        @ List.map
+            (fun it ->
+              entry "started"
+                (match it.p_job with
+                | Ok j ->
+                  [ ("fingerprint", J.Str (Pipeline.fingerprint ~level:j.level)) ]
+                | Error _ -> [])
+                it)
+            items);
       (* chaos:kill-self aborts at exactly this journal-consistent point:
          the batch is journaled [started] but none of its results have
          been emitted, so output ends clean at a batch boundary and the
@@ -823,7 +723,7 @@ let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
          uninterrupted run would have seen. *)
       if
         has_kill
-        && Array.exists (fun it -> Chaos.fires Chaos.Kill_self ~key:(p_id it)) arr
+        && List.exists (fun it -> Chaos.fires Chaos.Kill_self ~key:(p_id it)) items
       then begin
         fire Chaos.Kill_self;
         flush output;
@@ -831,41 +731,45 @@ let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
       end;
       (* [run_job] never raises; [map_outcomes] is the last-ditch
          containment if the service layer itself crashes on a job — the
-         batch still drains and every job still reports in order. *)
-      let outcomes = Pool.map_outcomes pool run_one arr in
-      Array.iteri
-        (fun i outcome ->
-          let it = arr.(i) in
-          let r =
+         batch still drains and every job still reports in order, under
+         its own id and level. *)
+      let outcomes = Pool.map_outcomes pool run_one (Array.of_list items) in
+      let results =
+        List.map2
+          (fun it outcome ->
             match outcome with
             | Pool.Done r -> r
             | Pool.Failed (e, _) ->
+              let msg = Printexc.to_string e in
               count "serve.worker_crash";
-              Log.error ~event:"serve.worker_crash" ~corr:it.p_default
-                (Printexc.to_string e);
+              Log.error ~event:"serve.worker_crash" ~corr:(p_id it) msg;
               ignore
-                (Recorder.dump
-                   ~reason:("worker-crash: " ^ Printexc.to_string e)
-                   ~corr:it.p_default ());
-              error_result ~id:it.p_default ~level:Pipeline.Partial
-                ~line:it.p_line_no ("worker crashed: " ^ Printexc.to_string e)
-          in
+                (Recorder.dump ~reason:("worker-crash: " ^ msg) ~corr:(p_id it) ());
+              let level =
+                match it.p_job with Ok j -> j.level | Error _ -> Pipeline.Partial
+              in
+              error_result ~id:(p_id it) ~level ~line:it.p_line_no
+                ("worker crashed: " ^ msg))
+          items (Array.to_list outcomes)
+      in
+      List.iter
+        (fun r ->
           record r;
-          emit_seq it.p_seq (Some (J.to_string (result_to_json r)));
-          post_hold :=
-            ( it.p_seq,
-              Journal.entry
-                ~kind:(if r.ok then "done" else "failed")
-                ~seq:it.p_seq ~id:r.job_id ~key:it.p_key
-                ~fields:[ ("outcome", J.Str (job_outcome_to_string r.outcome)) ]
-                () )
-            :: !post_hold)
-        outcomes;
+          output_string output (J.to_string (result_to_json r));
+          output_char output '\n')
+        results;
       flush output;
-      (* Only now, with the batch's lines flushed, do their done/failed
-         records (and those of any shed lines the flush released) become
-         journal-eligible. *)
-      flush_post ();
+      (* [done]/[failed] records may only hit the journal after their
+         result line is flushed: a crash in between must not lose the
+         line on resume. *)
+      jappend
+        (List.map2
+           (fun it r ->
+             entry
+               (if r.ok then "done" else "failed")
+               [ ("outcome", J.Str (job_outcome_to_string r.outcome)) ]
+               it)
+           items results);
       (match stats_every with
       | Some every when !jobs >= !next_stats ->
         emit_stats ();
@@ -882,5 +786,5 @@ let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
   if stats_every <> None then emit_stats () else write_metrics ();
   { jobs = !jobs; succeeded = !succeeded; failed = !failed;
     timeouts = !timeouts; retried = !retried; degraded = !degraded;
-    shed = !shed; replayed = !replayed; total = !total;
+    replayed = !replayed; total = !total;
     wall_ms = Clock.elapsed_ms ~since:t0 }

@@ -30,10 +30,9 @@
     / [iloc] names the program. A malformed job line yields an in-order
     [ok:false] result carrying the offending input line number rather
     than killing the server; [outcome] is one of ["ok"], ["error"],
-    ["timeout"], ["retried_ok"], ["degraded"] (served below the
+    ["timeout"], ["retried_ok"] and ["degraded"] (served below the
     requested optimization level — the result then carries ["requested"]
-    and/or ["excised"] fields) and ["shed"] (rejected by admission
-    control before optimization).
+    and/or ["excised"] fields).
 
     Crash safety: with a {!Journal} attached, serve write-ahead-logs
     every job ([accepted]/[started] before dispatch, [done]/[failed]
@@ -43,14 +42,14 @@
     uninterrupted run's.
 
     Counters (routine key ["<service>"]): [serve.ok], [serve.error],
-    [serve.timeout], [serve.retried_ok], [serve.degraded], [serve.shed],
+    [serve.timeout], [serve.retried_ok], [serve.degraded],
     [serve.replayed], [serve.retries], [serve.degrade_step],
     [serve.degraded_invalid], [serve.deadline_exceeded],
     [serve.bad_line], [serve.worker_crash], [breaker.open] /
     [breaker.half-open] / [breaker.closed], and [chaos.*] per injected
     fault. Histograms: [serve.degraded] (latency of degraded jobs) and
-    [queue.depth] (pending-queue depth at each batch dispatch) join the
-    set below.
+    [queue.depth] (jobs read into each batch, observed once per loop
+    turn) join the set below.
 
     Observability (all off the result path — stdout results are
     byte-identical with every sink enabled or disabled):
@@ -154,12 +153,11 @@ val job_of_line : default_id:string -> string -> (job, string) result
     ("retried_ok") after absorbing a transient failure, [Timed_out]
     ("timeout") past its deadline, [Failed] ("error") on a permanent
     failure, [Degraded] ("degraded") when served below the requested
-    level (or with breaker-excised passes) by the degradation ladder,
-    [Shed] ("shed") when rejected by admission control. *)
-type job_outcome = Succeeded | Failed | Timed_out | Retried | Degraded | Shed
+    level (or with breaker-excised passes) by the degradation ladder. *)
+type job_outcome = Succeeded | Failed | Timed_out | Retried | Degraded
 
 (** The wire name: ["ok"] / ["error"] / ["timeout"] / ["retried_ok"] /
-    ["degraded"] / ["shed"]. *)
+    ["degraded"]. *)
 val job_outcome_to_string : job_outcome -> string
 
 type result_line = {
@@ -214,8 +212,8 @@ val run_job :
 
 (** Whole-batch totals, for the closing stderr line and the smoke test.
     [timeouts] breaks down [failed]; [retried] and [degraded] break down
-    [succeeded]. [jobs] counts result lines emitted by {e this} run;
-    [shed] of them were rejected by admission control. [replayed] counts
+    [succeeded]. [jobs] counts result lines emitted by {e this} run.
+    [replayed] counts
     jobs skipped on resume because the journal proved a previous
     incarnation already emitted their lines (not included in [jobs]). *)
 type summary = {
@@ -225,7 +223,6 @@ type summary = {
   timeouts : int;
   retried : int;
   degraded : int;
-  shed : int;
   replayed : int;
   total : counts;
   wall_ms : float;
@@ -241,20 +238,17 @@ exception Killed
 (** Read job lines from [input] until EOF, batching up to [batch] jobs
     (default [max 32 (4 * pool size)]) per {!Pool.map_outcomes} round,
     and stream one JSON result line per job to [output] in input order
-    (flushed after every batch). Blank lines are skipped; malformed lines
-    produce error results carrying their input line number; a crash in
-    the service layer itself is contained to that job's slot. No job is
-    ever lost or reordered.
+    (flushed after every batch). Input is read only between batches, so
+    [batch] bounds read-ahead and a busy server leaves the rest of its
+    input in the pipe. Blank lines are skipped; malformed lines produce
+    error results carrying their input line number; a crash in the
+    service layer itself is contained to that job's slot and reported
+    under the job's own id and level. No job is ever lost or reordered.
 
     [journal] write-ahead-logs every job's lifecycle ({!Journal});
     [resume] additionally loads the journal first and skips the jobs
     whose [(seq, content-hash)] it records as emitted. [breaker] is
-    threaded to every {!run_job}. [max_pending] bounds the pending-job
-    queue (also bounding stdin read-ahead — backpressure); under
-    [shed_policy = `Block] (default) the producer simply waits, under
-    [`Reject] a saturated queue deterministically sheds the next
-    [high - low] input lines as [outcome = "shed"] results (never a
-    silent drop; [low = max 1 (max_pending / 2)]).
+    threaded to every {!run_job}.
 
     [stats_every] emits a one-line progress summary to [stats_sink]
     (default stderr) after every N completed jobs and once at the end:
@@ -277,8 +271,6 @@ val serve :
   ?journal:Journal.t ->
   ?resume:bool ->
   ?breaker:Breaker.t ->
-  ?max_pending:int ->
-  ?shed_policy:[ `Block | `Reject ] ->
   pool:Pool.t ->
   input:in_channel ->
   output:out_channel ->

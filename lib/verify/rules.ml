@@ -59,11 +59,6 @@ let lint_ids =
     (fun r -> if String.length r.id > 0 && r.id.[0] = 'L' then Some r.id else None)
     all
 
-let audit_ids =
-  List.filter_map
-    (fun r -> if String.length r.id > 0 && r.id.[0] = 'A' then Some r.id else None)
-    all
-
 let parse_spec spec =
   let ids =
     String.split_on_char ',' spec

@@ -32,9 +32,6 @@ val mem : string -> bool
 (** Ids of every lint ([L0xx]) rule. *)
 val lint_ids : string list
 
-(** Ids of every audit ([A0xx]) rule — the redundancy auditor's family. *)
-val audit_ids : string list
-
 (** Validate a comma-separated [--rules] spec; [Error id] on the first
     unknown id. *)
 val parse_spec : string -> (string list, string) result

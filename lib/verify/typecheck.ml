@@ -263,12 +263,6 @@ let infer (p : Program.t) =
   done;
   info
 
-let reg_ty info ~routine r =
-  match Hashtbl.find_opt info.envs routine with
-  | None -> None
-  | Some env -> (
-    match env_get env r with Known t -> Some t | Unknown | Conflict -> None)
-
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                          *)
 (* ------------------------------------------------------------------ *)

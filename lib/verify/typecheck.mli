@@ -39,6 +39,3 @@ val infer : Program.t -> info
 
 (** [T0xx] diagnostics for one routine of the inferred program. *)
 val check : info -> Routine.t -> Diag.t list
-
-(** The inferred type of a register, for diagnostics and tests. *)
-val reg_ty : info -> routine:string -> Instr.reg -> Ty.t option

@@ -3,8 +3,8 @@
     invalidation, poisoned-entry fallback, the serve job protocol, every
     [run_job] branch, and the crash-safety layer — journal round-trips,
     kill-and-resume byte identity, the graceful-degradation ladder,
-    per-pass circuit breakers, admission-control shedding, and serve
-    under each service fault class. *)
+    per-pass circuit breakers, batch-size invariance, and serve under
+    each service fault class. *)
 
 open Epre_ir
 module Pool = Epre_service.Pool
@@ -623,7 +623,7 @@ let test_job_parsing () =
    returning the summary (or [Error `Killed] if chaos:kill-self struck)
    and the emitted result lines. *)
 let serve_to_lines ?cache ?batch ?policy ?chaos ?journal ?(resume = false)
-    ?breaker ?max_pending ?shed_policy ~jobs input =
+    ?breaker ~jobs input =
   let in_path = Filename.temp_file "eprec-serve" ".jobs" in
   let out_path = Filename.temp_file "eprec-serve" ".out" in
   Out_channel.with_open_bin in_path (fun oc -> output_string oc input);
@@ -632,7 +632,7 @@ let serve_to_lines ?cache ?batch ?policy ?chaos ?journal ?(resume = false)
     match
       Pool.with_pool ~jobs (fun pool ->
           Service.serve ?cache ?batch ?policy ?chaos ?journal ~resume ?breaker
-            ?max_pending ?shed_policy ~pool ~input:ic ~output:out ())
+            ~pool ~input:ic ~output:out ())
     with
     | s -> Ok s
     | exception Service.Killed -> Error `Killed
@@ -753,7 +753,7 @@ let test_serve_malformed_line_numbers () =
   | rs -> Alcotest.failf "unexpected result shape (%d results)" (List.length rs)
 
 (* ------------------------------------------------------------------ *)
-(* Crash safety: journal, kill/resume, ladder, breakers, shedding *)
+(* Crash safety: journal, kill/resume, ladder, breakers *)
 
 let test_journal_roundtrip () =
   let dir = Helpers.fresh_dir () in
@@ -1112,37 +1112,137 @@ let test_serve_chaos_classes () =
           [ ("every line ok", all_ok); ("no error", n "error" = 0);
             ("ladder degraded", n "degraded" > 0) ] ) ]
 
-let test_serve_shed_deterministic () =
-  (* Overload with a bounded queue and reject policy: sheds are
-     deterministic — same jobs shed, in input order, on every run. *)
+let test_serve_worker_crash_keeps_job_id () =
+  (* A crash that escapes [run_job] — here a log sink raising on the
+     job's own completion event — is contained to the job's slot, and
+     its result line and every journal record of its seq carry the
+     job's own id and level, not the positional ones. *)
+  let module Log = Epre_telemetry.Log in
+  Log.set_text_sink (fun line ->
+      if Helpers.contains_substring ~needle:"serve.job: job mine:" line then
+        failwith "log sink down");
+  Log.set_stderr_level (Some Log.Info);
+  let restore () =
+    Log.set_stderr_level None;
+    Log.set_text_sink prerr_endline
+  in
+  Fun.protect ~finally:restore @@ fun () ->
+  let jpath = Filename.concat (Helpers.fresh_dir ()) "journal.jsonl" in
+  let journal = Journal.open_ ~path:jpath () in
   let input =
-    String.concat ""
-      (List.init 10 (fun i ->
-           Printf.sprintf "{\"id\":\"s%d\",\"workload\":\"saxpy\",\"emit\":false}\n"
-             (i + 1)))
+    {|{"id":"mine","workload":"saxpy","level":"baseline","emit":false}|}
+    ^ "\n" ^ {|{"id":"next","workload":"saxpy","emit":false}|} ^ "\n"
   in
-  let run () =
-    serve_to_lines ~batch:2 ~jobs:1 ~max_pending:2 ~shed_policy:`Reject input
+  let res, lines = serve_to_lines ~journal ~jobs:1 input in
+  Journal.close journal;
+  let s = summary res in
+  Alcotest.(check int) "both jobs reported" 2 s.Service.jobs;
+  Alcotest.(check int) "one crash" 1 s.Service.failed;
+  match lines with
+  | [ crashed; next ] ->
+    Alcotest.(check string) "crash keeps the job id" "mine" (id_of crashed);
+    Alcotest.(check (option string)) "crash keeps the job level"
+      (Some "baseline") (str "level" crashed);
+    Alcotest.(check bool) "crash is reported" true
+      (match str "error" crashed with
+      | Some e -> Helpers.contains_substring ~needle:"worker crashed" e
+      | None -> false);
+    Alcotest.(check string) "next job" "next" (id_of next);
+    Alcotest.(check (option string)) "next job still served" (Some "ok")
+      (str "outcome" next);
+    let seq1 = List.filter (fun e -> e.Journal.seq = 1) (Journal.load ~path:jpath) in
+    Alcotest.(check (list string)) "seq 1 lifecycle"
+      [ "accepted"; "started"; "failed" ]
+      (List.map (fun e -> e.Journal.kind) seq1);
+    List.iter
+      (fun e -> Alcotest.(check string) ("journal id, " ^ e.Journal.kind) "mine" e.Journal.id)
+      seq1
+  | _ -> Alcotest.failf "expected two result lines:\n%s" (String.concat "\n" lines)
+
+(* A random serve input: well-formed jobs over a few programs at every
+   level with [emit] on and off (so programs repeat and hit the cache),
+   jobs with and without an id, a job naming an unknown workload,
+   malformed lines and blank lines. *)
+let random_serve_input seed =
+  let rng = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let job i =
+    let fields =
+      [ ("workload", Tjson.Str (pick [ "saxpy"; "dot"; "horner"; "euclid"; "nope" ]));
+        ("level", Tjson.Str (Pipeline.level_to_string (pick Pipeline.all_levels)));
+        ("emit", Tjson.Bool (Random.State.bool rng)) ]
+    in
+    let fields =
+      if Random.State.int rng 4 = 0 then fields
+      else ("id", Tjson.Str (Printf.sprintf "r%d" i)) :: fields
+    in
+    Tjson.to_string (Tjson.Obj fields)
   in
-  let res1, lines1 = run () in
-  let res2, lines2 = run () in
-  let s1 = summary res1 and s2 = summary res2 in
-  Alcotest.(check bool) "queue pressure sheds" true (s1.Service.shed > 0);
-  Alcotest.(check int) "every job accounted" 10 s1.Service.jobs;
-  Alcotest.(check int) "served + shed = jobs" 10
-    (s1.Service.succeeded + s1.Service.shed);
-  Alcotest.(check int) "shed not counted as failed" 0 s1.Service.failed;
-  Alcotest.(check int) "deterministic shed count" s1.Service.shed
-    s2.Service.shed;
-  Alcotest.(check (list string)) "deterministic output" (List.map norm_line lines1)
-    (List.map norm_line lines2);
-  (* Input order survives shedding, and shed lines are well-formed. *)
-  Alcotest.(check (list string)) "input order"
-    (List.init 10 (fun i -> Printf.sprintf "s%d" (i + 1)))
-    (List.map id_of lines1);
-  let sheds = List.filter (fun l -> str "outcome" l = Some "shed") lines1 in
-  Alcotest.(check int) "shed lines match the summary" s1.Service.shed
-    (List.length sheds)
+  String.concat "\n"
+    (List.init 24 (fun i ->
+         match Random.State.int rng 10 with
+         | 0 -> ""
+         | 1 -> pick [ "garbage"; "{}"; {|{"workload":"saxpy","level":"warp"}|} ]
+         | _ -> job i))
+  ^ "\n"
+
+let test_serve_batch_size_invariance () =
+  (* Batching is a dispatch detail: at one worker, every batch size
+     yields the same result lines, the same done/failed journal records
+     (run ids aside) and the same summary. *)
+  let run input batch =
+    let dir = Helpers.fresh_dir () in
+    let jpath = Filename.concat dir "journal.jsonl" in
+    let journal = Journal.open_ ~path:jpath () in
+    let res, lines =
+      serve_to_lines ~cache:(Cache.create ~dir ()) ?batch ~journal ~jobs:1 input
+    in
+    Journal.close journal;
+    let s = summary res in
+    let records =
+      List.filter_map
+        (fun e ->
+          if e.Journal.kind = "done" || e.Journal.kind = "failed" then
+            Some
+              (Tjson.to_string
+                 (Tjson.Obj
+                    ([ ("kind", Tjson.Str e.Journal.kind);
+                       ("seq", Tjson.Int e.Journal.seq);
+                       ("id", Tjson.Str e.Journal.id);
+                       ("key", Tjson.Str e.Journal.key) ]
+                    @ List.remove_assoc "run" e.Journal.fields)))
+          else None)
+        (Journal.load ~path:jpath)
+    in
+    let totals =
+      Printf.sprintf "%d jobs, %d ok, %d failed, %d timeouts, %d retried, \
+                      %d degraded, %d replayed, %d hits, %d misses"
+        s.Service.jobs s.Service.succeeded s.Service.failed s.Service.timeouts
+        s.Service.retried s.Service.degraded s.Service.replayed
+        s.Service.total.Service.hits s.Service.total.Service.misses
+    in
+    (List.map norm_line lines, records, totals)
+  in
+  List.iter
+    (fun seed ->
+      let input = random_serve_input seed in
+      let ((lines, records, _) as reference) = run input (Some 1) in
+      Alcotest.(check bool) "every job reported" true
+        (List.length lines = List.length records && lines <> []);
+      List.iter
+        (fun batch ->
+          let lines', records', totals' = run input batch in
+          let _, _, totals = reference in
+          let name what =
+            Printf.sprintf "seed %d, batch %s: %s" seed
+              (match batch with Some b -> string_of_int b | None -> "default")
+              what
+          in
+          Alcotest.(check (list string)) (name "result lines") lines lines';
+          Alcotest.(check (list string)) (name "journal records") records records';
+          Alcotest.(check string) (name "summary") totals totals')
+        [ Some 2; Some 3; Some 5; None ])
+    [ 1; 2; 3 ]
 
 let test_cache_sweep_spares_locked () =
   (* A stale-looking temp file whose writer is alive (holds its advisory
@@ -1249,8 +1349,10 @@ let suite =
       test_breaker_counts_repeated_pass_once;
     Alcotest.test_case "serve under each chaos class: serial == parallel"
       `Quick test_serve_chaos_classes;
-    Alcotest.test_case "admission control sheds deterministically" `Quick
-      test_serve_shed_deterministic;
+    Alcotest.test_case "a worker crash keeps the job's id and level" `Quick
+      test_serve_worker_crash_keeps_job_id;
+    Alcotest.test_case "serve output is invariant under batch size" `Quick
+      test_serve_batch_size_invariance;
     Alcotest.test_case "sweep spares a live writer's temp file" `Quick
       test_cache_sweep_spares_locked;
   ]
