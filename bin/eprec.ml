@@ -1029,9 +1029,9 @@ let serve_cmd =
       `P
         "Results carry per-job cache traffic, wall latency \
          ($(b,latency_ms)), the attempt count and an $(b,outcome) of \
-         $(b,ok), $(b,error), $(b,timeout), $(b,retried_ok), \
-         or $(b,degraded) (served at a lower level than requested — the \
-         result also reports $(b,requested) and any $(b,excised) passes); \
+         $(b,ok), $(b,error), $(b,timeout) or $(b,degraded) (served at a \
+         lower level than requested — the result also reports \
+         $(b,requested)); \
          a malformed job line yields an in-order $(b,ok:false) result with \
          its input line number instead of killing the server. The cache \
          lives in $(b,--cache-dir) (default $(b,\\$EPREC_CACHE_DIR), else \
@@ -1042,23 +1042,22 @@ let serve_cmd =
          advisory file lock, so concurrent serve processes can share one \
          cache directory.";
       `P
-        "Fault tolerance: $(b,--timeout-ms) cancels a job attempt at its \
-         next pass boundary, $(b,--retries) grants extra attempts to \
-         transient failures (with jittered exponential backoff from \
-         $(b,--backoff-ms)); deterministic failures are never retried — \
-         instead the degradation ladder re-attempts them at successively \
-         lower optimization levels down to baseline ($(b,--no-degrade) \
-         disables), validating every degraded result against the \
-         unoptimized program before serving it. Per-pass circuit \
-         breakers ($(b,--breaker-threshold) consecutive failures open \
-         one; a half-open probe runs after $(b,--breaker-probe-after) \
-         skipped executions) excise a deterministically-failing pass \
-         from subsequent pipelines so one poisoned pass degrades service \
-         instead of failing every job. $(b,--chaos) injects service \
-         faults (repeatable; $(b,chaos:worker-raise), $(b,chaos:slow-job), \
-         $(b,chaos:cache-corrupt), $(b,chaos:cache-lock-hold), \
-         $(b,chaos:kill-self), $(b,chaos:pass-poison)) keyed \
-         deterministically on job ids, for drills and soak tests.";
+        "Fault tolerance: the optimizer is deterministic, so a failed job \
+         is never re-run at the same level. $(b,--timeout-ms) cancels a \
+         job attempt at its next pass boundary; the degradation ladder \
+         re-attempts a failed job at successively lower optimization \
+         levels down to baseline ($(b,--no-degrade) disables), validating \
+         every degraded result against the unoptimized program before \
+         serving it. Per-pass circuit breakers (3 consecutive failures \
+         open one; a half-open probe runs after 8 skipped executions) \
+         serve later jobs at the highest level without the failing pass, \
+         so one poisoned pass degrades service instead of failing every \
+         job. A failed cache store or log write is counted and never \
+         fails a job. $(b,--chaos) injects service faults (repeatable; \
+         $(b,chaos:slow-job), $(b,chaos:cache-corrupt), \
+         $(b,chaos:cache-lock-hold), $(b,chaos:kill-self), \
+         $(b,chaos:pass-poison)) keyed deterministically on job ids, for \
+         drills and soak tests.";
       `P
         "Crash safety: with a cache directory, every job's lifecycle is \
          journaled to $(b,<cache-dir>/journal.jsonl) — an fsync'd \
@@ -1140,31 +1139,15 @@ let serve_cmd =
             "Per-job attempt deadline; an overrunning job is cancelled at \
              its next pass boundary and reported as $(b,outcome:timeout).")
   in
-  let retries_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Extra attempts granted to transient failures (deterministic \
-             failures and timeouts are never retried).")
-  in
-  let backoff_arg =
-    Arg.(
-      value & opt float 50.0
-      & info [ "backoff-ms" ] ~docv:"MS"
-          ~doc:
-            "Base retry backoff; doubles per attempt with deterministic \
-             per-job jitter.")
-  in
   let serve_chaos_arg =
     Arg.(
       value & opt_all string []
       & info [ "chaos" ] ~docv:"NAME"
           ~doc:
             "Inject a service fault class (repeatable): \
-             $(b,chaos:worker-raise), $(b,chaos:slow-job), \
-             $(b,chaos:cache-corrupt), $(b,chaos:cache-lock-hold), \
-             $(b,chaos:kill-self), $(b,chaos:pass-poison).")
+             $(b,chaos:slow-job), $(b,chaos:cache-corrupt), \
+             $(b,chaos:cache-lock-hold), $(b,chaos:kill-self), \
+             $(b,chaos:pass-poison).")
   in
   let resume_arg =
     Arg.(
@@ -1184,23 +1167,6 @@ let serve_cmd =
             "Age in seconds before an orphaned cache temp file is swept \
              on startup; files whose writer still holds its advisory \
              lock are spared regardless.")
-  in
-  let breaker_threshold_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "breaker-threshold" ] ~docv:"N"
-          ~doc:
-            "Consecutive failures attributed to one pass before its \
-             circuit breaker opens and the pass is excised from \
-             subsequent pipelines.")
-  in
-  let breaker_probe_after_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "breaker-probe-after" ] ~docv:"N"
-          ~doc:
-            "Pipeline executions skipped by an open breaker before a \
-             half-open probe re-runs the pass once.")
   in
   let no_degrade_arg =
     Arg.(
@@ -1264,8 +1230,7 @@ let serve_cmd =
     Arg.(value & flag & info [ "no-flight" ] ~doc:"Disable the flight recorder.")
   in
   let run input jobs cache_dir no_cache batch cache_max_bytes timeout_ms
-      retries backoff_ms chaos_names () resume cache_sweep_age_s
-      breaker_threshold breaker_probe_after no_degrade log_level log_out
+      chaos_names () resume cache_sweep_age_s no_degrade log_level log_out
       stats_every metrics_out flight_dir no_flight tel =
     (* Reject an unwritable output path before any work, not after the
        batch. *)
@@ -1284,8 +1249,7 @@ let serve_cmd =
         chaos_names
     in
     let policy =
-      { Epre_service.Service.Policy.timeout_ms; retries = max 0 retries;
-        backoff_ms = Float.max 0.0 backoff_ms; degrade = not no_degrade }
+      { Epre_service.Service.Policy.timeout_ms; degrade = not no_degrade }
     in
     let cache =
       if no_cache then None
@@ -1317,10 +1281,7 @@ let serve_cmd =
         end;
         None
     in
-    let breaker =
-      Epre_service.Breaker.create ~threshold:breaker_threshold
-        ~probe_after:breaker_probe_after ()
-    in
+    let breaker = Epre_service.Breaker.create () in
     let ic = match input with None -> stdin | Some f -> open_in f in
     (match log_level with
     | Some l -> Epre_telemetry.Log.set_stderr_level (Some l)
@@ -1357,10 +1318,9 @@ let serve_cmd =
     in
     emit_metrics tel [];
     Fmt.epr
-      "serve: %d job(s), %d ok (%d retried, %d degraded), %d failed (%d \
-       timeout), %d replayed, %d hit(s), %d miss(es), %.1f ms@."
+      "serve: %d job(s), %d ok (%d degraded), %d failed (%d timeout), %d \
+       replayed, %d hit(s), %d miss(es), %.1f ms@."
       summary.Epre_service.Service.jobs summary.Epre_service.Service.succeeded
-      summary.Epre_service.Service.retried
       summary.Epre_service.Service.degraded
       summary.Epre_service.Service.failed summary.Epre_service.Service.timeouts
       summary.Epre_service.Service.replayed
@@ -1373,10 +1333,8 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
       const run $ input_arg $ jobs_arg $ cache_dir_arg $ no_cache_arg
-      $ batch_arg $ cache_max_bytes_arg $ timeout_arg $ retries_arg
-      $ backoff_arg $ serve_chaos_arg $ chaos_seed_arg $ resume_arg
-      $ cache_sweep_age_arg $ breaker_threshold_arg $ breaker_probe_after_arg
-      $ no_degrade_arg $ log_level_arg $ log_out_arg $ stats_every_arg
+      $ batch_arg $ cache_max_bytes_arg $ timeout_arg $ serve_chaos_arg
+      $ chaos_seed_arg $ resume_arg $ cache_sweep_age_arg $ no_degrade_arg $ log_level_arg $ log_out_arg $ stats_every_arg
       $ metrics_out_arg $ flight_dir_arg $ no_flight_arg $ telemetry_term)
 
 let workloads_cmd =

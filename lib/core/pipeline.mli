@@ -112,7 +112,7 @@ val splice :
     deadline enforcement): the routine is then left at a pass boundary,
     never mid-transformation. [wrap] transforms the level's pass list
     before it runs (default: identity) — the compile service uses it to
-    excise breaker-opened passes and to attribute per-pass failures;
+    plant [chaos:pass-poison] and to attribute per-pass failures;
     wrapped passes must keep their [pass_name]s for spans and histograms
     to stay meaningful. *)
 val optimize_routine :

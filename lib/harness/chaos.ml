@@ -160,27 +160,23 @@ let parse_spec spec =
 (* Service-layer faults *)
 
 type service_fault =
-  | Worker_raise
   | Slow_job
   | Cache_corrupt
   | Cache_lock_hold
   | Kill_self
   | Pass_poison
 
-exception Injected of string
 exception Pass_poisoned of string
 
 let () =
   Printexc.register_printer (function
-    | Injected m -> Some ("injected fault: " ^ m)
     | Pass_poisoned p -> Some ("poisoned pass: " ^ p)
     | _ -> None)
 
 let all_service_faults =
-  [ Worker_raise; Slow_job; Cache_corrupt; Cache_lock_hold; Kill_self; Pass_poison ]
+  [ Slow_job; Cache_corrupt; Cache_lock_hold; Kill_self; Pass_poison ]
 
 let service_name = function
-  | Worker_raise -> "chaos:worker-raise"
   | Slow_job -> "chaos:slow-job"
   | Cache_corrupt -> "chaos:cache-corrupt"
   | Cache_lock_hold -> "chaos:cache-lock-hold"
@@ -188,9 +184,6 @@ let service_name = function
   | Pass_poison -> "chaos:pass-poison"
 
 let service_description = function
-  | Worker_raise ->
-    "chaos: raise a transient exception inside the job worker (absorbed by \
-     retry)"
   | Slow_job ->
     "chaos: stall the job worker (absorbed by the per-job deadline)"
   | Cache_corrupt ->
@@ -214,9 +207,8 @@ let service_fault_of_name n =
    to pin the happy path. [Kill_self] is rarer: one firing job is enough
    to take the whole process down, and the drill wants it mid-stream, not
    on the first batch. [Pass_poison] is unconditional: the point is a
-   *deterministic* failure that retries cannot absorb. *)
+   *deterministic* failure on every job. *)
 let fire_rate = function
-  | Worker_raise -> 500
   | Slow_job -> 350
   | Cache_corrupt -> 350
   | Cache_lock_hold -> 350

@@ -49,37 +49,30 @@ val parse_spec : string -> (int * Harness.named_pass, string) result
 
     Where {!kind} corrupts IR to exercise the harness's validation tiers,
     a [service_fault] attacks the compile service's infrastructure to
-    exercise its fault-tolerance layer ([Epre_service]): retries absorb
-    [Worker_raise], per-job deadlines absorb [Slow_job], poison recovery
-    absorbs [Cache_corrupt], and lock waiting absorbs [Cache_lock_hold].
+    exercise its fault-tolerance layer ([Epre_service]): per-job deadlines
+    absorb [Slow_job], poison recovery absorbs [Cache_corrupt], lock
+    waiting absorbs [Cache_lock_hold], [--resume] absorbs [Kill_self], and
+    the degradation ladder and circuit breakers absorb [Pass_poison].
 
     Whether a fault fires for a given job is a pure function of
     [(seed, fault, key)] — chaos traffic is replayable, and a serial and a
     parallel run over the same jobs inject exactly the same faults. *)
 
 type service_fault =
-  | Worker_raise
   | Slow_job
   | Cache_corrupt
   | Cache_lock_hold
   | Kill_self  (** abort serve at a journal-consistent batch boundary *)
   | Pass_poison  (** one pass fails deterministically on every job *)
 
-(** The transient exception [Worker_raise] plants inside a job worker —
-    the canonical retryable failure ([Epre_service]'s classifier treats it
-    like infrastructure flakiness). *)
-exception Injected of string
-
-(** The exception [Pass_poison] plants inside the poisoned pass. Unlike
-    {!Injected} it is classified as {e permanent}: a deterministic pass
-    failure recurs on every attempt, so burning the retry budget on it is
-    pointless — the degradation ladder and circuit breakers absorb it
-    instead. Carries the poisoned pass name. *)
+(** The exception [Pass_poison] plants inside the poisoned pass: a
+    deterministic pass failure that recurs on every run of that pass.
+    Carries the poisoned pass name. *)
 exception Pass_poisoned of string
 
 val all_service_faults : service_fault list
 
-(** Registry name, e.g. ["chaos:worker-raise"]. *)
+(** Registry name, e.g. ["chaos:slow-job"]. *)
 val service_name : service_fault -> string
 
 val service_description : service_fault -> string

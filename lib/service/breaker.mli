@@ -12,8 +12,9 @@
        half-open --(failure)--> open v}
 
     While a pass's breaker is open, {!excluded} reports it and the service
-    serves the job from a pipeline that does not contain it (preferring a
-    lower optimization level, whose sequence is a strict subset). After
+    serves the job at the highest optimization level whose pipeline does
+    not contain it (or at the requested level, when every level runs the
+    pass). After
     [probe_after] skipped executions the breaker goes half-open and lets
     one pipeline run the pass as a probe: success closes the breaker,
     another failure re-opens it.
@@ -40,7 +41,7 @@ val success : t -> pass:string -> unit
 val failure : t -> pass:string -> unit
 
 (** [excluded t ~passes] — the subset of [passes] whose breakers are open,
-    to be excised from the pipeline about to run, each named once in
+    to be avoided by the pipeline about to run, each named once in
     first-occurrence order. Counts one execution against each open
     breaker's probe timer, however often its pass appears in [passes]; a
     breaker whose timer expires flips to half-open and is {e not}

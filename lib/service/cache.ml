@@ -273,46 +273,52 @@ let evict t =
       end)
     entries
 
+(* A store that fails on I/O (unopenable lock file, full disk, read-only
+   directory) only costs a future hit: the temp file is removed, the
+   failure counted, and the caller keeps its freshly optimized routine,
+   just as [find] turns a read error into a miss. *)
 let store t ~key:k ~fingerprint ~iloc ~stats =
   Epre_telemetry.Telemetry.Span.with_ ~kind:"cache" ~hist:"cache.write"
     ~name:"cache.write"
   @@ fun () ->
   let path = entry_path t k in
   let text = encode ~key:k ~fingerprint ~iloc ~stats in
-  locked t (fun () ->
-      mkdir_p (Filename.dirname path);
-      with_file_lock t (fun () ->
-          if not t.scanned then refresh_from_disk t;
-          let fresh = not (Sys.file_exists path) in
-          (* Temp-write + rename: readers (other domains or processes) see
-             either the old entry or the whole new one, never a torn
-             file. *)
-          let tmp, oc =
-            Filename.open_temp_file ~temp_dir:(Filename.dirname path)
-              ~mode:[ Open_binary ] "entry" ".tmp"
-          in
-          (* Mark the temp file as live for other processes' sweepers
-             ([locked_elsewhere]); the lock dies with the channel's fd. *)
-          (try Unix.lockf (Unix.descr_of_out_channel oc) Unix.F_TLOCK 0
-           with Unix.Unix_error _ -> ());
-          (try
-             output_string oc text;
-             output_char oc '\n';
-             close_out oc;
-             Sys.rename tmp path
-           with e ->
-             close_out_noerr oc;
-             remove_quietly tmp;
-             raise e);
-          count "cache.stores";
-          if fresh then begin
-            t.entries <- t.entries + 1;
-            t.bytes <- t.bytes + String.length text + 1;
-            let over_bytes =
-              match t.max_bytes with Some b -> t.bytes > b | None -> false
+  try
+    locked t (fun () ->
+        mkdir_p (Filename.dirname path);
+        with_file_lock t (fun () ->
+            if not t.scanned then refresh_from_disk t;
+            let fresh = not (Sys.file_exists path) in
+            (* Temp-write + rename: readers (other domains or processes) see
+               either the old entry or the whole new one, never a torn
+               file. *)
+            let tmp, oc =
+              Filename.open_temp_file ~temp_dir:(Filename.dirname path)
+                ~mode:[ Open_binary ] "entry" ".tmp"
             in
-            if t.entries > t.max_entries || over_bytes then evict t
-          end))
+            (* Mark the temp file as live for other processes' sweepers
+               ([locked_elsewhere]); the lock dies with the channel's fd. *)
+            (try Unix.lockf (Unix.descr_of_out_channel oc) Unix.F_TLOCK 0
+             with Unix.Unix_error _ -> ());
+            (try
+               output_string oc text;
+               output_char oc '\n';
+               close_out oc;
+               Sys.rename tmp path
+             with e ->
+               close_out_noerr oc;
+               remove_quietly tmp;
+               raise e);
+            count "cache.stores";
+            if fresh then begin
+              t.entries <- t.entries + 1;
+              t.bytes <- t.bytes + String.length text + 1;
+              let over_bytes =
+                match t.max_bytes with Some b -> t.bytes > b | None -> false
+              in
+              if t.entries > t.max_entries || over_bytes then evict t
+            end))
+  with Sys_error _ | Unix.Unix_error _ -> count "cache.store_failed"
 
 (* ------------------------------------------------------------------ *)
 (* Chaos hooks *)

@@ -32,12 +32,16 @@
     JSON, wrong schema, key mismatch (hash collision or tampering), ILOC
     that no longer parses or names a different routine — is deleted and
     reported as a miss, so the service falls back to recompiling instead
-    of crashing or replaying garbage.
+    of crashing or replaying garbage. A store that fails on I/O (an
+    unopenable [.lock], a full disk, a read-only directory) removes its
+    temp file, bumps [cache.store_failed] and returns: the job keeps its
+    freshly optimized routine and only a future hit is lost.
 
     Counters (in [Epre_telemetry.Metrics], routine key ["<service>"]):
     [cache.hits], [cache.misses], [cache.stores], [cache.evictions]
     (split into [cache.evict_age] for the entry-count bound and
     [cache.evict_size] for the byte budget), [cache.poisoned],
+    [cache.store_failed],
     [cache.tmp_swept], [cache.tmp_spared] (a stale-looking temp file kept
     because its writer still holds its lock), [cache.corrupted].
 
@@ -83,7 +87,9 @@ val find :
   (Epre_ir.Routine.t * string * Epre.Pipeline.routine_stats) option
 
 (** Persist an entry (last write wins), under the in-process mutex and
-    the cross-process file lock. Bumps [cache.stores], and
+    the cross-process file lock. Never raises on I/O: a failed store
+    removes its temp file and bumps [cache.store_failed] instead. Bumps
+    [cache.stores], and
     [cache.evictions] plus [cache.evict_age] / [cache.evict_size] per
     entry removed by the respective bound. *)
 val store :

@@ -46,16 +46,10 @@ let optimize_routine_cached ?cache ?poll ?wrap ~level ~fingerprint
       Cache.store c ~key:k ~fingerprint ~iloc:after ~stats;
       (stats, { hits = 0; misses = 1 }))
 
-let optimize_program ?cache ?(poll = fun () -> ()) ?wrap ?fingerprint ~level
-    (p : Program.t) =
-  (* A caller that transforms the pass list ([wrap]) must supply the
-     matching fingerprint, or cached results from the standard pipeline
-     would replay against a different transformation. *)
-  let fingerprint =
-    match fingerprint with
-    | Some f -> f
-    | None -> Pipeline.fingerprint ~level
-  in
+let optimize_program ?cache ?(poll = fun () -> ()) ?wrap ~level (p : Program.t) =
+  (* [wrap] only instruments the level's passes (or makes one fail), so
+     the level's standard fingerprint still names what runs. *)
+  let fingerprint = Pipeline.fingerprint ~level in
   let results =
     List.map
       (fun r ->
@@ -70,52 +64,11 @@ let optimize_program ?cache ?(poll = fun () -> ()) ?wrap ?fingerprint ~level
 (* Failure policy *)
 
 module Policy = struct
-  type t = {
-    timeout_ms : float option;
-    retries : int;
-    backoff_ms : float;
-    degrade : bool;
-  }
+  type t = { timeout_ms : float option; degrade : bool }
 
-  let default =
-    { timeout_ms = None; retries = 0; backoff_ms = 50.0; degrade = false }
+  let default = { timeout_ms = None; degrade = false }
 
   exception Deadline_exceeded
-
-  (* Transient failures are worth a retry: injected chaos (the stand-in
-     for infrastructure flakiness) and OS-level I/O errors. Everything
-     else — pass exceptions, validation failures, malformed inputs — is
-     deterministic: a retry would replay the same bug, so it is
-     permanent. Deadlines are terminal too: a retry would burn the same
-     budget on the same work. *)
-  let classify = function
-    | Chaos.Injected _ -> `Transient
-    | Unix.Unix_error _ -> `Transient
-    | Sys_error _ -> `Transient
-    | _ -> `Permanent
-
-  (* Exponential backoff with deterministic jitter in [0.5, 1.0): a
-     replayable delay schedule, but jobs retrying in lockstep still
-     spread out. Returns seconds. *)
-  let backoff_delay t ~id ~attempt =
-    let h = Hashtbl.hash (id, attempt, "backoff") in
-    let jitter = 0.5 +. (float_of_int (h mod 1000) /. 2000.0) in
-    t.backoff_ms *. float_of_int (1 lsl min (attempt - 1) 6) *. jitter /. 1000.0
-
-  type decision = Retry_after of float | Descend of Pipeline.level | Stop
-
-  (* The attempt planner. Transient failures retry at the same rung while
-     the budget lasts. Bad input stops: no optimization level can fix it.
-     Every other terminal failure (permanent, exhausted retries, deadline)
-     descends one rung when [degrade] allows and a lower rung exists. *)
-  let plan t ~id ~rung ~attempt = function
-    | `Transient when attempt <= t.retries ->
-      Retry_after (backoff_delay t ~id ~attempt)
-    | `Bad_input -> Stop
-    | `Transient | `Permanent | `Deadline -> (
-      match Pipeline.lower rung with
-      | Some next when t.degrade -> Descend next
-      | _ -> Stop)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -169,13 +122,12 @@ let job_of_line ~default_id line =
       | [] -> Error "job needs one of \"file\", \"workload\", \"source\", \"iloc\""
       | _ :: _ :: _ -> Error "job has more than one program input"))
 
-type job_outcome = Succeeded | Failed | Timed_out | Retried | Degraded
+type job_outcome = Succeeded | Failed | Timed_out | Degraded
 
 let job_outcome_to_string = function
   | Succeeded -> "ok"
   | Failed -> "error"
   | Timed_out -> "timeout"
-  | Retried -> "retried_ok"
   | Degraded -> "degraded"
 
 type result_line = {
@@ -185,7 +137,6 @@ type result_line = {
   attempts : int;
   job_level : Pipeline.level;
   requested : Pipeline.level option;
-  excised : string list;
   routines : int;
   job_counts : counts;
   latency_ms : float;
@@ -205,9 +156,6 @@ let result_to_json r =
     @ (match r.requested with
       | Some l -> [ ("requested", J.Str (Pipeline.level_to_string l)) ]
       | None -> [])
-    @ (match r.excised with
-      | [] -> []
-      | ps -> [ ("excised", J.Arr (List.map (fun p -> J.Str p) ps)) ])
     @ [ ("routines", J.Int r.routines);
         ("hits", J.Int r.job_counts.hits);
         ("misses", J.Int r.job_counts.misses);
@@ -242,9 +190,9 @@ let load_program = function
     try Ok (Ir_text.parse_program text) with
     | e -> Error ("ILOC parse failed: " ^ Printexc.to_string e))
 
-let error_result ?(outcome = Failed) ?(attempts = 1) ?line ~id ~level msg =
-  { job_id = id; ok = false; outcome; attempts; job_level = level;
-    requested = None; excised = []; routines = 0; job_counts = no_traffic;
+let error_result ?line ~id ~level msg =
+  { job_id = id; ok = false; outcome = Failed; attempts = 1; job_level = level;
+    requested = None; routines = 0; job_counts = no_traffic;
     latency_ms = 0.0; iloc = None; line; error = Some msg }
 
 (* Sleep [ms] in short slices, calling [poll] between slices, so the
@@ -279,26 +227,22 @@ let poisoned_pass ?seed () =
    recorder. *)
 let fire ?corr fault =
   let name = Chaos.service_name fault in
-  (* chaos:worker-raise counts as chaos.worker_raise. *)
+  (* chaos:pass-poison counts as chaos.pass_poison. *)
   count (String.map (function ':' -> '.' | '-' -> '_' | c -> c) name);
   Log.warn ~event:"chaos.fire" ~fields:[ ("fault", J.Str name) ] ("injected " ^ name);
   ignore (Recorder.dump ~reason:name ?corr ())
 
-(* The (level, excised passes) that serve [rung], given the passes whose
-   breakers are open. Prefer the highest standard level at or below the
-   rung whose sequence avoids every opened pass: the result is then a
-   pure level run, cache-coherent under the standard fingerprint and
-   byte-identical to a direct run at that level. Excision is the
-   fallback when even the floor contains an opened pass, which is the
-   only recovery when a Baseline pass's breaker opens. *)
+(* The level that serves [rung], given the passes whose breakers are
+   open: the highest standard level at or below the rung whose sequence
+   avoids every opened pass. The result is then a pure level run,
+   cache-coherent under the standard fingerprint and byte-identical to a
+   direct run at that level. When no level avoids them (an opened pass
+   is in the floor), the rung itself serves. *)
 let serving_level ?breaker rung =
-  let opened =
-    match breaker with
-    | None -> []
-    | Some b -> Breaker.excluded b ~passes:(Pipeline.level_stages ~level:rung)
-  in
-  if opened = [] then (rung, [])
-  else
+  match breaker with
+  | None -> rung
+  | Some b ->
+    let opened = Breaker.excluded b ~passes:(Pipeline.level_stages ~level:rung) in
     let avoids l =
       let stages = Pipeline.level_stages ~level:l in
       List.for_all (fun p -> not (List.mem p stages)) opened
@@ -306,34 +250,33 @@ let serving_level ?breaker rung =
     let rec seek l =
       if avoids l then Some l else Option.bind (Pipeline.lower l) seek
     in
-    match seek rung with Some l -> (l, []) | None -> (rung, opened)
+    Option.value (seek rung) ~default:rung
 
-(* The pass-list transform of one attempt: excise [excised], plant the
-   poisoned pass's deterministic failure, and report every pass outcome
-   to the breakers. Pass names are preserved so spans and histograms
-   stay attributable. *)
-let attempt_passes ?breaker ~poison ~corr ~excised passes =
+(* The pass-list transform of one attempt: plant the poisoned pass's
+   deterministic failure, and report every pass outcome to the breakers.
+   Pass names are preserved so spans and histograms stay attributable. *)
+let attempt_passes ?breaker ~poison ~corr passes =
   let fired = ref false in
-  passes
-  |> List.filter (fun np -> not (List.mem np.Harness.pass_name excised))
-  |> List.map (fun np ->
-         let name = np.Harness.pass_name in
-         { np with
-           Harness.run =
-             (fun r ->
-               try
-                 if poison = Some name then begin
-                   if not !fired then begin
-                     fired := true;
-                     fire ~corr Chaos.Pass_poison
-                   end;
-                   raise (Chaos.Pass_poisoned name)
-                 end;
-                 np.Harness.run r;
-                 Option.iter (fun b -> Breaker.success b ~pass:name) breaker
-               with e ->
-                 Option.iter (fun b -> Breaker.failure b ~pass:name) breaker;
-                 raise e) })
+  List.map
+    (fun np ->
+      let name = np.Harness.pass_name in
+      { np with
+        Harness.run =
+          (fun r ->
+            try
+              if poison = Some name then begin
+                if not !fired then begin
+                  fired := true;
+                  fire ~corr Chaos.Pass_poison
+                end;
+                raise (Chaos.Pass_poisoned name)
+              end;
+              np.Harness.run r;
+              Option.iter (fun b -> Breaker.success b ~pass:name) breaker
+            with e ->
+              Option.iter (fun b -> Breaker.failure b ~pass:name) breaker;
+              raise e) })
+    passes
 
 type failure =
   | Deadline
@@ -341,14 +284,13 @@ type failure =
   | Raised of exn
   | Invalid of string  (** a degraded result failed translation validation *)
 
-(* One attempt of [job] at [level] without [excised]. A fresh deadline is
-   armed, chaos faults keyed on the job id strike, and the program is
-   loaded from scratch: optimization mutates in place, so a retry must
-   not resume a half-transformed program. A result served below the
-   request, or with passes excised, is translation-checked at the exec
-   tier against the freshly loaded program before it may be served. *)
-let attempt_job ?cache ?breaker ~policy ~chaos ~poison (job : job) ~attempt
-    ~level ~excised =
+(* One attempt of [job] at [level]. A fresh deadline is armed, chaos
+   faults keyed on the job id strike, and the program is loaded from
+   scratch: optimization mutates in place, so a lower rung must not
+   resume a half-transformed program. A result served below the request
+   is translation-checked at the exec tier against the freshly loaded
+   program before it may be served. *)
+let attempt_job ?cache ?breaker ~policy ~chaos ~poison (job : job) ~level =
   let deadline =
     Option.map
       (fun ms -> Int64.add (Clock.now_ns ()) (Int64.of_float (ms *. 1e6)))
@@ -363,18 +305,7 @@ let attempt_job ?cache ?breaker ~policy ~chaos ~poison (job : job) ~attempt
     List.mem fault chaos && Chaos.fires fault ~key:job.id
     && (fire ~corr:job.id fault; true)
   in
-  let fingerprint =
-    let base = Pipeline.fingerprint ~level in
-    match excised with
-    | [] -> base
-    | ps -> base ^ "|excised:" ^ String.concat "," (List.sort compare ps)
-  in
   try
-    (* Worker-raise strikes the first attempt only: with retries enabled,
-       a struck job deterministically lands on retried_ok rather than
-       flapping. *)
-    if attempt = 1 && strike Chaos.Worker_raise then
-      raise (Chaos.Injected "chaos:worker-raise");
     (* A slow job stalls for three deadline budgets when one is set, so it
        times out deterministically instead of racing the clock. *)
     if strike Chaos.Slow_job then
@@ -388,20 +319,21 @@ let attempt_job ?cache ?breaker ~policy ~chaos ~poison (job : job) ~attempt
         (fun c ->
           (* Corrupt this job's own entries before the lookup: the find
              below must take the poison-recovery path and recompile. *)
-          if strike Chaos.Cache_corrupt then
+          if strike Chaos.Cache_corrupt then begin
+            let fingerprint = Pipeline.fingerprint ~level in
             List.iter
               (fun r ->
                 let iloc = Ir_text.routine_to_string r in
                 Cache.corrupt c ~key:(Cache.key ~iloc ~fingerprint))
-              (Program.routines prog);
+              (Program.routines prog)
+          end;
           if strike Chaos.Cache_lock_hold then Cache.hold_lock c ~ms:2.0)
         cache;
-      let degraded = level <> job.level || excised <> [] in
-      let reference = if degraded then Some (Program.copy prog) else None in
-      let wrap = attempt_passes ?breaker ~poison ~corr:job.id ~excised in
-      let stats, job_counts =
-        optimize_program ?cache ~poll ~wrap ~fingerprint ~level prog
+      let reference =
+        if level <> job.level then Some (Program.copy prog) else None
       in
+      let wrap = attempt_passes ?breaker ~poison ~corr:job.id in
+      let stats, job_counts = optimize_program ?cache ~poll ~wrap ~level prog in
       let fuel = Harness.default_config.Harness.fuel in
       match reference with
       | Some before
@@ -420,10 +352,11 @@ let attempt_job ?cache ?breaker ~policy ~chaos ~poison (job : job) ~attempt
 
 (* One job, serially: parallelism in the server is across jobs, not
    within one. Never raises — a worker exception would poison the whole
-   batch. Each turn of the loop resolves the rung to the level (and
-   excisions) the breakers allow, runs one attempt, and on failure asks
-   [Policy.plan] whether to retry, descend or stop. [attempts] in the
-   result is the total across retries and rungs. *)
+   batch. Each turn of the loop resolves the rung to the level the
+   breakers allow and runs one attempt. On failure, bad input stops (no
+   optimization level can fix it); any other failure descends one rung
+   when [degrade] allows and a lower rung exists. [attempts] in the
+   result is the number of rungs tried. *)
 let run_job ?cache ?(policy = Policy.default) ?(chaos = []) ?breaker (job : job) =
   (* Every observability event of this job's dynamic extent — log lines,
      span closures, ring entries, flight dumps — carries the job id as
@@ -437,7 +370,7 @@ let run_job ?cache ?(policy = Policy.default) ?(chaos = []) ?breaker (job : job)
     Hist.observe_since ~name:"serve.job" t0;
     (match outcome with
     | Degraded -> Hist.observe_since ~name:"serve.degraded" t0
-    | Succeeded | Failed | Timed_out | Retried -> ());
+    | Succeeded | Failed | Timed_out -> ());
     Log.info ~event:"serve.job"
       ~fields:
         [ ("outcome", J.Str (job_outcome_to_string outcome));
@@ -453,67 +386,51 @@ let run_job ?cache ?(policy = Policy.default) ?(chaos = []) ?breaker (job : job)
     if List.mem Chaos.Pass_poison chaos then poisoned_pass () else None
   in
   let rec loop ~rung k =
-    let level, excised = serving_level ?breaker rung in
-    match
-      attempt_job ?cache ?breaker ~policy ~chaos ~poison job ~attempt:k ~level
-        ~excised
-    with
+    let level = serving_level ?breaker rung in
+    match attempt_job ?cache ?breaker ~policy ~chaos ~poison job ~level with
     | Ok (stats, job_counts, prog) ->
-      let outcome =
-        if level <> job.level || excised <> [] then Degraded
-        else if k > 1 then Retried
-        else Succeeded
-      in
+      let outcome = if level <> job.level then Degraded else Succeeded in
       finish ~attempts:k ~outcome
         { job_id = job.id; ok = true; outcome; attempts = k;
           job_level = level;
           requested = (if level <> job.level then Some job.level else None);
-          excised; routines = List.length stats; job_counts;
+          routines = List.length stats; job_counts;
           latency_ms = 0.0;
           iloc = (if job.emit then Some (Ir_text.print_program prog) else None);
           line = None; error = None }
     | Error failure -> (
-      let decision =
-        Policy.plan policy ~id:job.id ~rung:level ~attempt:k
-          (match failure with
-          | Deadline -> `Deadline
-          | Bad_input _ -> `Bad_input
-          | Invalid _ -> `Permanent
-          | Raised e -> Policy.classify e)
-      in
       let detail =
         match failure with
         | Deadline -> "deadline exceeded"
         | Raised e -> Printexc.to_string e
         | Bad_input m | Invalid m -> m
       in
-      (match (failure, decision) with
-      | Deadline, _ ->
+      (match failure with
+      | Deadline ->
         count "serve.deadline_exceeded";
         Log.warn ~event:"serve.timeout"
           ~fields:[ ("attempt", J.Int k); ("timeout_ms", J.Float timeout_ms) ]
           ("job " ^ job.id ^ " blew its deadline")
-      | Raised _, (Policy.Descend _ | Policy.Stop) ->
-        (* A worker raised and no retry budget absorbs it: capture the
-           post-mortem before reporting the failure. *)
+      | Raised _ ->
+        (* A worker raised: capture the post-mortem before reporting the
+           failure. *)
         Log.error ~event:"serve.worker_raise" ~fields:[ ("attempt", J.Int k) ]
           detail;
         dump ("worker-raise: " ^ detail)
-      | (Raised _ | Bad_input _ | Invalid _), _ -> ());
+      | Bad_input _ | Invalid _ -> ());
       let message =
         match failure with
         | Raised _ -> "optimization failed: " ^ detail
         | Deadline | Bad_input _ | Invalid _ -> detail
       in
-      match decision with
-      | Policy.Retry_after delay ->
-        count "serve.retries";
-        Log.warn ~event:"serve.retry"
-          ~fields:[ ("attempt", J.Int k) ]
-          ("transient failure, retrying: " ^ detail);
-        Unix.sleepf delay;
-        loop ~rung:level (k + 1)
-      | Policy.Descend next ->
+      let next =
+        match failure with
+        | Bad_input _ -> None
+        | Deadline | Raised _ | Invalid _ ->
+          if policy.Policy.degrade then Pipeline.lower level else None
+      in
+      match next with
+      | Some next ->
         count "serve.degrade_step";
         Log.warn ~event:"serve.degrade"
           ~fields:
@@ -527,7 +444,7 @@ let run_job ?cache ?(policy = Policy.default) ?(chaos = []) ?breaker (job : job)
              (Pipeline.level_to_string next)
              message);
         loop ~rung:next (k + 1)
-      | Policy.Stop ->
+      | None ->
         let outcome, message =
           match failure with
           | Deadline ->
@@ -545,7 +462,6 @@ type summary = {
   succeeded : int;
   failed : int;
   timeouts : int;
-  retried : int;
   degraded : int;
   replayed : int;
   total : counts;
@@ -579,8 +495,7 @@ let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
   let t0 = Clock.now_ns () in
   let seq = ref 0 and line_no = ref 0 in
   let jobs = ref 0 and succeeded = ref 0 and failed = ref 0 in
-  let timeouts = ref 0 and retried = ref 0 in
-  let degraded = ref 0 and replayed = ref 0 in
+  let timeouts = ref 0 and degraded = ref 0 and replayed = ref 0 in
   let total = ref no_traffic in
   let stats_every =
     match stats_every with Some n when n > 0 -> Some n | _ -> None
@@ -647,7 +562,6 @@ let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
     if r.ok then incr succeeded else incr failed;
     (match r.outcome with
     | Timed_out -> incr timeouts
-    | Retried -> incr retried
     | Degraded -> incr degraded
     | Succeeded | Failed -> ());
     total := add_counts !total r.job_counts
@@ -785,6 +699,6 @@ let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
   loop ();
   if stats_every <> None then emit_stats () else write_metrics ();
   { jobs = !jobs; succeeded = !succeeded; failed = !failed;
-    timeouts = !timeouts; retried = !retried; degraded = !degraded;
+    timeouts = !timeouts; degraded = !degraded;
     replayed = !replayed; total = !total;
     wall_ms = Clock.elapsed_ms ~since:t0 }

@@ -7,9 +7,9 @@
     - {!Cache} short-circuits routines whose (canonical ILOC, pipeline
       fingerprint) digest was optimized before, replaying the stored text
       and statistics;
-    - {!Policy} bounds each job with a deadline and absorbs transient
-      failures with retries, so one bad job is one [ok:false] result,
-      never a dead server.
+    - {!Policy} bounds each job with a deadline and optionally steps a
+      failing job down the optimization levels, so one bad job is one
+      [ok:false] (or degraded) result, never a dead server.
 
     Serve protocol (newline-delimited JSON on stdin/stdout):
 
@@ -30,9 +30,13 @@
     / [iloc] names the program. A malformed job line yields an in-order
     [ok:false] result carrying the offending input line number rather
     than killing the server; [outcome] is one of ["ok"], ["error"],
-    ["timeout"], ["retried_ok"] and ["degraded"] (served below the
-    requested optimization level — the result then carries ["requested"]
-    and/or ["excised"] fields).
+    ["timeout"] and ["degraded"] (served below the requested optimization
+    level — the result then carries a ["requested"] field).
+
+    A job fails only for its own reasons: the optimizer is deterministic,
+    so a re-run on the same input would fail the same way, and the
+    side-channel I/O a job does (cache stores, log sinks) absorbs its own
+    errors ({!Cache.store}, {!Epre_telemetry.Log.emit}).
 
     Crash safety: with a {!Journal} attached, serve write-ahead-logs
     every job ([accepted]/[started] before dispatch, [done]/[failed]
@@ -42,8 +46,8 @@
     uninterrupted run's.
 
     Counters (routine key ["<service>"]): [serve.ok], [serve.error],
-    [serve.timeout], [serve.retried_ok], [serve.degraded],
-    [serve.replayed], [serve.retries], [serve.degrade_step],
+    [serve.timeout], [serve.degraded],
+    [serve.replayed], [serve.degrade_step],
     [serve.degraded_invalid], [serve.deadline_exceeded],
     [serve.bad_line], [serve.worker_crash], [breaker.open] /
     [breaker.half-open] / [breaker.closed], and [chaos.*] per injected
@@ -58,7 +62,7 @@
       [cache.read], [cache.write], [cache.lock_wait], and [pass.<name>]
       per optimization pass;
     - structured events ({!Epre_telemetry.Log}): [serve.job],
-      [serve.retry], [serve.timeout], [serve.worker_raise],
+      [serve.degrade], [serve.timeout], [serve.worker_raise],
       [serve.worker_crash], [chaos.fire], [harness.rollback] — every
       [serve.*] / [chaos.*] event carries the job id as its correlation
       id ({!Epre_telemetry.Recorder.with_corr} wraps [run_job]);
@@ -79,56 +83,38 @@ type counts = { hits : int; misses : int }
     to abandon the job (deadline enforcement). Stats come back in routine
     order, byte-identical to the uncached path. [wrap] transforms each
     routine's pass list before it runs
-    ({!Epre.Pipeline.optimize_routine}); a caller that changes the
-    transformation this way must supply the matching [fingerprint], or
-    cached standard-pipeline results would replay against a different
-    pipeline (default: the level's standard fingerprint). *)
+    ({!Epre.Pipeline.optimize_routine}); cache entries are keyed by the
+    level's standard fingerprint, so [wrap] may instrument passes or make
+    one fail, but must not change what a successful run computes. *)
 val optimize_program :
   ?cache:Cache.t ->
   ?poll:(unit -> unit) ->
   ?wrap:
     (Epre_harness.Harness.named_pass list -> Epre_harness.Harness.named_pass list) ->
-  ?fingerprint:string ->
   level:Epre.Pipeline.level ->
   Program.t ->
   Epre.Pipeline.routine_stats list * counts
 
-(** Per-job failure policy: deadline, retry budget, backoff. *)
+(** Per-job failure policy: deadline and degradation. *)
 module Policy : sig
   type t = {
     timeout_ms : float option;
         (** per-attempt wall-clock budget; overruns are cancelled at the
             next pass boundary and reported as [outcome = "timeout"] *)
-    retries : int;  (** extra attempts granted to transient failures *)
-    backoff_ms : float;
-        (** base delay before attempt [k+1]; grows exponentially with a
-            deterministic per-(job, attempt) jitter in [0.5, 1.0) *)
     degrade : bool;
-        (** when a job fails terminally (permanent failure, exhausted
-            retries, deadline overrun) at a level above Baseline,
-            re-attempt it one optimization level lower, down to -O0 —
-            each rung gets a fresh deadline; success below the requested
-            level reports [outcome = "degraded"] after exec-tier
-            translation validation *)
+        (** when a job fails at a level above Baseline (a raised pass, a
+            failed validation, a deadline overrun), re-attempt it one
+            optimization level lower, down to -O0 — each rung gets a
+            fresh deadline; success below the requested level reports
+            [outcome = "degraded"] after exec-tier translation
+            validation. Bad input is never re-attempted. *)
   }
 
-  (** No deadline, no retries, 50 ms base backoff, no degradation. *)
+  (** No deadline, no degradation. *)
   val default : t
 
   (** Raised by the poll hook when the attempt's deadline has passed. *)
   exception Deadline_exceeded
-
-  (** Retry classifier. [`Transient] (worth a retry): injected chaos
-      ([Epre_harness.Chaos.Injected]) and OS-level I/O errors
-      ([Unix.Unix_error], [Sys_error]). [`Permanent] (never retried,
-      including when transient budget is exhausted): deterministic
-      failures — pass exceptions, validation failures, malformed inputs
-      — where a retry would replay the same bug. Deadline overruns are
-      terminal and never reach the classifier. *)
-  val classify : exn -> [ `Transient | `Permanent ]
-
-  (** Backoff before attempt [attempt + 1], in seconds. *)
-  val backoff_delay : t -> id:string -> attempt:int -> float
 end
 
 type job_input =
@@ -149,31 +135,26 @@ type job = {
     [ok:false] result. *)
 val job_of_line : default_id:string -> string -> (job, string) result
 
-(** How a job ended: [Succeeded] ("ok") on the first attempt, [Retried]
-    ("retried_ok") after absorbing a transient failure, [Timed_out]
-    ("timeout") past its deadline, [Failed] ("error") on a permanent
-    failure, [Degraded] ("degraded") when served below the requested
-    level (or with breaker-excised passes) by the degradation ladder. *)
-type job_outcome = Succeeded | Failed | Timed_out | Retried | Degraded
+(** How a job ended: [Succeeded] ("ok") at the requested level,
+    [Timed_out] ("timeout") past its deadline, [Failed] ("error") on any
+    other failure, [Degraded] ("degraded") when served below the
+    requested level by the degradation ladder or an open breaker. *)
+type job_outcome = Succeeded | Failed | Timed_out | Degraded
 
-(** The wire name: ["ok"] / ["error"] / ["timeout"] / ["retried_ok"] /
-    ["degraded"]. *)
+(** The wire name: ["ok"] / ["error"] / ["timeout"] / ["degraded"]. *)
 val job_outcome_to_string : job_outcome -> string
 
 type result_line = {
   job_id : string;
   ok : bool;
   outcome : job_outcome;
-  attempts : int;  (** total across retries and ladder rungs *)
+  attempts : int;  (** ladder rungs tried *)
   job_level : Epre.Pipeline.level;  (** the level actually served *)
   requested : Epre.Pipeline.level option;
       (** the requested level, when it differs (degraded results) *)
-  excised : string list;
-      (** breaker-opened passes excised from the pipeline (only when no
-          standard lower level avoided them) *)
   routines : int;
   job_counts : counts;
-  latency_ms : float;  (** total wall, across every attempt and backoff *)
+  latency_ms : float;  (** total wall, across every attempt *)
   iloc : string option;  (** optimized program text, when [emit] *)
   line : int option;  (** input line number, on protocol-level errors *)
   error : string option;
@@ -191,16 +172,16 @@ val poisoned_pass : ?seed:int -> unit -> string option
     load the program, optimize it at the job's level through [cache],
     measure wall latency. Never raises — failures come back as
     [ok = false] with a classified {!job_outcome}. [policy] arms a fresh
-    deadline per attempt, and a pure attempt planner decides after each
-    failed attempt whether to retry, descend a rung or stop. Every result served
-    below the requested level, or with passes excised, is
-    translation-checked at the exec tier against the freshly loaded
-    program before reporting [Degraded]; a mismatch is a permanent
-    failure, so the ladder keeps descending. [breaker] consults/updates
-    the per-pass circuit-breaker registry: opened passes are avoided by
+    deadline per attempt; after a failed attempt the job stops on bad
+    input, and otherwise steps down one rung when [policy.degrade] is on
+    and a lower rung exists. Every result served below the requested
+    level is translation-checked at the exec tier against the freshly
+    loaded program before reporting [Degraded]; a mismatch is a failure,
+    so the ladder keeps descending. [breaker] consults/updates the
+    per-pass circuit-breaker registry: opened passes are avoided by
     serving the highest level whose sequence lacks them (pure level run,
-    standard fingerprint), or excised pass-by-pass when even the floor
-    contains one. [chaos] enables service-fault injection keyed
+    standard fingerprint); when even the floor contains one, the rung
+    itself serves. [chaos] enables service-fault injection keyed
     deterministically on the job id ({!Epre_harness.Chaos.fires}). *)
 val run_job :
   ?cache:Cache.t ->
@@ -211,7 +192,7 @@ val run_job :
   result_line
 
 (** Whole-batch totals, for the closing stderr line and the smoke test.
-    [timeouts] breaks down [failed]; [retried] and [degraded] break down
+    [timeouts] breaks down [failed]; [degraded] breaks down
     [succeeded]. [jobs] counts result lines emitted by {e this} run.
     [replayed] counts
     jobs skipped on resume because the journal proved a previous
@@ -221,7 +202,6 @@ type summary = {
   succeeded : int;
   failed : int;
   timeouts : int;
-  retried : int;
   degraded : int;
   replayed : int;
   total : counts;

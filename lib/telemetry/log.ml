@@ -138,18 +138,34 @@ let emit level ~event ?corr ?(fields = []) msg =
           if severity level >= severity Warn && rate_limited ~now event then
             Metrics.incr ~routine:"<service>" ~name:"log.suppressed"
           else begin
+            (* A sink's I/O error (closed stderr, full disk) is the log's
+               own problem: it is counted, never raised into the caller,
+               so logging cannot fail the work it describes. *)
+            let sink_error () =
+              Metrics.incr ~routine:"<service>" ~name:"log.sink_errors"
+            in
             (match !stderr_level with
-            | Some min_level when severity level >= severity min_level ->
-              !text_sink
-                (render_text ~ts_ns ~level ~domain ~corr ~event ~fields msg)
+            | Some min_level when severity level >= severity min_level -> (
+              try
+                !text_sink
+                  (render_text ~ts_ns ~level ~domain ~corr ~event ~fields msg)
+              with Sys_error _ -> sink_error ())
             | Some _ | None -> ());
             match !file_chan with
-            | Some oc ->
-              output_string oc
-                (J.to_string
-                   (to_json ~ts_ns ~level ~domain ~corr ~event ~fields msg));
-              output_char oc '\n';
-              flush oc
+            | Some oc -> (
+              try
+                output_string oc
+                  (J.to_string
+                     (to_json ~ts_ns ~level ~domain ~corr ~event ~fields msg));
+                output_char oc '\n';
+                flush oc
+              with Sys_error _ ->
+                (* Every later line would fail the same way: close the
+                   file sink. *)
+                sink_error ();
+                close_out_noerr oc;
+                file_chan := None;
+                refresh ())
             | None -> ()
           end)
     end

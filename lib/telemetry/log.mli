@@ -22,7 +22,12 @@
     Warn-and-above events are rate-limited per (event name, 1-second
     window) at the sinks — at most 50 per window; the overflow bumps the
     [log.suppressed] counter. The ring is exempt (it is bounded anyway
-    and a post-mortem wants the repetitions). *)
+    and a post-mortem wants the repetitions).
+
+    A sink that fails with [Sys_error] (closed stderr, full disk) never
+    fails the caller: each failure bumps [log.sink_errors], and a failing
+    file sink is closed. Any other exception from a text sink installed
+    with {!set_text_sink} propagates. *)
 
 type level = Debug | Info | Warn | Error
 

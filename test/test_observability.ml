@@ -222,12 +222,24 @@ let iloc_job id =
   { Service.id; level = Pipeline.Partial;
     input = Service.Iloc (Lazy.force saxpy_iloc); emit = true }
 
-let test_dump_on_worker_raise () =
+let test_dump_on_pass_poison () =
+  (* chaos:pass-poison fails every job that runs the poisoned pass; with
+     the ladder off the job fails, and both the fault firing and the
+     worker raise dump the ring under the job's correlation id. *)
   let dir = temp_dir "dump" in
   Recorder.configure ~dir ();
   Fun.protect ~finally:Recorder.disable @@ fun () ->
-  let id = chaos_id Chaos.Worker_raise ~firing:true in
-  let r = Service.run_job ~chaos:[ Chaos.Worker_raise ] (iloc_job id) in
+  let target = Option.get (Service.poisoned_pass ()) in
+  let level =
+    List.find
+      (fun level -> List.mem target (Pipeline.level_stages ~level))
+      Pipeline.all_levels
+  in
+  let id = chaos_id Chaos.Pass_poison ~firing:true in
+  let r =
+    Service.run_job ~chaos:[ Chaos.Pass_poison ]
+      { (iloc_job id) with Service.level }
+  in
   Alcotest.(check bool) "job failed" false r.Service.ok;
   let path = Filename.concat dir (Printf.sprintf "flightrec-%d.json" (Unix.getpid ())) in
   Alcotest.(check bool) "dump written" true (Sys.file_exists path);
@@ -444,9 +456,7 @@ let serve_batch ?chaos ?(jobs = 8) () =
   let ic = open_in_bin in_path and out = open_out_bin out_path in
   let summary =
     Pool.with_pool ~jobs:2 (fun pool ->
-        Service.serve ?chaos
-          ~policy:{ Service.Policy.default with retries = 1; backoff_ms = 1.0 }
-          ~pool ~input:ic ~output:out ())
+        Service.serve ?chaos ~pool ~input:ic ~output:out ())
   in
   close_in_noerr ic;
   close_out_noerr out;
@@ -465,7 +475,7 @@ let test_serve_events_carry_corr () =
   let path = Filename.temp_file "eprec-obs" ".jsonl" in
   Log.open_file path;
   let _, _ =
-    serve_batch ~chaos:[ Chaos.Worker_raise ] ()
+    serve_batch ~chaos:[ Chaos.Pass_poison ] ()
   in
   Log.close_file ();
   let ic = open_in_bin path in
@@ -513,7 +523,7 @@ let test_serve_byte_identity_with_sinks () =
             [ "id"; "ok"; "outcome"; "attempts"; "hits"; "misses"; "iloc" ])
       lines
   in
-  let _, bare = serve_batch ~chaos:[ Chaos.Worker_raise ] () in
+  let _, bare = serve_batch ~chaos:[ Chaos.Pass_poison ] () in
   let dir = temp_dir "identity" in
   let log_path = Filename.temp_file "eprec-obs" ".jsonl" in
   let metrics_path = Filename.temp_file "eprec-obs" ".prom" in
@@ -524,7 +534,7 @@ let test_serve_byte_identity_with_sinks () =
       ~finally:(fun () ->
         Log.close_file ();
         Recorder.disable ())
-      (fun () -> snd (serve_batch ~chaos:[ Chaos.Worker_raise ] ()))
+      (fun () -> snd (serve_batch ~chaos:[ Chaos.Pass_poison ] ()))
   in
   Epre_telemetry.Exposition.write ~path:metrics_path;
   Sys.remove log_path;
@@ -596,8 +606,8 @@ let suite =
       test_disabled_recorder_is_noop;
     Alcotest.test_case "trace keeps every span, dump keeps capacity" `Quick
       test_trace_with_flight_ring;
-    Alcotest.test_case "dump on chaos:worker-raise carries the corr id"
-      `Quick test_dump_on_worker_raise;
+    Alcotest.test_case "dump on chaos:pass-poison carries the corr id"
+      `Quick test_dump_on_pass_poison;
     Alcotest.test_case "with_corr nests and restores" `Quick
       test_with_corr_restores;
     Alcotest.test_case "stderr level filtering" `Quick test_log_level_filtering;

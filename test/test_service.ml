@@ -3,8 +3,9 @@
     invalidation, poisoned-entry fallback, the serve job protocol, every
     [run_job] branch, and the crash-safety layer — journal round-trips,
     kill-and-resume byte identity, the graceful-degradation ladder,
-    per-pass circuit breakers, batch-size invariance, and serve under
-    each service fault class. *)
+    per-pass circuit breakers, batch-size invariance, serve under each
+    service fault class, and side-channel I/O failures that fail no
+    job. *)
 
 open Epre_ir
 module Pool = Epre_service.Pool
@@ -486,35 +487,12 @@ let iloc_job id =
               (Option.get (Epre_workloads.Workloads.find "saxpy"))));
     emit = true }
 
-let test_run_job_retry () =
-  (* chaos:worker-raise fires on attempt 1 only; with a retry budget the
-     job recovers, reports retried_ok, and emits the exact output of an
-     undisturbed run. *)
-  let id = chaos_id Chaos.Worker_raise ~firing:true in
-  let reference = Service.run_job (iloc_job id) in
-  Alcotest.(check bool) "reference ok" true reference.Service.ok;
-  let policy = { Service.Policy.default with retries = 2; backoff_ms = 1.0 } in
-  let r = Service.run_job ~policy ~chaos:[ Chaos.Worker_raise ] (iloc_job id) in
-  Alcotest.(check bool) "ok after retry" true r.Service.ok;
-  Alcotest.(check bool) "outcome retried_ok" true
-    (r.Service.outcome = Service.Retried);
-  Alcotest.(check int) "two attempts" 2 r.Service.attempts;
-  Alcotest.(check bool) "same output as undisturbed" true
-    (r.Service.iloc = reference.Service.iloc);
-  (* Without a retry budget the same transient failure is an error. *)
-  let r0 = Service.run_job ~chaos:[ Chaos.Worker_raise ] (iloc_job id) in
-  Alcotest.(check bool) "no budget -> error" true
-    ((not r0.Service.ok) && r0.Service.outcome = Service.Failed)
-
 let test_run_job_timeout () =
   (* chaos:slow-job sleeps past the deadline; the poll hook cancels at a
-     pass boundary and the outcome is timeout — never retried, retries
-     are for transient failures only. *)
+     pass boundary and the outcome is timeout. Without the ladder the
+     deadline is terminal: one attempt. *)
   let id = chaos_id Chaos.Slow_job ~firing:true in
-  let policy =
-    { Service.Policy.timeout_ms = Some 25.0; retries = 2; backoff_ms = 1.0;
-      degrade = false }
-  in
+  let policy = { Service.Policy.timeout_ms = Some 25.0; degrade = false } in
   let r = Service.run_job ~policy ~chaos:[ Chaos.Slow_job ] (iloc_job id) in
   Alcotest.(check bool) "not ok" false r.Service.ok;
   Alcotest.(check bool) "outcome timeout" true
@@ -527,27 +505,11 @@ let test_run_job_timeout () =
   Alcotest.(check bool) "spared job ok" true
     (r2.Service.ok && r2.Service.outcome = Service.Succeeded)
 
-let test_policy_classify_and_backoff () =
-  Alcotest.(check bool) "chaos is transient" true
-    (Service.Policy.classify (Chaos.Injected "x") = `Transient);
-  Alcotest.(check bool) "I/O is transient" true
-    (Service.Policy.classify (Sys_error "disk") = `Transient);
-  Alcotest.(check bool) "pass bug is permanent" true
-    (Service.Policy.classify (Failure "broken invariant") = `Permanent);
-  let p = { Service.Policy.default with backoff_ms = 8.0 } in
-  let d1 = Service.Policy.backoff_delay p ~id:"j" ~attempt:1 in
-  let d1' = Service.Policy.backoff_delay p ~id:"j" ~attempt:1 in
-  Alcotest.(check bool) "deterministic" true (d1 = d1');
-  Alcotest.(check bool) "within jittered bounds" true
-    (d1 >= 0.004 && d1 < 0.008);
-  let d3 = Service.Policy.backoff_delay p ~id:"j" ~attempt:3 in
-  Alcotest.(check bool) "grows exponentially" true (d3 >= 0.016 && d3 < 0.032)
-
 let test_run_job_branch_table () =
   (* One row per [run_job] branch, for a generated program requested at
      partial with the degradation ladder on: the served level, the
-     attempt count, the reported request and excisions, and how many
-     ladder steps the job took. *)
+     attempt count, the reported request, and how many ladder steps the
+     job took. *)
   let iloc =
     program_text (Epre_frontend.Frontend.compile_string (Epre_fuzz.Gen.source 1))
   in
@@ -561,20 +523,16 @@ let test_run_job_branch_table () =
   in
   let rows =
     [ ( "dce breaker opened by hand", job "pin-dce", degrade, [], dce_open,
-        ("degraded", 1, "partial", None, [ "dce" ], 0) );
+        ("ok", 1, "partial", None, 0) );
       ( "unparsable ILOC",
         { (job "pin-bad") with Service.input = Service.Iloc "routine ) garbage" },
         degrade, [], (fun () -> None),
-        ("error", 1, "partial", None, [], 0) );
-      ( "worker-raise, no retry budget",
-        job (chaos_id Chaos.Worker_raise ~firing:true),
-        { degrade with retries = 0 }, [ Chaos.Worker_raise ], (fun () -> None),
-        ("degraded", 2, "baseline", Some "partial", [], 1) );
+        ("error", 1, "partial", None, 0) );
       ( "slow-job past a 25 ms deadline",
         job (chaos_id Chaos.Slow_job ~firing:true),
         { degrade with timeout_ms = Some 25.0 }, [ Chaos.Slow_job ],
         (fun () -> None),
-        ("timeout", 2, "baseline", None, [], 1) ) ]
+        ("timeout", 2, "baseline", None, 1) ) ]
   in
   let steps () =
     Epre_telemetry.Metrics.get ~routine:"<service>" ~name:"serve.degrade_step"
@@ -589,15 +547,12 @@ let test_run_job_branch_table () =
           r.Service.attempts,
           level r.Service.job_level,
           Option.map level r.Service.requested,
-          r.Service.excised,
           steps () - before )
       in
       let row =
-        Alcotest.(
-          pair (pair string int)
-            (pair (pair string (option string)) (pair (list string) int)))
+        Alcotest.(pair (pair string int) (triple string (option string) int))
       in
-      let shape (o, a, l, q, e, s) = ((o, a), ((l, q), (e, s))) in
+      let shape (o, a, l, q, s) = ((o, a), (l, q, s)) in
       Alcotest.check row name (shape expected) (shape got))
     rows
 
@@ -1073,7 +1028,7 @@ let test_serve_chaos_classes () =
   let total = List.length reference in
   Alcotest.(check bool) "reference all ok" true (all_ok reference);
   let policy ?timeout_ms ?(degrade = false) () =
-    { Service.Policy.timeout_ms; retries = 2; backoff_ms = 1.0; degrade }
+    { Service.Policy.timeout_ms; degrade }
   in
   List.iter
     (fun (fault, level, policy, expect) ->
@@ -1083,8 +1038,8 @@ let test_serve_chaos_classes () =
       let n o = List.length (List.filter (fun (_, _, out, _) -> out = Some o) parallel) in
       let check what =
         Alcotest.(check bool)
-          (Printf.sprintf "%s: %s (ok %d, retried_ok %d, timeout %d, error %d, degraded %d)"
-             (Chaos.service_name fault) what (n "ok") (n "retried_ok") (n "timeout") (n "error")
+          (Printf.sprintf "%s: %s (ok %d, timeout %d, error %d, degraded %d)"
+             (Chaos.service_name fault) what (n "ok") (n "timeout") (n "error")
              (n "degraded"))
           true
       in
@@ -1097,11 +1052,7 @@ let test_serve_chaos_classes () =
              (fun (_, ok, _, iloc) (_, _, _, r) -> (not ok) || iloc = r)
              parallel reference);
       List.iter (fun (what, holds) -> check what holds) (expect n (all_ok parallel)))
-    [ ( Chaos.Worker_raise, Pipeline.Partial, policy (),
-        fun n _ ->
-          [ ("no error or timeout", n "error" + n "timeout" = 0);
-            ("retries absorbed faults", n "retried_ok" > 0) ] );
-      ( Chaos.Slow_job, Pipeline.Partial, policy ~timeout_ms:300.0 (),
+    [ ( Chaos.Slow_job, Pipeline.Partial, policy ~timeout_ms:300.0 (),
         fun n _ ->
           [ ("deadline struck", n "timeout" > 0); ("no error", n "error" = 0);
             ("ok + timeout = total", n "ok" + n "timeout" = total) ] );
@@ -1159,6 +1110,92 @@ let test_serve_worker_crash_keeps_job_id () =
       seq1
   | _ -> Alcotest.failf "expected two result lines:\n%s" (String.concat "\n" lines)
 
+(* ------------------------------------------------------------------ *)
+(* Side-channel I/O and open floor breakers never fail a job *)
+
+(* A mixed batch: several levels and a repeated program. *)
+let side_channel_input =
+  String.concat "\n"
+    [ {|{"id":"a","workload":"saxpy"}|};
+      {|{"id":"b","workload":"dot","level":"baseline"}|};
+      {|{"id":"c","workload":"crout","level":"distribution"}|};
+      {|{"id":"d","workload":"saxpy"}|} ]
+  ^ "\n"
+
+let service_counter name = Epre_telemetry.Metrics.get ~routine:"<service>" ~name
+
+let test_cache_store_failure_is_a_miss () =
+  (* A cache whose lock file cannot be opened (a directory stands in its
+     place) can store nothing. Each failed store is counted and the job
+     keeps its freshly optimized routines, so the batch comes out
+     exactly as a cacheless run. *)
+  let dir = Helpers.fresh_dir () in
+  Unix.mkdir dir 0o755;
+  Unix.mkdir (Filename.concat dir ".lock") 0o755;
+  let _, reference = serve_to_lines ~jobs:1 side_channel_input in
+  let failed_before = service_counter "cache.store_failed" in
+  let stores_before = service_counter "cache.stores" in
+  let cache = Cache.create ~dir () in
+  let res, lines = serve_to_lines ~cache ~jobs:2 side_channel_input in
+  let s = summary res in
+  Alcotest.(check (pair int int)) "every job ok" (4, 4)
+    (s.Service.jobs, s.Service.succeeded);
+  Alcotest.(check (list string)) "output of a cacheless run"
+    (List.map norm_line reference) (List.map norm_line lines);
+  Alcotest.(check int) "every miss's store failed and was counted"
+    s.Service.total.Service.misses
+    (service_counter "cache.store_failed" - failed_before);
+  Alcotest.(check int) "nothing stored" 0
+    (service_counter "cache.stores" - stores_before);
+  Alcotest.(check int) "no entry on disk" 0 (Cache.entry_count cache)
+
+let test_serve_log_sink_on_full_disk () =
+  (* A JSONL log sink on a full device fails every write: the failures
+     are counted, the sink is closed, and the batch is served exactly as
+     without it. *)
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let module Log = Epre_telemetry.Log in
+  let _, reference = serve_to_lines ~jobs:1 side_channel_input in
+  let errors_before = service_counter "log.sink_errors" in
+  Log.open_file "/dev/full";
+  let res, lines =
+    Fun.protect ~finally:Log.close_file (fun () ->
+        serve_to_lines ~jobs:2 side_channel_input)
+  in
+  let s = summary res in
+  Alcotest.(check (pair int int)) "every job ok" (4, 4)
+    (s.Service.jobs, s.Service.succeeded);
+  Alcotest.(check (list string)) "output unchanged by the failing sink"
+    (List.map norm_line reference) (List.map norm_line lines);
+  Alcotest.(check bool) "sink errors counted" true
+    (service_counter "log.sink_errors" > errors_before)
+
+let test_open_floor_breaker_serves_the_level () =
+  (* dce runs at every level, so no level avoids its open breaker: the
+     job is served at its requested level, byte-identical to a direct
+     run, and not reported degraded. *)
+  Alcotest.(check bool) "dce is in every level" true
+    (List.for_all
+       (fun level -> List.mem "dce" (Pipeline.level_stages ~level))
+       Pipeline.all_levels);
+  let policy = { Service.Policy.default with degrade = true } in
+  List.iter
+    (fun level ->
+      let breaker = Breaker.create ~threshold:1 ~probe_after:100 () in
+      Breaker.failure breaker ~pass:"dce";
+      let job = { (iloc_job "floor") with Service.level } in
+      let r = Service.run_job ~policy ~breaker job in
+      let direct = Service.run_job job in
+      let name what = Pipeline.level_to_string level ^ ": " ^ what in
+      Alcotest.(check string) (name "outcome") "ok"
+        (Service.job_outcome_to_string r.Service.outcome);
+      Alcotest.(check bool) (name "served at the requested level") true
+        (r.Service.job_level = level && r.Service.requested = None
+        && r.Service.attempts = 1);
+      Alcotest.(check (option string)) (name "output of a direct run")
+        direct.Service.iloc r.Service.iloc)
+    Pipeline.all_levels
+
 (* A random serve input: well-formed jobs over a few programs at every
    level with [emit] on and off (so programs repeat and hit the cache),
    jobs with and without an id, a job naming an unknown workload,
@@ -1215,10 +1252,10 @@ let test_serve_batch_size_invariance () =
         (Journal.load ~path:jpath)
     in
     let totals =
-      Printf.sprintf "%d jobs, %d ok, %d failed, %d timeouts, %d retried, \
-                      %d degraded, %d replayed, %d hits, %d misses"
+      Printf.sprintf "%d jobs, %d ok, %d failed, %d timeouts, %d degraded, \
+                      %d replayed, %d hits, %d misses"
         s.Service.jobs s.Service.succeeded s.Service.failed s.Service.timeouts
-        s.Service.retried s.Service.degraded s.Service.replayed
+        s.Service.degraded s.Service.replayed
         s.Service.total.Service.hits s.Service.total.Service.misses
     in
     (List.map norm_line lines, records, totals)
@@ -1320,12 +1357,8 @@ let suite =
       test_cache_find_survives_torn_read;
     Alcotest.test_case "zipf jobs: parallel shared cache == serial" `Quick
       test_zipf_jobs_shared_cache;
-    Alcotest.test_case "retry absorbs transient fault" `Quick
-      test_run_job_retry;
     Alcotest.test_case "deadline bounds a slow job" `Quick
       test_run_job_timeout;
-    Alcotest.test_case "classifier and backoff" `Quick
-      test_policy_classify_and_backoff;
     Alcotest.test_case "run_job branch table" `Quick test_run_job_branch_table;
     Alcotest.test_case "job parsing" `Quick test_job_parsing;
     Alcotest.test_case "serve streams in order" `Quick test_serve_stream;
@@ -1351,6 +1384,12 @@ let suite =
       `Quick test_serve_chaos_classes;
     Alcotest.test_case "a worker crash keeps the job's id and level" `Quick
       test_serve_worker_crash_keeps_job_id;
+    Alcotest.test_case "a blocked cache lock fails no job" `Quick
+      test_cache_store_failure_is_a_miss;
+    Alcotest.test_case "a log sink on a full disk fails no job" `Quick
+      test_serve_log_sink_on_full_disk;
+    Alcotest.test_case "an open dce breaker serves the level" `Quick
+      test_open_floor_breaker_serves_the_level;
     Alcotest.test_case "serve output is invariant under batch size" `Quick
       test_serve_batch_size_invariance;
     Alcotest.test_case "sweep spares a live writer's temp file" `Quick
