@@ -27,7 +27,8 @@
      --report=json     emit per-pass outcome records
      --chaos NAME[@N]  inject a fault pass at position N of the pipeline
 
-   Telemetry flags (compile, run, workloads --check):
+   Telemetry flags (compile, run, workloads, verify, lint, analyze, fuzz,
+   serve):
      --trace-out FILE  write a Chrome trace-event JSON of the run's spans
      --profile         per-pass wall-clock profile summary on stderr
      --metrics=json    per-routine pipeline stats + counters, JSONL on stderr *)
@@ -264,9 +265,9 @@ let require_writable ~code ~flag = function
       Fmt.epr "eprec: %s: %s@." flag m;
       exit code)
 
-(* Run [f] with the event store keeping every event when
-   --trace-out/--profile ask for it, exporting the span events when [f]
-   finishes; otherwise spans stay no-ops. *)
+(* Run [f] with the span store recording when --trace-out/--profile ask
+   for it, exporting the spans when [f] finishes; otherwise spans stay
+   no-ops. *)
 let with_telemetry tel f =
   if tel.trace_out = None && not tel.profile then f ()
   else begin
@@ -1078,12 +1079,9 @@ let serve_cmd =
          one-line progress summary (throughput, hit rate, p50/p99 \
          latency, pool utilization) every N jobs, and $(b,--metrics-out) \
          writes Prometheus-style counters and latency histograms \
-         (atomically) on each stats tick and at exit. A flight recorder \
-         is on by default: each domain keeps a ring of recent events, \
-         and any worker exception, timeout, crash or chaos firing dumps \
-         them to $(b,--flight-dir)/flightrec-<pid>.json for \
-         post-mortems ($(b,--no-flight) disables). None of this touches \
-         stdout: results are byte-identical with every sink on or off.";
+         (atomically) on each stats tick and at exit; a failed write is \
+         counted and never stops serving. None of this touches stdout: \
+         results are byte-identical with every sink on or off.";
       `S "EXIT STATUS";
       `P
         "$(b,0) every job served at its requested level; $(b,1) at least \
@@ -1217,21 +1215,9 @@ let serve_cmd =
              histogram quantiles) to FILE, atomically, on each stats tick \
              and at exit.")
   in
-  let flight_dir_arg =
-    Arg.(
-      value & opt string "."
-      & info [ "flight-dir" ] ~docv:"DIR"
-          ~doc:
-            "Directory for flight-recorder dumps \
-             ($(b,flightrec-<pid>.json)); written whenever a worker \
-             raises, a job times out or crashes, or a chaos fault fires.")
-  in
-  let no_flight_arg =
-    Arg.(value & flag & info [ "no-flight" ] ~doc:"Disable the flight recorder.")
-  in
   let run input jobs cache_dir no_cache batch cache_max_bytes timeout_ms
       chaos_names () resume cache_sweep_age_s no_degrade log_level log_out
-      stats_every metrics_out flight_dir no_flight tel =
+      stats_every metrics_out tel =
     (* Reject an unwritable output path before any work, not after the
        batch. *)
     List.iter
@@ -1268,11 +1254,16 @@ let serve_cmd =
         (* A fresh serve truncates any stale journal (unless another live
            serve holds it) and stamps a new run id; --resume continues
            the previous incarnation's run id instead. *)
-        Some
-          (Epre_service.Journal.open_
+        let path = Filename.concat (Epre_service.Cache.dir c) "journal.jsonl" in
+        (match
+           Epre_service.Journal.open_
              ~mode:(if resume then `Resume else `Fresh)
-             ~path:(Filename.concat (Epre_service.Cache.dir c) "journal.jsonl")
-             ())
+             ~path ()
+         with
+        | j -> Some j
+        | exception Sys_error m ->
+          Fmt.epr "eprec: journal: %s@." m;
+          exit 2)
       | None ->
         if resume then begin
           Fmt.epr "serve: --resume needs the journal, which lives in the \
@@ -1289,12 +1280,10 @@ let serve_cmd =
     (match log_out with
     | Some f -> Epre_telemetry.Log.open_file f
     | None -> ());
-    if not no_flight then Epre_telemetry.Recorder.configure ~dir:flight_dir ();
     let close () =
       if input <> None then close_in_noerr ic;
       Option.iter Epre_service.Journal.close journal;
-      Epre_telemetry.Log.close_file ();
-      Epre_telemetry.Recorder.disable ()
+      Epre_telemetry.Log.close_file ()
     in
     let summary =
       match
@@ -1335,7 +1324,7 @@ let serve_cmd =
       const run $ input_arg $ jobs_arg $ cache_dir_arg $ no_cache_arg
       $ batch_arg $ cache_max_bytes_arg $ timeout_arg $ serve_chaos_arg
       $ chaos_seed_arg $ resume_arg $ cache_sweep_age_arg $ no_degrade_arg $ log_level_arg $ log_out_arg $ stats_every_arg
-      $ metrics_out_arg $ flight_dir_arg $ no_flight_arg $ telemetry_term)
+      $ metrics_out_arg $ telemetry_term)
 
 let workloads_cmd =
   let doc = "list the built-in workload suite, or differentially check it" in

@@ -283,15 +283,7 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
                 [ ("pass", Epre_telemetry.Tjson.Str np.pass_name);
                   ("routine", Epre_telemetry.Tjson.Str r.Routine.name) ]
               (reason_to_string reason);
-            if not config.keep_going then begin
-              ignore
-                (Epre_telemetry.Recorder.dump
-                   ~reason:
-                     (Printf.sprintf "supervision-failed: %s/%s"
-                        np.pass_name r.Routine.name)
-                   ());
-              raise (Supervision_failed record)
-            end
+            if not config.keep_going then raise (Supervision_failed record)
           | Passed -> ())
         routines)
     passes;

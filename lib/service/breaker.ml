@@ -2,7 +2,6 @@
 
 module Log = Epre_telemetry.Log
 module Metrics = Epre_telemetry.Metrics
-module Recorder = Epre_telemetry.Recorder
 module J = Epre_telemetry.Tjson
 
 type state =
@@ -33,7 +32,7 @@ let state_name = function
 let state t pass =
   Option.value (Hashtbl.find_opt t.tbl pass) ~default:(Closed 0)
 
-(* Called with the mutex held; the log/metrics/recorder sinks are all
+(* Called with the mutex held; the log and metrics sinks are both
    thread-safe and non-blocking, so emitting under the lock is fine and
    keeps transitions totally ordered. *)
 let transition t ~pass ~from ~to_ =
@@ -42,11 +41,7 @@ let transition t ~pass ~from ~to_ =
   Metrics.incr ~routine:"<service>" ~name:("breaker." ^ to_name);
   Log.warn ~event:"breaker.transition"
     ~fields:[ ("pass", J.Str pass); ("from", J.Str from_name); ("to", J.Str to_name) ]
-    (Printf.sprintf "breaker %s: %s -> %s" pass from_name to_name);
-  (* An opening breaker is an incident: capture the recent-event ring. *)
-  match to_ with
-  | Open _ -> ignore (Recorder.dump ~reason:("breaker-open: " ^ pass) ())
-  | Closed _ | Half_open -> ()
+    (Printf.sprintf "breaker %s: %s -> %s" pass from_name to_name)
 
 let failure t ~pass =
   locked t @@ fun () ->

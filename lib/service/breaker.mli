@@ -19,11 +19,10 @@
     one pipeline run the pass as a probe: success closes the breaker,
     another failure re-opens it.
 
-    Every transition is logged as a structured [breaker.transition] event,
-    bumps a [breaker.<state>] counter, and open/re-open transitions dump
-    the flight recorder. All operations are thread-safe; under a parallel
-    pool several jobs may probe a half-open breaker concurrently, which
-    only means a few extra probes. *)
+    Every transition is logged as a structured [breaker.transition] event
+    and bumps a [breaker.<state>] counter. All operations are thread-safe;
+    under a parallel pool several jobs may probe a half-open breaker
+    concurrently, which only means a few extra probes. *)
 
 type t
 

@@ -86,9 +86,12 @@ let open_ ?(mode = `Fresh) ~path () =
      opening (and closing) a second fd on the path would silently drop
      this process's advisory lock (POSIX fcntl semantics). *)
   let fd =
-    Unix.openfile path
-      [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ]
-      0o644
+    try
+      Unix.openfile path
+        [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ]
+        0o644
+    with Unix.Unix_error (e, _, _) ->
+      raise (Sys_error (path ^ ": " ^ Unix.error_message e))
   in
   let sole_owner =
     try

@@ -60,7 +60,8 @@ val entry :
     process holds. [`Resume] continues the last run recorded in the file
     (minting a fresh id only if the journal is empty) and never
     truncates. The journal holds an advisory [lockf] lock on the file
-    for its lifetime. *)
+    for its lifetime. Raises [Sys_error] when the file cannot be opened
+    (a directory in its place, a cache directory that is a file). *)
 val open_ : ?mode:[ `Fresh | `Resume ] -> path:string -> unit -> t
 
 val path : t -> string

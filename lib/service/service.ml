@@ -223,14 +223,12 @@ let poison_candidates =
 let poisoned_pass ?seed () =
   Chaos.poison_target ?seed ~candidates:(Lazy.force poison_candidates) ()
 
-(* A service fault fires: count it, log it, and capture the flight
-   recorder. *)
-let fire ?corr fault =
+(* A service fault fires: count it and log it. *)
+let fire fault =
   let name = Chaos.service_name fault in
   (* chaos:pass-poison counts as chaos.pass_poison. *)
   count (String.map (function ':' -> '.' | '-' -> '_' | c -> c) name);
-  Log.warn ~event:"chaos.fire" ~fields:[ ("fault", J.Str name) ] ("injected " ^ name);
-  ignore (Recorder.dump ~reason:name ?corr ())
+  Log.warn ~event:"chaos.fire" ~fields:[ ("fault", J.Str name) ] ("injected " ^ name)
 
 (* The level that serves [rung], given the passes whose breakers are
    open: the highest standard level at or below the rung whose sequence
@@ -255,7 +253,7 @@ let serving_level ?breaker rung =
 (* The pass-list transform of one attempt: plant the poisoned pass's
    deterministic failure, and report every pass outcome to the breakers.
    Pass names are preserved so spans and histograms stay attributable. *)
-let attempt_passes ?breaker ~poison ~corr passes =
+let attempt_passes ?breaker ~poison passes =
   let fired = ref false in
   List.map
     (fun np ->
@@ -267,7 +265,7 @@ let attempt_passes ?breaker ~poison ~corr passes =
               if poison = Some name then begin
                 if not !fired then begin
                   fired := true;
-                  fire ~corr Chaos.Pass_poison
+                  fire Chaos.Pass_poison
                 end;
                 raise (Chaos.Pass_poisoned name)
               end;
@@ -303,7 +301,7 @@ let attempt_job ?cache ?breaker ~policy ~chaos ~poison (job : job) ~level =
   in
   let strike fault =
     List.mem fault chaos && Chaos.fires fault ~key:job.id
-    && (fire ~corr:job.id fault; true)
+    && (fire fault; true)
   in
   try
     (* A slow job stalls for three deadline budgets when one is set, so it
@@ -332,7 +330,7 @@ let attempt_job ?cache ?breaker ~policy ~chaos ~poison (job : job) ~level =
       let reference =
         if level <> job.level then Some (Program.copy prog) else None
       in
-      let wrap = attempt_passes ?breaker ~poison ~corr:job.id in
+      let wrap = attempt_passes ?breaker ~poison in
       let stats, job_counts = optimize_program ?cache ~poll ~wrap ~level prog in
       let fuel = Harness.default_config.Harness.fuel in
       match reference with
@@ -358,12 +356,10 @@ let attempt_job ?cache ?breaker ~policy ~chaos ~poison (job : job) ~level =
    when [degrade] allows and a lower rung exists. [attempts] in the
    result is the number of rungs tried. *)
 let run_job ?cache ?(policy = Policy.default) ?(chaos = []) ?breaker (job : job) =
-  (* Every observability event of this job's dynamic extent — log lines,
-     span closures, ring entries, flight dumps — carries the job id as
+  (* Every log event of this job's dynamic extent carries the job id as
      its correlation id, on whichever domain executes it. *)
   Recorder.with_corr job.id @@ fun () ->
   let t0 = Clock.now_ns () in
-  let dump reason = ignore (Recorder.dump ~reason ~corr:job.id ()) in
   let finish ~attempts ~outcome r =
     count ("serve." ^ job_outcome_to_string outcome);
     let latency_ms = Clock.elapsed_ms ~since:t0 in
@@ -412,11 +408,8 @@ let run_job ?cache ?(policy = Policy.default) ?(chaos = []) ?breaker (job : job)
           ~fields:[ ("attempt", J.Int k); ("timeout_ms", J.Float timeout_ms) ]
           ("job " ^ job.id ^ " blew its deadline")
       | Raised _ ->
-        (* A worker raised: capture the post-mortem before reporting the
-           failure. *)
         Log.error ~event:"serve.worker_raise" ~fields:[ ("attempt", J.Int k) ]
-          detail;
-        dump ("worker-raise: " ^ detail)
+          detail
       | Bad_input _ | Invalid _ -> ());
       let message =
         match failure with
@@ -448,7 +441,6 @@ let run_job ?cache ?(policy = Policy.default) ?(chaos = []) ?breaker (job : job)
         let outcome, message =
           match failure with
           | Deadline ->
-            dump "timeout";
             (Timed_out, Printf.sprintf "deadline exceeded (%.0f ms)" timeout_ms)
           | Bad_input _ | Invalid _ | Raised _ -> (Failed, message)
         in
@@ -657,8 +649,6 @@ let serve ?cache ?batch ?(policy = Policy.default) ?(chaos = []) ?stats_every
               let msg = Printexc.to_string e in
               count "serve.worker_crash";
               Log.error ~event:"serve.worker_crash" ~corr:(p_id it) msg;
-              ignore
-                (Recorder.dump ~reason:("worker-crash: " ^ msg) ~corr:(p_id it) ());
               let level =
                 match it.p_job with Ok j -> j.level | Error _ -> Pipeline.Partial
               in

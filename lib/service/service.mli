@@ -65,10 +65,7 @@
       [serve.degrade], [serve.timeout], [serve.worker_raise],
       [serve.worker_crash], [chaos.fire], [harness.rollback] — every
       [serve.*] / [chaos.*] event carries the job id as its correlation
-      id ({!Epre_telemetry.Recorder.with_corr} wraps [run_job]);
-    - flight dumps ({!Epre_telemetry.Recorder.dump}): written on worker
-      exceptions, job timeouts, escaped supervision failures, worker
-      crashes, and chaos fault firings, when a recorder is configured. *)
+      id ({!Epre_telemetry.Recorder.with_corr} wraps [run_job]). *)
 
 open Epre_ir
 
@@ -236,8 +233,8 @@ exception Killed
     [serve.job] histogram, and per-domain pool utilization. [metrics_out]
     writes the full Prometheus-style exposition
     ({!Epre_telemetry.Exposition.write}, atomic temp+rename) on each
-    stats tick and once when the input is drained. Neither touches
-    [output].
+    stats tick and once when the input is drained; a failed write is
+    counted and serving goes on. Neither touches [output].
 
     @raise Killed when [chaos:kill-self] fires (see {!Killed}). *)
 val serve :

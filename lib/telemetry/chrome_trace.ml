@@ -24,8 +24,7 @@ let to_json entries =
   (* The spec wants stable ordering by timestamp; spans arrive in
      completion order (children first). *)
   let spans =
-    List.filter (fun e -> e.Recorder.kind = "span") entries
-    |> List.map (fun e -> (Telemetry.int_field e "start_ns", e))
+    List.map (fun e -> (Telemetry.int_field e "start_ns", e)) entries
     |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
   in
   let epoch = match spans with (t, _) :: _ -> t | [] -> 0 in

@@ -1,5 +1,5 @@
 (** Chrome trace-event export of the span events in a store snapshot
-    ({!Recorder.snapshot}; other events are skipped).
+    ({!Recorder.snapshot}).
 
     The output is the JSON object format of the Trace Event spec —
     [{"traceEvents": [...], "displayTimeUnit": "ms"}] with one complete

@@ -58,14 +58,21 @@ let write ~path =
   (* Temp-write + rename: a scraper reading on interval sees either the
      previous exposition or the whole new one. *)
   let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc text;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  Sys.rename tmp path
+  try
+    let oc = open_out_bin tmp in
+    try
+      output_string oc text;
+      close_out oc;
+      Sys.rename tmp path
+    with e ->
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
+  with Sys_error _ ->
+    (* Like a failed log or cache write, a failed exposition is counted,
+       never raised into the caller: the metrics file cannot fail the
+       jobs it describes, and the next write tries again. *)
+    Metrics.incr ~routine:"<service>" ~name:"metrics.write_failed"
 
 (* ------------------------------------------------------------------ *)
 (* Parsing (tests and CI validate what [write] produced) *)

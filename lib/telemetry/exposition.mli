@@ -24,7 +24,9 @@
 val render : unit -> string
 
 (** [render] to [path] via temp-write + rename: readers see either the
-    previous exposition or the whole new one, never a torn file. *)
+    previous exposition or the whole new one, never a torn file. A write
+    that fails with [Sys_error] removes its temp file, bumps the
+    [metrics.write_failed] counter and returns; it never raises. *)
 val write : path:string -> unit
 
 type sample = { metric : string; labels : (string * string) list; value : float }

@@ -36,8 +36,7 @@ let text_sink : (string -> unit) ref = ref prerr_endline
 let file_chan : out_channel option ref = ref None
 
 (* One ref probe for the disabled fast path; kept in sync with the sink
-   state. The event store's own [enabled] probe is separate, so
-   events still reach the ring with every sink off. *)
+   state. *)
 let sinks_on = ref false
 
 let refresh () = sinks_on := !stderr_level <> None || !file_chan <> None
@@ -120,55 +119,48 @@ let to_json ~ts_ns ~level ~domain ~corr ~event ~fields msg =
     @ match fields with [] -> [] | fs -> [ ("fields", J.Obj fs) ])
 
 let emit level ~event ?corr ?(fields = []) msg =
-  if !sinks_on || Recorder.enabled () then begin
+  if !sinks_on then begin
     let now = Monotonic_clock.now () in
     let ts_ns = Int64.sub now epoch in
     let domain = (Domain.self () :> int) in
     let corr = match corr with Some _ as c -> c | None -> Recorder.corr () in
-    (* The ring sees every event — it is bounded anyway, and a post-
-       mortem wants exactly the repetitions the sinks suppressed. *)
-    if Recorder.enabled () then
-      Recorder.note ~kind:"log" ~level:(level_to_string level) ?corr ~fields
-        event;
-    if !sinks_on then begin
-      Mutex.lock lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock lock)
-        (fun () ->
-          if severity level >= severity Warn && rate_limited ~now event then
-            Metrics.incr ~routine:"<service>" ~name:"log.suppressed"
-          else begin
-            (* A sink's I/O error (closed stderr, full disk) is the log's
-               own problem: it is counted, never raised into the caller,
-               so logging cannot fail the work it describes. *)
-            let sink_error () =
-              Metrics.incr ~routine:"<service>" ~name:"log.sink_errors"
-            in
-            (match !stderr_level with
-            | Some min_level when severity level >= severity min_level -> (
-              try
-                !text_sink
-                  (render_text ~ts_ns ~level ~domain ~corr ~event ~fields msg)
-              with Sys_error _ -> sink_error ())
-            | Some _ | None -> ());
-            match !file_chan with
-            | Some oc -> (
-              try
-                output_string oc
-                  (J.to_string
-                     (to_json ~ts_ns ~level ~domain ~corr ~event ~fields msg));
-                output_char oc '\n';
-                flush oc
-              with Sys_error _ ->
-                (* Every later line would fail the same way: close the
-                   file sink. *)
-                sink_error ();
-                close_out_noerr oc;
-                file_chan := None;
-                refresh ())
-            | None -> ()
-          end)
-    end
+    Mutex.lock lock;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock lock)
+      (fun () ->
+        if severity level >= severity Warn && rate_limited ~now event then
+          Metrics.incr ~routine:"<service>" ~name:"log.suppressed"
+        else begin
+          (* A sink's I/O error (closed stderr, full disk) is the log's
+             own problem: it is counted, never raised into the caller,
+             so logging cannot fail the work it describes. *)
+          let sink_error () =
+            Metrics.incr ~routine:"<service>" ~name:"log.sink_errors"
+          in
+          (match !stderr_level with
+          | Some min_level when severity level >= severity min_level -> (
+            try
+              !text_sink
+                (render_text ~ts_ns ~level ~domain ~corr ~event ~fields msg)
+            with Sys_error _ -> sink_error ())
+          | Some _ | None -> ());
+          match !file_chan with
+          | Some oc -> (
+            try
+              output_string oc
+                (J.to_string
+                   (to_json ~ts_ns ~level ~domain ~corr ~event ~fields msg));
+              output_char oc '\n';
+              flush oc
+            with Sys_error _ ->
+              (* Every later line would fail the same way: close the
+                 file sink. *)
+              sink_error ();
+              close_out_noerr oc;
+              file_chan := None;
+              refresh ())
+          | None -> ()
+        end)
   end
 
 let debug ~event ?corr ?fields msg = emit Debug ~event ?corr ?fields msg

@@ -7,22 +7,19 @@
     [run_job]'s dynamic extent), a human message and optional structured
     fields.
 
-    Three destinations, each independently enabled:
+    Two destinations, each independently enabled:
     - a {e text sink} (stderr by default; [--log-level] on the CLI)
       filtered to [set_stderr_level] and above;
     - a {e JSONL file sink} ([open_file]; [--log-out FILE.jsonl]) that
-      records every level, one {!Tjson} object per line;
-    - the event store ({!Recorder}), which sees every event whenever
-      either of its retention modes is on, regardless of sink state.
+      records every level, one {!Tjson} object per line.
 
-    With no sink and the store off, emission is a two-ref probe no-op, so
-    log calls stay unconditionally wired through the service without
-    perturbing byte-identity or speed of unobserved runs.
+    With no sink, emission is a one-ref probe no-op, so log calls stay
+    unconditionally wired through the service without perturbing
+    byte-identity or speed of unobserved runs.
 
     Warn-and-above events are rate-limited per (event name, 1-second
     window) at the sinks — at most 50 per window; the overflow bumps the
-    [log.suppressed] counter. The ring is exempt (it is bounded anyway
-    and a post-mortem wants the repetitions).
+    [log.suppressed] counter.
 
     A sink that fails with [Sys_error] (closed stderr, full disk) never
     fails the caller: each failure bumps [log.sink_errors], and a failing

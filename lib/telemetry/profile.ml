@@ -11,8 +11,7 @@ type row = {
 
 let ms_of_ns ns = float_of_int ns /. 1e6
 
-let rows ?(kind = "pass") entries =
-  let spans = List.filter (fun e -> e.Recorder.kind = "span") entries in
+let rows ?(kind = "pass") spans =
   let selected = List.filter (fun e -> Telemetry.str_field e "kind" = kind) spans in
   let selected = if selected = [] then spans else selected in
   let table : (string, int ref * float ref * float ref) Hashtbl.t =

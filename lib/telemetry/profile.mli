@@ -1,5 +1,5 @@
 (** Text profile summary of the span events in a store snapshot
-    ({!Recorder.snapshot}; other events are skipped): one row per span name,
+    ({!Recorder.snapshot}): one row per span name,
     sorted by total wall-clock time, with the share of the profiled total
     — the `--profile` rendering. *)
 

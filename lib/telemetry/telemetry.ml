@@ -23,7 +23,7 @@ module Span = struct
       let dur_ns = Int64.to_int (Int64.sub (Clock.now_ns ()) t0) in
       Option.iter (fun h -> Histogram.observe ~name:h dur_ns) hist;
       if store then
-        Recorder.note ~kind:"span" ~level:"span"
+        Recorder.note
           ~fields:
             ([ ("kind", Tjson.Str kind);
                ("start_ns", Tjson.Int (Int64.to_int t0));

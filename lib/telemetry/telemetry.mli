@@ -6,8 +6,8 @@
     under-reports blocked time and lies under multicore GC — everything
     here is monotonic wall clock) and feeds
     - the histogram named by [~hist], if any, with its duration;
-    - the event store ({!Recorder}), when either of its retention modes
-      is on, with one [kind:"span"] event.
+    - the span store ({!Recorder}), while a trace records, with one
+      event.
 
     With neither, [Span.with_] probes two refs and just calls its thunk,
     so an untraced `eprec` run pays no measurable telemetry overhead.

@@ -1,8 +1,7 @@
 (* The observability stack: histogram bucketing and merge determinism,
-   the structured log's sinks and filtering, the flight recorder's ring
-   and dump-on-failure protocol, the Prometheus-style exposition, and —
-   the invariant everything else leans on — that none of it perturbs
-   serve results. *)
+   the structured log's sinks and filtering, the span store's trace
+   retention, the Prometheus-style exposition, and — the invariant
+   everything else leans on — that none of it perturbs serve results. *)
 
 module Hist = Epre_telemetry.Histogram
 module Log = Epre_telemetry.Log
@@ -129,49 +128,19 @@ let test_quantile_accuracy () =
     (Hist.quantile m 1.0)
 
 (* ------------------------------------------------------------------ *)
-(* Flight recorder *)
-
-let test_ring_wraparound () =
-  let dir = temp_dir "ring" in
-  Recorder.configure ~capacity:8 ~dir ();
-  Fun.protect ~finally:Recorder.disable @@ fun () ->
-  for i = 1 to 20 do
-    Recorder.note ~fields:[ ("i", Tjson.Int i) ] "obs.tick"
-  done;
-  let entries = Recorder.snapshot () in
-  Alcotest.(check int) "capacity bounds the ring" 8 (List.length entries);
-  let seqs =
-    List.map
-      (fun (e : Recorder.entry) ->
-        match List.assoc "i" e.Recorder.fields with
-        | Tjson.Int i -> i
-        | _ -> -1)
-      entries
-  in
-  (* The survivors are exactly the last 8 notes, in order. *)
-  Alcotest.(check (list int)) "last events, oldest first"
-    [ 13; 14; 15; 16; 17; 18; 19; 20 ]
-    seqs
+(* Span store *)
 
 let test_disabled_recorder_is_noop () =
-  Recorder.disable ();
+  Recorder.set_trace false;
   Recorder.note "obs.ignored";
-  Alcotest.(check (list reject)) "empty snapshot" [] (Recorder.snapshot ());
-  Alcotest.(check bool) "dump refuses" true
-    (Recorder.dump ~reason:"nothing" () = None)
+  Alcotest.(check (list reject)) "empty snapshot" [] (Recorder.snapshot ())
 
-let test_trace_with_flight_ring () =
-  (* Both retention modes on: the snapshot keeps every span for the
-     trace, while a dump still writes at most [capacity] events per
-     domain. *)
-  let dir = temp_dir "both" in
-  Recorder.configure ~capacity:8 ~dir ();
+let test_trace_keeps_every_span () =
+  (* While a trace records, every span of every domain is kept, in
+     recording order per domain; turning the trace off empties the
+     store. *)
   Recorder.set_trace true;
-  let finish () =
-    Recorder.set_trace false;
-    Recorder.disable ()
-  in
-  Fun.protect ~finally:finish @@ fun () ->
+  Fun.protect ~finally:(fun () -> Recorder.set_trace false) @@ fun () ->
   let work () =
     for i = 1 to 20 do
       Epre_telemetry.Telemetry.Span.with_ ~name:(Printf.sprintf "s%d" i) ignore
@@ -180,95 +149,27 @@ let test_trace_with_flight_ring () =
   let d = Domain.spawn work in
   work ();
   Domain.join d;
-  (* Buffers are per domain id modulo 64; two ids may share one. *)
-  let buffers =
-    if (Domain.self () :> int) land 63 = (Domain.get_id d :> int) land 63 then 1
-    else 2
-  in
-  let spans = List.filter (fun e -> e.Recorder.kind = "span") (Recorder.snapshot ()) in
+  let spans = Recorder.snapshot () in
   Alcotest.(check int) "every span kept" 40 (List.length spans);
-  let path = Option.get (Recorder.dump ~reason:"test" ()) in
-  let text = In_channel.with_open_bin path In_channel.input_all in
-  let events =
-    match Tjson.parse text with
-    | Ok j -> (
-      match Tjson.member "events" j with Some (Tjson.Arr es) -> es | _ -> [])
-    | Error m -> Alcotest.failf "dump does not parse: %s" m
-  in
-  Alcotest.(check int) "dump keeps capacity per buffer" (8 * buffers)
-    (List.length events);
-  (* Trace off: the buffers fall back to the flight ring. *)
+  List.iter
+    (fun domain ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "domain %d in recording order" domain)
+        (List.init 20 (fun i -> Printf.sprintf "s%d" (i + 1)))
+        (List.filter_map
+           (fun (e : Recorder.entry) ->
+             if e.Recorder.domain = domain then Some e.Recorder.event else None)
+           spans))
+    [ (Domain.self () :> int); (Domain.get_id d :> int) ];
   Recorder.set_trace false;
-  Alcotest.(check int) "ring kept after the trace" (8 * buffers)
+  Alcotest.(check int) "trace off empties the store" 0
     (List.length (Recorder.snapshot ()))
-
-(* A job id the given fault deterministically strikes (or spares). *)
-let chaos_id fault ~firing =
-  let rec find i =
-    let id = Printf.sprintf "job-%d" i in
-    if Chaos.fires fault ~key:id = firing then id
-    else if i > 10_000 then Alcotest.fail "no id found"
-    else find (i + 1)
-  in
-  find 1
 
 let saxpy_iloc =
   lazy
     (Epre_ir.Ir_text.print_program
        (Epre_workloads.Workloads.compile
           (Option.get (Epre_workloads.Workloads.find "saxpy"))))
-
-let iloc_job id =
-  { Service.id; level = Pipeline.Partial;
-    input = Service.Iloc (Lazy.force saxpy_iloc); emit = true }
-
-let test_dump_on_pass_poison () =
-  (* chaos:pass-poison fails every job that runs the poisoned pass; with
-     the ladder off the job fails, and both the fault firing and the
-     worker raise dump the ring under the job's correlation id. *)
-  let dir = temp_dir "dump" in
-  Recorder.configure ~dir ();
-  Fun.protect ~finally:Recorder.disable @@ fun () ->
-  let target = Option.get (Service.poisoned_pass ()) in
-  let level =
-    List.find
-      (fun level -> List.mem target (Pipeline.level_stages ~level))
-      Pipeline.all_levels
-  in
-  let id = chaos_id Chaos.Pass_poison ~firing:true in
-  let r =
-    Service.run_job ~chaos:[ Chaos.Pass_poison ]
-      { (iloc_job id) with Service.level }
-  in
-  Alcotest.(check bool) "job failed" false r.Service.ok;
-  let path = Filename.concat dir (Printf.sprintf "flightrec-%d.json" (Unix.getpid ())) in
-  Alcotest.(check bool) "dump written" true (Sys.file_exists path);
-  let ic = open_in_bin path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Tjson.parse text with
-  | Error m -> Alcotest.failf "dump does not parse: %s" m
-  | Ok j ->
-    let str f =
-      match Tjson.member f j with Some (Tjson.Str s) -> Some s | _ -> None
-    in
-    Alcotest.(check (option string))
-      "schema" (Some "epre/flightrec/v1") (str "schema");
-    Alcotest.(check (option string)) "corr is the failing job" (Some id)
-      (str "corr");
-    let events =
-      match Tjson.member "events" j with Some (Tjson.Arr es) -> es | _ -> []
-    in
-    Alcotest.(check bool) "events present" true (events <> []);
-    (* The ring captured events of the failing job's extent, tagged with
-       its correlation id. *)
-    Alcotest.(check bool) "some event carries the corr id" true
-      (List.exists
-         (fun e -> Tjson.member "corr" e = Some (Tjson.Str id))
-         events)
 
 let test_with_corr_restores () =
   Alcotest.(check (option string)) "no ambient corr" None (Recorder.corr ());
@@ -439,7 +340,7 @@ let test_exposition_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Serve integration *)
 
-let serve_batch ?chaos ?(jobs = 8) () =
+let serve_batch ?chaos ?batch ?stats_every ?metrics_out ?(jobs = 8) () =
   let lines =
     List.init jobs (fun i ->
         Tjson.to_string
@@ -456,7 +357,8 @@ let serve_batch ?chaos ?(jobs = 8) () =
   let ic = open_in_bin in_path and out = open_out_bin out_path in
   let summary =
     Pool.with_pool ~jobs:2 (fun pool ->
-        Service.serve ?chaos ~pool ~input:ic ~output:out ())
+        Service.serve ?chaos ?batch ?stats_every ?metrics_out
+          ~stats_sink:ignore ~pool ~input:ic ~output:out ())
   in
   close_in_noerr ic;
   close_out_noerr out;
@@ -486,28 +388,34 @@ let test_serve_events_carry_corr () =
      done
    with End_of_file -> close_in_noerr ic);
   Sys.remove path;
-  let serve_events =
+  let prefixed p e =
+    String.length e >= String.length p && String.sub e 0 (String.length p) = p
+  in
+  (* Every serve.* event, and every chaos.* event (a fault fires inside
+     the job it strikes), carries that job's id. *)
+  let job_events =
     List.filter_map
       (fun line ->
         match Tjson.parse line with
         | Error _ -> None
         | Ok j -> (
           match Tjson.member "event" j with
-          | Some (Tjson.Str e)
-            when String.length e >= 6 && String.sub e 0 6 = "serve." ->
+          | Some (Tjson.Str e) when prefixed "serve." e || prefixed "chaos." e ->
             Some (e, Tjson.member "corr" j)
           | _ -> None))
       (List.rev !lines)
   in
-  Alcotest.(check bool) "serve events were logged" true (serve_events <> []);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (p ^ "* events were logged") true
+        (List.exists (fun (e, _) -> prefixed p e) job_events))
+    [ "serve."; "chaos." ];
   List.iter
     (fun (e, corr) ->
       match corr with
-      | Some (Tjson.Str id)
-        when String.length id > 4 && String.sub id 0 4 = "job-" ->
-        ()
-      | _ -> Alcotest.failf "serve event %S lacks a job correlation id" e)
-    serve_events
+      | Some (Tjson.Str id) when prefixed "job-" id && id <> "job-" -> ()
+      | _ -> Alcotest.failf "event %S lacks a job correlation id" e)
+    job_events
 
 let test_serve_byte_identity_with_sinks () =
   (* The acceptance invariant: the result stream is identical whether
@@ -524,16 +432,15 @@ let test_serve_byte_identity_with_sinks () =
       lines
   in
   let _, bare = serve_batch ~chaos:[ Chaos.Pass_poison ] () in
-  let dir = temp_dir "identity" in
   let log_path = Filename.temp_file "eprec-obs" ".jsonl" in
   let metrics_path = Filename.temp_file "eprec-obs" ".prom" in
-  Recorder.configure ~dir ();
   Log.open_file log_path;
+  Recorder.set_trace true;
   let observed =
     Fun.protect
       ~finally:(fun () ->
         Log.close_file ();
-        Recorder.disable ())
+        Recorder.set_trace false)
       (fun () -> snd (serve_batch ~chaos:[ Chaos.Pass_poison ] ()))
   in
   Epre_telemetry.Exposition.write ~path:metrics_path;
@@ -594,20 +501,33 @@ let test_serve_stats_line () =
            && List.assoc_opt "name" s.Exposition.labels = Some "serve.job")
          samples))
 
+let test_serve_survives_failed_metrics_write () =
+  (* A metrics file that cannot be written (a directory squats on its
+     temp path) is counted, never raised: serving goes on to the end of
+     the input. *)
+  Metrics.reset_for_testing ();
+  let path = Filename.concat (temp_dir "metrics-out") "m.prom" in
+  Sys.mkdir (path ^ ".tmp") 0o755;
+  let summary, results =
+    serve_batch ~batch:1 ~stats_every:1 ~metrics_out:path ~jobs:2 ()
+  in
+  Alcotest.(check int) "every job served" 2 summary.Service.jobs;
+  Alcotest.(check int) "every result emitted" 2 (List.length results);
+  Alcotest.(check bool) "failed writes counted" true
+    (Metrics.get ~routine:"<service>" ~name:"metrics.write_failed" >= 2);
+  Alcotest.(check bool) "no exposition written" false (Sys.file_exists path);
+  Metrics.reset_for_testing ()
+
 let suite =
   [ Alcotest.test_case "bucket boundaries" `Quick test_bucket_boundaries;
     Alcotest.test_case "multi-domain merge is deterministic" `Quick
       test_merge_deterministic;
     Alcotest.test_case "quantiles within bucket resolution" `Quick
       test_quantile_accuracy;
-    Alcotest.test_case "ring wraparound keeps the newest" `Quick
-      test_ring_wraparound;
     Alcotest.test_case "disabled recorder is a no-op" `Quick
       test_disabled_recorder_is_noop;
-    Alcotest.test_case "trace keeps every span, dump keeps capacity" `Quick
-      test_trace_with_flight_ring;
-    Alcotest.test_case "dump on chaos:pass-poison carries the corr id"
-      `Quick test_dump_on_pass_poison;
+    Alcotest.test_case "trace keeps every span" `Quick
+      test_trace_keeps_every_span;
     Alcotest.test_case "with_corr nests and restores" `Quick
       test_with_corr_restores;
     Alcotest.test_case "stderr level filtering" `Quick test_log_level_filtering;
@@ -622,4 +542,6 @@ let suite =
     Alcotest.test_case "results identical with sinks on" `Quick
       test_serve_byte_identity_with_sinks;
     Alcotest.test_case "stats line and metrics-out" `Quick
-      test_serve_stats_line ]
+      test_serve_stats_line;
+    Alcotest.test_case "failed metrics-out write keeps serving" `Quick
+      test_serve_survives_failed_metrics_write ]

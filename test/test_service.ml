@@ -801,6 +801,28 @@ let test_journal_run_isolation () =
     (Journal.emitted ~run:(Journal.run j4) (Journal.entries j4));
   Journal.close j4
 
+let test_journal_open_failure () =
+  (* An unusable journal path raises [Sys_error], which serve reports as
+     a one-line diagnostic: a directory in the file's place, and a cache
+     directory that is a file. *)
+  let dir = Helpers.fresh_dir () in
+  let squatted = Filename.concat dir "journal.jsonl" in
+  Sys.mkdir dir 0o755;
+  Sys.mkdir squatted 0o755;
+  let file = Filename.concat dir "plain" in
+  close_out (open_out_bin file);
+  List.iter
+    (fun path ->
+      match Journal.open_ ~path () with
+      | j ->
+        Journal.close j;
+        Alcotest.failf "opened %s" path
+      | exception Sys_error m ->
+        Alcotest.(check bool) "message names the path" true
+          (String.length m > String.length path
+          && String.sub m 0 (String.length path) = path))
+    [ squatted; Filename.concat file "journal.jsonl" ]
+
 let test_serve_kill_resume_byte_identical () =
   (* The crash drill, in-process: a run killed mid-batch by
      chaos:kill-self, resumed from its journal, must complete the batch
@@ -1370,6 +1392,8 @@ let suite =
       test_journal_roundtrip;
     Alcotest.test_case "stale journal cannot satisfy a later resume" `Quick
       test_journal_run_isolation;
+    Alcotest.test_case "unopenable journal is a Sys_error" `Quick
+      test_journal_open_failure;
     Alcotest.test_case "kill-and-resume completes byte-identically" `Quick
       test_serve_kill_resume_byte_identical;
     Alcotest.test_case "degraded == direct run at lower level, oracle-equal"
