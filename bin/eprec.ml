@@ -19,7 +19,9 @@
                JSON results on stdout
 
    Parallelism (serve, workloads --check, fuzz):
-     --jobs N          worker domains (default: recommended domain count)
+     --jobs N          domains running jobs, the submitting one included
+                       (N - 1 spawned workers; default: recommended
+                       domain count)
 
    Supervision flags (compile, run, workloads --check):
      --safe            roll a failing pass back and keep optimizing
@@ -202,9 +204,11 @@ let jobs_arg =
     & opt (some int) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for parallel compilation (default: the \
-           machine's recommended domain count; $(b,1) forces the serial \
-           reference path).")
+          "Domains that run jobs in parallel, counting the submitting \
+           domain, which works while it waits: $(b,N) spawns $(b,N-1) \
+           worker domains, so $(b,N) cores are never oversubscribed \
+           (default: the machine's recommended domain count; $(b,1) \
+           spawns none and runs the serial reference path).")
 
 let effective_jobs = function
   | Some n -> max 1 n
@@ -1015,8 +1019,8 @@ let serve_cmd =
     [ `S Manpage.s_description;
       `P
         "Reads newline-delimited JSON compile jobs from stdin (or \
-         $(b,--input) FILE), optimizes each program on a pool of worker \
-         domains through a persistent content-hash result cache, and \
+         $(b,--input) FILE), optimizes each program on a pool of \
+         $(b,--jobs) domains through a persistent content-hash result cache, and \
          streams one JSON result line per job to stdout, in input order.";
       `P
         "A job names its program with exactly one of $(b,file) (source \
@@ -1039,7 +1043,8 @@ let serve_cmd =
          $(b,\\$XDG_CACHE_HOME/eprec), else $(b,~/.cache/eprec)) and \
          survives restarts: a routine whose (ILOC, pipeline fingerprint) \
          digest was optimized before — by any prior job or process — is \
-         replayed byte-identically without recompiling. Writes take an \
+         served as its stored ILOC text, byte-identical to a recompile \
+         and never re-parsed. Writes take an \
          advisory file lock, so concurrent serve processes can share one \
          cache directory.";
       `P
@@ -1116,7 +1121,7 @@ let serve_cmd =
       & info [ "batch" ] ~docv:"N"
           ~doc:
             "Jobs read and dispatched to the pool per round (default \
-             $(b,max 32 (4*jobs))); the bound on input read-ahead. \
+             $(b,max 32 (4*(jobs-1)))); the bound on input read-ahead. \
              Results still stream in input order.")
   in
   let cache_max_bytes_arg =

@@ -31,7 +31,8 @@ type config = {
           candidate that loops forever is rejected quickly *)
   pinpoint : bool;  (** bisect each failure to its culprit pass *)
   jobs : int;
-      (** worker domains for oracle checking ([--jobs]); case seeds are
+      (** domains for oracle checking ([--jobs], the submitting domain
+          included); case seeds are
           derived up front and failure handling (logging, reduction,
           corpus writes) stays serial in case order, so every output —
           log lines, summary, corpus — is byte-identical at any job

@@ -4,7 +4,7 @@
 
 module J = Epre_telemetry.Tjson
 
-let schema = "epre/cache-entry/v1"
+let schema = "epre/cache-entry/v2"
 
 let metrics_routine = "<service>"
 
@@ -171,33 +171,35 @@ let with_file_lock t f =
    and takes the poisoned-entry path instead of raising [End_of_file]. *)
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* Decode and fully validate one entry file. Any failure means the entry
-   is poisoned. *)
+let digest text = Digest.to_hex (Digest.string text)
+
+(* Decode and fully validate one entry file: schema, key, the stored
+   text's digest, the stats, and a text that opens the stats' routine.
+   Any failure means the entry is poisoned. The text itself is never
+   parsed — a hit serves it verbatim. *)
 let decode ~key:k text =
   match J.parse text with
   | Error _ -> None
   | Ok j ->
     let str f = match J.member f j with Some (J.Str s) -> Some s | _ -> None in
     let ( let* ) = Option.bind in
-    let* () = if str "schema" = Some schema then Some () else None in
-    let* () = if str "key" = Some k then Some () else None in
+    let check b = if b then Some () else None in
+    let* () = check (str "schema" = Some schema) in
+    let* () = check (str "key" = Some k) in
     let* iloc = str "iloc" in
+    let* () = check (str "iloc_md5" = Some (digest iloc)) in
     let* stats =
       match J.member "stats" j with
       | Some s -> Epre.Pipeline.stats_of_json s
       | None -> None
     in
-    let* routine =
-      match Epre_ir.Ir_text.parse_program iloc with
-      | prog -> (
-        match Epre_ir.Program.routines prog with [ r ] -> Some r | _ -> None)
-      | exception _ -> None
-    in
     let* () =
-      if routine.Epre_ir.Routine.name = stats.Epre.Pipeline.routine then Some ()
-      else None
+      check
+        (String.starts_with
+           ~prefix:("routine " ^ stats.Epre.Pipeline.routine ^ "(")
+           iloc)
     in
-    Some (routine, iloc, stats)
+    Some (iloc, stats)
 
 let find t ~key:k =
   Epre_telemetry.Telemetry.Span.with_ ~kind:"cache" ~hist:"cache.read"
@@ -227,6 +229,7 @@ let encode ~key:k ~fingerprint ~iloc ~stats =
        [ ("schema", J.Str schema);
          ("key", J.Str k);
          ("fingerprint", J.Str fingerprint);
+         ("iloc_md5", J.Str (digest iloc));
          ("iloc", J.Str iloc);
          ("stats", Epre.Pipeline.stats_to_json stats) ])
 

@@ -3,9 +3,10 @@
     A cache entry maps the digest of (canonical ILOC text of the input
     routine, pipeline fingerprint) to the optimized ILOC text plus the
     recorded [routine_stats]. Because the textual ILOC format round-trips
-    exactly and routines are optimized independently, replaying a hit is
-    byte-identical to recompiling: restore the routine from the stored
-    text, replay the stored statistics into the metrics registry, done.
+    exactly and routines are optimized independently, a hit is
+    byte-identical to recompiling: the stored text {e is} the result —
+    served verbatim, never parsed or re-printed — and the stored
+    statistics are replayed into the metrics registry.
 
     On-disk layout (survives restarts, shared between processes):
 
@@ -13,8 +14,10 @@
     <dir>/<first two hex chars of key>/<key>.json
     v}
 
-    one JSON object per entry ([{"schema":"epre/cache-entry/v1",
-    "key":..., "fingerprint":..., "iloc":..., "stats":{...}}]). Writes go
+    one JSON object per entry ([{"schema":"epre/cache-entry/v2",
+    "key":..., "fingerprint":..., "iloc_md5":..., "iloc":...,
+    "stats":{...}}]), where [iloc_md5] is the hex MD5 digest of [iloc].
+    Writes go
     through a temp file and [Sys.rename], so concurrent writers (pool
     workers, or two eprec processes sharing a cache dir) can never expose
     a torn entry.
@@ -29,10 +32,12 @@
     on their temp file — are spared even past the age cutoff.
 
     Failure semantics: a poisoned entry — unreadable file, malformed
-    JSON, wrong schema, key mismatch (hash collision or tampering), ILOC
-    that no longer parses or names a different routine — is deleted and
-    reported as a miss, so the service falls back to recompiling instead
-    of crashing or replaying garbage. A store that fails on I/O (an
+    JSON, wrong schema (a v1 entry included), key mismatch (hash
+    collision or tampering), ILOC whose digest does not match
+    [iloc_md5], malformed stats, or ILOC that does not open with
+    [routine <stats' routine>(] — is deleted and reported as a miss, so
+    the service falls back to recompiling (and rewrites the entry)
+    instead of crashing or replaying garbage. A store that fails on I/O (an
     unopenable [.lock], a full disk, a read-only directory) removes its
     temp file, bumps [cache.store_failed] and returns: the job keeps its
     freshly optimized routine and only a future hit is lost.
@@ -76,15 +81,11 @@ val dir : t -> string
     the entry's identity and file name. *)
 val key : iloc:string -> fingerprint:string -> string
 
-(** Look up an entry. A hit returns the optimized routine (freshly parsed
-    from the stored text — the caller owns it and may mutate it or
-    [Routine.restore] from it), the stored text itself, and the recorded
-    stats. Bumps [cache.hits] / [cache.misses] (and [cache.poisoned] when
-    a corrupt entry had to be discarded — a poisoned lookup is a miss). *)
-val find :
-  t ->
-  key:string ->
-  (Epre_ir.Routine.t * string * Epre.Pipeline.routine_stats) option
+(** Look up an entry. A hit returns the stored optimized ILOC text of
+    one routine, verbatim, and the recorded stats. Bumps [cache.hits] /
+    [cache.misses] (and [cache.poisoned] when a corrupt entry had to be
+    discarded — a poisoned lookup is a miss). *)
+val find : t -> key:string -> (string * Epre.Pipeline.routine_stats) option
 
 (** Persist an entry (last write wins), under the in-process mutex and
     the cross-process file lock. Never raises on I/O: a failed store

@@ -4,7 +4,7 @@
 let now_ns () = Epre_telemetry.Telemetry.Clock.now_ns ()
 
 type t = {
-  size : int;  (** worker domains; 0 = inline pool *)
+  size : int;  (** spawned worker domains; 0 = inline pool *)
   queue : (unit -> unit) Queue.t;  (** pending tasks of every batch *)
   lock : Mutex.t;  (** guards every mutable field and [queue] *)
   cv : Condition.t;
@@ -49,8 +49,10 @@ let worker_loop t i =
   in
   loop ()
 
+(* The submitting domain runs tasks too (it helps while it waits), so
+   [jobs] domains means [jobs - 1] spawned workers. *)
 let create ~jobs () =
-  let size = if jobs <= 1 then 0 else jobs in
+  let size = if jobs <= 1 then 0 else jobs - 1 in
   let t =
     { size; queue = Queue.create (); lock = Mutex.create ();
       cv = Condition.create (); busy_ns = Array.make size 0L;

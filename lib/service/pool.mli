@@ -7,6 +7,15 @@
     submitter helps execute queued tasks while it waits for its batch (so
     nested [map] calls from inside a task cannot deadlock the pool).
 
+    Sizing: [jobs] counts every domain that runs tasks, the submitter
+    included, so a pool of [jobs] spawns [jobs - 1] workers. The
+    submitter is busy for the whole batch, so spawning [jobs] workers
+    would put [jobs + 1] runnable domains on [jobs] cores. Every OCaml 5
+    minor collection stops all domains, and one the kernel has
+    descheduled then stalls the rest: on a 2-core host the benchmark's
+    serve traffic ran at ~520 jobs/s on two spawned workers and ~950 on
+    one.
+
     The traffic is flat: [Service.serve] submits batches of
     [max 32 (4 * size)] independent, millisecond-scale jobs, and
     [workloads --check] and [fuzz --jobs] one batch each. One lock round
@@ -20,8 +29,9 @@
     path.
 
     A pool of [jobs <= 1] spawns no domains: [map] runs inline on the
-    caller, which is the reference serial path that `--jobs 1` and the
-    benchmark baselines compare against.
+    caller, the one-domain case of the sizing rule and the reference
+    serial path that `--jobs 1` and the benchmark baselines compare
+    against.
 
     Safety contract for tasks: they may mutate only state reachable from
     their own input element (distinct jobs) plus the
@@ -30,15 +40,17 @@
 
 type t
 
-(** [create ~jobs ()]: [jobs >= 2] spawns [jobs] worker domains;
-    [jobs <= 1] creates an inline pool with no domains. *)
+(** [create ~jobs ()]: [jobs] domains run tasks, the submitter one of
+    them — [jobs >= 2] spawns [jobs - 1] worker domains; [jobs <= 1]
+    creates an inline pool with no domains. *)
 val create : jobs:int -> unit -> t
 
 (** [Domain.recommended_domain_count ()] — the default for every [--jobs]
     flag. *)
 val default_jobs : unit -> int
 
-(** Number of worker domains (0 for an inline pool). *)
+(** Number of spawned worker domains: [jobs - 1], or 0 for an inline
+    pool. *)
 val size : t -> int
 
 (** Per-element result of {!map_outcomes}. *)

@@ -5,8 +5,8 @@
     - {!Pool} fans jobs across domains while preserving input order, so
       parallel output is byte-identical to the serial path;
     - {!Cache} short-circuits routines whose (canonical ILOC, pipeline
-      fingerprint) digest was optimized before, replaying the stored text
-      and statistics;
+      fingerprint) digest was optimized before, serving the stored text
+      verbatim and replaying the stored statistics;
     - {!Policy} bounds each job with a deadline and optionally steps a
       failing job down the optimization levels, so one bad job is one
       [ok:false] (or degraded) result, never a dead server.
@@ -74,11 +74,17 @@ open Epre_ir
     every routine is a miss. *)
 type counts = { hits : int; misses : int }
 
-(** Optimize every routine of the program in place at [level], in
-    routine order. [cache] consults and fills the persistent cache per
-    routine. [poll] is called between routines and passes and may raise
-    to abandon the job (deadline enforcement). Stats come back in routine
-    order, byte-identical to the uncached path. [wrap] transforms each
+(** Optimize every routine of the program at [level], in routine order,
+    and return the stats, the cache traffic and the optimized program's
+    ILOC text — byte-identical to {!Epre_ir.Ir_text.print_program} of a
+    fully optimized program. [cache] consults and fills the persistent
+    cache per routine: a miss is optimized in place and stored; a hit
+    leaves its routine in the program untouched and contributes the
+    stored text verbatim, so after a cached call only the returned text
+    is the optimized program. [poll] is called between routines and
+    passes and may raise to abandon the job (deadline enforcement).
+    Stats come back in routine order, byte-identical to the uncached
+    path. [wrap] transforms each
     routine's pass list before it runs
     ({!Epre.Pipeline.optimize_routine}); cache entries are keyed by the
     level's standard fingerprint, so [wrap] may instrument passes or make
@@ -90,7 +96,7 @@ val optimize_program :
     (Epre_harness.Harness.named_pass list -> Epre_harness.Harness.named_pass list) ->
   level:Epre.Pipeline.level ->
   Program.t ->
-  Epre.Pipeline.routine_stats list * counts
+  Epre.Pipeline.routine_stats list * counts * string
 
 (** Per-job failure policy: deadline and degradation. *)
 module Policy : sig
@@ -173,8 +179,10 @@ val poisoned_pass : ?seed:int -> unit -> string option
     input, and otherwise steps down one rung when [policy.degrade] is on
     and a lower rung exists. Every result served below the requested
     level is translation-checked at the exec tier against the freshly
-    loaded program before reporting [Degraded]; a mismatch is a failure,
-    so the ladder keeps descending. [breaker] consults/updates the
+    loaded program before reporting [Degraded]: the served text is
+    parsed back into a program (the one parse a cache hit ever costs)
+    and both are run; a mismatch, or text that does not parse, is a
+    failure, so the ladder keeps descending. [breaker] consults/updates the
     per-pass circuit-breaker registry: opened passes are avoided by
     serving the highest level whose sequence lacks them (pure level run,
     standard fingerprint); when even the floor contains one, the rung
@@ -230,7 +238,8 @@ exception Killed
     [stats_every] emits a one-line progress summary to [stats_sink]
     (default stderr) after every N completed jobs and once at the end:
     job count, throughput, cache hit rate, p50/p99 job latency from the
-    [serve.job] histogram, and per-domain pool utilization. [metrics_out]
+    [serve.job] histogram, and pool utilization with one figure per
+    domain (each spawned worker, then the submitting domain). [metrics_out]
     writes the full Prometheus-style exposition
     ({!Epre_telemetry.Exposition.write}, atomic temp+rename) on each
     stats tick and once when the input is drained; a failed write is

@@ -1,9 +1,9 @@
 (** Log-scale latency histograms. See the interface for the bucket
     scheme; the sharding protocol is described inline.
 
-    Recording is contention-free in the steady state: each domain lands
-    on its own shard (domain id mod [shard_slots]), so the per-shard
-    mutex is uncontended unless more than [shard_slots] domains exist.
+    Recording is contention-free in the steady state: each live domain
+    holds its own shard slot, so the per-shard mutex is uncontended
+    unless more than [shard_slots] domains exist.
     Merging sums integer bucket counts, so a merged read is the same
     whatever order the shards filled in. *)
 
@@ -49,7 +49,39 @@ type shard = {
   mutable max_v : int;
 }
 
-let shard_slots = 64 (* power of two; domain ids wrap around it *)
+let shard_slots = 64
+
+(* Slots are handed out, not derived from domain ids: OCaml never reuses
+   a domain id, so id-derived shards gave every worker of every new pool
+   a fresh shard, and a fresh bucket array in each histogram it recorded
+   into — up to 64 per histogram in a process that keeps creating
+   pools. A domain takes the lowest free slot on its first record and
+   frees it when it exits; a later domain then records into the same
+   shard, whose counts stay in every merge. Past [shard_slots] live
+   domains the last slot is shared, which its mutex keeps correct. *)
+let slot_lock = Mutex.create ()
+
+let slot_held = Array.make shard_slots false
+
+let slot_key : int option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let slot () =
+  match Domain.DLS.get slot_key with
+  | Some i -> i
+  | None ->
+    Mutex.lock slot_lock;
+    let rec lowest i =
+      if i = shard_slots - 1 || not slot_held.(i) then i else lowest (i + 1)
+    in
+    let i = lowest 0 in
+    slot_held.(i) <- true;
+    Mutex.unlock slot_lock;
+    Domain.DLS.set slot_key (Some i);
+    Domain.at_exit (fun () ->
+        Mutex.lock slot_lock;
+        slot_held.(i) <- false;
+        Mutex.unlock slot_lock);
+    i
 
 type t = { shards : shard array }
 
@@ -61,7 +93,7 @@ let create () =
 
 let record t v =
   let v = if v < 0 then 0 else v in
-  let s = t.shards.((Domain.self () :> int) land (shard_slots - 1)) in
+  let s = t.shards.(slot ()) in
   Mutex.lock s.lock;
   if Array.length s.counts = 0 then s.counts <- Array.make num_buckets 0;
   let b = bucket_of_value v in

@@ -6,10 +6,12 @@
     bound — quantiles are exact to within 12.5%. Buckets cover every
     non-negative OCaml int, so nanosecond latencies up to decades fit.
 
-    Recording takes the recording domain's own shard (domain id mod 64),
-    whose mutex is uncontended in the steady state — workers of the
-    compile-service pool ([Epre_service.Pool]) record concurrently
-    without sharing a cache line or a lock. [merged] sums the shards'
+    Recording takes the recording domain's own shard (one of 64 slots,
+    the lowest free one, held until the domain exits), whose mutex is
+    uncontended in the steady state — workers of the compile-service
+    pool ([Epre_service.Pool]) record concurrently without sharing a
+    cache line or a lock, and the workers of a later pool reuse the
+    shards of an earlier one's. [merged] sums the shards'
     integer bucket counts, so the merged view is independent of which
     domain recorded what in which order.
 

@@ -13,21 +13,36 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
+let plain c = c <> '"' && c <> '\\' && Char.code c >= 0x20
+
+(* Append [s] escaped, copying each run of plain bytes in one go. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let copy start i = if i > start then Buffer.add_substring buf s start (i - start) in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if not (plain c) then begin
+      copy !start i;
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\t' -> Buffer.add_string buf "\\t"
       | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      start := i + 1
+    end
+  done;
+  copy !start n
+
+let escape s =
+  if String.for_all plain s then s
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    add_escaped buf s;
+    Buffer.contents buf
+  end
 
 (* Integral values print as integers; everything else keeps three decimals
    (microsecond timestamps at nanosecond resolution need exactly three). *)
@@ -44,7 +59,7 @@ let rec write buf = function
     else Buffer.add_string buf "null"
   | Str s ->
     Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
+    add_escaped buf s;
     Buffer.add_char buf '"'
   | Arr xs ->
     Buffer.add_char buf '[';
@@ -60,7 +75,7 @@ let rec write buf = function
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
+        add_escaped buf k;
         Buffer.add_string buf "\":";
         write buf v)
       fields;
@@ -115,14 +130,32 @@ let hex_digit c ch =
   | 'A' .. 'F' -> Char.code ch - Char.code 'A' + 10
   | _ -> fail c "bad \\u escape"
 
+(* Strings are read a run at a time: a run of plain bytes is found by
+   index and copied whole, so a string with no escapes is one [String.sub]
+   and no [Buffer]. *)
 let parse_string c =
   expect c '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> fail c "unterminated string"
-    | Some '"' -> advance c
-    | Some '\\' ->
+  let src = c.src in
+  let n = String.length src in
+  let rec run_end i = if i < n && plain (String.unsafe_get src i) then run_end (i + 1) else i in
+  let rec go buf =
+    let start = c.pos in
+    let stop = run_end start in
+    c.pos <- stop;
+    if stop >= n then fail c "unterminated string";
+    match src.[stop] with
+    | '"' -> (
+      advance c;
+      match buf with
+      | None -> String.sub src start (stop - start)
+      | Some buf ->
+        Buffer.add_substring buf src start (stop - start);
+        Buffer.contents buf)
+    | '\\' ->
+      let buf =
+        match buf with Some b -> b | None -> Buffer.create (stop - start + 16)
+      in
+      Buffer.add_substring buf src start (stop - start);
       advance c;
       (match peek c with
       | Some '"' -> Buffer.add_char buf '"'; advance c
@@ -135,10 +168,10 @@ let parse_string c =
       | Some 't' -> Buffer.add_char buf '\t'; advance c
       | Some 'u' ->
         advance c;
-        if c.pos + 4 > String.length c.src then fail c "bad \\u escape";
+        if c.pos + 4 > n then fail c "bad \\u escape";
         let code =
           List.fold_left
-            (fun acc i -> (acc * 16) + hex_digit c c.src.[c.pos + i])
+            (fun acc i -> (acc * 16) + hex_digit c src.[c.pos + i])
             0 [ 0; 1; 2; 3 ]
         in
         c.pos <- c.pos + 4;
@@ -146,15 +179,10 @@ let parse_string c =
         | u -> Buffer.add_utf_8_uchar buf u
         | exception Invalid_argument _ -> fail c "bad \\u escape")
       | _ -> fail c "bad escape");
-      go ()
-    | Some ch when Char.code ch < 0x20 -> fail c "raw control character in string"
-    | Some ch ->
-      Buffer.add_char buf ch;
-      advance c;
-      go ()
+      go (Some buf)
+    | _ -> fail c "raw control character in string"
   in
-  go ();
-  Buffer.contents buf
+  go None
 
 let parse_number c =
   let start = c.pos in

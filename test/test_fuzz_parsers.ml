@@ -185,18 +185,21 @@ let cache_fixture =
 
 let cache_poisoned_entry =
   Helpers.qcheck_case ~count:300 "fuzz" "garbled cache entry: None, counted, removed"
-    Gen.(pair gen_serve_soup (option ir_text_soup))
-    (fun (soup, iloc) ->
+    Gen.(pair gen_serve_soup (option (pair bool ir_text_soup)))
+    (fun (soup, entry) ->
       let cache, key, path, stats = Lazy.force cache_fixture in
-      (* Soup, or a well-formed entry whose ILOC is soup. *)
+      (* Soup, or a well-formed v2 entry whose ILOC is soup, under a wrong
+         digest or its own: the digest check catches the first, and the
+         [routine g(] header check the second. *)
       write_file path
-        (match iloc with
+        (match entry with
         | None -> soup
-        | Some iloc ->
+        | Some (digest_matches, iloc) ->
+          let md5 = Digest.to_hex (Digest.string (if digest_matches then iloc else iloc ^ " ")) in
           Tjson.to_string
             (Tjson.Obj
-               [ ("schema", Tjson.Str "epre/cache-entry/v1"); ("key", Tjson.Str key);
-                 ("iloc", Tjson.Str iloc); ("stats", stats) ]));
+               [ ("schema", Tjson.Str "epre/cache-entry/v2"); ("key", Tjson.Str key);
+                 ("iloc_md5", Tjson.Str md5); ("iloc", Tjson.Str iloc); ("stats", stats) ]));
       let poisoned () = Epre_telemetry.Metrics.get ~routine:"<service>" ~name:"cache.poisoned" in
       let before = poisoned () in
       Cache.find cache ~key = None && poisoned () = before + 1 && not (Sys.file_exists path))

@@ -101,6 +101,22 @@ let test_merge_deterministic () =
         (Hist.quantile ms q) (Hist.quantile mc q))
     [ 0.5; 0.9; 0.99; 1.0 ]
 
+let test_successive_domains_share_a_shard () =
+  (* Domains that run one after another record into one shard, so a
+     process that keeps creating pools does not grow each histogram by a
+     bucket array per new domain. *)
+  let h = Hist.create () in
+  Hist.record h 1;
+  let one_more () = Domain.join (Domain.spawn (fun () -> Hist.record h 1)) in
+  one_more ();
+  let words () = Obj.reachable_words (Obj.repr h) in
+  let after_one = words () in
+  for _ = 1 to 16 do
+    one_more ()
+  done;
+  Alcotest.(check int) "no shard allocated after the first worker" after_one (words ());
+  Alcotest.(check int) "every record merged" 18 (Hist.merged h).Hist.count
+
 let test_quantile_accuracy () =
   (* Histogram quantiles land within one log-scale bucket (12.5%) of the
      exact order statistic, for a skewed sample. *)
@@ -478,10 +494,23 @@ let test_serve_stats_line () =
   Sys.remove in_path;
   Alcotest.(check int) "all jobs served" 6 summary.Service.jobs;
   Alcotest.(check bool) "stats lines emitted" true (!stats_lines <> []);
+  (* [util] has one figure per domain: the spawned worker of a
+     [~jobs:2] pool, then the submitting domain. *)
+  let util_figures line =
+    match List.rev (String.split_on_char ' ' line) with
+    | last :: "util" :: _ when String.ends_with ~suffix:"%" last ->
+      String.split_on_char '/' (String.sub last 0 (String.length last - 1))
+    | _ -> []
+  in
   List.iter
     (fun line ->
       Alcotest.(check bool) "stats line shape" true
-        (String.length line > 6 && String.sub line 0 6 = "stats:"))
+        (String.length line > 6 && String.sub line 0 6 = "stats:");
+      let figures = util_figures line in
+      Alcotest.(check int) ("one util figure per domain: " ^ line) 2
+        (List.length figures);
+      Alcotest.(check bool) ("util figures are numbers: " ^ line) true
+        (List.for_all (fun f -> int_of_string_opt f <> None) figures))
     !stats_lines;
   (* The exposition landed and parses. *)
   let ic = open_in_bin metrics_path in
@@ -522,6 +551,8 @@ let suite =
   [ Alcotest.test_case "bucket boundaries" `Quick test_bucket_boundaries;
     Alcotest.test_case "multi-domain merge is deterministic" `Quick
       test_merge_deterministic;
+    Alcotest.test_case "successive domains share a shard" `Quick
+      test_successive_domains_share_a_shard;
     Alcotest.test_case "quantiles within bucket resolution" `Quick
       test_quantile_accuracy;
     Alcotest.test_case "disabled recorder is a no-op" `Quick

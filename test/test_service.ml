@@ -115,9 +115,42 @@ let test_pool_concurrent_submitters () =
       Alcotest.(check int) "nested tasks ran once each"
         (submitters * (n / 10) * fanout) (Atomic.get nested_runs);
       let st = Pool.stats pool in
-      Alcotest.(check int) "one busy slot per worker" 4 (Array.length st.Pool.busy_ns);
+      Alcotest.(check int) "one busy slot per spawned worker" 3
+        (Array.length st.Pool.busy_ns);
       Alcotest.(check bool) "workers recorded busy time" true
         (Array.fold_left Int64.add 0L st.Pool.busy_ns > 0L))
+
+let test_pool_in_flight_bound () =
+  (* [jobs] counts the submitter: a pool of [jobs] never runs more than
+     [jobs] tasks at once. With a spawned worker per job, the helping
+     submitter made it [jobs + 1], more domains than cores. *)
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          let in_flight = Atomic.make 0 and peak = Atomic.make 0 in
+          let rec raise_peak n =
+            let p = Atomic.get peak in
+            if n > p && not (Atomic.compare_and_set peak p n) then raise_peak n
+          in
+          let spin () =
+            let t0 = Unix.gettimeofday () in
+            while Unix.gettimeofday () -. t0 < 0.002 do () done
+          in
+          ignore
+            (Pool.map pool
+               (fun () ->
+                 raise_peak (Atomic.fetch_and_add in_flight 1 + 1);
+                 spin ();
+                 Atomic.decr in_flight)
+               (Array.make 64 ()));
+          Alcotest.(check int) (Printf.sprintf "jobs=%d spawned workers" jobs)
+            (jobs - 1) (Pool.size pool);
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs=%d: at most %d in flight, saw %d" jobs jobs
+               (Atomic.get peak))
+            true
+            (Atomic.get peak <= jobs)))
+    [ 2; 4 ]
 
 let test_pool_outcome_mix () =
   (* Every job runs to an outcome: failures are contained per index and
@@ -148,21 +181,22 @@ let test_cache_second_run_all_hits () =
   let dir = Helpers.fresh_dir () in
   let cache = Cache.create ~dir () in
   let cold = Epre_workloads.Workloads.compile (Option.get (Epre_workloads.Workloads.find "crout")) in
-  let cold_stats, cold_counts =
+  let cold_stats, cold_counts, cold_text =
     Service.optimize_program ~cache ~level:Pipeline.Partial cold
   in
   Alcotest.(check int) "cold run misses everything"
     (List.length cold_stats) cold_counts.Service.misses;
   Alcotest.(check int) "cold run hits nothing" 0 cold_counts.Service.hits;
   let warm = Epre_workloads.Workloads.compile (Option.get (Epre_workloads.Workloads.find "crout")) in
-  let warm_stats, warm_counts =
+  let warm_stats, warm_counts, warm_text =
     Service.optimize_program ~cache ~level:Pipeline.Partial warm
   in
   Alcotest.(check int) "warm run hits everything"
     (List.length warm_stats) warm_counts.Service.hits;
   Alcotest.(check int) "warm run misses nothing" 0 warm_counts.Service.misses;
-  Alcotest.(check string) "identical optimized text" (program_text cold)
-    (program_text warm);
+  Alcotest.(check string) "cold text is the printed program" (program_text cold)
+    cold_text;
+  Alcotest.(check string) "identical optimized text" cold_text warm_text;
   Alcotest.(check bool) "identical stats" true (cold_stats = warm_stats)
 
 let test_cache_survives_reopen () =
@@ -170,19 +204,17 @@ let test_cache_survives_reopen () =
      sees the first one's entries. *)
   let dir = Helpers.fresh_dir () in
   let w = Option.get (Epre_workloads.Workloads.find "dot") in
-  let first = Epre_workloads.Workloads.compile w in
-  let _ =
+  let _, _, first =
     Service.optimize_program ~cache:(Cache.create ~dir ())
-      ~level:Pipeline.Partial first
+      ~level:Pipeline.Partial (Epre_workloads.Workloads.compile w)
   in
-  let second = Epre_workloads.Workloads.compile w in
-  let stats, counts =
+  let stats, counts, second =
     Service.optimize_program ~cache:(Cache.create ~dir ())
-      ~level:Pipeline.Partial second
+      ~level:Pipeline.Partial (Epre_workloads.Workloads.compile w)
   in
   Alcotest.(check int) "all hits after reopen" (List.length stats)
     counts.Service.hits;
-  Alcotest.(check string) "same text" (program_text first) (program_text second)
+  Alcotest.(check string) "same text" first second
 
 let test_cache_fingerprint_invalidation () =
   (* Same input at a different level must miss: the fingerprint is part
@@ -194,7 +226,7 @@ let test_cache_fingerprint_invalidation () =
     Service.optimize_program ~cache ~level:Pipeline.Partial
       (Epre_workloads.Workloads.compile w)
   in
-  let stats, counts =
+  let stats, counts, _ =
     Service.optimize_program ~cache ~level:Pipeline.Reassociation
       (Epre_workloads.Workloads.compile w)
   in
@@ -224,8 +256,10 @@ let test_cache_poisoned_entry_recompiles () =
   let dir = Helpers.fresh_dir () in
   let cache = Cache.create ~dir () in
   let w = Option.get (Epre_workloads.Workloads.find "euclid") in
-  let reference = Epre_workloads.Workloads.compile w in
-  let _ = Service.optimize_program ~cache ~level:Pipeline.Partial reference in
+  let _, _, reference =
+    Service.optimize_program ~cache ~level:Pipeline.Partial
+      (Epre_workloads.Workloads.compile w)
+  in
   (* Corrupt every stored entry in a different way each time. *)
   List.iter
     (fun corruption ->
@@ -236,19 +270,102 @@ let test_cache_poisoned_entry_recompiles () =
             close_out oc)
       in
       Alcotest.(check bool) "entries exist to corrupt" true (n > 0);
-      let prog = Epre_workloads.Workloads.compile w in
-      let stats, counts =
-        Service.optimize_program ~cache ~level:Pipeline.Partial prog
+      let stats, counts, text =
+        Service.optimize_program ~cache ~level:Pipeline.Partial
+          (Epre_workloads.Workloads.compile w)
       in
       (* Every poisoned entry is a miss (plus a deletion), and the result
          is the honest recompile. *)
       Alcotest.(check int) "poisoned -> recompile" (List.length stats)
         counts.Service.misses;
-      Alcotest.(check string) "recompiled text equals reference"
-        (program_text reference) (program_text prog))
+      Alcotest.(check string) "recompiled text equals reference" reference text)
     [ "not json at all";
       "{\"schema\":\"epre/cache-entry/v1\",\"key\":\"wrong\"}";
       "{\"schema\":\"something/else\",\"iloc\":\"x\"}" ]
+
+(* The entry file of every routine of [prog] at [level], keyed as
+   [Service.optimize_program] keys them. *)
+let entry_keys ~level prog =
+  let fingerprint = Pipeline.fingerprint ~level in
+  List.map
+    (fun r -> Cache.key ~iloc:(Ir_text.routine_to_string r) ~fingerprint)
+    (Program.routines prog)
+
+let test_cache_hit_is_stored_text () =
+  (* A hit serves the stored text verbatim: the warm result is the
+     concatenation of the stored entries, and byte-equal to printing an
+     uncached compile. *)
+  let cache = Cache.create ~dir:(Helpers.fresh_dir ()) () in
+  let prog () = Epre_frontend.Frontend.compile_string (Epre_fuzz.Gen.source 3) in
+  let level = Pipeline.Partial in
+  ignore (Service.optimize_program ~cache ~level (prog ()));
+  let stats, counts, warm = Service.optimize_program ~cache ~level (prog ()) in
+  Alcotest.(check int) "all hits" (List.length stats) counts.Service.hits;
+  let stored =
+    List.map
+      (fun key ->
+        match Cache.find cache ~key with
+        | Some (iloc, _) -> iloc ^ "\n"
+        | None -> Alcotest.fail "entry missing")
+      (entry_keys ~level (prog ()))
+  in
+  Alcotest.(check string) "hit text == stored iloc" (String.concat "" stored) warm;
+  let uncached = prog () in
+  ignore (Service.optimize_program ~level uncached);
+  Alcotest.(check string) "hit text == uncached print_program"
+    (program_text uncached) warm
+
+let test_cache_v1_entry_rewritten () =
+  (* An entry in the previous schema (no digest) is a counted poisoned
+     miss, and the recompile rewrites it in the current schema. *)
+  let dir = Helpers.fresh_dir () in
+  let cache = Cache.create ~dir () in
+  let w = Option.get (Epre_workloads.Workloads.find "crout") in
+  let level = Pipeline.Partial in
+  let _, _, reference =
+    Service.optimize_program ~cache ~level (Epre_workloads.Workloads.compile w)
+  in
+  let schema_of path =
+    match Tjson.parse (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok j -> Tjson.member "schema" j
+    | Error m -> Alcotest.failf "entry does not parse: %s" m
+  in
+  let n =
+    corrupt_entries dir (fun path ->
+        match Tjson.parse (In_channel.with_open_bin path In_channel.input_all) with
+        | Ok (Tjson.Obj fields) ->
+          let v1 =
+            List.filter_map
+              (function
+                | "schema", _ -> Some ("schema", Tjson.Str "epre/cache-entry/v1")
+                | "iloc_md5", _ -> None
+                | kv -> Some kv)
+              fields
+          in
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc (Tjson.to_string (Tjson.Obj v1)))
+        | _ -> Alcotest.fail "entry is not an object")
+  in
+  Alcotest.(check bool) "entries to downgrade" true (n > 0);
+  let poisoned () =
+    Epre_telemetry.Metrics.get ~routine:"<service>" ~name:"cache.poisoned"
+  in
+  let before = poisoned () in
+  let _, counts, text =
+    Service.optimize_program ~cache ~level (Epre_workloads.Workloads.compile w)
+  in
+  Alcotest.(check int) "v1 entries miss" n counts.Service.misses;
+  Alcotest.(check int) "v1 entries counted poisoned" n (poisoned () - before);
+  Alcotest.(check string) "recompiled text" reference text;
+  ignore
+    (corrupt_entries dir (fun path ->
+         Alcotest.(check bool) "rewritten as v2" true
+           (schema_of path = Some (Tjson.Str "epre/cache-entry/v2"))));
+  let _, counts, text =
+    Service.optimize_program ~cache ~level (Epre_workloads.Workloads.compile w)
+  in
+  Alcotest.(check int) "rewritten entries hit" n counts.Service.hits;
+  Alcotest.(check string) "hit text" reference text
 
 let test_cache_eviction () =
   let dir = Helpers.fresh_dir () in
@@ -270,7 +387,8 @@ let some_stats () =
     Epre_workloads.Workloads.compile
       (Option.get (Epre_workloads.Workloads.find "saxpy"))
   in
-  List.hd (fst (Service.optimize_program ~level:Pipeline.Baseline prog))
+  let stats, _, _ = Service.optimize_program ~level:Pipeline.Baseline prog in
+  List.hd stats
 
 let test_cache_byte_budget () =
   (* Entries whose total size exceeds --cache-max-bytes are evicted
@@ -356,7 +474,7 @@ let test_cache_concurrent_stores () =
   let cache = Cache.create ~dir () in
   List.iteri
     (fun i p ->
-      let stats, counts =
+      let stats, counts, text =
         Service.optimize_program ~cache ~level:Pipeline.Partial p
       in
       Alcotest.(check int)
@@ -364,7 +482,7 @@ let test_cache_concurrent_stores () =
         (List.length stats) counts.Service.hits;
       Alcotest.(check string)
         (Printf.sprintf "program %d text intact" i)
-        (List.nth reference i) (program_text p))
+        (List.nth reference i) text)
     (progs ())
 
 let test_cache_find_survives_torn_read () =
@@ -377,7 +495,8 @@ let test_cache_find_survives_torn_read () =
   let prog =
     Epre_workloads.Workloads.compile (Option.get (Epre_workloads.Workloads.find "saxpy"))
   in
-  let stats = List.hd (fst (Service.optimize_program ~level:Pipeline.Baseline prog)) in
+  let stats, _, _ = Service.optimize_program ~level:Pipeline.Baseline prog in
+  let stats = List.hd stats in
   let iloc = Ir_text.routine_to_string (List.hd (Program.routines prog)) in
   let fingerprint = Pipeline.fingerprint ~level:Pipeline.Baseline in
   let key = Cache.key ~iloc ~fingerprint in
@@ -930,6 +1049,54 @@ let test_degraded_byte_identical_and_oracle () =
            (Epre_harness.Harness.observe ~fuel optimized)))
     [ 1; 2; 3; 4; 5 ]
 
+let test_degraded_from_warm_entries_validated () =
+  (* A degraded job whose routines all hit is still translation-checked:
+     served from honest warm entries it is degraded, and once its entry
+     at the served level holds another program's (well-formed) text, that
+     text is rejected at the exec tier instead of served. *)
+  let _, requested = poisoned_level () in
+  let policy = { Service.Policy.default with degrade = true } in
+  let cache = Cache.create ~dir:(Helpers.fresh_dir ()) () in
+  let src k = Printf.sprintf "fn main(): int { emit(%d); return %d; }" k k in
+  let run () =
+    Service.run_job ~cache ~policy ~chaos:[ Chaos.Pass_poison ]
+      { Service.id = "warm-degraded"; level = requested;
+        input = Service.Source (src 1); emit = true }
+  in
+  let cold = run () in
+  Alcotest.(check bool) "cold run degraded" true (cold.Service.outcome = Service.Degraded);
+  let served = cold.Service.job_level in
+  let warm = run () in
+  Alcotest.(check bool) "warm run degraded" true (warm.Service.outcome = Service.Degraded);
+  Alcotest.(check bool) "warm run served from the cache" true
+    (warm.Service.job_counts.Service.hits > 0);
+  Alcotest.(check bool) "warm text == cold text" true
+    (warm.Service.iloc = cold.Service.iloc);
+  (* Plant [main] of [src 2], optimized at the served level, under the
+     key of [src 1]'s [main]: a valid entry with the wrong behaviour. *)
+  let _, _, other =
+    Service.optimize_program ~level:served
+      (Epre_frontend.Frontend.compile_string (src 2))
+  in
+  let other = String.sub other 0 (String.length other - 1) in
+  let fingerprint = Pipeline.fingerprint ~level:served in
+  (match
+     entry_keys ~level:served (Epre_frontend.Frontend.compile_string (src 1))
+   with
+  | [ key ] -> (
+    match Cache.find cache ~key with
+    | Some (_, stats) -> Cache.store cache ~key ~fingerprint ~iloc:other ~stats
+    | None -> Alcotest.fail "no warm entry at the served level")
+  | _ -> Alcotest.fail "expected one routine");
+  let invalid () =
+    Epre_telemetry.Metrics.get ~routine:"<service>" ~name:"serve.degraded_invalid"
+  in
+  let before = invalid () in
+  let r = run () in
+  Alcotest.(check bool) "planted text rejected" true (invalid () > before);
+  Alcotest.(check bool) "planted text never served" true
+    (r.Service.iloc <> Some (other ^ "\n"))
+
 let test_breaker_opens_and_short_circuits () =
   (* Three consecutive poisoned failures open the pass's breaker; from
      then on jobs skip the poisoned rung entirely (one attempt, served
@@ -1361,6 +1528,8 @@ let suite =
     Alcotest.test_case "pool nested map" `Quick test_pool_nested_map;
     Alcotest.test_case "pool concurrent submitters" `Quick
       test_pool_concurrent_submitters;
+    Alcotest.test_case "pool runs at most jobs tasks at once" `Quick
+      test_pool_in_flight_bound;
     Alcotest.test_case "outcome protocol contains failures" `Quick
       test_pool_outcome_mix;
     Alcotest.test_case "second run all cache hits" `Quick
@@ -1370,6 +1539,10 @@ let suite =
       test_cache_fingerprint_invalidation;
     Alcotest.test_case "poisoned entry recompiles" `Quick
       test_cache_poisoned_entry_recompiles;
+    Alcotest.test_case "a hit is the stored text" `Quick
+      test_cache_hit_is_stored_text;
+    Alcotest.test_case "a v1 entry is a poisoned miss, rewritten" `Quick
+      test_cache_v1_entry_rewritten;
     Alcotest.test_case "eviction bounds entries" `Quick test_cache_eviction;
     Alcotest.test_case "eviction bounds bytes" `Quick test_cache_byte_budget;
     Alcotest.test_case "orphaned temp sweep" `Quick test_cache_sweep_temp;
@@ -1398,6 +1571,8 @@ let suite =
       test_serve_kill_resume_byte_identical;
     Alcotest.test_case "degraded == direct run at lower level, oracle-equal"
       `Slow test_degraded_byte_identical_and_oracle;
+    Alcotest.test_case "degraded job from warm entries is exec-validated" `Quick
+      test_degraded_from_warm_entries_validated;
     Alcotest.test_case "breaker opens and short-circuits the ladder" `Quick
       test_breaker_opens_and_short_circuits;
     Alcotest.test_case "breaker half-open probe protocol" `Quick

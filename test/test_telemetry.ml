@@ -49,6 +49,48 @@ let test_tjson_unicode () =
   | Ok (Tjson.Str s) -> Alcotest.(check string) "utf-8 decoded" "a\xc3\xa9b" s
   | Ok _ | Error _ -> Alcotest.fail "unicode escape did not parse to a string"
 
+(* The per-byte encoder [Tjson.escape] must agree with: a quote, a
+   backslash, \n, \t and \r as two-character escapes, any other byte
+   below 0x20 as \u00XX, every other byte (UTF-8 included) verbatim. *)
+let reference_escape s =
+  let buf = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+(* Byte strings weighted toward what escaping cares about: long plain
+   runs, quotes, backslashes, control bytes and multi-byte UTF-8. *)
+let gen_json_bytes =
+  let open QCheck2.Gen in
+  let piece =
+    oneof
+      [ string_size ~gen:printable (int_range 0 40);
+        oneofl [ "\""; "\\"; "\n"; "\t"; "\r"; "\000"; "\031"; "\127"; "\u{e9}";
+                 "\u{1F600}"; "\xff"; "\\u0041"; "/" ];
+        string_size ~gen:(char_range '\000' '\255') (int_range 0 8) ]
+  in
+  map (String.concat "") (list_size (int_range 0 12) piece)
+
+let tjson_escape_matches_reference =
+  Helpers.qcheck_case ~count:1000 "tjson" "escape equals the per-byte encoder"
+    gen_json_bytes (fun s -> Tjson.escape s = reference_escape s)
+
+let tjson_string_roundtrip =
+  Helpers.qcheck_case ~count:1000 "tjson" "a string parses back to itself"
+    gen_json_bytes (fun s ->
+      Tjson.parse (Tjson.to_string (Tjson.Str s)) = Ok (Tjson.Str s)
+      && Tjson.to_string (Tjson.Str s) = "\"" ^ reference_escape s ^ "\"")
+
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
 
@@ -447,6 +489,8 @@ let suite =
     Alcotest.test_case "tjson round-trip" `Quick test_tjson_roundtrip;
     Alcotest.test_case "tjson rejects malformed input" `Quick test_tjson_rejects;
     Alcotest.test_case "tjson unicode escapes" `Quick test_tjson_unicode;
+    tjson_escape_matches_reference;
+    tjson_string_roundtrip;
     Alcotest.test_case "span nesting and caught exceptions" `Quick
       test_span_nesting_and_exceptions;
     Alcotest.test_case "escaping exception keeps balance" `Quick
