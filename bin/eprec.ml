@@ -1288,6 +1288,7 @@ let serve_cmd =
     let close () =
       if input <> None then close_in_noerr ic;
       Option.iter Epre_service.Journal.close journal;
+      Option.iter Epre_service.Cache.close cache;
       Epre_telemetry.Log.close_file ()
     in
     let summary =

@@ -130,6 +130,9 @@ let check_ir ~pass ~tc v (r : Routine.t) =
 let rolled_back records =
   List.filter (fun r -> match r.outcome with Rolled_back _ -> true | Passed -> false) records
 
+(* The fuel a completed run burned: one unit per operation and phi move. *)
+let fuel_burned (c : Epre_interp.Counts.t) = Epre_interp.Counts.total c + c.Epre_interp.Counts.phis
+
 let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
   (* Post-pass interpretation gets a budget derived from the reference run,
      so a pass that introduces an infinite loop burns seconds, not the full
@@ -139,6 +142,11 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
      unless the reference run burned more fuel (phi moves count too) than
      the budget derived from its operation count. *)
   let reproducible = ref true in
+  (* An upper bound on the fuel a run of the current program burns: what
+     the last real observation burned, times the growth of each step
+     certified since. A step is certified only while it stays within
+     [check_fuel], so a certified program still completes under it. *)
+  let fuel_bound = ref infinity in
   let current_obs =
     if config.validation = Exec then begin
       let obs, counts = observe_run ~fuel:config.fuel p in
@@ -146,7 +154,8 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
         (fun c ->
           let n = Epre_interp.Counts.total c in
           check_fuel := min config.fuel ((4 * n) + 10_000);
-          reproducible := n + c.Epre_interp.Counts.phis <= !check_fuel)
+          fuel_bound := float_of_int (fuel_burned c);
+          reproducible := fuel_burned c <= !check_fuel)
         counts;
       Some obs
     end
@@ -256,16 +265,36 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
                    equal to its snapshot would observe [before] again. *)
                 | Some _ when !reproducible && unchanged -> accept meta
                 | Some before -> begin
-                  match observe ~fuel:!check_fuel p with
-                  | after when obs_equal before after ->
-                    current_obs := Some after;
-                    reproducible := true;
+                  (* A certified step computes exactly what its input did
+                     on the observed run, within [check_fuel]; so
+                     [before] is what observing it would give. *)
+                  let growth =
+                    match (before, Epre_verify.Certify.find np.pass_name) with
+                    | Ok _, Some check when !reproducible -> check ~before:snapshot ~after:r
+                    | _ -> None
+                  in
+                  let count what =
+                    Epre_telemetry.Metrics.incr ~routine:r.Routine.name
+                      ~name:("harness." ^ what ^ "." ^ np.pass_name)
+                  in
+                  match growth with
+                  | Some g when !fuel_bound *. Float.max 1.0 g <= float_of_int !check_fuel ->
+                    fuel_bound := !fuel_bound *. Float.max 1.0 g;
+                    count "certified";
                     accept meta
-                  | after ->
+                  | _ -> (
+                    count "observed";
+                    match observe_run ~fuel:!check_fuel p with
+                    | after, counts when obs_equal before after ->
+                      current_obs := Some after;
+                      reproducible := true;
+                      Option.iter (fun c -> fuel_bound := float_of_int (fuel_burned c)) counts;
+                      accept meta
+                    | after, _ ->
                     roll_back
                       (Behaviour_mismatch
                          (Printf.sprintf "%s, was: %s" (describe_obs after)
-                            (describe_obs before)))
+                            (describe_obs before))))
                 end
               end
             end

@@ -18,7 +18,32 @@
     - [Exec]: translation validation — interpret the program's observable
       behaviour (return value and [emit] trace from [main], under bounded
       fuel) before and after the pass and require them to agree up to
-      floating-point reassociation noise. *)
+      floating-point reassociation noise.
+
+    Certified steps. At [Exec], a step that changed its routine is first
+    offered to the static checker registered for its pass
+    ([Epre_verify.Certify.table]: [pre] and [dce] to the motion checker,
+    [clean] to the jump-chain checker), when the step passed the IR
+    checks, the current observation is [Ok] and reproducible under the
+    check budget. A checker proves the step's output computes exactly
+    what its input did on the run already observed, so the harness
+    accepts the step and keeps that observation instead of interpreting
+    the program again. A checker that cannot tell changes nothing: the
+    step is observed as before. So records, rollback reasons and meta
+    are those a fresh observation would give.
+
+    Fuel. A certified run must also finish within the check budget,
+    since a rerun that ran out of fuel would have rolled the step back.
+    The harness keeps an upper bound on the fuel a run of the current
+    program burns: each real observation resets it to what that run
+    burned, and each certified step multiplies it by the step's static
+    growth (at most 1 for [dce] and [clean]; for PRE, one jump per
+    traversal of a block with an arm to a new landing block, since every
+    insertion is paid for by a deletion on the same path). A step is
+    certified only while the bound stays within the budget. Counters
+    [harness.certified.<pass>] and [harness.observed.<pass>] (per
+    routine, in [Epre_telemetry.Metrics]) count the steps that skipped
+    and that paid for the rerun. *)
 
 open Epre_ir
 

@@ -111,4 +111,28 @@ let has_side_effect = function
   | Store _ | Call _ -> true
   | Const _ | Copy _ | Unop _ | Binop _ | Load _ | Alloca _ | Phi _ -> false
 
-let equal (a : t) (b : t) = a = b
+(* Constants compare bit for bit: [0.0] against [-0.0] is a different
+   program, and so is a NaN with another payload. *)
+let same_value (a : Value.t) (b : Value.t) =
+  match (a, b) with
+  | F x, F y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | I x, I y -> x = y
+  | I _, F _ | F _, I _ -> false
+
+let equal a b =
+  match (a, b) with
+  | Const { dst; value }, Const { dst = d; value = v } -> dst = d && same_value value v
+  | Copy { dst; src }, Copy { dst = d; src = s } -> dst = d && src = s
+  | Unop { op; dst; src }, Unop { op = o; dst = d; src = s } -> op = o && dst = d && src = s
+  | Binop { op; dst; a; b }, Binop { op = o; dst = d; a = a'; b = b' } ->
+    op = o && dst = d && a = a' && b = b'
+  | Load { dst; addr }, Load { dst = d; addr = a } -> dst = d && addr = a
+  | Store { addr; src }, Store { addr = a; src = s } -> addr = a && src = s
+  | Alloca { dst; words; init }, Alloca { dst = d; words = w; init = i } ->
+    dst = d && words = w && same_value init i
+  | Call { dst; callee; args }, Call { dst = d; callee = c; args = a } ->
+    Option.equal Int.equal dst d && String.equal callee c && List.equal Int.equal args a
+  | Phi { dst; args }, Phi { dst = d; args = a } ->
+    dst = d && List.equal (fun (l, r) (l', r') -> l = l' && r = r') args a
+  | (Const _ | Copy _ | Unop _ | Binop _ | Load _ | Store _ | Alloca _ | Call _ | Phi _), _ ->
+    false

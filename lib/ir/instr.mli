@@ -60,4 +60,6 @@ val is_pure : t -> bool
 (** Unremovable even when the result is unused: stores and calls. *)
 val has_side_effect : t -> bool
 
+(** Structural equality with constants compared bit for bit, so [0.0]
+    differs from [-0.0] and NaNs differ by payload. *)
 val equal : t -> t -> bool

@@ -35,53 +35,124 @@ exception Parse_error of { line : int; message : string }
 let print_value buf v =
   Buffer.add_string buf (Value.to_string v)
 
-let reg_name r = Printf.sprintf "r%d" r
+let add_reg buf r =
+  Buffer.add_char buf 'r';
+  Buffer.add_string buf (string_of_int r)
+
+let add_label buf l =
+  Buffer.add_char buf 'B';
+  Buffer.add_string buf (string_of_int l)
+
+(* [r1, r2, ...] *)
+let add_regs buf regs =
+  List.iteri
+    (fun k r ->
+      if k > 0 then Buffer.add_string buf ", ";
+      add_reg buf r)
+    regs
+
+(* "  rD = " *)
+let add_dst buf d =
+  Buffer.add_string buf "  ";
+  add_reg buf d;
+  Buffer.add_string buf " = "
 
 let print_instr buf i =
-  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  match i with
+  let s = Buffer.add_string buf and reg = add_reg buf in
+  (match i with
   | Instr.Const { dst; value } ->
-    p "  %s = const " (reg_name dst);
-    print_value buf value;
-    p "\n"
-  | Instr.Copy { dst; src } -> p "  %s = copy %s\n" (reg_name dst) (reg_name src)
+    add_dst buf dst;
+    s "const ";
+    print_value buf value
+  | Instr.Copy { dst; src } ->
+    add_dst buf dst;
+    s "copy ";
+    reg src
   | Instr.Unop { op; dst; src } ->
-    p "  %s = %s %s\n" (reg_name dst) (Op.unop_name op) (reg_name src)
+    add_dst buf dst;
+    s (Op.unop_name op);
+    Buffer.add_char buf ' ';
+    reg src
   | Instr.Binop { op; dst; a; b } ->
-    p "  %s = %s %s, %s\n" (reg_name dst) (Op.binop_name op) (reg_name a) (reg_name b)
-  | Instr.Load { dst; addr } -> p "  %s = load %s\n" (reg_name dst) (reg_name addr)
-  | Instr.Store { addr; src } -> p "  store %s, %s\n" (reg_name addr) (reg_name src)
+    add_dst buf dst;
+    s (Op.binop_name op);
+    Buffer.add_char buf ' ';
+    reg a;
+    s ", ";
+    reg b
+  | Instr.Load { dst; addr } ->
+    add_dst buf dst;
+    s "load ";
+    reg addr
+  | Instr.Store { addr; src } ->
+    s "  store ";
+    reg addr;
+    s ", ";
+    reg src
   | Instr.Alloca { dst; words; init } ->
-    p "  %s = alloca %d, " (reg_name dst) words;
-    print_value buf init;
-    p "\n"
+    add_dst buf dst;
+    s "alloca ";
+    s (string_of_int words);
+    s ", ";
+    print_value buf init
   | Instr.Call { dst; callee; args } ->
-    (match dst with Some d -> p "  %s = call %s(" (reg_name d) callee | None -> p "  call %s(" callee);
-    p "%s)\n" (String.concat ", " (List.map reg_name args))
+    (match dst with Some d -> add_dst buf d | None -> s "  ");
+    s "call ";
+    s callee;
+    Buffer.add_char buf '(';
+    add_regs buf args;
+    Buffer.add_char buf ')'
   | Instr.Phi { dst; args } ->
-    p "  %s = phi(%s)\n" (reg_name dst)
-      (String.concat ", " (List.map (fun (l, r) -> Printf.sprintf "B%d: %s" l (reg_name r)) args))
+    add_dst buf dst;
+    s "phi(";
+    List.iteri
+      (fun k (l, r) ->
+        if k > 0 then s ", ";
+        add_label buf l;
+        s ": ";
+        reg r)
+      args;
+    Buffer.add_char buf ')');
+  Buffer.add_char buf '\n'
 
 let print_terminator buf t =
-  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  match t with
-  | Instr.Jump l -> p "  jump B%d\n" l
-  | Instr.Cbr { cond; ifso; ifnot } -> p "  cbr %s, B%d, B%d\n" (reg_name cond) ifso ifnot
-  | Instr.Ret (Some r) -> p "  return %s\n" (reg_name r)
-  | Instr.Ret None -> p "  return\n"
+  let s = Buffer.add_string buf in
+  (match t with
+  | Instr.Jump l ->
+    s "  jump ";
+    add_label buf l
+  | Instr.Cbr { cond; ifso; ifnot } ->
+    s "  cbr ";
+    add_reg buf cond;
+    s ", ";
+    add_label buf ifso;
+    s ", ";
+    add_label buf ifnot
+  | Instr.Ret (Some r) ->
+    s "  return ";
+    add_reg buf r
+  | Instr.Ret None -> s "  return");
+  Buffer.add_char buf '\n'
 
 let print_routine buf (r : Routine.t) =
-  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  p "routine %s(%s) entry B%d regs %d {\n" r.Routine.name
-    (String.concat ", " (List.map reg_name r.Routine.params))
-    (Cfg.entry r.Routine.cfg) r.Routine.next_reg;
+  let s = Buffer.add_string buf in
+  s "routine ";
+  s r.Routine.name;
+  Buffer.add_char buf '(';
+  add_regs buf r.Routine.params;
+  s ") entry ";
+  add_label buf (Cfg.entry r.Routine.cfg);
+  s " regs ";
+  s (string_of_int r.Routine.next_reg);
+  s " {\n";
   Cfg.iter_blocks
     (fun b ->
-      p "B%d:\n" b.Block.id;
+      add_label buf b.Block.id;
+      s ":\n";
       List.iter (print_instr buf) b.Block.instrs;
       print_terminator buf b.Block.term)
     r.Routine.cfg;
-  p "}\n"
+  s "}\n"
 
 let print_program (prog : Program.t) =
   let buf = Buffer.create 4096 in

@@ -29,27 +29,11 @@ let restore r ~from =
   r.next_reg <- from.next_reg;
   r.in_ssa <- from.in_ssa
 
-(* Constants compare bit for bit: [0.0] against [-0.0] is a different
-   program, and so is a NaN with another payload. *)
-let same_value (a : Value.t) (b : Value.t) =
-  match (a, b) with
-  | F x, F y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | _ -> Value.equal a b
-
-let same_instr a b =
-  match (a, b) with
-  | Instr.Const { dst; value }, Instr.Const { dst = dst'; value = value' } ->
-    dst = dst' && same_value value value'
-  | Instr.Alloca { dst; words; init }, Instr.Alloca { dst = dst'; words = words'; init = init' }
-    ->
-    dst = dst' && words = words' && same_value init init'
-  | _ -> Instr.equal a b
-
 (* [copy] shares each block's instruction list, so a block a pass left
    alone is usually the very same list. *)
 let same_block (a : Block.t) (b : Block.t) =
   a.Block.id = b.Block.id
-  && (a.Block.instrs == b.Block.instrs || List.equal same_instr a.Block.instrs b.Block.instrs)
+  && (a.Block.instrs == b.Block.instrs || List.equal Instr.equal a.Block.instrs b.Block.instrs)
   && a.Block.term = b.Block.term
 
 let equal a b =

@@ -166,6 +166,14 @@ let with_file_lock t f =
       try Unix.lockf fd Unix.F_ULOCK 0 with Unix.Unix_error _ -> ())
     f
 
+let close t =
+  locked t (fun () ->
+      Option.iter
+        (fun fd ->
+          t.lock_fd <- None;
+          try Unix.close fd with Unix.Unix_error _ -> ())
+        t.lock_fd)
+
 (* Read to EOF rather than to the length seen at open: an entry truncated
    mid-read (chaos:cache-corrupt rewrites in place) then comes back short
    and takes the poisoned-entry path instead of raising [End_of_file]. *)

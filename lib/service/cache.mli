@@ -101,6 +101,11 @@ val store :
   stats:Epre.Pipeline.routine_stats ->
   unit
 
+(** Release the cache's open [.lock] descriptor, if a store opened one.
+    Idempotent; a later [store] opens it again. A process that opens a
+    cache per batch closes each one, or it leaks a descriptor per batch. *)
+val close : t -> unit
+
 (** Entries currently on disk. *)
 val entry_count : t -> int
 

@@ -1521,6 +1521,24 @@ let test_cache_sweep_spares_locked () =
       Alcotest.(check bool) "held file spared" true (Sys.file_exists held);
       Alcotest.(check bool) "orphan gone" false (Sys.file_exists stale))
 
+(* A process that opens a cache per batch closes each one: 20 open,
+   store, close cycles leave the process's descriptor count where it
+   was. Without [Cache.close], each cycle leaks the [.lock] fd its store
+   opened. *)
+let test_cache_close_releases_lock_fd () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let dir = Helpers.fresh_dir () in
+  let stats = some_stats () in
+  let fingerprint = Pipeline.fingerprint ~level:Pipeline.Baseline in
+  let before = open_fds () in
+  for i = 1 to 20 do
+    let cache = Cache.create ~dir () in
+    let iloc = Printf.sprintf "routine r%d() entry B0 regs 0 {\nB0:\n  return\n}\n" i in
+    Cache.store cache ~key:(Cache.key ~iloc ~fingerprint) ~fingerprint ~iloc ~stats;
+    Cache.close cache
+  done;
+  Alcotest.(check int) "open descriptors" before (open_fds ())
+
 let suite =
   [
     Alcotest.test_case "pool preserves order" `Quick test_pool_map_order;
@@ -1545,6 +1563,8 @@ let suite =
       test_cache_v1_entry_rewritten;
     Alcotest.test_case "eviction bounds entries" `Quick test_cache_eviction;
     Alcotest.test_case "eviction bounds bytes" `Quick test_cache_byte_budget;
+    Alcotest.test_case "close releases the lock descriptor" `Quick
+      test_cache_close_releases_lock_fd;
     Alcotest.test_case "orphaned temp sweep" `Quick test_cache_sweep_temp;
     Alcotest.test_case "concurrent stores, shared dir" `Quick
       test_cache_concurrent_stores;
