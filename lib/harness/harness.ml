@@ -291,10 +291,10 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
                       Option.iter (fun c -> fuel_bound := float_of_int (fuel_burned c)) counts;
                       accept meta
                     | after, _ ->
-                    roll_back
-                      (Behaviour_mismatch
-                         (Printf.sprintf "%s, was: %s" (describe_obs after)
-                            (describe_obs before))))
+                      roll_back
+                        (Behaviour_mismatch
+                           (Printf.sprintf "%s, was: %s" (describe_obs after)
+                              (describe_obs before))))
                 end
               end
             end
