@@ -243,7 +243,7 @@ let run pb (g : Dataflow.graph) (cfg : Cfg.t) items ~at =
 
 (* (register, expression) facts, numbered in order of first sight.
    Expressions compare with [Expr_key.equal], so the two zeros stay
-   apart; a fact about an expression alone uses register [-1]. *)
+   apart. *)
 type facts = { tbl : (Instr.reg * int) list Expr_key.Tbl.t; mutable count : int }
 
 let facts () = { tbl = Expr_key.Tbl.create 16; count = 0 }
@@ -261,7 +261,7 @@ let intern fs ((d, k) as dk) =
 (* [by_reg.(r)]: the facts whose register or operands include [r]. *)
 let index_by_reg fs nregs =
   let by_reg = Array.make nregs [] in
-  let add r f = if r >= 0 then by_reg.(r) <- f :: by_reg.(r) in
+  let add r f = by_reg.(r) <- f :: by_reg.(r) in
   Expr_key.Tbl.iter
     (fun k l ->
       List.iter
@@ -293,7 +293,7 @@ let evaluation i =
 (* Register flags over [0, nregs). *)
 let flags nregs = Bytes.make nregs '\000'
 
-let flag f r = if r >= 0 then Bytes.set f r '\001'
+let flag f r = Bytes.set f r '\001'
 
 let flagged f r = Bytes.get f r <> '\000'
 

@@ -94,7 +94,7 @@ let test_generated_side_by_side () =
    is given as its instruction lines. *)
 let diamond ?(b0 = []) ~b1 ~b2 ~b3 ?(cbr = "cbr r2, B1, B2") () =
   let block label lines term =
-    String.concat "" (List.map (fun l -> "  " ^ l ^ "\n") lines) |> fun body ->
+    let body = String.concat "" (List.map (fun l -> "  " ^ l ^ "\n") lines) in
     Printf.sprintf "%s:\n%s  %s\n" label body term
   in
   "routine main() entry B0 regs 11 {\n"
