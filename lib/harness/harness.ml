@@ -283,6 +283,8 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
                     count "certified";
                     accept meta
                   | _ -> (
+                    (* Proven, but the bound would outgrow [check_fuel]. *)
+                    if growth <> None then count "fuel_bound";
                     count "observed";
                     match observe_run ~fuel:!check_fuel p with
                     | after, counts when obs_equal before after ->

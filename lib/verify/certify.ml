@@ -495,6 +495,381 @@ let jump_chains ~before:(p : Routine.t) ~after:(q : Routine.t) =
       visit [ (Cfg.entry p.Routine.cfg, Cfg.entry q.Routine.cfg) ];
       !growth)
 
-let table = [ ("pre", motion); ("dce", motion); ("clean", jump_chains) ]
+(* ------------------------------------------------------------------ *)
+(* Value correspondence                                               *)
+
+(* A value number names one value at one point of the two runs side by
+   side: registers of either routine with one number there hold one
+   value. [none] is no number: nothing is known. Constants are numbered
+   below zero by bit pattern ([Value.equal]), and mean the same
+   everywhere. At a block entry every other class is named by its least
+   live member, input register [r] as [2r] and output register [r] as
+   [2r + 1]; a walk numbers what it computes from [2 * nregs] up, and
+   none of its numbers outlives it. *)
+let none = min_int
+
+module Vtbl = Hashtbl.Make (Value)
+
+type expr = Un of Op.unop * int | Bin of Op.binop * int * int
+
+(* One routine's registers during a walk: a number is current when its
+   stamp is the walk's. *)
+type side = { num : int array; stamp : int array }
+
+(* An entry state: the numbers of the registers live into a block of
+   each routine, in the order [lives] gives them. *)
+type state = { vin : int array; vout : int array }
+
+type cx = {
+  qc : Cfg.t;
+  ins : side;
+  outs : side;
+  mutable walk : int;  (** the current walk's stamp *)
+  mutable fresh : int;  (** the last number the walk made up *)
+  consts : int Vtbl.t;
+  values : (int, Value.t) Hashtbl.t;  (** constants by number *)
+  exprs : (expr, int) Hashtbl.t;  (** the walk's evaluations *)
+  live_p : Liveness.t;
+  live_q : Liveness.t;
+  lives : (int array * int array) option array;  (** [lives], by block *)
+}
+
+let get cx s r = if s.stamp.(r) = cx.walk then s.num.(r) else none
+
+let set cx s r n =
+  s.stamp.(r) <- cx.walk;
+  s.num.(r) <- n
+
+let const_num cx v =
+  match Vtbl.find_opt cx.consts v with
+  | Some n -> n
+  | None ->
+    let n = -1 - Vtbl.length cx.consts in
+    Vtbl.add cx.consts v n;
+    Hashtbl.add cx.values n v;
+    n
+
+let const_val cx n = Hashtbl.find cx.values n
+
+let is_const n = n < 0 && n <> none
+
+let fresh cx =
+  cx.fresh <- cx.fresh + 1;
+  cx.fresh
+
+(* The number of an evaluation: a constant when its operands are and it
+   folds ([Op.eval_unop], [Op.eval_binop]: no algebraic identity), the
+   number an equal evaluation got earlier in the walk, or a new one. *)
+let number cx e =
+  let folded =
+    try
+      match e with
+      | Un (op, a) when is_const a -> Some (Op.eval_unop op (const_val cx a))
+      | Bin (op, a, b) when is_const a && is_const b ->
+        Some (Op.eval_binop op (const_val cx a) (const_val cx b))
+      | Un _ | Bin _ -> None
+    with Op.Division_by_zero | Value.Type_error _ -> None
+  in
+  match folded with
+  | Some v -> const_num cx v
+  | None -> (
+    match e with
+    | Un (_, a) when a = none -> fresh cx
+    | Bin (_, a, b) when a = none || b = none -> fresh cx
+    | Un _ | Bin _ -> (
+      match Hashtbl.find_opt cx.exprs e with
+      | Some n -> n
+      | None ->
+        let n = fresh cx in
+        Hashtbl.add cx.exprs e n;
+        n))
+
+(* An output copy reads a register with a number, so one written on
+   every path: reading an unwritten register faults. *)
+let copied cx s src =
+  let n = get cx s src in
+  if n = none && s == cx.outs then decline ();
+  n
+
+(* An instruction one side runs alone: a copy or a const on either side,
+   or an input unop or binop the output dropped (folded or redundant; the
+   observed run completed, so it did not fault). *)
+let alone cx s = function
+  | Instr.Const { dst; value } -> set cx s dst (const_num cx value)
+  | Instr.Copy { dst; src } -> set cx s dst (copied cx s src)
+  | Instr.Unop { op; dst; src } when s == cx.ins ->
+    set cx s dst (number cx (Un (op, get cx s src)))
+  | Instr.Binop { op; dst; a; b } when s == cx.ins ->
+    set cx s dst (number cx (Bin (op, get cx s a, get cx s b)))
+  | _ -> decline ()
+
+let same cx a b =
+  let n = get cx cx.ins a in
+  n <> none && n = get cx cx.outs b
+
+(* Whether input [i] and output [j] are one operation on the same
+   values; if so, both destinations get its number. *)
+let matched cx i j =
+  let both d d' n =
+    set cx cx.ins d n;
+    set cx cx.outs d' n;
+    true
+  in
+  match (i, j) with
+  | Instr.Unop { op; dst; src }, Instr.Unop { op = op'; dst = d'; src = s' }
+    when op = op' && same cx src s' ->
+    both dst d' (number cx (Un (op, get cx cx.ins src)))
+  | Instr.Binop { op; dst; a; b }, Instr.Binop { op = op'; dst = d'; a = a'; b = b' }
+    when op = op' && same cx a a' && same cx b b' ->
+    both dst d' (number cx (Bin (op, get cx cx.ins a, get cx cx.ins b)))
+  | Instr.Load { dst; addr }, Instr.Load { dst = d'; addr = a' } when same cx addr a' ->
+    both dst d' (fresh cx)
+  | Instr.Store { addr; src }, Instr.Store { addr = a'; src = s' } ->
+    same cx addr a' && same cx src s'
+  | Instr.Alloca { dst; words; init }, Instr.Alloca { dst = d'; words = w'; init = i' }
+    when words = w' && Value.equal init i' ->
+    both dst d' (fresh cx)
+  | Instr.Call { dst; callee; args }, Instr.Call { dst = d'; callee = c'; args = a' }
+    when String.equal callee c' && List.equal (same cx) args a' ->
+    let n = fresh cx in
+    Option.iter (fun d -> set cx cx.ins d n) dst;
+    Option.iter (fun d -> set cx cx.outs d n) d';
+    true
+  | _ -> false
+
+(* Run a block's instructions side by side: each output instruction but
+   a copy or a const is matched with the next input one it equals, and
+   the input ones passed on the way run alone. *)
+let rec body cx pi qi =
+  match qi with
+  | [] -> List.iter (alone cx cx.ins) pi
+  | ((Instr.Const _ | Instr.Copy _) as j) :: qi ->
+    alone cx cx.outs j;
+    body cx pi qi
+  | j :: qi ->
+    let rec seek = function
+      | [] -> decline ()
+      | i :: pi ->
+        if matched cx i j then pi
+        else begin
+          alone cx cx.ins i;
+          seek pi
+        end
+    in
+    body cx (seek pi) qi
+
+(* Where both runs go next, as (output block, input block) pairs. A
+   branch on a constant input condition goes one way. *)
+let successors cx (tp : Instr.terminator) (tq : Instr.terminator) =
+  match (tp, tq) with
+  | Instr.Ret None, Instr.Ret None -> []
+  | Instr.Ret (Some x), Instr.Ret (Some y) when same cx x y -> []
+  | Instr.Jump t, Instr.Jump t' -> [ (t', t) ]
+  | Instr.Cbr { cond; ifso; ifnot }, _ -> (
+    let c = get cx cx.ins cond in
+    if c = none then decline ();
+    let arm so not_ = function
+      | Value.I 0 -> not_
+      | Value.I _ -> so
+      | Value.F _ -> decline ()
+    in
+    match tq with
+    | Instr.Cbr { cond = c'; ifso = s; ifnot = n } when get cx cx.outs c' = c ->
+      if is_const c then
+        let v = const_val cx c in
+        [ (arm s n v, arm ifso ifnot v) ]
+      else [ (s, ifso); (n, ifnot) ]
+    | Instr.Jump t' when is_const c -> [ (t', arm ifso ifnot (const_val cx c)) ]
+    | _ -> decline ())
+  | _ -> decline ()
+
+(* The registers live into block [t] of each routine, ascending. *)
+let lives cx t =
+  match cx.lives.(t) with
+  | Some l -> l
+  | None ->
+    let regs lv = Array.of_list (Bitset.elements (Liveness.live_in lv t)) in
+    let l = (regs cx.live_p, regs cx.live_q) in
+    cx.lives.(t) <- Some l;
+    l
+
+(* The state on entering the pair of blocks [t] after output block [t']:
+   [t'] is [t], or a landing block on the edge that holds only copies
+   and consts and jumps to [t]. Also the operations the landing block
+   runs. *)
+let enter cx (t', t) =
+  let over, extra =
+    if t' = t then ([], 0)
+    else
+      match Cfg.block cx.qc t' with
+      | { Block.instrs; term = Instr.Jump j; _ } when j = t ->
+        let num over r =
+          match List.assoc_opt r over with Some n -> n | None -> copied cx cx.outs r
+        in
+        ( List.fold_left
+            (fun over -> function
+              | Instr.Const { dst; value } -> (dst, const_num cx value) :: over
+              | Instr.Copy { dst; src } -> (dst, num over src) :: over
+              | _ -> decline ())
+            [] instrs,
+          List.length instrs + 1 )
+      | _ -> decline ()
+  in
+  let lp, lq = lives cx t in
+  let out r = match List.assoc_opt r over with Some n -> n | None -> get cx cx.outs r in
+  ({ vin = Array.map (get cx cx.ins) lp; vout = Array.map out lq }, extra)
+
+(* Pairs of numbers, hashed without polymorphic hashing. *)
+module Pairs = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal (a, b) (c, d) = a = c && b = d
+
+  let hash (a, b) = (a * 65599) + b
+end)
+
+(* Partition intersection of two states of block [t], renamed
+   canonically: registers share a number when they share one in both,
+   and the class is named by its constant when both agree on one, else
+   by its least member. The meet of one state is its renaming. *)
+let meet2 cx t a b =
+  let lp, lq = lives cx t in
+  let names = Pairs.create 16 in
+  let name x y member =
+    if x = none || y = none then none
+    else
+      match Pairs.find_opt names (x, y) with
+      | Some n -> n
+      | None ->
+        let n = if x = y && is_const x then x else member in
+        Pairs.add names (x, y) n;
+        n
+  in
+  let vin = Array.make (Array.length lp) none and vout = Array.make (Array.length lq) none in
+  let i = ref 0 and j = ref 0 in
+  while !i < Array.length lp || !j < Array.length lq do
+    if !j >= Array.length lq || (!i < Array.length lp && lp.(!i) <= lq.(!j)) then begin
+      let k = !i in
+      vin.(k) <- name a.vin.(k) b.vin.(k) (2 * lp.(k));
+      incr i
+    end
+    else begin
+      let k = !j in
+      vout.(k) <- name a.vout.(k) b.vout.(k) ((2 * lq.(k)) + 1);
+      incr j
+    end
+  done;
+  { vin; vout }
+
+(* The meet of the states coming into block [t]. Partition
+   intersection is associative, and a canonical name depends only on
+   the class and its constant, so pairwise meets give the n-way one. *)
+let meet cx t = function
+  | [] -> invalid_arg "meet"
+  | s :: rest -> List.fold_left (meet2 cx t) (meet2 cx t s s) rest
+
+(* Value correspondence ([constprop], [coalesce], [gvn]): a forward,
+   conditional walk of both routines side by side over pairs of blocks
+   with one id, to a fixed point over the pairs whose entry state
+   changed.
+
+   Why it is sound. Claim: at every matched point of a run of the input
+   and one of the output from the same state, registers with one number
+   hold one value. It holds at the entry, where only the parameters have
+   numbers. A matched instruction computes one value from equal
+   operands, or reads memory both runs left equal (every store, call and
+   alloca is matched, in order); a fold is the evaluator's own result;
+   copies and consts carry numbers exactly; a meet keeps only what every
+   incoming edge gives, and at the fixed point each entry state is the
+   meet of the states its incoming edges carry. So both runs take the
+   same path (branches test equal values, or a constant), make the same
+   calls, stores and emits, and return the same value. The output runs
+   no operation the input did not run on the same values but copies of
+   registers written on every path and consts, and the input's run
+   completed, so the output does not fault; the input operations it
+   dropped did not fault either. Its operations per traversal of a
+   block are at most [growth] times the input's. *)
+let values ~before:(p : Routine.t) ~after:(q : Routine.t) =
+  attempt (fun () ->
+      same_header p q;
+      let pc = p.Routine.cfg and qc = q.Routine.cfg in
+      let gp = Dataflow.graph pc and gq = Dataflow.graph qc in
+      let nregs = max p.Routine.next_reg q.Routine.next_reg in
+      let side () = { num = Array.make nregs none; stamp = Array.make nregs 0 } in
+      let nb = Cfg.num_blocks qc in
+      let cx =
+        { qc; ins = side (); outs = side (); walk = 0; fresh = 0;
+          consts = Vtbl.create 8; values = Hashtbl.create 8; exprs = Hashtbl.create 16;
+          live_p = Liveness.compute gp p; live_q = Liveness.compute gq q;
+          lives = Array.make (max nb (Cfg.num_blocks pc)) None }
+      in
+      (* Incoming states by block, keyed by source block and arm (the
+         routine's entry is source -1). *)
+      let incoming = Array.make nb [] and seen = Array.make nb None in
+      let pending = Array.make nb false in
+      let arrive t key st =
+        if t >= nb then decline ();
+        if List.assoc_opt key incoming.(t) <> Some st then begin
+          incoming.(t) <- (key, st) :: List.remove_assoc key incoming.(t);
+          pending.(t) <- true
+        end
+      in
+      let pe = Cfg.entry pc and qe = Cfg.entry qc in
+      cx.walk <- 1;
+      List.iter
+        (fun r ->
+          set cx cx.ins r (2 * r);
+          set cx cx.outs r (2 * r))
+        p.Routine.params;
+      let st, entry_extra = enter cx (qe, pe) in
+      arrive pe (-1) st;
+      (* A walk only refines the states it feeds, so the iteration
+         ends; the budget caps what a slow one may cost. *)
+      let growth = ref 0.0 and budget = ref ((16 * nb) + 64) in
+      let visit id =
+        let st = meet cx id (List.map snd incoming.(id)) in
+        if seen.(id) <> Some st then begin
+          seen.(id) <- Some st;
+          decr budget;
+          if !budget < 0 then decline ();
+          cx.walk <- cx.walk + 1;
+          cx.fresh <- 2 * nregs;
+          Hashtbl.clear cx.exprs;
+          let lp, lq = lives cx id in
+          Array.iteri (fun k r -> set cx cx.ins r st.vin.(k)) lp;
+          Array.iteri (fun k r -> set cx cx.outs r st.vout.(k)) lq;
+          let pb = Cfg.block pc id and qb = Cfg.block qc id in
+          body cx pb.Block.instrs qb.Block.instrs;
+          (* The output's operations: the block, the landing block it
+             leaves by, and for the old entry the new entry block. *)
+          let landing = ref 0 in
+          List.iteri
+            (fun arm ((_, t) as edge) ->
+              let st, ops = enter cx edge in
+              landing := max !landing ops;
+              arrive t ((2 * id) + arm) st)
+            (successors cx pb.Block.term qb.Block.term);
+          let ops l = List.length l + 1 in
+          let out = ops qb.Block.instrs + !landing + if id = pe then entry_extra else 0 in
+          growth := Float.max !growth (float_of_int out /. float_of_int (ops pb.Block.instrs))
+        end
+      in
+      let again = ref true in
+      while !again do
+        again := false;
+        Array.iter
+          (fun id ->
+            if pending.(id) then begin
+              pending.(id) <- false;
+              again := true;
+              visit id
+            end)
+          gq.Dataflow.rpo
+      done;
+      !growth)
+
+let table =
+  [ ("pre", motion); ("dce", motion); ("clean", jump_chains); ("constprop", values);
+    ("coalesce", values); ("gvn", values) ]
 
 let find pass = List.assoc_opt pass table

@@ -18,7 +18,7 @@
     harness can keep an upper bound on the current program's fuel without
     running it.
 
-    Two checkers, registered by pass name in {!table}:
+    Three checkers, registered by pass name in {!table}:
     - {!motion} (PRE and DCE): the output is the input with instructions
       inserted and deleted, jump-only landing blocks on existing edges and
       possibly a new entry block. See the implementation for the rules
@@ -28,8 +28,18 @@
       insertions).
     - {!jump_chains} ([clean]): the two CFGs have the same jump-chain
       normal forms from their entries.
+    - {!values} ([constprop], [coalesce], [gvn]): the two routines,
+      walked side by side, compute the same values into registers that
+      may be renamed, with copies moved and evaluations folded or
+      dropped.
 
-    Both decline on SSA routines and on any phi. *)
+    All three decline on SSA routines and on any phi. The other passes
+    stay observed: [peephole] rewrites by algebraic identities, which no
+    checker here encodes (folding goes only through [Op.eval_unop] and
+    [Op.eval_binop], so [x fadd 0.0 -> x], wrong for [x = -0.0], is
+    declined), and [reassociation] changes float results by rounding
+    and rebuilds expression trees, so its output matches its input only
+    up to the harness's tolerance. *)
 
 open Epre_ir
 
@@ -73,8 +83,38 @@ val motion : checker
     operations over the related chains. *)
 val jump_chains : checker
 
+(** Value correspondence: [constprop], [coalesce] and [gvn] rename
+    registers, move copies and fold constants. A forward, conditional
+    walk runs the two routines' blocks of one id side by side, keeping a
+    value number per live register of each (constants numbered by bit
+    pattern, as [Value.equal] compares them). It accepts when
+    - matched instructions have the same kind, operator or callee, and
+      operands with equal numbers; both destinations then get one
+      number (an evaluation's is its constant when it folds, or that of
+      an equal evaluation earlier in the block);
+    - the copies and consts of either side run alone, and an output copy
+      reads a register written on every path;
+    - an input unop or binop the output lacks is dropped: it was folded
+      or redundant, and the observed run did not fault on it;
+    - every load, store, call and alloca is matched;
+    - a block only the output has stands on an edge, holds copies and
+      consts only, and jumps to the input's target;
+    - returns return equal numbers and branches test equal numbers; a
+      branch on a constant input condition goes one way, and the output
+      may have made it a jump.
+
+    A block's entry state is the meet of its predecessors' (partition
+    intersection, iterated to a fixed point over the blocks whose entry
+    state changed), renamed canonically: a class is named by its
+    constant when every predecessor agrees on one, else by its least
+    live member, so no number outlives a loop iteration. The growth is
+    the largest ratio, over the walked blocks, of the output's
+    operations (with the landing block it leaves by) to the input's. *)
+val values : checker
+
 (** Checkers by pass name, as [Verify.postcondition_table] registers
-    lints: [pre] and [dce] use {!motion}, [clean] uses {!jump_chains}. *)
+    lints: [pre] and [dce] use {!motion}, [clean] uses {!jump_chains},
+    and [constprop], [coalesce] and [gvn] use {!values}. *)
 val table : (string * checker) list
 
 val find : string -> checker option

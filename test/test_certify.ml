@@ -3,10 +3,12 @@
     Side by side: over every kernel at every level, and over generated
     programs, each step a checker accepts is run anyway, and its fresh
     observation must be bit-equal to the one before the step — the
-    observation the harness keeps instead. Then one hand-made step per
-    rule, each broken the way a faulty pass would break it, must be
-    declined, and the harness must not certify a step whose growth
-    would outrun a small interpreter budget. *)
+    observation the harness keeps instead — within the operations its
+    growth allows. Then one hand-made step per rule, each broken the way
+    a faulty pass would break it, must be declined, and the harness must
+    not certify a step whose growth would outrun a small interpreter
+    budget. Last, mutants of real value-correspondence steps: each one
+    the checker accepts must observe like the step's input. *)
 
 open Epre_ir
 module Certify = Epre_verify.Certify
@@ -24,9 +26,10 @@ let bit_equal (a : Harness.obs) (b : Harness.obs) =
 
 (* Run [level] pass-major over [prog] as the harness does, observing
    after every step that changes a routine. Returns how many steps each
-   checker accepted; fails on an accepted step whose observation moved. *)
+   checker accepted; fails on an accepted step whose observation moved,
+   or whose operation count outgrew its growth. *)
 let side_by_side ~what ~level prog accepted =
-  let current = ref (Harness.observe ~fuel prog) in
+  let current = ref (Harness.observe_counted ~fuel prog) in
   List.iter
     (fun (np : Harness.named_pass) ->
       List.iter
@@ -34,21 +37,28 @@ let side_by_side ~what ~level prog accepted =
           let snapshot = Routine.copy r in
           np.Harness.run r;
           if not (Routine.equal r snapshot) then begin
+            let before, ops = !current in
             let verdict =
-              match (!current, Certify.find np.Harness.pass_name) with
+              match (before, Certify.find np.Harness.pass_name) with
               | Ok _, Some check -> check ~before:snapshot ~after:r
               | _ -> None
             in
-            let fresh = Harness.observe ~fuel prog in
-            if verdict <> None then begin
-              Hashtbl.replace accepted np.Harness.pass_name
-                (1 + Option.value ~default:0 (Hashtbl.find_opt accepted np.Harness.pass_name));
-              if not (bit_equal !current fresh) then
-                Alcotest.failf "%s: %s on %s accepted, but observed %s, was %s" what
-                  np.Harness.pass_name r.Routine.name (Harness.describe_obs fresh)
-                  (Harness.describe_obs !current)
-            end;
-            current := fresh
+            let ((fresh, fresh_ops) as observed) = Harness.observe_counted ~fuel prog in
+            Option.iter
+              (fun growth ->
+                Hashtbl.replace accepted np.Harness.pass_name
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt accepted np.Harness.pass_name));
+                if not (bit_equal before fresh) then
+                  Alcotest.failf "%s: %s on %s accepted, but observed %s, was %s" what
+                    np.Harness.pass_name r.Routine.name (Harness.describe_obs fresh)
+                    (Harness.describe_obs before);
+                match (ops, fresh_ops) with
+                | Some n, Some n' when float_of_int n' > Float.max 1.0 growth *. float_of_int n ->
+                  Alcotest.failf "%s: %s on %s grew %d to %d operations, past growth %g" what
+                    np.Harness.pass_name r.Routine.name n n' growth
+                | _ -> ())
+              verdict;
+            current := observed
           end)
         (Program.routines prog))
     (Epre.Pipeline.level_passes ~level)
@@ -60,7 +70,7 @@ let check_every_checker_accepted accepted =
         (pass ^ " accepted at least once")
         true
         (Option.value ~default:0 (Hashtbl.find_opt accepted pass) > 0))
-    [ "pre"; "dce"; "clean" ]
+    [ "pre"; "dce"; "clean"; "constprop"; "coalesce"; "gvn" ]
 
 let test_kernels_side_by_side () =
   let accepted = Hashtbl.create 4 in
@@ -90,13 +100,13 @@ let test_generated_side_by_side () =
 
 (* --- one broken step per rule ---------------------------------------- *)
 
-(* A diamond whose join recomputes what the B1 arm computed. Each block
-   is given as its instruction lines. *)
+(* One block of ILOC text, from its instruction lines. *)
+let block label lines term =
+  let body = String.concat "" (List.map (fun l -> "  " ^ l ^ "\n") lines) in
+  Printf.sprintf "%s:\n%s  %s\n" label body term
+
+(* A diamond whose join recomputes what the B1 arm computed. *)
 let diamond ?(b0 = []) ~b1 ~b2 ~b3 ?(cbr = "cbr r2, B1, B2") () =
-  let block label lines term =
-    let body = String.concat "" (List.map (fun l -> "  " ^ l ^ "\n") lines) in
-    Printf.sprintf "%s:\n%s  %s\n" label body term
-  in
   "routine main() entry B0 regs 11 {\n"
   ^ block "B0" ([ "r0 = const 3"; "r1 = const 4"; "r2 = const 1"; "r8 = const 0" ] @ b0) cbr
   ^ block "B1" b1 "jump B3"
@@ -184,12 +194,279 @@ let test_jump_chains () =
   declines Certify.jump_chains ~what:"an instruction dropped" add_before
     (diamond ~b1:[] ~b2:[] ~b3:(add :: use) ())
 
+(* --- value correspondence ------------------------------------------ *)
+
+(* A routine [f] of two parameters, whose values no checker can fold,
+   from its blocks as (label, lines, terminator), in id order. *)
+let f_of blocks =
+  "routine f(r0, r1) entry B0 regs 8 {\n"
+  ^ String.concat "" (List.map (fun (l, lines, term) -> block l lines term) blocks)
+  ^ "}\n"
+
+(* [f_of] for one block that emits and returns [r]. *)
+let straight ?(r = "r4") lines = f_of [ ("B0", lines @ [ "call emit(" ^ r ^ ")" ], "return " ^ r) ]
+
+(* The step [run] takes on [text] changes it, and [Certify.values]
+   accepts it. *)
+let pass_accepted ~what run text =
+  let r = routine text in
+  let before = Routine.copy r in
+  run r;
+  Alcotest.(check bool) (what ^ " changed the routine") false (Routine.equal before r);
+  Alcotest.(check bool) (what ^ " accepted") true (Certify.values ~before ~after:r <> None)
+
+let folds = straight [ "r2 = const 2"; "r3 = const 3"; "r4 = add r2, r3" ]
+
+let zeros = straight [ "r2 = const 0x0p+0"; "r3 = const -0x0p+0"; "r4 = fadd r2, r3" ]
+
+(* A branch constprop decides, to two arms that differ. *)
+let decided ~b0_term =
+  f_of
+    [ ("B0", [ "r2 = const 2"; "r3 = const 3"; "r5 = cmp_lt r2, r3" ], b0_term);
+      ("B1", [ "r4 = mul r0, r1" ], "jump B3");
+      ("B2", [ "r4 = copy r1" ], "jump B3");
+      ("B3", [ "call emit(r4)" ], "return r4") ]
+
+(* [r3] is a copy of the first [r2], which is live while [r2] is
+   redefined: the two interfere. *)
+let interfering =
+  straight [ "r2 = add r0, r1"; "r3 = copy r2"; "r2 = mul r0, r1"; "r4 = sub r3, r2" ]
+
+(* The edge B0 -> B2 is critical; [r2] is [r0] along it. *)
+let critical =
+  f_of
+    [ ("B0", [ "r2 = copy r0" ], "cbr r1, B1, B2");
+      ("B1", [ "r2 = add r0, r0" ], "jump B2");
+      ("B2", [ "call emit(r2)" ], "return r2") ]
+
+(* Out of SSA with the edge split: the copy to the join's name stands
+   in a landing block B3 on the old critical edge. *)
+let critical_split ~landing =
+  f_of
+    [ ("B0", [], "cbr r1, B1, B3");
+      ("B1", [ "r5 = add r0, r0"; "r6 = copy r5" ], "jump B2");
+      ("B2", [ "call emit(r6)" ], "return r6");
+      ("B3", [ landing ], "jump B2") ]
+
+let memory = [ "r2 = alloca 1, 0"; "store r2, r0"; "r3 = load r2" ]
+
+(* A loop that emits its counter, the parameter [r1], before counting. *)
+let counting ~b0 ~b1 =
+  f_of
+    [ ("B0", "r3 = const 1" :: b0, "jump B1");
+      ("B1", b1 @ [ "r1 = add r1, r3"; "r4 = cmp_lt r1, r0" ], "cbr r4, B1, B2");
+      ("B2", [], "return r1") ]
+
+let test_values_accepts () =
+  let constprop r = ignore (Epre_opt.Constprop.run r) in
+  pass_accepted ~what:"constprop" constprop (decided ~b0_term:"cbr r5, B1, B2");
+  pass_accepted ~what:"constprop" constprop critical;
+  pass_accepted ~what:"coalesce" (fun r -> ignore (Epre_opt.Coalesce.run r))
+    (straight [ "r2 = add r0, r1"; "r3 = copy r2"; "r4 = mul r3, r3" ]);
+  pass_accepted ~what:"gvn" (fun r -> ignore (Epre_gvn.Gvn.run r))
+    (straight [ "r2 = add r0, r1"; "r3 = add r0, r1"; "r4 = mul r2, r3" ]);
+  accepts Certify.values ~what:"the right fold" folds (straight [ "r4 = const 5" ]);
+  accepts Certify.values ~what:"a fold to 0.0" zeros (straight [ "r4 = const 0x0p+0" ]);
+  accepts Certify.values ~what:"the decided branch" (decided ~b0_term:"cbr r5, B1, B2")
+    (decided ~b0_term:"jump B1");
+  accepts Certify.values ~what:"the split edge" critical (critical_split ~landing:"r6 = copy r0");
+  (* The copy follows the count: it holds this iteration's value. *)
+  accepts Certify.values ~what:"a copy kept in step with the loop"
+    (counting ~b0:[] ~b1:[ "call emit(r1)" ])
+    (f_of
+       [ ("B0", [ "r3 = const 1"; "r5 = copy r1" ], "jump B1");
+         ("B1", [ "call emit(r5)"; "r1 = add r1, r3"; "r5 = copy r1"; "r4 = cmp_lt r1, r0" ],
+          "cbr r4, B1, B2");
+         ("B2", [], "return r5") ])
+
+let test_values_declines () =
+  declines Certify.values ~what:"two registers live at once coalesced" interfering
+    (straight [ "r2 = add r0, r1"; "r2 = mul r0, r1"; "r4 = sub r2, r2" ]);
+  declines Certify.values ~what:"a fold to the wrong constant" folds (straight [ "r4 = const 6" ]);
+  declines Certify.values ~what:"a fold to -0.0 where the input computes 0.0" zeros
+    (straight [ "r4 = const -0x0p+0" ]);
+  declines Certify.values ~what:"a decided branch sent to the wrong arm"
+    (decided ~b0_term:"cbr r5, B1, B2") (decided ~b0_term:"jump B2");
+  declines Certify.values ~what:"a split-edge copy from the wrong register" critical
+    (critical_split ~landing:"r6 = copy r1");
+  declines Certify.values ~what:"a dropped call"
+    (straight ~r:"r3" memory)
+    (f_of [ ("B0", memory, "return r3") ]);
+  declines Certify.values ~what:"a dropped store"
+    (straight ~r:"r3" memory)
+    (straight ~r:"r3" [ "r2 = alloca 1, 0"; "r3 = load r2" ]);
+  declines Certify.values ~what:"an output-only load"
+    (straight ~r:"r3" memory)
+    (straight ~r:"r3" (memory @ [ "r4 = load r2" ]));
+  declines Certify.values ~what:"an output-only call"
+    (straight ~r:"r3" memory)
+    (straight ~r:"r3" (memory @ [ "call emit(r0)" ]));
+  declines Certify.values ~what:"a GVN rename that merges two values"
+    (straight [ "r2 = add r0, r1"; "r3 = sub r0, r1"; "r4 = mul r2, r3" ])
+    (straight [ "r2 = add r0, r1"; "r2 = sub r0, r1"; "r4 = mul r2, r2" ]);
+  (* [r5] takes the count before it moves on: from the second iteration
+     on, the output emits the last iteration's value. [r5] enters the
+     loop with the count's number from both edges (the count's at the
+     entry, and the one the count's class had at the top of the
+     iteration that just ended, which the class is named by again), so
+     a meet that kept a number every edge agrees on would accept. *)
+  declines Certify.values ~what:"a loop that reads last iteration's value"
+    (counting ~b0:[] ~b1:[ "call emit(r1)" ])
+    (counting ~b0:[ "r5 = copy r1" ] ~b1:[ "call emit(r5)"; "r5 = copy r1" ])
+
+(* The signed-zero reproducer: [x fadd 0.0] is not [x] when [x = -0.0]
+   (the sum is 0.0), and [1.0 fdiv] tells the two zeros apart. The
+   checker folds only through the evaluator, so it cannot prove the
+   identity [Peephole] uses. *)
+let test_values_signed_zero () =
+  let text =
+    "routine main(r0) entry B0 regs 6 {\n"
+    ^ block "B0"
+        [ "r1 = const 0x0p+0"; "r2 = fneg r0"; "r3 = fadd r2, r1"; "r4 = const 0x1p+0";
+          "r5 = fdiv r4, r3" ]
+        "return r5"
+    ^ "}\n"
+  in
+  let r = routine text in
+  let before = Routine.copy r in
+  ignore (Epre_opt.Peephole.run ~config:{ Epre_opt.Peephole.mul_to_shift = true } r);
+  Alcotest.(check bool) "peephole rewrote x fadd 0.0" false (Routine.equal before r);
+  Alcotest.(check bool) "declined" true (Certify.values ~before ~after:r = None)
+
+(* --- mutation property ----------------------------------------------- *)
+
+(* One random edit of [r], the way a faulty pass might break its output:
+   an operand register substituted, a constant changed, [cbr] arms
+   swapped, an instruction dropped, or two neighbours swapped. [None]
+   when the edit finds nothing to apply to. *)
+let mutate rng (r : Routine.t) =
+  let m = Routine.copy r in
+  let int n = Random.State.int rng n in
+  let pick l = match l with [] -> None | l -> Some (List.nth l (int (List.length l))) in
+  let blocks = Cfg.blocks m.Routine.cfg in
+  let regs = Array.init (max 1 m.Routine.next_reg) Fun.id in
+  let reg () = regs.(int (Array.length regs)) in
+  let edit_instr f =
+    Option.map
+      (fun (b : Block.t) ->
+        let k = int (List.length b.Block.instrs) in
+        b.Block.instrs <-
+          List.concat (List.mapi (fun j i -> if j = k then f i else [ i ]) b.Block.instrs);
+        m)
+      (pick (List.filter (fun (b : Block.t) -> b.Block.instrs <> []) blocks))
+  in
+  match int 5 with
+  | 0 ->
+    edit_instr (fun i ->
+        match Instr.uses i with
+        | [] -> [ i ]
+        | us ->
+          let u = List.nth us (int (List.length us)) and v = reg () in
+          [ Instr.map_uses (fun x -> if x = u then v else x) i ])
+  | 1 ->
+    let change = function
+      | Value.I n -> Value.I (if int 2 = 0 then n + 1 else -n)
+      | Value.F f -> Value.F (if int 2 = 0 then f +. 1.0 else -.f)
+    in
+    edit_instr (function
+      | Instr.Const { dst; value } -> [ Instr.Const { dst; value = change value } ]
+      | i -> [ i ])
+  | 2 ->
+    Option.map
+      (fun (b : Block.t) ->
+        (match b.Block.term with
+        | Instr.Cbr { cond; ifso; ifnot } ->
+          b.Block.term <- Instr.Cbr { cond; ifso = ifnot; ifnot = ifso }
+        | Instr.Jump _ | Instr.Ret _ -> ());
+        m)
+      (pick
+         (List.filter
+            (fun (b : Block.t) -> match b.Block.term with Instr.Cbr _ -> true | _ -> false)
+            blocks))
+  | 3 -> edit_instr (fun _ -> [])
+  | _ ->
+    Option.map
+      (fun (b : Block.t) ->
+        let a = Array.of_list b.Block.instrs in
+        let k = int (Array.length a - 1) in
+        let t = a.(k) in
+        a.(k) <- a.(k + 1);
+        a.(k + 1) <- t;
+        b.Block.instrs <- Array.to_list a;
+        m)
+      (pick (List.filter (fun (b : Block.t) -> List.length b.Block.instrs > 1) blocks))
+
+(* Run [level] over [prog] pass-major; after each [constprop],
+   [coalesce] and [gvn] step that changed its routine, offer [per_step]
+   mutants of its output to [Certify.values]. Each accepted mutant,
+   observed in place of the output under the fuel its growth allows,
+   must give the step's input observation bit for bit. *)
+let mutation_run rng ~what ~level prog (accepted, declined) =
+  let per_step = 20 in
+  let current = ref (Harness.observe_counted ~fuel prog) in
+  List.iter
+    (fun (np : Harness.named_pass) ->
+      List.iter
+        (fun (r : Routine.t) ->
+          let snapshot = Routine.copy r in
+          np.Harness.run r;
+          if not (Routine.equal r snapshot) then begin
+            (match !current with
+            | (Ok _ as before), Some ops
+              when List.mem np.Harness.pass_name [ "constprop"; "coalesce"; "gvn" ] ->
+              let output = Routine.copy r in
+              for _ = 1 to per_step do
+                match mutate rng output with
+                | Some m when not (Routine.equal m output) -> (
+                  match Certify.values ~before:snapshot ~after:m with
+                  | None -> incr declined
+                  | Some g ->
+                    incr accepted;
+                    Routine.restore r ~from:m;
+                    let fuel =
+                      int_of_float (Float.ceil (Float.max 1.0 g *. float_of_int ops)) + 1
+                    in
+                    let obs = Harness.observe ~fuel prog in
+                    if not (bit_equal before obs) then
+                      Alcotest.failf
+                        "%s: a mutant of %s on %s accepted, but observed %s, was %s\n%s"
+                        what np.Harness.pass_name r.Routine.name (Harness.describe_obs obs)
+                        (Harness.describe_obs before) (Ir_text.routine_to_string m))
+                | _ -> ()
+              done;
+              Routine.restore r ~from:output
+            | _ -> ());
+            current := Harness.observe_counted ~fuel prog
+          end)
+        (Program.routines prog))
+    (Epre.Pipeline.level_passes ~level)
+
+let test_mutants () =
+  let rng = Random.State.make [| 32 |] in
+  let counts = (ref 0, ref 0) in
+  List.iter
+    (fun level ->
+      let at what prog = mutation_run rng ~what ~level prog counts in
+      List.iter
+        (fun w -> at w.Epre_workloads.Workloads.name (Epre_workloads.Workloads.compile w))
+        Epre_workloads.Workloads.all;
+      for seed = 0 to 40 do
+        at (Printf.sprintf "Gen seed %d" seed)
+          (Epre_frontend.Frontend.compile_string (Epre_fuzz.Gen.source seed))
+      done)
+    Epre.Pipeline.all_levels;
+  let accepted, declined = counts in
+  Printf.printf "mutants: %d accepted, %d declined\n" !accepted !declined;
+  Alcotest.(check bool) "some mutants accepted" true (!accepted > 0);
+  Alcotest.(check bool) "some mutants declined" true (!declined > 0)
+
 (* A counted loop, and a step named [pre] that splits its back edge:
    each iteration now also runs the landing block's jump. The motion
    checker proves the step, with a growth of 4/3; under a budget that
-   fits the loop exactly the harness must not certify it, and the rerun
-   runs out of fuel and rolls the step back. Under the default budget
-   the same step is certified. *)
+   fits the loop exactly the harness must not certify it (and counts it
+   under [harness.fuel_bound.pre]), and the rerun runs out of fuel and
+   rolls the step back. Under the default budget the same step is
+   certified. *)
 let loop =
   {|routine main() entry B0 regs 4 {
 B0:
@@ -223,9 +500,11 @@ let test_fuel_bound () =
     let p = Ir_text.parse_program loop in
     let config = { Harness.default_config with Harness.validation = Harness.Exec; fuel } in
     let records = Harness.supervise config ~passes:[ split_back_edge ] p in
+    let count what = Metrics.get ~routine:"main" ~name:("harness." ^ what ^ ".pre") in
     ( List.map (fun (r : Harness.record) -> r.Harness.outcome) records,
-      Metrics.get ~routine:"main" ~name:"harness.certified.pre",
-      Metrics.get ~routine:"main" ~name:"harness.observed.pre" )
+      count "certified",
+      count "observed",
+      count "fuel_bound" )
   in
   let exact =
     match Harness.observe_counted ~fuel (Ir_text.parse_program loop) with
@@ -233,12 +512,12 @@ let test_fuel_bound () =
     | _ -> Alcotest.fail "the loop runs"
   in
   (match run ~fuel:exact with
-  | [ Harness.Rolled_back (Harness.Behaviour_mismatch m) ], 0, 1 ->
+  | [ Harness.Rolled_back (Harness.Behaviour_mismatch m) ], 0, 1, 1 ->
     Alcotest.(check bool) ("out of fuel: " ^ m) true
       (Helpers.contains_substring ~needle:"out of fuel" m)
   | _ -> Alcotest.fail "a step outgrowing the budget must be observed and rolled back");
   match run ~fuel with
-  | [ Harness.Passed ], 1, 0 -> ()
+  | [ Harness.Passed ], 1, 0, 0 -> ()
   | _ -> Alcotest.fail "under the default budget the step is certified"
 
 let suite =
@@ -253,4 +532,10 @@ let suite =
       test_jump_chains;
     Alcotest.test_case "a step outgrowing the fuel budget is observed" `Quick
       test_fuel_bound;
+    Alcotest.test_case "values accepts constprop, coalesce and GVN steps" `Quick
+      test_values_accepts;
+    Alcotest.test_case "values declines broken steps" `Quick test_values_declines;
+    Alcotest.test_case "values declines peephole's signed-zero identity" `Quick
+      test_values_signed_zero;
+    Alcotest.test_case "values: accepted mutants observe bit-equal" `Slow test_mutants;
   ]
