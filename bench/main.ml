@@ -12,10 +12,17 @@
      strength   - strength reduction after the distribution pipeline
      adce       - conservative DCE vs control-dependence ADCE
 
+   Every experiment runs registry spellings (the names `eprec passes`
+   lists) through [Epre.Pipeline.run_passes], or whole levels.
+
    With no argument, all of these run. Compile-time cost and serve
    throughput are measured by `python3 perfbench/run.py`. *)
 
 let section title = Printf.printf "\n=== %s ===\n%!" title
+
+(* Run a registry spelling over every routine of [prog], in place. *)
+let run_spelling spelling prog =
+  Epre.Pipeline.run_passes ~hooks:Epre.Pipeline.no_hooks (Epre.Passes.named spelling) prog
 
 (* ------------------------------------------------------------------ *)
 (* Paper tables                                                        *)
@@ -59,24 +66,12 @@ fn main(): int {
 }
 |}
   in
-  let shift_cfg = { Epre_opt.Peephole.mul_to_shift = true } in
   let measure ~premature_shift =
     let prog = Epre_frontend.Frontend.compile_string source in
-    List.iter
-      (fun r ->
-        if premature_shift then ignore (Epre_opt.Peephole.run ~config:shift_cfg r);
-        ignore
-          (Epre_reassoc.Reassociate.run
-             ~config:{ Epre_reassoc.Expr_tree.reassoc_float = true; distribute = true }
-             r);
-        ignore (Epre_gvn.Gvn.run r);
-        ignore (Epre_pre.Pre.run r);
-        ignore (Epre_opt.Constprop.run r);
-        ignore (Epre_opt.Peephole.run ~config:shift_cfg r);
-        ignore (Epre_opt.Dce.run r);
-        ignore (Epre_opt.Coalesce.run r);
-        ignore (Epre_opt.Clean.run r))
-      (Epre_ir.Program.routines prog);
+    run_spelling
+      ((if premature_shift then "peephole-shift," else "")
+      ^ "distribute,gvn,pre,constprop,peephole-shift,dce,coalesce,clean")
+      prog;
     let result = Epre_interp.Interp.run prog ~entry:"main" ~args:[] in
     ( Epre_interp.Counts.total result.Epre_interp.Interp.counts,
       result.Epre_interp.Interp.return_value )
@@ -98,23 +93,14 @@ let run_ablation () =
   List.iter
     (fun w ->
       let prog = Epre_workloads.Workloads.compile w in
-      let measure pre_run =
+      let measure pre =
         let p = Epre_ir.Program.copy prog in
-        List.iter
-          (fun r ->
-            ignore (Epre_opt.Naming.run r);
-            pre_run r;
-            ignore (Epre_opt.Constprop.run r);
-            ignore (Epre_opt.Peephole.run r);
-            ignore (Epre_opt.Dce.run r);
-            ignore (Epre_opt.Coalesce.run r);
-            ignore (Epre_opt.Clean.run r))
-          (Epre_ir.Program.routines p);
+        run_spelling ("naming," ^ pre ^ ",constprop,peephole,dce,coalesce,clean") p;
         let result = Epre_interp.Interp.run p ~entry:"main" ~args:[] in
         Epre_interp.Counts.total result.Epre_interp.Interp.counts
       in
-      let lcm = measure (fun r -> ignore (Epre_pre.Pre.run r)) in
-      let mr = measure (fun r -> ignore (Epre_pre.Pre.run_classic r)) in
+      let lcm = measure "pre" in
+      let mr = measure "pre-classic" in
       Printf.printf "%-12s %14d %16d\n" w.Epre_workloads.Workloads.name lcm mr)
     Epre_workloads.Workloads.all
 
@@ -135,15 +121,7 @@ let run_strength () =
           .Epre_interp.Counts.mults
       in
       let before = mults p in
-      List.iter
-        (fun r ->
-          ignore (Epre_opt.Strength.run r);
-          ignore (Epre_opt.Constprop.run r);
-          ignore (Epre_opt.Peephole.run r);
-          ignore (Epre_opt.Dce.run r);
-          ignore (Epre_opt.Coalesce.run r);
-          ignore (Epre_opt.Clean.run r))
-        (Epre_ir.Program.routines p);
+      run_spelling "strength,constprop,peephole,dce,coalesce,clean" p;
       Printf.printf "%-12s %18d %18d\n" w.Epre_workloads.Workloads.name before (mults p))
     Epre_workloads.Workloads.all
 
@@ -152,13 +130,9 @@ let run_strength () =
    control-dependence formulation in full). *)
 let run_adce () =
   section "Extension: conservative DCE vs control-dependence ADCE (dynamic operations)";
-  let measure prog pass =
+  let measure prog dce =
     let p = Epre_ir.Program.copy prog in
-    List.iter
-      (fun r ->
-        pass r;
-        ignore (Epre_opt.Clean.run r))
-      (Epre_ir.Program.routines p);
+    run_spelling (dce ^ ",clean") p;
     let result = Epre_interp.Interp.run p ~entry:"main" ~args:[] in
     Epre_interp.Counts.total result.Epre_interp.Interp.counts
   in
@@ -169,9 +143,7 @@ let run_adce () =
   List.iter
     (fun w ->
       let prog = Epre_workloads.Workloads.compile w in
-      if measure prog (fun r -> ignore (Epre_opt.Dce.run r))
-         <> measure prog (fun r -> ignore (Epre_opt.Adce.run r))
-      then suite_same := false)
+      if measure prog "dce" <> measure prog "adce" then suite_same := false)
     Epre_workloads.Workloads.all;
   Printf.printf "workload suite: dce and adce %s on all %d workloads\n"
     (if !suite_same then "coincide (no dead control flow in the kernels)" else "differ")
@@ -180,8 +152,8 @@ let run_adce () =
   List.iter
     (fun (label, src) ->
       let prog = Epre_frontend.Frontend.compile_string src in
-      let plain = measure prog (fun r -> ignore (Epre_opt.Dce.run r)) in
-      let aggressive = measure prog (fun r -> ignore (Epre_opt.Adce.run r)) in
+      let plain = measure prog "dce" in
+      let aggressive = measure prog "adce" in
       Printf.printf "%-22s %14d %14d\n" label plain aggressive)
     [ ( "dead-loop",
         "fn main(): int { var d: int; var i: int; for i = 1 to 200 { d = d + i * i; } return 42; }" );

@@ -321,11 +321,7 @@ let pass_sequence ~level ~passes ~chaos =
       |> registry_ok
       |> List.map Epre.Passes.to_named
     in
-    Some
-      (`Passes
-         (match chaos with
-         | None -> named
-         | Some (at, np) -> Epre.Pipeline.splice named ~at np))
+    Some (`Passes (Epre.Pipeline.inject_faults (Option.to_list chaos) named))
   | None, Some level -> Some (`Level (level, Option.to_list chaos))
   | None, None ->
     if chaos <> None then begin
@@ -556,10 +552,7 @@ let bisect_cmd =
       with
       | Some (`Passes named) -> named
       | Some (`Level (level, inject)) ->
-        List.fold_left
-          (fun ps (at, np) -> Epre.Pipeline.splice ps ~at np)
-          (Epre.Pipeline.level_passes ~level)
-          inject
+        Epre.Pipeline.inject_faults inject (Epre.Pipeline.level_passes ~level)
       | None -> []
     in
     match Epre_harness.Bisect.run ~passes:named prog with

@@ -46,40 +46,24 @@ fn main(): int {
 }
 |}
 
-type variant = { label : string; apply : Routine.t -> unit }
-
+(* Each method as a registry spelling (the names `eprec passes` lists). *)
 let variants =
   [
-    { label = "dominator CSE (5.3 method 1)";
-      apply = (fun r -> ignore (Epre_opt.Cse_dom.run r)) };
-    { label = "available-expression CSE (method 2)";
-      apply =
-        (fun r ->
-          ignore (Epre_opt.Naming.run r);
-          ignore (Epre_opt.Cse_avail.run r)) };
-    { label = "partial redundancy elimination (method 3)";
-      apply =
-        (fun r ->
-          ignore (Epre_opt.Naming.run r);
-          ignore (Epre_pre.Pre.run r)) };
+    ("dominator CSE (5.3 method 1)", "cse-dom");
+    ("available-expression CSE (method 2)", "naming,cse-avail");
+    ("partial redundancy elimination (method 3)", "naming,pre");
   ]
 
 let () =
   let prog = Epre_frontend.Frontend.compile_string source in
   List.iter
-    (fun v ->
+    (fun (label, spelling) ->
       let p = Program.copy prog in
-      List.iter
-        (fun r ->
-          v.apply r;
-          ignore (Epre_opt.Constprop.run r);
-          ignore (Epre_opt.Peephole.run r);
-          ignore (Epre_opt.Dce.run r);
-          ignore (Epre_opt.Coalesce.run r);
-          ignore (Epre_opt.Clean.run r))
-        (Program.routines p);
+      Epre.Pipeline.run_passes ~hooks:Epre.Pipeline.no_hooks
+        (Epre.Passes.named (spelling ^ ",constprop,peephole,dce,coalesce,clean"))
+        p;
       let result = Epre_interp.Interp.run p ~entry:"main" ~args:[] in
-      Fmt.pr "%-42s: %6d dynamic operations (result %a)@." v.label
+      Fmt.pr "%-42s: %6d dynamic operations (result %a)@." label
         (Epre_interp.Counts.total result.Epre_interp.Interp.counts)
         Fmt.(option Value.pp)
         result.Epre_interp.Interp.return_value)

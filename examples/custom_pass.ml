@@ -129,17 +129,9 @@ let () =
   let converted =
     List.fold_left (fun acc r -> acc + if_convert r) 0 (Program.routines prog)
   in
-  List.iter
-    (fun r ->
-      ignore (Epre_opt.Naming.run r);
-      ignore (Epre_pre.Pre.run r);
-      ignore (Epre_opt.Constprop.run r);
-      ignore (Epre_opt.Peephole.run r);
-      ignore (Epre_opt.Dce.run r);
-      ignore (Epre_opt.Coalesce.run r);
-      ignore (Epre_opt.Clean.run r);
-      Routine.validate r)
-    (Program.routines prog);
+  Epre.Pipeline.run_passes ~hooks:Epre.Pipeline.no_hooks
+    (Epre.Passes.named "naming,pre,constprop,peephole,dce,coalesce,clean")
+    prog;
   let after, v1 = ops prog in
   assert (v0 = v1);
   Fmt.pr "diamonds if-converted : %d@." converted;

@@ -54,15 +54,9 @@ let () =
   let p, _ = Epre.Pipeline.optimized_copy ~level:Epre.Pipeline.Distribution prog in
   report "distribution pipeline" p;
   (* ... then the extension *)
-  List.iter
-    (fun r ->
-      ignore (Epre_opt.Strength.run r);
-      ignore (Epre_opt.Constprop.run r);
-      ignore (Epre_opt.Peephole.run r);
-      ignore (Epre_opt.Dce.run r);
-      ignore (Epre_opt.Coalesce.run r);
-      ignore (Epre_opt.Clean.run r))
-    (Program.routines p);
+  Epre.Pipeline.run_passes ~hooks:Epre.Pipeline.no_hooks
+    (Epre.Passes.named "strength,constprop,peephole,dce,coalesce,clean")
+    p;
   report "+ strength reduction" p;
   Fmt.pr "@.The inner loop of colsweep, multiplies reduced to additions:@.%a@."
     Pp.routine

@@ -163,8 +163,6 @@ type hierarchy_row = {
   pre_residual : int;
 }
 
-type cse_method = Dom_cse | Avail_cse | Full_pre
-
 (* Static effectiveness of an engine variant: evaluation sites the
    redundancy auditor still classifies fully or partially redundant
    after the variant ran — 0 means nothing left on the table. *)
@@ -175,38 +173,21 @@ let residual_count (p : Program.t) =
     0 (Program.routines p)
 
 (* Reassociation + GVN (encode value equivalence into names, as Section 5.3
-   assumes), then one of the three eliminators, then the baseline cleanup
-   sequence. *)
-let run_hierarchy_level prog m =
+   assumes), then one of the three eliminators (a registry spelling), then
+   the baseline cleanup sequence. *)
+let run_hierarchy_level prog eliminator =
   let p = Program.copy prog in
-  List.iter
-    (fun r ->
-      ignore
-        (Epre_reassoc.Reassociate.run ~config:(Pipeline.reassoc_config ~distribute:false) r);
-      ignore (Epre_gvn.Gvn.run r);
-      (match m with
-      | Dom_cse -> ignore (Epre_opt.Cse_dom.run r)
-      | Avail_cse ->
-        ignore (Epre_opt.Naming.run r);
-        ignore (Epre_opt.Cse_avail.run r)
-      | Full_pre ->
-        ignore (Epre_opt.Naming.run r);
-        ignore (Epre_pre.Pre.run r));
-      ignore (Epre_opt.Constprop.run r);
-      ignore (Epre_opt.Peephole.run r);
-      ignore (Epre_opt.Dce.run r);
-      ignore (Epre_opt.Coalesce.run r);
-      ignore (Epre_opt.Clean.run r);
-      Routine.validate r)
-    (Program.routines p);
+  Pipeline.run_passes ~hooks:Pipeline.no_hooks
+    (Passes.named ("reassociate,gvn," ^ eliminator ^ ",constprop,peephole,dce,coalesce,clean"))
+    p;
   (dynamic_count p, residual_count p)
 
 let hierarchy_row (w : Workloads.t) =
   experiment_span ("hierarchy:" ^ w.Workloads.name) (fun () ->
       let prog = Workloads.compile w in
-      let dom_cse, dom_cse_residual = run_hierarchy_level prog Dom_cse in
-      let avail_cse, avail_cse_residual = run_hierarchy_level prog Avail_cse in
-      let pre, pre_residual = run_hierarchy_level prog Full_pre in
+      let dom_cse, dom_cse_residual = run_hierarchy_level prog "cse-dom" in
+      let avail_cse, avail_cse_residual = run_hierarchy_level prog "naming,cse-avail" in
+      let pre, pre_residual = run_hierarchy_level prog "naming,pre" in
       {
         name = w.Workloads.name;
         dom_cse;

@@ -1,6 +1,8 @@
 (** The pass registry: every optimizer pass under its command-line name,
     powering [eprec --passes] and mirroring the paper's
-    passes-as-Unix-filters architecture.
+    passes-as-Unix-filters architecture. It is [Pipeline.table] (which
+    also spells the levels) plus the [chaos:*] faults; the paper
+    experiments and the examples run spellings in the same names.
 
     The registry only names and resolves passes; it does not run them.
     A parsed sequence goes through {!to_named} to one of the two runners
@@ -30,3 +32,7 @@ val to_named : pass -> Epre_harness.Harness.named_pass
 (** Resolve a comma-separated sequence; [Error name] on the first unknown
     pass. *)
 val parse_sequence : string -> (pass list, string) result
+
+(** A known-good comma-separated spelling as named passes, for [run_passes]
+    drivers. @raise Invalid_argument on an unknown pass. *)
+val named : string -> Epre_harness.Harness.named_pass list

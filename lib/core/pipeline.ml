@@ -13,7 +13,9 @@
 
     Every pass consumes and produces ILOC, exactly like the Unix-filter
     passes of the paper's optimizer; passes that need SSA build and destroy
-    it internally.
+    it internally. Every pass runs from one table, [table], under its
+    registry name; a level is a registry spelling ([level_spelling]), and
+    the paper experiments and [--passes] run registry spellings too.
 
     A level's sequence can run two ways: bare ([optimize]), where a failing
     pass aborts the run exactly like one broken filter poisons the paper's
@@ -41,15 +43,19 @@ let level_of_string = function
 
 type routine_stats = {
   routine : string;
-  reassoc : Epre_reassoc.Reassociate.stats option;
-  gvn : Epre_gvn.Gvn.stats option;
-  pre : Epre_pre.Pre.stats option;
-  exprs_renamed : int;
-  constants_folded : int;
-  peephole_rewrites : int;
-  dce_removed : int;
-  copies_coalesced : int;
+  mutable reassoc : Epre_reassoc.Reassociate.stats option;
+  mutable gvn : Epre_gvn.Gvn.stats option;
+  mutable pre : Epre_pre.Pre.stats option;
+  mutable exprs_renamed : int;
+  mutable constants_folded : int;
+  mutable peephole_rewrites : int;
+  mutable dce_removed : int;
+  mutable copies_coalesced : int;
 }
+
+let fresh_stats routine =
+  { routine; reassoc = None; gvn = None; pre = None; exprs_renamed = 0;
+    constants_folded = 0; peephole_rewrites = 0; dce_removed = 0; copies_coalesced = 0 }
 
 (* [dump] observes the routine after each named stage, for IR tracing (the
    running example of Figures 2-10 uses it). *)
@@ -60,91 +66,131 @@ let no_hooks = { dump = (fun _ _ -> ()) }
 let reassoc_config ~distribute =
   { Epre_reassoc.Expr_tree.default_config with Epre_reassoc.Expr_tree.distribute }
 
-(* Mutable per-routine statistics, filled in by the pass closures as the
-   sequence runs (so the same pass list works routine-major and
-   supervised/pass-major). *)
-type acc = {
-  mutable s_reassoc : Epre_reassoc.Reassociate.stats option;
-  mutable s_gvn : Epre_gvn.Gvn.stats option;
-  mutable s_pre : Epre_pre.Pre.stats option;
-  mutable s_renamed : int;
-  mutable s_constants : int;
-  mutable s_peephole : int;
-  mutable s_dce : int;
-  mutable s_coalesce : int;
+type entry = {
+  name : string;
+  description : string;
+  step : routine_stats -> Routine.t -> unit;
 }
 
-let fresh_acc () =
-  { s_reassoc = None; s_gvn = None; s_pre = None; s_renamed = 0; s_constants = 0;
-    s_peephole = 0; s_dce = 0; s_coalesce = 0 }
+(* A second PRE run (the levels' late cleanup round) adds to the first. *)
+let add_pre (s : routine_stats) (p : Epre_pre.Pre.stats) =
+  s.pre <-
+    Some
+      (match s.pre with
+      | None -> p
+      | Some q ->
+        Epre_pre.Pre.
+          {
+            inserted = q.inserted + p.inserted;
+            deleted = q.deleted + p.deleted;
+            cse_deleted = q.cse_deleted + p.cse_deleted;
+            rounds = q.rounds + p.rounds;
+          })
 
-let stats_of_acc ~routine a =
-  { routine; reassoc = a.s_reassoc; gvn = a.s_gvn; pre = a.s_pre;
-    exprs_renamed = a.s_renamed; constants_folded = a.s_constants;
-    peephole_rewrites = a.s_peephole; dce_removed = a.s_dce;
-    copies_coalesced = a.s_coalesce }
+(* The one place a pass runs to build a sequence: each step runs its pass
+   and adds the pass's statistic to the routine's [routine_stats], so the
+   same step serves the levels, [--passes] sequences (statistics
+   discarded), routine-major and supervised pass-major runs alike. *)
+let table =
+  let e name description step = { name; description; step } in
+  let ignored run _ r = ignore (run r) in
+  let reassociate distribute s r =
+    s.reassoc <- Some (Epre_reassoc.Reassociate.run ~config:(reassoc_config ~distribute) r)
+  in
+  let peephole mul_to_shift s r =
+    s.peephole_rewrites <-
+      s.peephole_rewrites + Epre_opt.Peephole.run ~config:{ Epre_opt.Peephole.mul_to_shift } r
+  in
+  let dce run s r = s.dce_removed <- s.dce_removed + run r in
+  [
+    e "naming" "re-establish the Section 2.2 expression-naming discipline"
+      (fun s r -> s.exprs_renamed <- s.exprs_renamed + Epre_opt.Naming.run r);
+    e "pre" "partial redundancy elimination (edge placement)"
+      (fun s r -> add_pre s (Epre_pre.Pre.run r));
+    e "pre-classic" "Morel-Renvoise PRE (block-end placement; ablation)"
+      (fun s r -> add_pre s (Epre_pre.Pre.run_classic r));
+    e "reassociate"
+      "global reassociation, no distribution (Section 3.1); -O reassociation's \
+       reassociation stage"
+      (reassociate false);
+    e "distribute"
+      "global reassociation with distribution of * over +; -O distribution's \
+       reassociation stage"
+      (reassociate true);
+    e "gvn" "partition-based global value numbering (Section 3.2)"
+      (fun s r -> s.gvn <- Some (Epre_gvn.Gvn.run r));
+    e "constprop" "sparse conditional constant propagation"
+      (fun s r -> s.constants_folded <- s.constants_folded + Epre_opt.Constprop.run r);
+    e "peephole" "global peephole optimization" (peephole false);
+    e "peephole-shift"
+      "peephole including mul-to-shift rewriting (Section 5.2); the levels' \
+       peephole stage"
+      (peephole true);
+    e "dce" "dead code elimination" (dce Epre_opt.Dce.run);
+    e "adce" "aggressive DCE via control dependence (Cytron 7.1; extension)"
+      (dce Epre_opt.Adce.run);
+    e "coalesce" "Chaitin-style copy coalescing"
+      (fun s r -> s.copies_coalesced <- s.copies_coalesced + Epre_opt.Coalesce.run r);
+    e "clean" "CFG cleanup (empty-block removal)" (ignored Epre_opt.Clean.run);
+    e "cse-dom" "dominator-based CSE (Section 5.3 method 1)" (ignored Epre_opt.Cse_dom.run);
+    e "cse-avail" "available-expression CSE (Section 5.3 method 2)"
+      (ignored Epre_opt.Cse_avail.run);
+    e "dvnt" "dominator-tree hash value numbering (extension)" (ignored Epre_opt.Dvnt.run);
+    e "strength" "operator strength reduction (extension)" (ignored Epre_opt.Strength.run);
+    e "ssa-roundtrip" "build and destroy pruned SSA (diagnostic)"
+      (fun _ r -> ignore (Epre_ssa.Ssa.build r); ignore (Epre_ssa.Ssa.destroy r));
+  ]
 
-(* A level's sequence as named harness passes; [acc_for] locates the stats
-   sink for the routine being transformed. *)
-let level_passes_into ~level ~acc_for =
-  let p pass_name f = { Epre_harness.Harness.pass_name; run = (fun r -> f (acc_for r) r) } in
+let level_spelling ~level =
   let front =
     match level with
     | Baseline -> []
-    | Partial ->
-      [ p "naming" (fun a r -> a.s_renamed <- a.s_renamed + Epre_opt.Naming.run r);
-        p "pre" (fun a r -> a.s_pre <- Some (Epre_pre.Pre.run r)) ]
-    | Reassociation | Distribution ->
-      let distribute = level = Distribution in
-      [ p "reassociation"
-          (fun a r ->
-            a.s_reassoc <-
-              Some (Epre_reassoc.Reassociate.run ~config:(reassoc_config ~distribute) r));
-        p "gvn" (fun a r -> a.s_gvn <- Some (Epre_gvn.Gvn.run r));
-        p "pre" (fun a r -> a.s_pre <- Some (Epre_pre.Pre.run r)) ]
+    | Partial -> [ "naming"; "pre" ]
+    | Reassociation -> [ "reassociate"; "gvn"; "pre" ]
+    | Distribution -> [ "distribute"; "gvn"; "pre" ]
   in
-  let has_pre = front <> [] in
   front
-  @ [ p "constprop" (fun a r -> a.s_constants <- a.s_constants + Epre_opt.Constprop.run r);
-      p "peephole"
-        (fun a r ->
-          a.s_peephole <-
-            a.s_peephole
-            + Epre_opt.Peephole.run ~config:{ Epre_opt.Peephole.mul_to_shift = true } r);
-      p "dce" (fun a r -> a.s_dce <- a.s_dce + Epre_opt.Dce.run r);
-      p "coalesce" (fun a r -> a.s_coalesce <- a.s_coalesce + Epre_opt.Coalesce.run r) ]
+  @ [ "constprop"; "peephole-shift"; "dce"; "coalesce" ]
   (* Coalescing merges copy webs, which can turn distinct evaluations
      into literally identical expressions — fresh PRE opportunities the
      main round could not see. A late cleanup round collects them, so
      the PRE levels actually deliver the paper's "no removable
      redundancy survives" contract (the redundancy auditor's A002
      checks exactly this). *)
-  @ (if has_pre then
-       [ p "pre"
-           (fun a r ->
-             let s2 = Epre_pre.Pre.run r in
-             a.s_pre <-
-               Some
-                 (match a.s_pre with
-                 | None -> s2
-                 | Some s1 ->
-                   Epre_pre.Pre.
-                     {
-                       inserted = s1.inserted + s2.inserted;
-                       deleted = s1.deleted + s2.deleted;
-                       cse_deleted = s1.cse_deleted + s2.cse_deleted;
-                       rounds = s1.rounds + s2.rounds;
-                     }));
-         p "dce" (fun a r -> a.s_dce <- a.s_dce + Epre_opt.Dce.run r) ]
-     else [])
-  @ [ p "clean" (fun _ r -> ignore (Epre_opt.Clean.run r)) ]
+  @ (if front <> [] then [ "pre"; "dce" ] else [])
+  @ [ "clean" ]
+
+(* A level stage's label: its registry name, except for the two stages
+   whose label names the level's role rather than the pass variant. *)
+let stage_label = function
+  | "reassociate" | "distribute" -> "reassociation"
+  | "peephole-shift" -> "peephole"
+  | name -> name
+
+(* Each level's (label, step) sequence, resolved once. *)
+let level_steps =
+  let resolve level =
+    List.map
+      (fun name ->
+        (stage_label name, (List.find (fun e -> e.name = name) table).step))
+      (level_spelling ~level)
+  in
+  let resolved = List.map (fun level -> (level, resolve level)) all_levels in
+  fun level -> List.assoc level resolved
+
+(* A level's sequence as named harness passes; [stats_for] locates the
+   statistics of the routine being transformed. *)
+let level_passes_into ~level ~stats_for =
+  List.map
+    (fun (pass_name, step) ->
+      { Epre_harness.Harness.pass_name; run = (fun r -> step (stats_for r) r) })
+    (level_steps level)
 
 let level_passes ~level =
-  let shared = fresh_acc () in
-  level_passes_into ~level ~acc_for:(fun _ -> shared)
+  let shared = fresh_stats "" in
+  level_passes_into ~level ~stats_for:(fun _ -> shared)
 
-let level_stages ~level =
-  List.map (fun p -> p.Epre_harness.Harness.pass_name) (level_passes ~level)
+let level_stages ~level = List.map stage_label (level_spelling ~level)
 
 (* The next rung down the degradation ladder: each level is a strict
    extension of the previous, so stepping down only removes passes. *)
@@ -290,11 +336,8 @@ let stats_of_json (j : Epre_telemetry.Tjson.t) =
    changes the fingerprint, so stale cached results can never be replayed
    against a different pipeline. *)
 let fingerprint ~level =
-  let stages =
-    List.map (fun p -> p.Epre_harness.Harness.pass_name) (level_passes ~level)
-  in
   Printf.sprintf "epre-pipeline-v1|%s|%s" (level_to_string level)
-    (String.concat "," stages)
+    (String.concat "," (level_stages ~level))
 
 (* The routine-major runner: the one loop that applies a pass sequence
    bare, for the levels and for registry sequences alike. Each pass gets
@@ -319,9 +362,8 @@ let run_routine ~hooks ~poll passes (r : Routine.t) =
 
 let optimize_routine ?(hooks = no_hooks) ?(poll = fun () -> ())
     ?(wrap = fun passes -> passes) ~level (r : Routine.t) =
-  let acc = fresh_acc () in
-  run_routine ~hooks ~poll (wrap (level_passes_into ~level ~acc_for:(fun _ -> acc))) r;
-  let stats = stats_of_acc ~routine:r.Routine.name acc in
+  let stats = fresh_stats r.Routine.name in
+  run_routine ~hooks ~poll (wrap (level_passes_into ~level ~stats_for:(fun _ -> stats))) r;
   record_metrics stats;
   stats
 
@@ -352,6 +394,9 @@ let splice passes ~at np =
   in
   go 0 passes
 
+let inject_faults faults passes =
+  List.fold_left (fun ps (at, np) -> splice ps ~at np) passes faults
+
 (** Optimize under harness supervision: each (pass, routine) application
     checkpoints, validates at the configured tier, and rolls back on
     failure, continuing with the rest of the sequence. [inject] splices
@@ -361,31 +406,22 @@ let splice passes ~at np =
     are the source of truth for what is actually in effect. *)
 let optimize_supervised ?(hooks = no_hooks) ?(inject = []) ~config ~level
     (p : Program.t) =
-  let accs = Hashtbl.create 7 in
-  let acc_for (r : Routine.t) =
-    match Hashtbl.find_opt accs r.Routine.name with
-    | Some a -> a
+  let stats = Hashtbl.create 7 in
+  let stats_for (r : Routine.t) =
+    match Hashtbl.find_opt stats r.Routine.name with
+    | Some s -> s
     | None ->
-      let a = fresh_acc () in
-      Hashtbl.add accs r.Routine.name a;
-      a
+      let s = fresh_stats r.Routine.name in
+      Hashtbl.add stats r.Routine.name s;
+      s
   in
-  let passes =
-    List.fold_left
-      (fun ps (at, np) -> splice ps ~at np)
-      (level_passes_into ~level ~acc_for)
-      inject
-  in
+  let passes = inject_faults inject (level_passes_into ~level ~stats_for) in
   let records =
     (* Per-(pass, routine) spans come from the harness itself. *)
     Epre_telemetry.Telemetry.Span.with_ ~kind:"pipeline"
       ~name:(level_to_string level ^ "/supervised") (fun () ->
         Epre_harness.Harness.supervise ~dump:hooks.dump config ~passes p)
   in
-  let stats =
-    List.map
-      (fun (r : Routine.t) -> stats_of_acc ~routine:r.Routine.name (acc_for r))
-      (Program.routines p)
-  in
+  let stats = List.map stats_for (Program.routines p) in
   List.iter record_metrics stats;
   (stats, records)

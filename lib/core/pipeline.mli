@@ -11,7 +11,11 @@
 
     Every pass consumes and produces ILOC, like the Unix-filter passes of
     the paper's optimizer; passes that need SSA build and destroy it
-    internally.
+    internally. Every pass runs from one table, {!table}, under its
+    registry name ([Epre.Passes] adds the [chaos:*] faults): a level is a
+    registry spelling ({!level_spelling}), and [--passes], the paper
+    experiments and the examples run registry spellings through
+    {!run_passes}.
 
     A sequence runs bare and routine-major (the levels' [optimize] and
     registry sequences' [run_passes] share one loop; a broken pass aborts
@@ -36,18 +40,23 @@ val level_to_string : level -> string
 
 val level_of_string : string -> level option
 
+(** Per-routine statistics. The counters are the accumulator the
+    table's steps add to as a sequence runs. *)
 type routine_stats = {
   routine : string;
-  reassoc : Epre_reassoc.Reassociate.stats option;
-  gvn : Epre_gvn.Gvn.stats option;
-  pre : Epre_pre.Pre.stats option;
-  exprs_renamed : int;
+  mutable reassoc : Epre_reassoc.Reassociate.stats option;
+  mutable gvn : Epre_gvn.Gvn.stats option;
+  mutable pre : Epre_pre.Pre.stats option;  (** summed over PRE runs *)
+  mutable exprs_renamed : int;
       (** evaluation sites rewritten by [Naming] (Partial level only) *)
-  constants_folded : int;
-  peephole_rewrites : int;
-  dce_removed : int;
-  copies_coalesced : int;
+  mutable constants_folded : int;
+  mutable peephole_rewrites : int;
+  mutable dce_removed : int;
+  mutable copies_coalesced : int;
 }
+
+(** Zeroed statistics for the named routine. *)
+val fresh_stats : string -> routine_stats
 
 (** One-line-per-routine JSON records of [routine_stats]
     ([{"type":"routine_stats","routine":...,...}]), encoded with
@@ -75,22 +84,42 @@ val record_metrics : routine_stats -> unit
 val fingerprint : level:level -> string
 
 (** [dump] observes the routine after each named stage (IR tracing; the
-    Figures 2-10 walkthrough uses it). Stage names: ["naming"],
-    ["reassociation"], ["gvn"], ["pre"], ["constprop"], ["peephole"],
-    ["dce"], ["coalesce"], ["clean"]. *)
+    Figures 2-10 walkthrough uses it); a level's stages are named by
+    {!level_stages}, a registry sequence's by its registry names. *)
 type hooks = { dump : string -> Routine.t -> unit }
 
 val no_hooks : hooks
 
 val reassoc_config : distribute:bool -> Epre_reassoc.Expr_tree.config
 
+(** A registry pass: its command-line name, a one-line description, and
+    the step that runs it on a routine and adds its statistic (if it has
+    one) to the routine's statistics. *)
+type entry = {
+  name : string;
+  description : string;
+  step : routine_stats -> Routine.t -> unit;
+}
+
+(** Every optimizer pass, in [eprec passes] order: the only place a pass
+    runs to build a sequence. *)
+val table : entry list
+
+(** A level's sequence as registry names (e.g. [Baseline]:
+    [constprop; peephole-shift; dce; coalesce; clean]). Run by
+    {!run_passes}, it prints the ILOC {!optimize} does. *)
+val level_spelling : level:level -> string list
+
 (** A level's pass sequence under its stage names, for the harness,
     bisection, and chaos-injection experiments. Statistics are discarded;
     use [optimize]/[optimize_supervised] to collect them. *)
 val level_passes : level:level -> Epre_harness.Harness.named_pass list
 
-(** Just the stage names of a level's sequence, in pass order — what the
-    compile service's circuit breakers match opened passes against. *)
+(** The stage names of a level's sequence, in pass order: each stage is
+    labelled by its registry name, except that [reassociate] and
+    [distribute] are the ["reassociation"] stage and [peephole-shift] is
+    the ["peephole"] stage. What the compile service's circuit breakers
+    match opened passes against, and half of {!fingerprint}. *)
 val level_stages : level:level -> string list
 
 (** The next rung down the degradation ladder ([Distribution] →
@@ -105,6 +134,14 @@ val splice :
   Epre_harness.Harness.named_pass list ->
   at:int ->
   Epre_harness.Harness.named_pass ->
+  Epre_harness.Harness.named_pass list
+
+(** [splice] each (position, pass) into the sequence, in order — how a
+    [--chaos] fault (or any extra pass) joins a level's or a registry
+    sequence, for the CLI, the fuzz oracle and {!optimize_supervised}. *)
+val inject_faults :
+  (int * Epre_harness.Harness.named_pass) list ->
+  Epre_harness.Harness.named_pass list ->
   Epre_harness.Harness.named_pass list
 
 (** Optimize one routine in place. [poll] is called before every pass and

@@ -48,10 +48,7 @@ let default_config =
     fuel = Epre_interp.Interp.default_fuel; pinpoint = false }
 
 let passes_for config level =
-  let passes = Pipeline.level_passes ~level in
-  match config.chaos with
-  | None -> passes
-  | Some (at, p) -> Pipeline.splice passes ~at p
+  Pipeline.inject_faults (Option.to_list config.chaos) (Pipeline.level_passes ~level)
 
 (* Fast tier for one level: supervise at the [Ir] tier with
    [keep_going = false] (per-pass structural checking, exceptions become

@@ -66,6 +66,8 @@ let audit_postconditions =
     ("dvnt", false);
     ("reassociate", false);
     ("distribute", false);
+    (* the levels' label for [reassociate] and [distribute] *)
+    ("reassociation", false);
   ]
 
 let audited_pass pass = List.assoc_opt pass audit_postconditions

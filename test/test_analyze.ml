@@ -343,7 +343,30 @@ let test_audit_postconditions () =
   let names = List.map fst Analyze.audit_postconditions in
   Alcotest.(check int) "no duplicate pass names"
     (List.length names)
-    (List.length (List.sort_uniq String.compare names))
+    (List.length (List.sort_uniq String.compare names));
+  (* A level stage answers every per-pass fact table as the registry pass
+     it runs does, so --audit, lint postconditions and certification see
+     the levels' stages exactly as the same passes under --passes. *)
+  List.iter
+    (fun level ->
+      List.iter2
+        (fun label name ->
+          let what =
+            Printf.sprintf "%s: stage %s runs %s"
+              (Epre.Pipeline.level_to_string level) label name
+          in
+          Alcotest.(check (list string)) (what ^ ", postconditions")
+            (Verify.postconditions name) (Verify.postconditions label);
+          Alcotest.(check (option bool)) (what ^ ", audited")
+            (Analyze.audited_pass name) (Analyze.audited_pass label);
+          Alcotest.(check bool) (what ^ ", certified by the same checker") true
+            (match (Epre_verify.Certify.find name, Epre_verify.Certify.find label) with
+            | Some a, Some b -> a == b
+            | None, None -> true
+            | _ -> false))
+        (Epre.Pipeline.level_stages ~level)
+        (Epre.Pipeline.level_spelling ~level))
+    Epre.Pipeline.all_levels
 
 (* A no-op pass named "pre" leaves the planted full redundancy behind:
    the harness must record the finding in meta and must not roll back. *)

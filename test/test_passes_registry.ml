@@ -118,6 +118,37 @@ let test_runner_order_irrelevant () =
         (Ir_text.print_program routine_major))
     Epre_workloads.Workloads.all
 
+(* A level is a registry spelling: run by the registry runner, it prints
+   the ILOC the level's [optimize] prints, on every workload. *)
+let test_level_spellings () =
+  List.iter
+    (fun level ->
+      let spelling = String.concat "," (Epre.Pipeline.level_spelling ~level) in
+      List.iter
+        (fun w ->
+          let leveled = Epre_workloads.Workloads.compile w in
+          ignore (Epre.Pipeline.optimize ~level leveled);
+          let spelled = Epre_workloads.Workloads.compile w in
+          Epre.Pipeline.run_passes ~hooks:Epre.Pipeline.no_hooks
+            (Epre.Passes.named spelling) spelled;
+          Alcotest.(check string)
+            (w.Epre_workloads.Workloads.name ^ " at " ^ spelling)
+            (Ir_text.print_program leveled)
+            (Ir_text.print_program spelled))
+        Epre_workloads.Workloads.all)
+    Epre.Pipeline.all_levels
+
+(* The fingerprints are half of each compile-cache key, and they carry the
+   stage labels the per-stage benchmark accounting reads: pinned
+   verbatim, so a relabelled or reordered stage is a deliberate change. *)
+let test_fingerprints_pinned () =
+  Alcotest.(check (list string)) "fingerprints"
+    [ "epre-pipeline-v1|baseline|constprop,peephole,dce,coalesce,clean";
+      "epre-pipeline-v1|partial|naming,pre,constprop,peephole,dce,coalesce,pre,dce,clean";
+      "epre-pipeline-v1|reassociation|reassociation,gvn,pre,constprop,peephole,dce,coalesce,pre,dce,clean";
+      "epre-pipeline-v1|distribution|reassociation,gvn,pre,constprop,peephole,dce,coalesce,pre,dce,clean" ]
+    (List.map (fun level -> Epre.Pipeline.fingerprint ~level) Epre.Pipeline.all_levels)
+
 let suite =
   [
     Alcotest.test_case "registry resolves" `Quick test_all_names_resolve;
@@ -129,4 +160,7 @@ let suite =
     Alcotest.test_case "custom 10-pass pipeline" `Quick test_custom_sequence_end_to_end;
     Alcotest.test_case "runner order does not change the ILOC" `Quick
       test_runner_order_irrelevant;
+    Alcotest.test_case "level spellings print the levels' ILOC" `Quick
+      test_level_spellings;
+    Alcotest.test_case "level fingerprints pinned" `Quick test_fingerprints_pinned;
   ]
