@@ -180,6 +180,16 @@ let nonlocal t = t.regs
 
 let live_into t id k = mem t.ins t.w id k
 
+let iter_live_in t id f =
+  for j = 0 to t.w - 1 do
+    let word = ref t.ins.((id * t.w) + j) and k = ref (j * bpw) in
+    while !word <> 0 do
+      if !word land 1 <> 0 then f t.regs.(!k);
+      word := !word lsr 1;
+      incr k
+    done
+  done
+
 let def_blocks t k = t.def_blocks.(k)
 
 let nregs t = t.nregs

@@ -27,6 +27,10 @@ val live_in : t -> int -> Bitset.t
 
 val live_out : t -> int -> Bitset.t
 
+(** [iter_live_in t id f] applies [f] to the registers live into block
+    [id], ascending, without building [live_in]. *)
+val iter_live_in : t -> int -> (Instr.reg -> unit) -> unit
+
 (** The non-local registers, ascending. The functions below take a
     register's position [k] in this array. *)
 val nonlocal : t -> Instr.reg array

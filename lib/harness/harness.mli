@@ -23,10 +23,10 @@
     Certified steps. At [Exec], a step that changed its routine is first
     offered to the static checker registered for its pass
     ([Epre_verify.Certify.table]: [pre] and [dce] to the motion checker,
-    [clean] to the jump-chain checker, [constprop], [coalesce] and [gvn]
-    to the value-correspondence checker), when the step passed the IR
-    checks, the current observation is [Ok] and reproducible under the
-    check budget. A checker proves the step's output computes exactly
+    [clean] to the jump-chain checker, [constprop], [coalesce], [gvn] and
+    [peephole] to the value-correspondence checker), when the step passed
+    the IR checks, the current observation is [Ok] and reproducible under
+    the check budget. A checker proves the step's output computes exactly
     what its input did on the run already observed, so the harness
     accepts the step and keeps that observation instead of interpreting
     the program again. A checker that cannot tell changes nothing: the
@@ -41,9 +41,11 @@
     growth (at most 1 for [dce] and [clean]; for PRE, one jump per
     traversal of a block with an arm to a new landing block, since every
     insertion is paid for by a deletion on the same path; for value
-    correspondence, the largest ratio of output to input operations of a
-    block). A step is certified only while the bound stays within the
-    budget. Counters [harness.certified.<pass>] and
+    correspondence, the largest ratio of output to input operations
+    summed along a chain of blocks each entered from the one before
+    alone, so a landing block's copies count with the block before it).
+    A step is certified only while the bound stays within the budget.
+    Counters [harness.certified.<pass>] and
     [harness.observed.<pass>] (per routine, in [Epre_telemetry.Metrics])
     count the steps that skipped and that paid for the rerun;
     [harness.fuel_bound.<pass>] counts the observed steps a checker

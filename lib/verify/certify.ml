@@ -512,26 +512,155 @@ module Vtbl = Hashtbl.Make (Value)
 
 type expr = Un of Op.unop * int | Bin of Op.binop * int * int
 
+(* Evaluations, hashed without polymorphic comparison. Operators are
+   constant constructors, so [==] compares them. *)
+module Etbl = Hashtbl.Make (struct
+  type t = expr
+
+  let equal a b =
+    match (a, b) with
+    | Un (o, x), Un (o', x') -> o == o' && x = x'
+    | Bin (o, x, y), Bin (o', x', y') -> o == o' && x = x' && y = y'
+    | Un _, Bin _ | Bin _, Un _ -> false
+
+  let hash = function
+    | Un (o, x) -> (Hashtbl.hash o * 65599) + x
+    | Bin (o, x, y) -> (((Hashtbl.hash o * 65599) + x) * 65599) + y
+end)
+
+(* The identity table. A row's sides are equal under [Value.equal]
+   wherever its left side evaluates without fault, so an integer row
+   holds for every integer operand and a float row for every float one,
+   NaNs, infinities and both zeros included. [x fadd 0.0 = x] is no row:
+   it is wrong for [x = -0.0]. *)
+type term =
+  | X
+  | Y
+  | C
+  | K of Value.t
+  | N
+  | Pow2
+  | U of Op.unop * term
+  | B of Op.binop * term * term
+
+type identity = { name : string; lhs : term; rhs : term }
+
+let shift_limit = 62
+
+let identities =
+  let row name lhs rhs = { name; lhs; rhs } in
+  let i n = K (Value.I n) and f x = K (Value.F x) in
+  let self_compares =
+    List.map
+      (fun (op, v) -> row (Printf.sprintf "x %s x = %d" (Op.binop_name op) v) (B (op, X, X)) (i v))
+      [ (Op.Eq, 1); (Op.Le, 1); (Op.Ge, 1); (Op.Ne, 0); (Op.Lt, 0); (Op.Gt, 0) ]
+  in
+  [ row "x add 0 = x" (B (Add, X, i 0)) X;
+    row "x sub 0 = x" (B (Sub, X, i 0)) X;
+    row "x mul 1 = x" (B (Mul, X, i 1)) X;
+    row "x mul 0 = 0" (B (Mul, X, i 0)) (i 0);
+    row "x div 1 = x" (B (Div, X, i 1)) X;
+    row "x and -1 = x" (B (And, X, i (-1))) X;
+    row "x and 0 = 0" (B (And, X, i 0)) (i 0);
+    row "x or 0 = x" (B (Or, X, i 0)) X;
+    row "x or -1 = -1" (B (Or, X, i (-1))) (i (-1));
+    row "x xor 0 = x" (B (Xor, X, i 0)) X;
+    row "x shr 0 = x" (B (Shr, X, i 0)) X;
+    row "x min max_int = x" (B (Min, X, i max_int)) X;
+    row "x min min_int = min_int" (B (Min, X, i min_int)) (i min_int);
+    row "x max min_int = x" (B (Max, X, i min_int)) X;
+    row "x max max_int = max_int" (B (Max, X, i max_int)) (i max_int);
+    row "x sub x = 0" (B (Sub, X, X)) (i 0);
+    row "x xor x = 0" (B (Xor, X, X)) (i 0);
+    row "x and x = x" (B (And, X, X)) X;
+    row "x or x = x" (B (Or, X, X)) X;
+    row "x min x = x" (B (Min, X, X)) X;
+    row "x max x = x" (B (Max, X, X)) X ]
+  @ self_compares
+  @ [ row "x shl n = x mul 2^n" (B (Shl, X, N)) (B (Mul, X, Pow2));
+      row "neg (neg x) = x" (U (Neg, U (Neg, X))) X;
+      row "not (not x) = x" (U (Not, U (Not, X))) X;
+      row "x add (neg y) = x sub y" (B (Add, X, U (Neg, Y))) (B (Sub, X, Y));
+      row "x sub (neg y) = x add y" (B (Sub, X, U (Neg, Y))) (B (Add, X, Y));
+      row "0 sub x = neg x" (B (Sub, i 0, X)) (U (Neg, X));
+      row "x sub c = x add (neg c)" (B (Sub, X, C)) (B (Add, X, U (Neg, C)));
+      row "fneg (fneg x) = x" (U (FNeg, U (FNeg, X))) X;
+      row "x fadd (fneg y) = x fsub y" (B (FAdd, X, U (FNeg, Y))) (B (FSub, X, Y));
+      row "x fsub (fneg y) = x fadd y" (B (FSub, X, U (FNeg, Y))) (B (FAdd, X, Y));
+      row "-0.0 fsub x = fneg x" (B (FSub, f (-0.0), X)) (U (FNeg, X));
+      row "x fsub 0.0 = x" (B (FSub, X, f 0.0)) X;
+      row "x fsub c = x fadd (fneg c)" (B (FSub, X, C)) (B (FAdd, X, U (FNeg, C)));
+      row "x fadd -0.0 = x" (B (FAdd, X, f (-0.0))) X;
+      row "x fmul 1.0 = x" (B (FMul, X, f 1.0)) X;
+      row "x fdiv 1.0 = x" (B (FDiv, X, f 1.0)) X ]
+
+module Utbl = Hashtbl.Make (struct
+  type t = Op.unop
+
+  let equal = ( == )
+
+  let hash = Hashtbl.hash
+end)
+
+module Btbl = Hashtbl.Make (struct
+  type t = Op.binop
+
+  let equal = ( == )
+
+  let hash = Hashtbl.hash
+end)
+
+(* The rows by the operator at the root of their left side, in table
+   order. *)
+let un_rows, bin_rows =
+  let un = Utbl.create 4 and bin = Btbl.create 32 in
+  List.iter
+    (fun row ->
+      match row.lhs with
+      | U (op, _) -> Utbl.replace un op (row :: Option.value (Utbl.find_opt un op) ~default:[])
+      | B (op, _, _) -> Btbl.replace bin op (row :: Option.value (Btbl.find_opt bin op) ~default:[])
+      | X | Y | C | K _ | N | Pow2 -> invalid_arg "identities")
+    (List.rev identities);
+  (un, bin)
+
 (* One routine's registers during a walk: a number is current when its
    stamp is the walk's. *)
-type side = { num : int array; stamp : int array }
+type side = { mutable num : int array; mutable stamp : int array }
 
-(* An entry state: the numbers of the registers live into a block of
-   each routine, in the order [lives] gives them. *)
-type state = { vin : int array; vout : int array }
-
+(* A check's state. Each domain keeps one and reuses its arrays from
+   check to check: every slot is stamped, or written before it is read,
+   so none is cleared, and a routine with many register names costs no
+   large allocation per check. *)
 type cx = {
-  qc : Cfg.t;
+  mutable qc : Cfg.t;
+  mutable members : int -> int array;  (** [members] of the current check *)
   ins : side;
   outs : side;
-  mutable walk : int;  (** the current walk's stamp *)
+  mutable walk : int;  (** the current walk's stamp; never reset *)
+  mutable base : int;  (** [2 * nregs]: the walk numbers what it computes above it *)
   mutable fresh : int;  (** the last number the walk made up *)
+  mutable defs : expr array;  (** by [n - base]: what number [n] was made for *)
   consts : int Vtbl.t;
-  values : (int, Value.t) Hashtbl.t;  (** constants by number *)
-  exprs : (expr, int) Hashtbl.t;  (** the walk's evaluations *)
-  live_p : Liveness.t;
-  live_q : Liveness.t;
-  lives : (int array * int array) option array;  (** [lives], by block *)
+  mutable values : Value.t array;  (** constants, by [-1 - n] *)
+  exprs : int Etbl.t;  (** the walk's evaluations *)
+  mutable x : int;  (** a row's operands, bound while it is matched *)
+  mutable y : int;
+  mutable c : int;
+  mutable n : int;
+  mutable depth : int;  (** right sides being numbered *)
+  (* The meet's scratch. A pass of the meet stamps each number it sees
+     and chains, from the number's slot, the (class, new class) pairs
+     seen with it; [lead] and [konst] hold the classes so far. *)
+  mutable mstamp : int;
+  mutable slot_stamp : int array;
+  mutable slot_head : int array;
+  mutable e_class : int array;
+  mutable e_new : int array;
+  mutable e_next : int array;
+  mutable e_count : int;
+  mutable lead : int array;
+  mutable konst : int array;
+  mutable live : int array;  (** [members]' scratch *)
 }
 
 let get cx s r = if s.stamp.(r) = cx.walk then s.num.(r) else none
@@ -540,27 +669,88 @@ let set cx s r n =
   s.stamp.(r) <- cx.walk;
   s.num.(r) <- n
 
+(* [a] widened to hold index [k], new slots [fill]. *)
+let widen a k fill =
+  if k < Array.length a then a
+  else begin
+    let b = Array.make (max (k + 1) (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
 let const_num cx v =
   match Vtbl.find_opt cx.consts v with
   | Some n -> n
   | None ->
-    let n = -1 - Vtbl.length cx.consts in
-    Vtbl.add cx.consts v n;
-    Hashtbl.add cx.values n v;
-    n
+    let k = Vtbl.length cx.consts in
+    cx.values <- widen cx.values k v;
+    cx.values.(k) <- v;
+    Vtbl.add cx.consts v (-1 - k);
+    -1 - k
 
-let const_val cx n = Hashtbl.find cx.values n
+let const_val cx n = cx.values.(-1 - n)
 
 let is_const n = n < 0 && n <> none
 
+(* What a number made for no evaluation stands for: its operand is no
+   number, so no pattern fits it. *)
+let no_def = Un (Op.Not, none)
+
 let fresh cx =
   cx.fresh <- cx.fresh + 1;
+  let k = cx.fresh - cx.base in
+  cx.defs <- widen cx.defs k no_def;
+  cx.defs.(k) <- no_def;
   cx.fresh
 
+(* The evaluation the walk made number [m] for. *)
+let def cx m = if m > cx.base && m <= cx.fresh then cx.defs.(m - cx.base) else no_def
+
+(* Whether the number [m] fits [pat], binding the row's operands. *)
+let rec fits cx pat m =
+  m <> none
+  &&
+  match pat with
+  | X ->
+    if cx.x = none then cx.x <- m;
+    cx.x = m
+  | Y ->
+    if cx.y = none then cx.y <- m;
+    cx.y = m
+  | C ->
+    cx.c <- m;
+    is_const m
+  | K v -> is_const m && Value.equal (const_val cx m) v
+  | N -> (
+    is_const m
+    &&
+    match const_val cx m with
+    | Value.I k when k >= 0 && k <= shift_limit ->
+      cx.n <- k;
+      true
+    | Value.I _ | Value.F _ -> false)
+  | Pow2 -> false
+  | U (op, p) -> ( match def cx m with Un (op', a) when op == op' -> fits cx p a | _ -> false)
+  | B (op, p, q) -> (
+    match def cx m with Bin (op', a, b) when op == op' -> fits cx p a && fits cx q b | _ -> false)
+
+(* Whether [row]'s left side fits operands [a] and [b] ([b] unused for
+   a unop), binding its operands. *)
+let fit_row cx row a b =
+  cx.x <- none;
+  cx.y <- none;
+  match row.lhs with
+  | U (_, p) -> fits cx p a
+  | B (_, p, q) -> fits cx p a && fits cx q b
+  | X | Y | C | K _ | N | Pow2 -> false
+
 (* The number of an evaluation: a constant when its operands are and it
-   folds ([Op.eval_unop], [Op.eval_binop]: no algebraic identity), the
-   number an equal evaluation got earlier in the walk, or a new one. *)
-let number cx e =
+   folds ([Op.eval_unop], [Op.eval_binop]); else that of the right side
+   of the first identity row its left side fits, a commutative
+   operator's operands taken either way; else the number an equal
+   evaluation got earlier in the walk, or a new one. A number so names
+   the value of every evaluation given it that completes. *)
+let rec number cx e =
   let folded =
     try
       match e with
@@ -576,13 +766,96 @@ let number cx e =
     match e with
     | Un (_, a) when a = none -> fresh cx
     | Bin (_, a, b) when a = none || b = none -> fresh cx
-    | Un _ | Bin _ -> (
-      match Hashtbl.find_opt cx.exprs e with
-      | Some n -> n
-      | None ->
-        let n = fresh cx in
-        Hashtbl.add cx.exprs e n;
-        n))
+    | Un (op, a) ->
+      let n =
+        match Utbl.find_opt un_rows op with
+        | None -> none
+        | Some rows -> rewrite cx rows a none ~swap:false
+      in
+      if n <> none then n else intern cx e
+    | Bin (op, a, b) ->
+      let commutes = Op.commutative op in
+      let n =
+        match Btbl.find_opt bin_rows op with
+        | None -> none
+        | Some rows -> rewrite cx rows a b ~swap:(commutes && a <> b)
+      in
+      if n <> none then n else intern cx (if commutes && a < b then Bin (op, b, a) else e))
+
+(* The number of the right side of the first row whose left side's
+   operands [a] and [b] (none for a unop) fit, either way round when
+   [swap]; or [none]. Rows rewrite a right side again only so deep:
+   ill-typed constants (a [neg] of a float does not fold) could cycle. *)
+and rewrite cx rows a b ~swap =
+  match rows with
+  | [] -> none
+  | _ when cx.depth > 3 -> none
+  | row :: rows ->
+    if fit_row cx row a b || (swap && fit_row cx row b a) then
+      build cx cx.x cx.y cx.c cx.n row.rhs
+    else rewrite cx rows a b ~swap
+
+and build cx x y c n = function
+  | X -> x
+  | Y -> y
+  | C -> c
+  | K v -> const_num cx v
+  | N -> const_num cx (Value.I n)
+  | Pow2 -> const_num cx (Value.I (1 lsl n))
+  | U (op, p) -> deeper cx (Un (op, build cx x y c n p))
+  | B (op, p, q) ->
+    let a = build cx x y c n p in
+    let b = build cx x y c n q in
+    deeper cx (Bin (op, a, b))
+
+and deeper cx e =
+  cx.depth <- cx.depth + 1;
+  let n = number cx e in
+  cx.depth <- cx.depth - 1;
+  n
+
+and intern cx e =
+  match Etbl.find_opt cx.exprs e with
+  | Some n -> n
+  | None ->
+    let n = fresh cx in
+    cx.defs.(n - cx.base) <- e;
+    Etbl.add cx.exprs e n;
+    n
+
+let result_ty = function
+  | Un (op, _) -> Op.unop_result_ty op
+  | Bin (op, _, _) -> Op.binop_result_ty op
+
+(* Whether a completed evaluation of [e] read [n] as a [ty], directly or
+   through the evaluations [depth] levels down that made its operands. *)
+let rec read_as cx depth e n ty =
+  let below m = depth > 0 && read_as cx (depth - 1) (def cx m) n ty in
+  match e with
+  | Un (op, a) -> (a = n && Ty.equal (Op.unop_operand_ty op) ty) || below a
+  | Bin (op, a, b) ->
+    ((a = n || b = n) && Ty.equal (Op.binop_operand_ty op) ty) || below a || below b
+
+(* Whether [n] holds a [ty] where the input completes [e]: it is a
+   constant of that type, the walk made it for an evaluation of that
+   type (every register holding it got it from a completed one), or [e]
+   reads it as one. *)
+let typed cx e n ty =
+  n <> none
+  && ((is_const n && Ty.equal (Value.ty (const_val cx n)) ty)
+     || (def cx n != no_def && Ty.equal (result_ty (def cx n)) ty)
+     || read_as cx 1 e n ty)
+
+(* Whether the output's evaluation [e'] cannot fault where the input
+   completes [e]: every operand holds its operator's type, and it is no
+   integer division or remainder. *)
+let safe cx e e' =
+  match e' with
+  | Un (op, a) -> typed cx e a (Op.unop_operand_ty op)
+  | Bin ((Op.Div | Op.Rem), _, _) -> false
+  | Bin (op, a, b) ->
+    let ty = Op.binop_operand_ty op in
+    typed cx e a ty && typed cx e b ty
 
 (* An output copy reads a register with a number, so one written on
    every path: reading an unwritten register faults. *)
@@ -592,8 +865,8 @@ let copied cx s src =
   n
 
 (* An instruction one side runs alone: a copy or a const on either side,
-   or an input unop or binop the output dropped (folded or redundant; the
-   observed run completed, so it did not fault). *)
+   or an input unop or binop the output dropped (folded, rewritten or
+   redundant; the observed run completed, so it did not fault). *)
 let alone cx s = function
   | Instr.Const { dst; value } -> set cx s dst (const_num cx value)
   | Instr.Copy { dst; src } -> set cx s dst (copied cx s src)
@@ -607,8 +880,15 @@ let same cx a b =
   let n = get cx cx.ins a in
   n <> none && n = get cx cx.outs b
 
-(* Whether input [i] and output [j] are one operation on the same
-   values; if so, both destinations get its number. *)
+let evaluation cx s = function
+  | Instr.Unop { op; src; _ } -> Un (op, get cx s src)
+  | Instr.Binop { op; a; b; _ } -> Bin (op, get cx s a, get cx s b)
+  | _ -> invalid_arg "evaluation"
+
+(* Whether input [i] and output [j] compute one value; if so, both
+   destinations get its number. Two unops or binops do when they are one
+   operation on the same values, or when their numbers agree modulo the
+   identities and the output's cannot fault. *)
 let matched cx i j =
   let both d d' n =
     set cx cx.ins d n;
@@ -617,11 +897,16 @@ let matched cx i j =
   in
   match (i, j) with
   | Instr.Unop { op; dst; src }, Instr.Unop { op = op'; dst = d'; src = s' }
-    when op = op' && same cx src s' ->
+    when op == op' && same cx src s' ->
     both dst d' (number cx (Un (op, get cx cx.ins src)))
   | Instr.Binop { op; dst; a; b }, Instr.Binop { op = op'; dst = d'; a = a'; b = b' }
-    when op = op' && same cx a a' && same cx b b' ->
+    when op == op' && same cx a a' && same cx b b' ->
     both dst d' (number cx (Bin (op, get cx cx.ins a, get cx cx.ins b)))
+  | ( (Instr.Unop { dst; _ } | Instr.Binop { dst; _ }),
+      (Instr.Unop { dst = d'; _ } | Instr.Binop { dst = d'; _ }) ) ->
+    let e = evaluation cx cx.ins i and e' = evaluation cx cx.outs j in
+    let n = number cx e in
+    n = number cx e' && safe cx e e' && both dst d' n
   | Instr.Load { dst; addr }, Instr.Load { dst = d'; addr = a' } when same cx addr a' ->
     both dst d' (fresh cx)
   | Instr.Store { addr; src }, Instr.Store { addr = a'; src = s' } ->
@@ -638,7 +923,7 @@ let matched cx i j =
   | _ -> false
 
 (* Run a block's instructions side by side: each output instruction but
-   a copy or a const is matched with the next input one it equals, and
+   a copy or a const is matched with the next input one it matches, and
    the input ones passed on the way run alone. *)
 let rec body cx pi qi =
   match qi with
@@ -683,15 +968,39 @@ let successors cx (tp : Instr.terminator) (tq : Instr.terminator) =
     | _ -> decline ())
   | _ -> decline ()
 
-(* The registers live into block [t] of each routine, ascending. *)
-let lives cx t =
-  match cx.lives.(t) with
-  | Some l -> l
-  | None ->
-    let regs lv = Array.of_list (Bitset.elements (Liveness.live_in lv t)) in
-    let l = (regs cx.live_p, regs cx.live_q) in
-    cx.lives.(t) <- Some l;
-    l
+(* The registers live into block [t] of each routine, input register
+   [r] as [2r] and output register [r] as [2r + 1], ascending: the
+   positions of a state of [t], which holds a number for each. Built on
+   first request, by merging the two routines' ascending runs. *)
+let members_of cx live_p live_q nb =
+  let cache = Array.make nb None in
+  fun t ->
+    match cache.(t) with
+    | Some m -> m
+    | None ->
+      let len = ref 0 in
+      let add tag r =
+        cx.live <- widen cx.live !len 0;
+        cx.live.(!len) <- (2 * r) + tag;
+        incr len
+      in
+      Liveness.iter_live_in live_p t (add 0);
+      let np = !len in
+      Liveness.iter_live_in live_q t (add 1);
+      let live = cx.live and i = ref 0 and j = ref np in
+      let m =
+        Array.init !len (fun _ ->
+            if !j >= !len || (!i < np && live.(!i) < live.(!j)) then begin
+              incr i;
+              live.(!i - 1)
+            end
+            else begin
+              incr j;
+              live.(!j - 1)
+            end)
+      in
+      cache.(t) <- Some m;
+      m
 
 (* The state on entering the pair of blocks [t] after output block [t']:
    [t'] is [t], or a landing block on the edge that holds only copies
@@ -715,107 +1024,184 @@ let enter cx (t', t) =
           List.length instrs + 1 )
       | _ -> decline ()
   in
-  let lp, lq = lives cx t in
-  let out r = match List.assoc_opt r over with Some n -> n | None -> get cx cx.outs r in
-  ({ vin = Array.map (get cx cx.ins) lp; vout = Array.map out lq }, extra)
-
-(* Pairs of numbers, hashed without polymorphic hashing. *)
-module Pairs = Hashtbl.Make (struct
-  type t = int * int
-
-  let equal (a, b) (c, d) = a = c && b = d
-
-  let hash (a, b) = (a * 65599) + b
-end)
-
-(* Partition intersection of two states of block [t], renamed
-   canonically: registers share a number when they share one in both,
-   and the class is named by its constant when both agree on one, else
-   by its least member. The meet of one state is its renaming. *)
-let meet2 cx t a b =
-  let lp, lq = lives cx t in
-  let names = Pairs.create 16 in
-  let name x y member =
-    if x = none || y = none then none
-    else
-      match Pairs.find_opt names (x, y) with
-      | Some n -> n
-      | None ->
-        let n = if x = y && is_const x then x else member in
-        Pairs.add names (x, y) n;
-        n
-  in
-  let vin = Array.make (Array.length lp) none and vout = Array.make (Array.length lq) none in
-  let i = ref 0 and j = ref 0 in
-  while !i < Array.length lp || !j < Array.length lq do
-    if !j >= Array.length lq || (!i < Array.length lp && lp.(!i) <= lq.(!j)) then begin
-      let k = !i in
-      vin.(k) <- name a.vin.(k) b.vin.(k) (2 * lp.(k));
-      incr i
-    end
-    else begin
-      let k = !j in
-      vout.(k) <- name a.vout.(k) b.vout.(k) ((2 * lq.(k)) + 1);
-      incr j
-    end
+  let mem = cx.members t in
+  let st = Array.make (Array.length mem) none in
+  for k = 0 to Array.length mem - 1 do
+    let r = mem.(k) lsr 1 in
+    st.(k) <-
+      (if mem.(k) land 1 = 0 then get cx cx.ins r
+       else
+         match over with
+         | [] -> get cx cx.outs r
+         | over -> ( match List.assoc_opt r over with Some n -> n | None -> get cx cx.outs r))
   done;
-  { vin; vout }
+  (st, extra)
 
-(* The meet of the states coming into block [t]. Partition
-   intersection is associative, and a canonical name depends only on
-   the class and its constant, so pairwise meets give the n-way one. *)
-let meet cx t = function
-  | [] -> invalid_arg "meet"
-  | s :: rest -> List.fold_left (meet2 cx t) (meet2 cx t s s) rest
+let same_state (a : int array) (b : int array) =
+  let n = Array.length a in
+  let rec from k = k >= n || (a.(k) = b.(k) && from (k + 1)) in
+  n = Array.length b && from 0
 
-(* Value correspondence ([constprop], [coalesce], [gvn]): a forward,
-   conditional walk of both routines side by side over pairs of blocks
-   with one id, to a fixed point over the pairs whose entry state
-   changed.
+let rec chained cx c e = if e < 0 || cx.e_class.(e) = c then e else chained cx c cx.e_next.(e)
+
+(* The class, in this pass of the meet, of position [p], of class [c]
+   before it and holding [x]: the first position seen with both. *)
+let class_of cx x c p =
+  let k = if x >= 0 then 2 * x else (-2 * x) - 1 in
+  if k >= Array.length cx.slot_stamp then begin
+    cx.slot_stamp <- widen cx.slot_stamp k 0;
+    cx.slot_head <- widen cx.slot_head k (-1)
+  end;
+  let head = if cx.slot_stamp.(k) = cx.mstamp then cx.slot_head.(k) else -1 in
+  let e = chained cx c head in
+  if e >= 0 then cx.e_new.(e)
+  else begin
+    let e = cx.e_count in
+    cx.e_class.(e) <- c;
+    cx.e_new.(e) <- p;
+    cx.e_next.(e) <- head;
+    cx.e_count <- e + 1;
+    cx.slot_stamp.(k) <- cx.mstamp;
+    cx.slot_head.(k) <- e;
+    p
+  end
+
+(* The meet of the states coming into block [t]: partition intersection,
+   renamed canonically. Positions share a class when they share a
+   number in every state; each pass over one state splits the classes
+   so far by the numbers it holds, a class keeping the first position
+   it has as its leader. A class is named by its constant when every
+   state holds that one, else by its leader's member. *)
+let meet cx t incoming =
+  let mem = cx.members t in
+  let n = Array.length mem in
+  (* A pass adds at most one entry per position. *)
+  cx.lead <- widen cx.lead n 0;
+  cx.konst <- widen cx.konst n none;
+  cx.e_class <- widen cx.e_class n 0;
+  cx.e_new <- widen cx.e_new n 0;
+  cx.e_next <- widen cx.e_next n 0;
+  let lead = cx.lead and konst = cx.konst in
+  let rec passes first = function
+    | [] -> ()
+    | (_, (s : int array)) :: rest ->
+      cx.mstamp <- cx.mstamp + 1;
+      cx.e_count <- 0;
+      for p = 0 to n - 1 do
+        let x = s.(p) in
+        let c = if first then 0 else lead.(p) in
+        if x = none || c < 0 then lead.(p) <- -1
+        else begin
+          lead.(p) <- class_of cx x c p;
+          konst.(p) <-
+            (if first then if is_const x then x else none else if konst.(p) = x then x else none)
+        end
+      done;
+      passes false rest
+  in
+  passes true incoming;
+  let st = Array.make n none in
+  for p = 0 to n - 1 do
+    let l = lead.(p) in
+    if l >= 0 then st.(p) <- (if konst.(p) <> none then konst.(p) else mem.(l))
+  done;
+  st
+
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      let side () = { num = [||]; stamp = [||] } in
+      { qc = Cfg.create (); members = (fun _ -> [||]); ins = side (); outs = side (); walk = 0;
+        base = 0; fresh = 0; defs = [||]; consts = Vtbl.create 8; values = [||];
+        exprs = Etbl.create 16; x = none; y = none; c = none; n = 0; depth = 0; mstamp = 0; slot_stamp = [||];
+        slot_head = [||]; e_class = [||]; e_new = [||]; e_next = [||]; e_count = 0; lead = [||];
+        konst = [||]; live = [||] })
+
+(* Value correspondence ([constprop], [coalesce], [gvn], [peephole]): a
+   forward, conditional walk of both routines side by side over pairs
+   of blocks with one id, to a fixed point over the pairs whose entry
+   state changed.
 
    Why it is sound. Claim: at every matched point of a run of the input
    and one of the output from the same state, registers with one number
    hold one value. It holds at the entry, where only the parameters have
-   numbers. A matched instruction computes one value from equal
-   operands, or reads memory both runs left equal (every store, call and
-   alloca is matched, in order); a fold is the evaluator's own result;
-   copies and consts carry numbers exactly; a meet keeps only what every
-   incoming edge gives, and at the fixed point each entry state is the
-   meet of the states its incoming edges carry. So both runs take the
-   same path (branches test equal values, or a constant), make the same
-   calls, stores and emits, and return the same value. The output runs
-   no operation the input did not run on the same values but copies of
-   registers written on every path and consts, and the input's run
-   completed, so the output does not fault; the input operations it
-   dropped did not fault either. Its operations per traversal of a
-   block are at most [growth] times the input's. *)
+   numbers. A number names the value of every evaluation given it that
+   completes: a fold is the evaluator's own result; an identity row's
+   sides are equal wherever its left side completes, and then its right
+   side completes too; other evaluations are hashed by operator and
+   operand numbers (a commutative operator's in one order). A matched
+   pair of evaluations completes on both sides: the input's because the
+   input's run did, the output's because it is the input's operation on
+   the same values or, when the pair agrees only modulo the identities,
+   because every operand holds the type its operator reads and it is no
+   integer division. A matched load reads memory both runs left equal
+   (every store, call and alloca is matched, in order); copies and
+   consts carry numbers exactly; a meet keeps only what every incoming
+   edge gives, and at the fixed point each entry state is the meet of
+   the states its incoming edges carry. So both runs take the same path
+   (branches test equal values, or a constant), make the same calls,
+   stores and emits, and return the same value. The output runs no
+   operation the input did not run on the same values but copies of
+   registers written on every path, consts and evaluations shown not to
+   fault, and the input's run completed, so the output does not fault;
+   the input operations it dropped did not fault either.
+
+   Growth. Both runs traverse the same blocks, so the output runs at
+   most [growth] times the input's operations when the blocks can be
+   grouped so that, in each group, the output's operations over all
+   traversals are at most that many times the input's. A block's
+   operations per traversal include, in the output, the landing block
+   it leaves by. The walk enters a block [B] from one block [P] alone
+   (its source; the routine's entry has none) at most once per
+   traversal of [P], and the blocks [P] enters alone together no more
+   often than [P], as each traversal leaves by one arm. So the sources
+   link the blocks into trees, and a tree's traversal counts satisfy
+   [t_B <= t_P] and, per [P], [sum t_B <= t_P]. The tree's ratio of
+   output to input operations is a ratio of sums over those counts,
+   largest at a vertex of these constraints, where the blocks of one
+   path down from the root run as often as the root and the others
+   never: [growth] is the largest ratio of the sums along a path from a
+   root, [(out_P + out_B) / (in_P + in_B)] for a block and its source
+   when the source is a root. SSA destruction puts copies into PRE's
+   jump-only landing blocks (one input operation), and the blocks
+   before pay for them. *)
 let values ~before:(p : Routine.t) ~after:(q : Routine.t) =
   attempt (fun () ->
       same_header p q;
       let pc = p.Routine.cfg and qc = q.Routine.cfg in
       let gp = Dataflow.graph pc and gq = Dataflow.graph qc in
       let nregs = max p.Routine.next_reg q.Routine.next_reg in
-      let side () = { num = Array.make nregs none; stamp = Array.make nregs 0 } in
       let nb = Cfg.num_blocks qc in
-      let cx =
-        { qc; ins = side (); outs = side (); walk = 0; fresh = 0;
-          consts = Vtbl.create 8; values = Hashtbl.create 8; exprs = Hashtbl.create 16;
-          live_p = Liveness.compute gp p; live_q = Liveness.compute gq q;
-          lives = Array.make (max nb (Cfg.num_blocks pc)) None }
+      let cx = Domain.DLS.get scratch in
+      let size s =
+        s.num <- widen s.num (nregs - 1) none;
+        s.stamp <- widen s.stamp (nregs - 1) 0
       in
+      size cx.ins;
+      size cx.outs;
+      cx.qc <- qc;
+      cx.members <-
+        members_of cx (Liveness.compute gp p) (Liveness.compute gq q)
+          (max nb (Cfg.num_blocks pc));
+      cx.base <- 2 * nregs;
+      cx.depth <- 0;
+      Vtbl.clear cx.consts;
       (* Incoming states by block, keyed by source block and arm (the
          routine's entry is source -1). *)
       let incoming = Array.make nb [] and seen = Array.make nb None in
       let pending = Array.make nb false in
       let arrive t key st =
         if t >= nb then decline ();
-        if List.assoc_opt key incoming.(t) <> Some st then begin
-          incoming.(t) <- (key, st) :: List.remove_assoc key incoming.(t);
+        let rec changed = function
+          | [] -> true
+          | (k, s) :: rest -> if k = key then not (same_state s st) else changed rest
+        in
+        if changed incoming.(t) then begin
+          incoming.(t) <- (key, st) :: List.filter (fun (k, _) -> k <> key) incoming.(t);
           pending.(t) <- true
         end
       in
       let pe = Cfg.entry pc and qe = Cfg.entry qc in
-      cx.walk <- 1;
+      cx.walk <- cx.walk + 1;
       List.iter
         (fun r ->
           set cx cx.ins r (2 * r);
@@ -823,25 +1209,28 @@ let values ~before:(p : Routine.t) ~after:(q : Routine.t) =
         p.Routine.params;
       let st, entry_extra = enter cx (qe, pe) in
       arrive pe (-1) st;
+      (* Operations per traversal of each walked block: the output's
+         most (with the landing block it leaves by, and for the old
+         entry the new entry block), and the input's. *)
+      let out_ops = Array.make nb 0 and in_ops = Array.make nb 0 in
       (* A walk only refines the states it feeds, so the iteration
          ends; the budget caps what a slow one may cost. *)
-      let growth = ref 0.0 and budget = ref ((16 * nb) + 64) in
+      let budget = ref ((16 * nb) + 64) in
       let visit id =
-        let st = meet cx id (List.map snd incoming.(id)) in
-        if seen.(id) <> Some st then begin
+        let st = meet cx id incoming.(id) in
+        if not (match seen.(id) with Some s -> same_state s st | None -> false) then begin
           seen.(id) <- Some st;
           decr budget;
           if !budget < 0 then decline ();
           cx.walk <- cx.walk + 1;
-          cx.fresh <- 2 * nregs;
-          Hashtbl.clear cx.exprs;
-          let lp, lq = lives cx id in
-          Array.iteri (fun k r -> set cx cx.ins r st.vin.(k)) lp;
-          Array.iteri (fun k r -> set cx cx.outs r st.vout.(k)) lq;
+          cx.fresh <- cx.base;
+          Etbl.clear cx.exprs;
+          let mem = cx.members id in
+          for k = 0 to Array.length mem - 1 do
+            set cx (if mem.(k) land 1 = 0 then cx.ins else cx.outs) (mem.(k) lsr 1) st.(k)
+          done;
           let pb = Cfg.block pc id and qb = Cfg.block qc id in
           body cx pb.Block.instrs qb.Block.instrs;
-          (* The output's operations: the block, the landing block it
-             leaves by, and for the old entry the new entry block. *)
           let landing = ref 0 in
           List.iteri
             (fun arm ((_, t) as edge) ->
@@ -851,7 +1240,8 @@ let values ~before:(p : Routine.t) ~after:(q : Routine.t) =
             (successors cx pb.Block.term qb.Block.term);
           let ops l = List.length l + 1 in
           let out = ops qb.Block.instrs + !landing + if id = pe then entry_extra else 0 in
-          growth := Float.max !growth (float_of_int out /. float_of_int (ops pb.Block.instrs))
+          out_ops.(id) <- max out_ops.(id) out;
+          in_ops.(id) <- ops pb.Block.instrs
         end
       in
       let again = ref true in
@@ -866,10 +1256,38 @@ let values ~before:(p : Routine.t) ~after:(q : Routine.t) =
             end)
           gq.Dataflow.rpo
       done;
-      !growth)
+      (* The block whose traversals alone enter [id], if any. *)
+      let source id =
+        match incoming.(id) with
+        | (k, _) :: rest
+          when id <> pe && k >= 0 && k lsr 1 <> id
+               && List.for_all (fun (k', _) -> k' lsr 1 = k lsr 1) rest ->
+          k lsr 1
+        | _ -> -1
+      in
+      (* The operations of each walked block and of the blocks on its
+         chain of sources, of both routines. *)
+      let chain_out = Array.make nb (-1) and chain_in = Array.make nb 0 in
+      let rec chain id hops =
+        if chain_out.(id) < 0 then begin
+          if hops > nb then decline ();
+          let s = source id in
+          if s >= 0 then chain s (hops + 1);
+          chain_out.(id) <- out_ops.(id) + if s >= 0 then chain_out.(s) else 0;
+          chain_in.(id) <- in_ops.(id) + if s >= 0 then chain_in.(s) else 0
+        end
+      in
+      Array.fold_left
+        (fun growth id ->
+          if in_ops.(id) = 0 then growth
+          else begin
+            chain id 0;
+            Float.max growth (float_of_int chain_out.(id) /. float_of_int chain_in.(id))
+          end)
+        0.0 gq.Dataflow.rpo)
 
 let table =
   [ ("pre", motion); ("dce", motion); ("clean", jump_chains); ("constprop", values);
-    ("coalesce", values); ("gvn", values) ]
+    ("coalesce", values); ("gvn", values); ("peephole", values); ("peephole-shift", values) ]
 
 let find pass = List.assoc_opt pass table

@@ -28,18 +28,17 @@
       insertions).
     - {!jump_chains} ([clean]): the two CFGs have the same jump-chain
       normal forms from their entries.
-    - {!values} ([constprop], [coalesce], [gvn]): the two routines,
-      walked side by side, compute the same values into registers that
-      may be renamed, with copies moved and evaluations folded or
-      dropped.
+    - {!values} ([constprop], [coalesce], [gvn], [peephole]): the two
+      routines, walked side by side, compute the same values into
+      registers that may be renamed, with copies moved and evaluations
+      folded, dropped or rewritten by the exact identities of
+      {!identities}.
 
-    All three decline on SSA routines and on any phi. The other passes
-    stay observed: [peephole] rewrites by algebraic identities, which no
-    checker here encodes (folding goes only through [Op.eval_unop] and
-    [Op.eval_binop], so [x fadd 0.0 -> x], wrong for [x = -0.0], is
-    declined), and [reassociation] changes float results by rounding
-    and rebuilds expression trees, so its output matches its input only
-    up to the harness's tolerance. *)
+    All three decline on SSA routines and on any phi. [reassociation]
+    stays observed: it changes float results by rounding and rebuilds
+    expression trees, so its output matches its input only up to the
+    harness's tolerance. So do [peephole]'s rewrites of [x fadd 0.0] to
+    [x], which is wrong for [x = -0.0]: no identity row holds it. *)
 
 open Epre_ir
 
@@ -84,14 +83,22 @@ val motion : checker
 val jump_chains : checker
 
 (** Value correspondence: [constprop], [coalesce] and [gvn] rename
-    registers, move copies and fold constants. A forward, conditional
-    walk runs the two routines' blocks of one id side by side, keeping a
-    value number per live register of each (constants numbered by bit
-    pattern, as [Value.equal] compares them). It accepts when
+    registers, move copies and fold constants; [peephole] rewrites by
+    algebraic identities. A forward, conditional walk runs the two
+    routines' blocks of one id side by side, keeping a value number per
+    live register of each (constants numbered by bit pattern, as
+    [Value.equal] compares them). An evaluation's number is its constant
+    when it folds, else that of the right side of the first row of
+    {!identities} its left side fits (a commutative operator's operands
+    taken either way), else that of an equal evaluation earlier in the
+    block. It accepts when
     - matched instructions have the same kind, operator or callee, and
-      operands with equal numbers; both destinations then get one
-      number (an evaluation's is its constant when it folds, or that of
-      an equal evaluation earlier in the block);
+      operands with equal numbers; or are a unop or binop each whose
+      numbers agree and whose output operands hold the types its
+      operator reads (known from constants, from the evaluations that
+      made them, or from what the input's evaluation read), the output's
+      being no integer division or remainder; both destinations then
+      get one number;
     - the copies and consts of either side run alone, and an output copy
       reads a register written on every path;
     - an input unop or binop the output lacks is dropped: it was folded
@@ -107,14 +114,49 @@ val jump_chains : checker
     intersection, iterated to a fixed point over the blocks whose entry
     state changed), renamed canonically: a class is named by its
     constant when every predecessor agrees on one, else by its least
-    live member, so no number outlives a loop iteration. The growth is
-    the largest ratio, over the walked blocks, of the output's
-    operations (with the landing block it leaves by) to the input's. *)
+    live member, so no number outlives a loop iteration.
+
+    The growth bounds the output's operations (a block's with the
+    landing block it leaves by) against the input's. A block the walk
+    enters from one block alone runs at most as often as that block, its
+    source; following sources gives paths from blocks that have none,
+    and the growth is the largest ratio of the output's to the input's
+    operations summed along such a path from its start. So copies SSA
+    destruction puts into a jump-only landing block are charged to the
+    block before it. *)
 val values : checker
+
+(** The identity table's terms: [X] and [Y] are operands, [C] any
+    constant, [K v] the constant [v] (bit for bit), [N] an integer
+    constant [n] in \[0, 62\] and [Pow2] the constant [2^n]. *)
+type term =
+  | X
+  | Y
+  | C
+  | K of Value.t
+  | N
+  | Pow2
+  | U of Op.unop * term
+  | B of Op.binop * term * term
+
+(** A row: [lhs] and [rhs] are equal under [Value.equal] wherever [lhs]
+    evaluates without fault, and then [rhs] does too. *)
+type identity = { name : string; lhs : term; rhs : term }
+
+(** The rows {!values} numbers modulo, in the order it tries them: the
+    integer identities [Peephole] uses (identity and absorbing elements,
+    self-cancellation and self-comparison, [x shl n = x mul 2^n]), double
+    negation, the subtraction forms [a + (-b) = a - b], [a - (-b) = a + b]
+    and [x - c = x + (-c)] for int and float, [0 - x = -x] for int and
+    [-0.0 - x = -x] for float, and [x fsub 0.0], [x fadd -0.0],
+    [x fmul 1.0], [x fdiv 1.0] as [x]. [x fadd 0.0 = x] is no row: it is
+    wrong for [x = -0.0]. *)
+val identities : identity list
 
 (** Checkers by pass name, as [Verify.postcondition_table] registers
     lints: [pre] and [dce] use {!motion}, [clean] uses {!jump_chains},
-    and [constprop], [coalesce] and [gvn] use {!values}. *)
+    and [constprop], [coalesce], [gvn], [peephole] and [peephole-shift]
+    (the levels' [peephole] stage) use {!values}. *)
 val table : (string * checker) list
 
 val find : string -> checker option

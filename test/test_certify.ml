@@ -7,8 +7,10 @@
     growth allows. Then one hand-made step per rule, each broken the way
     a faulty pass would break it, must be declined, and the harness must
     not certify a step whose growth would outrun a small interpreter
-    budget. Last, mutants of real value-correspondence steps: each one
-    the checker accepts must observe like the step's input. *)
+    budget. The identity table's rows hold under the evaluator, and the
+    value checker applies each of them. Last, mutants of real
+    value-correspondence steps: each one the checker accepts must
+    observe like the step's input. *)
 
 open Epre_ir
 module Certify = Epre_verify.Certify
@@ -70,7 +72,7 @@ let check_every_checker_accepted accepted =
         (pass ^ " accepted at least once")
         true
         (Option.value ~default:0 (Hashtbl.find_opt accepted pass) > 0))
-    [ "pre"; "dce"; "clean"; "constprop"; "coalesce"; "gvn" ]
+    [ "pre"; "dce"; "clean"; "constprop"; "coalesce"; "gvn"; "peephole" ]
 
 let test_kernels_side_by_side () =
   let accepted = Hashtbl.create 4 in
@@ -333,6 +335,300 @@ let test_values_signed_zero () =
   Alcotest.(check bool) "peephole rewrote x fadd 0.0" false (Routine.equal before r);
   Alcotest.(check bool) "declined" true (Certify.values ~before ~after:r = None)
 
+(* The broken rewrites a faulty peephole pass might make, each from the
+   identity it gets wrong. *)
+let test_values_declines_peephole () =
+  let zero = "r2 = const 0x0p+0" in
+  declines Certify.values ~what:"x fmul 0.0 -> 0.0"
+    (straight [ zero; "r4 = fmul r0, r2" ])
+    (straight [ zero; "r4 = copy r2" ]);
+  declines Certify.values ~what:"x fsub x -> 0.0"
+    (straight [ "r4 = fsub r0, r0" ])
+    (straight [ "r4 = const 0x0p+0" ]);
+  declines Certify.values ~what:"x mul 8 -> x shl 2"
+    (straight [ "r2 = const 8"; "r4 = mul r0, r2" ])
+    (straight [ "r2 = const 2"; "r4 = shl r0, r2" ]);
+  declines Certify.values ~what:"a + (-b) -> a - b with b redefined in between"
+    (straight [ "r2 = neg r1"; "r1 = add r0, r0"; "r4 = add r0, r2" ])
+    (straight [ "r2 = neg r1"; "r1 = add r0, r0"; "r4 = sub r0, r1" ]);
+  declines Certify.values ~what:"x fadd 0.0 -> x"
+    (straight [ zero; "r4 = fadd r0, r2" ])
+    (straight [ zero; "r4 = copy r0" ]);
+  declines Certify.values ~what:"0.0 fadd x -> x"
+    (straight [ zero; "r4 = fadd r2, r0" ])
+    (straight [ zero; "r4 = copy r0" ]);
+  (* [r0 fmul 1.0] and [r0 add 0] both number as [r0], but [r0] is a
+     float where the input completes the fmul: the output's add would
+     fault. *)
+  declines Certify.values ~what:"an output evaluation of the wrong type"
+    (straight [ "r2 = const 0x1p+0"; "r4 = fmul r0, r2" ])
+    (straight [ "r2 = const 0"; "r4 = add r0, r2" ])
+
+let test_values_accepts_peephole () =
+  let peephole r =
+    ignore (Epre_opt.Peephole.run ~config:{ Epre_opt.Peephole.mul_to_shift = true } r)
+  in
+  pass_accepted ~what:"peephole's shift" peephole
+    (straight [ "r2 = const 8"; "r3 = mul r2, r0"; "r4 = add r3, r1" ]);
+  pass_accepted ~what:"peephole's subtraction" peephole
+    (straight [ "r2 = fneg r1"; "r3 = fmul r0, r0"; "r4 = fadd r2, r3" ]);
+  pass_accepted ~what:"peephole's identities" peephole
+    (straight
+       [ "r2 = const 0"; "r3 = add r0, r2"; "r5 = const 1"; "r6 = mul r5, r3"; "r7 = neg r6";
+         "r6 = neg r7"; "r4 = sub r6, r6" ]);
+  (* A branch on [x cmp_le x] is decided, and the float negation is
+     folded to a constant before [fadd] reads it. *)
+  pass_accepted ~what:"peephole's self comparison" peephole
+    (f_of
+       [ ("B0", [ "r2 = cmp_le r0, r0" ], "cbr r2, B1, B2");
+         ("B1", [ "r3 = const 0x1p+1"; "r5 = fneg r3"; "r4 = fadd r1, r5" ], "jump B2");
+         ("B2", [ "call emit(r1)" ], "return r1") ]);
+  (* The walk's first pass over the loop sees [r5] as the constant 0,
+     where peephole saw a register: [0 add (neg r1)] must number as
+     [0 sub r1] does. *)
+  pass_accepted ~what:"peephole's subtraction in a loop" peephole
+    (f_of
+       [ ("B0", [ "r5 = const 0" ], "jump B1");
+         ("B1", [ "r3 = neg r1"; "r4 = add r5, r3"; "r5 = add r5, r0"; "r6 = cmp_lt r5, r4" ],
+          "cbr r6, B1, B2");
+         ("B2", [ "call emit(r4)" ], "return r4") ]);
+  (* A [neg] of a float constant does not fold, so [x add (neg c)] and
+     [x sub c] name each other: the walk must still end. *)
+  ignore
+    (verdict Certify.values
+       (straight [ "r2 = const 0x1p+0"; "r3 = neg r2"; "r4 = add r0, r3" ])
+       (straight [ "r2 = const 0x1p+0"; "r3 = neg r2"; "r4 = sub r0, r2" ]))
+
+(* --- the identity table ---------------------------------------------- *)
+
+let rec reads var = function
+  | Certify.U (op, t) -> if t = var then Some (Op.unop_operand_ty op) else reads var t
+  | Certify.B (op, a, b) ->
+    if a = var || b = var then Some (Op.binop_operand_ty op)
+    else Option.fold ~none:(reads var b) ~some:Option.some (reads var a)
+  | Certify.X | Certify.Y | Certify.C | Certify.K _ | Certify.N | Certify.Pow2 -> None
+
+(* A row's operands: x, y, c and n. *)
+type env = { x : Value.t; y : Value.t; c : Value.t; n : int }
+
+let rec eval env = function
+  | Certify.X -> env.x
+  | Certify.Y -> env.y
+  | Certify.C -> env.c
+  | Certify.K v -> v
+  | Certify.N -> Value.I env.n
+  | Certify.Pow2 -> Value.I (1 lsl env.n)
+  | Certify.U (op, t) -> Op.eval_unop op (eval env t)
+  | Certify.B (op, a, b) -> Op.eval_binop op (eval env a) (eval env b)
+
+let special_ints = [ 0; 1; -1; 2; 63; min_int; max_int; min_int + 1; max_int - 1 ]
+
+let special_floats =
+  [ Float.nan; Float.neg Float.nan; 0.0; -0.0; Float.infinity; Float.neg_infinity; 1.0; -1.0;
+    Float.max_float; Float.min_float; Float.epsilon ]
+
+let gen_value ty =
+  let open QCheck2.Gen in
+  match ty with
+  | Some Ty.Flt ->
+    map (fun f -> Value.F f) (oneof [ oneofl special_floats; float; float_range (-8.0) 8.0 ])
+  | Some Ty.Int | None ->
+    map (fun i -> Value.I i) (oneof [ oneofl special_ints; int; int_range (-8) 8 ])
+
+(* Both sides are equal under [Value.equal] wherever the left one
+   evaluates: for random operands of the types the left side reads them
+   at, and for NaN, both zeros, both infinities, [min_int] and
+   [max_int]. *)
+let row_property (row : Certify.identity) =
+  let gen =
+    QCheck2.Gen.(
+      map
+        (fun (x, y, c, n) -> { x; y; c; n })
+        (quad
+           (gen_value (reads Certify.X row.Certify.lhs))
+           (gen_value (reads Certify.Y row.Certify.lhs))
+           (gen_value (reads Certify.C row.Certify.lhs))
+           (oneof [ oneofl [ 0; 1; 61; 62 ]; int_range 0 62 ])))
+  in
+  Helpers.qcheck_case ~count:500 "identity" row.Certify.name gen (fun env ->
+      match eval env row.Certify.lhs with
+      | exception (Op.Division_by_zero | Value.Type_error _) -> true
+      | l -> (
+        match eval env row.Certify.rhs with
+        | exception (Op.Division_by_zero | Value.Type_error _) -> false
+        | r -> Value.equal l r))
+
+(* The value checker matches a commutative operator's operands either
+   way, so each must commute under [Value.equal]. *)
+let commutes_property =
+  let ops = List.filter Op.commutative Op.all_binops in
+  let gen =
+    QCheck2.Gen.(
+      oneofl ops >>= fun op ->
+      let ty = Some (Op.binop_operand_ty op) in
+      map (fun (a, b) -> (op, a, b)) (pair (gen_value ty) (gen_value ty)))
+  in
+  Helpers.qcheck_case ~count:1000 "identity" "commutative operators commute" gen
+    (fun (op, a, b) ->
+      match Op.eval_binop op a b with
+      | exception (Op.Division_by_zero | Value.Type_error _) -> true
+      | v -> Value.equal v (Op.eval_binop op b a))
+
+(* A routine [f(r0, r1)] computing [term] for x = r0, y = r1, c = [c]
+   and n = 3; a subterm without operands is computed as its constant,
+   as a pass folds it. *)
+let routine_of_term ~c term =
+  let env = { x = Value.I 0; y = Value.I 0; c; n = 3 } in
+  let lines = ref [] and next = ref 2 in
+  let emit line =
+    let r = Printf.sprintf "r%d" !next in
+    incr next;
+    lines := (r ^ " = " ^ line) :: !lines;
+    r
+  in
+  let rec has_operand = function
+    | Certify.X | Certify.Y -> true
+    | Certify.C | Certify.K _ | Certify.N | Certify.Pow2 -> false
+    | Certify.U (_, t) -> has_operand t
+    | Certify.B (_, a, b) -> has_operand a || has_operand b
+  in
+  let rec go t =
+    match t with
+    | Certify.X -> "r0"
+    | Certify.Y -> "r1"
+    | _ when not (has_operand t) -> emit ("const " ^ Value.to_string (eval env t))
+    | Certify.U (op, a) ->
+      let a = go a in
+      emit (Printf.sprintf "%s %s" (Op.unop_name op) a)
+    | Certify.B (op, a, b) ->
+      let a = go a in
+      let b = go b in
+      emit (Printf.sprintf "%s %s, %s" (Op.binop_name op) a b)
+    | Certify.C | Certify.K _ | Certify.N | Certify.Pow2 -> assert false
+  in
+  let r = go term in
+  "routine f(r0, r1) entry B0 regs 16 {\n"
+  ^ block "B0" (List.rev !lines @ [ "call emit(" ^ r ^ ")" ]) ("return " ^ r)
+  ^ "}\n"
+
+(* Each row is one the checker applies: the routine computing its left
+   side steps to the one computing its right side. *)
+let test_rows_applied () =
+  List.iter
+    (fun (row : Certify.identity) ->
+      let c =
+        match reads Certify.C row.Certify.lhs with
+        | Some Ty.Flt -> Value.F 2.5
+        | Some Ty.Int | None -> Value.I 5
+      in
+      accepts Certify.values ~what:row.Certify.name
+        (routine_of_term ~c row.Certify.lhs)
+        (routine_of_term ~c row.Certify.rhs))
+    Certify.identities;
+  Alcotest.(check bool) "x fadd 0.0 is no row" false
+    (List.exists
+       (fun (row : Certify.identity) ->
+         match row.Certify.lhs with
+         | Certify.B (Op.FAdd, _, Certify.K v) | Certify.B (Op.FAdd, Certify.K v, _) ->
+           Value.equal v (Value.F 0.0)
+         | _ -> false)
+       Certify.identities)
+
+(* --- growth ------------------------------------------------------------ *)
+
+(* A diamond whose B1 arm reaches the join through jump-only B3. The
+   step puts two copies into B3, as SSA destruction does into a landing
+   block. With [shared], B2 jumps to B3 too. *)
+let landing ~shared ~b3 =
+  f_of
+    [ ("B0", [], "cbr r0, B1, B2");
+      ("B1", [ "r4 = add r0, r1" ], "jump B3");
+      ("B2", [], if shared then "jump B3" else "jump B4");
+      ("B3", b3, "jump B4");
+      ("B4", [ "call emit(r1)" ], "return r1") ]
+
+let growth_of before after =
+  match verdict Certify.values before after with
+  | Some g -> g
+  | None -> Alcotest.fail "the copies are a value-correspondence step"
+
+let test_values_growth () =
+  let copies = [ "r5 = copy r1"; "r6 = copy r1" ] in
+  (* B3 runs at most once per run of B1, its only source, which runs at
+     most once per run of B0: the path B0, B1, B3 runs 1 + 2 + 3
+     operations in the output where the input ran 1 + 2 + 1. *)
+  Alcotest.(check (float 1e-9)) "charged to its source" 1.5
+    (growth_of (landing ~shared:false ~b3:[]) (landing ~shared:false ~b3:copies));
+  Alcotest.(check (float 1e-9)) "two sources: no charge" 3.0
+    (growth_of (landing ~shared:true ~b3:[]) (landing ~shared:true ~b3:copies))
+
+(* [dot] at [-O partial]: SSA destruction puts copies into PRE's
+   jump-only landing blocks. Charged to the blocks before them, the
+   [constprop] step's growth stays near one, and the harness certifies
+   every step of it without a rerun. *)
+let test_dot_growth () =
+  let w = Option.get (Epre_workloads.Workloads.find "dot") in
+  let level = Epre.Pipeline.Partial in
+  let prog = Epre_workloads.Workloads.compile w in
+  let growths = ref [] in
+  List.iter
+    (fun (np : Harness.named_pass) ->
+      List.iter
+        (fun (r : Routine.t) ->
+          let snapshot = Routine.copy r in
+          np.Harness.run r;
+          if np.Harness.pass_name = "constprop" && not (Routine.equal r snapshot) then
+            match Certify.values ~before:snapshot ~after:r with
+            | Some g -> growths := (r.Routine.name, g) :: !growths
+            | None -> Alcotest.failf "constprop on %s declined" r.Routine.name)
+        (Program.routines prog))
+    (Epre.Pipeline.level_passes ~level);
+  Alcotest.(check bool) "constprop changed main" true (List.mem_assoc "main" !growths);
+  List.iter
+    (fun (name, g) ->
+      Alcotest.(check bool) (Printf.sprintf "%s: growth %g below 1.25" name g) true (g < 1.25))
+    !growths;
+  Metrics.reset ();
+  let config = { Harness.default_config with Harness.validation = Harness.Exec } in
+  ignore (Epre.Pipeline.optimize_supervised ~config ~level (Epre_workloads.Workloads.compile w));
+  let count what = Metrics.get ~routine:"main" ~name:("harness." ^ what ^ ".constprop") in
+  Alcotest.(check (pair int int)) "main's constprop: certified, not fuel-bound" (1, 0)
+    (count "certified", count "fuel_bound")
+
+(* --- the exec tier's observed steps ------------------------------------ *)
+
+(* Over the kernel suite, the steps the exec tier still observes, per
+   pass and level: a step that no checker proves any more shows here. *)
+let test_observed_counts () =
+  let observed level =
+    Metrics.reset ();
+    let config = { Harness.default_config with Harness.validation = Harness.Exec } in
+    List.iter
+      (fun w ->
+        ignore (Epre.Pipeline.optimize_supervised ~config ~level (Epre_workloads.Workloads.compile w)))
+      Epre_workloads.Workloads.all;
+    let counts = Hashtbl.create 8 in
+    List.iter
+      (fun (e : Metrics.entry) ->
+        match String.split_on_char '.' e.Metrics.name with
+        | [ "harness"; ("observed" | "fuel_bound") as what; pass ] ->
+          let key = what ^ "." ^ pass in
+          Hashtbl.replace counts key (e.Metrics.value + Option.value ~default:0 (Hashtbl.find_opt counts key))
+        | _ -> ())
+      (Metrics.snapshot ());
+    List.sort compare (List.of_seq (Hashtbl.to_seq counts))
+  in
+  let reassociating =
+    [ ("observed.peephole", 3); ("observed.pre", 1); ("observed.reassociation", 91) ]
+  in
+  List.iter
+    (fun (level, want) ->
+      Alcotest.(check (list (pair string int)))
+        (Epre.Pipeline.level_to_string level)
+        want (observed level))
+    [ (Epre.Pipeline.Baseline, []); (Epre.Pipeline.Partial, []);
+      (Epre.Pipeline.Reassociation, reassociating); (Epre.Pipeline.Distribution, reassociating) ]
+
 (* --- mutation property ----------------------------------------------- *)
 
 (* One random edit of [r], the way a faulty pass might break its output:
@@ -397,7 +693,7 @@ let mutate rng (r : Routine.t) =
       (pick (List.filter (fun (b : Block.t) -> List.length b.Block.instrs > 1) blocks))
 
 (* Run [level] over [prog] pass-major; after each [constprop],
-   [coalesce] and [gvn] step that changed its routine, offer [per_step]
+   [coalesce], [gvn] and [peephole] step that changed its routine, offer [per_step]
    mutants of its output to [Certify.values]. Each accepted mutant,
    observed in place of the output under the fuel its growth allows,
    must give the step's input observation bit for bit. *)
@@ -413,7 +709,7 @@ let mutation_run rng ~what ~level prog (accepted, declined) =
           if not (Routine.equal r snapshot) then begin
             (match !current with
             | (Ok _ as before), Some ops
-              when List.mem np.Harness.pass_name [ "constprop"; "coalesce"; "gvn" ] ->
+              when List.mem np.Harness.pass_name [ "constprop"; "coalesce"; "gvn"; "peephole" ] ->
               let output = Routine.copy r in
               for _ = 1 to per_step do
                 match mutate rng output with
@@ -537,5 +833,15 @@ let suite =
     Alcotest.test_case "values declines broken steps" `Quick test_values_declines;
     Alcotest.test_case "values declines peephole's signed-zero identity" `Quick
       test_values_signed_zero;
+    Alcotest.test_case "values accepts peephole steps" `Quick test_values_accepts_peephole;
+    Alcotest.test_case "values declines broken peephole steps" `Quick
+      test_values_declines_peephole;
+    Alcotest.test_case "values applies every identity row" `Quick test_rows_applied;
+    Alcotest.test_case "values growth charges a block to its only source" `Quick
+      test_values_growth;
+    Alcotest.test_case "dot: constprop's growth and certification" `Quick test_dot_growth;
+    Alcotest.test_case "kernels: the exec tier's observed steps" `Slow test_observed_counts;
     Alcotest.test_case "values: accepted mutants observe bit-equal" `Slow test_mutants;
+    commutes_property;
   ]
+  @ List.map row_property Certify.identities
