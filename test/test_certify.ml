@@ -633,8 +633,9 @@ let test_observed_counts () =
 
 (* One random edit of [r], the way a faulty pass might break its output:
    an operand register substituted, a constant changed, [cbr] arms
-   swapped, an instruction dropped, or two neighbours swapped. [None]
-   when the edit finds nothing to apply to. *)
+   swapped, an instruction dropped, a unop's or binop's operator
+   replaced, or two neighbours swapped. [None] when the edit finds
+   nothing to apply to. *)
 let mutate rng (r : Routine.t) =
   let m = Routine.copy r in
   let int n = Random.State.int rng n in
@@ -651,7 +652,7 @@ let mutate rng (r : Routine.t) =
         m)
       (pick (List.filter (fun (b : Block.t) -> b.Block.instrs <> []) blocks))
   in
-  match int 5 with
+  match int 6 with
   | 0 ->
     edit_instr (fun i ->
         match Instr.uses i with
@@ -680,6 +681,11 @@ let mutate rng (r : Routine.t) =
             (fun (b : Block.t) -> match b.Block.term with Instr.Cbr _ -> true | _ -> false)
             blocks))
   | 3 -> edit_instr (fun _ -> [])
+  | 4 ->
+    edit_instr (function
+      | Instr.Binop b -> [ Instr.Binop { b with op = Option.get (pick Op.all_binops) } ]
+      | Instr.Unop u -> [ Instr.Unop { u with op = Option.get (pick Op.all_unops) } ]
+      | i -> [ i ])
   | _ ->
     Option.map
       (fun (b : Block.t) ->
