@@ -37,8 +37,9 @@
     All three decline on SSA routines and on any phi. [reassociation]
     stays observed: it changes float results by rounding and rebuilds
     expression trees, so its output matches its input only up to the
-    harness's tolerance. So do [peephole]'s rewrites of [x fadd 0.0] to
-    [x], which is wrong for [x = -0.0]: no identity row holds it. *)
+    harness's tolerance. A [peephole] step that rewrites [x fadd 0.0] to
+    [x], wrong for [x = -0.0], stays observed too: no identity row holds
+    it. *)
 
 open Epre_ir
 
@@ -93,12 +94,12 @@ val jump_chains : checker
     taken either way), else that of an equal evaluation earlier in the
     block. It accepts when
     - matched instructions have the same kind, operator or callee, and
-      operands with equal numbers; or are a unop or binop each whose
-      numbers agree and whose output operands hold the types its
+      operands with equal numbers; or are two unops or binops whose
+      numbers agree, the output's operands holding the types its
       operator reads (known from constants, from the evaluations that
-      made them, or from what the input's evaluation read), the output's
-      being no integer division or remainder; both destinations then
-      get one number;
+      made them, or from what the input's evaluation read) and the
+      output's being no integer division or remainder; both destinations
+      then get one number;
     - the copies and consts of either side run alone, and an output copy
       reads a register written on every path;
     - an input unop or binop the output lacks is dropped: it was folded
