@@ -1,10 +1,6 @@
-(** AST printing, sizing and indexed edits. See the interface for the
-    addressing scheme. *)
+(** AST printing. See the interface. *)
 
 open Ast
-
-(* ------------------------------------------------------------------ *)
-(* Source printer                                                      *)
 
 (* Precedence, loosest to tightest, mirroring the parser: || < && <
    comparisons < additive < multiplicative < unary < postfix. *)
@@ -121,146 +117,3 @@ let print_program prog =
       line 0 "}")
     prog;
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Sizing and indexed edits                                            *)
-
-(* [List.map] with a guaranteed left-to-right application order, so the
-   numbering of the counting and transforming traversals always agrees. *)
-let map_ordered f xs = List.rev (List.fold_left (fun acc x -> f x :: acc) [] xs)
-
-let stmt_count prog =
-  let n = ref 0 in
-  let rec go s =
-    incr n;
-    match s.desc with
-    | If (_, t, e) ->
-      List.iter go t;
-      List.iter go e
-    | While (_, b) -> List.iter go b
-    | For { body; _ } -> List.iter go body
-    | Decl _ | Assign _ | Assign_index _ | Return _ | Expr_stmt _ -> ()
-  in
-  List.iter (fun (f : fndef) -> List.iter go f.body) prog;
-  !n
-
-let transform_stmt prog target f =
-  let n = ref (-1) in
-  let hit = ref false in
-  let rec go_list ss = List.concat (map_ordered go ss)
-  and go s =
-    incr n;
-    if !n = target then
-      match f s with
-      | Some rep ->
-        hit := true;
-        rep
-      | None -> [ keep s ]
-    else [ keep s ]
-  and keep s =
-    let desc =
-      match s.desc with
-      | If (c, t, e) ->
-        let t = go_list t in
-        If (c, t, go_list e)
-      | While (c, b) -> While (c, go_list b)
-      | For fr -> For { fr with body = go_list fr.body }
-      | (Decl _ | Assign _ | Assign_index _ | Return _ | Expr_stmt _) as d -> d
-    in
-    { s with desc }
-  in
-  let prog' = map_ordered (fun (fd : fndef) -> { fd with body = go_list fd.body }) prog in
-  if !hit then Some prog' else None
-
-(* The two expression traversals below must enumerate identically:
-   statements in program order, expressions preorder (node before
-   children), children left to right. *)
-
-let expr_count prog =
-  let n = ref 0 in
-  let rec ge e =
-    incr n;
-    match e with
-    | Int_lit _ | Float_lit _ | Var _ -> ()
-    | Index (_, subs) -> List.iter ge subs
-    | Binary (_, a, b) ->
-      ge a;
-      ge b
-    | Unary (_, x) -> ge x
-    | Call (_, args) -> List.iter ge args
-  in
-  let rec gs s =
-    match s.desc with
-    | Decl (_, _, init) -> Option.iter ge init
-    | Assign (_, e) -> ge e
-    | Assign_index (_, subs, e) ->
-      List.iter ge subs;
-      ge e
-    | If (c, t, e) ->
-      ge c;
-      List.iter gs t;
-      List.iter gs e
-    | While (c, b) ->
-      ge c;
-      List.iter gs b
-    | For { start; stop; step; body; _ } ->
-      ge start;
-      ge stop;
-      Option.iter ge step;
-      List.iter gs body
-    | Return e -> Option.iter ge e
-    | Expr_stmt e -> ge e
-  in
-  List.iter (fun (f : fndef) -> List.iter gs f.body) prog;
-  !n
-
-let transform_expr prog target f =
-  let n = ref (-1) in
-  let hit = ref false in
-  let rec ge e =
-    incr n;
-    if !n = target then
-      match f e with
-      | Some e' ->
-        hit := true;
-        e'
-      | None -> children e
-    else children e
-  and children e =
-    match e with
-    | Int_lit _ | Float_lit _ | Var _ -> e
-    | Index (a, subs) -> Index (a, map_ordered ge subs)
-    | Binary (op, a, b) ->
-      let a = ge a in
-      let b = ge b in
-      Binary (op, a, b)
-    | Unary (op, x) -> Unary (op, ge x)
-    | Call (nm, args) -> Call (nm, map_ordered ge args)
-  in
-  let rec gs s =
-    let desc =
-      match s.desc with
-      | Decl (nm, ty, init) -> Decl (nm, ty, Option.map ge init)
-      | Assign (v, e) -> Assign (v, ge e)
-      | Assign_index (a, subs, e) ->
-        let subs = map_ordered ge subs in
-        Assign_index (a, subs, ge e)
-      | If (c, t, e) ->
-        let c = ge c in
-        let t = map_ordered gs t in
-        If (c, t, map_ordered gs e)
-      | While (c, b) ->
-        let c = ge c in
-        While (c, map_ordered gs b)
-      | For fr ->
-        let start = ge fr.start in
-        let stop = ge fr.stop in
-        let step = Option.map ge fr.step in
-        For { fr with start; stop; step; body = map_ordered gs fr.body }
-      | Return e -> Return (Option.map ge e)
-      | Expr_stmt e -> Expr_stmt (ge e)
-    in
-    { s with desc }
-  in
-  let prog' = map_ordered (fun (fd : fndef) -> { fd with body = map_ordered gs fd.body }) prog in
-  if !hit then Some prog' else None

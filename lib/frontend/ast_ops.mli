@@ -1,34 +1,11 @@
-(** AST utilities shared by the fuzzer, the reducer and the corpus: a
-    source printer that re-parses ([Frontend.parse_string]), a statement
-    count (the reducer's size metric), and indexed statement/expression
-    edits (the primitive moves of delta debugging).
-
-    Statements and expressions are addressed by their preorder index over
-    the whole program, entering nested bodies and subexpressions; the
-    indices are stable under edits at higher indices, so a reducer sweeps
-    from the last site down to the first. *)
+(** AST utilities: a source printer that re-parses
+    ([Frontend.parse_string]), which the fuzz generator renders its
+    programs with. *)
 
 open Ast
 
 (** Render a program as mini-language source. The output parses back with
     [Frontend.parse_string]; for programs the fuzz generator produces
     (no negative literals, statement-position calls only) the reparse is
-    structurally identical, so printed reproducers replay exactly. *)
+    structurally identical, so a printed program replays exactly. *)
 val print_program : program -> string
-
-(** Number of statement nodes in the whole program, nested bodies
-    included (declarations count — they are statements). *)
-val stmt_count : program -> int
-
-(** Number of expression nodes, subexpressions included. *)
-val expr_count : program -> int
-
-(** [transform_stmt prog i f] rebuilds [prog] with statement [i] replaced
-    by [f stmt] (a splice: [[]] deletes, a body hoists). [None] when [f]
-    declines or [i] is out of range. *)
-val transform_stmt : program -> int -> (stmt -> stmt list option) -> program option
-
-(** [transform_expr prog i f] rebuilds [prog] with expression [i] replaced
-    by [f expr]; the replaced node's subexpressions are not visited.
-    [None] when [f] declines or [i] is out of range. *)
-val transform_expr : program -> int -> (expr -> expr option) -> program option

@@ -1,7 +1,7 @@
 (** Campaign driver. See the interface for the determinism contract. *)
 
 module Frontend = Epre_frontend.Frontend
-module Ast_ops = Epre_frontend.Ast_ops
+module Ir_text = Epre_ir.Ir_text
 module Harness = Epre_harness.Harness
 module Chaos = Epre_harness.Chaos
 module Report = Epre_harness.Report
@@ -27,17 +27,9 @@ let default_config =
     chaos = None; reduce = true; corpus_dir = None; fuel = 1_000_000;
     pinpoint = false; jobs = 1 }
 
-let compile_ast ast =
-  match Frontend.compile_string (Ast_ops.print_program ast) with
-  | prog -> Some prog
-  | exception Frontend.Error _ -> None
-
-let still_fails ocfg ~level ~cls ast =
-  match compile_ast ast with
-  | None -> false
-  | Some prog ->
-    let ocfg = { ocfg with Oracle.levels = [ level ]; pinpoint = false } in
-    List.exists (fun (f : Oracle.failure) -> f.cls = cls) (Oracle.check ocfg prog)
+let still_fails ocfg ~level ~cls prog =
+  let ocfg = { ocfg with Oracle.levels = [ level ]; pinpoint = false } in
+  List.exists (fun (f : Oracle.failure) -> f.cls = cls) (Oracle.check ocfg prog)
 
 type summary = {
   runs : int;
@@ -50,16 +42,15 @@ type summary = {
 }
 
 (* One oracle failure -> (record, corpus entry if a dir is configured). *)
-let handle_failure (config : config) ocfg ~case_seed ~ast ~source (f : Oracle.failure) =
-  let reduction, repro_ast =
+let handle_failure (config : config) ocfg ~case_seed ~prog ~source (f : Oracle.failure) =
+  let reduction, repro =
     if config.reduce then begin
       let still = still_fails ocfg ~level:f.level ~cls:f.cls in
-      let reduced, stats = Reduce.run ~still_fails:still ast in
+      let reduced, stats = Reduce.run ~still_fails:still prog in
       (Some stats, reduced)
     end
-    else (None, ast)
+    else (None, prog)
   in
-  let repro_source = Ast_ops.print_program repro_ast in
   (* Tag the entry with the first redundancy-audit rule the repro trips
      after a clean (chaos-free) optimization at the failing level —
      "clean" when the auditor finds nothing — so corpus triage can group
@@ -67,54 +58,43 @@ let handle_failure (config : config) ocfg ~case_seed ~ast ~source (f : Oracle.fa
      failure by construction, so every step is allowed to blow up; an
      unanalyzable repro simply carries no tag. *)
   let analyze_rule =
-    match Frontend.compile_string repro_source with
-    | exception _ -> None
-    | reference -> (
-      try
-        let prog, _stats = Pipeline.optimized_copy ~level:f.level reference in
-        let expect_pre = f.level <> Pipeline.Baseline in
-        let _, diags =
-          Epre_verify.Analyze.check_program ~expect_pre ~baseline:reference
-            prog
-        in
-        match diags with
-        | [] -> Some "clean"
-        | d :: _ -> Some d.Epre_verify.Diag.rule
-      with _ -> None)
+    try
+      let optimized, _stats = Pipeline.optimized_copy ~level:f.level repro in
+      let expect_pre = f.level <> Pipeline.Baseline in
+      let _, diags =
+        Epre_verify.Analyze.check_program ~expect_pre ~baseline:repro optimized
+      in
+      match diags with
+      | [] -> Some "clean"
+      | d :: _ -> Some d.Epre_verify.Diag.rule
+    with _ -> None
   in
   let id = Corpus.entry_id ~seed:case_seed ~level:f.level ~cls:f.cls in
   let repro_path =
     Option.map
-      (fun dir -> Filename.concat (Filename.concat dir id) "repro.mf")
+      (fun dir -> Filename.concat (Filename.concat dir id) "repro.iloc")
       config.corpus_dir
   in
   let record =
     Oracle.failure_record ~seed:case_seed ?chaos:config.chaos ?repro:repro_path f
   in
-  let record =
-    match reduction with
-    | None -> record
+  let meta =
+    (match reduction with
+    | None -> []
     | Some (st : Reduce.stats) ->
-      { record with
-        Harness.meta =
-          record.Harness.meta
-          @ [ ("fuzz_original_stmts", Tjson.Int st.original_stmts);
-              ("fuzz_reduced_stmts", Tjson.Int st.reduced_stmts) ] }
+      [ ("fuzz_original_instrs", Tjson.Int st.original_instrs);
+        ("fuzz_reduced_instrs", Tjson.Int st.reduced_instrs) ])
+    @ match analyze_rule with None -> [] | Some rule -> [ ("analyze_rule", Tjson.Str rule) ]
   in
-  let record =
-    match analyze_rule with
-    | None -> record
-    | Some rule ->
-      { record with
-        Harness.meta = record.Harness.meta @ [ ("analyze_rule", Tjson.Str rule) ] }
-  in
+  let record = { record with Harness.meta = record.Harness.meta @ meta } in
   let saved =
     match config.corpus_dir with
     | None -> None
     | Some dir ->
       let entry =
         { Corpus.id; seed = case_seed; level = f.level; cls = f.cls;
-          chaos = config.chaos; reduction; record; repro_source }
+          chaos = config.chaos; reduction; record;
+          repro_source = Ir_text.print_program repro }
       in
       Some (Corpus.save ~dir ~original:source entry)
   in
@@ -149,15 +129,14 @@ let run ?(log = ignore) (config : config) =
   let eval_case case_seed =
     Span.with_ ~kind:"fuzz-case" ~name:(Printf.sprintf "seed%d" case_seed)
     @@ fun () ->
-    let ast = Gen.program ~config:gen_config case_seed in
-    let source = Ast_ops.print_program ast in
+    let source = Gen.source ~config:gen_config case_seed in
     match Frontend.compile_string source with
     | exception Frontend.Error { line; message } ->
       `No_compile (Printf.sprintf "line %d: %s" line message)
     | prog -> (
       match Oracle.check ocfg prog with
       | [] -> `Clean
-      | fs -> `Failing (fs, ast, source))
+      | fs -> `Failing (fs, prog, source))
   in
   let results =
     if config.jobs >= 2 then
@@ -186,7 +165,7 @@ let run ?(log = ignore) (config : config) =
             meta = [ ("fuzz_seed", Tjson.Int case_seed) ] }
         in
         failures := record :: !failures
-      | `Failing (fs, ast, source) ->
+      | `Failing (fs, prog, source) ->
         incr cases_failed;
         List.iter
           (fun (f : Oracle.failure) ->
@@ -196,7 +175,7 @@ let run ?(log = ignore) (config : config) =
                  (Pipeline.level_to_string f.level)
                  f.pass);
             let record, was_reduced, entry_dir =
-              handle_failure config ocfg ~case_seed ~ast ~source f
+              handle_failure config ocfg ~case_seed ~prog ~source f
             in
             failures := record :: !failures;
             if was_reduced then incr reduced;
@@ -261,9 +240,10 @@ let replay ?(fuel = default_config.fuel) dir =
   | Error _ as e -> e
   | Ok entry -> (
     let verdict =
-      match Frontend.compile_string entry.Corpus.repro_source with
-      | exception Frontend.Error { line; message } ->
+      match Ir_text.parse_program entry.Corpus.repro_source with
+      | exception Ir_text.Parse_error { line; message } ->
         Broken (Printf.sprintf "line %d: %s" line message)
+      | exception Epre_ir.Routine.Ill_formed m -> Broken m
       | prog -> (
         let chaos =
           match entry.Corpus.chaos with

@@ -2,9 +2,9 @@
 
     A campaign derives one case seed per run from the master seed (via
     the splittable {!Rng}, so the sequence is a pure function of
-    [config.seed]), generates each program, checks it with the
-    differential {!Oracle}, optionally reduces each failure with
-    {!Reduce}, and persists reproducers through {!Corpus}.
+    [config.seed]), generates and lowers each program once, checks the
+    ILOC with the differential {!Oracle}, optionally reduces each failure
+    with {!Reduce}, and persists reproducers through {!Corpus}.
 
     Everything in the {!summary} is deterministic for a given config —
     no timestamps, no durations — so two invocations of the same
@@ -43,14 +43,14 @@ type config = {
     no corpus dir, fuel 1e6, no pinpointing, 1 job. *)
 val default_config : config
 
-(** The reducer's oracle for one failure signature: the candidate
-    prints, compiles, and {!Oracle.check} (restricted to [level], no
-    pinpointing) still reports a failure of class [cls]. *)
+(** The reducer's oracle for one failure signature: {!Oracle.check}
+    (restricted to [level], no pinpointing) still reports a failure of
+    class [cls] on the candidate. *)
 val still_fails :
   Oracle.config ->
   level:Epre.Pipeline.level ->
   cls:Oracle.failure_class ->
-  Epre_frontend.Ast.program ->
+  Epre_ir.Program.t ->
   bool
 
 type summary = {
@@ -83,7 +83,7 @@ type replay_result =
       got : Oracle.failure_class;
     }
   | Fixed  (** the oracle reports nothing — the bug is gone *)
-  | Broken of string  (** the reproducer no longer compiles *)
+  | Broken of string  (** the reproducer no longer parses as ILOC *)
 
 val replay_result_to_string : replay_result -> string
 

@@ -47,7 +47,7 @@ let read_file path =
 
 let meta_json entry =
   Tjson.Obj
-    ([ ("schema", Tjson.Int 1);
+    ([ ("schema", Tjson.Int 2);
        ("seed", Tjson.Int entry.seed);
        ("level", Tjson.Str (Epre.Pipeline.level_to_string entry.level));
        ("class", Tjson.Str (Oracle.class_to_string entry.cls)) ]
@@ -62,7 +62,7 @@ let meta_json entry =
 let save ~dir ~original entry =
   let entry_dir = Filename.concat dir entry.id in
   mkdir_p entry_dir;
-  write_file (Filename.concat entry_dir "repro.mf") entry.repro_source;
+  write_file (Filename.concat entry_dir "repro.iloc") entry.repro_source;
   write_file (Filename.concat entry_dir "original.mf") original;
   write_file
     (Filename.concat entry_dir "meta.json")
@@ -143,19 +143,19 @@ let reduction_of_tjson json =
   let int name =
     match Tjson.member name json with Some (Tjson.Int n) -> n | _ -> 0
   in
-  { Reduce.original_stmts = int "original_stmts";
-    reduced_stmts = int "reduced_stmts";
+  { Reduce.original_instrs = int "original_instrs";
+    reduced_instrs = int "reduced_instrs";
     rounds = int "rounds";
     tried = int "tried";
     accepted = int "accepted" }
 
 let load dir =
   let meta_path = Filename.concat dir "meta.json" in
-  let repro_path = Filename.concat dir "repro.mf" in
+  let repro_path = Filename.concat dir "repro.iloc" in
   if not (Sys.file_exists meta_path) then
     Error (Printf.sprintf "%s: no meta.json" dir)
   else if not (Sys.file_exists repro_path) then
-    Error (Printf.sprintf "%s: no repro.mf" dir)
+    Error (Printf.sprintf "%s: no repro.iloc" dir)
   else
     let* json =
       Result.map_error

@@ -1,10 +1,10 @@
 (** The persistent repro corpus: one directory per failure under the
-    corpus root, holding the reduced reproducer as replayable source plus
-    a metadata file.
+    corpus root, holding the reduced reproducer as replayable ILOC text
+    plus a metadata file.
 
     {v
     fuzz/corpus/<id>/
-      repro.mf      reduced program (replays the failure on its own)
+      repro.iloc    reduced program, [Ir_text] (replays the failure on its own)
       original.mf   the unreduced generated program
       meta.json     provenance + the failure as a harness record
     v}
@@ -12,7 +12,7 @@
     [<id>] is [seed<seed>-<level>-<class>] — deterministic, so re-running
     the same campaign overwrites rather than accumulates duplicates.
 
-    [meta.json] is a [Tjson] object: [schema] (currently 1), [seed],
+    [meta.json] is a [Tjson] object: [schema] (currently 2), [seed],
     [level], [class], [chaos] (the [--chaos] spelling, absent when none),
     [reduction] ({!Reduce.stats}), and [record] — the failure rendered by
     [Epre_harness.Report.record_to_tjson], the same schema supervised-run
@@ -26,7 +26,7 @@ type entry = {
   chaos : string option;  (** the campaign's [--chaos] spelling *)
   reduction : Reduce.stats option;
   record : Epre_harness.Harness.record;
-  repro_source : string;
+  repro_source : string;  (** the reproducer, printed by [Ir_text] *)
 }
 
 val entry_id :

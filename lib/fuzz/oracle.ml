@@ -115,7 +115,9 @@ let check config prog =
   | Error _, _ -> []
   | (Ok _ as reference), count ->
     let budget =
-      match count with Some n -> (4 * n) + 10_000 | None -> config.fuel
+      match count with
+      | Some n -> Harness.recheck_budget ~fuel:config.fuel n
+      | None -> config.fuel
     in
     List.filter_map
       (fun level ->

@@ -1,11 +1,11 @@
-(** Greedy AST delta debugging. See the interface for the move set. *)
+(** Greedy ILOC reduction. See the interface for the move set. *)
 
-open Epre_frontend
+open Epre_ir
 module Tjson = Epre_telemetry.Tjson
 
 type stats = {
-  original_stmts : int;
-  reduced_stmts : int;
+  original_instrs : int;
+  reduced_instrs : int;
   rounds : int;
   tried : int;
   accepted : int;
@@ -13,100 +13,126 @@ type stats = {
 
 let stats_to_tjson s =
   Tjson.Obj
-    [ ("original_stmts", Tjson.Int s.original_stmts);
-      ("reduced_stmts", Tjson.Int s.reduced_stmts);
+    [ ("original_instrs", Tjson.Int s.original_instrs);
+      ("reduced_instrs", Tjson.Int s.reduced_instrs);
       ("rounds", Tjson.Int s.rounds);
       ("tried", Tjson.Int s.tried);
       ("accepted", Tjson.Int s.accepted) ]
 
-(* One sweep = one move tried at every applicable site, highest index
-   first. [attempt] returns the candidate or [None] when the move does
-   not apply at that site. *)
-let sweep ~still_fails ~tried ~accepted ~count ~attempt prog =
-  let prog = ref prog in
-  for i = count !prog - 1 downto 0 do
-    match attempt !prog i with
-    | None -> ()
-    | Some candidate ->
-      incr tried;
-      if still_fails candidate then begin
-        incr accepted;
-        prog := candidate
-      end
-  done;
-  !prog
+let max_rounds = 10
 
-let delete_stmt prog i = Ast_ops.transform_stmt prog i (fun _ -> Some [])
+let instr_count p =
+  List.fold_left (fun n r -> n + Routine.instr_count r) 0 (Program.routines p)
 
-let hoist_stmt prog i =
-  Ast_ops.transform_stmt prog i (fun s ->
-      match s.Ast.desc with
-      | Ast.If (_, then_, else_) -> Some (then_ @ else_)
-      | Ast.While (_, body) -> Some body
-      | Ast.For { body; _ } -> Some body
-      | _ -> None)
+type site =
+  | Instr of string * int * int  (** routine, block id, position *)
+  | Branch of string * int
+  | Routine of string
 
-let literal_candidates =
-  [ Ast.Int_lit 0; Ast.Int_lit 1; Ast.Float_lit 0.0; Ast.Float_lit 1.0 ]
+let sites p =
+  List.concat_map
+    (fun (r : Routine.t) ->
+      List.concat_map
+        (fun (b : Block.t) ->
+          List.mapi (fun k _ -> Instr (r.Routine.name, b.Block.id, k)) b.Block.instrs
+          @ match b.Block.term with Instr.Cbr _ -> [ Branch (r.Routine.name, b.Block.id) ] | _ -> [])
+        (Cfg.blocks r.Routine.cfg)
+      @ [ Routine r.Routine.name ])
+    (Program.routines p)
 
-(* The literal sweep tries several replacements per site, so it manages
-   its own inner loop instead of going through [sweep]'s single
-   [attempt]. *)
-let literal_sweep ~still_fails ~tried ~accepted prog =
-  let prog = ref prog in
-  for i = Ast_ops.expr_count !prog - 1 downto 0 do
-    let replace lit =
-      Ast_ops.transform_expr !prog i (fun e ->
-          match e with
-          | Ast.Int_lit _ | Ast.Float_lit _ -> None  (* already minimal *)
-          | _ -> Some lit)
-    in
-    let rec try_lits = function
-      | [] -> ()
-      | lit :: rest -> (
-        match replace lit with
-        | None -> ()  (* site is a literal (or gone): no point trying others *)
-        | Some candidate ->
-          incr tried;
-          if still_fails candidate then begin
-            incr accepted;
-            prog := candidate
-          end
-          else try_lits rest)
-    in
-    try_lits literal_candidates
-  done;
-  !prog
+(* A copy of [p] with [f] applied to its routine [name]. *)
+let edit p name f =
+  let p = Program.copy p in
+  f (Program.find_exn p name);
+  p
 
-let run ?(max_rounds = 10) ~still_fails prog =
-  (* A move can build an unprintable AST (e.g. a bare-literal expression
-     statement); if the caller's oracle trips on it while printing, that
-     candidate is simply rejected. *)
-  let still_fails cand =
-    try still_fails cand with Invalid_argument _ -> false
+let set_instrs p name id instrs =
+  edit p name (fun r -> (Cfg.block r.Routine.cfg id).Block.instrs <- instrs)
+
+let jump_to p name id target =
+  edit p name (fun r ->
+      let cfg = r.Routine.cfg in
+      (Cfg.block cfg id).Block.term <- Instr.Jump target;
+      let live = Cfg.reachable cfg in
+      List.iter
+        (fun (b : Block.t) ->
+          if not (Epre_util.Bitset.mem live b.Block.id) then Cfg.remove_block cfg b.Block.id)
+        (Cfg.blocks cfg))
+
+(* The candidates at [site], in the order they are tried, each built on
+   demand; none when the site's block is gone. A sweep visits a block's
+   positions last to first and edits a block only at its own positions,
+   so a position still exists when it is visited. *)
+let candidates p site =
+  let block name id =
+    Option.bind (Program.find p name) (fun r -> Cfg.find_block r.Routine.cfg id)
   in
-  let original_stmts = Ast_ops.stmt_count prog in
+  match site with
+  | Instr (name, id, k) -> (
+    match block name id with
+    | Some { Block.instrs; _ } ->
+      let before = List.filteri (fun j _ -> j < k) instrs
+      and after = List.filteri (fun j _ -> j > k) instrs in
+      let zeros =
+        match List.nth instrs k with
+        | Instr.Const _ -> []
+        | i ->
+          Option.fold ~none:[]
+            ~some:(fun dst ->
+              List.map (fun value -> before @ (Instr.Const { dst; value } :: after)) [ Value.I 0; Value.F 0.0 ])
+            (Instr.def i)
+      in
+      List.map
+        (fun l () -> set_instrs p name id l)
+        (((before @ after) :: (if after = [] then [] else [ before ])) @ zeros)
+    | None -> [])
+  | Branch (name, id) -> (
+    match block name id with
+    | Some { Block.term = Instr.Cbr { ifso; ifnot; _ }; _ } ->
+      List.map (fun t () -> jump_to p name id t) (if ifso = ifnot then [ ifso ] else [ ifso; ifnot ])
+    | _ -> [])
+  | Routine name ->
+    if name = "main" then []
+    else
+      [ (fun () ->
+          Program.create
+            (List.filter (fun (r : Routine.t) -> r.Routine.name <> name) (Program.routines p))) ]
+
+let run ~still_fails prog =
   let tried = ref 0 and accepted = ref 0 in
-  let rec rounds n prog =
-    if n >= max_rounds then (prog, n)
-    else begin
-      let before = !accepted in
-      let prog =
-        sweep ~still_fails ~tried ~accepted ~count:Ast_ops.stmt_count
-          ~attempt:delete_stmt prog
-      in
-      let prog =
-        sweep ~still_fails ~tried ~accepted ~count:Ast_ops.stmt_count
-          ~attempt:hoist_stmt prog
-      in
-      let prog = literal_sweep ~still_fails ~tried ~accepted prog in
-      if !accepted = before then (prog, n + 1) else rounds (n + 1) prog
+  let offer cand =
+    Epre_verify.Verify.errors (Epre_verify.Verify.check_program cand) = []
+    && begin
+      incr tried;
+      still_fails cand
     end
+  in
+  let rec first = function
+    | [] -> None
+    | make :: rest ->
+      let cand = make () in
+      if offer cand then Some cand else first rest
+  in
+  let sweep prog =
+    List.fold_left
+      (fun prog site ->
+        match first (candidates prog site) with
+        | Some cand ->
+          incr accepted;
+          cand
+        | None -> prog)
+      prog
+      (List.rev (sites prog))
+  in
+  let rec rounds n prog =
+    let before = !accepted in
+    let prog = sweep prog in
+    if !accepted = before || n + 1 >= max_rounds then (prog, n + 1) else rounds (n + 1) prog
   in
   let reduced, rounds = rounds 0 prog in
   ( reduced,
-    { original_stmts;
-      reduced_stmts = Ast_ops.stmt_count reduced;
+    { original_instrs = instr_count prog;
+      reduced_instrs = instr_count reduced;
       rounds;
       tried = !tried;
       accepted = !accepted } )

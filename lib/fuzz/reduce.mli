@@ -1,28 +1,35 @@
-(** Greedy delta debugging over the mini-language AST.
+(** Greedy, deterministic reduction over ILOC programs.
 
     Shrinks a failing program while preserving its failure signature —
-    [still_fails] is the caller's oracle (typically "compiles, and
-    {!Oracle.check} still reports the same (level, class)"); a candidate
-    that no longer compiles is simply rejected by it.
+    [still_fails] is the caller's oracle (typically "{!Oracle.check},
+    restricted to the failing level, still reports the same class").
+    Every candidate must first pass [Epre_verify.Verify.check_program]
+    with no errors, so only strict, well-typed ILOC reaches the oracle:
+    a deletion that leaves a register read before any definition (V008),
+    a zero of the wrong type (T rules) or a routine some call still names
+    (T008) rejects itself.
 
-    Three moves, swept from the highest preorder index down (so earlier
-    indices stay valid within a sweep — see [Ast_ops]):
+    A sweep visits every site from the last to the first (routines in
+    order, blocks in id order, instructions in order, then the block's
+    branch, then the routine itself), so the sites not yet visited stay
+    valid after an accepted edit. Per site, the first accepted candidate
+    wins:
 
-    - delete a statement;
-    - hoist the body of an [if] / [while] / [for] in place of the
-      construct;
-    - replace a non-literal expression with a literal ([0], [1], [0.0],
-      [1.0] — the wrongly-typed candidates fail to compile and are
-      rejected by the oracle for free).
+    - an instruction: delete it; else delete it and the rest of its
+      block; else replace it with [const 0], then with [const 0.0], into
+      the same register (not for a const);
+    - a [cbr]: turn it into a [jump] to its [ifso] arm, else to its
+      [ifnot] arm, and remove the blocks the entry no longer reaches;
+    - a routine other than [main]: delete it.
 
-    Rounds repeat until a full round accepts nothing or [max_rounds] is
-    reached. Greedy and deterministic: no randomness, first accepted
-    candidate wins. *)
+    Sweeps repeat until one accepts nothing, at most ten times. *)
 
 type stats = {
-  original_stmts : int;
-  reduced_stmts : int;
-  rounds : int;  (** rounds actually run, including the final no-progress one *)
+  original_instrs : int;
+  reduced_instrs : int;
+      (** instructions summed over routines, terminators excluded
+          ([Routine.instr_count]) *)
+  rounds : int;  (** sweeps actually run, including the final no-progress one *)
   tried : int;  (** candidates offered to [still_fails] *)
   accepted : int;
 }
@@ -30,9 +37,9 @@ type stats = {
 val stats_to_tjson : stats -> Epre_telemetry.Tjson.t
 
 (** [run ~still_fails prog] — [prog] itself must satisfy [still_fails];
-    the result always does. [max_rounds] defaults to 10. *)
+    the result always does. [prog] is not modified: candidates are
+    copies. *)
 val run :
-  ?max_rounds:int ->
-  still_fails:(Epre_frontend.Ast.program -> bool) ->
-  Epre_frontend.Ast.program ->
-  Epre_frontend.Ast.program * stats
+  still_fails:(Epre_ir.Program.t -> bool) ->
+  Epre_ir.Program.t ->
+  Epre_ir.Program.t * stats

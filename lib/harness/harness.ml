@@ -65,23 +65,23 @@ type named_pass = { pass_name : string; run : Routine.t -> unit }
 
 type obs = (Value.t option * Value.t list, string) result
 
-(* Observable behaviour plus the run's dynamic counts; [Error] carries
-   the reason interpretation failed. *)
+(* Observable behaviour plus the completed run; [Error] carries the
+   reason interpretation failed. *)
 let observe_run ~fuel p =
   match Epre_interp.Interp.run ~fuel p ~entry:"main" ~args:[] with
-  | r ->
-    ( Ok (r.Epre_interp.Interp.return_value, r.Epre_interp.Interp.trace),
-      Some r.Epre_interp.Interp.counts )
+  | r -> (Ok (r.Epre_interp.Interp.return_value, r.Epre_interp.Interp.trace), Some r)
   | exception Epre_interp.Interp.Runtime_error m -> (Error ("runtime error: " ^ m), None)
   | exception Epre_interp.Interp.Out_of_fuel -> (Error "out of fuel", None)
   | exception Invalid_argument m -> (Error m, None)
 
 (* The dynamic operation count feeds fuel adaptation. *)
 let observe_counted ~fuel p =
-  let obs, counts = observe_run ~fuel p in
-  (obs, Option.map Epre_interp.Counts.total counts)
+  let obs, run = observe_run ~fuel p in
+  (obs, Option.map (fun r -> Epre_interp.Counts.total r.Epre_interp.Interp.counts) run)
 
 let observe ~fuel p = fst (observe_counted ~fuel p)
+
+let recheck_budget ~fuel n = min fuel ((4 * n) + 10_000)
 
 (* Exact equality first (NaN = NaN, an infinity = itself), then
    reassociation noise between finite floats: with an infinite side the
@@ -130,9 +130,6 @@ let check_ir ~pass ~tc v (r : Routine.t) =
 let rolled_back records =
   List.filter (fun r -> match r.outcome with Rolled_back _ -> true | Passed -> false) records
 
-(* The fuel a completed run burned: one unit per operation and phi move. *)
-let fuel_burned (c : Epre_interp.Counts.t) = Epre_interp.Counts.total c + c.Epre_interp.Counts.phis
-
 let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
   (* Post-pass interpretation gets a budget derived from the reference run,
      so a pass that introduces an infinite loop burns seconds, not the full
@@ -142,27 +139,33 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
      unless the reference run burned more fuel (phi moves count too) than
      the budget derived from its operation count. *)
   let reproducible = ref true in
-  (* An upper bound on the fuel a run of the current program burns: what
-     the last real observation burned, times the growth of each step
-     certified since. A step is certified only while it stays within
-     [check_fuel], so a certified program still completes under it. *)
-  let fuel_bound = ref infinity in
+  let routines = Program.routines p in
+  (* Upper bounds on the fuel each routine, by position, burns itself in
+     a run of the current program: what the last real observation burned
+     there, times the growth of each step certified on it since. A step's
+     growth bounds its routine's own operations, not its callees', so the
+     bounds are kept apart. A step is certified only while their sum
+     stays within [check_fuel], so a certified program still completes
+     under it. *)
+  let fuel_bound = Array.make (List.length routines) infinity in
+  let bound_by (r : Epre_interp.Interp.result) =
+    Array.iteri (fun k f -> fuel_bound.(k) <- float_of_int f) r.Epre_interp.Interp.own_fuel
+  in
   let current_obs =
     if config.validation = Exec then begin
-      let obs, counts = observe_run ~fuel:config.fuel p in
+      let obs, run = observe_run ~fuel:config.fuel p in
       Option.iter
-        (fun c ->
-          let n = Epre_interp.Counts.total c in
-          check_fuel := min config.fuel ((4 * n) + 10_000);
-          fuel_bound := float_of_int (fuel_burned c);
-          reproducible := fuel_burned c <= !check_fuel)
-        counts;
+        (fun (r : Epre_interp.Interp.result) ->
+          check_fuel :=
+            recheck_budget ~fuel:config.fuel (Epre_interp.Counts.total r.Epre_interp.Interp.counts);
+          bound_by r;
+          reproducible := Array.fold_left ( + ) 0 r.Epre_interp.Interp.own_fuel <= !check_fuel)
+        run;
       Some obs
     end
     else None
   in
   let current_obs = ref current_obs in
-  let routines = Program.routines p in
   (* The verifier's two parts on the last accepted program: its type
      inference, and each routine's V part (by position). Both are pure
      functions of that state, which a rollback restores exactly and a
@@ -277,9 +280,13 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
                     Epre_telemetry.Metrics.incr ~routine:r.Routine.name
                       ~name:("harness." ^ what ^ "." ^ np.pass_name)
                   in
+                  let within g =
+                    Array.fold_left ( +. ) 0.0 fuel_bound -. fuel_bound.(k) +. (fuel_bound.(k) *. g)
+                    <= float_of_int !check_fuel
+                  in
                   match growth with
-                  | Some g when !fuel_bound *. Float.max 1.0 g <= float_of_int !check_fuel ->
-                    fuel_bound := !fuel_bound *. Float.max 1.0 g;
+                  | Some g when within g ->
+                    fuel_bound.(k) <- fuel_bound.(k) *. g;
                     count "certified";
                     accept meta
                   | _ -> (
@@ -287,10 +294,10 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
                     if growth <> None then count "fuel_bound";
                     count "observed";
                     match observe_run ~fuel:!check_fuel p with
-                    | after, counts when obs_equal before after ->
+                    | after, run when obs_equal before after ->
                       current_obs := Some after;
                       reproducible := true;
-                      Option.iter (fun c -> fuel_bound := float_of_int (fuel_burned c)) counts;
+                      Option.iter bound_by run;
                       accept meta
                     | after, _ ->
                       roll_back

@@ -35,16 +35,18 @@
 
     Fuel. A certified run must also finish within the check budget,
     since a rerun that ran out of fuel would have rolled the step back.
-    The harness keeps an upper bound on the fuel a run of the current
-    program burns: each real observation resets it to what that run
-    burned, and each certified step multiplies it by the step's static
-    growth (at most 1 for [dce] and [clean]; for PRE, one jump per
+    The harness keeps, per routine, an upper bound on the fuel a run of
+    the current program burns in that routine itself, its callees'
+    excluded ([Interp.result.own_fuel]): each real observation resets it
+    to what that run burned there, and each certified step multiplies
+    its routine's bound by the step's static growth, below 1 too (at
+    most 1 for [dce] and [clean]; for PRE, one jump per
     traversal of a block with an arm to a new landing block, since every
     insertion is paid for by a deletion on the same path; for value
     correspondence, the largest ratio of output to input operations
     summed along a chain of blocks each entered from the one before
     alone, so a landing block's copies count with the block before it).
-    A step is certified only while the bound stays within the budget.
+    A step is certified only while the bounds sum within the budget.
     Counters [harness.certified.<pass>] and
     [harness.observed.<pass>] (per routine, in [Epre_telemetry.Metrics])
     count the steps that skipped and that paid for the rerun;
@@ -90,8 +92,7 @@ type config = {
   validation : validation;
   fuel : int;
       (** interpreter budget for the reference run of translation
-          validation; post-pass runs get [4 * reference + 10_000], so a
-          pass that introduces an infinite loop is caught quickly *)
+          validation; post-pass runs get {!recheck_budget} *)
   keep_going : bool;
       (** [true] (the [--safe] mode): roll back and continue with the
           remaining passes; [false]: roll back, then raise
@@ -123,6 +124,12 @@ val observe : fuel:int -> Program.t -> obs
 (** [observe] plus the run's dynamic operation count when it succeeded —
     the harness and the fuzz oracle derive a re-check budget from it. *)
 val observe_counted : fuel:int -> Program.t -> obs * int option
+
+(** [recheck_budget ~fuel n]: the fuel for re-running a transformed
+    program whose reference run took [n] operations under [fuel] —
+    [4 * n + 10_000], capped at [fuel]. Supervision and the fuzz oracle
+    both use it, so a pass that manufactures a loop is caught quickly. *)
+val recheck_budget : fuel:int -> int -> int
 
 (** Value equality up to floating-point reassociation noise: exact
     {!Value.equal} (so NaN equals NaN and an infinity equals itself),

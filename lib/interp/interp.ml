@@ -37,6 +37,7 @@ type result = {
   return_value : Value.t option;
   counts : Counts.t;
   trace : Value.t list;  (** [emit] outputs, in order *)
+  own_fuel : int array;
 }
 
 let default_fuel = 200_000_000
@@ -146,6 +147,9 @@ type machine = {
   counts : Counts.t;
   mutable trace : Value.t list;  (** reversed [emit] output *)
   mutable fuel : int;
+  own_fuel : int array;  (** by routine index *)
+  mutable running : int;  (** the routine index [fuel] is charged to *)
+  mutable charged : int;  (** [fuel] when [own_fuel] was last charged *)
   (* Phi moves read every source here before writing any destination. *)
   mutable move_tags : Bytes.t;
   mutable move_ints : int array;
@@ -197,6 +201,13 @@ let alloca m words init =
   Array.fill m.mem base words init;
   m.sp <- m.sp + words;
   base
+
+(* Charge the fuel burned since the last charge to the running routine,
+   then run routine [i]. *)
+let switch_to m i =
+  m.own_fuel.(m.running) <- m.own_fuel.(m.running) + (m.charged - m.fuel);
+  m.charged <- m.fuel;
+  m.running <- i
 
 let[@inline] burn m =
   let fuel = m.fuel - 1 in
@@ -351,8 +362,10 @@ let rec call m i args =
         flts = Array.make lr.nregs 0.0 }
   in
   List.iter2 (set fr) lr.params args;
-  let saved_sp = m.sp in
+  let saved_sp = m.sp and caller = m.running in
+  switch_to m i;
   let result = enter m fr lr.entry in
+  switch_to m caller;
   (* Pop this activation's allocas and keep its frame. *)
   m.sp <- saved_sp;
   lr.idle <- fr :: lr.idle;
@@ -433,10 +446,11 @@ let run ?(fuel = default_fuel) program ~entry ~args =
   let m =
     { source; lowered = Array.make (Array.length source) None;
       mem = Array.make 1024 (Value.I 0); sp = 0; counts = Counts.create (); trace = [];
-      fuel; move_tags = Bytes.empty; move_ints = [||]; move_flts = [||] }
+      fuel; own_fuel = Array.make (Array.length source) 0; running = 0; charged = fuel;
+      move_tags = Bytes.empty; move_ints = [||]; move_flts = [||] }
   in
   match find_index m entry with
   | None -> error "no routine named %s" entry
   | Some i ->
     let return_value = call m i args in
-    { return_value; counts = m.counts; trace = List.rev m.trace }
+    { return_value; counts = m.counts; trace = List.rev m.trace; own_fuel = m.own_fuel }

@@ -43,6 +43,10 @@ type result = {
   return_value : Value.t option;
   counts : Counts.t;
   trace : Value.t list;  (** [emit] outputs, in order *)
+  own_fuel : int array;
+      (** the fuel each routine burned itself, its callees' excluded, by
+          position in [Program.routines]; the entries sum to the fuel the
+          run burned *)
 }
 
 val default_fuel : int

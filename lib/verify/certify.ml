@@ -19,8 +19,9 @@
     - An insertion whose destination is dead in M changes nothing M
       reads. It is paid for: P evaluates the same expression further
       along the same path, on operand values the output has not changed
-      since and that are live in M there. So the insertion computes a
-      value P computed without faulting.
+      since and that are live in M there (and, for a load, with no store,
+      call or alloca in between). So the insertion computes a value P
+      computed without faulting.
     So every kept instruction and terminator sees the same values in
     both runs: same path, same calls and emits, same return. Each
     insertion a run executes maps to its own deletion later on that run,
@@ -117,12 +118,8 @@ let check_kind = function
     | Instr.Const _ | Instr.Copy _ | Instr.Unop _ | Instr.Binop _ | Instr.Load _ -> ())
   | Inserted i -> (
     match i with
-    | Instr.Const _ | Instr.Unop _ -> ()
-    | Instr.Binop { op; _ } -> (
-      match op with Op.Div | Op.Rem -> decline () | _ -> ())
-    | Instr.Copy _ | Instr.Load _ | Instr.Store _ | Instr.Alloca _ | Instr.Call _
-    | Instr.Phi _ ->
-      decline ())
+    | Instr.Const _ | Instr.Unop _ | Instr.Binop _ | Instr.Load _ -> ()
+    | Instr.Copy _ | Instr.Store _ | Instr.Alloca _ | Instr.Call _ | Instr.Phi _ -> decline ())
 
 (* The output's blocks as aligned items, by block id, and the growth
    factor. Input blocks keep their ids; every new block ends in a jump to
@@ -382,13 +379,17 @@ let check_dead g cfg items nregs =
 
 (* Every insertion [d := e] is paid for: on every path from it, a
    redundant deletion of [d := e] comes before the output redefines [d]
-   or an operand (another insertion of [d := e] included). So the input evaluates [e] there on the operand values the
-   insertion read (they are live in M at the deletion), and did not
-   fault; and the insertions a path runs map one to one into the
-   deletions it skips, so no path gets longer but by its landing
-   blocks' jumps. This is lazy code motion's down-safety, counted. Only
-   instructions defining an inserted destination can be such a
-   deletion, so the others are not hashed. *)
+   or an operand (another insertion of [d := e] included). So the input
+   evaluates [e] there on the operand values the insertion read (they
+   are live in M at the deletion), and did not fault: an inserted
+   division or remainder is as safe as any other evaluation. So is a
+   load: no store, call or alloca comes in between, since one would
+   kill the deletion's availability, and only a redefinition of [d]
+   after it could make the deletion redundant again. The insertions a
+   path runs map one to one into the deletions it skips, so no path
+   gets longer but by its landing blocks' jumps. This is lazy code
+   motion's down-safety, counted. Only instructions defining an inserted
+   destination can be such a deletion, so the others are not hashed. *)
 let check_paid g cfg items nregs =
   let fs = facts () in
   let dsts = flags nregs in

@@ -56,14 +56,15 @@ type checker = before:Routine.t -> after:Routine.t -> float option
       either redundant (the same destination already holds the same
       expression of the same operands on every path to its site in the
       output) or dead at its site;
-    - every inserted instruction is a const, a unop or a binop other than
-      an int division or remainder; its destination is dead where it
-      writes it; and it is paid for: on every path from it, the next
-      evaluation of its expression is a redundant deletion, with no
-      redefinition of an operand in the output in between. That is lazy
-      code motion's down-safety, counted: the input evaluates the
-      expression there on the same operand values, so the insertion
-      cannot fault, and no path runs more evaluations than before.
+    - every inserted instruction is a const, a unop, a binop or a load;
+      its destination is dead where it writes it; and it is paid for: on
+      every path from it, the next evaluation of its expression is a
+      redundant deletion, with no redefinition of an operand in the
+      output in between (nor, for a load, a store, call or alloca). That
+      is lazy code motion's down-safety, counted: the input evaluates the
+      expression there on the same operand values and memory, so the
+      insertion cannot fault, not even an int division or a load, and no
+      path runs more evaluations than before.
 
     Liveness here is that of the output with each redundant deletion put
     back, counting the reads of everything but insertions: a register it

@@ -26,26 +26,32 @@ let bit_equal (a : Harness.obs) (b : Harness.obs) =
   | Error x, Error y -> String.equal x y
   | Ok _, Error _ | Error _, Ok _ -> false
 
+(* An observation and the fuel each routine burned itself. *)
+let observe_own prog =
+  match Epre_interp.Interp.run ~fuel prog ~entry:"main" ~args:[] with
+  | r -> (Ok (r.Epre_interp.Interp.return_value, r.Epre_interp.Interp.trace), Some r.Epre_interp.Interp.own_fuel)
+  | exception e -> (Error (Printexc.to_string e), None)
+
 (* Run [level] pass-major over [prog] as the harness does, observing
    after every step that changes a routine. Returns how many steps each
    checker accepted; fails on an accepted step whose observation moved,
-   or whose operation count outgrew its growth. *)
+   or whose routine burned more fuel itself than its growth allows. *)
 let side_by_side ~what ~level prog accepted =
-  let current = ref (Harness.observe_counted ~fuel prog) in
+  let current = ref (observe_own prog) in
   List.iter
     (fun (np : Harness.named_pass) ->
-      List.iter
-        (fun (r : Routine.t) ->
+      List.iteri
+        (fun k (r : Routine.t) ->
           let snapshot = Routine.copy r in
           np.Harness.run r;
           if not (Routine.equal r snapshot) then begin
-            let before, ops = !current in
+            let before, own = !current in
             let verdict =
               match (before, Certify.find np.Harness.pass_name) with
               | Ok _, Some check -> check ~before:snapshot ~after:r
               | _ -> None
             in
-            let ((fresh, fresh_ops) as observed) = Harness.observe_counted ~fuel prog in
+            let ((fresh, fresh_own) as observed) = observe_own prog in
             Option.iter
               (fun growth ->
                 Hashtbl.replace accepted np.Harness.pass_name
@@ -54,10 +60,10 @@ let side_by_side ~what ~level prog accepted =
                   Alcotest.failf "%s: %s on %s accepted, but observed %s, was %s" what
                     np.Harness.pass_name r.Routine.name (Harness.describe_obs fresh)
                     (Harness.describe_obs before);
-                match (ops, fresh_ops) with
-                | Some n, Some n' when float_of_int n' > Float.max 1.0 growth *. float_of_int n ->
-                  Alcotest.failf "%s: %s on %s grew %d to %d operations, past growth %g" what
-                    np.Harness.pass_name r.Routine.name n n' growth
+                match (own, fresh_own) with
+                | Some n, Some n' when float_of_int n'.(k) > growth *. float_of_int n.(k) ->
+                  Alcotest.failf "%s: %s on %s grew its own fuel %d to %d, past growth %g" what
+                    np.Harness.pass_name r.Routine.name n.(k) n'.(k) growth
                 | _ -> ())
               verdict;
             current := observed
@@ -146,7 +152,17 @@ let test_motion_accepts () =
   Alcotest.(check bool) "Pre.run's own step" true (Certify.motion ~before ~after:r <> None);
   accepts Certify.motion ~what:"a dead const deleted"
     (diamond ~b0:[ "r6 = const 9" ] ~b1:[ add ] ~b2:[] ~b3:(add :: use) ())
-    add_before
+    add_before;
+  (* The join divides the same values, and loads from the same memory,
+     so the insertions on B2 cannot fault. *)
+  let div = "r3 = div r0, r1" in
+  accepts Certify.motion ~what:"an int div inserted, paid"
+    (diamond ~b1:[ div ] ~b2:[] ~b3:(div :: use) ())
+    (diamond ~b1:[ div ] ~b2:[ div ] ~b3:use ());
+  let alloca = "r7 = alloca 1, 0" and load = "r3 = load r7" in
+  accepts Certify.motion ~what:"a load inserted, paid"
+    (diamond ~b0:[ alloca ] ~b1:[ load ] ~b2:[] ~b3:(load :: use) ())
+    (diamond ~b0:[ alloca ] ~b1:[ load ] ~b2:[ load ] ~b3:use ())
 
 let test_motion_declines () =
   declines Certify.motion ~what:"the insertion the deletion relies on, dropped" add_before
@@ -169,10 +185,14 @@ let test_motion_declines () =
     (diamond ~b1:[ add ] ~b2:[ "r5 = fadd r0, r1" ] ~b3:(add :: use) ());
   declines Certify.motion ~what:"an insertion paid for twice" add_before
     (diamond ~b1:[ add ] ~b2:[ add; add ] ~b3:use ());
-  let div = "r3 = div r0, r1" in
-  declines Certify.motion ~what:"an int div inserted"
-    (diamond ~b1:[ div ] ~b2:[] ~b3:(div :: use) ())
-    (diamond ~b1:[ div ] ~b2:[ div ] ~b3:use ());
+  (* Nothing later divides by r8 = 0: the insertion would fault. *)
+  declines Certify.motion ~what:"an int div inserted, unpaid" add_before
+    (diamond ~b1:[ add ] ~b2:[ "r5 = div r0, r8" ] ~b3:(add :: use) ());
+  (* The join's load reads memory the store in between has changed. *)
+  let alloca = "r7 = alloca 1, 0" and load = "r3 = load r7" and store = "store r7, r0" in
+  declines Certify.motion ~what:"a load inserted across a store"
+    (diamond ~b0:[ alloca ] ~b1:[ load ] ~b2:[] ~b3:(store :: load :: use) ())
+    (diamond ~b0:[ alloca ] ~b1:[ load ] ~b2:[ load ] ~b3:(store :: use) ());
   declines Certify.motion ~what:"a dead alloca deleted"
     (diamond ~b0:[ "r7 = alloca 1, 0" ] ~b1:[ add ] ~b2:[] ~b3:(add :: use) ())
     add_before;
@@ -619,7 +639,7 @@ let test_observed_counts () =
     List.sort compare (List.of_seq (Hashtbl.to_seq counts))
   in
   let reassociating =
-    [ ("observed.peephole", 3); ("observed.pre", 1); ("observed.reassociation", 91) ]
+    [ ("observed.peephole", 3); ("observed.reassociation", 91) ]
   in
   List.iter
     (fun (level, want) ->
@@ -822,6 +842,99 @@ let test_fuel_bound () =
   | [ Harness.Passed ], 1, 0, 0 -> ()
   | _ -> Alcotest.fail "under the default budget the step is certified"
 
+(* A loop whose copies a first [coalesce] step removes and a second puts
+   one back. *)
+let copies_loop ~b0 ~b1 =
+  let lines l = String.concat "" (List.map (fun i -> "  " ^ i ^ "\n") l) in
+  Printf.sprintf
+    "routine main() entry B0 regs 8 {\nB0:\n%s  r1 = const 1\n  r2 = const 100\n  jump B1\n\
+     B1:\n%s  r3 = cmp_lt r0, r2\n  cbr r3, B1, B2\nB2:\n  call emit(r0)\n  return r0\n}\n"
+    (lines b0) (lines b1)
+
+let with_copies =
+  copies_loop
+    ~b0:[ "r4 = const 0"; "r5 = copy r4"; "r6 = copy r5"; "r0 = copy r6" ]
+    ~b1:[ "r4 = copy r0"; "r5 = copy r4"; "r6 = copy r5"; "r7 = copy r6"; "r0 = add r7, r1" ]
+
+let coalesced = copies_loop ~b0:[ "r0 = const 0" ] ~b1:[ "r0 = add r0, r1" ]
+
+let recopied = copies_loop ~b0:[ "r0 = const 0" ] ~b1:[ "r4 = copy r0"; "r0 = add r4, r1" ]
+
+(* The bound takes each certified step's growth as given, below 1 too:
+   4/7 (B0 keeps 4 of its 7 operations) times 4/3 stays within a budget
+   of exactly the reference run's fuel, so both steps are certified.
+   Rounding the first growth up to 1 would send the second to the
+   interpreter as fuel-bound. *)
+let test_fuel_bound_shrinks () =
+  let growth before after = Certify.values ~before:(routine before) ~after:(routine after) in
+  Alcotest.(check (option (float 1e-9))) "removing copies" (Some (4.0 /. 7.0))
+    (growth with_copies coalesced);
+  Alcotest.(check (option (float 1e-9))) "adding one back" (Some (4.0 /. 3.0))
+    (growth coalesced recopied);
+  let exact =
+    match Harness.observe_counted ~fuel (Ir_text.parse_program with_copies) with
+    | Ok _, Some n -> n
+    | _ -> Alcotest.fail "the loop runs"
+  in
+  let step text = { Harness.pass_name = "coalesce"; run = (fun r -> Routine.restore r ~from:(routine text)) } in
+  Metrics.reset ();
+  let config = { Harness.default_config with Harness.validation = Harness.Exec; fuel = exact } in
+  let records =
+    Harness.supervise config ~passes:[ step coalesced; step recopied ] (Ir_text.parse_program with_copies)
+  in
+  Alcotest.(check bool) "both steps pass" true
+    (List.for_all (fun (r : Harness.record) -> r.Harness.outcome = Harness.Passed) records);
+  let count what = Metrics.get ~routine:"main" ~name:("harness." ^ what ^ ".coalesce") in
+  Alcotest.(check (list int)) "certified, fuel_bound, observed" [ 2; 0; 0 ]
+    (List.map count [ "certified"; "fuel_bound"; "observed" ])
+
+(* [main] drops its copies (growth 4/7), then the loop in [h], which
+   burns most of the fuel, gains one (growth 4/3). Scaling the whole
+   run's fuel by both growths would certify the second step, but the
+   loop now runs past the budget: growth bounds a routine's own fuel,
+   not its callees'. *)
+let test_fuel_bound_per_routine () =
+  let program ~main ~h =
+    let lines l = String.concat "" (List.map (fun i -> "  " ^ i ^ "\n") l) in
+    Printf.sprintf
+      "routine h() entry B0 regs 5 {\nB0:\n  r0 = const 0\n  r1 = const 1\n  r2 = const 100\n\
+       \  jump B1\nB1:\n%s  r3 = cmp_lt r0, r2\n  cbr r3, B1, B2\nB2:\n  return r0\n}\n\
+       routine main() entry B0 regs 5 {\nB0:\n%s  r4 = call h()\n  call emit(r4)\n\
+       \  return r4\n}\n"
+      (lines h) (lines main)
+  in
+  let copies = [ "r0 = const 0"; "r1 = copy r0"; "r2 = copy r1"; "r3 = copy r2" ] in
+  let loop = [ "r0 = add r0, r1" ] and recopied = [ "r4 = copy r0"; "r0 = add r4, r1" ] in
+  let start = program ~main:copies ~h:loop in
+  let final = Ir_text.parse_program (program ~main:[ "r0 = const 0" ] ~h:recopied) in
+  let step name =
+    { Harness.pass_name = "coalesce";
+      run =
+        (fun r ->
+          if r.Routine.name = name then Routine.restore r ~from:(Program.find_exn final name)) }
+  in
+  let exact =
+    match Harness.observe_counted ~fuel (Ir_text.parse_program start) with
+    | Ok _, Some n -> n
+    | _ -> Alcotest.fail "the program runs"
+  in
+  Metrics.reset ();
+  let config = { Harness.default_config with Harness.validation = Harness.Exec; fuel = exact } in
+  let records =
+    Harness.supervise config ~passes:[ step "main"; step "h" ] (Ir_text.parse_program start)
+  in
+  let count routine what = Metrics.get ~routine ~name:("harness." ^ what ^ ".coalesce") in
+  Alcotest.(check int) "main's step certified" 1 (count "main" "certified");
+  Alcotest.(check (pair int int)) "h's step fuel-bound and observed" (1, 1)
+    (count "h" "fuel_bound", count "h" "observed");
+  match List.filter_map (fun (r : Harness.record) -> match r.Harness.outcome with
+      | Harness.Rolled_back (Harness.Behaviour_mismatch m) -> Some (r.Harness.routine, m)
+      | _ -> None) records with
+  | [ ("h", m) ] ->
+    Alcotest.(check bool) ("out of fuel: " ^ m) true
+      (Helpers.contains_substring ~needle:"out of fuel" m)
+  | _ -> Alcotest.fail "h's step must run out of fuel and roll back"
+
 let suite =
   [
     Alcotest.test_case "kernels: accepted steps observe bit-equal" `Slow
@@ -834,6 +947,10 @@ let suite =
       test_jump_chains;
     Alcotest.test_case "a step outgrowing the fuel budget is observed" `Quick
       test_fuel_bound;
+    Alcotest.test_case "the fuel bound shrinks with a step's growth below 1" `Quick
+      test_fuel_bound_shrinks;
+    Alcotest.test_case "the fuel bound keeps a callee's fuel apart" `Quick
+      test_fuel_bound_per_routine;
     Alcotest.test_case "values accepts constprop, coalesce and GVN steps" `Quick
       test_values_accepts;
     Alcotest.test_case "values declines broken steps" `Quick test_values_declines;

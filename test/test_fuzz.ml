@@ -1,14 +1,16 @@
 (** Tests for the fuzz subsystem ([Epre_fuzz]): generator determinism and
     invariants, the source printer round trip, the differential oracle's
     two verdict directions (clean pipelines pass, chaos-injected
-    pipelines fail), reduction quality (the ≤25%% acceptance bar), the
-    corpus round trip, replay, and campaign determinism. *)
+    pipelines fail), the ILOC reducer (the ≤25%% acceptance bar, strict
+    candidates only, kernels as well as generated programs), the corpus
+    round trip, replay, and campaign determinism. *)
 
 module Fuzz = Epre_fuzz
-module Ast = Epre_frontend.Ast
 module Ast_ops = Epre_frontend.Ast_ops
 module Frontend = Epre_frontend.Frontend
 module Harness = Epre_harness.Harness
+module Ir_text = Epre_ir.Ir_text
+module Verify = Epre_verify.Verify
 
 let compile_ast ast =
   Frontend.compile_string (Ast_ops.print_program ast)
@@ -19,14 +21,18 @@ let seeds = List.init 25 (fun i -> 31 * i)
 
 let chaos_spec = "chaos:drop-instr@2"
 
-let chaos_config =
+let chaos_oracle spec =
   { Fuzz.Oracle.default_config with
     chaos =
-      (match Epre_harness.Chaos.parse_spec chaos_spec with
+      (match Epre_harness.Chaos.parse_spec spec with
       | Ok c -> Some c
       | Error m -> failwith m);
-    chaos_name = Some chaos_spec;
+    chaos_name = Some spec;
     fuel = 1_000_000 }
+
+let chaos_config = chaos_oracle chaos_spec
+
+let swap_config = chaos_oracle "chaos:swap-operands@1"
 
 (* ------------------------------------------------------------------ *)
 (* Generator                                                           *)
@@ -69,29 +75,6 @@ let test_printer_round_trip () =
         (Printf.sprintf "seed %d behaviour" seed)
         true (Harness.obs_equal a b))
     seeds
-
-let test_ast_ops_indexing () =
-  let ast =
-    Frontend.parse_string
-      "fn main(): int {\n  var x: int = 1;\n  if (x > 0) {\n    x = x + 2;\n  }\n  return x;\n}\n"
-  in
-  Alcotest.(check int) "stmt count" 4 (Ast_ops.stmt_count ast);
-  (* Delete the [if] (index 1): its body goes with it. *)
-  let deleted =
-    Option.get (Ast_ops.transform_stmt ast 1 (fun _ -> Some []))
-  in
-  Alcotest.(check int) "after delete" 2 (Ast_ops.stmt_count deleted);
-  (* Hoist its body instead. *)
-  let hoisted =
-    Option.get
-      (Ast_ops.transform_stmt ast 1 (fun s ->
-           match s.Ast.desc with
-           | Ast.If (_, t, e) -> Some (t @ e)
-           | _ -> None))
-  in
-  Alcotest.(check int) "after hoist" 3 (Ast_ops.stmt_count hoisted);
-  Alcotest.(check (option pass)) "out of range" None
-    (Ast_ops.transform_stmt ast 99 (fun _ -> Some []))
 
 (* ------------------------------------------------------------------ *)
 (* Oracle                                                              *)
@@ -137,7 +120,7 @@ let test_failure_record_meta () =
   | f :: _ ->
     let record =
       Fuzz.Oracle.failure_record ~seed:7 ~chaos:chaos_spec
-        ~repro:"corpus/x/repro.mf" f
+        ~repro:"corpus/x/repro.iloc" f
     in
     let json = Epre_harness.Report.record_to_json record in
     List.iter
@@ -146,46 +129,90 @@ let test_failure_record_meta () =
           Alcotest.failf "record %s lacks %S" json needle)
       [ "\"fuzz_seed\":7"; "\"fuzz_level\":"; "\"fuzz_class\":";
         "\"fuzz_chaos\":\"chaos:drop-instr@2\"";
-        "\"fuzz_repro\":\"corpus/x/repro.mf\"" ]
+        "\"fuzz_repro\":\"corpus/x/repro.iloc\"" ]
 
 (* ------------------------------------------------------------------ *)
 (* Reduction (the acceptance bar: chaos repro shrinks to <= 25%)       *)
 
-let reduce_chaos_failure seed =
-  let ast = Fuzz.Gen.program seed in
-  let prog = compile_ast ast in
-  match Fuzz.Oracle.check chaos_config prog with
-  | [] -> Alcotest.failf "seed %d: chaos fault not detected" seed
+(* The first failure [config] finds in [prog], and its reduction;
+   [watch] sees every candidate the reducer offers to the oracle. *)
+let reduce_failure ?(watch = ignore) config prog =
+  match Fuzz.Oracle.check config prog with
+  | [] -> Alcotest.fail "chaos fault not detected"
   | f :: _ ->
     let still =
-      Fuzz.Campaign.still_fails chaos_config ~level:f.Fuzz.Oracle.level
+      Fuzz.Campaign.still_fails config ~level:f.Fuzz.Oracle.level
         ~cls:f.Fuzz.Oracle.cls
     in
-    let reduced, stats = Fuzz.Reduce.run ~still_fails:still ast in
+    let offered cand =
+      watch cand;
+      still cand
+    in
+    let reduced, stats = Fuzz.Reduce.run ~still_fails:offered prog in
     (f, still, reduced, stats)
 
+let generated seed = Frontend.compile_string (Fuzz.Gen.source seed)
+
 let test_reduction_quality () =
-  let _, still, reduced, stats = reduce_chaos_failure 42 in
-  Alcotest.(check bool) "reduced still fails" true (still reduced);
-  let ratio =
-    float_of_int stats.Fuzz.Reduce.reduced_stmts
-    /. float_of_int stats.Fuzz.Reduce.original_stmts
+  List.iter
+    (fun (config, seed) ->
+      let what = Printf.sprintf "%s, seed %d" (Option.get config.Fuzz.Oracle.chaos_name) seed in
+      let _, still, reduced, stats = reduce_failure config (generated seed) in
+      Alcotest.(check bool) (what ^ ": reduced still fails") true (still reduced);
+      let ratio =
+        float_of_int stats.Fuzz.Reduce.reduced_instrs
+        /. float_of_int stats.Fuzz.Reduce.original_instrs
+      in
+      if ratio > 0.25 then
+        Alcotest.failf "%s: reduction too weak: %d -> %d instructions (%.0f%%)" what
+          stats.Fuzz.Reduce.original_instrs stats.Fuzz.Reduce.reduced_instrs
+          (100. *. ratio);
+      Alcotest.(check bool) (what ^ ": reducer reports progress") true
+        (stats.Fuzz.Reduce.accepted > 0 && stats.Fuzz.Reduce.tried >= stats.Fuzz.Reduce.accepted))
+    [ (chaos_config, 42); (swap_config, 42); (swap_config, 11) ]
+
+(* Only strict, well-typed ILOC reaches the oracle. *)
+let test_reduction_candidates_verify () =
+  let offered = ref 0 in
+  let watch cand =
+    incr offered;
+    match Verify.errors (Verify.check_program cand) with
+    | [] -> ()
+    | d :: _ ->
+      Alcotest.failf "candidate %d offered with %s" !offered (Epre_verify.Diag.to_string d)
   in
-  if ratio > 0.25 then
-    Alcotest.failf "reduction too weak: %d -> %d statements (%.0f%%)"
-      stats.Fuzz.Reduce.original_stmts stats.Fuzz.Reduce.reduced_stmts
-      (100. *. ratio);
-  Alcotest.(check bool) "reducer reports progress" true
-    (stats.Fuzz.Reduce.accepted > 0 && stats.Fuzz.Reduce.tried >= stats.Fuzz.Reduce.accepted)
+  let _, _, _, stats = reduce_failure ~watch swap_config (generated 11) in
+  Alcotest.(check int) "every offer watched" stats.Fuzz.Reduce.tried !offered;
+  Alcotest.(check bool) "candidates offered" true (!offered > 0)
+
+(* The reducer works on any ILOC, not only what the generator lowers:
+   a kernel's reduced failure is saved and replays. *)
+let test_reduction_kernel () =
+  let w = Option.get (Epre_workloads.Workloads.find "dot") in
+  let f, _, reduced, stats = reduce_failure swap_config (Epre_workloads.Workloads.compile w) in
+  Alcotest.(check bool) "kernel shrinks" true
+    (stats.Fuzz.Reduce.reduced_instrs < stats.Fuzz.Reduce.original_instrs);
+  let entry =
+    { Fuzz.Corpus.id =
+        Fuzz.Corpus.entry_id ~seed:0 ~level:f.Fuzz.Oracle.level ~cls:f.Fuzz.Oracle.cls;
+      seed = 0; level = f.Fuzz.Oracle.level; cls = f.Fuzz.Oracle.cls;
+      chaos = swap_config.Fuzz.Oracle.chaos_name; reduction = Some stats;
+      record = Fuzz.Oracle.failure_record ~seed:0 f;
+      repro_source = Ir_text.print_program reduced }
+  in
+  let dir = Fuzz.Corpus.save ~dir:(Helpers.fresh_dir ()) ~original:w.source entry in
+  match Fuzz.Campaign.replay dir with
+  | Ok (_, Fuzz.Campaign.Still_fails _) -> ()
+  | Ok (_, v) -> Alcotest.failf "replay: %s" (Fuzz.Campaign.replay_result_to_string v)
+  | Error m -> Alcotest.failf "replay: %s" m
 
 (* ------------------------------------------------------------------ *)
 (* Corpus + campaign                                                   *)
 
 let test_corpus_round_trip () =
   let corpus_dir = Helpers.fresh_dir () in
-  let _, _, reduced, stats = reduce_chaos_failure 11 in
-  let prog = compile_ast reduced in
-  match Fuzz.Oracle.check { chaos_config with pinpoint = false } prog with
+  let _, _, reduced, stats = reduce_failure chaos_config (generated 11) in
+  match Fuzz.Oracle.check chaos_config reduced with
   | [] -> Alcotest.fail "reduced program no longer fails"
   | f :: _ ->
     let id =
@@ -198,7 +225,7 @@ let test_corpus_round_trip () =
         reduction = Some stats;
         record =
           Fuzz.Oracle.failure_record ~seed:11 ~chaos:chaos_spec f;
-        repro_source = Ast_ops.print_program reduced }
+        repro_source = Ir_text.print_program reduced }
     in
     let dir =
       Fuzz.Corpus.save ~dir:corpus_dir ~original:(Fuzz.Gen.source 11) entry
@@ -217,8 +244,8 @@ let test_corpus_round_trip () =
       (match e.Fuzz.Corpus.reduction with
       | None -> Alcotest.fail "reduction stats lost"
       | Some r ->
-        Alcotest.(check int) "reduced_stmts" stats.Fuzz.Reduce.reduced_stmts
-          r.Fuzz.Reduce.reduced_stmts));
+        Alcotest.(check int) "reduced_instrs" stats.Fuzz.Reduce.reduced_instrs
+          r.Fuzz.Reduce.reduced_instrs));
     (* replay agrees with the stored signature *)
     (match Fuzz.Campaign.replay dir with
     | Error m -> Alcotest.failf "replay: %s" m
@@ -275,7 +302,6 @@ let suite =
     Alcotest.test_case "generator: well-typed, trap-free" `Quick
       test_generator_well_formed;
     Alcotest.test_case "printer: round trip" `Quick test_printer_round_trip;
-    Alcotest.test_case "ast ops: indexed edits" `Quick test_ast_ops_indexing;
     Alcotest.test_case "oracle: clean pipelines pass" `Quick test_oracle_clean;
     Alcotest.test_case "oracle: chaos faults caught" `Quick test_oracle_catches_chaos;
     Alcotest.test_case "oracle: pinpoints the culprit" `Quick test_oracle_pinpoint;
@@ -283,6 +309,10 @@ let suite =
       test_failure_record_meta;
     Alcotest.test_case "reduce: chaos repro shrinks to <= 25%" `Quick
       test_reduction_quality;
+    Alcotest.test_case "reduce: every candidate offered verifies" `Quick
+      test_reduction_candidates_verify;
+    Alcotest.test_case "reduce: a kernel's reduced failure replays" `Quick
+      test_reduction_kernel;
     Alcotest.test_case "corpus: save/load/replay round trip" `Quick
       test_corpus_round_trip;
     Alcotest.test_case "campaign: deterministic summary" `Quick

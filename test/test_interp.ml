@@ -424,8 +424,9 @@ let test_exactness_table () =
 
 (* --- fuel exactness --------------------------------------------------- *)
 
-(* A run that succeeds burned exactly one unit per operation and phi move:
-   that much fuel reproduces it, one unit less runs out. *)
+(* A run that succeeds burned exactly one unit per operation and phi move,
+   split among its routines: that much fuel reproduces it, one unit less
+   runs out. *)
 let fuel_is_exact prog =
   let run fuel = Epre_interp.Interp.run ?fuel prog ~entry:"main" ~args:[] in
   let r = run None in
@@ -436,6 +437,7 @@ let fuel_is_exact prog =
     again.Epre_interp.Interp.return_value
   && List.equal Value.equal r.Epre_interp.Interp.trace again.Epre_interp.Interp.trace
   && again.Epre_interp.Interp.counts = c
+  && Array.fold_left ( + ) 0 r.Epre_interp.Interp.own_fuel = burned
   &&
   match run (Some (burned - 1)) with
   | _ -> false
