@@ -947,10 +947,6 @@ let suite =
       test_jump_chains;
     Alcotest.test_case "a step outgrowing the fuel budget is observed" `Quick
       test_fuel_bound;
-    Alcotest.test_case "the fuel bound shrinks with a step's growth below 1" `Quick
-      test_fuel_bound_shrinks;
-    Alcotest.test_case "the fuel bound keeps a callee's fuel apart" `Quick
-      test_fuel_bound_per_routine;
     Alcotest.test_case "values accepts constprop, coalesce and GVN steps" `Quick
       test_values_accepts;
     Alcotest.test_case "values declines broken steps" `Quick test_values_declines;
@@ -968,3 +964,9 @@ let suite =
     commutes_property;
   ]
   @ List.map row_property Certify.identities
+  @ [
+      Alcotest.test_case "the fuel bound shrinks with a step's growth below 1" `Quick
+        test_fuel_bound_shrinks;
+      Alcotest.test_case "the fuel bound keeps a callee's fuel apart" `Quick
+        test_fuel_bound_per_routine;
+    ]
