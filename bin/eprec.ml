@@ -37,16 +37,14 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
+(* A program file: ILOC text when it ends in .iloc, else mini-language
+   source. A parse or validation error is one "path:line: message" line
+   and exit 1. *)
 let compile_source path =
-  try Epre_frontend.Frontend.compile_string (read_file path) with
-  | Epre_frontend.Frontend.Error { line; message } ->
-    Fmt.epr "%s:%d: %s@." path line message;
+  match Epre_service.Service.load_program (Epre_service.Service.File path) with
+  | Ok prog -> prog
+  | Error m ->
+    Fmt.epr "%s@." m;
     exit 1
 
 (* The program named by FILE or --workload NAME, as a compile thunk (each
@@ -727,14 +725,13 @@ let passes_cmd =
   let doc = "list the optimizer pass registry (for --passes)" in
   let run () =
     List.iter
-      (fun p ->
+      (fun (p : Epre.Pipeline.entry) ->
         let post =
-          match Epre_verify.Verify.postconditions p.Epre.Passes.name with
+          match p.checks.Epre_harness.Harness.post with
           | [] -> ""
           | ids -> Printf.sprintf "  [post: %s]" (String.concat "," ids)
         in
-        Printf.printf "%-20s %s%s\n" p.Epre.Passes.name
-          p.Epre.Passes.description post)
+        Printf.printf "%-20s %s%s\n" p.name p.description post)
       Epre.Passes.all;
     (* Service faults are not pipeline passes (they attack the serve
        layer, via `serve --chaos`), but they live in the same chaos
@@ -911,14 +908,6 @@ let lint_cmd =
 
 (* --- analyze ----------------------------------------------------------- *)
 
-(* PRE runs at every level above Baseline, so that's where residual
-   redundancy (A001/A002) becomes an error rather than expected input. *)
-let expect_pre_at = function
-  | Epre.Pipeline.Baseline -> false
-  | Epre.Pipeline.Partial | Epre.Pipeline.Reassociation
-  | Epre.Pipeline.Distribution ->
-    true
-
 let run_analyze =
   let check ~rules ~name compile lvl =
     let prog, expect_pre, baseline =
@@ -928,7 +917,7 @@ let run_analyze =
         let reference = compile () in
         let prog = compile () in
         ignore (Epre.Pipeline.optimize ~level prog);
-        (prog, expect_pre_at level, Some reference)
+        (prog, Epre.Pipeline.expects_pre ~level, Some reference)
     in
     let routine_reports, diags =
       Epre_verify.Analyze.check_program ~expect_pre ?baseline prog
@@ -1419,7 +1408,7 @@ let workloads_cmd =
            warnings fire on legitimate engine trade-offs (see `eprec
            analyze`), so they never gate the check, strict or not. *)
         let _, adiags =
-          Epre_verify.Analyze.check_program ~expect_pre:(expect_pre_at level)
+          Epre_verify.Analyze.check_program ~expect_pre:(Epre.Pipeline.expects_pre ~level)
             ~baseline:reference prog
         in
         Epre_verify.Analyze.record_metrics adiags;

@@ -9,34 +9,28 @@
 
 open Epre_ir
 
-type pass = {
-  name : string;
-  description : string;
-  run : Routine.t -> unit;
-}
-
 let all =
-  List.map
-    (fun (e : Pipeline.entry) ->
-      { name = e.name;
-        description = e.description;
-        run = (fun r -> e.step (Pipeline.fresh_stats r.Routine.name) r) })
-    Pipeline.table
+  Pipeline.table
   (* Fault-injection passes: corrupt the IR on purpose, to exercise the
      supervision harness. Seeded via [Epre_harness.Chaos.default_seed]. *)
   @ List.map
       (fun k ->
-        { name = Epre_harness.Chaos.name k;
+        { Pipeline.name = Epre_harness.Chaos.name k;
           description = Epre_harness.Chaos.description k;
-          run = (fun r -> Epre_harness.Chaos.run k r) })
+          step = (fun _ r -> Epre_harness.Chaos.run k r);
+          checks = Epre_harness.Harness.no_checks })
       Epre_harness.Chaos.all_kinds
 
-let is_chaos p = String.length p.name >= 6 && String.sub p.name 0 6 = "chaos:"
+let is_chaos (p : Pipeline.entry) =
+  String.length p.name >= 6 && String.sub p.name 0 6 = "chaos:"
 
-(** A registry pass as the harness sees it. *)
-let to_named p = { Epre_harness.Harness.pass_name = p.name; run = p.run }
+(** A registry pass as the harness sees it: its statistics discarded. *)
+let to_named (p : Pipeline.entry) =
+  { Epre_harness.Harness.pass_name = p.name;
+    run = (fun r -> p.step (Pipeline.fresh_stats r.Routine.name) r);
+    checks = p.checks }
 
-let find name = List.find_opt (fun p -> p.name = name) all
+let find name = List.find_opt (fun (p : Pipeline.entry) -> p.name = name) all
 
 (** Resolve a comma-separated sequence; [Error name] on the first unknown
     pass. *)

@@ -10,28 +10,23 @@
     once per routine at the end) or [Epre_harness.Harness.supervise]
     (pass-major, checked after every application: [--safe], [bisect]). *)
 
-open Epre_ir
+(** Every registry row: [Pipeline.table], then one row per chaos kind,
+    whose checks are [Epre_harness.Harness.no_checks]. *)
+val all : Pipeline.entry list
 
-type pass = {
-  name : string;
-  description : string;
-  run : Routine.t -> unit;
-}
-
-val all : pass list
-
-val find : string -> pass option
+val find : string -> Pipeline.entry option
 
 (** True for the [chaos:*] fault-injection entries, which corrupt IR on
     purpose (they exist to exercise [Epre_harness.Harness]). *)
-val is_chaos : pass -> bool
+val is_chaos : Pipeline.entry -> bool
 
-(** A registry pass as the harness sees it. *)
-val to_named : pass -> Epre_harness.Harness.named_pass
+(** A registry pass as the harness sees it, with its row's checks; its
+    statistics are discarded. *)
+val to_named : Pipeline.entry -> Epre_harness.Harness.named_pass
 
 (** Resolve a comma-separated sequence; [Error name] on the first unknown
     pass. *)
-val parse_sequence : string -> (pass list, string) result
+val parse_sequence : string -> (Pipeline.entry list, string) result
 
 (** A known-good comma-separated spelling as named passes, for [run_passes]
     drivers. @raise Invalid_argument on an unknown pass. *)

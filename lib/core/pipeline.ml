@@ -70,6 +70,7 @@ type entry = {
   name : string;
   description : string;
   step : routine_stats -> Routine.t -> unit;
+  checks : Epre_harness.Harness.checks;
 }
 
 (* A second PRE run (the levels' late cleanup round) adds to the first. *)
@@ -90,9 +91,13 @@ let add_pre (s : routine_stats) (p : Epre_pre.Pre.stats) =
 (* The one place a pass runs to build a sequence: each step runs its pass
    and adds the pass's statistic to the routine's [routine_stats], so the
    same step serves the levels, [--passes] sequences (statistics
-   discarded), routine-major and supervised pass-major runs alike. *)
+   discarded), routine-major and supervised pass-major runs alike. Each
+   row also declares the harness's checks after the pass. *)
 let table =
-  let e name description step = { name; description; step } in
+  let module C = Epre_verify.Certify in
+  let e ?(post = []) ?audit ?certify name description step =
+    { name; description; step; checks = { Epre_harness.Harness.post; audit; certify } }
+  in
   let ignored run _ r = ignore (run r) in
   let reassociate distribute s r =
     s.reassoc <- Some (Epre_reassoc.Reassociate.run ~config:(reassoc_config ~distribute) r)
@@ -106,36 +111,41 @@ let table =
     e "naming" "re-establish the Section 2.2 expression-naming discipline"
       (fun s r -> s.exprs_renamed <- s.exprs_renamed + Epre_opt.Naming.run r);
     e "pre" "partial redundancy elimination (edge placement)"
+      ~post:[ "L001" ] ~audit:true ~certify:C.motion
       (fun s r -> add_pre s (Epre_pre.Pre.run r));
     e "pre-classic" "Morel-Renvoise PRE (block-end placement; ablation)"
+      ~post:[ "L001" ] ~audit:true ~certify:C.motion
       (fun s r -> add_pre s (Epre_pre.Pre.run_classic r));
     e "reassociate"
       "global reassociation, no distribution (Section 3.1); -O reassociation's \
        reassociation stage"
-      (reassociate false);
+      ~post:[ "L007" ] ~audit:false (reassociate false);
     e "distribute"
       "global reassociation with distribution of * over +; -O distribution's \
        reassociation stage"
-      (reassociate true);
-    e "gvn" "partition-based global value numbering (Section 3.2)"
-      (fun s r -> s.gvn <- Some (Epre_gvn.Gvn.run r));
-    e "constprop" "sparse conditional constant propagation"
+      ~post:[ "L007" ] ~audit:false (reassociate true);
+    e "gvn" "partition-based global value numbering (Section 3.2)" ~audit:false
+      ~certify:C.values (fun s r -> s.gvn <- Some (Epre_gvn.Gvn.run r));
+    e "constprop" "sparse conditional constant propagation" ~certify:C.values
       (fun s r -> s.constants_folded <- s.constants_folded + Epre_opt.Constprop.run r);
-    e "peephole" "global peephole optimization" (peephole false);
+    e "peephole" "global peephole optimization" ~certify:C.values (peephole false);
     e "peephole-shift"
       "peephole including mul-to-shift rewriting (Section 5.2); the levels' \
        peephole stage"
-      (peephole true);
-    e "dce" "dead code elimination" (dce Epre_opt.Dce.run);
+      ~certify:C.values (peephole true);
+    e "dce" "dead code elimination" ~post:[ "L002" ] ~certify:C.motion (dce Epre_opt.Dce.run);
     e "adce" "aggressive DCE via control dependence (Cytron 7.1; extension)"
-      (dce Epre_opt.Adce.run);
-    e "coalesce" "Chaitin-style copy coalescing"
+      ~post:[ "L002" ] (dce Epre_opt.Adce.run);
+    e "coalesce" "Chaitin-style copy coalescing" ~post:[ "L003" ] ~certify:C.values
       (fun s r -> s.copies_coalesced <- s.copies_coalesced + Epre_opt.Coalesce.run r);
-    e "clean" "CFG cleanup (empty-block removal)" (ignored Epre_opt.Clean.run);
-    e "cse-dom" "dominator-based CSE (Section 5.3 method 1)" (ignored Epre_opt.Cse_dom.run);
-    e "cse-avail" "available-expression CSE (Section 5.3 method 2)"
+    e "clean" "CFG cleanup (empty-block removal)" ~post:[ "L004" ] ~certify:C.jump_chains
+      (ignored Epre_opt.Clean.run);
+    e "cse-dom" "dominator-based CSE (Section 5.3 method 1)" ~audit:false
+      (ignored Epre_opt.Cse_dom.run);
+    e "cse-avail" "available-expression CSE (Section 5.3 method 2)" ~audit:false
       (ignored Epre_opt.Cse_avail.run);
-    e "dvnt" "dominator-tree hash value numbering (extension)" (ignored Epre_opt.Dvnt.run);
+    e "dvnt" "dominator-tree hash value numbering (extension)" ~post:[ "L005" ]
+      ~audit:false (ignored Epre_opt.Dvnt.run);
     e "strength" "operator strength reduction (extension)" (ignored Epre_opt.Strength.run);
     e "ssa-roundtrip" "build and destroy pruned SSA (diagnostic)"
       (fun _ r -> ignore (Epre_ssa.Ssa.build r); ignore (Epre_ssa.Ssa.destroy r));
@@ -167,28 +177,32 @@ let stage_label = function
   | "peephole-shift" -> "peephole"
   | name -> name
 
-(* Each level's (label, step) sequence, resolved once. *)
+(* Each level's (label, registry row) sequence, resolved once. *)
 let level_steps =
   let resolve level =
     List.map
-      (fun name ->
-        (stage_label name, (List.find (fun e -> e.name = name) table).step))
+      (fun name -> (stage_label name, List.find (fun e -> e.name = name) table))
       (level_spelling ~level)
   in
   let resolved = List.map (fun level -> (level, resolve level)) all_levels in
   fun level -> List.assoc level resolved
 
 (* A level's sequence as named harness passes; [stats_for] locates the
-   statistics of the routine being transformed. *)
+   statistics of the routine being transformed. A stage carries its
+   registry row's checks under its own label. *)
 let level_passes_into ~level ~stats_for =
   List.map
-    (fun (pass_name, step) ->
-      { Epre_harness.Harness.pass_name; run = (fun r -> step (stats_for r) r) })
+    (fun (pass_name, e) ->
+      { Epre_harness.Harness.pass_name; run = (fun r -> e.step (stats_for r) r);
+        checks = e.checks })
     (level_steps level)
 
 let level_passes ~level =
   let shared = fresh_stats "" in
   level_passes_into ~level ~stats_for:(fun _ -> shared)
+
+let expects_pre ~level =
+  List.exists (fun (_, e) -> e.checks.Epre_harness.Harness.audit = Some true) (level_steps level)
 
 let level_stages ~level = List.map stage_label (level_spelling ~level)
 

@@ -92,13 +92,15 @@ val no_hooks : hooks
 
 val reassoc_config : distribute:bool -> Epre_reassoc.Expr_tree.config
 
-(** A registry pass: its command-line name, a one-line description, and
-    the step that runs it on a routine and adds its statistic (if it has
-    one) to the routine's statistics. *)
+(** A registry pass: its command-line name, a one-line description, the
+    step that runs it on a routine and adds its statistic (if it has
+    one) to the routine's statistics, and what the harness checks after
+    it (postcondition lints, audit, certifying checker). *)
 type entry = {
   name : string;
   description : string;
   step : routine_stats -> Routine.t -> unit;
+  checks : Epre_harness.Harness.checks;
 }
 
 (** Every optimizer pass, in [eprec passes] order: the only place a pass
@@ -110,10 +112,15 @@ val table : entry list
     {!run_passes}, it prints the ILOC {!optimize} does. *)
 val level_spelling : level:level -> string list
 
-(** A level's pass sequence under its stage names, for the harness,
-    bisection, and chaos-injection experiments. Statistics are discarded;
-    use [optimize]/[optimize_supervised] to collect them. *)
+(** A level's pass sequence under its stage names (with their registry
+    rows' checks), for the harness, bisection, and chaos-injection
+    experiments. Statistics are discarded; use
+    [optimize]/[optimize_supervised] to collect them. *)
 val level_passes : level:level -> Epre_harness.Harness.named_pass list
+
+(** Whether the level runs PRE: some stage's checks arm the auditor's
+    residue errors (A001/A002), as auditing its output must too. *)
+val expects_pre : level:level -> bool
 
 (** The stage names of a level's sequence, in pass order: each stage is
     labelled by its registry name, except that [reassociate] and

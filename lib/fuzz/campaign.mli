@@ -45,7 +45,9 @@ val default_config : config
 
 (** The reducer's oracle for one failure signature: {!Oracle.check}
     (restricted to [level], no pinpointing) still reports a failure of
-    class [cls] on the candidate. *)
+    class [cls] on the candidate, and, when the config splices a chaos
+    pass, reports none without it, so a reproducer stays one of the
+    chaos pass's and cannot slip to a fault of the level itself. *)
 val still_fails :
   Oracle.config ->
   level:Epre.Pipeline.level ->

@@ -35,12 +35,7 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* ------------------------------------------------------------------ *)
 (* Save                                                                *)

@@ -26,7 +26,7 @@ let instr_count p =
 
 type site =
   | Instr of string * int * int  (** routine, block id, position *)
-  | Branch of string * int
+  | Term of string * int  (** routine, block id: the block's terminator *)
   | Routine of string
 
 let sites p =
@@ -35,7 +35,7 @@ let sites p =
       List.concat_map
         (fun (b : Block.t) ->
           List.mapi (fun k _ -> Instr (r.Routine.name, b.Block.id, k)) b.Block.instrs
-          @ match b.Block.term with Instr.Cbr _ -> [ Branch (r.Routine.name, b.Block.id) ] | _ -> [])
+          @ [ Term (r.Routine.name, b.Block.id) ])
         (Cfg.blocks r.Routine.cfg)
       @ [ Routine r.Routine.name ])
     (Program.routines p)
@@ -86,10 +86,15 @@ let candidates p site =
         (fun l () -> set_instrs p name id l)
         (((before @ after) :: (if after = [] then [] else [ before ])) @ zeros)
     | None -> [])
-  | Branch (name, id) -> (
+  | Term (name, id) -> (
+    let to_ targets = List.map (fun t () -> jump_to p name id t) targets in
     match block name id with
     | Some { Block.term = Instr.Cbr { ifso; ifnot; _ }; _ } ->
-      List.map (fun t () -> jump_to p name id t) (if ifso = ifnot then [ ifso ] else [ ifso; ifnot ])
+      to_ (if ifso = ifnot then [ ifso ] else [ ifso; ifnot ])
+    | Some { Block.term = Instr.Jump b; _ } -> (
+      match block name b with
+      | Some { Block.instrs = []; term = Instr.Jump c; _ } when c <> b -> to_ [ c ]
+      | _ -> [])
     | _ -> [])
   | Routine name ->
     if name = "main" then []

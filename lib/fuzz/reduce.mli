@@ -11,7 +11,7 @@
 
     A sweep visits every site from the last to the first (routines in
     order, blocks in id order, instructions in order, then the block's
-    branch, then the routine itself), so the sites not yet visited stay
+    terminator, then the routine itself), so the sites not yet visited stay
     valid after an accepted edit. Per site, the first accepted candidate
     wins:
 
@@ -20,6 +20,10 @@
       the same register (not for a const);
     - a [cbr]: turn it into a [jump] to its [ifso] arm, else to its
       [ifnot] arm, and remove the blocks the entry no longer reaches;
+    - a [jump B] where [B] has no instructions and ends in [jump C]:
+      retarget it to [C], and remove the blocks the entry no longer
+      reaches (a sweep visits blocks last to first, so one sweep
+      bypasses a whole chain of such blocks);
     - a routine other than [main]: delete it.
 
     Sweeps repeat until one accepts nothing, at most ten times. *)

@@ -153,7 +153,8 @@ let parse_spec spec =
   in
   match (pos, of_name name) with
   | (Error _ as e), _ -> e
-  | Ok pos, Some kind -> Ok (pos, { Harness.pass_name = name; run = run kind })
+  | Ok pos, Some kind ->
+    Ok (pos, { Harness.pass_name = name; run = run kind; checks = Harness.no_checks })
   | Ok _, None -> Error (Printf.sprintf "unknown chaos pass %S" name)
 
 (* ------------------------------------------------------------------ *)

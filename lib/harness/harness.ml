@@ -10,7 +10,8 @@
     the routine still equals its snapshot is computed once per step; if
     it does, the step reuses the type inference of the last accepted
     program, the routine's V part, and (at [Exec]) the last observation.
-    The T rules and the pass's postcondition lints run on every step. *)
+    The T rules and the pass's postcondition lints run on every step.
+    What a step is checked for beyond that is read off its [checks]. *)
 
 open Epre_ir
 
@@ -61,7 +62,12 @@ let default_config =
 
 exception Supervision_failed of record
 
-type named_pass = { pass_name : string; run : Routine.t -> unit }
+type checks =
+  { post : string list; audit : bool option; certify : Epre_verify.Certify.checker option }
+
+let no_checks = { post = []; audit = None; certify = None }
+
+type named_pass = { pass_name : string; run : Routine.t -> unit; checks : checks }
 
 type obs = (Value.t option * Value.t list, string) result
 
@@ -115,13 +121,13 @@ let describe_obs = function
       (List.length trace)
 
 (* IR validation through the verifier: every structural and type rule
-   plus the pass's registered postcondition lints, from the verdict's two
-   parts ([Verify.check_post_pass] composes the same two). The first
+   plus the pass's postcondition lints, from the verdict's two parts
+   ([Verify.check_post_pass] composes the same two). The first
    error-severity diagnostic rolls the pass back (its rule id lands in
    the record's meta); warnings are only counted. Per-rule telemetry
    counters are bumped either way. *)
-let check_ir ~pass ~tc v (r : Routine.t) =
-  let diags = Epre_verify.Verify.post_pass_verdict ~pass ~tc v r in
+let check_ir ~post ~tc v (r : Routine.t) =
+  let diags = Epre_verify.Verify.post_pass_verdict ~post ~tc v r in
   Epre_verify.Verify.record_metrics diags;
   match Epre_verify.Verify.errors diags with
   | d :: _ -> Error (Epre_verify.Diag.to_string d, d.Epre_verify.Diag.rule)
@@ -215,7 +221,7 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
               match
                 match parts with
                 | None -> Ok 0
-                | Some (tc, v) -> check_ir ~pass:np.pass_name ~tc v r
+                | Some (tc, v) -> check_ir ~post:np.checks.post ~tc v r
               with
               | Error (m, rule) ->
                 roll_back
@@ -228,10 +234,10 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
                    ones — they land in the record's meta and telemetry but
                    NEVER roll the pass back. *)
                 let audit_meta =
-                  if not config.audit then []
-                  else
+                  match np.checks.audit with
+                  | Some expect_pre when config.audit -> (
                     match
-                      Epre_verify.Analyze.check_post_pass ~pass:np.pass_name
+                      Epre_verify.Analyze.check_post_pass ~expect_pre
                         ~baseline:snapshot r
                     with
                     | [] -> []
@@ -250,7 +256,8 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
                           Epre_telemetry.Tjson.Arr
                             (List.map (fun id -> Epre_telemetry.Tjson.Str id) rules)
                         );
-                      ]
+                      ])
+                  | _ -> []
                 in
                 let meta =
                   audit_meta
@@ -272,7 +279,7 @@ let supervise ?(dump = fun _ _ -> ()) config ~passes (p : Program.t) =
                      on the observed run, within [check_fuel]; so
                      [before] is what observing it would give. *)
                   let growth =
-                    match (before, Epre_verify.Certify.find np.pass_name) with
+                    match (before, np.checks.certify) with
                     | Ok _, Some check when !reproducible -> check ~before:snapshot ~after:r
                     | _ -> None
                   in

@@ -12,7 +12,7 @@
     - [Off]: trust the pass; only exceptions roll back;
     - [Ir]: the full [Epre_verify] verifier — structural and type rules
       (including [Ssa_check] as rule V007 when the routine is in SSA)
-      plus the pass's registered postcondition lints; the first
+      plus the postcondition lints in the pass's [checks]; the first
       error-severity diagnostic rolls back, warnings are counted into the
       record's [meta];
     - [Exec]: translation validation — interpret the program's observable
@@ -21,10 +21,10 @@
       floating-point reassociation noise.
 
     Certified steps. At [Exec], a step that changed its routine is first
-    offered to the static checker registered for its pass
-    ([Epre_verify.Certify.table]: [pre] and [dce] to the motion checker,
-    [clean] to the jump-chain checker, [constprop], [coalesce], [gvn] and
-    [peephole] to the value-correspondence checker), when the step passed
+    offered to the static checker in its pass's [checks] ([pre],
+    [pre-classic] and [dce] carry the motion checker, [clean] the
+    jump-chain checker, [constprop], [coalesce], [gvn] and [peephole] the
+    value-correspondence checker), when the step passed
     the IR checks, the current observation is [Ok] and reproducible under
     the check budget. A checker proves the step's output computes exactly
     what its input did on the run already observed, so the harness
@@ -99,7 +99,7 @@ type config = {
           [Supervision_failed] *)
   audit : bool;
       (** run the redundancy auditor ([Epre_verify.Analyze]) after each
-          audited pass, against the pre-pass snapshot. Findings are
+          pass whose [checks] ask for it, against the pre-pass snapshot. Findings are
           recorded in the record's meta ([audit_findings] count,
           [audit_rules] ids) and as [analyze.*] telemetry counters;
           they never roll a pass back *)
@@ -111,9 +111,23 @@ val default_config : config
 
 exception Supervision_failed of record
 
-(** A pass under its registry/pipeline name — the harness's view of a
-    pass; [Epre.Passes] and [Epre.Pipeline] both convert into it. *)
-type named_pass = { pass_name : string; run : Routine.t -> unit }
+(** What the harness checks after a pass beyond the V and T rules,
+    declared once on the pass's row of [Epre.Pipeline.table]: its
+    postcondition lints (warnings), [Some expect_pre] when the auditor
+    judges it ([true] arms A001/A002, as after PRE), and the checker
+    that may certify a changed step at [Exec]. *)
+type checks = {
+  post : string list;
+  audit : bool option;
+  certify : Epre_verify.Certify.checker option;
+}
+
+(** No lints, no audit, no certification. *)
+val no_checks : checks
+
+(** A pass under its registry/pipeline name with its row's checks — the
+    harness's view of a pass, whatever its label. *)
+type named_pass = { pass_name : string; run : Routine.t -> unit; checks : checks }
 
 (** Observable behaviour of a program's [main]: either a (return value,
     emit trace) pair or the textual reason it could not be obtained. *)

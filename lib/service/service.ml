@@ -170,15 +170,28 @@ let result_to_json r =
     @ (match r.iloc with Some s -> [ ("iloc", J.Str s) ] | None -> [])
     @ match r.error with Some m -> [ ("error", J.Str m) ] | None -> [])
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* An ILOC file's program; a routine that fails validation is reported
+   at its header line. *)
+let parse_iloc_file path text =
+  let at line m = Error (Printf.sprintf "%s:%d: %s" path line m) in
+  let invalid (r : Routine.t) =
+    match Routine.validate r with () -> None | exception Routine.Ill_formed m -> Some (r, m)
+  in
+  match Ir_text.parse_program ~validate:false text with
+  | exception Ir_text.Parse_error { line; message } -> at line message
+  | prog -> (
+    match List.find_map invalid (Program.routines prog) with
+    | None -> Ok prog
+    | Some (r, m) ->
+      let prefix = "routine " ^ r.Routine.name ^ "(" in
+      let header l = String.starts_with ~prefix (String.trim l) in
+      let lines = String.split_on_char '\n' text in
+      at (1 + Option.value ~default:0 (List.find_index header lines)) m)
 
 let load_program = function
   | File path -> (
-    match read_file path with
+    match In_channel.with_open_bin path In_channel.input_all with
+    | text when Filename.check_suffix path ".iloc" -> parse_iloc_file path text
     | text -> (
       try Ok (Epre_frontend.Frontend.compile_string text) with
       | Epre_frontend.Frontend.Error { line; message } ->

@@ -27,11 +27,13 @@
 
     [level] defaults to ["partial"], [emit] (include optimized ILOC in
     the result) to [true]. Exactly one of [file] / [workload] / [source]
-    / [iloc] names the program. A malformed job line yields an in-order
-    [ok:false] result carrying the offending input line number rather
-    than killing the server; [outcome] is one of ["ok"], ["error"],
-    ["timeout"] and ["degraded"] (served below the requested optimization
-    level — the result then carries a ["requested"] field).
+    / [iloc] names the program; a [file] ending in [.iloc] is read as
+    ILOC text, any other as mini-language source. A malformed job line
+    yields an in-order [ok:false] result carrying the offending input
+    line number rather than killing the server; [outcome] is one of
+    ["ok"], ["error"], ["timeout"] and ["degraded"] (served below the
+    requested optimization level — the result then carries a
+    ["requested"] field).
 
     A job fails only for its own reasons: the optimizer is deterministic,
     so a re-run on the same input would fail the same way, and the
@@ -121,7 +123,7 @@ module Policy : sig
 end
 
 type job_input =
-  | File of string  (** mini-language source file path *)
+  | File of string  (** [.iloc]: ILOC text file path; else mini-language *)
   | Workload of string  (** built-in workload name *)
   | Source of string  (** inline mini-language source text *)
   | Iloc of string  (** inline ILOC text *)
@@ -132,6 +134,11 @@ type job = {
   input : job_input;
   emit : bool;  (** include the optimized ILOC in the result *)
 }
+
+(** The program a job input names (the CLI reads program files through
+    it). [Error] is one line: ["path:line: message"] for a file that does
+    not parse or validate, the [Sys_error] text for an unreadable one. *)
+val load_program : job_input -> (Program.t, string) result
 
 (** Decode one job line. [default_id] is used when the object carries no
     ["id"] field; [Error] is the protocol-level complaint that becomes an

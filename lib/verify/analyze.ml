@@ -52,33 +52,10 @@ let check_program ?(expect_pre = false) ?baseline (p : Program.t) =
     (Program.routines p);
   (List.rev !reports, List.concat (List.rev !diags))
 
-(* The passes worth auditing: the redundancy eliminators themselves
-   (residue is an error after them) and the enabling transformations
-   (only deltas and advisories apply — reassociation legitimately
-   leaves redundancy for PRE to collect). *)
-let audit_postconditions =
-  [
-    ("pre", true);
-    ("pre-classic", true);
-    ("gvn", false);
-    ("cse-dom", false);
-    ("cse-avail", false);
-    ("dvnt", false);
-    ("reassociate", false);
-    ("distribute", false);
-    (* the levels' label for [reassociate] and [distribute] *)
-    ("reassociation", false);
-  ]
-
-let audited_pass pass = List.assoc_opt pass audit_postconditions
-
-let check_post_pass ~pass ~baseline r =
-  match audited_pass pass with
+let check_post_pass ~expect_pre ~baseline r =
+  match check_routine ~expect_pre ~baseline r with
   | None -> []
-  | Some expect_pre -> (
-    match check_routine ~expect_pre ~baseline r with
-    | None -> []
-    | Some (_, diags) -> diags)
+  | Some (_, diags) -> diags
 
 let site_to_tjson (s : Audit.site) =
   Tjson.Obj

@@ -1,8 +1,7 @@
 (** The redundancy auditor's verifier-side driver: runs
     [Epre_analysis.Audit] over routines and programs, converts its
     findings to [Diag.t] diagnostics under the [A0xx] rule family, and
-    registers the per-pass audit postconditions the harness's IR tier
-    can opt into.
+    gives the harness's audit tier its post-pass check.
 
     Division of labour: [Audit] measures (dataflow, value numbering,
     pressure) and knows nothing about severities or diagnostics;
@@ -35,22 +34,16 @@ val check_program :
   Program.t ->
   (string * Audit.report) list * Diag.t list
 
-(** Passes whose effect the auditor can judge, with the [expect_pre]
-    arming flag: after a PRE-level pass the redundancy-residue errors
+(** Audit [r] after a pass against the pre-pass [baseline]: the
+    diagnostics of {!check_routine}, [] when the routine is skipped.
+    The harness calls it after a pass whose [checks.audit] is
+    [Some expect_pre] (declared on the pass's row of
+    [Epre.Pipeline.table]): after a PRE-level pass the residue errors
     A001/A002 apply; after the enabling transformations only the delta
-    and advisory rules do. Consulted by the harness when its [audit]
-    switch is on; deliberately separate from [Verify.postcondition_table]
-    (those are lint postconditions and roll into [--strict]; audit
-    findings never roll a pass back). *)
-val audit_postconditions : (string * bool) list
-
-(** [expect_pre] flag for [pass]; [None] when the pass is not audited. *)
-val audited_pass : string -> bool option
-
-(** Audit [r] after [pass] against the pre-pass [baseline]. [] when the
-    pass is not in [audit_postconditions] or the routine is skipped. *)
+    and advisory rules do. Audit findings never roll a pass back, unlike
+    the lint postconditions, which roll into [--strict]. *)
 val check_post_pass :
-  pass:string -> baseline:Routine.t -> Routine.t -> Diag.t list
+  expect_pre:bool -> baseline:Routine.t -> Routine.t -> Diag.t list
 
 (** Machine form of a report for [--json]: classification and
     down-safety per site, per-block pressure, pressure/speculation

@@ -1286,9 +1286,3 @@ let values ~before:(p : Routine.t) ~after:(q : Routine.t) =
             Float.max growth (float_of_int chain_out.(id) /. float_of_int chain_in.(id))
           end)
         0.0 gq.Dataflow.rpo)
-
-let table =
-  [ ("pre", motion); ("dce", motion); ("clean", jump_chains); ("constprop", values);
-    ("coalesce", values); ("gvn", values); ("peephole", values); ("peephole-shift", values) ]
-
-let find pass = List.assoc_opt pass table

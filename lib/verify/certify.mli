@@ -18,10 +18,11 @@
     harness can keep an upper bound on the current program's fuel without
     running it.
 
-    Three checkers, registered by pass name in {!table}:
-    - {!motion} (PRE and DCE): the output is the input with instructions
-      inserted and deleted, jump-only landing blocks on existing edges and
-      possibly a new entry block. See the implementation for the rules
+    Three checkers. Each pass names its own on its row of
+    [Epre.Pipeline.table] ([checks.certify]):
+    - {!motion} ([pre], [pre-classic], [dce]): the output is the input
+      with instructions inserted and deleted, jump-only landing blocks on
+      existing edges and possibly a new entry block. See the implementation for the rules
       and the soundness argument ("Verified validation of Lazy Code
       Motion", Tristan and Leroy, PLDI 2009, checks lazy code motion the
       same way: availability for deletions, anticipability for
@@ -47,7 +48,8 @@ open Epre_ir
     equivalent on a completed run; [None] when the checker cannot tell. *)
 type checker = before:Routine.t -> after:Routine.t -> float option
 
-(** Motion: PRE's insertions and deletions, DCE's deletions. Accepts when
+(** Motion: PRE's insertions and deletions, on edges or at block ends,
+    DCE's deletions. Accepts when
     - the output is the input plus inserted instructions, minus deleted
       ones, plus blocks whose only terminator is a jump to an input block
       and that stand on input edges (every other instruction and every
@@ -154,11 +156,3 @@ type identity = { name : string; lhs : term; rhs : term }
     [x fmul 1.0], [x fdiv 1.0] as [x]. [x fadd 0.0 = x] is no row: it is
     wrong for [x = -0.0]. *)
 val identities : identity list
-
-(** Checkers by pass name, as [Verify.postcondition_table] registers
-    lints: [pre] and [dce] use {!motion}, [clean] uses {!jump_chains},
-    and [constprop], [coalesce], [gvn], [peephole] and [peephole-shift]
-    (the levels' [peephole] stage) use {!values}. *)
-val table : (string * checker) list
-
-val find : string -> checker option

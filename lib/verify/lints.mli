@@ -7,7 +7,7 @@
     Lints never fail verification on their own; the harness surfaces them
     as counts, [eprec lint] prints them, and [--strict] callers may
     promote them. [check] runs every lint; [check_only] restricts to a
-    subset of rule ids (used by the per-pass postcondition registry). *)
+    subset of rule ids (used for each pass's postcondition lints). *)
 
 open Epre_ir
 

@@ -232,33 +232,14 @@ let check_program ?(config = default) p =
 (* Per-pass postconditions                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Lint rules a pass is expected to have discharged. All postconditions
-   are warnings, so a pass that misses one is surfaced, not rolled
-   back — the paper's transformations are improvements, not contracts. *)
-let postcondition_table =
-  [
-    ("pre", [ "L001" ]);
-    ("pre-classic", [ "L001" ]);
-    ("reassociate", [ "L007" ]);
-    ("distribute", [ "L007" ]);
-    ("reassociation", [ "L007" ]);
-    ("dce", [ "L002" ]);
-    ("adce", [ "L002" ]);
-    ("coalesce", [ "L003" ]);
-    ("clean", [ "L004" ]);
-    ("dvnt", [ "L005" ]);
-  ]
+(* [post] lists the lints a pass is expected to have discharged. All
+   postconditions are warnings, so a pass that misses one is surfaced,
+   not rolled back — the paper's transformations are improvements, not
+   contracts. *)
+let post_pass_verdict ~post ~tc v r = with_t_part ~tc ~lints:(Lints.check_only post) v r
 
-let postconditions pass =
-  match List.assoc_opt pass postcondition_table with
-  | Some ids -> ids
-  | None -> []
-
-let post_pass_verdict ~pass ~tc v r =
-  with_t_part ~tc ~lints:(Lints.check_only (postconditions pass)) v r
-
-let check_post_pass ~pass ~program r =
-  post_pass_verdict ~pass ~tc:(Typecheck.infer program) (v_part r) r
+let check_post_pass ~post ~program r =
+  post_pass_verdict ~post ~tc:(Typecheck.infer program) (v_part r) r
 
 (* ------------------------------------------------------------------ *)
 (* Report helpers                                                     *)

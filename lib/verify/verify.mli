@@ -1,6 +1,7 @@
 (** The verifier driver: structural ([V0xx]), type ([T0xx]) and lint
-    ([L0xx]) rules over a routine or program, plus the per-pass
-    postcondition registry the harness's IR validation tier runs.
+    ([L0xx]) rules over a routine or program, plus the post-pass verdict
+    the harness's IR validation tier runs (each pass's postcondition
+    lints are declared on its row of [Epre.Pipeline.table]).
 
     Rule ordering inside one routine: the structural scan runs first, and
     its fatal subset (missing entry, dangling terminator target, register
@@ -46,25 +47,19 @@ val v_part : Routine.t -> v_part
 
 (** A routine's post-pass verdict from its V part: the program-dependent
     T rules under [tc] (the inference of the program the routine sits
-    in) plus [pass]'s registered postcondition lints, joined to the V
-    part in [Diag.compare] order; just the fatal diagnostics when the V
-    part holds a fatal defect. *)
+    in) plus the postcondition lints [post] (rule ids; the harness passes
+    the pass's [checks.post]), joined to the V part in [Diag.compare]
+    order; just the fatal diagnostics when the V part holds a fatal
+    defect. *)
 val post_pass_verdict :
-  pass:string -> tc:Typecheck.info -> v_part -> Routine.t -> Diag.t list
+  post:string list -> tc:Typecheck.info -> v_part -> Routine.t -> Diag.t list
 
-(** What the harness's IR tier decides after [pass]: all V/T rules plus
-    the pass's registered postcondition lints —
-    [post_pass_verdict ~pass ~tc:(Typecheck.infer program) (v_part r) r].
+(** What the harness's IR tier decides after a pass with postcondition
+    lints [post]: all V/T rules plus those lints —
+    [post_pass_verdict ~post ~tc:(Typecheck.infer program) (v_part r) r].
     [Harness.supervise] computes the same two parts, reusing each across
     steps that could not have changed it. *)
-val check_post_pass : pass:string -> program:Program.t -> Routine.t -> Diag.t list
-
-(** Lint rule ids registered as postconditions of [pass] ([] for passes
-    with none). *)
-val postconditions : string -> string list
-
-(** Passes with registered postconditions, with their lint ids. *)
-val postcondition_table : (string * string list) list
+val check_post_pass : post:string list -> program:Program.t -> Routine.t -> Diag.t list
 
 val errors : Diag.t list -> Diag.t list
 

@@ -2,7 +2,7 @@
     down-safety in [Epre_analysis.Audit], the [Pressure] and [Valnum]
     estimators, the shared [Expr_flow] systems the auditor reads (and
     their agreement with the PRE engine), and the outward plumbing —
-    [Epre_verify.Analyze] postconditions, harness audit meta and the
+    harness audit meta through [Epre_verify.Analyze] and the
     [analyze.*] telemetry counters. The per-rule negative corpus lives
     in [Test_verify]; this file covers the measurement layer. *)
 
@@ -331,45 +331,11 @@ B3:
   check_routine "diamond" r
 
 (* ------------------------------------------------------------------ *)
-(* Plumbing: postconditions, harness meta, telemetry                    *)
+(* Plumbing: harness meta, telemetry                                  *)
 
-let test_audit_postconditions () =
-  Alcotest.(check (option bool)) "pre is audited, expects no residue"
-    (Some true) (Analyze.audited_pass "pre");
-  Alcotest.(check (option bool)) "gvn is audited, enabling only"
-    (Some false) (Analyze.audited_pass "gvn");
-  Alcotest.(check (option bool)) "unknown pass" None
-    (Analyze.audited_pass "no-such-pass");
-  let names = List.map fst Analyze.audit_postconditions in
-  Alcotest.(check int) "no duplicate pass names"
-    (List.length names)
-    (List.length (List.sort_uniq String.compare names));
-  (* A level stage answers every per-pass fact table as the registry pass
-     it runs does, so --audit, lint postconditions and certification see
-     the levels' stages exactly as the same passes under --passes. *)
-  List.iter
-    (fun level ->
-      List.iter2
-        (fun label name ->
-          let what =
-            Printf.sprintf "%s: stage %s runs %s"
-              (Epre.Pipeline.level_to_string level) label name
-          in
-          Alcotest.(check (list string)) (what ^ ", postconditions")
-            (Verify.postconditions name) (Verify.postconditions label);
-          Alcotest.(check (option bool)) (what ^ ", audited")
-            (Analyze.audited_pass name) (Analyze.audited_pass label);
-          Alcotest.(check bool) (what ^ ", certified by the same checker") true
-            (match (Epre_verify.Certify.find name, Epre_verify.Certify.find label) with
-            | Some a, Some b -> a == b
-            | None, None -> true
-            | _ -> false))
-        (Epre.Pipeline.level_stages ~level)
-        (Epre.Pipeline.level_spelling ~level))
-    Epre.Pipeline.all_levels
-
-(* A no-op pass named "pre" leaves the planted full redundancy behind:
-   the harness must record the finding in meta and must not roll back. *)
+(* A no-op pass audited as PRE leaves the planted full redundancy
+   behind: the harness must record the finding in meta and must not roll
+   back. *)
 let test_harness_audit_meta () =
   let prog =
     parse
@@ -386,7 +352,9 @@ B0:
   let config = { Harness.default_config with audit = true } in
   let records =
     Harness.supervise config
-      ~passes:[ { Harness.pass_name = "pre"; run = (fun _ -> ()) } ]
+      ~passes:
+        [ { Harness.pass_name = "pre"; run = (fun _ -> ());
+            checks = { Harness.no_checks with audit = Some true } } ]
       prog
   in
   match records with
@@ -444,9 +412,9 @@ let test_workloads_no_audit_errors () =
           let prog, _stats =
             Epre.Pipeline.optimized_copy ~level reference
           in
-          let expect_pre = level <> Epre.Pipeline.Baseline in
           let _, diags =
-            Analyze.check_program ~expect_pre ~baseline:reference prog
+            Analyze.check_program ~expect_pre:(Epre.Pipeline.expects_pre ~level)
+              ~baseline:reference prog
           in
           match Verify.errors diags with
           | [] -> ()
@@ -475,8 +443,6 @@ let suite =
       test_pav_superset_of_av;
     Alcotest.test_case "expr-flow: delete set empty after pre" `Quick
       test_lcm_delete_empty_after_pre;
-    Alcotest.test_case "audit postconditions table" `Quick
-      test_audit_postconditions;
     Alcotest.test_case "harness audit meta" `Quick test_harness_audit_meta;
     Alcotest.test_case "analyze.* telemetry" `Quick test_record_metrics;
     Alcotest.test_case "workloads carry no audit errors" `Slow

@@ -47,7 +47,7 @@ let side_by_side ~what ~level prog accepted =
           if not (Routine.equal r snapshot) then begin
             let before, own = !current in
             let verdict =
-              match (before, Certify.find np.Harness.pass_name) with
+              match (before, np.Harness.checks.Harness.certify) with
               | Ok _, Some check -> check ~before:snapshot ~after:r
               | _ -> None
             in
@@ -808,7 +808,8 @@ B2:
 
 let split_back_edge =
   { Harness.pass_name = "pre";
-    run = (fun r -> ignore (Cfg.split_edge r.Routine.cfg ~from_:1 ~to_:1)) }
+    run = (fun r -> ignore (Cfg.split_edge r.Routine.cfg ~from_:1 ~to_:1));
+    checks = { Harness.no_checks with certify = Some Certify.motion } }
 
 let test_fuel_bound () =
   let before = routine loop in
@@ -876,7 +877,11 @@ let test_fuel_bound_shrinks () =
     | Ok _, Some n -> n
     | _ -> Alcotest.fail "the loop runs"
   in
-  let step text = { Harness.pass_name = "coalesce"; run = (fun r -> Routine.restore r ~from:(routine text)) } in
+  let step text =
+    { Harness.pass_name = "coalesce";
+      run = (fun r -> Routine.restore r ~from:(routine text));
+      checks = { Harness.no_checks with certify = Some Certify.values } }
+  in
   Metrics.reset ();
   let config = { Harness.default_config with Harness.validation = Harness.Exec; fuel = exact } in
   let records =
@@ -911,7 +916,8 @@ let test_fuel_bound_per_routine () =
     { Harness.pass_name = "coalesce";
       run =
         (fun r ->
-          if r.Routine.name = name then Routine.restore r ~from:(Program.find_exn final name)) }
+          if r.Routine.name = name then Routine.restore r ~from:(Program.find_exn final name));
+      checks = { Harness.no_checks with certify = Some Certify.values } }
   in
   let exact =
     match Harness.observe_counted ~fuel (Ir_text.parse_program start) with
@@ -934,6 +940,90 @@ let test_fuel_bound_per_routine () =
     Alcotest.(check bool) ("out of fuel: " ^ m) true
       (Helpers.contains_substring ~needle:"out of fuel" m)
   | _ -> Alcotest.fail "h's step must run out of fuel and roll back"
+
+(* Block-end placement is insertion and deletion too: over the kernel
+   suite the motion checker proves every [pre-classic] step that changes
+   a routine, so the exec tier never reruns one. *)
+let test_pre_classic_certified () =
+  Metrics.reset ();
+  let config = { Harness.default_config with Harness.validation = Harness.Exec } in
+  List.iter
+    (fun w ->
+      let records =
+        Harness.supervise config
+          ~passes:(Epre.Passes.named "naming,pre-classic,dce")
+          (Epre_workloads.Workloads.compile w)
+      in
+      if Harness.rolled_back records <> [] then
+        Alcotest.failf "%s: a step rolled back" w.Epre_workloads.Workloads.name)
+    Epre_workloads.Workloads.all;
+  let total what =
+    List.fold_left
+      (fun n (e : Metrics.entry) ->
+        if e.Metrics.name = "harness." ^ what ^ ".pre-classic" then n + e.Metrics.value else n)
+      0 (Metrics.snapshot ())
+  in
+  Alcotest.(check (list int)) "certified, fuel_bound, observed" [ 86; 0; 0 ]
+    (List.map total [ "certified"; "fuel_bound"; "observed" ])
+
+(* [loop] with an evaluation of [r1 add r2] repeated in its body. *)
+let redundant_loop =
+  {|routine main() entry B0 regs 6 {
+B0:
+  r0 = const 0
+  r1 = const 1
+  r2 = const 100
+  jump B1
+B1:
+  r4 = add r1, r2
+  r5 = add r1, r2
+  r0 = add r0, r1
+  r3 = cmp_lt r0, r2
+  cbr r3, B1, B2
+B2:
+  call emit(r0)
+  return r0
+}
+|}
+
+(* What a step is checked for is read off its [checks]: a pass named
+   [pre] or [coalesce] that carries [no_checks] gets no postcondition
+   lints, no audit and no certification, where the registry row's checks
+   give all three. *)
+let test_checks_not_by_name () =
+  let registry name = (Option.get (Epre.Passes.find name)).Epre.Pipeline.checks in
+  let run ~validation ~checks (np : Harness.named_pass) text =
+    Metrics.reset ();
+    let config = { Harness.default_config with Harness.validation; audit = true } in
+    match Harness.supervise config ~passes:[ { np with Harness.checks } ] (Ir_text.parse_program text) with
+    | [ r ] when r.Harness.outcome = Harness.Passed -> r
+    | _ -> Alcotest.fail "one passed record expected"
+  in
+  let keys (r : Harness.record) = List.map fst r.Harness.meta in
+  let idle = { Harness.pass_name = "pre"; run = ignore; checks = Harness.no_checks } in
+  Alcotest.(check (list string)) "pre's checks: lints and audit" [ "audit_findings"; "audit_rules"; "verify_warnings" ]
+    (keys (run ~validation:Harness.Ir ~checks:(registry "pre") idle redundant_loop));
+  Alcotest.(check (list string)) "no checks: neither" []
+    (keys (run ~validation:Harness.Ir ~checks:Harness.no_checks idle redundant_loop));
+  let counts pass =
+    List.map
+      (fun what -> Metrics.get ~routine:"main" ~name:("harness." ^ what ^ "." ^ pass))
+      [ "certified"; "observed" ]
+  in
+  let coalesce =
+    { Harness.pass_name = "coalesce";
+      run = (fun r -> Routine.restore r ~from:(routine coalesced));
+      checks = Harness.no_checks }
+  in
+  List.iter
+    (fun (np, text) ->
+      let name = np.Harness.pass_name in
+      ignore (run ~validation:Harness.Exec ~checks:(registry name) np text);
+      Alcotest.(check (list int)) (name ^ "'s checks: certified") [ 1; 0 ] (counts name);
+      ignore (run ~validation:Harness.Exec ~checks:Harness.no_checks np text);
+      Alcotest.(check (list int)) "no checks: observed" [ 0; 1 ] (counts name))
+    [ (split_back_edge, loop); (coalesce, with_copies) ];
+  Metrics.reset ()
 
 let suite =
   [
@@ -969,4 +1059,8 @@ let suite =
         test_fuel_bound_shrinks;
       Alcotest.test_case "the fuel bound keeps a callee's fuel apart" `Quick
         test_fuel_bound_per_routine;
+      Alcotest.test_case "kernels: motion certifies every pre-classic step" `Slow
+        test_pre_classic_certified;
+      Alcotest.test_case "a step's checks come from its record, not its name" `Quick
+        test_checks_not_by_name;
     ]

@@ -206,6 +206,60 @@ let test_reduction_kernel () =
   | Ok (_, v) -> Alcotest.failf "replay: %s" (Fuzz.Campaign.replay_result_to_string v)
   | Error m -> Alcotest.failf "replay: %s" m
 
+(* The entries CI's chaos campaign for [spec] (two runs, seed 7) saves
+   at baseline, each with its reduced program. *)
+let baseline_campaign spec =
+  let cfg =
+    { Fuzz.Campaign.default_config with
+      runs = 2; seed = 7; chaos = Some spec; levels = [ Epre.Pipeline.Baseline ];
+      corpus_dir = Some (Helpers.fresh_dir ()) }
+  in
+  let s = Fuzz.Campaign.run cfg in
+  Alcotest.(check int) (spec ^ ": entries saved") 2 (List.length s.Fuzz.Campaign.saved);
+  List.map
+    (fun dir ->
+      match Fuzz.Corpus.load dir with
+      | Ok e -> (e, Ir_text.parse_program e.Fuzz.Corpus.repro_source)
+      | Error m -> Alcotest.failf "load %s: %s" dir m)
+    s.Fuzz.Campaign.saved
+
+let swap_entries = lazy (baseline_campaign "chaos:swap-operands@1")
+
+(* A chaos reproducer stays the chaos pass's: without the chaos pass,
+   each reduced swap-operands entry passes the oracle at its level. *)
+let test_reduction_keeps_chaos_blame () =
+  List.iter
+    (fun ((e : Fuzz.Corpus.entry), prog) ->
+      let clean = { Fuzz.Oracle.default_config with levels = [ e.level ] } in
+      match Fuzz.Oracle.check clean prog with
+      | [] -> ()
+      | f :: _ ->
+        Alcotest.failf "%s fails without chaos: %s at %s (%s)" e.id
+          (Fuzz.Oracle.class_to_string f.cls) f.pass f.detail)
+    (Lazy.force swap_entries)
+
+(* No reproducer keeps a jump to a block that only jumps on. *)
+let test_reduction_bypasses_jump_blocks () =
+  List.iter
+    (fun ((e : Fuzz.Corpus.entry), prog) ->
+      List.iter
+        (fun (r : Epre_ir.Routine.t) ->
+          let cfg = r.Epre_ir.Routine.cfg in
+          let live = Epre_ir.Cfg.reachable cfg in
+          List.iter
+            (fun (b : Epre_ir.Block.t) ->
+              match b.Epre_ir.Block.term with
+              | Epre_ir.Instr.Jump t when Epre_util.Bitset.mem live b.Epre_ir.Block.id -> (
+                match Epre_ir.Cfg.block cfg t with
+                | { Epre_ir.Block.instrs = []; term = Epre_ir.Instr.Jump _; _ } ->
+                  Alcotest.failf "%s: B%d jumps to B%d, which only jumps" e.id
+                    b.Epre_ir.Block.id t
+                | _ -> ())
+              | _ -> ())
+            (Epre_ir.Cfg.blocks cfg))
+        (Epre_ir.Program.routines prog))
+    (baseline_campaign chaos_spec @ Lazy.force swap_entries)
+
 (* ------------------------------------------------------------------ *)
 (* Corpus + campaign                                                   *)
 
@@ -319,4 +373,8 @@ let suite =
       test_campaign_deterministic;
     Alcotest.test_case "campaign: chaos end to end" `Quick
       test_campaign_chaos_end_to_end;
+    Alcotest.test_case "reduce: chaos repros pass the oracle without chaos" `Quick
+      test_reduction_keeps_chaos_blame;
+    Alcotest.test_case "reduce: no jump to a jump-only block" `Quick
+      test_reduction_bypasses_jump_blocks;
   ]

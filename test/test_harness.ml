@@ -16,7 +16,8 @@ let exec_config =
   { Harness.default_config with Harness.validation = Harness.Exec }
 
 let chaos_pass kind =
-  { Harness.pass_name = Chaos.name kind; run = (fun r -> Chaos.run kind r) }
+  { Harness.pass_name = Chaos.name kind; run = (fun r -> Chaos.run kind r);
+    checks = Harness.no_checks }
 
 let is_chaos_record (r : Harness.record) =
   Helpers.contains_substring ~needle:"chaos:" r.Harness.pass
@@ -165,7 +166,9 @@ let test_exec_tier_catches_semantic_faults () =
 let test_exception_rolls_back () =
   let prog = Helpers.compile "fn main(): int { return 6 * 7; }" in
   let before = Pp.routine_to_string (Program.find_exn prog "main") in
-  let bomb = { Harness.pass_name = "bomb"; run = (fun _ -> failwith "kaboom") } in
+  let bomb =
+    { Harness.pass_name = "bomb"; run = (fun _ -> failwith "kaboom"); checks = Harness.no_checks }
+  in
   let records =
     Harness.supervise
       { Harness.default_config with Harness.validation = Harness.Off }
@@ -501,15 +504,17 @@ let test_exec_tier_identity_passes () =
      rebuilding them, pass at the exec tier: each step equals its
      snapshot, so the harness keeps it without interpreting again. *)
   let passes =
-    [ { Harness.pass_name = "identity"; run = ignore };
+    [ { Harness.pass_name = "identity"; run = ignore; checks = Harness.no_checks };
       { Harness.pass_name = "rebuild-lists";
         run =
           (fun r ->
             Cfg.iter_blocks
               (fun b -> b.Block.instrs <- List.map Fun.id b.Block.instrs)
-              r.Routine.cfg) };
+              r.Routine.cfg);
+        checks = Harness.no_checks };
       { Harness.pass_name = "restore-copy";
-        run = (fun r -> Routine.restore r ~from:(Routine.copy r)) } ]
+        run = (fun r -> Routine.restore r ~from:(Routine.copy r));
+        checks = Harness.no_checks } ]
   in
   List.iter
     (fun name ->
@@ -549,7 +554,7 @@ let check_verdicts_side_by_side ~what config ~passes (p : Program.t) =
             raise e
           | () ->
             fresh :=
-              Some (Verify.check_post_pass ~pass:np.Harness.pass_name ~program:p r)
+              Some (Verify.check_post_pass ~post:np.Harness.checks.Harness.post ~program:p r)
               :: !fresh) }
   in
   Metrics.reset ();

@@ -6,13 +6,13 @@ open Epre_ir
 let test_all_names_resolve () =
   List.iter
     (fun p ->
-      match Epre.Passes.find p.Epre.Passes.name with
-      | Some q -> Alcotest.(check string) "found itself" p.Epre.Passes.name q.Epre.Passes.name
-      | None -> Alcotest.failf "pass %s not findable" p.Epre.Passes.name)
+      match Epre.Passes.find p.Epre.Pipeline.name with
+      | Some q -> Alcotest.(check string) "found itself" p.Epre.Pipeline.name q.Epre.Pipeline.name
+      | None -> Alcotest.failf "pass %s not findable" p.Epre.Pipeline.name)
     Epre.Passes.all
 
 let test_names_unique () =
-  let names = List.map (fun p -> p.Epre.Passes.name) Epre.Passes.all in
+  let names = List.map (fun p -> p.Epre.Pipeline.name) Epre.Passes.all in
   Alcotest.(check int) "no duplicates" (List.length names)
     (List.length (List.sort_uniq compare names))
 
@@ -20,7 +20,7 @@ let test_parse_sequence () =
   (match Epre.Passes.parse_sequence "naming, pre ,dce" with
   | Ok ps ->
     Alcotest.(check (list string)) "parsed in order" [ "naming"; "pre"; "dce" ]
-      (List.map (fun p -> p.Epre.Passes.name) ps)
+      (List.map (fun p -> p.Epre.Pipeline.name) ps)
   | Error n -> Alcotest.failf "unexpected unknown pass %s" n);
   match Epre.Passes.parse_sequence "naming,bogus,dce" with
   | Error "bogus" -> ()
@@ -40,13 +40,13 @@ let test_every_pass_preserves_behaviour () =
           let p = Program.copy prog in
           List.iter
             (fun r ->
-              if List.mem pass.Epre.Passes.name needs_naming then
+              if List.mem pass.Epre.Pipeline.name needs_naming then
                 ignore (Epre_opt.Naming.run r);
-              pass.Epre.Passes.run r;
+              (Epre.Passes.to_named pass).Epre_harness.Harness.run r;
               Routine.validate r)
             (Program.routines p);
           Helpers.check_same_behaviour
-            ~what:(w.Epre_workloads.Workloads.name ^ "+" ^ pass.Epre.Passes.name)
+            ~what:(w.Epre_workloads.Workloads.name ^ "+" ^ pass.Epre.Pipeline.name)
             prog p)
         (List.filteri (fun i _ -> i mod 6 = 0) Epre_workloads.Workloads.all))
     (List.filter (fun p -> not (Epre.Passes.is_chaos p)) Epre.Passes.all)
@@ -64,9 +64,9 @@ let test_chaos_entries_registered () =
   List.iter
     (fun p ->
       if Epre.Passes.is_chaos p then
-        Alcotest.(check bool) (p.Epre.Passes.name ^ " resolvable as chaos kind")
+        Alcotest.(check bool) (p.Epre.Pipeline.name ^ " resolvable as chaos kind")
           true
-          (Option.is_some (Epre_harness.Chaos.of_name p.Epre.Passes.name)))
+          (Option.is_some (Epre_harness.Chaos.of_name p.Epre.Pipeline.name)))
     Epre.Passes.all
 
 let ten_pass_sequence =
@@ -111,7 +111,9 @@ let test_runner_order_irrelevant () =
         routine_major;
       let pass_major = Epre_workloads.Workloads.compile w in
       List.iter
-        (fun pass -> List.iter pass.Epre.Passes.run (Program.routines pass_major))
+        (fun pass ->
+          List.iter (Epre.Passes.to_named pass).Epre_harness.Harness.run
+            (Program.routines pass_major))
         ps;
       Alcotest.(check string) w.Epre_workloads.Workloads.name
         (Ir_text.print_program pass_major)
@@ -149,6 +151,61 @@ let test_fingerprints_pinned () =
       "epre-pipeline-v1|distribution|reassociation,gvn,pre,constprop,peephole,dce,coalesce,pre,dce,clean" ]
     (List.map (fun level -> Epre.Pipeline.fingerprint ~level) Epre.Pipeline.all_levels)
 
+(* What the harness checks after each registry pass, written out: its
+   postcondition lints, its audit flag ([Some expect_pre]) and its
+   certifying checker. Every chaos row carries [no_checks]. *)
+let test_checks_pinned () =
+  let module C = Epre_verify.Certify in
+  let checker = function
+    | None -> "-"
+    | Some c when c == C.motion -> "motion"
+    | Some c when c == C.values -> "values"
+    | Some c when c == C.jump_chains -> "jump_chains"
+    | Some _ -> "?"
+  in
+  let audit = function None -> "-" | Some true -> "pre" | Some false -> "delta" in
+  let row (p : Epre.Pipeline.entry) =
+    let c = p.checks in
+    Printf.sprintf "%s [%s] %s %s" p.name
+      (String.concat "," c.Epre_harness.Harness.post)
+      (audit c.audit) (checker c.certify)
+  in
+  let chaos, registry = List.partition Epre.Passes.is_chaos Epre.Passes.all in
+  Alcotest.(check (list string)) "registry checks"
+    [ "naming [] - -";
+      "pre [L001] pre motion";
+      "pre-classic [L001] pre motion";
+      "reassociate [L007] delta -";
+      "distribute [L007] delta -";
+      "gvn [] delta values";
+      "constprop [] - values";
+      "peephole [] - values";
+      "peephole-shift [] - values";
+      "dce [L002] - motion";
+      "adce [L002] - -";
+      "coalesce [L003] - values";
+      "clean [L004] - jump_chains";
+      "cse-dom [] delta -";
+      "cse-avail [] delta -";
+      "dvnt [L005] delta -";
+      "strength [] - -";
+      "ssa-roundtrip [] - -" ]
+    (List.map row registry);
+  List.iter
+    (fun (p : Epre.Pipeline.entry) ->
+      Alcotest.(check string) (p.name ^ " has no checks") (p.name ^ " [] - -") (row p))
+    chaos;
+  List.iter
+    (fun (p : Epre.Pipeline.entry) ->
+      List.iter
+        (fun id ->
+          Alcotest.(check bool) (p.name ^ ": " ^ id ^ " is a lint") true
+            (List.mem id Epre_verify.Rules.lint_ids))
+        p.checks.post)
+    registry;
+  Alcotest.(check (list bool)) "the levels that run PRE" [ false; true; true; true ]
+    (List.map (fun level -> Epre.Pipeline.expects_pre ~level) Epre.Pipeline.all_levels)
+
 let suite =
   [
     Alcotest.test_case "registry resolves" `Quick test_all_names_resolve;
@@ -163,4 +220,5 @@ let suite =
     Alcotest.test_case "level spellings print the levels' ILOC" `Quick
       test_level_spellings;
     Alcotest.test_case "level fingerprints pinned" `Quick test_fingerprints_pinned;
+    Alcotest.test_case "each registry pass's checks pinned" `Quick test_checks_pinned;
   ]

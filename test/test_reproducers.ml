@@ -113,12 +113,12 @@ let test_case (name, source, args, want) =
       let prog = Ir_text.parse_program source in
       check ~what:"unoptimized" ~args ~want prog;
       List.iter
-        (fun (pass : Epre.Passes.pass) ->
+        (fun (pass : Epre.Pipeline.entry) ->
           let p = Program.copy prog in
           List.iter
             (fun r ->
               if List.mem pass.name needs_naming then ignore (Epre_opt.Naming.run r);
-              pass.run r;
+              (Epre.Passes.to_named pass).run r;
               Routine.validate r)
             (Program.routines p);
           check ~what:pass.name ~args ~want p)

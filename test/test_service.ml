@@ -739,6 +739,21 @@ let norm_line l =
   | Ok _ -> Alcotest.failf "result line is not an object: %s" l
   | Error m -> Alcotest.failf "bad result line: %s" m
 
+(* A file job reads a .iloc file as ILOC: its result line is the one the
+   same text gives as an inline iloc job. *)
+let test_file_job_reads_iloc () =
+  let job = iloc_job "iloc-file" in
+  let text = match job.Service.input with Service.Iloc t -> t | _ -> assert false in
+  let path = Filename.temp_file "eprec-test" ".iloc" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let line j = norm_line (Tjson.to_string (Service.result_to_json (Service.run_job j))) in
+  let inline = line job in
+  Alcotest.(check bool) "the inline job succeeds" true
+    (Helpers.contains_substring ~needle:{|"ok":true|} inline);
+  Alcotest.(check string) "file job = inline job" inline
+    (line { job with Service.input = Service.File path })
+
 let test_serve_stream () =
   let input =
     String.concat "\n"
@@ -1613,4 +1628,5 @@ let suite =
       test_serve_batch_size_invariance;
     Alcotest.test_case "sweep spares a live writer's temp file" `Quick
       test_cache_sweep_spares_locked;
+    Alcotest.test_case "a file job reads ILOC" `Quick test_file_job_reads_iloc;
   ]

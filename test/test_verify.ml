@@ -704,6 +704,7 @@ let breaker =
       (fun r ->
         (Cfg.block r.Routine.cfg (Cfg.entry r.Routine.cfg)).Block.term <-
           Instr.Jump 99);
+    checks = Harness.no_checks;
   }
 
 let test_harness_records_verify_rule () =
@@ -746,23 +747,6 @@ let test_oracle_carries_rule () =
       Alcotest.(check string) "fuzz_rule meta" "V002" id
     | _ -> Alcotest.fail "fuzz_rule missing from failure record meta")
 
-(* ------------------------------------------------------------------ *)
-(* Post-pass lint registry.                                            *)
-
-let test_postconditions_registered () =
-  List.iter
-    (fun (pass, rules) ->
-      Alcotest.(check bool)
-        (pass ^ " has a non-empty postcondition") true (rules <> []);
-      List.iter
-        (fun r ->
-          Alcotest.(check bool) (r ^ " is a lint") true
-            (List.mem r Rules.lint_ids))
-        rules)
-    Verify.postcondition_table;
-  Alcotest.(check (list string)) "unregistered pass has none" []
-    (Verify.postconditions "no-such-pass")
-
 (* Type inference reads a parameter outside the register range like any
    other: [g]'s use of r7 is V003 in [g], and still pins the contract
    [f]'s call is checked against. *)
@@ -792,7 +776,8 @@ B0:
    postcondition id set, each single id, all of them, and none. *)
 let lint_id_sets =
   ([] :: Rules.lint_ids :: List.map (fun id -> [ id ]) Rules.lint_ids)
-  @ List.map snd Verify.postcondition_table
+  @ List.sort_uniq compare
+      (List.map (fun (p : Epre.Pipeline.entry) -> p.checks.Harness.post) Epre.Passes.all)
 
 let check_only_agrees ~fired ~what (r : Routine.t) =
   let all = Epre_verify.Lints.check r in
@@ -862,8 +847,6 @@ let suite =
         test_harness_records_verify_rule;
       Alcotest.test_case "oracle verdicts carry the rule id" `Quick
         test_oracle_carries_rule;
-      Alcotest.test_case "postcondition registry is well-formed" `Quick
-        test_postconditions_registered;
       Alcotest.test_case "out-of-range parameter refines its signature" `Quick
         test_out_of_range_parameter_refines_signature;
       Alcotest.test_case "check_only equals filtered check" `Slow

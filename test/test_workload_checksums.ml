@@ -118,12 +118,12 @@ let golden_registry =
   ]
 
 let registry_digest name =
-  let pass = Option.get (Epre.Passes.find name) in
+  let pass = Epre.Passes.to_named (Option.get (Epre.Passes.find name)) in
   let iloc = Buffer.create (1 lsl 16) in
   List.iter
     (fun w ->
       let prog = Epre_workloads.Workloads.compile w in
-      List.iter pass.Epre.Passes.run (Program.routines prog);
+      List.iter pass.Epre_harness.Harness.run (Program.routines prog);
       Buffer.add_string iloc (Ir_text.print_program prog))
     Epre_workloads.Workloads.all;
   Digest.to_hex (Digest.string (Buffer.contents iloc))
