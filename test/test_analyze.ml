@@ -331,7 +331,55 @@ B3:
   check_routine "diamond" r
 
 (* ------------------------------------------------------------------ *)
-(* Plumbing: harness meta, telemetry                                  *)
+(* Plumbing: audit flags, harness meta, telemetry                     *)
+
+(* The audit flag is the [audit] field of a registry row's checks, and a
+   level stage carries its registry pass's row, so --audit, lint
+   postconditions and certification see the levels' stages exactly as the
+   same passes under --passes. *)
+let test_audit_postconditions () =
+  let audit name =
+    Option.bind (Epre.Passes.find name) (fun (p : Epre.Pipeline.entry) ->
+        p.checks.Harness.audit)
+  in
+  Alcotest.(check (option bool)) "pre is audited, expects no residue"
+    (Some true) (audit "pre");
+  Alcotest.(check (option bool)) "gvn is audited, enabling only"
+    (Some false) (audit "gvn");
+  Alcotest.(check bool) "unknown pass has no row" true
+    (Option.is_none (Epre.Passes.find "no-such-pass"));
+  let names = List.map (fun (p : Epre.Pipeline.entry) -> p.name) Epre.Passes.all in
+  Alcotest.(check int) "no duplicate pass names"
+    (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  List.iter
+    (fun level ->
+      let stages = Epre.Pipeline.level_passes ~level in
+      Alcotest.(check (list string))
+        (Epre.Pipeline.level_to_string level ^ ": stage labels")
+        (Epre.Pipeline.level_stages ~level)
+        (List.map (fun (s : Harness.named_pass) -> s.pass_name) stages);
+      List.iter2
+        (fun (stage : Harness.named_pass) name ->
+          let what =
+            Printf.sprintf "%s: stage %s runs %s"
+              (Epre.Pipeline.level_to_string level) stage.pass_name name
+          in
+          match Epre.Passes.find name with
+          | None -> Alcotest.fail (what ^ ", not a registry pass")
+          | Some row ->
+            Alcotest.(check (list string)) (what ^ ", postconditions")
+              row.checks.post stage.checks.post;
+            Alcotest.(check (option bool)) (what ^ ", audited")
+              row.checks.audit stage.checks.audit;
+            Alcotest.(check bool) (what ^ ", certified by the same checker") true
+              (match (row.checks.certify, stage.checks.certify) with
+              | Some a, Some b -> a == b
+              | None, None -> true
+              | _ -> false))
+        stages
+        (Epre.Pipeline.level_spelling ~level))
+    Epre.Pipeline.all_levels
 
 (* A no-op pass audited as PRE leaves the planted full redundancy
    behind: the harness must record the finding in meta and must not roll
@@ -443,6 +491,8 @@ let suite =
       test_pav_superset_of_av;
     Alcotest.test_case "expr-flow: delete set empty after pre" `Quick
       test_lcm_delete_empty_after_pre;
+    Alcotest.test_case "audit postconditions table" `Quick
+      test_audit_postconditions;
     Alcotest.test_case "harness audit meta" `Quick test_harness_audit_meta;
     Alcotest.test_case "analyze.* telemetry" `Quick test_record_metrics;
     Alcotest.test_case "workloads carry no audit errors" `Slow

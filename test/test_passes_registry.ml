@@ -195,14 +195,6 @@ let test_checks_pinned () =
     (fun (p : Epre.Pipeline.entry) ->
       Alcotest.(check string) (p.name ^ " has no checks") (p.name ^ " [] - -") (row p))
     chaos;
-  List.iter
-    (fun (p : Epre.Pipeline.entry) ->
-      List.iter
-        (fun id ->
-          Alcotest.(check bool) (p.name ^ ": " ^ id ^ " is a lint") true
-            (List.mem id Epre_verify.Rules.lint_ids))
-        p.checks.post)
-    registry;
   Alcotest.(check (list bool)) "the levels that run PRE" [ false; true; true; true ]
     (List.map (fun level -> Epre.Pipeline.expects_pre ~level) Epre.Pipeline.all_levels)
 

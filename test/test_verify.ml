@@ -747,6 +747,34 @@ let test_oracle_carries_rule () =
       Alcotest.(check string) "fuzz_rule meta" "V002" id
     | _ -> Alcotest.fail "fuzz_rule missing from failure record meta")
 
+(* ------------------------------------------------------------------ *)
+(* Post-pass lint registry.                                            *)
+
+(* A registry row's postcondition lints are the [post] field of its
+   checks: each id names a lint, none twice, and a pass with no row
+   (chaos faults included) names none. *)
+let test_postconditions_registered () =
+  List.iter
+    (fun (p : Epre.Pipeline.entry) ->
+      let rules = p.checks.Harness.post in
+      Alcotest.(check int) (p.name ^ " lists each lint once")
+        (List.length rules)
+        (List.length (List.sort_uniq String.compare rules));
+      List.iter
+        (fun r ->
+          Alcotest.(check bool) (p.name ^ ": " ^ r ^ " is a lint") true
+            (List.mem r Rules.lint_ids))
+        rules)
+    Epre.Passes.all;
+  Alcotest.(check bool) "some pass has a postcondition" true
+    (List.exists (fun (p : Epre.Pipeline.entry) -> p.checks.post <> []) Epre.Passes.all);
+  Alcotest.(check (list string)) "chaos faults have none" []
+    (List.concat_map
+       (fun (p : Epre.Pipeline.entry) -> p.checks.post)
+       (List.filter Epre.Passes.is_chaos Epre.Passes.all));
+  Alcotest.(check bool) "unregistered pass has no row" true
+    (Option.is_none (Epre.Passes.find "no-such-pass"))
+
 (* Type inference reads a parameter outside the register range like any
    other: [g]'s use of r7 is V003 in [g], and still pins the contract
    [f]'s call is checked against. *)
@@ -847,6 +875,8 @@ let suite =
         test_harness_records_verify_rule;
       Alcotest.test_case "oracle verdicts carry the rule id" `Quick
         test_oracle_carries_rule;
+      Alcotest.test_case "postcondition registry is well-formed" `Quick
+        test_postconditions_registered;
       Alcotest.test_case "out-of-range parameter refines its signature" `Quick
         test_out_of_range_parameter_refines_signature;
       Alcotest.test_case "check_only equals filtered check" `Slow
