@@ -29,12 +29,14 @@ let default_config =
 
 let still_fails ocfg ~level ~cls prog =
   let ocfg = { ocfg with Oracle.levels = [ level ]; pinpoint = false } in
-  List.exists (fun (f : Oracle.failure) -> f.cls = cls) (Oracle.check ocfg prog)
+  let reference = Oracle.reference ocfg prog in
+  List.exists (fun (f : Oracle.failure) -> f.cls = cls) (Oracle.check ~reference ocfg prog)
   (* A chaos finding must stay the chaos pass's: a candidate the level
      miscompiles without it (say, a zeroed address into an alloca DCE
-     deletes) has slipped to a different fault. *)
+     deletes) has slipped to a different fault. Both checks compare
+     against the one reference run. *)
   && (ocfg.chaos = None
-     || Oracle.check { ocfg with chaos = None; chaos_name = None } prog = [])
+     || Oracle.check ~reference { ocfg with chaos = None; chaos_name = None } prog = [])
 
 type summary = {
   runs : int;

@@ -47,7 +47,9 @@ val default_config : config
     (restricted to [level], no pinpointing) still reports a failure of
     class [cls] on the candidate, and, when the config splices a chaos
     pass, reports none without it, so a reproducer stays one of the
-    chaos pass's and cannot slip to a fault of the level itself. *)
+    chaos pass's and cannot slip to a fault of the level itself. Both
+    checks compare against one {!Oracle.reference} run of the
+    candidate. *)
 val still_fails :
   Oracle.config ->
   level:Epre.Pipeline.level ->

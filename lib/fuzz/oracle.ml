@@ -110,15 +110,25 @@ let pinpoint config prog level f =
       pass = c.Bisect.pass;
       routine = c.Bisect.routine }
 
-let check config prog =
+(* The reference observation and the re-check budget derived from it,
+   or [None] when the reference run fails. *)
+type reference = (Harness.obs * int) option
+
+let reference config prog =
   match Harness.observe_counted ~fuel:config.fuel prog with
-  | Error _, _ -> []
-  | (Ok _ as reference), count ->
-    let budget =
-      match count with
-      | Some n -> Harness.recheck_budget ~fuel:config.fuel n
-      | None -> config.fuel
-    in
+  | Error _, _ -> None
+  | (Ok _ as obs), count ->
+    Some
+      ( obs,
+        match count with
+        | Some n -> Harness.recheck_budget ~fuel:config.fuel n
+        | None -> config.fuel )
+
+let check ?reference:shared config prog =
+  let reference = match shared with Some r -> r | None -> reference config prog in
+  match reference with
+  | None -> []
+  | Some (reference, budget) ->
     List.filter_map
       (fun level ->
         match check_level config ~reference ~budget prog level with

@@ -56,11 +56,21 @@ type config = {
 (** Every level, no chaos, [Interp.default_fuel], no pinpointing. *)
 val default_config : config
 
+(** The unoptimized program's observation, with the fuel budget for
+    re-checking each optimized level derived from its run. It reads only
+    [config.fuel], so checks that differ in levels or chaos can share
+    one. *)
+type reference
+
+val reference : config -> Epre_ir.Program.t -> reference
+
 (** Empty list = the program survives every level. The input program is
     not modified (each level runs on a copy). A program whose {e
     reference} run already fails (out of fuel before any optimization)
-    yields no failures — the oracle cannot differentiate it. *)
-val check : config -> Epre_ir.Program.t -> failure list
+    yields no failures — the oracle cannot differentiate it.
+    [reference] (by default [reference config prog]) must be of [prog]
+    at [config.fuel]. *)
+val check : ?reference:reference -> config -> Epre_ir.Program.t -> failure list
 
 (** The failure as a harness record: [outcome = Rolled_back], with the
     oracle's provenance ([fuzz_seed], [fuzz_level], [fuzz_class], the

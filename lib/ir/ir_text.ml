@@ -4,7 +4,9 @@
     int and float additions look alike; this module prints named opcodes
     and exact (hexadecimal) float literals so that [parse (print p)]
     reconstructs [p] exactly. Used by the CLI's [--format text], by golden
-    tests, and wherever a test wants to state a routine concisely.
+    tests, by the compile service (every inline-ILOC job is parsed, and
+    every routine printed to form its cache key), and wherever a test
+    wants to state a routine concisely.
 
     Grammar (line oriented; [#] starts a comment):
 
@@ -25,31 +27,60 @@
       term     := "jump" label
                 | "cbr" reg "," label "," label
                 | "return" [reg]
-    v} *)
+    v}
+
+    The printer writes non-negative ints digit by digit straight into
+    the buffer; floats go through [Value.to_string] ([%h]).
+
+    The parser is one scanner that walks the text with an index. Each
+    line's tokens are (start, length) spans in one reused array, and
+    keywords, opcodes and punctuation are compared in place, so the
+    success path builds no token lists and no per-token strings: only
+    routine names, callee names and value literals are copied out. A
+    [Parse_error] renders its tokens as strings, joined by spaces. *)
 
 exception Parse_error of { line : int; message : string }
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 
-let print_value buf v =
-  Buffer.add_string buf (Value.to_string v)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_digits buf n else Buffer.add_string buf (string_of_int n)
+
+let add_value buf = function
+  | Value.I i -> add_int buf i
+  | Value.F _ as v -> Buffer.add_string buf (Value.to_string v)
 
 let add_reg buf r =
   Buffer.add_char buf 'r';
-  Buffer.add_string buf (string_of_int r)
+  add_int buf r
 
 let add_label buf l =
   Buffer.add_char buf 'B';
-  Buffer.add_string buf (string_of_int l)
+  add_int buf l
 
 (* [r1, r2, ...] *)
-let add_regs buf regs =
-  List.iteri
-    (fun k r ->
-      if k > 0 then Buffer.add_string buf ", ";
-      add_reg buf r)
-    regs
+let rec add_regs buf = function
+  | [] -> ()
+  | [ r ] -> add_reg buf r
+  | r :: rest ->
+    add_reg buf r;
+    Buffer.add_string buf ", ";
+    add_regs buf rest
+
+(* [B1: r1, B2: r2, ...] *)
+let rec add_phi_args buf = function
+  | [] -> ()
+  | (l, r) :: rest ->
+    add_label buf l;
+    Buffer.add_string buf ": ";
+    add_reg buf r;
+    if rest <> [] then Buffer.add_string buf ", ";
+    add_phi_args buf rest
 
 (* "  rD = " *)
 let add_dst buf d =
@@ -58,101 +89,98 @@ let add_dst buf d =
   Buffer.add_string buf " = "
 
 let print_instr buf i =
-  let s = Buffer.add_string buf and reg = add_reg buf in
   (match i with
   | Instr.Const { dst; value } ->
     add_dst buf dst;
-    s "const ";
-    print_value buf value
+    Buffer.add_string buf "const ";
+    add_value buf value
   | Instr.Copy { dst; src } ->
     add_dst buf dst;
-    s "copy ";
-    reg src
+    Buffer.add_string buf "copy ";
+    add_reg buf src
   | Instr.Unop { op; dst; src } ->
     add_dst buf dst;
-    s (Op.unop_name op);
+    Buffer.add_string buf (Op.unop_name op);
     Buffer.add_char buf ' ';
-    reg src
+    add_reg buf src
   | Instr.Binop { op; dst; a; b } ->
     add_dst buf dst;
-    s (Op.binop_name op);
+    Buffer.add_string buf (Op.binop_name op);
     Buffer.add_char buf ' ';
-    reg a;
-    s ", ";
-    reg b
+    add_reg buf a;
+    Buffer.add_string buf ", ";
+    add_reg buf b
   | Instr.Load { dst; addr } ->
     add_dst buf dst;
-    s "load ";
-    reg addr
+    Buffer.add_string buf "load ";
+    add_reg buf addr
   | Instr.Store { addr; src } ->
-    s "  store ";
-    reg addr;
-    s ", ";
-    reg src
+    Buffer.add_string buf "  store ";
+    add_reg buf addr;
+    Buffer.add_string buf ", ";
+    add_reg buf src
   | Instr.Alloca { dst; words; init } ->
     add_dst buf dst;
-    s "alloca ";
-    s (string_of_int words);
-    s ", ";
-    print_value buf init
+    Buffer.add_string buf "alloca ";
+    add_int buf words;
+    Buffer.add_string buf ", ";
+    add_value buf init
   | Instr.Call { dst; callee; args } ->
-    (match dst with Some d -> add_dst buf d | None -> s "  ");
-    s "call ";
-    s callee;
+    (match dst with Some d -> add_dst buf d | None -> Buffer.add_string buf "  ");
+    Buffer.add_string buf "call ";
+    Buffer.add_string buf callee;
     Buffer.add_char buf '(';
     add_regs buf args;
     Buffer.add_char buf ')'
   | Instr.Phi { dst; args } ->
     add_dst buf dst;
-    s "phi(";
-    List.iteri
-      (fun k (l, r) ->
-        if k > 0 then s ", ";
-        add_label buf l;
-        s ": ";
-        reg r)
-      args;
+    Buffer.add_string buf "phi(";
+    add_phi_args buf args;
     Buffer.add_char buf ')');
   Buffer.add_char buf '\n'
 
+let rec print_instrs buf = function
+  | [] -> ()
+  | i :: rest ->
+    print_instr buf i;
+    print_instrs buf rest
+
 let print_terminator buf t =
-  let s = Buffer.add_string buf in
   (match t with
   | Instr.Jump l ->
-    s "  jump ";
+    Buffer.add_string buf "  jump ";
     add_label buf l
   | Instr.Cbr { cond; ifso; ifnot } ->
-    s "  cbr ";
+    Buffer.add_string buf "  cbr ";
     add_reg buf cond;
-    s ", ";
+    Buffer.add_string buf ", ";
     add_label buf ifso;
-    s ", ";
+    Buffer.add_string buf ", ";
     add_label buf ifnot
   | Instr.Ret (Some r) ->
-    s "  return ";
+    Buffer.add_string buf "  return ";
     add_reg buf r
-  | Instr.Ret None -> s "  return");
+  | Instr.Ret None -> Buffer.add_string buf "  return");
   Buffer.add_char buf '\n'
 
 let print_routine buf (r : Routine.t) =
-  let s = Buffer.add_string buf in
-  s "routine ";
-  s r.Routine.name;
+  Buffer.add_string buf "routine ";
+  Buffer.add_string buf r.Routine.name;
   Buffer.add_char buf '(';
   add_regs buf r.Routine.params;
-  s ") entry ";
+  Buffer.add_string buf ") entry ";
   add_label buf (Cfg.entry r.Routine.cfg);
-  s " regs ";
-  s (string_of_int r.Routine.next_reg);
-  s " {\n";
+  Buffer.add_string buf " regs ";
+  add_int buf r.Routine.next_reg;
+  Buffer.add_string buf " {\n";
   Cfg.iter_blocks
     (fun b ->
       add_label buf b.Block.id;
-      s ":\n";
-      List.iter (print_instr buf) b.Block.instrs;
+      Buffer.add_string buf ":\n";
+      print_instrs buf b.Block.instrs;
       print_terminator buf b.Block.term)
     r.Routine.cfg;
-  s "}\n"
+  Buffer.add_string buf "}\n"
 
 let print_program (prog : Program.t) =
   let buf = Buffer.create 4096 in
@@ -169,190 +197,312 @@ let routine_to_string r =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
+(* Scanning                                                            *)
+
+(* The text, the current line ([lno] is 0-based; [pos] its first byte,
+   [eol] its ['\n'] or the end of the text) and that line's [ntok]
+   tokens: token [k] starts at [spans.(2k)] and is [spans.(2k+1)] bytes
+   long. The array is reused from line to line and grows by doubling. *)
+type scanner = {
+  text : string;
+  mutable lno : int;
+  mutable pos : int;
+  mutable eol : int;
+  mutable spans : int array;
+  mutable ntok : int;
+}
+
+let fail sc fmt =
+  Printf.ksprintf (fun message -> raise (Parse_error { line = sc.lno + 1; message })) fmt
+
+let push sc start len =
+  let k = 2 * sc.ntok in
+  if k = Array.length sc.spans then sc.spans <- Array.append sc.spans (Array.make k 0);
+  Array.unsafe_set sc.spans k start;
+  Array.unsafe_set sc.spans (k + 1) len;
+  sc.ntok <- sc.ntok + 1
+
+(* Tokenize from byte [i] to the end of the line, whose ['\n'] (or the
+   end of the text) is returned; [tok] is the start of the token being
+   read, or -1. Tokens split at space and tab and at the punctuation
+   [, ( ) { } : =], which is a token of its own; [#] ends the line's
+   tokens; every other byte, ['\r'] included, belongs to a token. *)
+let rec scan sc i tok =
+  let text = sc.text in
+  if i >= String.length text then begin
+    if tok >= 0 then push sc tok (i - tok);
+    i
+  end
+  else
+    match String.unsafe_get text i with
+    | '\n' ->
+      if tok >= 0 then push sc tok (i - tok);
+      i
+    | ' ' | '\t' ->
+      if tok >= 0 then push sc tok (i - tok);
+      scan sc (i + 1) (-1)
+    | ',' | '(' | ')' | '{' | '}' | ':' | '=' ->
+      if tok >= 0 then push sc tok (i - tok);
+      push sc i 1;
+      scan sc (i + 1) (-1)
+    | '#' -> (
+      if tok >= 0 then push sc tok (i - tok);
+      match String.index_from_opt text i '\n' with
+      | Some j -> j
+      | None -> String.length text)
+    | _ -> scan sc (i + 1) (if tok >= 0 then tok else i)
+
+let advance sc =
+  sc.pos <- sc.eol + 1;
+  sc.lno <- sc.lno + 1
+
+(* Tokenize the current line, skipping lines without tokens; false at
+   the end of the text. The line stays current until [advance]. *)
+let rec next_nonempty sc =
+  if sc.pos > String.length sc.text then false
+  else begin
+    sc.ntok <- 0;
+    sc.eol <- scan sc sc.pos (-1);
+    sc.ntok > 0 || (advance sc; next_nonempty sc)
+  end
+
+let tok_start sc k = Array.unsafe_get sc.spans (2 * k)
+
+let tok_len sc k = Array.unsafe_get sc.spans ((2 * k) + 1)
+
+(* Token [k] (which must exist) is [s]. *)
+let tok_is sc k s =
+  let len = String.length s in
+  tok_len sc k = len
+  &&
+  let start = tok_start sc k in
+  let rec eq j =
+    j = len || (String.unsafe_get sc.text (start + j) = String.unsafe_get s j && eq (j + 1))
+  in
+  eq 0
+
+let tok_char sc k c = tok_len sc k = 1 && String.unsafe_get sc.text (tok_start sc k) = c
+
+let tok_string sc k = String.sub sc.text (tok_start sc k) (tok_len sc k)
+
+(* Tokens [k..] as the error messages show them. *)
+let tokens_from sc k = String.concat " " (List.init (sc.ntok - k) (fun j -> tok_string sc (k + j)))
+
+(* The plain decimal of [len] bytes at [start] (at most 18 digits, so it
+   cannot overflow), or -1 when the bytes are something else. *)
+let decimal text start len =
+  let rec go j acc =
+    if j = len then acc
+    else
+      match String.unsafe_get text (start + j) with
+      | '0' .. '9' as c -> go (j + 1) ((acc * 10) + Char.code c - 48)
+      | _ -> -1
+  in
+  if len < 1 || len > 18 then -1 else go 0 0
+
+(* Token [k] from byte [skip] on as an int: a plain decimal is read in
+   place, anything else goes through [int_of_string_opt]. *)
+let int_at sc k skip =
+  let start = tok_start sc k + skip and len = tok_len sc k - skip in
+  match decimal sc.text start len with
+  | -1 -> int_of_string_opt (String.sub sc.text start len)
+  | n -> Some n
+
+(* A register or label: [prefix] and a non-negative int. *)
+let numbered sc k prefix ~what =
+  if tok_len sc k >= 2 && String.unsafe_get sc.text (tok_start sc k) = prefix then
+    match int_at sc k 1 with
+    | Some n when n >= 0 -> n
+    | _ -> fail sc "bad %s %S" what (tok_string sc k)
+  else fail sc "expected a %s, got %S" what (tok_string sc k)
+
+let reg sc k = numbered sc k 'r' ~what:"register"
+
+let label sc k = numbered sc k 'B' ~what:"label"
+
+(* An int literal, else a float literal; plain decimals (with an
+   optional [-]) are read in place. *)
+let value sc k =
+  let start = tok_start sc k and len = tok_len sc k in
+  let neg = String.unsafe_get sc.text start = '-' in
+  let skip = if neg then 1 else 0 in
+  match decimal sc.text (start + skip) (len - skip) with
+  | -1 -> (
+    let s = tok_string sc k in
+    match int_of_string_opt s with
+    | Some i -> Value.I i
+    | None -> (
+      match float_of_string_opt s with
+      | Some f -> Value.F f
+      | None -> fail sc "bad value literal %S" s))
+  | n -> Value.I (if neg then -n else n)
+
+(* Opcodes bucketed by name length, each op pre-wrapped in [Some]. *)
+let op_table name ops =
+  let longest = List.fold_left (fun m op -> max m (String.length (name op))) 0 ops in
+  let table = Array.make (longest + 1) [||] in
+  List.iter
+    (fun op ->
+      let n = String.length (name op) in
+      table.(n) <- Array.append table.(n) [| (name op, Some op) |])
+    ops;
+  table
+
+let unops = op_table Op.unop_name Op.all_unops
+
+let binops = op_table Op.binop_name Op.all_binops
+
+let find_op table sc k =
+  let len = tok_len sc k in
+  if len >= Array.length table then None
+  else
+    let bucket = table.(len) in
+    let rec go j =
+      if j = Array.length bucket then None
+      else
+        let name, op = bucket.(j) in
+        if tok_is sc k name then op else go (j + 1)
+    in
+    go 0
+
+(* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 
-type pstate = { lines : string array; mutable lno : int }
-
-let fail st fmt =
-  Printf.ksprintf (fun message -> raise (Parse_error { line = st.lno + 1; message })) fmt
-
-(* Split a line into tokens; punctuation (, ( ) { } :) become their own
-   tokens, '=' its own token. *)
-let tokenize_line line =
-  let buf = Buffer.create 8 in
-  let out = ref [] in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      out := Buffer.contents buf :: !out;
-      Buffer.clear buf
-    end
+(* Registers of a comma-separated list from token [k] up to ")", and the
+   index of the token after it. *)
+let reg_list sc k =
+  let rec go acc k =
+    if k >= sc.ntok then fail sc "unterminated register list"
+    else if tok_char sc k ')' then (List.rev acc, k + 1)
+    else if tok_char sc k ',' then go acc (k + 1)
+    else go (reg sc k :: acc) (k + 1)
   in
-  String.iter
-    (fun c ->
-      match c with
-      | ' ' | '\t' -> flush ()
-      | ',' | '(' | ')' | '{' | '}' | ':' | '=' ->
-        flush ();
-        out := String.make 1 c :: !out
-      | '#' -> flush ()  (* comment: handled by caller cutting the line *)
-      | c -> Buffer.add_char buf c)
-    line;
-  flush ();
-  List.rev !out
+  go [] k
 
-let strip_comment line =
-  match String.index_opt line '#' with
-  | Some i -> String.sub line 0 i
-  | None -> line
-
-let current_tokens st =
-  if st.lno >= Array.length st.lines then None
-  else Some (tokenize_line (strip_comment st.lines.(st.lno)))
-
-let rec next_nonempty st =
-  match current_tokens st with
-  | None -> None
-  | Some [] ->
-    st.lno <- st.lno + 1;
-    next_nonempty st
-  | Some toks -> Some toks
-
-let advance st = st.lno <- st.lno + 1
-
-let parse_reg st tok =
-  if String.length tok >= 2 && tok.[0] = 'r' then
-    match int_of_string_opt (String.sub tok 1 (String.length tok - 1)) with
-    | Some n when n >= 0 -> n
-    | _ -> fail st "bad register %S" tok
-  else fail st "expected a register, got %S" tok
-
-let parse_label st tok =
-  if String.length tok >= 2 && tok.[0] = 'B' then
-    match int_of_string_opt (String.sub tok 1 (String.length tok - 1)) with
-    | Some n when n >= 0 -> n
-    | _ -> fail st "bad label %S" tok
-  else fail st "expected a label, got %S" tok
-
-let parse_value st tok =
-  match int_of_string_opt tok with
-  | Some i -> Value.I i
-  | None -> begin
-    match float_of_string_opt tok with
-    | Some f -> Value.F f
-    | None -> fail st "bad value literal %S" tok
+let rec phi_args sc acc k =
+  if k >= sc.ntok then fail sc "malformed phi arguments"
+  else if tok_char sc k ')' then List.rev acc
+  else if tok_char sc k ',' then phi_args sc acc (k + 1)
+  else if k + 2 < sc.ntok && tok_char sc (k + 1) ':' then begin
+    let r = reg sc (k + 2) in
+    let l = label sc k in
+    phi_args sc ((l, r) :: acc) (k + 3)
   end
+  else fail sc "malformed phi arguments"
 
-let unop_by_name = List.map (fun op -> (Op.unop_name op, op)) Op.all_unops
+let cannot_parse sc = fail sc "cannot parse instruction %s" (tokens_from sc 0)
 
-let binop_by_name = List.map (fun op -> (Op.binop_name op, op)) Op.all_binops
+(* [call name ( regs )] from token [k]; tokens after the ")" are ignored. *)
+let is_call sc k = sc.ntok - k >= 3 && tok_is sc k "call" && tok_char sc (k + 2) '('
 
-(* registers of a comma-separated list up to ")" *)
-let parse_reg_list st toks =
-  let rec go acc = function
-    | ")" :: rest -> (List.rev acc, rest)
-    | "," :: rest -> go acc rest
-    | tok :: rest -> go (parse_reg st tok :: acc) rest
-    | [] -> fail st "unterminated register list"
-  in
-  go [] toks
+let call sc k dst =
+  let callee = tok_string sc (k + 1) in
+  let args, _ = reg_list sc (k + 3) in
+  Instr.Call { dst; callee; args }
 
-let parse_instr_line st toks =
-  match toks with
-  | [ "store"; a; ","; v ] -> Instr.Store { addr = parse_reg st a; src = parse_reg st v }
-  | "call" :: callee :: "(" :: rest ->
-    let args, _ = parse_reg_list st rest in
-    Instr.Call { dst = None; callee; args }
-  | dst :: "=" :: rest -> begin
-    let dst = parse_reg st dst in
-    match rest with
-    | [ "const"; v ] -> Instr.Const { dst; value = parse_value st v }
-    | [ "copy"; s ] -> Instr.Copy { dst; src = parse_reg st s }
-    | [ "load"; a ] -> Instr.Load { dst; addr = parse_reg st a }
-    | [ "alloca"; n; ","; v ] -> begin
-      match int_of_string_opt n with
-      | Some words -> Instr.Alloca { dst; words; init = parse_value st v }
-      | None -> fail st "bad alloca size %S" n
-    end
-    | "call" :: callee :: "(" :: rest ->
-      let args, _ = parse_reg_list st rest in
-      Instr.Call { dst = Some dst; callee; args }
-    | "phi" :: "(" :: rest ->
-      let rec go acc = function
-        | ")" :: _ -> List.rev acc
-        | "," :: rest -> go acc rest
-        | l :: ":" :: r :: rest -> go ((parse_label st l, parse_reg st r) :: acc) rest
-        | _ -> fail st "malformed phi arguments"
-      in
-      Instr.Phi { dst; args = go [] rest }
-    | [ opname; a ] when List.mem_assoc opname unop_by_name ->
-      Instr.Unop { op = List.assoc opname unop_by_name; dst; src = parse_reg st a }
-    | [ opname; a; ","; b ] when List.mem_assoc opname binop_by_name ->
-      Instr.Binop
-        { op = List.assoc opname binop_by_name; dst; a = parse_reg st a; b = parse_reg st b }
-    | _ -> fail st "cannot parse instruction %s" (String.concat " " toks)
+(* [rD = ...]: the operation's tokens start at 2. *)
+let assignment sc =
+  let dst = reg sc 0 in
+  let n = sc.ntok - 2 in
+  if n = 2 && tok_is sc 2 "const" then Instr.Const { dst; value = value sc 3 }
+  else if n = 2 && tok_is sc 2 "copy" then Instr.Copy { dst; src = reg sc 3 }
+  else if n = 2 && tok_is sc 2 "load" then Instr.Load { dst; addr = reg sc 3 }
+  else if n = 4 && tok_is sc 2 "alloca" && tok_char sc 4 ',' then
+    match int_at sc 3 0 with
+    | Some words -> Instr.Alloca { dst; words; init = value sc 5 }
+    | None -> fail sc "bad alloca size %S" (tok_string sc 3)
+  else if is_call sc 2 then call sc 2 (Some dst)
+  else if n >= 2 && tok_is sc 2 "phi" && tok_char sc 3 '(' then
+    Instr.Phi { dst; args = phi_args sc [] 4 }
+  else if n = 2 then
+    match find_op unops sc 2 with
+    | Some op -> Instr.Unop { op; dst; src = reg sc 3 }
+    | None -> cannot_parse sc
+  else if n = 4 && tok_char sc 4 ',' then
+    match find_op binops sc 2 with
+    | Some op ->
+      let b = reg sc 5 in
+      let a = reg sc 3 in
+      Instr.Binop { op; dst; a; b }
+    | None -> cannot_parse sc
+  else cannot_parse sc
+
+let parse_instr sc =
+  if sc.ntok = 4 && tok_is sc 0 "store" && tok_char sc 2 ',' then begin
+    let src = reg sc 3 in
+    let addr = reg sc 1 in
+    Instr.Store { addr; src }
   end
-  | _ -> fail st "cannot parse instruction %s" (String.concat " " toks)
+  else if is_call sc 0 then call sc 0 None
+  else if sc.ntok >= 2 && tok_char sc 1 '=' then assignment sc
+  else cannot_parse sc
 
-let parse_terminator st toks =
-  match toks with
-  | [ "jump"; l ] -> Instr.Jump (parse_label st l)
-  | [ "cbr"; c; ","; l1; ","; l2 ] ->
-    Instr.Cbr { cond = parse_reg st c; ifso = parse_label st l1; ifnot = parse_label st l2 }
-  | [ "return" ] -> Instr.Ret None
-  | [ "return"; r ] -> Instr.Ret (Some (parse_reg st r))
-  | _ -> fail st "cannot parse terminator %s" (String.concat " " toks)
+let is_terminator sc = tok_is sc 0 "jump" || tok_is sc 0 "cbr" || tok_is sc 0 "return"
 
-let is_terminator = function
-  | ("jump" | "cbr" | "return") :: _ -> true
-  | _ -> false
+let parse_terminator sc =
+  let n = sc.ntok in
+  if n = 2 && tok_is sc 0 "jump" then Instr.Jump (label sc 1)
+  else if n = 6 && tok_is sc 0 "cbr" && tok_char sc 2 ',' && tok_char sc 4 ',' then begin
+    let ifnot = label sc 5 in
+    let ifso = label sc 3 in
+    let cond = reg sc 1 in
+    Instr.Cbr { cond; ifso; ifnot }
+  end
+  else if n = 1 && tok_is sc 0 "return" then Instr.Ret None
+  else if n = 2 && tok_is sc 0 "return" then Instr.Ret (Some (reg sc 1))
+  else fail sc "cannot parse terminator %s" (tokens_from sc 0)
 
-let parse_routine ~validate st header =
+(* The current line is the routine's header. *)
+let parse_routine ~validate sc =
   (* routine NAME ( params ) entry Bn regs N { *)
-  let name, rest =
-    match header with
-    | "routine" :: name :: "(" :: rest -> (name, rest)
-    | _ -> fail st "expected a routine header"
+  if not (sc.ntok >= 3 && tok_is sc 0 "routine" && tok_char sc 2 '(') then
+    fail sc "expected a routine header";
+  let name = tok_string sc 1 in
+  let params, k = reg_list sc 3 in
+  if
+    not
+      (sc.ntok - k = 5
+      && tok_is sc k "entry"
+      && tok_is sc (k + 2) "regs"
+      && tok_char sc (k + 4) '{')
+  then fail sc "malformed routine header tail: %s" (tokens_from sc k);
+  let next_reg =
+    match int_at sc (k + 3) 0 with
+    | Some n -> n
+    | None -> fail sc "bad register count %S" (tok_string sc (k + 3))
   in
-  let params, rest = parse_reg_list st rest in
-  let entry, next_reg =
-    match rest with
-    | [ "entry"; l; "regs"; n; "{" ] -> begin
-      match int_of_string_opt n with
-      | Some n -> (parse_label st l, n)
-      | None -> fail st "bad register count %S" n
-    end
-    | _ -> fail st "malformed routine header tail: %s" (String.concat " " rest)
-  in
-  advance st;
+  let entry = label sc (k + 1) in
+  advance sc;
   (* Collect blocks: (id, instrs, term) *)
-  let blocks = ref [] in
-  let rec parse_blocks () =
-    match next_nonempty st with
-    | None -> fail st "unterminated routine %s" name
-    | Some [ "}" ] -> advance st
-    | Some [ label; ":" ] ->
-      let id = parse_label st label in
-      advance st;
-      let instrs = ref [] in
-      let rec body () =
-        match next_nonempty st with
-        | None -> fail st "unterminated block B%d" id
-        | Some toks when is_terminator toks ->
-          let term = parse_terminator st toks in
-          advance st;
-          blocks := (id, List.rev !instrs, term) :: !blocks
-        | Some toks ->
-          instrs := parse_instr_line st toks :: !instrs;
-          advance st;
-          body ()
+  let rec parse_blocks blocks =
+    if not (next_nonempty sc) then fail sc "unterminated routine %s" name
+    else if sc.ntok = 1 && tok_char sc 0 '}' then begin
+      advance sc;
+      List.rev blocks
+    end
+    else if sc.ntok = 2 && tok_char sc 1 ':' then begin
+      let id = label sc 0 in
+      advance sc;
+      let rec body instrs =
+        if not (next_nonempty sc) then fail sc "unterminated block B%d" id
+        else if is_terminator sc then begin
+          let term = parse_terminator sc in
+          advance sc;
+          (id, List.rev instrs, term)
+        end
+        else begin
+          let i = parse_instr sc in
+          advance sc;
+          body (i :: instrs)
+        end
       in
-      body ();
-      parse_blocks ()
-    | Some toks -> fail st "expected a block label, got %s" (String.concat " " toks)
+      let block = body [] in
+      parse_blocks (block :: blocks)
+    end
+    else fail sc "expected a block label, got %s" (tokens_from sc 0)
   in
-  parse_blocks ();
-  let blocks = List.rev !blocks in
-  if blocks = [] then fail st "routine %s has no blocks" name;
+  let blocks = parse_blocks [] in
+  if blocks = [] then fail sc "routine %s has no blocks" name;
   let max_id = List.fold_left (fun acc (id, _, _) -> max acc id) 0 blocks in
   let cfg = Cfg.create () in
   for _ = 0 to max_id do
@@ -361,13 +511,13 @@ let parse_routine ~validate st header =
   let listed = Array.make (max_id + 1) false in
   List.iter
     (fun (id, instrs, term) ->
-      if listed.(id) then fail st "duplicate block B%d" id;
+      if listed.(id) then fail sc "duplicate block B%d" id;
       listed.(id) <- true;
       let b = Cfg.block cfg id in
       b.Block.instrs <- instrs;
       b.Block.term <- term)
     blocks;
-  if entry > max_id || not listed.(entry) then fail st "entry B%d is not defined" entry;
+  if entry > max_id || not listed.(entry) then fail sc "entry B%d is not defined" entry;
   Cfg.set_entry cfg entry;
   (* blocks never listed are holes (removed blocks in the source CFG) *)
   for id = 0 to max_id do
@@ -378,22 +528,19 @@ let parse_routine ~validate st header =
   r
 
 let parse_program ?(validate = true) text =
-  let st = { lines = Array.of_list (String.split_on_char '\n' text); lno = 0 } in
-  let routines = ref [] in
-  let rec go () =
-    match next_nonempty st with
-    | None -> ()
-    | Some header ->
+  let sc = { text; lno = 0; pos = 0; eol = 0; spans = Array.make 32 0; ntok = 0 } in
+  let rec go routines =
+    if not (next_nonempty sc) then Program.create (List.rev routines)
+    else begin
       (* Calls, type inference and the interpreter all resolve a routine
          by name, so a second routine under one name is an error, as it
          is in the frontend. *)
-      (match header with
-      | "routine" :: name :: _
-        when List.exists (fun (r : Routine.t) -> r.Routine.name = name) !routines ->
-        fail st "duplicate routine %s" name
-      | _ -> ());
-      routines := parse_routine ~validate st header :: !routines;
-      go ()
+      if
+        sc.ntok >= 2
+        && tok_is sc 0 "routine"
+        && List.exists (fun (r : Routine.t) -> tok_is sc 1 r.Routine.name) routines
+      then fail sc "duplicate routine %s" (tok_string sc 1);
+      go (parse_routine ~validate sc :: routines)
+    end
   in
-  go ();
-  Program.create (List.rev !routines)
+  go []

@@ -1,8 +1,34 @@
 (** Unambiguous textual ILOC: a parse/print pair that round-trips exactly
     (named opcodes, hexadecimal float literals, explicit entry/register
     headers, CFG holes preserved). Used by the CLI's [--format text], by
-    golden tests, and to state routines concisely in tests. [#] starts a
-    comment. *)
+    golden tests, by the compile service (inline-ILOC jobs, cache keys),
+    and to state routines concisely in tests.
+
+    The printer writes ints as digits straight into one buffer; floats
+    print as [Value.to_string] ([%h]).
+
+    The parser is a scanner that walks the text with an index; a line's
+    tokens are (start, length) spans in one reused array, compared in
+    place, so accepting a program copies out only routine names, callee
+    names and value literals. The language it accepts, exactly:
+    - lines split at ['\n']; a line's tokens split at space and tab and
+      at [, ( ) { } : =], each of which is a token of its own; [#] runs
+      to the end of the line; every other byte, ['\r'] included, belongs
+      to a token, and a line without tokens is blank;
+    - a register is [r] and a label [B] followed by a non-negative int;
+      that int, a routine's [regs] count and an [alloca] size are read in
+      place when they are plain decimals and otherwise go through
+      [int_of_string_opt] on their text, so [r0x1f], [r1_0] and [r+5]
+      are registers 31, 10 and 5; a value literal is an int if
+      [int_of_string_opt] reads it, else a float if [float_of_string_opt]
+      does;
+    - register lists (parameters, call arguments) and phi arguments skip
+      commas, so commas there are optional and may repeat; tokens after
+      the [)] of a call are ignored.
+
+    Every [Parse_error] carries the 1-based line and the message the
+    tokenizer-based parser it replaced gave (its tokens joined by single
+    spaces); that parser is kept as a test oracle. *)
 
 exception Parse_error of { line : int; message : string }
 

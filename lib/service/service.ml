@@ -170,10 +170,11 @@ let result_to_json r =
     @ (match r.iloc with Some s -> [ ("iloc", J.Str s) ] | None -> [])
     @ match r.error with Some m -> [ ("error", J.Str m) ] | None -> [])
 
-(* An ILOC file's program; a routine that fails validation is reported
-   at its header line. *)
-let parse_iloc_file path text =
-  let at line m = Error (Printf.sprintf "%s:%d: %s" path line m) in
+(* An ILOC program, parsed and then validated; a routine that fails
+   validation is reported at its header line. Errors read
+   [<where><line>: <message>]. *)
+let parse_iloc ~where text =
+  let at line m = Error (Printf.sprintf "%s%d: %s" where line m) in
   let invalid (r : Routine.t) =
     match Routine.validate r with () -> None | exception Routine.Ill_formed m -> Some (r, m)
   in
@@ -191,7 +192,7 @@ let parse_iloc_file path text =
 let load_program = function
   | File path -> (
     match In_channel.with_open_bin path In_channel.input_all with
-    | text when Filename.check_suffix path ".iloc" -> parse_iloc_file path text
+    | text when Filename.check_suffix path ".iloc" -> parse_iloc ~where:(path ^ ":") text
     | text -> (
       try Ok (Epre_frontend.Frontend.compile_string text) with
       | Epre_frontend.Frontend.Error { line; message } ->
@@ -205,9 +206,7 @@ let load_program = function
     try Ok (Epre_frontend.Frontend.compile_string text) with
     | Epre_frontend.Frontend.Error { line; message } ->
       Error (Printf.sprintf "line %d: %s" line message))
-  | Iloc text -> (
-    try Ok (Ir_text.parse_program text) with
-    | e -> Error ("ILOC parse failed: " ^ Printexc.to_string e))
+  | Iloc text -> parse_iloc ~where:"line " text
 
 let error_result ?line ~id ~level msg =
   { job_id = id; ok = false; outcome = Failed; attempts = 1; job_level = level;

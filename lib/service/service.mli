@@ -137,7 +137,10 @@ type job = {
 
 (** The program a job input names (the CLI reads program files through
     it). [Error] is one line: ["path:line: message"] for a file that does
-    not parse or validate, the [Sys_error] text for an unreadable one. *)
+    not parse or validate, ["line N: message"] for inline [source] or
+    [iloc] text that does not, the [Sys_error] text for an unreadable
+    file. ILOC is parsed, then validated: a routine that fails validation
+    is reported at its header line. *)
 val load_program : job_input -> (Program.t, string) result
 
 (** Decode one job line. [default_id] is used when the object carries no

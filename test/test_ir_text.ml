@@ -147,3 +147,176 @@ let roundtrip_random_programs =
       Ir_text.print_program prog' = text)
 
 let suite = suite @ [ roundtrip_random_programs ]
+
+(* ------------------------------------------------------------------ *)
+(* The scanner against the tokenizer parser it replaced                *)
+
+(* What a parser makes of a text: the program as its own printer prints
+   it, or the error it raised. *)
+type outcome = Accepted of string | Rejected of int * string | Ill_formed of string
+
+let show = function
+  | Accepted text -> Printf.sprintf "accepted %S" text
+  | Rejected (line, message) -> Printf.sprintf "Parse_error (%d, %S)" line message
+  | Ill_formed m -> Printf.sprintf "Ill_formed %S" m
+
+let scanner text =
+  match Ir_text.parse_program text with
+  | p -> Accepted (Ir_text.print_program p)
+  | exception Ir_text.Parse_error { line; message } -> Rejected (line, message)
+  | exception Routine.Ill_formed m -> Ill_formed m
+
+let reference text =
+  match Ir_text_reference.parse_program text with
+  | p -> Accepted (Ir_text_reference.print_program p)
+  | exception Ir_text_reference.Parse_error { line; message } -> Rejected (line, message)
+  | exception Routine.Ill_formed m -> Ill_formed m
+
+let agrees text =
+  let ours = scanner text and theirs = reference text in
+  ours = theirs
+  || QCheck2.Test.fail_reportf "input %S@.scanner:   %s@.reference: %s" text (show ours)
+       (show theirs)
+
+(* Printed workload ILOC to mutate: every workload unoptimized, in SSA
+   form (phis) and at distribution (holes, hexadecimal floats). *)
+let workload_texts =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun w ->
+            let prog = Epre_workloads.Workloads.compile w in
+            let ssa = Program.copy prog in
+            List.iter (fun r -> ignore (Epre_ssa.Ssa.build r)) (Program.routines ssa);
+            let optimized, _ =
+              Epre.Pipeline.optimized_copy ~level:Epre.Pipeline.Distribution prog
+            in
+            List.map Ir_text_reference.print_program [ prog; ssa; optimized ])
+          Epre_workloads.Workloads.all))
+
+(* One byte replaced, biased toward the bytes the grammar gives meaning. *)
+let mutated_workload =
+  QCheck2.Gen.(
+    let* text = delay (fun () -> oneofa (Lazy.force workload_texts)) in
+    let* pos = int_bound (String.length text - 1) in
+    let* c =
+      oneof
+        [ printable;
+          oneofl
+            [ ' '; '\t'; '\n'; '\r'; '#'; ','; '('; ')'; '{'; '}'; ':'; '='; '-'; '+'; '_';
+              '.'; 'r'; 'B'; 'x'; 'p'; '0'; '1'; '9' ] ]
+    in
+    let b = Bytes.of_string text in
+    Bytes.set b pos c;
+    return (Bytes.to_string b))
+
+let generated_program =
+  QCheck2.Gen.map
+    (fun seed -> Ir_text_reference.print_program (Test_random_programs.compile seed))
+    Test_random_programs.gen_seed
+
+let scanner_matches_reference =
+  [ Helpers.qcheck_case ~count:1000 "Ir_text" "scanner = reference parser: token soup"
+      Test_fuzz_parsers.ir_text_soup agrees;
+    Helpers.qcheck_case ~count:1000 "Ir_text"
+      "scanner = reference parser: one-byte mutations of workload ILOC" mutated_workload agrees;
+    Helpers.qcheck_case ~count:100 "Ir_text"
+      "scanner = reference parser: generated programs" generated_program agrees ]
+
+(* The language's quirks, each pinned and checked against the reference. *)
+let test_scanner_quirks () =
+  let routine ?(params = "") ?(regs = 4) body =
+    Printf.sprintf "routine f(%s) entry B0 regs %d {\nB0:\n%s\n}\n" params regs body
+  in
+  let pin what text want =
+    let got = scanner text in
+    Alcotest.(check string) (what ^ ": scanner = reference") (show (reference text)) (show got);
+    Alcotest.(check string) what (show want) (show got)
+  in
+  let accepted ?regs body = Accepted (routine ?regs body ^ "\n") in
+  (* Numbers that are not plain decimals go through [int_of_string_opt]. *)
+  pin "hex register" (routine ~regs:32 "  r0x1f = const 1\n  return r31")
+    (accepted ~regs:32 "  r31 = const 1\n  return r31");
+  pin "underscore register" (routine ~regs:11 "  r1_0 = const 2\n  return r10")
+    (accepted ~regs:11 "  r10 = const 2\n  return r10");
+  pin "signed register" (routine ~regs:6 "  r+5 = const 3\n  return r5")
+    (accepted ~regs:6 "  r5 = const 3\n  return r5");
+  pin "overflowing register" (routine "  r99999999999999999999 = const 1\n  return")
+    (Rejected (3, {|bad register "r99999999999999999999"|}));
+  pin "negative register" (routine "  r-1 = const 1\n  return")
+    (Rejected (3, {|bad register "r-1"|}));
+  pin "value literals"
+    (routine ~regs:6
+       "  r0 = const -7\n  r1 = const 0x10\n  r2 = const 1_000\n  r3 = const 1e3\n  r4 = const -0x1p-3\n  r5 = const -0\n  return r0")
+    (accepted ~regs:6
+       "  r0 = const -7\n  r1 = const 16\n  r2 = const 1000\n  r3 = const 0x1.f4p+9\n  r4 = const -0x1p-3\n  r5 = const 0\n  return r0");
+  (* Register lists and phi arguments skip commas: any number, or none. *)
+  let commas =
+    "routine g(r0 r1) entry B0 regs 2 {\nB0:\n  return r0\n}\n\n"
+    ^ "routine f(,r0,,) entry B0 regs 4 {\nB0:\n  r1 = call g(r0 r0,)\n  cbr r1, B1, B2\n"
+    ^ "B1:\n  jump B2\nB2:\n  r3 = phi(B0: r1 B1: r0,)\n  return r3\n}\n"
+  in
+  pin "optional commas" commas
+    (Accepted
+       ("routine g(r0, r1) entry B0 regs 2 {\nB0:\n  return r0\n}\n\n"
+      ^ "routine f(r0) entry B0 regs 4 {\nB0:\n  r1 = call g(r0, r0)\n  cbr r1, B1, B2\n"
+      ^ "B1:\n  jump B2\nB2:\n  r3 = phi(B0: r1, B1: r0)\n  return r3\n}\n\n"));
+  (* Tokens after the ")" of a call are ignored. *)
+  pin "trailing call tokens" (routine "  call f() junk r9 ( ,\n  r0 = call f(r1) ) 7\n  return")
+    (accepted "  call f()\n  r0 = call f(r1)\n  return");
+  (* '\r' is a token byte like any other. *)
+  pin "carriage return in a keyword"
+    (String.concat "\r\n" [ "routine f() entry B0 regs 0 {"; "B0:"; "  return"; "}" ])
+    (Rejected (1, "malformed routine header tail: entry B0 regs 0 { \r"));
+  pin "carriage return in a register" (routine "  r0 = const 1\n  return r0\r")
+    (Rejected (4, "bad register \"r0\\r\""));
+  (* A comment ends a token; a bare "#" line is blank. *)
+  pin "comments" (routine "#\n  r0 = const 5# five\n  return r0#")
+    (accepted "  r0 = const 5\n  return r0");
+  (* When two operands are bad, both parsers name the same one. *)
+  List.iter
+    (fun (what, body) -> pin what (routine body) (reference (routine body)))
+    [ ("two bad store operands", "  store rx, ry\n  return");
+      ("two bad binop operands", "  r0 = add rx, ry\n  return");
+      ("two bad cbr operands", "  cbr rx, Bx, By");
+      ("two bad phi operands", "  r0 = phi(Bx: ry)\n  return");
+      ("bad alloca size and value", "  r0 = alloca x, y\n  return") ];
+  (* Errors at the end of the text name the line after the last. *)
+  pin "unterminated routine" "routine f() entry B0 regs 0 {\nB0:\n  return\n"
+    (Rejected (5, "unterminated routine f"));
+  pin "unterminated block" "routine f() entry B0 regs 0 {\nB0:" (Rejected (3, "unterminated block B0"));
+  pin "bad register count" "routine f() entry B0 regs 99999999999999999999 {\n}"
+    (Rejected (1, {|bad register count "99999999999999999999"|}))
+
+(* ROADMAP item 1's normalization property for the text format: an
+   optimized program prints to a fixed point of print∘parse, and its
+   reparse behaves exactly as it does. *)
+let test_optimized_text_is_normal () =
+  let exact a b =
+    match (a, b) with
+    | Ok (r, e), Ok (r', e') -> Option.equal Value.equal r r' && List.equal Value.equal e e'
+    | Error a, Error b -> String.equal a b
+    | _ -> false
+  in
+  List.iter
+    (fun seed ->
+      let prog = Test_random_programs.compile seed in
+      List.iter
+        (fun level ->
+          let p, _ = Epre.Pipeline.optimized_copy ~level prog in
+          let text = Ir_text.print_program p in
+          let p' = Ir_text.parse_program text in
+          let what = Printf.sprintf "seed %d at %s" seed (Epre.Pipeline.level_to_string level) in
+          Alcotest.(check string) (what ^ ": print (parse (print p))") text
+            (Ir_text.print_program p');
+          Alcotest.(check bool) (what ^ ": the reparse behaves identically") true
+            (exact (Test_random_programs.observe p) (Test_random_programs.observe p')))
+        [ Epre.Pipeline.Reassociation; Epre.Pipeline.Distribution ])
+    [ 3; 17; 101; 4242; 90_001; 123_457; 777_777; 31_415_926; 271_828_182; 999_999_937 ]
+
+let suite =
+  suite
+  @ scanner_matches_reference
+  @ [ Alcotest.test_case "parse: the scanner's quirks, pinned" `Quick test_scanner_quirks;
+      Alcotest.test_case "round trip: optimized generated programs are normal" `Quick
+        test_optimized_text_is_normal ]

@@ -754,6 +754,28 @@ let test_file_job_reads_iloc () =
   Alcotest.(check string) "file job = inline job" inline
     (line { job with Service.input = Service.File path })
 
+(* An inline ILOC job that does not parse or validate reports what a file
+   job naming the same text reports, "line N: " in place of "path:N: ". *)
+let test_inline_iloc_errors_match_file_job () =
+  let check what text want =
+    let path = Filename.temp_file "eprec-test" ".iloc" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    let error input =
+      match (Service.run_job { (iloc_job what) with Service.input }).Service.error with
+      | Some m -> m
+      | None -> Alcotest.failf "%s: the job succeeded" what
+    in
+    Alcotest.(check string) (what ^ ": file job") (path ^ ":" ^ want) (error (Service.File path));
+    Alcotest.(check string) (what ^ ": inline job") ("line " ^ want) (error (Service.Iloc text))
+  in
+  check "bad instruction"
+    "routine main() entry B0 regs 1 {\nB0:\n  r0 = bogus\n  return r0\n}\n"
+    "3: cannot parse instruction r0 = bogus";
+  check "jump to a missing block"
+    "routine g() entry B0 regs 0 {\nB0:\n  return\n}\n\n# main\nroutine main() entry B0 regs 0 {\nB0:\n  jump B7\n}\n"
+    "7: main: block 0 jumps to missing block 7"
+
 let test_serve_stream () =
   let input =
     String.concat "\n"
@@ -1629,4 +1651,6 @@ let suite =
     Alcotest.test_case "sweep spares a live writer's temp file" `Quick
       test_cache_sweep_spares_locked;
     Alcotest.test_case "a file job reads ILOC" `Quick test_file_job_reads_iloc;
+    Alcotest.test_case "an inline ILOC job's errors match a file job's" `Quick
+      test_inline_iloc_errors_match_file_job;
   ]
