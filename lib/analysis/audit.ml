@@ -38,6 +38,7 @@ type report = {
   baseline_speculative_count : int option;
 }
 
+(* Blocks live-in threshold for the A006 lifetime warning. *)
 let lifetime_threshold = 8
 
 (* ------------------------------------------------------------------ *)

@@ -86,6 +86,3 @@ val run : ?expect_pre:bool -> ?baseline:Routine.t -> Routine.t -> report
 (** Sites still classified [Full] or [Partial] — the static
     effectiveness score (0 = nothing left on the table). *)
 val residual : report -> int
-
-(** Blocks live-in threshold for the A006 lifetime warning. *)
-val lifetime_threshold : int

@@ -27,7 +27,6 @@ type key = Expr_key.t =
 
 let key_of = Expr_key.of_instr
 
-let key_operands = Expr_key.operands
 
 let is_load = function KLoad _ -> true | KConst _ | KUnop _ | KBinop _ -> false
 
@@ -93,7 +92,9 @@ let build (r : Routine.t) =
   let loads = ref [] in
   Array.iter
     (fun e ->
-      List.iter (fun operand -> killed_by.(operand) <- e.index :: killed_by.(operand)) (key_operands e.key);
+      List.iter
+        (fun operand -> killed_by.(operand) <- e.index :: killed_by.(operand))
+        (Expr_key.operands e.key);
       if is_load e.key then loads := e.index :: !loads)
     exprs;
   { exprs; of_name; killed_by; loads = !loads }

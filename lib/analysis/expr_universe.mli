@@ -19,8 +19,6 @@ type key = Expr_key.t =
 (** The key an instruction evaluates, [None] for non-expressions. *)
 val key_of : Instr.t -> key option
 
-val key_operands : key -> Instr.reg list
-
 type expr = {
   index : int;  (** dense index into the bit vectors *)
   name : Instr.reg;  (** the canonical destination *)

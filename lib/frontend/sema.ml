@@ -6,8 +6,8 @@
     arithmetic, assignments, arguments and returns, and arrays passed by
     reference with shapes that must match the callee's declaration.
 
-    [type_of_expr] is shared with the lowering pass so the two cannot
-    disagree about typing. *)
+    The lowering pass shares [join_scalar] and the intrinsic table, so
+    the two agree on widening and on intrinsics. *)
 
 open Ast
 

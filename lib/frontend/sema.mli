@@ -2,8 +2,8 @@
 
     FORTRAN-flavoured rules: one flat scope per routine, implicit [int] to
     [float] widening, arrays passed by reference with shapes matching the
-    callee's declaration. [type_of_expr] is shared with the lowering pass
-    so the two cannot disagree. *)
+    callee's declaration. The lowering pass shares [join_scalar] and the
+    intrinsic table, so the two agree on widening and on intrinsics. *)
 
 open Ast
 
@@ -21,11 +21,6 @@ val is_intrinsic : string -> bool
 
 (** Common type of two scalar operands (int widens to float). *)
 val join_scalar : int -> scalar_ty -> scalar_ty -> scalar_ty
-
-(** Type of an expression under [vars] (the routine's scope lookup).
-    @raise Error on ill-typed expressions. *)
-val type_of_expr :
-  env -> vars:(string -> vtype option) -> line:int -> expr -> vtype
 
 (** Check a whole program and return its routine signatures.
     @raise Error on the first violation. *)

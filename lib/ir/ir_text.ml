@@ -308,17 +308,22 @@ let int_at sc k skip =
   | -1 -> int_of_string_opt (String.sub sc.text start len)
   | n -> Some n
 
-(* A register or label: [prefix] and a non-negative int. *)
-let numbered sc k prefix ~what =
+let max_label = 65_535
+
+let max_regs = 1 lsl 20
+
+(* A register or label: [prefix] and an int in [0, limit]. *)
+let numbered sc k prefix ~limit ~what =
   if tok_len sc k >= 2 && String.unsafe_get sc.text (tok_start sc k) = prefix then
     match int_at sc k 1 with
-    | Some n when n >= 0 -> n
+    | Some n when n >= 0 && n <= limit -> n
+    | Some n when n > limit -> fail sc "%s %S above %d" what (tok_string sc k) limit
     | _ -> fail sc "bad %s %S" what (tok_string sc k)
   else fail sc "expected a %s, got %S" what (tok_string sc k)
 
-let reg sc k = numbered sc k 'r' ~what:"register"
+let reg sc k = numbered sc k 'r' ~limit:(max_regs - 1) ~what:"register"
 
-let label sc k = numbered sc k 'B' ~what:"label"
+let label sc k = numbered sc k 'B' ~limit:max_label ~what:"label"
 
 (* An int literal, else a float literal; plain decimals (with an
    optional [-]) are read in place. *)
@@ -468,8 +473,9 @@ let parse_routine ~validate sc =
   then fail sc "malformed routine header tail: %s" (tokens_from sc k);
   let next_reg =
     match int_at sc (k + 3) 0 with
-    | Some n -> n
-    | None -> fail sc "bad register count %S" (tok_string sc (k + 3))
+    | Some n when n > max_regs -> fail sc "register count %d above %d" n max_regs
+    | Some n when n >= 0 -> n
+    | _ -> fail sc "bad register count %S" (tok_string sc (k + 3))
   in
   let entry = label sc (k + 1) in
   advance sc;

@@ -22,6 +22,8 @@
       are registers 31, 10 and 5; a value literal is an int if
       [int_of_string_opt] reads it, else a float if [float_of_string_opt]
       does;
+    - a register number is below {!max_regs}, a label number at most
+      {!max_label}, and a [regs] count in \[0, {!max_regs}\];
     - register lists (parameters, call arguments) and phi arguments skip
       commas, so commas there are optional and may repeat; tokens after
       the [)] of a call are ignored.
@@ -31,6 +33,19 @@
     spaces); that parser is kept as a test oracle. *)
 
 exception Parse_error of { line : int; message : string }
+
+(** The largest label number the parser accepts: 65,535. A routine gets a
+    CFG slot for every label number up to its largest, so the bound caps
+    what a short text can make the parser allocate. *)
+val max_label : int
+
+(** The largest [regs] count the parser accepts: 2{^ 20}. Passes size
+    arrays by it. A 94-byte routine at both bounds (a block [B65535],
+    [regs 1048576]) peaked at 100 MiB and ran 0.2 s under
+    [eprec compile -O partial] on a 2-core x86-64 host; unbounded, a
+    68-byte routine with a block [B3000000] took 262 MiB, and a 70-byte
+    one with [regs 30000000] 1.1 GiB and 2.85 s. *)
+val max_regs : int
 
 val print_program : Program.t -> string
 

@@ -1,10 +1,10 @@
 (** ILOC operators and their algebraic properties.
 
-    The properties exported here ([commutative], [associative], identities,
-    annihilators) drive the peephole simplifier and, crucially, the global
-    reassociation pass of Section 3.1: only operators marked associative may
-    be flattened into n-ary expression trees and have their operands sorted
-    by rank. Floating-point [FAdd]/[FMul] are associative only up to
+    The properties exported here ([commutative], [associative]) drive the
+    global reassociation pass of Section 3.1: only operators marked
+    associative may be flattened into n-ary expression trees and have their
+    operands sorted by rank. The identities rewriters use are [Algebra]'s
+    table. Floating-point [FAdd]/[FMul] are associative only up to
     rounding; whether the optimizer exploits that is a configuration choice
     (FORTRAN permits it, so the paper does), hence the separate
     [associative_modulo_rounding] predicate. *)
@@ -81,38 +81,6 @@ let unop_result_ty = function
 let unop_operand_ty = function
   | Neg | Not | I2F | IAbs -> Ty.Int
   | FNeg | F2I | Sqrt | FAbs -> Ty.Flt
-
-(* Identity element [e] such that [x op e = x], when one exists. *)
-let identity = function
-  | Add -> Some (Value.I 0)
-  | Sub -> Some (Value.I 0)
-  | Mul -> Some (Value.I 1)
-  | Div -> Some (Value.I 1)
-  | FAdd -> Some (Value.F 0.0)
-  | FSub -> Some (Value.F 0.0)
-  | FMul -> Some (Value.F 1.0)
-  | FDiv -> Some (Value.F 1.0)
-  | And -> Some (Value.I (-1))
-  | Or -> Some (Value.I 0)
-  | Xor -> Some (Value.I 0)
-  | Shl -> Some (Value.I 0)
-  | Shr -> Some (Value.I 0)
-  | Min -> Some (Value.I max_int)
-  | Max -> Some (Value.I min_int)
-  | Rem | FMin | FMax
-  | Eq | Ne | Lt | Le | Gt | Ge | FEq | FNe | FLt | FLe | FGt | FGe -> None
-
-(* Annihilator [a] such that [x op a = a]. FMul 0 is *not* an annihilator
-   (NaN/inf), so it is deliberately absent. *)
-let annihilator = function
-  | Mul -> Some (Value.I 0)
-  | And -> Some (Value.I 0)
-  | Or -> Some (Value.I (-1))
-  | Min -> Some (Value.I min_int)
-  | Max -> Some (Value.I max_int)
-  | Add | Sub | Div | Rem | FAdd | FSub | FMul | FDiv | Xor | Shl | Shr
-  | FMin | FMax
-  | Eq | Ne | Lt | Le | Gt | Ge | FEq | FNe | FLt | FLe | FGt | FGe -> None
 
 (* The additive structure a reassociable multiplication distributes over:
    [Mul] over [Add], [FMul] over [FAdd] (Section 3.1, "Sorting

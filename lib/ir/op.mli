@@ -1,9 +1,9 @@
 (** ILOC operators and their algebraic properties.
 
-    The properties exported here drive the peephole simplifier and the
-    global reassociation pass of the paper's Section 3.1: only operators
-    marked associative may be flattened into n-ary expression trees and
-    have their operands sorted by rank. *)
+    The properties exported here drive the global reassociation pass of
+    the paper's Section 3.1: only operators marked associative may be
+    flattened into n-ary expression trees and have their operands sorted
+    by rank. The identities rewriters use are [Algebra]'s table. *)
 
 (** Binary operators. Integer and float arithmetic are distinct opcodes;
     comparisons produce an int 0/1. *)
@@ -46,13 +46,6 @@ val binop_operand_ty : binop -> Ty.t
 val unop_result_ty : unop -> Ty.t
 
 val unop_operand_ty : unop -> Ty.t
-
-(** Identity element [e] with [x op e = x], when one exists. *)
-val identity : binop -> Value.t option
-
-(** Annihilator [a] with [x op a = a]. [FMul 0] is deliberately absent
-    (NaN/infinity). *)
-val annihilator : binop -> Value.t option
 
 (** The additive operator a multiplication distributes over ([Mul] over
     [Add], [FMul] over [FAdd]) — Section 3.1's distribution step. *)

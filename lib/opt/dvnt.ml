@@ -11,8 +11,10 @@
       their value's canonical register);
     - constant folding: an expression over constant value numbers becomes a
       constant, which is itself hashed;
-    - algebraic simplification via [Op.identity], [Op.annihilator] and
-      self-cancellation;
+    - algebraic simplification by the identity table's rewrite rows
+      ([Algebra.rows]) whose right side is a register or a constant
+      (identity and absorbing elements, self-cancellation and
+      self-comparison, double negation), seen through the value numbers;
     - meaningless phis (all arguments carry one value) are replaced.
 
     Redundant instructions become copies to the canonical register (never
@@ -26,6 +28,15 @@ open Epre_analysis
 
 open Expr_key
 
+(* The rewrite rows whose right side is a register or a constant: each
+   makes an evaluation a copy or a constant, as a value number can. *)
+let rows =
+  Algebra.index
+    (List.filter
+       (fun (row : Algebra.row) ->
+         row.rewrite && match row.rhs with Algebra.X | Algebra.Y | Algebra.K _ -> true | _ -> false)
+       Algebra.rows)
+
 let run (r : Routine.t) =
   let { Epre_ssa.Ssa.dom; _ } = Epre_ssa.Ssa.build r in
   let cfg = r.Routine.cfg in
@@ -35,6 +46,12 @@ let run (r : Routine.t) =
   let lookup v = if v < width then vn.(v) else v in
   (* constant value of a canonical register, when known *)
   let const_of : (Instr.reg, Value.t) Hashtbl.t = Hashtbl.create 32 in
+  (* the evaluation a canonical register was defined by, when it is one;
+     in SSA a register has one definition, which dominates its uses *)
+  let def_of : (Instr.reg, Instr.reg Algebra.expr) Hashtbl.t = Hashtbl.create 32 in
+  let view =
+    { Algebra.const = Hashtbl.find_opt const_of; def = Hashtbl.find_opt def_of; equal = Int.equal }
+  in
   let table : Instr.reg Tbl.t = Tbl.create 64 in
   let replaced = ref 0 in
   let rec walk id =
@@ -54,12 +71,53 @@ let run (r : Routine.t) =
       incr replaced;
       Instr.Copy { dst; src = rep }
     in
-    let hash_or_bind key dst i =
-      match Tbl.find_opt table key with
+    (* [dst] is the constant [value]: an earlier register holding it, or
+       a const. *)
+    let konst dst value =
+      match Tbl.find_opt table (KConst value) with
       | Some rep -> redirect dst rep
       | None ->
-        bind key dst;
-        i
+        bind (KConst value) dst;
+        Hashtbl.replace const_of dst value;
+        Instr.Const { dst; value }
+    in
+    (* An evaluation into [dst] simplified to the constant [value]. *)
+    let simplified dst value =
+      if not (Tbl.mem table (KConst value)) then incr replaced;
+      konst dst value
+    in
+    (* Evaluation [i] of [e] into [dst]: folded when its operands are
+       constants, else rewritten by the first row that fits, else hashed. *)
+    let evaluate dst e i =
+      let const = Hashtbl.find_opt const_of in
+      let folded =
+        try
+          match e with
+          | Algebra.Un (op, a) -> Option.map (Op.eval_unop op) (const a)
+          | Algebra.Bin (op, a, b) -> (
+            match (const a, const b) with
+            | Some va, Some vb -> Some (Op.eval_binop op va vb)
+            | _ -> None)
+        with Op.Division_by_zero | Value.Type_error _ -> None
+      in
+      match folded with
+      | Some v -> simplified dst v
+      | None -> (
+        match Algebra.apply view rows e with
+        | Some (Algebra.Operand rep) -> redirect dst (lookup rep)
+        | Some (Algebra.Const z) -> simplified dst z
+        | Some (Algebra.Eval _) | None -> (
+          let key =
+            match e with
+            | Algebra.Un (op, src) -> KUnop (op, src)
+            | Algebra.Bin (op, a, b) -> Expr_key.binop op a b
+          in
+          match Tbl.find_opt table key with
+          | Some rep -> redirect dst rep
+          | None ->
+            bind key dst;
+            Hashtbl.replace def_of dst e;
+            i))
     in
     b.Block.instrs <-
       List.map
@@ -69,91 +127,13 @@ let run (r : Routine.t) =
              original names (lookup is the identity there). *)
           let i = Instr.map_uses lookup i in
           match i with
-          | Instr.Const { dst; value } ->
-            (match Tbl.find_opt table (KConst value) with
-            | Some rep -> redirect dst rep
-            | None ->
-              bind (KConst value) dst;
-              Hashtbl.replace const_of dst value;
-              i)
+          | Instr.Const { dst; value } -> konst dst value
           | Instr.Copy { dst; src } ->
             (* propagate: later uses of dst route to src's value *)
             set_vn dst (lookup src);
             i
-          | Instr.Unop { op; dst; src } -> begin
-            match Hashtbl.find_opt const_of src with
-            | Some v -> begin
-              match Op.eval_unop op v with
-              | folded -> begin
-                match Tbl.find_opt table (KConst folded) with
-                | Some rep -> redirect dst rep
-                | None ->
-                  bind (KConst folded) dst;
-                  Hashtbl.replace const_of dst folded;
-                  Instr.Const { dst; value = folded }
-              end
-              | exception Value.Type_error _ -> hash_or_bind (KUnop (op, src)) dst i
-            end
-            | None -> hash_or_bind (KUnop (op, src)) dst i
-          end
-          | Instr.Binop { op; dst; a; b = b' } -> begin
-            let ca = Hashtbl.find_opt const_of a in
-            let cb = Hashtbl.find_opt const_of b' in
-            match ca, cb with
-            | Some va, Some vb -> begin
-              match Op.eval_binop op va vb with
-              | folded -> begin
-                match Tbl.find_opt table (KConst folded) with
-                | Some rep -> redirect dst rep
-                | None ->
-                  bind (KConst folded) dst;
-                  Hashtbl.replace const_of dst folded;
-                  Instr.Const { dst; value = folded }
-              end
-              | exception (Op.Division_by_zero | Value.Type_error _) ->
-                hash_or_bind (Expr_key.binop op a b') dst i
-            end
-            | _ ->
-              (* algebraic identities over one constant operand *)
-              let simplified =
-                let ident v other =
-                  match Op.identity op with
-                  | Some id when Value.equal id v -> Some (`Reg other)
-                  | _ -> None
-                in
-                let annih v =
-                  match Op.annihilator op with
-                  | Some z when Value.equal z v -> Some (`Const z)
-                  | _ -> None
-                in
-                match ca, cb with
-                | _, Some vb -> begin
-                  match ident vb a with
-                  | Some x -> Some x
-                  | None -> annih vb
-                end
-                | Some va, _ when Op.commutative op -> begin
-                  match ident va b' with
-                  | Some x -> Some x
-                  | None -> annih va
-                end
-                | _ ->
-                  if a = b' && (op = Op.Sub || op = Op.Xor) then
-                    Some (`Const (Value.I 0))
-                  else None
-              in
-              (match simplified with
-              | Some (`Reg rep) -> redirect dst (lookup rep)
-              | Some (`Const z) -> begin
-                match Tbl.find_opt table (KConst z) with
-                | Some rep -> redirect dst rep
-                | None ->
-                  bind (KConst z) dst;
-                  Hashtbl.replace const_of dst z;
-                  Instr.Const { dst; value = z }
-              end
-              | None -> hash_or_bind (Expr_key.binop op a b') dst i)
-          end
+          | Instr.Unop { op; dst; src } -> evaluate dst (Algebra.Un (op, src)) i
+          | Instr.Binop { op; dst; a; b = b' } -> evaluate dst (Algebra.Bin (op, a, b')) i
           | Instr.Phi _ ->
             (* Phis stay opaque here; GVN's optimistic partitioning is the
                engine for phi equivalence (Section 3.2). *)

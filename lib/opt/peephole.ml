@@ -3,9 +3,12 @@
     Block-local rewriting driven by a running map from registers to their
     most recent in-block definition:
     - constant folding of unops/binops whose operands are known constants;
-    - algebraic identities ([x+0], [x*1], [x*0], [x-x], [x^x]);
-    - reconstruction of subtraction from Frailey's [x + (-y)] form, undoing
-      the reassociation pass's normalization where profitable (Section 3.1:
+    - every rewrite row of the identity table ([Algebra.rows]), a
+      commutative operator's operands tried either way: identity and
+      absorbing elements ([x+0], [x*1], [x*0]), self-cancellation
+      ([x-x], [x^x]), double negation, and the reconstruction of
+      subtraction from Frailey's [x + (-y)] form, undoing the
+      reassociation pass's normalization where profitable (Section 3.1:
       "we rely on a later pass, a form of global peephole optimization, to
       reconstruct the original operations when profitable");
     - conditional branches on known conditions become jumps;
@@ -62,76 +65,44 @@ let lookup_const local r =
   | Some (Instr.Const { value; _ }, _) -> Some value
   | _ -> None
 
-let lookup_neg local r =
-  match fresh_def local r with
-  | Some (Instr.Unop { op = Op.Neg; src; _ }) -> Some (Op.Sub, src)
-  | Some (Instr.Unop { op = Op.FNeg; src; _ }) -> Some (Op.FSub, src)
-  | _ -> None
+(* What the identity table may know of a register here: its constant,
+   and its in-block definition while that is fresh. *)
+let view local =
+  { Algebra.const = lookup_const local;
+    def =
+      (fun r ->
+        match fresh_def local r with
+        | Some (Instr.Unop { op; src; _ }) -> Some (Algebra.Un (op, src))
+        | Some (Instr.Binop { op; a; b; _ }) -> Some (Algebra.Bin (op, a, b))
+        | Some _ | None -> None);
+    equal = Int.equal }
+
+let rewrite_rows = Algebra.index (List.filter (fun (row : Algebra.row) -> row.rewrite) Algebra.rows)
+
+(* The first rewrite row that fits [e], as one instruction into [dst]. *)
+let rewrite local ~dst e =
+  match Algebra.apply (view local) rewrite_rows e with
+  | Some (Algebra.Operand src) -> Some (Instr.Copy { dst; src })
+  | Some (Algebra.Const value) -> Some (Instr.Const { dst; value })
+  | Some (Algebra.Eval (Algebra.Un (op, Algebra.Operand src))) -> Some (Instr.Unop { op; dst; src })
+  | Some (Algebra.Eval (Algebra.Bin (op, Algebra.Operand a, Algebra.Operand b))) ->
+    Some (Instr.Binop { op; dst; a; b })
+  | Some (Algebra.Eval _) | None -> None
 
 let simplify_binop local ~dst op a b =
-  let const_a = lookup_const local a and const_b = lookup_const local b in
-  let konst value = Some (Instr.Const { dst; value }) in
-  match const_a, const_b with
+  match lookup_const local a, lookup_const local b with
   | Some va, Some vb -> begin
     match Op.eval_binop op va vb with
-    | v -> konst v
+    | v -> Some (Instr.Const { dst; value = v })
     | exception (Op.Division_by_zero | Value.Type_error _) -> None
   end
-  | _ -> begin
-    (* Identity on the right operand: x op e = x. *)
-    let right_identity () =
-      match Op.identity op, const_b with
-      | Some e, Some vb when Value.equal e vb -> Some (Instr.Copy { dst; src = a })
-      | _ -> None
-    in
-    let left_identity () =
-      match Op.identity op, const_a with
-      | Some e, Some va when Op.commutative op && Value.equal e va ->
-        Some (Instr.Copy { dst; src = b })
-      | _ -> None
-    in
-    let annihilate () =
-      match Op.annihilator op, const_a, const_b with
-      | Some z, _, Some vb when Value.equal z vb -> konst z
-      | Some z, Some va, _ when Op.commutative op && Value.equal z va -> konst z
-      | _ -> None
-    in
-    let self_cancel () =
-      if a = b then
-        match op with
-        | Op.Sub | Op.Xor -> konst (Value.I 0)
-        | Op.Eq | Op.Le | Op.Ge -> konst (Value.I 1)
-        | Op.Ne | Op.Lt | Op.Gt -> konst (Value.I 0)
-        | Op.And | Op.Or | Op.Min | Op.Max -> Some (Instr.Copy { dst; src = a })
-        | _ -> None
-      else None
-    in
-    (* x + (-y) -> x - y (and the float counterpart). *)
-    let reconstruct_sub () =
-      match op with
-      | Op.Add | Op.FAdd -> begin
-        match lookup_neg local b with
-        | Some (sub, y) -> Some (Instr.Binop { op = sub; dst; a; b = y })
-        | None -> begin
-          match lookup_neg local a with
-          | Some (sub, y) -> Some (Instr.Binop { op = sub; dst; a = b; b = y })
-          | None -> None
-        end
-      end
-      | _ -> None
-    in
-    let rec first = function
-      | [] -> None
-      | f :: rest -> ( match f () with Some i -> Some i | None -> first rest)
-    in
-    first [ right_identity; left_identity; annihilate; self_cancel; reconstruct_sub ]
-  end
+  | _ -> rewrite local ~dst (Algebra.Bin (op, a, b))
 
 (* [x * 2^k -> x shl k]: needs a register for the shift amount, so it can
    emit a preceding Const and therefore returns a list. Exposed separately
    because running it before reassociation loses grouping opportunities
    (Section 5.2) — the pipeline only enables it in the final peephole. *)
-let mul_to_shift_rewrite (r : Routine.t) local ~dst op a b const_a const_b =
+let mul_to_shift_rewrite (r : Routine.t) ~dst op a b const_a const_b =
   let candidate =
     match op, const_a, const_b with
     | Op.Mul, _, Some (Value.I n) -> Option.map (fun k -> (a, k)) (log2_exact n)
@@ -141,7 +112,6 @@ let mul_to_shift_rewrite (r : Routine.t) local ~dst op a b const_a const_b =
   match candidate with
   | Some (x, k) when k > 0 ->
     let kreg = Routine.fresh_reg r in
-    ignore local;
     Some
       [ Instr.Const { dst = kreg; value = Value.I k };
         Instr.Binop { op = Op.Shl; dst; a = x; b = kreg } ]
@@ -154,16 +124,7 @@ let simplify_unop local ~dst op src =
     | v -> Some (Instr.Const { dst; value = v })
     | exception Value.Type_error _ -> None
   end
-  | None -> begin
-    (* neg (neg x) = x, not (not x) = x — valid only while x is the value
-       the inner negation read *)
-    match op, fresh_def local src with
-    | Op.Neg, Some (Instr.Unop { op = Op.Neg; src = inner; _ })
-    | Op.FNeg, Some (Instr.Unop { op = Op.FNeg; src = inner; _ })
-    | Op.Not, Some (Instr.Unop { op = Op.Not; src = inner; _ }) ->
-      Some (Instr.Copy { dst; src = inner })
-    | _ -> None
-  end
+  | None -> rewrite local ~dst (Algebra.Un (op, src))
 
 let run ?(config = default_config) (r : Routine.t) =
   let rewrites = ref 0 in
@@ -178,7 +139,7 @@ let run ?(config = default_config) (r : Routine.t) =
             | Some better -> Some [ better ]
             | None ->
               if config.mul_to_shift then
-                mul_to_shift_rewrite r local ~dst op a b (lookup_const local a)
+                mul_to_shift_rewrite r ~dst op a b (lookup_const local a)
                   (lookup_const local b)
               else None
           end

@@ -1,6 +1,7 @@
 (** Global peephole optimization (a baseline pass): block-local constant
-    folding, algebraic identities, reconstruction of subtraction from
-    Frailey's [x + (-y)] form, branch folding — and, behind [mul_to_shift],
+    folding, the rewrite rows of the identity table ([Algebra.rows]; among
+    them the reconstruction of subtraction from Frailey's [x + (-y)]
+    form), branch folding — and, behind [mul_to_shift],
     multiplication-by-power-of-two into shifts. The flag exists because
     Section 5.2 warns that shifts are not associative: rewriting before
     global reassociation destroys grouping opportunities, so the pipeline

@@ -26,8 +26,6 @@ exception Use_before_def of { routine : string; reg : Instr.reg }
 
 type build_config = { fold_copies : bool }
 
-let default_build_config = { fold_copies = true }
-
 type built = { graph : Dataflow.graph; dom : Dom.t }
 
 (* needs_phi.(block) = registers to phi at that block, descending. Only
@@ -85,7 +83,7 @@ type phis = { first : int; vars : int array; preds : int array; args : int array
 
 let no_phis = { first = 0; vars = [||]; preds = [||]; args = [||] }
 
-let build ?(config = default_build_config) (r : Routine.t) =
+let build ?(config = { fold_copies = true }) (r : Routine.t) =
   if r.Routine.in_ssa then invalid_arg "Ssa.build: routine already in SSA form";
   let cfg = r.Routine.cfg in
   Cfg.give_entry_no_preds cfg;

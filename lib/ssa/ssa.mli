@@ -19,9 +19,6 @@ exception Use_before_def of { routine : string; reg : Instr.reg }
 
 type build_config = { fold_copies : bool }
 
-val default_build_config : build_config
-(** [{ fold_copies = true }] *)
-
 (** What construction computed on the routine's CFG. Building SSA adds no
     edge, so both stay valid for the SSA form until a pass edits edges. *)
 type built = { graph : Dataflow.graph; dom : Dom.t }
@@ -29,7 +26,8 @@ type built = { graph : Dataflow.graph; dom : Dom.t }
 (** Convert to pruned SSA in place. Requires [not in_ssa]. First gives the
     entry no predecessor ([Cfg.give_entry_no_preds]): renaming starts at
     the entry with the parameters' names, which is only right when control
-    reaches it from outside alone.
+    reaches it from outside alone. [config] defaults to
+    [{ fold_copies = true }].
     @raise Use_before_def on non-strict input. *)
 val build : ?config:build_config -> Routine.t -> built
 

@@ -29,8 +29,5 @@ type entry = { routine : string; name : string; value : int }
 (** All counters, sorted by routine then name. *)
 val snapshot : unit -> entry list
 
-(** [{"type":"counter","routine":...,"name":...,"value":...}] *)
-val entry_to_json : entry -> Tjson.t
-
 (** One JSON object per line, in [snapshot] order; [""] when empty. *)
 val to_jsonl : entry list -> string

@@ -511,12 +511,13 @@ let none = min_int
 
 module Vtbl = Hashtbl.Make (Value)
 
-type expr = Un of Op.unop * int | Bin of Op.binop * int * int
+(* An evaluation over value numbers. *)
+type 'a expr = 'a Algebra.expr = Un of Op.unop * 'a | Bin of Op.binop * 'a * 'a
 
 (* Evaluations, hashed without polymorphic comparison. Operators are
    constant constructors, so [==] compares them. *)
 module Etbl = Hashtbl.Make (struct
-  type t = expr
+  type t = int expr
 
   let equal a b =
     match (a, b) with
@@ -529,100 +530,8 @@ module Etbl = Hashtbl.Make (struct
     | Bin (o, x, y) -> (((Hashtbl.hash o * 65599) + x) * 65599) + y
 end)
 
-(* The identity table. A row's sides are equal under [Value.equal]
-   wherever its left side evaluates without fault, so an integer row
-   holds for every integer operand and a float row for every float one,
-   NaNs, infinities and both zeros included. [x fadd 0.0 = x] is no row:
-   it is wrong for [x = -0.0]. *)
-type term =
-  | X
-  | Y
-  | C
-  | K of Value.t
-  | N
-  | Pow2
-  | U of Op.unop * term
-  | B of Op.binop * term * term
-
-type identity = { name : string; lhs : term; rhs : term }
-
-let shift_limit = 62
-
-let identities =
-  let row name lhs rhs = { name; lhs; rhs } in
-  let i n = K (Value.I n) and f x = K (Value.F x) in
-  let self_compares =
-    List.map
-      (fun (op, v) -> row (Printf.sprintf "x %s x = %d" (Op.binop_name op) v) (B (op, X, X)) (i v))
-      [ (Op.Eq, 1); (Op.Le, 1); (Op.Ge, 1); (Op.Ne, 0); (Op.Lt, 0); (Op.Gt, 0) ]
-  in
-  [ row "x add 0 = x" (B (Add, X, i 0)) X;
-    row "x sub 0 = x" (B (Sub, X, i 0)) X;
-    row "x mul 1 = x" (B (Mul, X, i 1)) X;
-    row "x mul 0 = 0" (B (Mul, X, i 0)) (i 0);
-    row "x div 1 = x" (B (Div, X, i 1)) X;
-    row "x and -1 = x" (B (And, X, i (-1))) X;
-    row "x and 0 = 0" (B (And, X, i 0)) (i 0);
-    row "x or 0 = x" (B (Or, X, i 0)) X;
-    row "x or -1 = -1" (B (Or, X, i (-1))) (i (-1));
-    row "x xor 0 = x" (B (Xor, X, i 0)) X;
-    row "x shr 0 = x" (B (Shr, X, i 0)) X;
-    row "x min max_int = x" (B (Min, X, i max_int)) X;
-    row "x min min_int = min_int" (B (Min, X, i min_int)) (i min_int);
-    row "x max min_int = x" (B (Max, X, i min_int)) X;
-    row "x max max_int = max_int" (B (Max, X, i max_int)) (i max_int);
-    row "x sub x = 0" (B (Sub, X, X)) (i 0);
-    row "x xor x = 0" (B (Xor, X, X)) (i 0);
-    row "x and x = x" (B (And, X, X)) X;
-    row "x or x = x" (B (Or, X, X)) X;
-    row "x min x = x" (B (Min, X, X)) X;
-    row "x max x = x" (B (Max, X, X)) X ]
-  @ self_compares
-  @ [ row "x shl n = x mul 2^n" (B (Shl, X, N)) (B (Mul, X, Pow2));
-      row "neg (neg x) = x" (U (Neg, U (Neg, X))) X;
-      row "not (not x) = x" (U (Not, U (Not, X))) X;
-      row "x add (neg y) = x sub y" (B (Add, X, U (Neg, Y))) (B (Sub, X, Y));
-      row "x sub (neg y) = x add y" (B (Sub, X, U (Neg, Y))) (B (Add, X, Y));
-      row "0 sub x = neg x" (B (Sub, i 0, X)) (U (Neg, X));
-      row "x sub c = x add (neg c)" (B (Sub, X, C)) (B (Add, X, U (Neg, C)));
-      row "fneg (fneg x) = x" (U (FNeg, U (FNeg, X))) X;
-      row "x fadd (fneg y) = x fsub y" (B (FAdd, X, U (FNeg, Y))) (B (FSub, X, Y));
-      row "x fsub (fneg y) = x fadd y" (B (FSub, X, U (FNeg, Y))) (B (FAdd, X, Y));
-      row "-0.0 fsub x = fneg x" (B (FSub, f (-0.0), X)) (U (FNeg, X));
-      row "x fsub 0.0 = x" (B (FSub, X, f 0.0)) X;
-      row "x fsub c = x fadd (fneg c)" (B (FSub, X, C)) (B (FAdd, X, U (FNeg, C)));
-      row "x fadd -0.0 = x" (B (FAdd, X, f (-0.0))) X;
-      row "x fmul 1.0 = x" (B (FMul, X, f 1.0)) X;
-      row "x fdiv 1.0 = x" (B (FDiv, X, f 1.0)) X ]
-
-module Utbl = Hashtbl.Make (struct
-  type t = Op.unop
-
-  let equal = ( == )
-
-  let hash = Hashtbl.hash
-end)
-
-module Btbl = Hashtbl.Make (struct
-  type t = Op.binop
-
-  let equal = ( == )
-
-  let hash = Hashtbl.hash
-end)
-
-(* The rows by the operator at the root of their left side, in table
-   order. *)
-let un_rows, bin_rows =
-  let un = Utbl.create 4 and bin = Btbl.create 32 in
-  List.iter
-    (fun row ->
-      match row.lhs with
-      | U (op, _) -> Utbl.replace un op (row :: Option.value (Utbl.find_opt un op) ~default:[])
-      | B (op, _, _) -> Btbl.replace bin op (row :: Option.value (Btbl.find_opt bin op) ~default:[])
-      | X | Y | C | K _ | N | Pow2 -> invalid_arg "identities")
-    (List.rev identities);
-  (un, bin)
+(* Every row of the identity table, rewrite rows or not. *)
+let identities = Algebra.index Algebra.rows
 
 (* One routine's registers during a walk: a number is current when its
    stamp is the walk's. *)
@@ -640,14 +549,11 @@ type cx = {
   mutable walk : int;  (** the current walk's stamp; never reset *)
   mutable base : int;  (** [2 * nregs]: the walk numbers what it computes above it *)
   mutable fresh : int;  (** the last number the walk made up *)
-  mutable defs : expr array;  (** by [n - base]: what number [n] was made for *)
+  mutable defs : int expr array;  (** by [n - base]: what number [n] was made for *)
   consts : int Vtbl.t;
   mutable values : Value.t array;  (** constants, by [-1 - n] *)
   exprs : int Etbl.t;  (** the walk's evaluations *)
-  mutable x : int;  (** a row's operands, bound while it is matched *)
-  mutable y : int;
-  mutable c : int;
-  mutable n : int;
+  view : int Algebra.view;  (** numbers as the identity table sees them *)
   mutable depth : int;  (** right sides being numbered *)
   (* The meet's scratch. A pass of the meet stamps each number it sees
      and chains, from the number's slot, the (class, new class) pairs
@@ -707,50 +613,14 @@ let fresh cx =
 (* The evaluation the walk made number [m] for. *)
 let def cx m = if m > cx.base && m <= cx.fresh then cx.defs.(m - cx.base) else no_def
 
-(* Whether the number [m] fits [pat], binding the row's operands. *)
-let rec fits cx pat m =
-  m <> none
-  &&
-  match pat with
-  | X ->
-    if cx.x = none then cx.x <- m;
-    cx.x = m
-  | Y ->
-    if cx.y = none then cx.y <- m;
-    cx.y = m
-  | C ->
-    cx.c <- m;
-    is_const m
-  | K v -> is_const m && Value.equal (const_val cx m) v
-  | N -> (
-    is_const m
-    &&
-    match const_val cx m with
-    | Value.I k when k >= 0 && k <= shift_limit ->
-      cx.n <- k;
-      true
-    | Value.I _ | Value.F _ -> false)
-  | Pow2 -> false
-  | U (op, p) -> ( match def cx m with Un (op', a) when op == op' -> fits cx p a | _ -> false)
-  | B (op, p, q) -> (
-    match def cx m with Bin (op', a, b) when op == op' -> fits cx p a && fits cx q b | _ -> false)
-
-(* Whether [row]'s left side fits operands [a] and [b] ([b] unused for
-   a unop), binding its operands. *)
-let fit_row cx row a b =
-  cx.x <- none;
-  cx.y <- none;
-  match row.lhs with
-  | U (_, p) -> fits cx p a
-  | B (_, p, q) -> fits cx p a && fits cx q b
-  | X | Y | C | K _ | N | Pow2 -> false
-
 (* The number of an evaluation: a constant when its operands are and it
    folds ([Op.eval_unop], [Op.eval_binop]); else that of the right side
    of the first identity row its left side fits, a commutative
    operator's operands taken either way; else the number an equal
    evaluation got earlier in the walk, or a new one. A number so names
-   the value of every evaluation given it that completes. *)
+   the value of every evaluation given it that completes. Rows rewrite a
+   right side again only so deep: ill-typed constants (a [neg] of a
+   float does not fold) could cycle. *)
 let rec number cx e =
   let folded =
     try
@@ -767,46 +637,21 @@ let rec number cx e =
     match e with
     | Un (_, a) when a = none -> fresh cx
     | Bin (_, a, b) when a = none || b = none -> fresh cx
-    | Un (op, a) ->
-      let n =
-        match Utbl.find_opt un_rows op with
-        | None -> none
-        | Some rows -> rewrite cx rows a none ~swap:false
-      in
-      if n <> none then n else intern cx e
-    | Bin (op, a, b) ->
-      let commutes = Op.commutative op in
-      let n =
-        match Btbl.find_opt bin_rows op with
-        | None -> none
-        | Some rows -> rewrite cx rows a b ~swap:(commutes && a <> b)
-      in
-      if n <> none then n else intern cx (if commutes && a < b then Bin (op, b, a) else e))
+    | _ -> (
+      match if cx.depth > 3 then None else Algebra.apply cx.view identities e with
+      | Some rhs -> build cx rhs
+      | None -> (
+        match e with
+        | Bin (op, a, b) when Op.commutative op && a < b -> intern cx (Bin (op, b, a))
+        | Un _ | Bin _ -> intern cx e)))
 
-(* The number of the right side of the first row whose left side's
-   operands [a] and [b] (none for a unop) fit, either way round when
-   [swap]; or [none]. Rows rewrite a right side again only so deep:
-   ill-typed constants (a [neg] of a float does not fold) could cycle. *)
-and rewrite cx rows a b ~swap =
-  match rows with
-  | [] -> none
-  | _ when cx.depth > 3 -> none
-  | row :: rows ->
-    if fit_row cx row a b || (swap && fit_row cx row b a) then
-      build cx cx.x cx.y cx.c cx.n row.rhs
-    else rewrite cx rows a b ~swap
-
-and build cx x y c n = function
-  | X -> x
-  | Y -> y
-  | C -> c
-  | K v -> const_num cx v
-  | N -> const_num cx (Value.I n)
-  | Pow2 -> const_num cx (Value.I (1 lsl n))
-  | U (op, p) -> deeper cx (Un (op, build cx x y c n p))
-  | B (op, p, q) ->
-    let a = build cx x y c n p in
-    let b = build cx x y c n q in
+and build cx = function
+  | Algebra.Operand m -> m
+  | Algebra.Const v -> const_num cx v
+  | Algebra.Eval (Un (op, p)) -> deeper cx (Un (op, build cx p))
+  | Algebra.Eval (Bin (op, p, q)) ->
+    let a = build cx p in
+    let b = build cx q in
     deeper cx (Bin (op, a, b))
 
 and deeper cx e =
@@ -1111,11 +956,18 @@ let meet cx t incoming =
 let scratch =
   Domain.DLS.new_key (fun () ->
       let side () = { num = [||]; stamp = [||] } in
-      { qc = Cfg.create (); members = (fun _ -> [||]); ins = side (); outs = side (); walk = 0;
-        base = 0; fresh = 0; defs = [||]; consts = Vtbl.create 8; values = [||];
-        exprs = Etbl.create 16; x = none; y = none; c = none; n = 0; depth = 0; mstamp = 0; slot_stamp = [||];
-        slot_head = [||]; e_class = [||]; e_new = [||]; e_next = [||]; e_count = 0; lead = [||];
-        konst = [||]; live = [||] })
+      let rec cx =
+        { qc = Cfg.create (); members = (fun _ -> [||]); ins = side (); outs = side (); walk = 0;
+          base = 0; fresh = 0; defs = [||]; consts = Vtbl.create 8; values = [||];
+          exprs = Etbl.create 16; view; depth = 0; mstamp = 0; slot_stamp = [||];
+          slot_head = [||]; e_class = [||]; e_new = [||]; e_next = [||]; e_count = 0; lead = [||];
+          konst = [||]; live = [||] }
+      and view =
+        { Algebra.const = (fun m -> if is_const m then Some (const_val cx m) else None);
+          def = (fun m -> if def cx m == no_def then None else Some (def cx m));
+          equal = Int.equal }
+      in
+      cx)
 
 (* Value correspondence ([constprop], [coalesce], [gvn], [peephole]): a
    forward, conditional walk of both routines side by side over pairs

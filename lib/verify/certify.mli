@@ -33,14 +33,12 @@
       routines, walked side by side, compute the same values into
       registers that may be renamed, with copies moved and evaluations
       folded, dropped or rewritten by the exact identities of
-      {!identities}.
+      [Algebra.rows].
 
     All three decline on SSA routines and on any phi. [reassociation]
     stays observed: it changes float results by rounding and rebuilds
     expression trees, so its output matches its input only up to the
-    harness's tolerance. A [peephole] step that rewrites [x fadd 0.0] to
-    [x], wrong for [x = -0.0], stays observed too: no identity row holds
-    it. *)
+    harness's tolerance. *)
 
 open Epre_ir
 
@@ -93,7 +91,7 @@ val jump_chains : checker
     live register of each (constants numbered by bit pattern, as
     [Value.equal] compares them). An evaluation's number is its constant
     when it folds, else that of the right side of the first row of
-    {!identities} its left side fits (a commutative operator's operands
+    [Algebra.rows] its left side fits (a commutative operator's operands
     taken either way), else that of an equal evaluation earlier in the
     block. It accepts when
     - matched instructions have the same kind, operator or callee, and
@@ -129,30 +127,3 @@ val jump_chains : checker
     destruction puts into a jump-only landing block are charged to the
     block before it. *)
 val values : checker
-
-(** The identity table's terms: [X] and [Y] are operands, [C] any
-    constant, [K v] the constant [v] (bit for bit), [N] an integer
-    constant [n] in \[0, 62\] and [Pow2] the constant [2^n]. *)
-type term =
-  | X
-  | Y
-  | C
-  | K of Value.t
-  | N
-  | Pow2
-  | U of Op.unop * term
-  | B of Op.binop * term * term
-
-(** A row: [lhs] and [rhs] are equal under [Value.equal] wherever [lhs]
-    evaluates without fault, and then [rhs] does too. *)
-type identity = { name : string; lhs : term; rhs : term }
-
-(** The rows {!values} numbers modulo, in the order it tries them: the
-    integer identities [Peephole] uses (identity and absorbing elements,
-    self-cancellation and self-comparison, [x shl n = x mul 2^n]), double
-    negation, the subtraction forms [a + (-b) = a - b], [a - (-b) = a + b]
-    and [x - c = x + (-c)] for int and float, [0 - x = -x] for int and
-    [-0.0 - x = -x] for float, and [x fsub 0.0], [x fadd -0.0],
-    [x fmul 1.0], [x fdiv 1.0] as [x]. [x fadd 0.0 = x] is no row: it is
-    wrong for [x = -0.0]. *)
-val identities : identity list

@@ -203,6 +203,7 @@ let advance st = st.lno <- st.lno + 1
 let parse_reg st tok =
   if String.length tok >= 2 && tok.[0] = 'r' then
     match int_of_string_opt (String.sub tok 1 (String.length tok - 1)) with
+    | Some n when n >= Ir_text.max_regs -> fail st "register %S above %d" tok (Ir_text.max_regs - 1)
     | Some n when n >= 0 -> n
     | _ -> fail st "bad register %S" tok
   else fail st "expected a register, got %S" tok
@@ -210,6 +211,7 @@ let parse_reg st tok =
 let parse_label st tok =
   if String.length tok >= 2 && tok.[0] = 'B' then
     match int_of_string_opt (String.sub tok 1 (String.length tok - 1)) with
+    | Some n when n > Ir_text.max_label -> fail st "label %S above %d" tok Ir_text.max_label
     | Some n when n >= 0 -> n
     | _ -> fail st "bad label %S" tok
   else fail st "expected a label, got %S" tok
@@ -299,8 +301,10 @@ let parse_routine ~validate st header =
     match rest with
     | [ "entry"; l; "regs"; n; "{" ] -> begin
       match int_of_string_opt n with
-      | Some n -> (parse_label st l, n)
-      | None -> fail st "bad register count %S" n
+      | Some n when n > Ir_text.max_regs ->
+        fail st "register count %d above %d" n Ir_text.max_regs
+      | Some n when n >= 0 -> (parse_label st l, n)
+      | _ -> fail st "bad register count %S" n
     end
     | _ -> fail st "malformed routine header tail: %s" (String.concat " " rest)
   in

@@ -38,30 +38,6 @@ let associative_law =
                (Op.eval_binop op a (Op.eval_binop op b c)))
         arith_ops_int)
 
-let identity_law =
-  Helpers.qcheck_case ~count:300 "Op" "identity elements are identities"
-    int_value_gen
-    (fun a ->
-      List.for_all
-        (fun op ->
-          match Op.identity op with
-          | Some e when Op.binop_operand_ty op = Ty.Int ->
-            Value.equal (Op.eval_binop op a e) a
-          | _ -> true)
-        Op.all_binops)
-
-let annihilator_law =
-  Helpers.qcheck_case ~count:300 "Op" "annihilators annihilate"
-    int_value_gen
-    (fun a ->
-      List.for_all
-        (fun op ->
-          match Op.annihilator op with
-          | Some z when Op.binop_operand_ty op = Ty.Int ->
-            Value.equal (Op.eval_binop op a z) z
-          | _ -> true)
-        Op.all_binops)
-
 let sub_as_add_neg_law =
   Helpers.qcheck_case ~count:300 "Op" "x - y = x + (-y)"
     QCheck2.Gen.(pair int_value_gen int_value_gen)
@@ -265,8 +241,6 @@ let suite =
   [
     commutative_law;
     associative_law;
-    identity_law;
-    annihilator_law;
     sub_as_add_neg_law;
     distribution_law;
     Alcotest.test_case "op: division by zero raises" `Quick test_division_by_zero;

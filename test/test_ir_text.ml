@@ -245,6 +245,22 @@ let test_scanner_quirks () =
     (Rejected (3, {|bad register "r99999999999999999999"|}));
   pin "negative register" (routine "  r-1 = const 1\n  return")
     (Rejected (3, {|bad register "r-1"|}));
+  (* A label gets a CFG slot for every number below it and [regs] sizes
+     the passes' arrays, so both are bounded: a few bytes of text must
+     not cost a gigabyte. *)
+  let far label =
+    Printf.sprintf "routine f() entry B0 regs 1 {\nB0:\n  jump %s\n%s:\n  return\n}\n" label label
+  in
+  pin "far label" (far "B3000000") (Rejected (3, {|label "B3000000" above 65535|}));
+  pin "largest label" (far "B65535") (Accepted (far "B65535" ^ "\n"));
+  pin "huge register count" (routine ~regs:30000000 "  return")
+    (Rejected (1, "register count 30000000 above 1048576"));
+  pin "negative register count" (routine ~regs:(-3) "  return")
+    (Rejected (1, {|bad register count "-3"|}));
+  pin "largest register count" (routine ~regs:Ir_text.max_regs "  return")
+    (accepted ~regs:Ir_text.max_regs "  return");
+  pin "register past the bound" (routine "  r1048576 = const 1\n  return")
+    (Rejected (3, {|register "r1048576" above 1048575|}));
   pin "value literals"
     (routine ~regs:6
        "  r0 = const -7\n  r1 = const 0x10\n  r2 = const 1_000\n  r3 = const 1e3\n  r4 = const -0x1p-3\n  r5 = const -0\n  return r0")

@@ -99,8 +99,8 @@ let golden_optimized =
   [
     ("baseline", ("b49826e6ccbc1bba1f0219e082eb8f44", "9902b000fff60342a2958220e38d8180"));
     ("partial", ("37d6d534d63d239039865cf0bbd08b7b", "603096264245a76f03dc6c34bdce53ce"));
-    ("reassociation", ("f7e426ae06ef2c4f98b05f25d0c16c11", "7d91c09b71f03246c04409f6242f3db2"));
-    ("distribution", ("2a09eb4bce85d311ae8779e3509d7e8d", "94c7d05cc270e483014708f50f3cf581"));
+    ("reassociation", ("63c10499f546db7a62533f0a69728f57", "fd716de71bb2dee4bc62d92faaa09dcf"));
+    ("distribution", ("d37b024a99cb443c8b50c38ec7718de2", "a8ae955c4b2edf68f1bc71dd1b10c986"));
     ("pre-classic", ("7b5a97e326b16fafc8355191806923a5", "2ce47aa5248754a037b431b8f6b7e0fc"));
   ]
 
@@ -113,7 +113,7 @@ let golden_registry =
   [
     ("adce", "f89d3800cb20c798c2493bb1e9937215");
     ("strength", "1cdfca1f95e3a4e1127bb4ec662e2f47");
-    ("dvnt", "4fddbfe08873111ddb7d13d486d21f0c");
+    ("dvnt", "aab600639e1ae410863f2b0a99169b23");
     ("cse-dom", "aed17772cd8c4e3258e53806af913035");
   ]
 
