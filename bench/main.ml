@@ -22,7 +22,7 @@ let section title = Printf.printf "\n=== %s ===\n%!" title
 
 (* Run a registry spelling over every routine of [prog], in place. *)
 let run_spelling spelling prog =
-  Epre.Pipeline.run_passes ~hooks:Epre.Pipeline.no_hooks (Epre.Passes.named spelling) prog
+  Epre.Pipeline.run_passes (Epre.Passes.named spelling) prog
 
 (* ------------------------------------------------------------------ *)
 (* Paper tables                                                        *)

@@ -190,9 +190,10 @@ let stats_arg =
     value & flag
     & info [ "stats" ]
         ~doc:
-          "Print per-routine pass statistics (renamed expression sites, \
-           constants folded, rewrites, ...) to stderr; with \
-           $(b,--metrics=json) they come as JSON records instead.")
+          "Print per-routine pass statistics to stderr, one line of \
+           $(i,counter)=$(i,value) pairs per routine (e.g. \
+           $(b,pre.inserted=3)); with $(b,--metrics=json) they come as JSON \
+           records instead.")
 
 (* --- parallelism ------------------------------------------------------- *)
 
@@ -363,18 +364,9 @@ let print_report sup ppf records =
 let print_stats stats =
   List.iter
     (fun s ->
-      let named_total = function
-        | None -> "-"
-        | Some (pre : Epre_pre.Pre.stats) ->
-          string_of_int (pre.Epre_pre.Pre.inserted + pre.Epre_pre.Pre.deleted)
-      in
-      Fmt.epr
-        "stats %-12s renamed=%d pre(ins+del)=%s constants=%d peephole=%d \
-         dce=%d coalesced=%d@."
-        s.Epre.Pipeline.routine s.Epre.Pipeline.exprs_renamed
-        (named_total s.Epre.Pipeline.pre) s.Epre.Pipeline.constants_folded
-        s.Epre.Pipeline.peephole_rewrites s.Epre.Pipeline.dce_removed
-        s.Epre.Pipeline.copies_coalesced)
+      Fmt.epr "stats %-12s %s@." s.Epre.Pipeline.routine
+        (String.concat " "
+           (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (Epre.Pipeline.counters s))))
     stats
 
 (* --trace is change-aware: a stage whose output is textually identical to
@@ -382,8 +374,8 @@ let print_stats stats =
    instead of the full IR, so the Figures 2-10 walkthroughs aren't buried
    in identical dumps. Seeded from the pre-pipeline program, so even a
    first pass that does nothing is marked. *)
-let dump_hooks trace prog =
-  if not trace then Epre.Pipeline.no_hooks
+let dump_of_trace trace prog =
+  if not trace then None
   else begin
     let last = Hashtbl.create 7 in
     let render r = Fmt.str "%a" Epre_ir.Pp.routine r in
@@ -391,16 +383,16 @@ let dump_hooks trace prog =
       (fun (r : Epre_ir.Routine.t) ->
         Hashtbl.replace last r.Epre_ir.Routine.name (render r))
       (Epre_ir.Program.routines prog);
-    { Epre.Pipeline.dump =
-        (fun pass r ->
-          let name = r.Epre_ir.Routine.name in
-          let text = render r in
-          match Hashtbl.find_opt last name with
-          | Some prev when String.equal prev text ->
-            Fmt.epr "=== after %s: %s unchanged ===@.@." pass name
-          | _ ->
-            Hashtbl.replace last name text;
-            Fmt.epr "=== after %s ===@.%s@.@." pass text) }
+    Some
+      (fun pass r ->
+        let name = r.Epre_ir.Routine.name in
+        let text = render r in
+        match Hashtbl.find_opt last name with
+        | Some prev when String.equal prev text ->
+          Fmt.epr "=== after %s: %s unchanged ===@.@." pass name
+        | _ ->
+          Hashtbl.replace last name text;
+          Fmt.epr "=== after %s ===@.%s@.@." pass text)
   end
 
 (* Optimize [prog] in place per the CLI flags; returns the pipeline stats
@@ -409,26 +401,26 @@ let dump_hooks trace prog =
    rollback; a bare run that raises or leaves ill-formed IR aborts too.
    Either way the diagnostic is one line and the exit code 1. *)
 let optimize ~level ~passes ~trace ~sup prog =
-  let hooks = dump_hooks trace prog in
+  let dump = dump_of_trace trace prog in
   let config = harness_config sup in
   try
     match pass_sequence ~level ~passes ~chaos:sup.chaos with
     | None -> []
     | Some (`Passes named) when supervised sup ->
       print_report sup Fmt.stderr
-        (Epre_harness.Harness.supervise ~dump:hooks.Epre.Pipeline.dump config
+        (Epre_harness.Harness.supervise ?dump config
            ~passes:named prog);
       []
     | Some (`Level (level, inject)) when supervised sup ->
       let stats, records =
-        Epre.Pipeline.optimize_supervised ~hooks ~inject ~config ~level prog
+        Epre.Pipeline.optimize_supervised ?dump ~inject ~config ~level prog
       in
       print_report sup Fmt.stderr records;
       stats
     | Some (`Passes named) ->
-      Epre.Pipeline.run_passes ~hooks named prog;
+      Epre.Pipeline.run_passes ?dump named prog;
       []
-    | Some (`Level (level, _)) -> Epre.Pipeline.optimize ~hooks ~level prog
+    | Some (`Level (level, _)) -> Epre.Pipeline.optimize ?dump ~level prog
   with
   | Epre_harness.Harness.Supervision_failed record ->
     Fmt.epr "supervision failed: %s@." (Epre_harness.Report.record_to_line record);

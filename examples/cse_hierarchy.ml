@@ -59,7 +59,7 @@ let () =
   List.iter
     (fun (label, spelling) ->
       let p = Program.copy prog in
-      Epre.Pipeline.run_passes ~hooks:Epre.Pipeline.no_hooks
+      Epre.Pipeline.run_passes
         (Epre.Passes.named (spelling ^ ",constprop,peephole,dce,coalesce,clean"))
         p;
       let result = Epre_interp.Interp.run p ~entry:"main" ~args:[] in

@@ -129,7 +129,7 @@ let () =
   let converted =
     List.fold_left (fun acc r -> acc + if_convert r) 0 (Program.routines prog)
   in
-  Epre.Pipeline.run_passes ~hooks:Epre.Pipeline.no_hooks
+  Epre.Pipeline.run_passes
     (Epre.Passes.named "naming,pre,constprop,peephole,dce,coalesce,clean")
     prog;
   let after, v1 = ops prog in

@@ -54,7 +54,7 @@ let () =
   let p, _ = Epre.Pipeline.optimized_copy ~level:Epre.Pipeline.Distribution prog in
   report "distribution pipeline" p;
   (* ... then the extension *)
-  Epre.Pipeline.run_passes ~hooks:Epre.Pipeline.no_hooks
+  Epre.Pipeline.run_passes
     (Epre.Passes.named "strength,constprop,peephole,dce,coalesce,clean")
     p;
   report "+ strength reduction" p;

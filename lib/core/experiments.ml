@@ -177,7 +177,7 @@ let residual_count (p : Program.t) =
    the baseline cleanup sequence. *)
 let run_hierarchy_level prog eliminator =
   let p = Program.copy prog in
-  Pipeline.run_passes ~hooks:Pipeline.no_hooks
+  Pipeline.run_passes
     (Passes.named ("reassociate,gvn," ^ eliminator ^ ",constprop,peephole,dce,coalesce,clean"))
     p;
   (dynamic_count p, residual_count p)

@@ -40,13 +40,17 @@ val level_to_string : level -> string
 
 val level_of_string : string -> level option
 
-(** Per-routine statistics. The counters are the accumulator the
-    table's steps add to as a sequence runs. *)
+(** Per-routine statistics: what each pass did, summed over its runs (a
+    group stays [None] until its pass first runs). One table in the
+    implementation declares each statistic once (its JSON key, its
+    [Epre_telemetry.Metrics] counter names and, for a group, the
+    conversion to and from its pass's typed stats); the JSON codec,
+    {!counters}, the merge and the CLI's [--stats] line fold over it. *)
 type routine_stats = {
   routine : string;
   mutable reassoc : Epre_reassoc.Reassociate.stats option;
   mutable gvn : Epre_gvn.Gvn.stats option;
-  mutable pre : Epre_pre.Pre.stats option;  (** summed over PRE runs *)
+  mutable pre : Epre_pre.Pre.stats option;
   mutable exprs_renamed : int;
       (** evaluation sites rewritten by [Naming] (Partial level only) *)
   mutable constants_folded : int;
@@ -57,6 +61,10 @@ type routine_stats = {
 
 (** Zeroed statistics for the named routine. *)
 val fresh_stats : string -> routine_stats
+
+(** The routine's ([Metrics] name, value) pairs in table order, e.g.
+    [("pre.rounds", 5)]; a group its pass never ran has none. *)
+val counters : routine_stats -> (string * int) list
 
 (** One-line-per-routine JSON records of [routine_stats]
     ([{"type":"routine_stats","routine":...,...}]), encoded with
@@ -70,10 +78,9 @@ val stats_jsonl : routine_stats list -> string
     recorded statistics through this instead of re-running the pipeline. *)
 val stats_of_json : Epre_telemetry.Tjson.t -> routine_stats option
 
-(** Mirror a routine's statistics into the [Epre_telemetry.Metrics]
-    counters registry — what [optimize] does after each routine. Exposed
-    so a cache hit replays the same counter increments a recompile would
-    have produced. *)
+(** Add {!counters} to the [Epre_telemetry.Metrics] registry — what
+    [optimize] does after each routine. Exposed so a cache hit replays
+    the same counter increments a recompile would have produced. *)
 val record_metrics : routine_stats -> unit
 
 (** Names the transformation a level performs: the level and its exact
@@ -82,13 +89,6 @@ val record_metrics : routine_stats -> unit
     level's pipeline changes its fingerprint and invalidates cached
     results. *)
 val fingerprint : level:level -> string
-
-(** [dump] observes the routine after each named stage (IR tracing; the
-    Figures 2-10 walkthrough uses it); a level's stages are named by
-    {!level_stages}, a registry sequence's by its registry names. *)
-type hooks = { dump : string -> Routine.t -> unit }
-
-val no_hooks : hooks
 
 val reassoc_config : distribute:bool -> Epre_reassoc.Expr_tree.config
 
@@ -151,8 +151,10 @@ val inject_faults :
   Epre_harness.Harness.named_pass list ->
   Epre_harness.Harness.named_pass list
 
-(** Optimize one routine in place. [poll] is called before every pass and
-    may raise to abandon the remaining passes (the compile service's
+(** Optimize one routine in place. [dump name r] observes the routine
+    after each stage, named as in {!level_stages} (IR tracing; the
+    Figures 2-10 walkthrough uses it). [poll] is called before every pass
+    and may raise to abandon the remaining passes (the compile service's
     deadline enforcement): the routine is then left at a pass boundary,
     never mid-transformation. [wrap] transforms the level's pass list
     before it runs (default: identity) — the compile service uses it to
@@ -160,7 +162,7 @@ val inject_faults :
     wrapped passes must keep their [pass_name]s for spans and histograms
     to stay meaningful. *)
 val optimize_routine :
-  ?hooks:hooks ->
+  ?dump:(string -> Routine.t -> unit) ->
   ?poll:(unit -> unit) ->
   ?wrap:
     (Epre_harness.Harness.named_pass list -> Epre_harness.Harness.named_pass list) ->
@@ -170,17 +172,21 @@ val optimize_routine :
 
 (** Run a pass sequence (registry passes, [Epre.Passes]) over every
     routine in place, through the levels' routine-major runner; no
-    statistics. @raise Routine.Ill_formed when a routine fails its end
-    validation; a pass's own exception propagates. *)
+    statistics; [dump] fires after each pass, under its registry name.
+    @raise Routine.Ill_formed when a routine fails its end validation; a
+    pass's own exception propagates. *)
 val run_passes :
-  hooks:hooks -> Epre_harness.Harness.named_pass list -> Program.t -> unit
+  ?dump:(string -> Routine.t -> unit) ->
+  Epre_harness.Harness.named_pass list -> Program.t -> unit
 
 (** Optimize a whole program in place; per-routine statistics. *)
-val optimize : ?hooks:hooks -> level:level -> Program.t -> routine_stats list
+val optimize :
+  ?dump:(string -> Routine.t -> unit) -> level:level -> Program.t -> routine_stats list
 
 (** Copy, optimize the copy, return it with the stats. *)
 val optimized_copy :
-  ?hooks:hooks -> level:level -> Program.t -> Program.t * routine_stats list
+  ?dump:(string -> Routine.t -> unit) -> level:level -> Program.t ->
+  Program.t * routine_stats list
 
 (** Optimize in place under harness supervision: every (pass, routine)
     application runs against a checkpoint, is validated at the tier in
@@ -188,11 +194,12 @@ val optimized_copy :
     continues. [inject] splices extra passes — typically
     [Epre_harness.Chaos] faults — into the sequence at the given 0-based
     positions (clamped). Returns the per-routine statistics and the
-    per-application outcome records in execution order.
+    per-application outcome records in execution order. Statistics a
+    rolled-back pass added stay in [routine_stats].
     @raise Epre_harness.Harness.Supervision_failed on the first rollback
     when [config.keep_going] is false. *)
 val optimize_supervised :
-  ?hooks:hooks ->
+  ?dump:(string -> Routine.t -> unit) ->
   ?inject:(int * Epre_harness.Harness.named_pass) list ->
   config:Epre_harness.Harness.config ->
   level:level ->

@@ -204,6 +204,53 @@ let cache_poisoned_entry =
       let before = poisoned () in
       Cache.find cache ~key = None && poisoned () = before + 1 && not (Sys.file_exists path))
 
+(* Routine statistics with each group present or absent. *)
+let gen_routine_stats =
+  let open Gen in
+  let+ routine = string_size ~gen:printable (int_range 0 8)
+  and+ (exprs_renamed, constants_folded), (peephole_rewrites, dce_removed, copies_coalesced) =
+    pair (pair int int) (triple int int int)
+  and+ pre = opt (quad int int int int)
+  and+ gvn = opt (pair int int)
+  and+ reassoc = opt (pair int int) in
+  { Epre.Pipeline.routine; exprs_renamed; constants_folded; peephole_rewrites; dce_removed;
+    copies_coalesced;
+    pre =
+      Option.map
+        (fun (inserted, deleted, cse_deleted, rounds) ->
+          { Epre_pre.Pre.inserted; deleted; cse_deleted; rounds })
+        pre;
+    gvn =
+      Option.map (fun (classes_merged, renamed) -> { Epre_gvn.Gvn.classes_merged; renamed }) gvn;
+    reassoc =
+      Option.map
+        (fun (before_ops, after_ops) -> { Epre_reassoc.Reassociate.before_ops; after_ops })
+        reassoc }
+
+(* Every copy of a JSON object with one key, at any depth, dropped or
+   given a value of the wrong type. *)
+let rec damaged = function
+  | Tjson.Obj fields ->
+    let mistyped = function Tjson.Int _ -> Tjson.Str "0" | _ -> Tjson.Int 0 in
+    List.concat
+      (List.mapi
+         (fun i (k, v) ->
+           let at kv =
+             Tjson.Obj (List.concat (List.mapi (fun j f -> if i = j then kv else [ f ]) fields))
+           in
+           at [] :: at [ (k, mistyped v) ] :: List.map (fun v' -> at [ (k, v') ]) (damaged v))
+         fields)
+  | _ -> []
+
+let stats_codec_strict =
+  Helpers.qcheck_case ~count:300 "fuzz" "routine stats round-trip; any damaged key is None"
+    gen_routine_stats
+    (fun s ->
+      let j = Epre.Pipeline.stats_to_json s in
+      Epre.Pipeline.stats_of_json j = Some s
+      && Result.map Epre.Pipeline.stats_of_json (Tjson.parse (Tjson.to_string j)) = Ok (Some s)
+      && List.for_all (fun d -> Epre.Pipeline.stats_of_json d = None) (damaged j))
+
 let suite =
   [ frontend_total; ir_text_total; mutation_total; job_line_total; journal_cut_keeps_prefix;
-    journal_garbled_total; cache_poisoned_entry ]
+    journal_garbled_total; cache_poisoned_entry; stats_codec_strict ]

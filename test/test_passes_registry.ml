@@ -92,9 +92,7 @@ fn main(): int {
 |}
   in
   let reference = Helpers.run_int prog in
-  Epre.Pipeline.run_passes ~hooks:Epre.Pipeline.no_hooks
-    (List.map Epre.Passes.to_named (parse_ten ()))
-    prog;
+  Epre.Pipeline.run_passes (List.map Epre.Passes.to_named (parse_ten ())) prog;
   Alcotest.(check int) "semantics through a 10-pass custom pipeline" reference
     (Helpers.run_int prog)
 
@@ -106,9 +104,7 @@ let test_runner_order_irrelevant () =
   List.iter
     (fun w ->
       let routine_major = Epre_workloads.Workloads.compile w in
-      Epre.Pipeline.run_passes ~hooks:Epre.Pipeline.no_hooks
-        (List.map Epre.Passes.to_named ps)
-        routine_major;
+      Epre.Pipeline.run_passes (List.map Epre.Passes.to_named ps) routine_major;
       let pass_major = Epre_workloads.Workloads.compile w in
       List.iter
         (fun pass ->
@@ -131,8 +127,7 @@ let test_level_spellings () =
           let leveled = Epre_workloads.Workloads.compile w in
           ignore (Epre.Pipeline.optimize ~level leveled);
           let spelled = Epre_workloads.Workloads.compile w in
-          Epre.Pipeline.run_passes ~hooks:Epre.Pipeline.no_hooks
-            (Epre.Passes.named spelling) spelled;
+          Epre.Pipeline.run_passes (Epre.Passes.named spelling) spelled;
           Alcotest.(check string)
             (w.Epre_workloads.Workloads.name ^ " at " ^ spelling)
             (Ir_text.print_program leveled)

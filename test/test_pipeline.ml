@@ -64,8 +64,8 @@ let test_stats_populated () =
 let test_dump_hooks_fire () =
   let prog = Helpers.compile "fn main(): int { return 1 + 2; }" in
   let seen = ref [] in
-  let hooks = { Epre.Pipeline.dump = (fun name _ -> seen := name :: !seen) } in
-  ignore (Epre.Pipeline.optimize ~hooks ~level:Epre.Pipeline.Distribution prog);
+  let dump name _ = seen := name :: !seen in
+  ignore (Epre.Pipeline.optimize ~dump ~level:Epre.Pipeline.Distribution prog);
   List.iter
     (fun stage ->
       Alcotest.(check bool) (stage ^ " dumped") true (List.mem stage !seen))

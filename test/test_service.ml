@@ -180,10 +180,20 @@ let test_pool_outcome_mix () =
 let test_cache_second_run_all_hits () =
   let dir = Helpers.fresh_dir () in
   let cache = Cache.create ~dir () in
+  (* The pipeline counters a run left in the registry, which is then
+     cleared for the next run (the cache's own traffic counters live
+     under [<service>] and differ by design). *)
+  let routine_counters () =
+    let snap = Epre_telemetry.Metrics.snapshot () in
+    Epre_telemetry.Metrics.reset_for_testing ();
+    List.filter (fun e -> e.Epre_telemetry.Metrics.routine <> "<service>") snap
+  in
+  Epre_telemetry.Metrics.reset_for_testing ();
   let cold = Epre_workloads.Workloads.compile (Option.get (Epre_workloads.Workloads.find "crout")) in
   let cold_stats, cold_counts, cold_text =
     Service.optimize_program ~cache ~level:Pipeline.Partial cold
   in
+  let cold_counters = routine_counters () in
   Alcotest.(check int) "cold run misses everything"
     (List.length cold_stats) cold_counts.Service.misses;
   Alcotest.(check int) "cold run hits nothing" 0 cold_counts.Service.hits;
@@ -191,6 +201,9 @@ let test_cache_second_run_all_hits () =
   let warm_stats, warm_counts, warm_text =
     Service.optimize_program ~cache ~level:Pipeline.Partial warm
   in
+  Alcotest.(check bool) "cold run filled the registry" true (cold_counters <> []);
+  Alcotest.(check bool) "warm run replays the cold run's counters" true
+    (routine_counters () = cold_counters);
   Alcotest.(check int) "warm run hits everything"
     (List.length warm_stats) warm_counts.Service.hits;
   Alcotest.(check int) "warm run misses nothing" 0 warm_counts.Service.misses;

@@ -389,22 +389,37 @@ fn f(x: int): int { return x * 4 + x * 4; }
 fn main(): int { var a: int = f(3); var b: int = f(5); return a + b; }
 |}
   in
-  ignore (Epre.Pipeline.optimize ~level:Epre.Pipeline.Partial prog);
+  let stats = Epre.Pipeline.optimize ~level:Epre.Pipeline.Distribution prog in
   let snap = Metrics.snapshot () in
   let routines_seen =
     List.sort_uniq compare (List.map (fun e -> e.Metrics.routine) snap)
   in
   Alcotest.(check (list string)) "counters for every routine" [ "f"; "main" ]
     routines_seen;
+  (* Every routine gets all 13 counters, each equal to its record field. *)
   List.iter
-    (fun routine ->
-      Alcotest.(check bool)
-        (routine ^ " has pipeline counters")
-        true
-        (List.exists
-           (fun e -> e.Metrics.routine = routine && e.Metrics.name = "dce.removed")
+    (fun (s : Epre.Pipeline.routine_stats) ->
+      let p = Option.get s.pre and g = Option.get s.gvn and r = Option.get s.reassoc in
+      let expected =
+        List.sort compare
+          [ ("naming.exprs_renamed", s.exprs_renamed);
+            ("constprop.constants_folded", s.constants_folded);
+            ("peephole.rewrites", s.peephole_rewrites); ("dce.removed", s.dce_removed);
+            ("coalesce.copies", s.copies_coalesced); ("pre.inserted", p.inserted);
+            ("pre.deleted", p.deleted); ("pre.cse_deleted", p.cse_deleted);
+            ("pre.rounds", p.rounds); ("gvn.classes_merged", g.classes_merged);
+            ("gvn.renamed", g.renamed); ("reassoc.before_ops", r.before_ops);
+            ("reassoc.after_ops", r.after_ops) ]
+      in
+      Alcotest.(check (list (pair string int)))
+        (s.routine ^ " counters equal its record")
+        expected
+        (List.filter_map
+           (fun e ->
+             if e.Metrics.routine = s.routine then Some (e.Metrics.name, e.Metrics.value)
+             else None)
            snap))
-    routines_seen;
+    stats;
   (* JSONL rendering: every line parses as a JSON object. *)
   String.split_on_char '\n' (Metrics.to_jsonl snap)
   |> List.iter (fun line ->
