@@ -931,7 +931,7 @@ let run_analyze =
     in
     let residual =
       List.fold_left
-        (fun acc (_, rep) -> acc + Epre_verify.Analyze.Audit.residual rep)
+        (fun acc (_, rep) -> acc + Epre_verify.Audit.residual rep)
         0 routine_reports
     in
     let note =
@@ -960,9 +960,16 @@ let analyze_cmd =
          site is classified as $(b,full)y redundant (available on every \
          path — rule A001), $(b,partial)ly redundant (a safe placement \
          could remove it — A002), $(b,value)-redundant (a congruent \
-         register already holds the value — A007) or clean, and each site \
-         gets a down-safety verdict (its result is read on every path \
-         from the site).";
+         evaluation dominates it — A007) or clean, and each site gets a \
+         down-safety verdict (its result is read on every path from the \
+         site).";
+      `P
+        "Congruence is the AWZ partition GVN renames by, computed on an \
+         SSA copy of the routine. An A007 names the dominating evaluation \
+         (\"recomputes the value B$(i,b):$(i,i) computed\"); a partially \
+         redundant site that one dominates gets A007 too. A routine that \
+         reads a register before any write on some path has no SSA form \
+         and gets no A007.";
       `P
         "When the program was optimized, the unoptimized compile of the \
          same input serves as the baseline for the delta rules: \
@@ -972,9 +979,10 @@ let analyze_cmd =
          at any level.";
       `P
         "$(b,--json) emits one object per (input, level) with the \
-         per-routine site classifications, per-block pressure, deltas and \
-         the residual score, plus the diagnostics in the $(b,verify) \
-         report schema.";
+         per-routine site classifications (a value site's $(b,holder) is \
+         the block and index of the evaluation it repeats), per-block \
+         pressure, deltas and the residual score, plus the diagnostics in \
+         the $(b,verify) report schema.";
       `S Manpage.s_exit_status;
       `P
         "0 when the audit reports no error-severity finding (A001–A003); \

@@ -169,7 +169,7 @@ type hierarchy_row = {
 let residual_count (p : Program.t) =
   List.fold_left
     (fun acc (r : Routine.t) ->
-      acc + Epre_analysis.Audit.residual (Epre_analysis.Audit.run r))
+      acc + Epre_verify.Audit.residual (Epre_verify.Audit.run r))
     0 (Program.routines p)
 
 (* Reassociation + GVN (encode value equivalence into names, as Section 5.3

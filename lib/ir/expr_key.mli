@@ -1,8 +1,8 @@
 (** The expression an instruction evaluates, as a hash key.
 
     Every table that finds an earlier evaluation of "the same expression"
-    keys on this type: [Naming]'s canonical names, the PRE universe, the
-    dominator-walk value numberers and the auditor's [Valnum]. Commutative
+    keys on this type: [Naming]'s canonical names, the PRE universe and
+    the dominator-walk value numberers. Commutative
     operands are put in ascending order. Constants compare with
     [Value.equal], so [0.0] and [-0.0] are two expressions; the tables in
     [Tbl] hash no value polymorphically. *)

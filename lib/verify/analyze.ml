@@ -1,7 +1,6 @@
 (** Verifier-side driver for the redundancy auditor. See the interface. *)
 
 open Epre_ir
-module Audit = Epre_analysis.Audit
 module Tjson = Epre_telemetry.Tjson
 module Metrics = Epre_telemetry.Metrics
 
@@ -66,8 +65,10 @@ let site_to_tjson (s : Audit.site) =
       ("text", Tjson.Str s.Audit.text);
       ( "classification",
         Tjson.Str (Audit.classification_to_string s.Audit.cls) );
-      ( "value_regs",
-        Tjson.Arr (List.map (fun r -> Tjson.Int r) s.Audit.value_regs) );
+      ( "holder",
+        match s.Audit.holder with
+        | Some (b, i) -> Tjson.Obj [ ("block", Tjson.Int b); ("index", Tjson.Int i) ]
+        | None -> Tjson.Null );
       ("speculative", Tjson.Bool s.Audit.speculative);
     ]
 

@@ -1,7 +1,7 @@
-(** The redundancy auditor's verifier-side driver: runs
-    [Epre_analysis.Audit] over routines and programs, converts its
-    findings to [Diag.t] diagnostics under the [A0xx] rule family, and
-    gives the harness's audit tier its post-pass check.
+(** The redundancy auditor's driver: runs [Audit] over routines and
+    programs, converts its findings to [Diag.t] diagnostics under the
+    [A0xx] rule family, and gives the harness's audit tier its post-pass
+    check.
 
     Division of labour: [Audit] measures (dataflow, value numbering,
     pressure) and knows nothing about severities or diagnostics;
@@ -10,7 +10,6 @@
     V rules already cover it), and the JSON/telemetry plumbing. *)
 
 open Epre_ir
-module Audit = Epre_analysis.Audit
 
 (** Audit one routine. Returns the raw report paired with its findings
     as diagnostics (severities from the [Rules] catalog, sorted by

@@ -47,7 +47,7 @@ let all =
     w "A004" "a path's evaluation count of an expression increased";
     w "A005" "peak register pressure increased";
     w "A006" "long-lived expression temporary spans many blocks";
-    w "A007" "value-redundant evaluation survives (a congruent register holds it)";
+    w "A007" "an evaluation survives that a congruent evaluation dominates";
   ]
 
 let find id = List.find_opt (fun r -> r.id = id) all

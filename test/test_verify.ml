@@ -623,8 +623,8 @@ B8:
     );
     ( "A007",
       fun () ->
-        (* r3 recomputes the value r2 definitely holds — congruent by
-           the conservative non-SSA value numbering. *)
+        (* r3 recomputes the value of B0:0, a congruent evaluation
+           (by the AWZ partition of the SSA form) that dominates it. *)
         audit
           {|
 routine f(r0, r1) entry B0 regs 5 {
